@@ -61,7 +61,7 @@ pub mod state;
 pub use bhb::{Bhb, BHB_TAG_BITS};
 pub use btb::{Btb, BtbEntry, BtbScheme};
 pub use cbp::{Cbp, CbpScheme, MixedFold};
-pub use hashfn::{parity_fold, FoldFamily, FoldFn};
+pub use hashfn::{parity_fold, FoldFamily, FoldFn, SignatureTable};
 pub use msr::MsrState;
 pub use pht::Pht;
 pub use predict::{Bpu, Prediction};

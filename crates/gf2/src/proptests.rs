@@ -87,6 +87,9 @@ proptest! {
         let cfg = RecoveryConfig { min_bit: 12, max_bit: 29, max_weight: 3 };
         let fns = recover_functions(&[(k, colliders.clone())], cfg);
         prop_assert!(verify_functions(&fns, &[(k, colliders)]));
+        // Every kept function is independent of the ones before it.
+        let all = BitMatrix::from_rows(64, &fns.iter().map(|f| f.mask).collect::<Vec<_>>());
+        prop_assert_eq!(all.rank() as usize, fns.len());
         // The planted functions are always consistent with the data, so
         // each must lie in the span of what a fully-constrained recovery
         // returns — check containment when enough data was provided.
