@@ -208,8 +208,8 @@ fn figure6(r: &TrialRunner, profiles: &[UarchProfile]) -> Result<(), phantom_ben
 /// made in a spec's `cbp` block are visible at a glance.
 fn list_uarchs(registry: &UarchRegistry) {
     println!(
-        "{:<10} {:<26} {:<22} {:<6} {:<12} {:<20} {}",
-        "key", "name", "model", "vendor", "btb", "cbp", "phantom-exec-uops"
+        "{:<10} {:<26} {:<22} {:<6} {:<12} {:<20} phantom-exec-uops",
+        "key", "name", "model", "vendor", "btb", "cbp"
     );
     for spec in registry.specs() {
         let profile = spec.profile();
@@ -792,9 +792,9 @@ fn discover(
             },
         );
     }
-    std::fs::write(out, discover_jsonl(&report))?;
+    std::fs::write(out, discover_jsonl(report))?;
     if let Some(dir) = corpus {
-        let paths = phantom_bench::discover::write_corpus(dir, &report, 16)?;
+        let paths = phantom_bench::discover::write_corpus(dir, report, 16)?;
         println!(
             "[discover: wrote {} corpus case(s) under {}]",
             paths.len(),

@@ -29,7 +29,7 @@ fn stderr(out: &Output) -> String {
 
 /// A tiny grid: one uarch × 3 scenarios × 5 noise points = 15 jobs at
 /// 2 bits each.
-fn tiny_args<'a>(out: &'a str) -> Vec<&'a str> {
+fn tiny_args(out: &str) -> Vec<&str> {
     vec![
         "serve",
         "--uarch",

@@ -42,4 +42,6 @@ pub use setassoc::{AccessOutcome, Replacement, SetAssocCache};
 pub use uopcache::UopCache;
 
 #[cfg(test)]
+mod nested_model;
+#[cfg(test)]
 mod proptests;

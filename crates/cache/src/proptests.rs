@@ -4,6 +4,7 @@ use proptest::prelude::*;
 
 use crate::geometry::CacheGeometry;
 use crate::hierarchy::{CacheHierarchy, HierarchyConfig};
+use crate::nested_model::NestedSetAssocCache;
 use crate::setassoc::{Replacement, SetAssocCache};
 
 fn arb_geometry() -> impl Strategy<Value = CacheGeometry> {
@@ -18,6 +19,115 @@ fn arb_replacement() -> impl Strategy<Value = Replacement> {
         Just(Replacement::TreePlru),
         Just(Replacement::Fifo)
     ]
+}
+
+/// One step of the flat-vs-nested differential test.
+#[derive(Debug, Clone)]
+enum Op {
+    Access(u64),
+    FlushLine(u64),
+    FlushAll,
+    /// `begin_epoch` on the live cache, then clone it into a snapshot.
+    Snapshot,
+    /// `restore_from` one of the snapshots taken so far. The newest one
+    /// shares the live cache's epoch token (the dirty-set path); older
+    /// ones, or any after a foreign restore, take the full-copy path.
+    Restore(usize),
+    /// `restore_from` an independently built cache (a foreign token),
+    /// filled with these addresses.
+    RestoreForeign(Vec<u64>),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let addr = 0u64..1 << 14;
+    (
+        0u8..16,
+        addr.clone(),
+        any::<usize>(),
+        proptest::collection::vec(addr, 0..24),
+    )
+        .prop_map(|(kind, addr, i, addrs)| match kind {
+            0..=7 => Op::Access(addr),
+            8 | 9 => Op::FlushLine(addr),
+            10 => Op::FlushAll,
+            11 | 12 => Op::Snapshot,
+            13 | 14 => Op::Restore(i),
+            _ => Op::RestoreForeign(addrs),
+        })
+}
+
+/// Every observable of the flat cache equals the nested model's (equal
+/// `set_contents` everywhere also pins every `probe`).
+fn assert_agree(flat: &SetAssocCache, nested: &NestedSetAssocCache) -> Result<(), TestCaseError> {
+    prop_assert_eq!(flat.geometry(), nested.geometry());
+    prop_assert_eq!(flat.hits(), nested.hits());
+    prop_assert_eq!(flat.misses(), nested.misses());
+    for set in 0..flat.geometry().sets {
+        prop_assert_eq!(flat.set_occupancy(set), nested.set_occupancy(set));
+        prop_assert_eq!(flat.set_contents(set), nested.set_contents(set));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat one-array cache is observationally identical to the
+    /// nested one-`Vec`-per-set layout it replaced, for every policy,
+    /// geometry and op sequence — including clones taken under the
+    /// epoch protocol and restores through both the dirty-set and the
+    /// full-copy paths.
+    #[test]
+    fn flat_cache_matches_nested_model(
+        geometry in arb_geometry(),
+        replacement in arb_replacement(),
+        ops in proptest::collection::vec(arb_op(), 1..160),
+    ) {
+        let mut flat = SetAssocCache::new(geometry, replacement);
+        let mut nested = NestedSetAssocCache::new(geometry, replacement);
+        let mut snaps: Vec<(SetAssocCache, NestedSetAssocCache)> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Access(a) => {
+                    prop_assert_eq!(flat.access(a), nested.access(a));
+                    prop_assert_eq!(flat.probe(a), nested.probe(a));
+                }
+                Op::FlushLine(a) => {
+                    prop_assert_eq!(flat.flush_line(a), nested.flush_line(a));
+                    prop_assert_eq!(flat.probe(a), nested.probe(a));
+                }
+                Op::FlushAll => {
+                    flat.flush_all();
+                    nested.flush_all();
+                }
+                Op::Snapshot => {
+                    flat.begin_epoch();
+                    nested.begin_epoch();
+                    snaps.push((flat.clone(), nested.clone()));
+                }
+                Op::Restore(i) => {
+                    if !snaps.is_empty() {
+                        let (fs, ns) = &snaps[i % snaps.len()];
+                        flat.restore_from(fs);
+                        nested.restore_from(ns);
+                    }
+                }
+                Op::RestoreForeign(addrs) => {
+                    let mut fs = SetAssocCache::new(geometry, replacement);
+                    let mut ns = NestedSetAssocCache::new(geometry, replacement);
+                    for &a in &addrs {
+                        prop_assert_eq!(fs.access(a), ns.access(a));
+                    }
+                    flat.restore_from(&fs);
+                    nested.restore_from(&ns);
+                }
+            }
+            assert_agree(&flat, &nested)?;
+        }
+        for (fs, ns) in &snaps {
+            assert_agree(fs, ns)?;
+        }
+    }
 }
 
 proptest! {

@@ -35,19 +35,12 @@ pub struct AccessOutcome {
     pub evicted: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
     valid: bool,
     /// LRU timestamp (Lru), insertion order (Fifo).
     stamp: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Set {
-    lines: Vec<Line>,
-    /// Tree-PLRU state bits (ways-1 internal nodes).
-    plru: u64,
 }
 
 /// A set-associative cache of line addresses.
@@ -72,7 +65,13 @@ struct Set {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     replacement: Replacement,
-    sets: Vec<Set>,
+    /// Every set's ways in one flat array: set `i` is
+    /// `lines[i * ways..(i + 1) * ways]`. One allocation per cache, so
+    /// cloning or dropping a cache is a memcpy, not one heap block per
+    /// set.
+    lines: Vec<Line>,
+    /// Tree-PLRU state bits per set (ways-1 internal nodes each).
+    plru: Vec<u64>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -91,22 +90,11 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Create an empty cache.
     pub fn new(geometry: CacheGeometry, replacement: Replacement) -> SetAssocCache {
-        let sets = (0..geometry.sets)
-            .map(|_| Set {
-                lines: (0..geometry.ways)
-                    .map(|_| Line {
-                        tag: 0,
-                        valid: false,
-                        stamp: 0,
-                    })
-                    .collect(),
-                plru: 0,
-            })
-            .collect();
         SetAssocCache {
             geometry,
             replacement,
-            sets,
+            lines: vec![Line::default(); geometry.sets * geometry.ways],
+            plru: vec![0; geometry.sets],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -114,6 +102,13 @@ impl SetAssocCache {
             dirty: vec![false; geometry.sets],
             dirty_sets: Vec::new(),
         }
+    }
+
+    /// The ways of set `set_idx`.
+    #[inline]
+    fn set(&self, set_idx: usize) -> &[Line] {
+        let ways = self.geometry.ways;
+        &self.lines[set_idx * ways..(set_idx + 1) * ways]
     }
 
     #[inline]
@@ -150,17 +145,20 @@ impl SetAssocCache {
         self.hits = snap.hits;
         self.misses = snap.misses;
         if self.epoch_token == snap.epoch_token {
+            let ways = self.geometry.ways;
             for &i in &self.dirty_sets {
                 let i = i as usize;
-                self.sets[i].lines.copy_from_slice(&snap.sets[i].lines);
-                self.sets[i].plru = snap.sets[i].plru;
+                let span = i * ways..(i + 1) * ways;
+                self.lines[span.clone()].copy_from_slice(&snap.lines[span]);
+                self.plru[i] = snap.plru[i];
                 self.dirty[i] = false;
             }
             self.dirty_sets.clear();
         } else {
             self.geometry = snap.geometry;
             self.replacement = snap.replacement;
-            self.sets.clone_from(&snap.sets);
+            self.lines.clone_from(&snap.lines);
+            self.plru.clone_from(&snap.plru);
             self.epoch_token = snap.epoch_token;
             self.dirty.clone_from(&snap.dirty);
             self.dirty_sets.clone_from(&snap.dirty_sets);
@@ -228,13 +226,14 @@ impl SetAssocCache {
         let ways = self.geometry.ways;
         let line_shift = self.geometry.line_shift();
         let sets_shift = self.geometry.sets.trailing_zeros();
-        let set = &mut self.sets[set_idx];
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
+        let plru = &mut self.plru[set_idx];
 
-        if let Some(way) = set.lines.iter().position(|l| l.valid && l.tag == tag) {
+        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             self.hits += 1;
             match self.replacement {
-                Replacement::Lru => set.lines[way].stamp = self.clock,
-                Replacement::TreePlru => Self::plru_touch(&mut set.plru, ways, way),
+                Replacement::Lru => set[way].stamp = self.clock,
+                Replacement::TreePlru => Self::plru_touch(plru, ways, way),
                 Replacement::Fifo => {}
             }
             return AccessOutcome {
@@ -245,32 +244,30 @@ impl SetAssocCache {
 
         self.misses += 1;
         // Pick a victim: an invalid way first, else per policy.
-        let way =
-            set.lines
-                .iter()
-                .position(|l| !l.valid)
-                .unwrap_or_else(|| match self.replacement {
-                    Replacement::Lru | Replacement::Fifo => set
-                        .lines
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.stamp)
-                        .map(|(i, _)| i)
-                        .unwrap_or(0),
-                    Replacement::TreePlru => Self::plru_choose(set.plru, ways),
-                });
-        let evicted = if set.lines[way].valid {
-            Some((set.lines[way].tag << sets_shift | set_idx as u64) << line_shift)
+        let way = set
+            .iter()
+            .position(|l| !l.valid)
+            .unwrap_or_else(|| match self.replacement {
+                Replacement::Lru | Replacement::Fifo => set
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.stamp)
+                    .map(|(i, _)| i)
+                    .unwrap_or(0),
+                Replacement::TreePlru => Self::plru_choose(*plru, ways),
+            });
+        let evicted = if set[way].valid {
+            Some((set[way].tag << sets_shift | set_idx as u64) << line_shift)
         } else {
             None
         };
-        set.lines[way] = Line {
+        set[way] = Line {
             tag,
             valid: true,
             stamp: self.clock,
         };
         if self.replacement == Replacement::TreePlru {
-            Self::plru_touch(&mut set.plru, ways, way);
+            Self::plru_touch(plru, ways, way);
         }
         AccessOutcome {
             hit: false,
@@ -280,9 +277,10 @@ impl SetAssocCache {
 
     /// Non-destructive presence check (does not update replacement state).
     pub fn probe(&self, addr: u64) -> bool {
-        let set = &self.sets[self.geometry.set_index(addr)];
         let tag = self.geometry.tag(addr);
-        set.lines.iter().any(|l| l.valid && l.tag == tag)
+        self.set(self.geometry.set_index(addr))
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
     }
 
     /// Invalidate the line containing `addr`. Returns whether it was
@@ -290,9 +288,10 @@ impl SetAssocCache {
     pub fn flush_line(&mut self, addr: u64) -> bool {
         let set_idx = self.geometry.set_index(addr);
         let tag = self.geometry.tag(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(way) = set.lines.iter().position(|l| l.valid && l.tag == tag) {
-            set.lines[way].valid = false;
+        let ways = self.geometry.ways;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
+        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
+            set[way].valid = false;
             self.mark_dirty(set_idx);
             true
         } else {
@@ -302,27 +301,24 @@ impl SetAssocCache {
 
     /// Invalidate every line.
     pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            for line in &mut set.lines {
-                line.valid = false;
-            }
+        for line in &mut self.lines {
+            line.valid = false;
         }
-        for i in 0..self.sets.len() {
+        for i in 0..self.geometry.sets {
             self.mark_dirty(i);
         }
     }
 
     /// Number of valid lines in `set`.
     pub fn set_occupancy(&self, set: usize) -> usize {
-        self.sets[set].lines.iter().filter(|l| l.valid).count()
+        self.set(set).iter().filter(|l| l.valid).count()
     }
 
     /// Line base addresses currently valid in `set` (unordered).
     pub fn set_contents(&self, set: usize) -> Vec<u64> {
         let sets_shift = self.geometry.sets.trailing_zeros();
         let line_shift = self.geometry.line_shift();
-        self.sets[set]
-            .lines
+        self.set(set)
             .iter()
             .filter(|l| l.valid)
             .map(|l| (l.tag << sets_shift | set as u64) << line_shift)
@@ -431,11 +427,10 @@ mod tests {
         assert_eq!(a.clock, b.clock);
         assert_eq!(a.hits, b.hits);
         assert_eq!(a.misses, b.misses);
-        for (x, y) in a.sets.iter().zip(&b.sets) {
-            assert_eq!(x.plru, y.plru);
-            for (lx, ly) in x.lines.iter().zip(&y.lines) {
-                assert_eq!((lx.tag, lx.valid, lx.stamp), (ly.tag, ly.valid, ly.stamp));
-            }
+        assert_eq!(a.plru, b.plru);
+        assert_eq!(a.lines.len(), b.lines.len());
+        for (lx, ly) in a.lines.iter().zip(&b.lines) {
+            assert_eq!((lx.tag, lx.valid, lx.stamp), (ly.tag, ly.valid, ly.stamp));
         }
     }
 

@@ -9,12 +9,18 @@
 //! `(profile, phys_bytes)` into an immortal **template** at a canonical
 //! layout, and per seed:
 //!
-//! 1. clone the template machine (frames stay `Arc`-shared
-//!    copy-on-write with the template, so this is pointer bumps);
+//! 1. clone the template machine: physical frames and the page-table
+//!    maps stay `Arc`-shared (copy-on-write) with the template, so
+//!    what is copied is the frame map (one `Arc` per resident frame,
+//!    the largest term), each cache's flat line and PLRU arrays, the
+//!    TLB and the predictors — no per-set allocation and no
+//!    page-table entry;
 //! 2. rebase the image's 4 KiB and the physmap's 2 MiB page-table
 //!    entries from the canonical bases to the seed's randomized bases
 //!    (same frames, same flags — see
-//!    [`PageTable::rebase_4k_range`](phantom_mem::PageTable::rebase_4k_range));
+//!    [`PageTable::rebase_4k_range`](phantom_mem::PageTable::rebase_4k_range)),
+//!    which builds each rebased map in one pass into a fresh
+//!    allocation rather than editing a deep copy of the shared one;
 //! 3. re-plant the seed's secret and re-point the syscall entry.
 //!
 //! The result is observationally identical to [`System::new`] with the
@@ -212,14 +218,35 @@ mod tests {
     use super::*;
     use crate::sysno;
     use phantom_isa::Reg;
-    use phantom_mem::PrivilegeLevel;
+    use phantom_mem::{AccessKind, PageFlags, PhysAddr, PrivilegeLevel, VirtAddr};
 
     const PHYS: u64 = 1 << 26;
+
+    /// Supervisor read translation and flags at `va` — everything a
+    /// page-table entry decides.
+    fn pte_view(
+        m: &phantom_pipeline::Machine,
+        va: VirtAddr,
+    ) -> (Option<PageFlags>, Option<PhysAddr>) {
+        let pt = m.page_table();
+        let pa = pt.translate(va, AccessKind::Read, PrivilegeLevel::Supervisor);
+        (pt.flags_of(va), pa.ok())
+    }
 
     #[test]
     fn boot_matches_a_fresh_boot() {
         let cache = BootCache::new();
-        for seed in [11u64, 0xc0de, 7_777_777] {
+        let template = cache.template_for(UarchProfile::zen2(), PHYS).unwrap();
+        let canonical = KaslrLayout::fixed(0, 0);
+        // Besides arbitrary seeds, one whose image lands on the
+        // canonical slot (a no-op image rebase) and one a slot above it
+        // (source and destination ranges overlap).
+        let slot_seed = |slot| {
+            (0u64..)
+                .find(|&s| KaslrLayout::randomize(s).image_slot == slot)
+                .unwrap()
+        };
+        for seed in [11u64, 0xc0de, 7_777_777, slot_seed(0), slot_seed(1)] {
             let mut fresh = System::new(UarchProfile::zen2(), PHYS, seed).unwrap();
             let mut cached = cache.boot(UarchProfile::zen2(), PHYS, seed).unwrap();
 
@@ -260,14 +287,46 @@ mod tests {
                 assert_eq!(translate(cached.machine()), translate(fresh.machine()));
             }
 
-            // The canonical-base mappings are gone, not duplicated.
-            let canonical = KaslrLayout::fixed(0, 0);
-            if fresh.layout().image_slot != 0 {
-                assert!(cached
-                    .machine()
-                    .page_table()
-                    .flags_of(canonical.image_base())
-                    .is_none());
+            // Every image page and every physmap huge page (plus the
+            // page past each range) translates exactly as on a fresh
+            // boot, at the seed's bases and at the canonical ones.
+            let image_pages = template.image_pages;
+            let physmap_entries = template.physmap_entries;
+            assert!(image_pages > 0 && physmap_entries > 0);
+            for layout in [fresh.layout(), canonical] {
+                for i in 0..=image_pages {
+                    let va = layout.image_base() + i * PAGE_SIZE;
+                    assert_eq!(
+                        pte_view(cached.machine(), va),
+                        pte_view(fresh.machine(), va),
+                        "image page {i} at {va} (seed {seed})"
+                    );
+                }
+                for i in 0..=physmap_entries {
+                    let va = layout.physmap_base() + i * HUGE_PAGE_SIZE;
+                    assert_eq!(
+                        pte_view(cached.machine(), va),
+                        pte_view(fresh.machine(), va),
+                        "physmap page {i} at {va} (seed {seed})"
+                    );
+                }
+            }
+
+            // The canonical ranges are fully vacated: every canonical
+            // page the seed's own range does not cover is unmapped.
+            let image = fresh.layout().image_base().raw()
+                ..fresh.layout().image_base().raw() + image_pages * PAGE_SIZE;
+            for i in 0..image_pages {
+                let va = canonical.image_base() + i * PAGE_SIZE;
+                if !image.contains(&va.raw()) {
+                    assert_eq!(pte_view(cached.machine(), va), (None, None), "{va}");
+                }
+            }
+            if fresh.layout().physmap_slot != 0 {
+                for i in 0..physmap_entries {
+                    let va = canonical.physmap_base() + i * HUGE_PAGE_SIZE;
+                    assert_eq!(pte_view(cached.machine(), va), (None, None), "{va}");
+                }
             }
             assert_eq!(
                 cached.machine().page_table().len(),

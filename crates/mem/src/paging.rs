@@ -278,10 +278,12 @@ impl PageTable {
     /// `old_base` to `new_base`, preserving each page's frame and
     /// flags. Pages unmapped at the source stay unmapped at the
     /// destination; pre-existing destination mappings are replaced.
-    /// Overlap-safe: every source entry is removed before any
-    /// destination entry is inserted, so rebasing a region onto an
+    /// Overlap-safe: the result is exactly "remove every source entry,
+    /// then insert every moved one", so rebasing a region onto an
     /// overlapping one (KASLR slots are closer together than the
-    /// kernel image is long) never drops or duplicates an entry.
+    /// kernel image is long) never drops or duplicates an entry. The
+    /// rebased map is built in one pass (see `rebase_keys`) rather
+    /// than by per-entry remove and insert.
     ///
     /// Returns the number of mappings moved. A no-op rebase (equal
     /// bases, or nothing mapped in the source range) leaves the
@@ -294,22 +296,14 @@ impl PageTable {
         if old_base == new_base || pages == 0 {
             return 0;
         }
-        let small = Arc::make_mut(&mut self.small);
-        let mut moved = Vec::new();
-        for i in 0..pages {
-            let key = (old_base + (i << PAGE_SHIFT)).page_number();
-            if let Some(m) = small.remove(&key) {
-                moved.push((i, m));
-            }
-        }
-        for &(i, m) in &moved {
-            small.insert((new_base + (i << PAGE_SHIFT)).page_number(), m);
-        }
-        if !moved.is_empty() {
+        let moved = rebase_keys(&mut self.small, old_base.page_number(), pages, |i| {
+            (new_base + (i << PAGE_SHIFT)).page_number()
+        });
+        if moved != 0 {
             self.bump_version(old_base);
             self.bump_version(new_base);
         }
-        moved.len()
+        moved
     }
 
     /// Move the 2 MiB huge mappings of `count` consecutive huge pages
@@ -324,22 +318,17 @@ impl PageTable {
         if old_base == new_base || count == 0 {
             return 0;
         }
-        let huge = Arc::make_mut(&mut self.huge);
-        let mut moved = Vec::new();
-        for i in 0..count {
-            let key = (old_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT;
-            if let Some(m) = huge.remove(&key) {
-                moved.push((i, m));
-            }
-        }
-        for &(i, m) in &moved {
-            huge.insert((new_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT, m);
-        }
-        if !moved.is_empty() {
+        let moved = rebase_keys(
+            &mut self.huge,
+            old_base.raw() >> HUGE_PAGE_SHIFT,
+            count,
+            |i| (new_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT,
+        );
+        if moved != 0 {
             self.bump_version(old_base);
             self.bump_version(new_base);
         }
-        moved.len()
+        moved
     }
 
     /// Mutation stamp: unchanged version means unchanged table, so a
@@ -437,6 +426,97 @@ impl PageTable {
     /// Whether the table has no mappings.
     pub fn is_empty(&self) -> bool {
         self.small.is_empty() && self.huge.is_empty()
+    }
+}
+
+/// Move the entries keyed `first..first + count` of `map` to
+/// `dest(i)`, where `i` is the key's offset from `first`; return how
+/// many moved. When any did, the map is rebuilt in one pass into a
+/// fresh allocation: the entries outside the source range as they are,
+/// then the moved ones chained last. Collecting into a `BTreeMap`
+/// sorts stably and keeps the last entry of equal keys (std's bulk
+/// build; the rebase proptest fails if that ever changes), so a moved
+/// entry replaces whatever the destination held — the same map
+/// remove-all-then-insert-all yields, for any overlap of source and
+/// destination. With nothing to move the
+/// map (and its sharing) is left alone. A source range running past
+/// the top of the key space is clipped there rather than wrapped.
+fn rebase_keys(
+    map: &mut Arc<BTreeMap<u64, Mapping>>,
+    first: u64,
+    count: u64,
+    dest: impl Fn(u64) -> u64,
+) -> usize {
+    let end = first.saturating_add(count);
+    let moved = map.range(first..end).count();
+    if moved == 0 {
+        return 0;
+    }
+    let kept = map.range(..first).chain(map.range(end..));
+    let shifted = map.range(first..end).map(|(&k, &m)| (dest(k - first), m));
+    let rebased = kept.map(|(&k, &m)| (k, m)).chain(shifted).collect();
+    *map = Arc::new(rebased);
+    moved
+}
+
+/// Test-only oracle: the per-entry rebase that [`rebase_keys`]
+/// replaced — remove every source entry from a deep-cloned map, then
+/// insert every moved one. `proptests.rs` checks the one-pass rebase
+/// against it.
+#[cfg(test)]
+impl PageTable {
+    pub(crate) fn rebase_4k_range_per_entry(
+        &mut self,
+        old_base: VirtAddr,
+        new_base: VirtAddr,
+        pages: u64,
+    ) -> usize {
+        if old_base == new_base || pages == 0 {
+            return 0;
+        }
+        let small = Arc::make_mut(&mut self.small);
+        let mut moved = Vec::new();
+        for i in 0..pages {
+            let key = (old_base + (i << PAGE_SHIFT)).page_number();
+            if let Some(m) = small.remove(&key) {
+                moved.push((i, m));
+            }
+        }
+        for &(i, m) in &moved {
+            small.insert((new_base + (i << PAGE_SHIFT)).page_number(), m);
+        }
+        if !moved.is_empty() {
+            self.bump_version(old_base);
+            self.bump_version(new_base);
+        }
+        moved.len()
+    }
+
+    pub(crate) fn rebase_2m_range_per_entry(
+        &mut self,
+        old_base: VirtAddr,
+        new_base: VirtAddr,
+        count: u64,
+    ) -> usize {
+        if old_base == new_base || count == 0 {
+            return 0;
+        }
+        let huge = Arc::make_mut(&mut self.huge);
+        let mut moved = Vec::new();
+        for i in 0..count {
+            let key = (old_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT;
+            if let Some(m) = huge.remove(&key) {
+                moved.push((i, m));
+            }
+        }
+        for &(i, m) in &moved {
+            huge.insert((new_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT, m);
+        }
+        if !moved.is_empty() {
+            self.bump_version(old_base);
+            self.bump_version(new_base);
+        }
+        moved.len()
     }
 }
 

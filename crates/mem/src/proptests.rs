@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use crate::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
+use crate::addr::{PhysAddr, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 use crate::fault::AccessKind;
 use crate::paging::{PageFlags, PageTable, PrivilegeLevel};
 use crate::phys::PhysMemory;
@@ -50,7 +50,138 @@ fn arb_flags() -> impl Strategy<Value = PageFlags> {
     })
 }
 
+/// Rebase windows: one user-half and one kernel-half base per page
+/// size, so a rebase can stay in one half or cross to the other.
+const WINDOWS_4K: [u64; 2] = [0x10_0000, 0xffff_ffff_8000_0000];
+const WINDOWS_2M: [u64; 2] = [0x4000_0000, 0xffff_8880_0000_0000];
+/// Slots per window: sources and destinations (`slot + count`) stay
+/// inside it.
+const SLOTS: u64 = 80;
+
+/// One mapping of a rebase test table: `(huge, kernel window, slot,
+/// frame number, flags)`.
+type Entry = (bool, bool, u64, u64, PageFlags);
+
+fn arb_entries() -> impl Strategy<Value = Vec<Entry>> {
+    proptest::collection::vec(
+        (
+            any::<bool>(),
+            any::<bool>(),
+            0u64..48,
+            0u64..1 << 12,
+            arb_flags(),
+        ),
+        0..40,
+    )
+}
+
+/// A rebase request: `(huge, source window, source slot, destination
+/// window, destination slot, count)`; `old == new` is forced by
+/// `same_base`.
+type Rebase = (bool, bool, u64, bool, u64, u64);
+
+fn arb_rebase() -> impl Strategy<Value = (Rebase, bool)> {
+    (
+        (
+            any::<bool>(),
+            any::<bool>(),
+            0u64..40,
+            any::<bool>(),
+            0u64..40,
+            0u64..40,
+        ),
+        0u8..6,
+    )
+        .prop_map(|(r, same)| (r, same == 0))
+}
+
+fn slot_va(huge: bool, kernel: bool, slot: u64) -> VirtAddr {
+    let (windows, unit) = if huge {
+        (WINDOWS_2M, HUGE_PAGE_SIZE)
+    } else {
+        (WINDOWS_4K, PAGE_SIZE)
+    };
+    VirtAddr::new(windows[kernel as usize] + slot * unit)
+}
+
+/// Everything observable at every slot of both windows of one page
+/// size: flags and a supervisor read translation.
+fn observe(pt: &PageTable, huge: bool) -> Vec<(Option<PageFlags>, Option<PhysAddr>)> {
+    let mut seen = Vec::new();
+    for kernel in [false, true] {
+        for slot in 0..SLOTS {
+            let va = slot_va(huge, kernel, slot) + 0x123;
+            seen.push((
+                pt.flags_of(va),
+                pt.translate(va, AccessKind::Read, PrivilegeLevel::Supervisor)
+                    .ok(),
+            ));
+        }
+    }
+    seen
+}
+
+fn stamps(pt: &PageTable) -> [u64; 3] {
+    [
+        pt.version(),
+        pt.class_version(false),
+        pt.class_version(true),
+    ]
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The one-pass rebase equals remove-all-then-insert-all on random
+    /// 4 KiB and 2 MiB tables: same moved count, same translation at
+    /// every touched key (both windows, both page sizes), same length,
+    /// and the same version stamps moving. Covers overlapping source
+    /// and destination ranges, holes, pre-existing destination
+    /// mappings, empty sources, zero counts and `old == new`. The
+    /// table the rebased one was cloned from (a boot template, say)
+    /// is unaffected.
+    #[test]
+    fn one_pass_rebase_matches_per_entry_oracle(
+        entries in arb_entries(),
+        request in arb_rebase(),
+    ) {
+        let (rebase, same_base) = request;
+        let mut template = PageTable::new();
+        for &(huge, kernel, slot, frame, flags) in &entries {
+            let va = slot_va(huge, kernel, slot);
+            if huge {
+                template.map_2m(va, PhysAddr::new(frame * HUGE_PAGE_SIZE), flags);
+            } else {
+                template.map_4k(va, PhysAddr::new(frame * PAGE_SIZE), flags);
+            }
+        }
+        let (huge, src_kernel, src_slot, dst_kernel, dst_slot, count) = rebase;
+        let old = slot_va(huge, src_kernel, src_slot);
+        let new = if same_base { old } else { slot_va(huge, dst_kernel, dst_slot) };
+        let before = [observe(&template, false), observe(&template, true)];
+
+        let mut fast = template.clone();
+        let mut oracle = template.clone();
+        let (moved, expected) = if huge {
+            (fast.rebase_2m_range(old, new, count), oracle.rebase_2m_range_per_entry(old, new, count))
+        } else {
+            (fast.rebase_4k_range(old, new, count), oracle.rebase_4k_range_per_entry(old, new, count))
+        };
+        prop_assert_eq!(moved, expected);
+        prop_assert_eq!(fast.len(), oracle.len());
+        for size in [false, true] {
+            prop_assert_eq!(observe(&fast, size), observe(&oracle, size));
+        }
+        let (s0, sf, so) = (stamps(&template), stamps(&fast), stamps(&oracle));
+        for i in 0..3 {
+            prop_assert_eq!(sf[i] != s0[i], so[i] != s0[i], "stamp {} moved differently", i);
+        }
+        if moved == 0 {
+            prop_assert_eq!(sf, s0, "a no-op rebase must leave every stamp alone");
+        }
+        prop_assert_eq!([observe(&template, false), observe(&template, true)], before);
+    }
+
     /// Translation preserves the page offset and lands in the mapped frame.
     #[test]
     fn translate_preserves_offset(vpn in 0u64..1 << 30, fpn in 0u64..1 << 20, off in 0u64..PAGE_SIZE) {

@@ -15,6 +15,14 @@
 //! [`phantom_mem::PhysMemory::restore_from`]). The page-table maps and
 //! the decoded-line cache are `Arc`-backed too, so the big cold
 //! structures are shared rather than deep-copied.
+//!
+//! What a whole-machine clone (a snapshot, a fork, a boot-template
+//! instance) does copy: the frame map (one `Arc` per resident frame,
+//! the largest term), each set-associative cache as one flat line
+//! array plus one PLRU word and one dirty flag per set (L1I, L1D, L2
+//! and the µop cache: a few allocations and memcpys each, however
+//! many sets), the TLB, the predictor tables, the PMU and the
+//! architectural registers.
 
 use std::sync::Arc;
 
