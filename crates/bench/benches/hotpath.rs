@@ -1,7 +1,7 @@
 //! Microbenchmarks for the trial hot loop's fast paths: machine
-//! checkpoint/rewind (copy-on-write vs the deep-copy cost it
-//! replaced) and virtual-address translation (TLB fast path vs the
-//! `BTreeMap` page walk). Numbers are recorded in `EXPERIMENTS.md`.
+//! checkpoint/rewind (copy-on-write) and virtual-address translation
+//! (TLB fast path vs the `BTreeMap` page walk). Numbers are recorded
+//! in `EXPERIMENTS.md`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use phantom::UarchProfile;
@@ -30,12 +30,6 @@ fn bench_snapshot(c: &mut Criterion) {
     group.bench_function("cow", |b| {
         let mut m = warm_machine();
         b.iter(|| black_box(m.snapshot()))
-    });
-    // The cost a whole-machine deep copy of physical memory paid per
-    // checkpoint before CoW (every resident frame materialized).
-    group.bench_function("deep_copy", |b| {
-        let m = warm_machine();
-        b.iter(|| black_box(m.phys().deep_clone()))
     });
     group.finish();
 }

@@ -1,18 +1,20 @@
-//! End-to-end trials/sec for the campaign hot loop, A/B'ing the
-//! trace/superblock engine (`PHANTOM_TRACE_CACHE`). The measured unit
+//! End-to-end trials/sec for the campaign hot loop. The measured unit
 //! is [`campaign::run_job`] — boot, checkpoint, fork, rewind-per-bit,
 //! adaptive decode — i.e. exactly what a campaign spends its time on.
-//! Both arms produce bit-identical campaign records (the engine's
-//! contract); only host wall-clock differs. Numbers are recorded in
-//! `EXPERIMENTS.md` §trace-engine.
+//! Numbers are recorded in `EXPERIMENTS.md` §trace-engine; per-layer
+//! attribution comes from `perfbench/run.py --trace 1`.
 //!
 //! Also prints a one-shot per-scenario hit/bailout-rate table (not a
 //! timed benchmark) so the EXPERIMENTS.md replay-rate columns come from
-//! the same probe loop the channels run.
+//! the same probe loop the channels run, and a steady-state stepping
+//! A/B of the trace engine that flips it per machine through
+//! `Machine::set_trace_cache_enabled`. Environment variables cannot
+//! A/B inside one process: boot templates freeze what they read at
+//! their first boot.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use phantom::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig};
 use phantom::runner::TrialRunner;
 use phantom::{UarchProfile, UarchRegistry};
@@ -23,7 +25,7 @@ use phantom_isa::{Inst, Reg};
 use phantom_kernel::System;
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::Machine;
-use phantom_sidechannel::{NoiseModel, PrimeProbe, ProbeArena, ProbeLevel};
+use phantom_sidechannel::NoiseModel;
 
 /// The default campaign grid (all uarches × both channels × all noise
 /// points) scaled to criterion-iteration size by lowering bits per job.
@@ -34,15 +36,8 @@ fn mix(bits: usize) -> CampaignConfig {
     cfg
 }
 
-/// Machines read `PHANTOM_TRACE_CACHE` at boot, and every job boots its
-/// own system, so flipping the variable between arms A/Bs the engine
-/// end to end without touching the measured code path.
-fn set_trace_arm(enabled: bool) {
-    std::env::set_var("PHANTOM_TRACE_CACHE", if enabled { "1" } else { "0" });
-}
-
 /// One representative job per scenario (zen2, quiet noise), 64 bits:
-/// the per-scenario trials/sec A/B.
+/// per-scenario trials/sec.
 fn bench_per_scenario(c: &mut Criterion) {
     let cfg = mix(64);
     let jobs = campaign::jobs(&cfg);
@@ -54,171 +49,31 @@ fn bench_per_scenario(c: &mut Criterion) {
             .iter()
             .find(|j| j.uarch_key == "zen2" && j.scenario == scenario && j.noise.axis == "quiet")
             .expect("zen2 quiet job exists in the default grid");
-        for trace in [false, true] {
-            let id = format!(
-                "{}/trace={}",
-                scenario.as_str(),
-                if trace { "on" } else { "off" }
-            );
-            group.bench_function(BenchmarkId::from_parameter(id), |b| {
-                set_trace_arm(trace);
-                let runner = TrialRunner::with_threads(1);
-                b.iter(|| campaign::run_job(&runner, &cfg, job).expect("job runs"));
-            });
-        }
+        group.bench_function(scenario.as_str(), |b| {
+            let runner = TrialRunner::with_threads(1);
+            b.iter(|| campaign::run_job(&runner, &cfg, job).expect("job runs"));
+        });
     }
     group.finish();
 }
 
 /// The whole default mix — every job in the default grid at 8 bits per
-/// job — as one iteration. This is the number the ISSUE's ≥2x target is
-/// scored against.
+/// job — as one iteration.
 fn bench_default_mix(c: &mut Criterion) {
     let cfg = mix(8);
     let jobs = campaign::jobs(&cfg);
     let mut group = c.benchmark_group("trials/default_mix");
     group.sample_size(10);
     group.throughput(Throughput::Elements(cfg.total_trials() as u64));
-    for trace in [false, true] {
-        let id = if trace { "trace=on" } else { "trace=off" };
-        group.bench_function(BenchmarkId::from_parameter(id), |b| {
-            set_trace_arm(trace);
-            let runner = TrialRunner::with_threads(1);
-            b.iter(|| {
-                for job in &jobs {
-                    campaign::run_job(&runner, &cfg, job).expect("job runs");
-                }
-            });
+    group.bench_function("all_jobs", |b| {
+        let runner = TrialRunner::with_threads(1);
+        b.iter(|| {
+            for job in &jobs {
+                campaign::run_job(&runner, &cfg, job).expect("job runs");
+            }
         });
-    }
+    });
     group.finish();
-    std::env::remove_var("PHANTOM_TRACE_CACHE");
-}
-
-/// The host-throughput toggles: boot-image cache, persistent probe
-/// arenas, journaled rewind, frame pool. All read per use (boot-cache
-/// per cached boot, arena at scenario setup, journal/pool at machine
-/// construction), so flipping them between arms A/Bs the paths end to
-/// end.
-const THROUGHPUT_VARS: [&str; 4] = [
-    "PHANTOM_BOOT_CACHE",
-    "PHANTOM_PROBE_ARENA",
-    "PHANTOM_REWIND_JOURNAL",
-    "PHANTOM_FRAME_POOL",
-];
-
-fn set_throughput_arm(fast: bool) {
-    for var in THROUGHPUT_VARS {
-        std::env::set_var(var, if fast { "1" } else { "0" });
-    }
-}
-
-fn clear_throughput_arm() {
-    for var in THROUGHPUT_VARS {
-        std::env::remove_var(var);
-    }
-}
-
-/// The whole default mix again, this time A/B'ing the host-throughput
-/// paths (boot cache + probe arena + rewind journal + frame pool)
-/// together. Both arms produce byte-identical campaign records (the
-/// CI `trial-throughput` job `cmp`s them); only host wall-clock
-/// differs. This is the number the ISSUE's ≥2x target is scored
-/// against.
-fn bench_throughput_mix(c: &mut Criterion) {
-    let cfg = mix(8);
-    let jobs = campaign::jobs(&cfg);
-    let mut group = c.benchmark_group("trials/throughput_mix");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(cfg.total_trials() as u64));
-    for fast in [false, true] {
-        let id = if fast { "fast=on" } else { "fast=off" };
-        group.bench_function(BenchmarkId::from_parameter(id), |b| {
-            set_throughput_arm(fast);
-            let runner = TrialRunner::with_threads(1);
-            b.iter(|| {
-                for job in &jobs {
-                    campaign::run_job(&runner, &cfg, job).expect("job runs");
-                }
-            });
-        });
-    }
-    group.finish();
-    clear_throughput_arm();
-}
-
-/// Per-phase wall breakdown of one Fetch-channel trial loop, printed
-/// for both arms: boot (cold `System::new` vs warm cached boot), fork
-/// (checkpoint), and per-trial rewind / probe-map / step. Not a timed
-/// criterion benchmark — the phases are measured independently with
-/// `Instant` so the table shows *where* the trial budget goes (the
-/// Amdahl table in EXPERIMENTS.md comes from this).
-fn report_phase_breakdown(_c: &mut Criterion) {
-    const TRIALS: u32 = 64;
-    const PROBE_SET: usize = 43;
-    for fast in [false, true] {
-        set_throughput_arm(fast);
-        let seed = 0x7aceu64 ^ 0xc0de;
-        if fast {
-            // Build the (zen2, 1 GiB) template untimed: the boot row
-            // reports the steady-state (warm-cache) cost.
-            drop(System::new_cached(UarchProfile::zen2(), 1 << 30, seed));
-        }
-        let t = Instant::now();
-        let mut sys =
-            System::new_cached(UarchProfile::zen2(), 1 << 30, seed).expect("system boots");
-        let boot = t.elapsed().as_secs_f64();
-
-        let attacker = VirtAddr::new(0x5000_0000);
-        let arena = fast.then(|| {
-            ProbeArena::install(sys.machine_mut(), attacker, ProbeLevel::L1I)
-                .expect("arena installs")
-        });
-        let mut cfg = PrimitiveConfig::for_system(&sys, attacker);
-        if let Some(arena) = arena {
-            cfg = cfg.with_arena(arena);
-        }
-        let victim = sys.image().listing1_nop;
-        let t1 = sys.image().base + 0x2000 + (PROBE_SET as u64) * 64;
-
-        let t = Instant::now();
-        let snap = sys.machine_mut().checkpoint();
-        let fork = t.elapsed().as_secs_f64();
-
-        let mut noise = NoiseModel::quiet(seed);
-        let (mut rewind, mut map, mut step) = (0.0f64, 0.0f64, 0.0f64);
-        for _ in 0..TRIALS {
-            let t = Instant::now();
-            snap.rewind(sys.machine_mut());
-            rewind += t.elapsed().as_secs_f64();
-            // The probe-mapping phase in isolation: re-arm over the
-            // standing arena vs map a fresh eviction set.
-            let t = Instant::now();
-            let probe = match arena {
-                Some(arena) => arena.arm(sys.machine_mut(), PROBE_SET).expect("arena arms"),
-                None => {
-                    PrimeProbe::new_l1i(sys.machine_mut(), attacker, PROBE_SET).expect("probe maps")
-                }
-            };
-            map += t.elapsed().as_secs_f64();
-            drop(probe);
-            let t = Instant::now();
-            p1_probe_scored(&mut sys, &cfg, victim, t1, &mut noise).expect("probe runs");
-            step += t.elapsed().as_secs_f64();
-        }
-        let per = 1e6 / TRIALS as f64;
-        println!(
-            "phase-breakdown {}: boot {:.2} ms, fork {:.2} ms, per-trial rewind {:.1} us, \
-             map {:.1} us, step {:.1} us",
-            if fast { "fast" } else { "legacy" },
-            boot * 1e3,
-            fork * 1e3,
-            rewind * per,
-            map * per,
-            step * per,
-        );
-    }
-    clear_throughput_arm();
 }
 
 /// Replay-rate report: run each channel's real probe loop (the same
@@ -226,7 +81,6 @@ fn report_phase_breakdown(_c: &mut Criterion) {
 /// machine and print hits / bailouts / invalidations. Not a timed
 /// benchmark — criterion ignores it; the table feeds EXPERIMENTS.md.
 fn report_trace_rates(_c: &mut Criterion) {
-    std::env::set_var("PHANTOM_TRACE_CACHE", "1");
     for scenario in [CampaignScenario::Fetch, CampaignScenario::Execute] {
         let seed = 0x7ace;
         let boot_salt = match scenario {
@@ -281,7 +135,6 @@ fn report_trace_rates(_c: &mut Criterion) {
             },
         );
     }
-    std::env::remove_var("PHANTOM_TRACE_CACHE");
 }
 
 /// Steady-state stepping A/B: the same straight-line hot loop the
@@ -365,9 +218,7 @@ criterion_group!(
     benches,
     report_trace_rates,
     report_steady_state,
-    report_phase_breakdown,
     bench_per_scenario,
-    bench_default_mix,
-    bench_throughput_mix
+    bench_default_mix
 );
 criterion_main!(benches);

@@ -144,7 +144,8 @@ flags (bench; --json also implies bench when given alone):
                       reproducibility across hosts, ignored by diffs
 
 environment:
-  PHANTOM_FULL=1     paper's full protocol sizes (slow)
+  PHANTOM_FULL=1     paper's full protocol sizes (slow); 0 or unset
+                     selects the quick protocol, anything else exits 2
   PHANTOM_THREADS=n  pin the trial runner's thread count (overridden
                      by --workers); results are identical at any
                      thread count";
@@ -158,8 +159,25 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// `PHANTOM_FULL`, parsed once per process: unset or `0` selects the
+/// quick protocol, `1` the paper's full sizes. Any other value exits 2,
+/// as a bad `PHANTOM_THREADS` does, rather than silently running the
+/// quick protocol.
 fn full() -> bool {
-    std::env::var("PHANTOM_FULL").is_ok_and(|v| v == "1")
+    static FULL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FULL.get_or_init(|| match std::env::var("PHANTOM_FULL") {
+        Ok(v) if v == "1" => true,
+        Ok(v) if v == "0" => false,
+        Err(std::env::VarError::NotPresent) => false,
+        Ok(v) => {
+            eprintln!("invalid PHANTOM_FULL {v:?}: expected 0 or 1");
+            std::process::exit(2);
+        }
+        Err(e) => {
+            eprintln!("invalid PHANTOM_FULL: {e}");
+            std::process::exit(2);
+        }
+    })
 }
 
 fn runner() -> TrialRunner {
@@ -1002,6 +1020,8 @@ fn main() {
             },
         }
     };
+    // Validate PHANTOM_FULL before any work, whichever command runs.
+    full();
     // --workers wins outright; PHANTOM_THREADS is only consulted (and
     // only validated) when --workers is absent.
     let r = match workers {

@@ -595,39 +595,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_jsonl_is_byte_identical_with_throughput_paths_toggled() {
-        // The host-throughput paths (boot cache, probe arena, rewind
-        // journal, frame pool, warm forks) change wall-clock only:
-        // every record they stream must match the legacy paths byte
-        // for byte. Flipping the toggles mid-process is safe precisely
-        // because of that contract — no concurrently running test can
-        // observe the flip.
-        const TOGGLES: [&str; 4] = [
-            "PHANTOM_BOOT_CACHE",
-            "PHANTOM_PROBE_ARENA",
-            "PHANTOM_REWIND_JOURNAL",
-            "PHANTOM_FRAME_POOL",
-        ];
-        let cfg = tiny_grid();
-        for var in TOGGLES {
-            std::env::set_var(var, "0");
-        }
-        let legacy = campaign_bytes(&cfg, 1);
-        for var in TOGGLES {
-            std::env::set_var(var, "1");
-        }
-        let fast = campaign_bytes(&cfg, 1);
-        std::env::set_var("PHANTOM_WARM_FORK", "1");
-        let warm = campaign_bytes(&cfg, 1);
-        std::env::remove_var("PHANTOM_WARM_FORK");
-        for var in TOGGLES {
-            std::env::remove_var(var);
-        }
-        assert_eq!(legacy, fast, "throughput paths must be byte-invisible");
-        assert_eq!(legacy, warm, "warm forks must be byte-invisible");
-    }
-
-    #[test]
     fn ab_arms_agree_and_report_wall_clock() {
         let runner = TrialRunner::new();
         let ab = ab_compare(&runner, 8, 7).unwrap();

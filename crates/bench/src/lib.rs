@@ -31,8 +31,8 @@ pub mod snapshot;
 
 pub use phantom::attacks::scan_window;
 pub use snapshot::{
-    collect_snapshot, cow_reference, decode_cache_reference, decode_cache_wall_ab,
-    snapshot_wall_ab, tlb_reference, BenchConfig,
+    collect_snapshot, cow_reference, decode_cache_reference, decode_cache_wall_ab, tlb_reference,
+    BenchConfig,
 };
 
 /// A boxed error for runner signatures.

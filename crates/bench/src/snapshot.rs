@@ -27,7 +27,6 @@ use phantom::UarchProfile;
 use phantom_isa::asm::Assembler;
 use phantom_isa::inst::AluOp;
 use phantom_isa::{Inst, Reg};
-use phantom_kernel::System;
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::Machine;
 
@@ -209,18 +208,11 @@ pub fn cow_reference() -> (u64, u64, u64) {
     )
 }
 
-/// Run the fixed checkpoint/rewind reference workload with the rewind
-/// journal and frame pool *forced on* — independent of the
-/// `PHANTOM_REWIND_JOURNAL` / `PHANTOM_FRAME_POOL` environment toggles
-/// — and return `(rewind_journal_frames, frame_pool_reuses)`. Forcing
-/// keeps the canonical snapshot byte-identical between toggle-on and
-/// toggle-off runs: the CI throughput job `cmp`s the two JSON files
-/// whole, so no counter in them may depend on a toggle. Pure function
-/// of the workload.
+/// Run the fixed checkpoint/rewind reference workload and return
+/// `(rewind_journal_frames, frame_pool_reuses)`. Pure function of the
+/// workload.
 pub fn rewind_pool_reference() -> (u64, u64) {
     let mut m = cow_reference_machine();
-    m.phys_mut().set_rewind_journal(true);
-    m.phys_mut().set_frame_pool(true);
     let snap = m.snapshot();
     for _ in 0..COW_ROUNDS {
         m.run(64).expect("cow reference workload runs");
@@ -237,10 +229,9 @@ const BOOT_REFERENCE_PHYS: u64 = 1 << 26;
 
 /// Boot the same `(profile, phys_bytes)` key three times through an
 /// *isolated* [`phantom_kernel::BootCache`] — never the process-global
-/// one, so the count is identical whatever `PHANTOM_BOOT_CACHE` says
-/// or how many cached boots other experiments performed — and return
-/// the cache's hit counter (canonically 2). Pure function of the
-/// workload.
+/// one, so the count is identical however many cached boots other
+/// experiments performed — and return the cache's hit counter
+/// (canonically 2). Pure function of the workload.
 pub fn boot_cache_reference() -> u64 {
     let cache = phantom_kernel::BootCache::new();
     for seed in [1u64, 2, 3] {
@@ -257,8 +248,8 @@ const ARENA_REFERENCE_SETS: usize = 6;
 /// Install a probe arena on a fresh machine and re-arm it across
 /// `ARENA_REFERENCE_SETS` L1I sets, returning the machine's re-arm
 /// instrumentation counter. Uses a private machine, so the count never
-/// depends on `PHANTOM_PROBE_ARENA` or on what the shipped scenarios
-/// armed. Pure function of the workload.
+/// depends on what the shipped scenarios armed. Pure function of the
+/// workload.
 pub fn probe_arena_reference() -> u64 {
     let mut m = Machine::new(UarchProfile::zen2(), 1 << 24);
     let arena = phantom_sidechannel::ProbeArena::install(
@@ -271,47 +262,6 @@ pub fn probe_arena_reference() -> u64 {
         arena.arm(&mut m, set).expect("reference arena arms");
     }
     m.probe_rearms()
-}
-
-/// Host wall-clock A/B of checkpoint/rewind on the Table 2 receiver
-/// machine (a booted [`System`] at the covert channel's 1 GiB scale),
-/// in seconds: `(copy-on-write, deep-copy)` for the same
-/// dirty-then-restore loop. The deep side emulates the pre-CoW
-/// restore by materializing every resident frame per round trip —
-/// exactly what the old whole-machine clone paid. Host-volatile —
-/// `host` section only.
-pub fn snapshot_wall_ab() -> (f64, f64) {
-    const ROUNDS: usize = 32;
-    let measure = |deep_copy: bool| -> f64 {
-        let mut sys = System::new(UarchProfile::zen2(), 1 << 30, 0).expect("system boots");
-        // Warm memory a trained receiver would carry: 1 MiB of
-        // attacker state, materialized pre-snapshot.
-        let scratch = VirtAddr::new(0x5000_0000);
-        let scratch_len: u64 = 1 << 20;
-        sys.machine_mut()
-            .map_range(scratch, scratch_len, PageFlags::USER_DATA)
-            .expect("scratch fits");
-        let warm = vec![0xa5u8; scratch_len as usize];
-        sys.machine_mut().poke(scratch, &warm);
-        let snap = sys.machine_mut().snapshot();
-        let deep = deep_copy.then(|| sys.machine().phys().deep_clone());
-        let start = Instant::now();
-        for round in 0..ROUNDS {
-            // Dirty a handful of pages, as one trial does.
-            for page in 0..8u64 {
-                sys.machine_mut()
-                    .poke_u64(scratch + page * phantom_mem::PAGE_SIZE, round as u64);
-            }
-            sys.machine_mut().restore(&snap);
-            if let Some(deep) = &deep {
-                // The old restore rebuilt physical memory frame by
-                // frame from the snapshot's full copy.
-                *sys.machine_mut().phys_mut() = deep.deep_clone();
-            }
-        }
-        start.elapsed().as_secs_f64()
-    };
-    (measure(false), measure(true))
 }
 
 /// Host wall-clock A/B of the same workload with the decode cache
@@ -540,7 +490,6 @@ pub fn collect_snapshot(
             threads: runner.threads() as u64,
             wall_seconds: wall,
             decode_cache_wall: Some(decode_cache_wall_ab()),
-            snapshot_wall: Some(snapshot_wall_ab()),
         })
     } else {
         None

@@ -117,6 +117,36 @@ fn workers_flag_overrides_phantom_threads() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `PHANTOM_FULL` accepts only unset, `0` or `1`: a value like `true`
+/// or `yes` is a CLI error (exit 2) naming the variable, not a silent
+/// fall-back to the quick protocol.
+#[test]
+fn phantom_full_is_validated() {
+    let with_full = |value: &str| {
+        Command::new(REPRO)
+            .arg("list-uarchs")
+            .env_remove("PHANTOM_THREADS")
+            .env("PHANTOM_FULL", value)
+            .output()
+            .expect("spawn repro")
+    };
+    for bad in ["true", "yes", "2", ""] {
+        let out = with_full(bad);
+        assert_eq!(out.status.code(), Some(2), "PHANTOM_FULL={bad:?}");
+        assert!(stderr(&out).contains("PHANTOM_FULL"), "{}", stderr(&out));
+    }
+    for good in ["0", "1"] {
+        let out = with_full(good);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "PHANTOM_FULL={good:?}: {}",
+            stderr(&out)
+        );
+    }
+    assert_eq!(repro(&["list-uarchs"]).status.code(), Some(0), "unset");
+}
+
 /// The flagship resume property through the real binary: run a small
 /// campaign, truncate its output mid-file (tearing a record), resume
 /// from the truncation, and require the final file to be byte-identical

@@ -22,6 +22,12 @@
 //! calibrated threshold. Bits that stay tied are reported as
 //! abstentions, never coin flips. The total probe cost is reflected
 //! honestly in `bits_per_sec`.
+//!
+//! Setup boots through the boot-image cache and installs a standing
+//! [`ProbeArena`] before taking the checkpoint, so trials re-arm the
+//! probe buffer in place. The fresh-boot, per-probe-mapping arm these
+//! replace survives only as the reference in the root `determinism`
+//! tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -164,27 +170,21 @@ impl Scenario for ChannelScenario {
             System::new_cached(self.profile.clone(), 1 << 30, self.config.seed ^ boot_salt)
                 .map_err(|e| PrimitiveError(e.to_string()))?;
         let attacker = VirtAddr::new(0x5000_0000);
-        let mut cfg = PrimitiveConfig::for_system(&sys, attacker);
         // Standing probe mapping, installed *before* the checkpoint so
         // every trial re-arms it in place instead of re-mapping the
         // eviction buffer. Installing here consumes exactly the
-        // physical frames the first per-trial mapping would have, so
-        // trial-visible addresses — and therefore trial outputs — are
-        // unchanged (the determinism suite and the CI trial-throughput
-        // A/B pin this). `PHANTOM_PROBE_ARENA=0` falls back to mapping
-        // per probe.
-        if std::env::var("PHANTOM_PROBE_ARENA").map_or(true, |v| v != "0") {
-            let arena = match self.kind {
-                CovertKind::Fetch => {
-                    ProbeArena::install(sys.machine_mut(), attacker, ProbeLevel::L1I)
-                }
-                CovertKind::Execute => {
-                    ProbeArena::install(sys.machine_mut(), attacker + 0x20_0000, ProbeLevel::L1D)
-                }
+        // physical frames the first per-trial `PrimeProbe` mapping
+        // would have, so trial-visible addresses — and therefore trial
+        // outputs — are unchanged; the root `determinism` suite checks
+        // this against a fresh boot probing through per-trial mappings.
+        let arena = match self.kind {
+            CovertKind::Fetch => ProbeArena::install(sys.machine_mut(), attacker, ProbeLevel::L1I),
+            CovertKind::Execute => {
+                ProbeArena::install(sys.machine_mut(), attacker + 0x20_0000, ProbeLevel::L1D)
             }
-            .map_err(|e| PrimitiveError(e.to_string()))?;
-            cfg = cfg.with_arena(arena);
         }
+        .map_err(|e| PrimitiveError(e.to_string()))?;
+        let cfg = PrimitiveConfig::for_system(&sys, attacker).with_arena(arena);
         let (t1, t0, victim, gadget) = match self.kind {
             CovertKind::Fetch => {
                 // T1: executable kernel text; T0: the same low bits in an

@@ -1267,17 +1267,14 @@ pub struct PerfRecord {
     /// workload.
     pub trace_invalidations: u64,
     /// Boots served from an existing template by the boot-cache
-    /// reference workload (an isolated cache, so the counter is
-    /// identical whatever `PHANTOM_BOOT_CACHE` says about the global
-    /// one).
+    /// reference workload (an isolated cache, so the counter never
+    /// depends on what the process-global one has seen).
     pub boot_cache_hits: u64,
     /// Dirty frames the journaled rewind visited on the
-    /// snapshot/restore reference workload (the journal is forced on
-    /// for this workload regardless of `PHANTOM_REWIND_JOURNAL`).
+    /// snapshot/restore reference workload.
     pub rewind_journal_frames: u64,
     /// Retired frame buffers the pool recycled into copy-on-write
-    /// copies on the snapshot/restore reference workload (pool forced
-    /// on regardless of `PHANTOM_FRAME_POOL`).
+    /// copies on the snapshot/restore reference workload.
     pub frame_pool_reuses: u64,
     /// Probes re-armed over a standing arena mapping by the probe-arena
     /// reference workload.
@@ -1382,10 +1379,6 @@ pub struct HostMeta {
     /// Wall-clock A/B of the decode cache on the reference workload:
     /// `(enabled seconds, disabled seconds)`.
     pub decode_cache_wall: Option<(f64, f64)>,
-    /// Wall-clock A/B of checkpoint/rewind on the reference workload:
-    /// `(copy-on-write seconds, deep-copy seconds)` for the same
-    /// snapshot + dirty + restore loop.
-    pub snapshot_wall: Option<(f64, f64)>,
 }
 
 impl HostMeta {
@@ -1412,16 +1405,11 @@ impl HostMeta {
                 .set("disabled_seconds", JsonValue::Float(off));
             o.set("decode_cache_wall", w);
         }
-        if let Some((cow, deep)) = self.snapshot_wall {
-            let mut w = JsonValue::object();
-            w.set("cow_seconds", JsonValue::Float(cow))
-                .set("deep_seconds", JsonValue::Float(deep));
-            o.set("snapshot_wall", w);
-        }
         o
     }
 
-    /// Decode from a JSON object.
+    /// Decode from a JSON object. Keys this version no longer writes
+    /// (`snapshot_wall`, the removed deep-copy A/B) are ignored.
     ///
     /// # Errors
     ///
@@ -1437,12 +1425,6 @@ impl HostMeta {
                     f64_field(w, "enabled_seconds")?,
                     f64_field(w, "disabled_seconds")?,
                 )),
-                _ => None,
-            },
-            snapshot_wall: match v.get("snapshot_wall") {
-                Some(w) if !w.is_null() => {
-                    Some((f64_field(w, "cow_seconds")?, f64_field(w, "deep_seconds")?))
-                }
                 _ => None,
             },
         })
@@ -2123,10 +2105,24 @@ mod tests {
             threads: 8,
             wall_seconds: vec![("table1".into(), 1.25)],
             decode_cache_wall: Some((0.8, 1.3)),
-            snapshot_wall: Some((0.02, 0.41)),
         });
         let back = BenchSnapshot::from_json_str(&snap.to_json_string()).expect("parses");
         assert_eq!(back, snap);
+
+        // Host sections written before the deep-copy A/B was removed
+        // still carry `snapshot_wall`: they parse, and the key is
+        // ignored.
+        let host = snap.host.take().expect("host set above");
+        let mut legacy_host = host.to_json();
+        let mut wall = JsonValue::object();
+        wall.set("cow_seconds", JsonValue::Float(0.02))
+            .set("deep_seconds", JsonValue::Float(0.41));
+        legacy_host.set("snapshot_wall", wall);
+        let mut legacy = snap.to_json();
+        legacy.set("host", legacy_host);
+        let back =
+            BenchSnapshot::from_json_str(&legacy.to_pretty_string()).expect("legacy host parses");
+        assert_eq!(back.host, Some(host));
     }
 
     #[test]

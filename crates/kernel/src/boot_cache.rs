@@ -33,9 +33,15 @@
 //! end-to-end; the campaign determinism suite pins it at the
 //! trial-output level.
 //!
-//! The cache is process-global behind [`System::new_cached`] and can be
-//! disabled with `PHANTOM_BOOT_CACHE=0`; per-instance [`BootCache`]
-//! values serve tests and counter plumbing that need isolation.
+//! The cache is process-global behind [`System::new_cached`], the only
+//! production boot path; [`System::new`] stays as the fresh-boot
+//! reference it is tested against. Per-instance [`BootCache`] values
+//! serve tests and counter plumbing that need isolation.
+//!
+//! A template is a frozen machine: anything its construction read —
+//! notably the process-level `PHANTOM_TRACE_CACHE` setting — is
+//! inherited by every instance stamped from it, whatever the
+//! environment says later in the same process.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

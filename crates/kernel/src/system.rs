@@ -94,6 +94,10 @@ impl System {
     /// hardware mitigations enabled (the paper's threat model: a default
     /// hardened configuration).
     ///
+    /// This is a full boot every call — the reference that
+    /// [`System::new_cached`] (the production path) is checked against
+    /// by `boot_matches_a_fresh_boot` and the root `determinism` tests.
+    ///
     /// # Errors
     ///
     /// Returns [`SystemError`] if kernel assembly or loading fails.
@@ -189,8 +193,7 @@ impl System {
     /// assembly and blob loading are paid once per `(profile,
     /// phys_bytes)` — later boots clone the cached template (frames
     /// shared copy-on-write) and rebase its page table to the seed's
-    /// KASLR layout (see [`crate::boot_cache`]). Set
-    /// `PHANTOM_BOOT_CACHE=0` to fall back to a full boot per call.
+    /// KASLR layout (see [`crate::boot_cache`]).
     ///
     /// # Errors
     ///
@@ -200,12 +203,7 @@ impl System {
         phys_bytes: u64,
         seed: u64,
     ) -> Result<System, SystemError> {
-        let enabled = std::env::var("PHANTOM_BOOT_CACHE").map_or(true, |v| v != "0");
-        if enabled {
-            crate::boot_cache::global().boot(profile, phys_bytes, seed)
-        } else {
-            System::new(profile, phys_bytes, seed)
-        }
+        crate::boot_cache::global().boot(profile, phys_bytes, seed)
     }
 
     /// Assemble a system from parts the boot cache prepared.

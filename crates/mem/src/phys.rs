@@ -1,5 +1,11 @@
 //! Sparse physical memory with frame allocation and copy-on-write
 //! checkpointing.
+//!
+//! Rewinds always walk a dirty-frame journal (O(frames written since
+//! the checkpoint)) and always recycle retired frames through a
+//! bounded pool. The full-scan rewind the journal replaced is kept only
+//! as a `#[cfg(test)]` oracle (`restore_from_scan`) for the unit tests
+//! and proptests that compare the two.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -106,13 +112,6 @@ impl Clone for FramePool {
     }
 }
 
-fn env_toggle(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => v != "0",
-        Err(_) => default,
-    }
-}
-
 /// Sparse, frame-granular physical memory.
 ///
 /// Frames are 4 KiB and materialized lazily so "64 GiB" machines (Table 5
@@ -156,12 +155,8 @@ pub struct PhysMemory {
     /// non-decreasing, so the entries newer than a checkpoint's cutoff
     /// are a suffix found by binary search. `restore_from` walks that
     /// suffix (O(dirtied)) instead of scanning every resident frame.
-    /// Always maintained; `journal_enabled` only selects the rewind
-    /// path so the toggle can flip at any point.
     journal: Vec<(u64, u64)>,
-    journal_enabled: bool,
     pool: FramePool,
-    pool_enabled: bool,
     cow_faults: u64,
     restore_frames_copied: u64,
     rewind_journal_frames: u64,
@@ -170,29 +165,12 @@ pub struct PhysMemory {
 
 impl PhysMemory {
     /// Create a physical memory of `capacity` bytes (rounded down to a
-    /// whole number of frames). The journaled-rewind and frame-pool
-    /// fast paths are on by default; `PHANTOM_REWIND_JOURNAL=0` /
-    /// `PHANTOM_FRAME_POOL=0` select the legacy paths (both produce
-    /// byte-identical contents — the toggles exist for A/B timing).
+    /// whole number of frames).
     pub fn new(capacity: u64) -> PhysMemory {
         PhysMemory {
             capacity: capacity & !(PAGE_SIZE - 1),
-            journal_enabled: env_toggle("PHANTOM_REWIND_JOURNAL", true),
-            pool_enabled: env_toggle("PHANTOM_FRAME_POOL", true),
             ..PhysMemory::default()
         }
-    }
-
-    /// Select the journaled (fast) or full-scan (legacy) rewind path.
-    /// Both restore identical contents and counters; see
-    /// [`restore_from`](PhysMemory::restore_from).
-    pub fn set_rewind_journal(&mut self, enabled: bool) {
-        self.journal_enabled = enabled;
-    }
-
-    /// Enable or disable frame-pool recycling of retired frames.
-    pub fn set_frame_pool(&mut self, enabled: bool) {
-        self.pool_enabled = enabled;
     }
 
     /// Total capacity in bytes.
@@ -295,19 +273,64 @@ impl PhysMemory {
     /// Rewind to `snap`, a checkpoint taken from this memory's own
     /// timeline (via [`snapshot`](PhysMemory::snapshot), possibly with
     /// other checkpoints and restores in between). Only frames written
-    /// since the checkpoint are copied back; frames materialized after
-    /// it are pointed at a shared zero frame (observationally identical
-    /// to absent, and keeps other outstanding checkpoints restorable).
+    /// since the checkpoint are copied back — located through the
+    /// dirty-frame journal, O(dirtied) rather than O(resident) — and
+    /// frames materialized after it are pointed at a shared zero frame
+    /// (observationally identical to absent, and keeps other
+    /// outstanding checkpoints restorable). Displaced private frames
+    /// retire into the frame pool for the next copy-on-write fault.
     ///
     /// Returns the physical page numbers whose contents the rewind
     /// changed (written-since-checkpoint frames, including ones
-    /// zero-tombstoned away) so callers holding content-derived caches
-    /// — decoded traces, for one — can invalidate exactly those frames.
+    /// zero-tombstoned away), sorted, so callers holding
+    /// content-derived caches — decoded traces, for one — can
+    /// invalidate exactly those frames.
     pub fn restore_from(&mut self, snap: &PhysMemory) -> Vec<u64> {
         debug_assert!(
             snap.frames.keys().all(|k| self.frames.contains_key(k)),
             "restore_from: snapshot is not from this memory's timeline"
         );
+        // Journal epochs are non-decreasing, so everything written
+        // after the checkpoint is the suffix past this boundary.
+        let boundary = self.journal.partition_point(|&(e, _)| e <= snap.epoch);
+        let mut dirty: Vec<u64> = self.journal[boundary..].iter().map(|&(_, p)| p).collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        self.rewind_journal_frames += dirty.len() as u64;
+        debug_assert!(
+            dirty == self.scan_dirty(snap),
+            "journal disagrees with a full dirty-frame scan"
+        );
+        self.rewind(snap, dirty)
+    }
+
+    /// Test oracle for [`restore_from`](PhysMemory::restore_from): the
+    /// same rewind with the dirty set found by scanning every resident
+    /// frame instead of the journal (the pre-journal implementation).
+    #[cfg(test)]
+    pub(crate) fn restore_from_scan(&mut self, snap: &PhysMemory) -> Vec<u64> {
+        let dirty = self.scan_dirty(snap);
+        self.rewind(snap, dirty)
+    }
+
+    /// Resident pages written since `snap`, sorted, found by a full
+    /// scan of the frame map.
+    fn scan_dirty(&self, snap: &PhysMemory) -> Vec<u64> {
+        let mut dirty: Vec<u64> = self
+            .frames
+            .iter()
+            .filter(|(_, f)| f.epoch > snap.epoch)
+            .map(|(p, _)| *p)
+            .collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// Copy `snap`'s contents back into the `dirty` pages (sorted,
+    /// deduplicated candidates; entries no longer newer than the
+    /// checkpoint are skipped) and rewind the allocator, epoch and
+    /// journal to match. Returns the pages actually rewound.
+    fn rewind(&mut self, snap: &PhysMemory, dirty: Vec<u64>) -> Vec<u64> {
         self.capacity = snap.capacity;
         self.next_free = snap.next_free;
         self.recycled.clone_from(&snap.recycled);
@@ -316,66 +339,24 @@ impl PhysMemory {
         // dirty with respect to all of them.
         self.epoch = self.epoch.max(snap.epoch + 1);
         let epoch = self.epoch;
-        let copied = if self.journal_enabled {
-            // Journal epochs are non-decreasing, so everything written
-            // after the checkpoint is the suffix past this boundary.
-            let boundary = self.journal.partition_point(|&(e, _)| e <= snap.epoch);
-            let mut dirty: Vec<u64> = self.journal[boundary..].iter().map(|&(_, p)| p).collect();
-            dirty.sort_unstable();
-            dirty.dedup();
-            self.rewind_journal_frames += dirty.len() as u64;
-            debug_assert!(
-                {
-                    let scan: std::collections::BTreeSet<u64> = self
-                        .frames
-                        .iter()
-                        .filter(|(_, f)| f.epoch > snap.epoch)
-                        .map(|(p, _)| *p)
-                        .collect();
-                    scan == dirty.iter().copied().collect()
-                },
-                "journal disagrees with a full dirty-frame scan"
-            );
-            let mut copied = Vec::with_capacity(dirty.len());
-            for page in dirty {
-                let frame = self
-                    .frames
-                    .get_mut(&page)
-                    .expect("journaled frames are resident");
-                if frame.epoch <= snap.epoch {
-                    continue; // journal entry superseded by an older restore
-                }
-                let fresh = match snap.frames.get(&page) {
-                    Some(original) => Arc::clone(&original.data),
-                    None => zero_frame(),
-                };
-                let retired = std::mem::replace(&mut frame.data, fresh);
-                frame.epoch = epoch;
-                if self.pool_enabled {
-                    self.pool.put(retired);
-                }
-                copied.push(page);
+        let mut copied = Vec::with_capacity(dirty.len());
+        for page in dirty {
+            let frame = self
+                .frames
+                .get_mut(&page)
+                .expect("dirty frames are resident");
+            if frame.epoch <= snap.epoch {
+                continue; // journal entry superseded by an older restore
             }
-            copied
-        } else {
-            let mut copied = Vec::new();
-            for (page, frame) in &mut self.frames {
-                if frame.epoch <= snap.epoch {
-                    continue; // untouched since the checkpoint
-                }
-                let fresh = match snap.frames.get(page) {
-                    Some(original) => Arc::clone(&original.data),
-                    None => zero_frame(),
-                };
-                let retired = std::mem::replace(&mut frame.data, fresh);
-                frame.epoch = epoch;
-                if self.pool_enabled {
-                    self.pool.put(retired);
-                }
-                copied.push(*page);
-            }
-            copied
-        };
+            let fresh = match snap.frames.get(&page) {
+                Some(original) => Arc::clone(&original.data),
+                None => zero_frame(),
+            };
+            let retired = std::mem::replace(&mut frame.data, fresh);
+            frame.epoch = epoch;
+            self.pool.put(retired);
+            copied.push(page);
+        }
         // Rewrite the journal tail: entries above the cutoff are now
         // stale, and the restored frames were just re-stamped at the
         // live epoch (so older outstanding checkpoints still see them
@@ -385,41 +366,6 @@ impl PhysMemory {
         self.journal.extend(copied.iter().map(|&p| (epoch, p)));
         self.restore_frames_copied += copied.len() as u64;
         copied
-    }
-
-    /// Eagerly re-materialize private copies of `pages` (host-side
-    /// warm-fork optimization): each listed frame that currently shares
-    /// contents with a checkpoint pays its 4 KiB copy now instead of at
-    /// the first guest write. Deliberately does **not** count
-    /// `cow_faults` — no guest write happened — so callers must keep it
-    /// out of counter-reference workloads.
-    pub fn prewarm(&mut self, pages: &[u64]) {
-        for &page in pages {
-            let Some(frame) = self.frames.get_mut(&page) else {
-                continue;
-            };
-            if Arc::strong_count(&frame.data) > 1 || Arc::weak_count(&frame.data) > 0 {
-                let mut fresh = match self.pool.take() {
-                    Some(buf) => buf,
-                    None => Arc::new([0u8; PAGE_SIZE as usize]),
-                };
-                Arc::get_mut(&mut fresh)
-                    .expect("pooled frames are exclusively owned")
-                    .copy_from_slice(&frame.data[..]);
-                frame.data = fresh;
-            }
-        }
-    }
-
-    /// A fully independent copy: every frame's contents are duplicated
-    /// rather than shared. This is the pre-CoW snapshot cost, kept for
-    /// wall-clock A/B comparisons.
-    pub fn deep_clone(&self) -> PhysMemory {
-        let mut copy = self.clone();
-        for frame in copy.frames.values_mut() {
-            frame.data = Arc::new(*frame.data);
-        }
-        copy
     }
 
     /// Writes that had to copy a frame shared with a checkpoint (each
@@ -469,7 +415,7 @@ impl PhysMemory {
                 frame
             }
             Entry::Vacant(e) => {
-                let data = match self.pool_enabled.then(|| self.pool.take()).flatten() {
+                let data = match self.pool.take() {
                     Some(mut buf) => {
                         self.frame_pool_reuses += 1;
                         Arc::get_mut(&mut buf)
@@ -485,7 +431,7 @@ impl PhysMemory {
         };
         if Arc::strong_count(&frame.data) > 1 || Arc::weak_count(&frame.data) > 0 {
             self.cow_faults += 1;
-            let mut fresh = match self.pool_enabled.then(|| self.pool.take()).flatten() {
+            let mut fresh = match self.pool.take() {
                 Some(buf) => {
                     self.frame_pool_reuses += 1;
                     buf
@@ -713,12 +659,11 @@ mod tests {
 
     #[test]
     fn journaled_and_scan_rewinds_agree() {
-        // Same operation sequence on both paths: contents, counters and
-        // the copied-page set must match (the journaled path returns
-        // pages sorted; the scan path in map order).
+        // Same operation sequence through the journal and the
+        // full-scan oracle: contents, counters and the copied-page set
+        // must match.
         let run = |journal: bool| {
             let mut m = PhysMemory::new(64 * PAGE_SIZE);
-            m.set_rewind_journal(journal);
             for i in 0..16 {
                 m.write_u8(PhysAddr::new(i * PAGE_SIZE), i as u8 + 1);
             }
@@ -726,8 +671,11 @@ mod tests {
             m.write_u8(PhysAddr::new(0), 0xaa);
             m.write_u8(PhysAddr::new(5 * PAGE_SIZE), 0xcc);
             m.write_u8(PhysAddr::new(40 * PAGE_SIZE), 0xdd); // post-snap frame
-            let mut copied = m.restore_from(&snap);
-            copied.sort_unstable();
+            let copied = if journal {
+                m.restore_from(&snap)
+            } else {
+                m.restore_from_scan(&snap)
+            };
             let state: Vec<u8> = (0..64)
                 .map(|i| m.read_u8(PhysAddr::new(i * PAGE_SIZE)))
                 .collect();
@@ -740,7 +688,6 @@ mod tests {
     fn journal_survives_interleaved_restores() {
         let pa = PhysAddr::new(2 * PAGE_SIZE);
         let mut m = PhysMemory::new(64 * PAGE_SIZE);
-        m.set_rewind_journal(true);
         m.write_u8(pa, 1);
         let snap_a = m.snapshot();
         m.write_u8(pa, 2);
@@ -808,19 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_retires_nothing() {
-        let mut m = PhysMemory::new(64 * PAGE_SIZE);
-        m.set_frame_pool(false);
-        m.write_u8(PhysAddr::new(0), 5);
-        let snap = m.snapshot();
-        m.write_u8(PhysAddr::new(0), 6);
-        m.restore_from(&snap);
-        assert_eq!(m.pool.len(), 0);
-        m.write_u8(PhysAddr::new(0), 7);
-        assert_eq!(m.frame_pool_reuses(), 0);
-    }
-
-    #[test]
     fn clones_start_with_an_empty_pool() {
         let mut m = PhysMemory::new(64 * PAGE_SIZE);
         m.write_u8(PhysAddr::new(0), 5);
@@ -830,28 +764,5 @@ mod tests {
         assert_eq!(m.pool.len(), 1);
         let clone = m.clone();
         assert_eq!(clone.pool.len(), 0, "pooled buffers are never shared");
-    }
-
-    #[test]
-    fn prewarm_unshares_without_counting_cow_faults() {
-        let mut m = PhysMemory::new(64 * PAGE_SIZE);
-        m.write_u8(PhysAddr::new(0), 5);
-        let snap = m.snapshot();
-        m.prewarm(&[0]);
-        assert_eq!(m.cow_faults(), 0);
-        m.write_u8(PhysAddr::new(0), 6); // already private: no fault
-        assert_eq!(m.cow_faults(), 0);
-        m.restore_from(&snap);
-        assert_eq!(m.read_u8(PhysAddr::new(0)), 5);
-    }
-
-    #[test]
-    fn deep_clone_is_independent() {
-        let mut m = PhysMemory::new(16 * PAGE_SIZE);
-        m.write_u8(PhysAddr::new(0), 7);
-        let copy = m.deep_clone();
-        m.write_u8(PhysAddr::new(0), 8);
-        assert_eq!(copy.read_u8(PhysAddr::new(0)), 7);
-        assert_eq!(m.cow_faults(), 0, "deep clone shares nothing to copy");
     }
 }

@@ -170,11 +170,6 @@ pub struct Machine {
     /// timing- and event-invisible like the decode cache (see
     /// [`trace`]).
     trace_cache: trace::TraceCache,
-    /// Host-side warm-fork toggle: eagerly re-materialize the frames a
-    /// rewind copied (they are exactly the previous trial's dirty set,
-    /// so the next trial almost certainly writes them again). Timing-
-    /// and counter-invisible; defaults off.
-    warm_fork: bool,
     /// Probe-arena re-arms (see `phantom_sidechannel::ProbeArena`):
     /// host instrumentation, deliberately preserved across [`restore`]
     /// like the trace/decode caches' stats.
@@ -222,14 +217,13 @@ impl Machine {
             bus: EventBus::new(),
             decode_cache: decode::DecodeCache::new(),
             // Trace replay defaults on; `PHANTOM_TRACE_CACHE=0` forces
-            // it off for A/B runs (results are bit-identical either
-            // way — see the parity gate in CI).
+            // it off (results are bit-identical either way — see the
+            // parity gate in CI). Process-level: read once per
+            // construction, and boot templates carry it into every
+            // instance, so set it before the process starts.
             trace_cache: trace::TraceCache::new(
                 std::env::var("PHANTOM_TRACE_CACHE").map_or(true, |v| v != "0"),
             ),
-            // Warm forks default off: the canonical bench and campaign
-            // paths never enable them, so A/B arms stay comparable.
-            warm_fork: std::env::var("PHANTOM_WARM_FORK").is_ok_and(|v| v != "0"),
             probe_rearms: 0,
         }
     }
@@ -341,14 +335,6 @@ impl Machine {
     /// Physical memory.
     pub fn phys(&self) -> &PhysMemory {
         &self.phys
-    }
-
-    /// Enable or disable warm forks: when on, a rewind eagerly
-    /// re-materializes private copies of exactly the frames it copied
-    /// back, flattening the cold-step CoW tail of the next trial.
-    /// Contents, timing and guest-visible counters are unaffected.
-    pub fn set_warm_fork(&mut self, enabled: bool) {
-        self.warm_fork = enabled;
     }
 
     /// Probe-arena re-arms performed on this machine (its forks start

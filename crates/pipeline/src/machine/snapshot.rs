@@ -83,12 +83,6 @@ impl Machine {
         // blocks whose code bytes live in one of them are stale.
         let copied_frames = self.phys.restore_from(&s.phys);
         self.trace_invalidate_frames(&copied_frames);
-        if self.warm_fork {
-            // The copied frames are the previous trial's dirty set —
-            // the next trial's writes land on the same pages, so pay
-            // their CoW copies here instead of inside the first steps.
-            self.phys.prewarm(&copied_frames);
-        }
         self.page_table = s.page_table.clone();
         self.tlb = s.tlb.clone();
         self.regs = s.regs;

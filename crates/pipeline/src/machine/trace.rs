@@ -220,12 +220,18 @@ pub(super) struct ReplayOutcome {
 impl Machine {
     // ----- public knobs ----------------------------------------------
 
-    /// Enable or disable the trace/superblock engine (enabled by
-    /// default; the `PHANTOM_TRACE_CACHE=0` environment variable
-    /// disables it at construction). Disabling exists for A/B
-    /// benchmarking — results are bit-identical either way, only host
-    /// wall-clock changes. Toggling drops all recorded blocks; the
-    /// counters survive.
+    /// Enable or disable the trace/superblock engine on this machine
+    /// (enabled by default). Disabling selects the plain stage machine,
+    /// the reference semantics replay is checked against — results are
+    /// bit-identical either way, only host wall-clock changes. Toggling
+    /// drops all recorded blocks; the counters survive.
+    ///
+    /// The `PHANTOM_TRACE_CACHE=0` environment variable disables the
+    /// engine at construction. It is a process-level setting: boot
+    /// templates (see `phantom_kernel::boot_cache`) capture the value
+    /// seen at their first boot and every later instance inherits it,
+    /// so changing the variable mid-process has no reliable effect.
+    /// Use this setter for in-process A/B runs.
     pub fn set_trace_cache_enabled(&mut self, enabled: bool) {
         self.trace_cache.enabled = enabled;
         self.trace_cache.clear();

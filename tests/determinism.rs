@@ -419,3 +419,149 @@ fn self_modifying_trials_are_identical_across_thread_counts() {
         assert_eq!(*cycles, one[0].1, "trial {i}: cycle-identical trials");
     }
 }
+
+// ---------------------------------------------------------------------
+// Cross-layer parity: the production probe stack (boot-image cache,
+// standing probe arena, journaled rewind, frame pool) against the
+// reference stack (fresh boot, a per-trial `PrimeProbe` mapping).
+// ---------------------------------------------------------------------
+
+/// One covert-channel receiver: a booted system checkpointed with the
+/// Table 2 channel geometry, as `phantom::covert` sets it up.
+struct Receiver {
+    sys: phantom_kernel::System,
+    cfg: phantom::primitives::PrimitiveConfig,
+    snap: phantom_pipeline::Checkpoint,
+    kind: phantom::covert::CovertKind,
+    t1: phantom_mem::VirtAddr,
+    t0: phantom_mem::VirtAddr,
+    victim: phantom_mem::VirtAddr,
+    gadget: phantom_mem::VirtAddr,
+}
+
+impl Receiver {
+    /// Boot the receiver. `fast` selects the production stack:
+    /// `System::new_cached` plus a `ProbeArena` installed before the
+    /// checkpoint. Otherwise a fresh `System::new` with no arena, so
+    /// every probe maps its own eviction set.
+    fn boot(profile: &UarchProfile, kind: phantom::covert::CovertKind, fast: bool) -> Receiver {
+        use phantom::covert::CovertKind;
+        use phantom::primitives::PrimitiveConfig;
+        use phantom_kernel::System;
+        use phantom_mem::VirtAddr;
+        use phantom_sidechannel::{ProbeArena, ProbeLevel};
+
+        let seed = 0x9a1 ^ kind as u64;
+        let mut sys = if fast {
+            System::new_cached(profile.clone(), 1 << 30, seed)
+        } else {
+            System::new(profile.clone(), 1 << 30, seed)
+        }
+        .expect("system boots");
+        let attacker = VirtAddr::new(0x5000_0000);
+        let mut cfg = PrimitiveConfig::for_system(&sys, attacker);
+        if fast {
+            let arena = match kind {
+                CovertKind::Fetch => {
+                    ProbeArena::install(sys.machine_mut(), attacker, ProbeLevel::L1I)
+                }
+                CovertKind::Execute => {
+                    ProbeArena::install(sys.machine_mut(), attacker + 0x20_0000, ProbeLevel::L1D)
+                }
+            }
+            .expect("arena installs");
+            cfg = cfg.with_arena(arena);
+        }
+        let (t1, t0, victim, gadget) = match kind {
+            CovertKind::Fetch => {
+                let t1 = sys.image().base + 0x2000 + 43 * 64;
+                let t0 = VirtAddr::new(t1.raw() ^ 0x2000_0000);
+                (t1, t0, sys.image().listing1_nop, VirtAddr::new(0))
+            }
+            CovertKind::Execute => {
+                let t1 = sys.layout().physmap_base() + 0x10_0000 + 29 * 64;
+                let t0 = VirtAddr::new(t1.raw() ^ 0x2_0000_0000);
+                (
+                    t1,
+                    t0,
+                    sys.image().listing2_call,
+                    sys.image().listing3_gadget,
+                )
+            }
+        };
+        let snap = sys.machine_mut().checkpoint();
+        Receiver {
+            sys,
+            cfg,
+            snap,
+            kind,
+            t1,
+            t0,
+            victim,
+            gadget,
+        }
+    }
+
+    /// Rewind to the checkpoint and probe one bit: the scored reading,
+    /// then the cycle counter and PMU the trial left behind.
+    fn trial(
+        &mut self,
+        bit: bool,
+        noise: &mut phantom_sidechannel::NoiseModel,
+    ) -> (
+        phantom_sidechannel::Reading,
+        u64,
+        phantom_cache::PerfCounters,
+    ) {
+        use phantom::covert::CovertKind;
+        use phantom::primitives::{p1_probe_scored, p2_probe_scored};
+
+        self.snap.rewind(self.sys.machine_mut());
+        let target = if bit { self.t1 } else { self.t0 };
+        let reading = match self.kind {
+            CovertKind::Fetch => {
+                p1_probe_scored(&mut self.sys, &self.cfg, self.victim, target, noise)
+            }
+            CovertKind::Execute => p2_probe_scored(
+                &mut self.sys,
+                &self.cfg,
+                self.victim,
+                self.gadget,
+                target,
+                noise,
+            ),
+        }
+        .expect("probe runs");
+        let m = self.sys.machine();
+        (reading, m.cycles(), m.pmu().clone())
+    }
+}
+
+/// Every host-throughput path is invisible to the guest: on every
+/// builtin uarch and both covert channels, 32 rewound trials through
+/// the production stack produce the same scores, cycle counts and PMU
+/// counters as the reference stack, trial by trial, under the same
+/// noise stream.
+#[test]
+fn production_probe_stack_matches_the_fresh_boot_reference() {
+    use phantom::covert::CovertKind;
+
+    let noise = phantom_sidechannel::NoiseModel::realistic(0);
+    for profile in UarchRegistry::with_builtins().profiles() {
+        for kind in [CovertKind::Fetch, CovertKind::Execute] {
+            let mut reference = Receiver::boot(&profile, kind, false);
+            let mut fast = Receiver::boot(&profile, kind, true);
+            for trial in 0..32 {
+                let seed = trial_seed(0x9a1, trial);
+                let bit = seed & 1 == 1;
+                let want = reference.trial(bit, &mut noise.reseeded(seed));
+                let got = fast.trial(bit, &mut noise.reseeded(seed));
+                assert_eq!(got, want, "{} {kind:?} trial {trial}", profile.name);
+            }
+            // Not vacuous: the fast arm re-armed its arena every trial,
+            // the reference mapped fresh eviction sets instead.
+            assert!(fast.sys.machine().probe_rearms() >= 32);
+            assert_eq!(reference.sys.machine().probe_rearms(), 0);
+        }
+    }
+}
