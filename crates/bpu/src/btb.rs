@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use phantom_isa::BranchKind;
-use phantom_mem::{PrivilegeLevel, VirtAddr};
+use phantom_mem::{IntMap, PrivilegeLevel, VirtAddr};
 
 use crate::hashfn::FoldFamily;
 
@@ -94,7 +94,7 @@ enum StoredTarget {
 }
 
 /// One BTB entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BtbEntry {
     /// Low 12 bits of the source address (within-page position).
     pub page_offset: u16,
@@ -180,11 +180,11 @@ pub struct BtbHit {
 /// assert_eq!(hit.kind, BranchKind::Indirect);
 /// assert_eq!(hit.target, Some(VirtAddr::new(0x5000)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Btb {
     scheme: BtbScheme,
     /// Entries bucketed by page offset; fold signatures disambiguate.
-    buckets: std::collections::HashMap<u16, Vec<BtbEntry>>,
+    buckets: IntMap<u16, Vec<BtbEntry>>,
     clock: u64,
     /// Content stamp: restamped (from the process-global counter) only
     /// when an entry's *predictive* content actually changes — inserts,
@@ -200,7 +200,7 @@ impl Btb {
     pub fn new(scheme: BtbScheme) -> Btb {
         Btb {
             scheme,
-            buckets: std::collections::HashMap::new(),
+            buckets: IntMap::default(),
             clock: 0,
             generation: next_btb_generation(),
         }
@@ -376,6 +376,40 @@ impl Btb {
     /// Whether the BTB holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Hand-written so [`clone_from`](Clone::clone_from) — the per-trial
+/// rewind — reuses the bucket table instead of reallocating it, and
+/// skips the scheme when it already matches.
+impl Clone for Btb {
+    fn clone(&self) -> Btb {
+        Btb {
+            scheme: self.scheme.clone(),
+            buckets: self.buckets.clone(),
+            clock: self.clock,
+            generation: self.generation,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Btb) {
+        if self.scheme != source.scheme {
+            self.scheme = source.scheme.clone();
+        }
+        self.buckets.clone_from(&source.buckets);
+        self.clock = source.clock;
+        self.generation = source.generation;
+    }
+}
+
+#[cfg(test)]
+impl Btb {
+    /// Test-only: whether every field equals `other`'s.
+    pub(crate) fn same_state(&self, other: &Btb) -> bool {
+        self.scheme == other.scheme
+            && self.buckets == other.buckets
+            && self.clock == other.clock
+            && self.generation == other.generation
     }
 }
 

@@ -267,6 +267,26 @@ impl Bpu {
         self.cbp.generation()
     }
 
+    /// Open a rewind epoch on the journaled structures (the CBP); call
+    /// immediately before cloning the BPU into a checkpoint. See
+    /// [`Cbp::begin_epoch`].
+    pub fn begin_epoch(&mut self) {
+        self.cbp.begin_epoch();
+    }
+
+    /// Rewind to `snap` in place: the CBP copies back only the sets
+    /// updated since [`begin_epoch`](Bpu::begin_epoch) (see
+    /// [`Cbp::restore_from`]), the BTB and RSB reuse their buffers
+    /// through `clone_from`, and the BHB and MSRs are copied. The
+    /// result is identical to `*self = snap.clone()`.
+    pub fn restore_from(&mut self, snap: &Bpu) {
+        self.btb.clone_from(&snap.btb);
+        self.rsb.clone_from(&snap.rsb);
+        self.cbp.restore_from(&snap.cbp);
+        self.bhb = snap.bhb;
+        self.msr = snap.msr;
+    }
+
     /// IBPB: flush every prediction structure. "Assuming that IBPB can
     /// flush all types of predictions, it mitigates all our exploitation
     /// primitives P1, P2, and P3" (§8.2).
@@ -275,6 +295,19 @@ impl Bpu {
         self.rsb.flush();
         self.cbp.flush();
         self.bhb.flush();
+    }
+}
+
+#[cfg(test)]
+impl Bpu {
+    /// Test-only: whether every predictor's state equals `other`'s
+    /// (the CBP's journal bookkeeping aside).
+    pub(crate) fn same_state(&self, other: &Bpu) -> bool {
+        self.btb.same_state(&other.btb)
+            && self.rsb.same_state(&other.rsb)
+            && self.cbp.same_state(&other.cbp)
+            && self.bhb == other.bhb
+            && self.msr == other.msr
     }
 }
 

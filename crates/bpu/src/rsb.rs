@@ -24,12 +24,32 @@ use phantom_mem::VirtAddr;
 /// assert_eq!(rsb.pop(), Some(VirtAddr::new(0x1005)));
 /// assert_eq!(rsb.pop(), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Rsb {
     entries: Vec<VirtAddr>,
     depth: usize,
     top: usize,
     live: usize,
+}
+
+/// Hand-written so [`clone_from`](Clone::clone_from) — the per-trial
+/// rewind — reuses the entry buffer instead of reallocating it.
+impl Clone for Rsb {
+    fn clone(&self) -> Rsb {
+        Rsb {
+            entries: self.entries.clone(),
+            depth: self.depth,
+            top: self.top,
+            live: self.live,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Rsb) {
+        self.entries.clone_from(&source.entries);
+        self.depth = source.depth;
+        self.top = source.top;
+        self.live = source.live;
+    }
 }
 
 impl Rsb {
@@ -93,6 +113,17 @@ impl Rsb {
     pub fn flush(&mut self) {
         self.live = 0;
         self.top = 0;
+    }
+}
+
+#[cfg(test)]
+impl Rsb {
+    /// Test-only: whether every field equals `other`'s.
+    pub(crate) fn same_state(&self, other: &Rsb) -> bool {
+        self.entries == other.entries
+            && self.depth == other.depth
+            && self.top == other.top
+            && self.live == other.live
     }
 }
 

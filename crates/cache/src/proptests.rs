@@ -159,8 +159,7 @@ proptest! {
     ) {
         let geometry = CacheGeometry::new(4, 2, 64);
         let mut c = SetAssocCache::new(geometry, replacement);
-        use std::collections::HashSet;
-        let mut model: HashSet<u64> = HashSet::new();
+        let mut model = std::collections::BTreeSet::new();
         for &a in &addrs {
             let line = geometry.line_base(a);
             let out = c.access(a);
@@ -235,7 +234,7 @@ proptest! {
     ) {
         let mut h = CacheHierarchy::new(HierarchyConfig::default());
         let line = |a: u64| a & !63;
-        let mut touched = std::collections::HashSet::new();
+        let mut touched = std::collections::BTreeSet::new();
         for &(inst, addr) in &accesses {
             if inst {
                 h.access_inst(addr);

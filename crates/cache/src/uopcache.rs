@@ -144,7 +144,7 @@ mod tests {
         // Bits [5:0] don't matter (within a line).
         assert_eq!(UopCache::set_of(0xac0), UopCache::set_of(0xaff));
         // 64 distinct sets across a page.
-        let sets: std::collections::HashSet<_> =
+        let sets: std::collections::BTreeSet<_> =
             (0..4096u64).step_by(64).map(UopCache::set_of).collect();
         assert_eq!(sets.len(), 64);
     }

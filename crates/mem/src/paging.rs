@@ -164,13 +164,18 @@ struct Mapping {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    small: Arc<BTreeMap<u64, Mapping>>,
+    /// 4 KiB mappings keyed by page number, one map per address-space
+    /// half (index 0: user, bit 63 clear; index 1: kernel), the split
+    /// the per-half version stamps already make. A user mapping after
+    /// a clone then unshares only the user map, never the kernel
+    /// image's.
+    small: [Arc<BTreeMap<u64, Mapping>>; 2],
     huge: Arc<BTreeMap<u64, Mapping>>,
     /// Restamped from [`PT_VERSIONS`] on every mutation; lets cached
     /// translations (TLB fast paths, decoded-trace blocks) prove their
     /// entry still reflects the table. The maps are `Arc`-backed so
-    /// cloning a table (snapshots, per-shard setup) is two pointer
-    /// bumps; the first mutation after a clone unshares.
+    /// cloning a table (snapshots, per-shard setup) is three pointer
+    /// bumps; the first mutation of a map after a clone unshares it.
     version: u64,
     /// Version of the last mutation whose VA lies in the user half of
     /// the address space (bit 63 clear). A mutation only ever changes
@@ -200,7 +205,7 @@ impl PageTable {
     ) -> Option<(PhysAddr, PageFlags)> {
         debug_assert!(va.is_aligned(1 << PAGE_SHIFT), "unaligned 4k mapping {va}");
         self.bump_version(va);
-        Arc::make_mut(&mut self.small)
+        self.small_mut(va.page_number())
             .insert(
                 va.page_number(),
                 Mapping {
@@ -234,12 +239,13 @@ impl PageTable {
 
     /// Remove the 4 KiB mapping covering `va`, if any.
     pub fn unmap_4k(&mut self, va: VirtAddr) -> Option<(PhysAddr, PageFlags)> {
-        if !self.small.contains_key(&va.page_number()) {
+        let page = va.page_number();
+        if !self.small(page).contains_key(&page) {
             return None;
         }
         self.bump_version(va);
-        Arc::make_mut(&mut self.small)
-            .remove(&va.page_number())
+        self.small_mut(page)
+            .remove(&page)
             .map(|m| (m.frame, m.flags))
     }
 
@@ -248,11 +254,10 @@ impl PageTable {
     /// setup does exactly this: "changing the PTE attributes of address K,
     /// we make it accessible to user space".
     pub fn set_flags(&mut self, va: VirtAddr, flags: PageFlags) -> Option<PageFlags> {
-        if self.small.contains_key(&va.page_number()) {
+        let page = va.page_number();
+        if self.small(page).contains_key(&page) {
             self.bump_version(va);
-            let m = Arc::make_mut(&mut self.small)
-                .get_mut(&va.page_number())
-                .expect("checked above");
+            let m = self.small_mut(page).get_mut(&page).expect("checked above");
             let old = m.flags;
             m.flags = flags;
             return Some(old);
@@ -296,9 +301,13 @@ impl PageTable {
         if old_base == new_base || pages == 0 {
             return 0;
         }
-        let moved = rebase_keys(&mut self.small, old_base.page_number(), pages, |i| {
-            (new_base + (i << PAGE_SHIFT)).page_number()
-        });
+        let moved = rebase_keys(
+            &mut self.small,
+            half_of,
+            old_base.page_number(),
+            pages,
+            |i| (new_base + (i << PAGE_SHIFT)).page_number(),
+        );
         if moved != 0 {
             self.bump_version(old_base);
             self.bump_version(new_base);
@@ -319,7 +328,8 @@ impl PageTable {
             return 0;
         }
         let moved = rebase_keys(
-            &mut self.huge,
+            std::slice::from_mut(&mut self.huge),
+            |_| 0,
             old_base.raw() >> HUGE_PAGE_SHIFT,
             count,
             |i| (new_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT,
@@ -364,8 +374,19 @@ impl PageTable {
         }
     }
 
+    /// The 4 KiB map of the half `page` lies in.
+    fn small(&self, page: u64) -> &BTreeMap<u64, Mapping> {
+        &self.small[half_of(page)]
+    }
+
+    /// [`PageTable::small`], unshared for mutation.
+    fn small_mut(&mut self, page: u64) -> &mut BTreeMap<u64, Mapping> {
+        Arc::make_mut(&mut self.small[half_of(page)])
+    }
+
     fn lookup(&self, va: VirtAddr) -> Option<Mapping> {
-        if let Some(m) = self.small.get(&va.page_number()) {
+        let page = va.page_number();
+        if let Some(m) = self.small(page).get(&page) {
             return Some(*m);
         }
         self.huge.get(&(va.raw() >> HUGE_PAGE_SHIFT)).copied()
@@ -420,43 +441,64 @@ impl PageTable {
 
     /// Number of mappings (4 KiB + huge).
     pub fn len(&self) -> usize {
-        self.small.len() + self.huge.len()
+        self.small.iter().map(|m| m.len()).sum::<usize>() + self.huge.len()
     }
 
     /// Whether the table has no mappings.
     pub fn is_empty(&self) -> bool {
-        self.small.is_empty() && self.huge.is_empty()
+        self.small.iter().all(|m| m.is_empty()) && self.huge.is_empty()
     }
 }
 
-/// Move the entries keyed `first..first + count` of `map` to
-/// `dest(i)`, where `i` is the key's offset from `first`; return how
-/// many moved. When any did, the map is rebuilt in one pass into a
-/// fresh allocation: the entries outside the source range as they are,
-/// then the moved ones chained last. Collecting into a `BTreeMap`
-/// sorts stably and keeps the last entry of equal keys (std's bulk
-/// build; the rebase proptest fails if that ever changes), so a moved
-/// entry replaces whatever the destination held — the same map
-/// remove-all-then-insert-all yields, for any overlap of source and
-/// destination. With nothing to move the
-/// map (and its sharing) is left alone. A source range running past
-/// the top of the key space is clipped there rather than wrapped.
+/// Which half of the address space (index into `PageTable::small`) a
+/// 4 KiB page number lies in: VA bit 63 is page-number bit 51.
+fn half_of(page: u64) -> usize {
+    (page >> (63 - PAGE_SHIFT)) as usize
+}
+
+/// Move the entries keyed `first..first + count` to `dest(i)`, where
+/// `i` is the key's offset from `first`; return how many moved. The
+/// entries are spread over `maps`, key `k` living in `maps[part(k)]`,
+/// so a range may straddle maps and a moved entry may change map.
+/// Each map that loses or gains an entry is rebuilt in one pass into
+/// a fresh allocation: its entries outside the source range as they
+/// are, then the moved ones landing in it chained last. Collecting
+/// into a `BTreeMap` sorts stably and keeps the last entry of equal
+/// keys (std's bulk build; the rebase proptest fails if that ever
+/// changes), so a moved entry replaces whatever the destination held
+/// — the same maps remove-all-then-insert-all yields, for any overlap
+/// of source and destination. A map with nothing to lose or gain (and
+/// its sharing) is left alone. A source range running past the top of
+/// the key space is clipped there rather than wrapped.
 fn rebase_keys(
-    map: &mut Arc<BTreeMap<u64, Mapping>>,
+    maps: &mut [Arc<BTreeMap<u64, Mapping>>],
+    part: impl Fn(u64) -> usize,
     first: u64,
     count: u64,
     dest: impl Fn(u64) -> u64,
 ) -> usize {
     let end = first.saturating_add(count);
-    let moved = map.range(first..end).count();
-    if moved == 0 {
+    let shifted: Vec<(u64, Mapping)> = maps
+        .iter()
+        .flat_map(|map| map.range(first..end))
+        .map(|(&k, &m)| (dest(k - first), m))
+        .collect();
+    if shifted.is_empty() {
         return 0;
     }
-    let kept = map.range(..first).chain(map.range(end..));
-    let shifted = map.range(first..end).map(|(&k, &m)| (dest(k - first), m));
-    let rebased = kept.map(|(&k, &m)| (k, m)).chain(shifted).collect();
-    *map = Arc::new(rebased);
-    moved
+    for (i, map) in maps.iter_mut().enumerate() {
+        let incoming = shifted.iter().filter(|&&(k, _)| part(k) == i);
+        if map.range(first..end).next().is_none() && incoming.clone().next().is_none() {
+            continue;
+        }
+        let kept = map.range(..first).chain(map.range(end..));
+        let rebased = kept
+            .map(|(&k, &m)| (k, m))
+            .chain(incoming.copied())
+            .collect();
+        *map = Arc::new(rebased);
+    }
+    shifted.len()
 }
 
 /// Test-only oracle: the per-entry rebase that [`rebase_keys`]
@@ -474,16 +516,16 @@ impl PageTable {
         if old_base == new_base || pages == 0 {
             return 0;
         }
-        let small = Arc::make_mut(&mut self.small);
         let mut moved = Vec::new();
         for i in 0..pages {
             let key = (old_base + (i << PAGE_SHIFT)).page_number();
-            if let Some(m) = small.remove(&key) {
+            if let Some(m) = self.small_mut(key).remove(&key) {
                 moved.push((i, m));
             }
         }
         for &(i, m) in &moved {
-            small.insert((new_base + (i << PAGE_SHIFT)).page_number(), m);
+            let key = (new_base + (i << PAGE_SHIFT)).page_number();
+            self.small_mut(key).insert(key, m);
         }
         if !moved.is_empty() {
             self.bump_version(old_base);
@@ -821,6 +863,28 @@ mod tests {
             )
             .is_ok());
         assert!(pt.version() > clone.version());
+    }
+
+    #[test]
+    fn a_mapping_unshares_only_its_own_half() {
+        let mut pt = table();
+        pt.map_4k(
+            VirtAddr::new(0xffff_ffff_8000_0000),
+            PhysAddr::new(0x80_000),
+            PageFlags::KERNEL_TEXT,
+        );
+        let template = pt.clone();
+        pt.map_4k(
+            VirtAddr::new(0x9000),
+            PhysAddr::new(0x90_000),
+            PageFlags::USER_DATA,
+        );
+        assert!(!Arc::ptr_eq(&pt.small[0], &template.small[0]));
+        assert!(Arc::ptr_eq(&pt.small[1], &template.small[1]));
+        let template = pt.clone();
+        pt.unmap_4k(VirtAddr::new(0xffff_ffff_8000_0000));
+        assert!(Arc::ptr_eq(&pt.small[0], &template.small[0]));
+        assert!(!Arc::ptr_eq(&pt.small[1], &template.small[1]));
     }
 
     #[test]

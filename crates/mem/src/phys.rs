@@ -7,10 +7,10 @@
 //! as a `#[cfg(test)]` oracle (`restore_from_scan`) for the unit tests
 //! and proptests that compare the two.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
+use crate::hash::IntMap;
 
 /// Error returned when physical memory is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +142,7 @@ impl Clone for FramePool {
 #[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
     capacity: u64,
-    frames: HashMap<u64, Frame>,
+    frames: IntMap<u64, Frame>,
     next_free: u64,
     /// Frames skipped by `alloc_huge` alignment, handed back out by
     /// `alloc_frame` once the bump region is exhausted.
@@ -458,8 +458,19 @@ impl PhysMemory {
         self.frame_mut(pa)[pa.page_offset() as usize] = value;
     }
 
-    /// Read a little-endian u64 (may straddle frames).
+    /// Read a little-endian u64 (may straddle frames). One frame
+    /// lookup when the 8 bytes sit in one frame.
     pub fn read_u64(&self, pa: PhysAddr) -> u64 {
+        let mut bytes = [0u8; 8];
+        self.read_into(pa, &mut bytes);
+        u64::from_le_bytes(bytes)
+    }
+
+    /// Test oracle for [`read_u64`](PhysMemory::read_u64): one
+    /// [`read_u8`](PhysMemory::read_u8) per byte (the pre-chunking
+    /// implementation).
+    #[cfg(test)]
+    pub(crate) fn read_u64_per_byte(&self, pa: PhysAddr) -> u64 {
         let mut bytes = [0u8; 8];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.read_u8(pa + i as u64);
@@ -504,6 +515,24 @@ impl PhysMemory {
             }
         }
         out
+    }
+
+    /// Fill `buf` with the bytes starting at `pa`: one frame lookup
+    /// and one slice copy per frame the range touches.
+    /// Unmaterialized memory reads as zero.
+    pub fn read_into(&self, pa: PhysAddr, buf: &mut [u8]) {
+        let mut off = 0usize;
+        while off < buf.len() {
+            let addr = pa + off as u64;
+            let start = addr.page_offset() as usize;
+            let chunk = (PAGE_SIZE as usize - start).min(buf.len() - off);
+            let dst = &mut buf[off..off + chunk];
+            match self.frames.get(&addr.page_number()) {
+                Some(frame) => dst.copy_from_slice(&frame.data[start..start + chunk]),
+                None => dst.fill(0),
+            }
+            off += chunk;
+        }
     }
 }
 

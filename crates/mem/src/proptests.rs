@@ -216,7 +216,7 @@ proptest! {
     #[test]
     fn phys_memory_is_a_byte_array(writes in proptest::collection::vec((0u64..0x10000, any::<u8>()), 1..100)) {
         let mut m = PhysMemory::new(1 << 20);
-        let mut model = std::collections::HashMap::new();
+        let mut model = std::collections::BTreeMap::new();
         for (addr, val) in &writes {
             m.write_u8(PhysAddr::new(*addr), *val);
             model.insert(*addr, *val);
@@ -257,8 +257,8 @@ proptest! {
         probes in proptest::collection::vec(0u64..0x8000, 1..30),
     ) {
         let mut m = PhysMemory::new(1 << 20);
-        let mut model: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
-        let mut snaps: Vec<(PhysMemory, std::collections::HashMap<u64, u8>)> = Vec::new();
+        let mut model: std::collections::BTreeMap<u64, u8> = std::collections::BTreeMap::new();
+        let mut snaps: Vec<(PhysMemory, std::collections::BTreeMap<u64, u8>)> = Vec::new();
         for op in ops {
             match op {
                 CowOp::Write(addr, val) => {
@@ -347,6 +347,247 @@ proptest! {
         prop_assert_eq!(fast.restore_frames_copied(), slow.restore_frames_copied());
         for addr in probes {
             prop_assert_eq!(fast.read_u8(PhysAddr::new(addr)), slow.read_u8(PhysAddr::new(addr)));
+        }
+    }
+}
+
+// ----- the half-split 4 KiB map against a single-map model -----------
+
+/// VA windows for the split-table model check: user, straddling the
+/// halves (bit 63 flips 32 pages in), kernel, and the top of the
+/// address space (slot addresses past 16 pages wrap to VA 0).
+const SPLIT_WINDOWS: [u64; 4] = [
+    0x10_0000,
+    0x8000_0000_0000_0000 - 32 * PAGE_SIZE,
+    0xffff_ffff_8000_0000,
+    0u64.wrapping_sub(16 * PAGE_SIZE),
+];
+/// Slots per window.
+const SPLIT_SLOTS: u64 = 64;
+/// Page numbers are 52 bits wide; VA arithmetic wraps them.
+const PAGE_KEYS: u64 = 1 << 52;
+
+fn split_va(window: usize, slot: u64) -> VirtAddr {
+    VirtAddr::new(SPLIT_WINDOWS[window]) + slot * PAGE_SIZE
+}
+
+/// One mutation of the split-table model check.
+#[derive(Debug, Clone)]
+enum PtOp {
+    Map(usize, u64, u64, PageFlags),
+    Unmap(usize, u64),
+    SetFlags(usize, u64, PageFlags),
+    /// `(source window, slot, destination window, slot, pages)`.
+    Rebase(usize, u64, usize, u64, u64),
+}
+
+fn arb_pt_ops() -> impl Strategy<Value = Vec<PtOp>> {
+    let op = (
+        0u8..8,
+        (0usize..4, 0u64..SPLIT_SLOTS),
+        (0usize..4, 0u64..SPLIT_SLOTS),
+        0u64..1 << 12,
+        arb_flags(),
+        0u64..SPLIT_SLOTS,
+    )
+        .prop_map(|(k, (w, s), (w2, s2), frame, flags, pages)| match k {
+            0..=2 => PtOp::Map(w, s, frame, flags),
+            3 => PtOp::Unmap(w, s),
+            4 => PtOp::SetFlags(w, s, flags),
+            _ => PtOp::Rebase(w, s, w2, s2, pages),
+        });
+    proptest::collection::vec(op, 1..60)
+}
+
+/// The reference: one `BTreeMap` for every 4 KiB mapping, one for the
+/// huge ones, and `PageTable::translate`'s rules spelled out.
+#[derive(Debug, Default)]
+struct PtModel {
+    small: std::collections::BTreeMap<u64, (PhysAddr, PageFlags)>,
+    huge: std::collections::BTreeMap<u64, (PhysAddr, PageFlags)>,
+}
+
+impl PtModel {
+    fn lookup(&self, va: VirtAddr) -> Option<(PhysAddr, PageFlags, u64)> {
+        if let Some(&(f, fl)) = self.small.get(&va.page_number()) {
+            return Some((f, fl, va.page_offset()));
+        }
+        self.huge
+            .get(&(va.raw() >> 21))
+            .map(|&(f, fl)| (f, fl, va.raw() & (HUGE_PAGE_SIZE - 1)))
+    }
+
+    fn translate(
+        &self,
+        va: VirtAddr,
+        access: AccessKind,
+        level: PrivilegeLevel,
+    ) -> Result<PhysAddr, crate::fault::FaultReason> {
+        use crate::fault::FaultReason;
+        let (frame, flags, offset) = self.lookup(va).ok_or(FaultReason::NotPresent)?;
+        if !flags.contains(PageFlags::PRESENT) {
+            return Err(FaultReason::NotPresent);
+        }
+        if level == PrivilegeLevel::User && !flags.contains(PageFlags::USER) {
+            return Err(FaultReason::Privilege);
+        }
+        match access {
+            AccessKind::Write if !flags.contains(PageFlags::WRITE) => Err(FaultReason::NotWritable),
+            AccessKind::Execute if !flags.contains(PageFlags::EXEC) => {
+                Err(FaultReason::NotExecutable)
+            }
+            _ => Ok(frame + offset),
+        }
+    }
+}
+
+/// Which halves (user, kernel) a VA's mutation stamps.
+fn half_mask(va: VirtAddr) -> [bool; 2] {
+    let kernel = va.raw() >> 63 != 0;
+    [!kernel, kernel]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The half-split 4 KiB map is observationally one map: after any
+    /// sequence of `map_4k`/`unmap_4k`/`set_flags`/`rebase_4k_range`
+    /// — including ranges that straddle the halves, rebases that move
+    /// entries from one half to the other, and destinations wrapping
+    /// past the top of the address space — `translate` for every
+    /// access kind and privilege level, `flags_of` and `len` equal a
+    /// single-`BTreeMap` model's, and exactly the mutated halves'
+    /// stamps move (a rebase stamps its source and destination bases'
+    /// halves). Huge mappings under the windows check that 4 KiB
+    /// entries still shadow them from either half.
+    #[test]
+    fn split_page_table_matches_a_single_map_model(
+        huge in proptest::collection::vec((0usize..4, 0u64..1 << 8, arb_flags()), 0..4),
+        ops in arb_pt_ops(),
+    ) {
+        let mut pt = PageTable::new();
+        let mut model = PtModel::default();
+        for &(w, frame, flags) in &huge {
+            let va = VirtAddr::new(SPLIT_WINDOWS[w]).huge_page_base();
+            let pa = PhysAddr::new(frame * HUGE_PAGE_SIZE);
+            pt.map_2m(va, pa, flags);
+            model.huge.insert(va.raw() >> 21, (pa, flags | PageFlags::HUGE));
+        }
+        for op in ops {
+            let before = stamps(&pt);
+            let mut moved = [false; 2];
+            match op {
+                PtOp::Map(w, s, frame, flags) => {
+                    let va = split_va(w, s);
+                    let pa = PhysAddr::new(frame * PAGE_SIZE);
+                    let old = pt.map_4k(va, pa, flags);
+                    prop_assert_eq!(old, model.small.insert(va.page_number(), (pa, flags)));
+                    moved = half_mask(va);
+                }
+                PtOp::Unmap(w, s) => {
+                    let va = split_va(w, s);
+                    let old = pt.unmap_4k(va);
+                    prop_assert_eq!(old, model.small.remove(&va.page_number()));
+                    if old.is_some() {
+                        moved = half_mask(va);
+                    }
+                }
+                PtOp::SetFlags(w, s, flags) => {
+                    let va = split_va(w, s);
+                    let old = pt.set_flags(va, flags);
+                    let want = if let Some(m) = model.small.get_mut(&va.page_number()) {
+                        Some(std::mem::replace(&mut m.1, flags))
+                    } else {
+                        model
+                            .huge
+                            .get_mut(&(va.raw() >> 21))
+                            .map(|m| std::mem::replace(&mut m.1, flags | PageFlags::HUGE))
+                    };
+                    prop_assert_eq!(old, want);
+                    if old.is_some() {
+                        moved = half_mask(va);
+                    }
+                }
+                PtOp::Rebase(w, s, w2, s2, pages) => {
+                    let (old, new) = (split_va(w, s), split_va(w2, s2));
+                    let count = pt.rebase_4k_range(old, new, pages);
+                    let mut want = 0;
+                    if old != new {
+                        // Source keys run up (clipped at the top of the
+                        // key space); destinations wrap with the VA.
+                        let first = old.page_number();
+                        let taken: Vec<(u64, (PhysAddr, PageFlags))> = model
+                            .small
+                            .range(first..first + pages)
+                            .map(|(&k, &m)| (k - first, m))
+                            .collect();
+                        for &(i, _) in &taken {
+                            model.small.remove(&(first + i));
+                        }
+                        for &(i, m) in &taken {
+                            model.small.insert((new.page_number() + i) % PAGE_KEYS, m);
+                        }
+                        want = taken.len();
+                    }
+                    prop_assert_eq!(count, want);
+                    if count != 0 {
+                        let (a, b) = (half_mask(old), half_mask(new));
+                        moved = [a[0] || b[0], a[1] || b[1]];
+                    }
+                }
+            }
+            let after = stamps(&pt);
+            prop_assert_eq!(after[0] != before[0], moved[0] || moved[1], "whole-table stamp");
+            prop_assert_eq!(after[1] != before[1], moved[0], "user stamp");
+            prop_assert_eq!(after[2] != before[2], moved[1], "kernel stamp");
+            prop_assert_eq!(pt.len(), model.small.len() + model.huge.len());
+            for w in 0..SPLIT_WINDOWS.len() {
+                for s in 0..SPLIT_SLOTS {
+                    let va = split_va(w, s) + 0x123;
+                    prop_assert_eq!(
+                        pt.flags_of(va),
+                        model.lookup(va).map(|(_, fl, _)| fl)
+                    );
+                    for access in [AccessKind::Read, AccessKind::Write, AccessKind::Execute] {
+                        for level in [PrivilegeLevel::User, PrivilegeLevel::Supervisor] {
+                            prop_assert_eq!(
+                                pt.translate(va, access, level).map_err(|f| f.reason),
+                                model.translate(va, access, level)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `PhysMemory::read_u64` (one frame lookup unless the 8 bytes
+    /// straddle frames) equals the per-byte oracle at every offset
+    /// near a frame end, with either neighbouring frame resident or
+    /// absent.
+    #[test]
+    fn read_u64_matches_the_per_byte_oracle(
+        back in 0u64..16,
+        first in any::<bool>(),
+        second in any::<bool>(),
+        fill in any::<u8>(),
+    ) {
+        let mut m = PhysMemory::new(1 << 20);
+        let base = PhysAddr::new(3 * PAGE_SIZE);
+        if first {
+            m.write_bytes(base, &[fill; PAGE_SIZE as usize]);
+            m.write_u64(base + (PAGE_SIZE - 8), 0x0102_0304_0506_0708);
+        }
+        if second {
+            m.write_bytes(base + PAGE_SIZE, &[fill ^ 0x5a; 8]);
+            m.write_u8(base + PAGE_SIZE, 0xee);
+        }
+        let pa = base + (PAGE_SIZE - back);
+        prop_assert_eq!(m.read_u64(pa), m.read_u64_per_byte(pa));
+        let mut bytes = [0u8; 24];
+        m.read_into(base + (PAGE_SIZE - 12), &mut bytes);
+        for (i, &b) in bytes.iter().enumerate() {
+            prop_assert_eq!(b, m.read_u8(base + (PAGE_SIZE - 12) + i as u64));
         }
     }
 }

@@ -8,7 +8,6 @@
 //! distinct name and equality is almost always a pointer compare.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -29,9 +28,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IStr(Arc<str>);
 
-fn pool() -> &'static Mutex<HashSet<Arc<str>>> {
-    static POOL: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(HashSet::new()))
+// String keys: the std hasher is the right one here (see clippy.toml).
+#[allow(clippy::disallowed_types)]
+fn pool() -> &'static Mutex<std::collections::HashSet<Arc<str>>> {
+    static POOL: OnceLock<Mutex<std::collections::HashSet<Arc<str>>>> = OnceLock::new();
+    POOL.get_or_init(|| Mutex::new(std::collections::HashSet::new()))
 }
 
 impl IStr {

@@ -1,13 +1,12 @@
 //! The decode stage: instruction decode, µop-cache dispatch, and the
 //! transient-window policy (everything the decoder can gate).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use phantom_bpu::Prediction;
 use phantom_isa::decode::decode;
 use phantom_isa::{BranchKind, Inst};
-use phantom_mem::{AccessKind, PhysAddr, PrivilegeLevel, VirtAddr};
+use phantom_mem::{AccessKind, IntMap, IntSet, PhysAddr, PrivilegeLevel, VirtAddr};
 
 use crate::events::PipelineEvent;
 use crate::resteer::ResteerKind;
@@ -37,9 +36,9 @@ pub(super) struct DecodeCache {
     /// `Arc`-backed so machine clones and snapshot/restore share the
     /// warm cache with pointer bumps; the first miss after a clone
     /// unshares. Invisible state either way — no timing depends on it.
-    entries: Arc<HashMap<(u64, u8), (Inst, u64)>>,
+    entries: Arc<IntMap<(u64, u8), (Inst, u64)>>,
     /// Physical frames backing at least one cached decode.
-    code_frames: Arc<HashSet<u64>>,
+    code_frames: Arc<IntSet<u64>>,
     enabled: bool,
     hits: u64,
     misses: u64,
@@ -48,8 +47,8 @@ pub(super) struct DecodeCache {
 impl DecodeCache {
     pub(super) fn new() -> DecodeCache {
         DecodeCache {
-            entries: Arc::new(HashMap::new()),
-            code_frames: Arc::new(HashSet::new()),
+            entries: Arc::default(),
+            code_frames: Arc::default(),
             enabled: true,
             hits: 0,
             misses: 0,
@@ -60,11 +59,11 @@ impl DecodeCache {
     pub(super) fn invalidate(&mut self) {
         match Arc::get_mut(&mut self.entries) {
             Some(entries) => entries.clear(),
-            None => self.entries = Arc::new(HashMap::new()),
+            None => self.entries = Arc::default(),
         }
         match Arc::get_mut(&mut self.code_frames) {
             Some(frames) => frames.clear(),
-            None => self.code_frames = Arc::new(HashSet::new()),
+            None => self.code_frames = Arc::default(),
         }
     }
 

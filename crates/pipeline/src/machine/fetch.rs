@@ -1,8 +1,6 @@
 //! The fetch stage: architectural and wrong-path instruction fetch.
 
-use std::collections::HashSet;
-
-use phantom_mem::{AccessKind, PageFault, VirtAddr};
+use phantom_mem::{AccessKind, IntSet, PageFault, VirtAddr, PAGE_SIZE};
 
 use crate::events::PipelineEvent;
 
@@ -26,8 +24,30 @@ impl Machine {
     }
 
     /// Read up to `n` code bytes at `va` with execute permission at the
-    /// current privilege level, stopping at the first fault.
-    pub(super) fn read_code_bytes(&self, va: VirtAddr, n: usize) -> Vec<u8> {
+    /// current privilege level, stopping at the first fault. Every
+    /// byte of a 4 KiB page translates alike, so this is one
+    /// translation and one slice copy per page.
+    pub(crate) fn read_code_bytes(&self, va: VirtAddr, n: usize) -> Vec<u8> {
+        let mut out = vec![0; n];
+        let mut done = 0;
+        while done < n {
+            let addr = va + done as u64;
+            let Ok(pa) = self.translate_fast(addr, AccessKind::Execute, self.level) else {
+                break;
+            };
+            let chunk = ((PAGE_SIZE - addr.page_offset()) as usize).min(n - done);
+            self.phys.read_into(pa, &mut out[done..done + chunk]);
+            done += chunk;
+        }
+        out.truncate(done);
+        out
+    }
+
+    /// Test oracle for [`read_code_bytes`](Machine::read_code_bytes):
+    /// one translation and one byte read per byte (the pre-chunking
+    /// implementation).
+    #[cfg(test)]
+    pub(crate) fn read_code_bytes_per_byte(&self, va: VirtAddr, n: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             match self.translate_fast(va + i as u64, AccessKind::Execute, self.level) {
@@ -48,7 +68,7 @@ impl Machine {
         &mut self,
         va: VirtAddr,
         decode_stage: bool,
-        lines: &mut HashSet<u64>,
+        lines: &mut IntSet<u64>,
     ) -> bool {
         let line = va.raw() & !63;
         if !lines.insert(line) {

@@ -26,6 +26,8 @@ mod snapshot;
 mod trace;
 mod wrongpath;
 
+use std::sync::Arc;
+
 pub use snapshot::{Checkpoint, MachineSnapshot};
 
 use phantom_bpu::{Bpu, MsrState};
@@ -138,7 +140,9 @@ pub enum RunExit {
 /// [`EventBus`]); [`Machine::snapshot`] has the same semantics.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    profile: UarchProfile,
+    /// Shared: the profile never changes after construction, so
+    /// clones and rewinds bump a pointer instead of copying it.
+    profile: Arc<UarchProfile>,
     bpu: Bpu,
     caches: CacheHierarchy,
     uop_cache: UopCache,
@@ -193,7 +197,7 @@ impl Machine {
         let caches = CacheHierarchy::new(profile.cache);
         let uop_cache = UopCache::with_geometry(profile.uop_geometry);
         Machine {
-            profile,
+            profile: Arc::new(profile),
             bpu,
             caches,
             uop_cache,

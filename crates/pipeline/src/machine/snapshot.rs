@@ -53,6 +53,7 @@ impl Machine {
         // dirtied since this point.
         self.caches.begin_epoch();
         self.uop_cache.begin_epoch();
+        self.bpu.begin_epoch();
         // `PhysMemory::snapshot` returns the pre-epoch-bump frame set;
         // the machine clone below carries the post-bump live memory, so
         // swap the snapshot's copy in.
@@ -68,14 +69,16 @@ impl Machine {
     /// Restores field-by-field into the live machine — no intermediate
     /// whole-machine clone. Physical memory rewinds through
     /// [`phantom_mem::PhysMemory::restore_from`] (copies only frames
-    /// dirtied since the checkpoint); the `Arc`-backed page-table maps
-    /// and decode cache restore as pointer bumps.
+    /// dirtied since the checkpoint), the predictors through
+    /// [`phantom_bpu::Bpu::restore_from`] (the CBP copies only sets
+    /// updated since the checkpoint); the `Arc`-backed profile,
+    /// page-table maps and decode cache restore as pointer bumps.
     pub fn restore(&mut self, snapshot: &MachineSnapshot) {
         let s = &*snapshot.inner;
-        self.profile = s.profile.clone();
-        self.bpu = s.bpu.clone();
+        self.profile = Arc::clone(&s.profile);
         // O(sets dirtied since the checkpoint) when the epoch tokens
         // match (the common rewind loop); full copies otherwise.
+        self.bpu.restore_from(&s.bpu);
         self.caches.restore_from(&s.caches);
         self.uop_cache.restore_from(&s.uop_cache);
         self.pmu = s.pmu.clone();

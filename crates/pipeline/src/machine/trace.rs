@@ -68,13 +68,12 @@
 //! would cost a BTB probe per µop every time training bumps the
 //! generation, which campaign trials do constantly.)
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use phantom_bpu::MsrState;
 use phantom_isa::decode::decode;
 use phantom_isa::{BranchKind, Inst};
-use phantom_mem::{AccessKind, PhysAddr, PrivilegeLevel, VirtAddr};
+use phantom_mem::{AccessKind, IntMap, IntSet, PhysAddr, PrivilegeLevel, VirtAddr};
 
 use crate::events::PipelineEvent;
 use crate::resteer::{classify_predicted, classify_unpredicted, ResteerKind, SpeculationVerdict};
@@ -164,12 +163,12 @@ struct TraceEntry {
 #[derive(Debug, Clone)]
 pub(super) struct TraceCache {
     enabled: bool,
-    blocks: HashMap<(u64, u8), TraceEntry>,
+    blocks: IntMap<(u64, u8), TraceEntry>,
     /// Union of the frames backing any block's code bytes, for the O(1)
     /// SMC check in `note_code_write`.
-    code_frames: HashSet<u64>,
+    code_frames: IntSet<u64>,
     /// Lookup-miss counts per candidate block head.
-    heat: HashMap<(u64, u8), u32>,
+    heat: IntMap<(u64, u8), u32>,
     /// Bumped on every invalidation; an in-flight replay that observes
     /// a bump bails before its next µop (its block may be stale).
     generation: u64,
@@ -182,9 +181,9 @@ impl TraceCache {
     pub(super) fn new(enabled: bool) -> TraceCache {
         TraceCache {
             enabled,
-            blocks: HashMap::new(),
-            code_frames: HashSet::new(),
-            heat: HashMap::new(),
+            blocks: IntMap::default(),
+            code_frames: IntSet::default(),
+            heat: IntMap::default(),
             generation: 0,
             hits: 0,
             bailouts: 0,
@@ -278,7 +277,7 @@ impl Machine {
         }
         self.trace_cache.invalidations += removed;
         self.trace_cache.generation += 1;
-        let mut live = HashSet::new();
+        let mut live = IntSet::default();
         for entry in self.trace_cache.blocks.values() {
             live.extend(entry.block.code_pages.iter().map(|&(_, f)| f));
         }
@@ -393,7 +392,7 @@ impl Machine {
                 self.trace_cache.blocks.remove(&key);
                 self.trace_cache.invalidations += 1;
                 self.trace_cache.generation += 1;
-                let mut live = HashSet::new();
+                let mut live = IntSet::default();
                 for e in self.trace_cache.blocks.values() {
                     live.extend(e.block.code_pages.iter().map(|&(_, f)| f));
                 }

@@ -1,10 +1,8 @@
 //! The squashed wrong path: transient fetch, decode, and a bounded
 //! number of executed µops, with nested phantom steering (§7.4).
 
-use std::collections::HashSet;
-
 use phantom_isa::Inst;
-use phantom_mem::{AccessKind, VirtAddr};
+use phantom_mem::{AccessKind, IntSet, VirtAddr};
 
 use crate::events::PipelineEvent;
 use crate::transient::{TransientReport, TransientWindow};
@@ -27,7 +25,7 @@ impl Machine {
         // Transient fetch of the target line. An inaccessible target
         // (unmapped / NX / supervisor-only from user) fills nothing —
         // primitive P1's signal.
-        let mut lines = HashSet::new();
+        let mut lines = IntSet::default();
         if !self.transient_touch(start, window.decode, &mut lines) {
             return report;
         }

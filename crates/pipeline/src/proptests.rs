@@ -303,3 +303,49 @@ proptest! {
         }
     }
 }
+
+/// What follows the first code page in `page_chunked_code_reads_match_the_per_byte_oracle`.
+const SECOND_PAGES: [Option<PageFlags>; 5] = [
+    None,                         // unmapped
+    Some(PageFlags::USER_DATA),   // NX
+    Some(PageFlags::KERNEL_TEXT), // supervisor-only
+    Some(PageFlags::USER_TEXT),   // executable from either level
+    Some(PageFlags::KERNEL_DATA), // NX and supervisor-only
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `read_code_bytes` (one translation and one slice copy per page)
+    /// reads exactly what the per-byte oracle reads, truncating at the
+    /// same byte, for PCs in the last 20 bytes of a page followed by an
+    /// unmapped, NX, supervisor-only or executable page, from user and
+    /// supervisor mode, with the second page's frame written or never
+    /// materialized.
+    #[test]
+    fn page_chunked_code_reads_match_the_per_byte_oracle(
+        back in 1u64..21,
+        n in 0usize..24,
+        second in 0usize..SECOND_PAGES.len(),
+        supervisor in any::<bool>(),
+        bytes in proptest::collection::vec(any::<u8>(), 40),
+        write_second in any::<bool>(),
+    ) {
+        let mut m = Machine::new(UarchProfile::zen2(), 1 << 24);
+        let page = VirtAddr::new(TEXT_BASE);
+        let end = page + 0x1000;
+        m.map_range(page, 0x1000, PageFlags::USER_TEXT).expect("maps");
+        m.poke(end - 20, &bytes[..20]);
+        if let Some(flags) = SECOND_PAGES[second] {
+            m.map_range(end, 0x1000, flags).expect("maps");
+            if write_second {
+                m.poke(end, &bytes[20..]);
+            }
+        }
+        if supervisor {
+            m.set_level(PrivilegeLevel::Supervisor);
+        }
+        let pc = end - back;
+        prop_assert_eq!(m.read_code_bytes(pc, n), m.read_code_bytes_per_byte(pc, n));
+    }
+}
