@@ -749,13 +749,6 @@ fn bench(r: &TrialRunner, flags: &BenchFlags) -> Result<(), phantom_bench::Runne
                     c.restore_frames_copied,
                 ),
                 ("trial_retries", b.trial_retries, c.trial_retries),
-                ("trace_hits", b.trace_hits, c.trace_hits),
-                ("trace_bailouts", b.trace_bailouts, c.trace_bailouts),
-                (
-                    "trace_invalidations",
-                    b.trace_invalidations,
-                    c.trace_invalidations,
-                ),
             ] {
                 let marker = if bv == cv { "" } else { "  <-- changed" };
                 eprintln!("  {name}: {bv} -> {cv}{marker}");

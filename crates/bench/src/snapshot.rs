@@ -104,20 +104,6 @@ pub fn decode_cache_reference() -> (u64, u64) {
     m.decode_cache_stats()
 }
 
-/// Run the fixed reference workload with the trace engine *forced on*
-/// — independent of the `PHANTOM_TRACE_CACHE` environment toggle — and
-/// return `(hits, bailouts, invalidations)`. Forcing keeps the
-/// canonical snapshot byte-identical between trace-on and trace-off
-/// runs: the CI parity job `cmp`s the two JSON files whole, so no
-/// counter in them may depend on the toggle. Pure function of the
-/// workload.
-pub fn trace_reference() -> (u64, u64, u64) {
-    let mut m = reference_machine();
-    m.set_trace_cache_enabled(true);
-    m.run(REFERENCE_STEPS).expect("reference workload runs");
-    m.trace_stats()
-}
-
 /// Run the fixed reference workload and return the machine's TLB
 /// `(hits, misses)` — the page walks the translation fast path
 /// skipped vs took. Pure function of the workload.
@@ -459,7 +445,6 @@ pub fn collect_snapshot(
     let (hits, misses) = decode_cache_reference();
     let (tlb_hits, tlb_misses) = tlb_reference();
     let (cow_faults, cow_frames_shared, restore_frames_copied) = cow_reference();
-    let (trace_hits, trace_bailouts, trace_invalidations) = trace_reference();
     let (rewind_journal_frames, frame_pool_reuses) = rewind_pool_reference();
     let boot_cache_hits = boot_cache_reference();
     let probe_arena_rearms = probe_arena_reference();
@@ -476,9 +461,6 @@ pub fn collect_snapshot(
         // scenario's probes succeed first try, so the canonical value
         // is 0 and any retry shows up as a baseline diff.
         trial_retries: runner.trial_retries(),
-        trace_hits,
-        trace_bailouts,
-        trace_invalidations,
         boot_cache_hits,
         rewind_journal_frames,
         frame_pool_reuses,
@@ -595,40 +577,5 @@ mod tests {
         assert_eq!(cached.reg(Reg::R0), uncached.reg(Reg::R0));
         assert_eq!(cached.reg(Reg::R2), uncached.reg(Reg::R2));
         assert_eq!(uncached.decode_cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn trace_reference_is_deterministic_and_replay_dominated() {
-        let a = trace_reference();
-        let b = trace_reference();
-        assert_eq!(a, b);
-        let (hits, bailouts, invalidations) = a;
-        // The hot loop is one straight-line superblock; nearly every
-        // run-loop iteration should replay it whole.
-        assert!(hits > 1000, "{hits} trace hits");
-        assert!(hits > bailouts * 100, "{hits} hits vs {bailouts} bailouts");
-        assert_eq!(invalidations, 0);
-    }
-
-    #[test]
-    fn reference_workload_results_do_not_depend_on_the_trace_engine() {
-        let mut traced = reference_machine();
-        traced.set_trace_cache_enabled(true);
-        traced.run(REFERENCE_STEPS).unwrap();
-        let mut untraced = reference_machine();
-        untraced.set_trace_cache_enabled(false);
-        untraced.run(REFERENCE_STEPS).unwrap();
-        assert_eq!(traced.cycles(), untraced.cycles());
-        assert_eq!(traced.pc(), untraced.pc());
-        assert_eq!(traced.reg(Reg::R0), untraced.reg(Reg::R0));
-        assert_eq!(traced.reg(Reg::R2), untraced.reg(Reg::R2));
-        assert_eq!(traced.pmu().clone(), untraced.pmu().clone());
-        assert_eq!(
-            traced.decode_cache_stats(),
-            untraced.decode_cache_stats(),
-            "replay decode accounting must mirror the stage machine"
-        );
-        assert_eq!(untraced.trace_stats().0, 0);
-        assert!(traced.trace_stats().0 > 1000);
     }
 }

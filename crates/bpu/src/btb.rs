@@ -10,25 +10,10 @@
 //! for direct branches is kept PC-relative ("the branch predictor serves
 //! direct branch targets as PC-relative", §5.2).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use phantom_isa::BranchKind;
 use phantom_mem::{IntMap, PrivilegeLevel, VirtAddr};
 
 use crate::hashfn::FoldFamily;
-
-/// Source of BTB content-generation stamps. Process-global so a stamp
-/// value identifies one specific BTB content for the process lifetime:
-/// clones and snapshot restores carry the stamp *with* the content, and
-/// post-restore retraining draws fresh values instead of re-walking the
-/// numbers the discarded timeline used. Caches derived from BTB content
-/// (the pipeline's trace engine memoizes "no visible hit in this fetch
-/// window") stay sound across rewinds because of this.
-static BTB_GENERATIONS: AtomicU64 = AtomicU64::new(1);
-
-fn next_btb_generation() -> u64 {
-    BTB_GENERATIONS.fetch_add(1, Ordering::Relaxed)
-}
 
 /// How the BTB keys entries for a given microarchitecture.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,13 +171,6 @@ pub struct Btb {
     /// Entries bucketed by page offset; fold signatures disambiguate.
     buckets: IntMap<u16, Vec<BtbEntry>>,
     clock: u64,
-    /// Content stamp: restamped (from the process-global counter) only
-    /// when an entry's *predictive* content actually changes — inserts,
-    /// evictions, replacements, flushes. A retrain that rewrites an
-    /// entry with identical kind/target/tags is LRU-only and leaves the
-    /// generation alone, so steady-state re-execution of a trained
-    /// branch doesn't look like BTB churn to generation watchers.
-    generation: u64,
 }
 
 impl Btb {
@@ -202,22 +180,12 @@ impl Btb {
             scheme,
             buckets: IntMap::default(),
             clock: 0,
-            generation: next_btb_generation(),
         }
     }
 
     /// The indexing scheme.
     pub fn scheme(&self) -> &BtbScheme {
         &self.scheme
-    }
-
-    /// The content-generation stamp. Unchanged generation means no
-    /// entry's predictive content (kind, targets, history tags,
-    /// privilege/thread tagging) has changed — LRU refreshes don't
-    /// count. Values are process-globally unique per content state, so
-    /// the guarantee survives snapshot restores that roll the BTB back.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Record a resolved branch: source address, decoded kind, resolved
@@ -271,7 +239,7 @@ impl Btb {
             } else {
                 None
             };
-            let replacement = BtbEntry {
+            *existing = BtbEntry {
                 page_offset,
                 signature,
                 kind,
@@ -281,23 +249,8 @@ impl Btb {
                 alt_target,
                 lru: clock,
             };
-            // A retrain that reproduces the entry verbatim is an
-            // LRU-only touch; only real content changes restamp the
-            // generation.
-            if existing.kind == replacement.kind
-                && existing.trained_at == replacement.trained_at
-                && existing.thread == replacement.thread
-                && existing.target == replacement.target
-                && existing.alt_target == replacement.alt_target
-            {
-                existing.lru = clock;
-            } else {
-                *existing = replacement;
-                self.generation = next_btb_generation();
-            }
             return;
         }
-        self.generation = next_btb_generation();
         let entry = BtbEntry {
             page_offset,
             signature,
@@ -362,9 +315,6 @@ impl Btb {
 
     /// Remove every entry (IBPB).
     pub fn flush(&mut self) {
-        if !self.buckets.is_empty() {
-            self.generation = next_btb_generation();
-        }
         self.buckets.clear();
     }
 
@@ -388,7 +338,6 @@ impl Clone for Btb {
             scheme: self.scheme.clone(),
             buckets: self.buckets.clone(),
             clock: self.clock,
-            generation: self.generation,
         }
     }
 
@@ -398,7 +347,6 @@ impl Clone for Btb {
         }
         self.buckets.clone_from(&source.buckets);
         self.clock = source.clock;
-        self.generation = source.generation;
     }
 }
 
@@ -406,10 +354,7 @@ impl Clone for Btb {
 impl Btb {
     /// Test-only: whether every field equals `other`'s.
     pub(crate) fn same_state(&self, other: &Btb) -> bool {
-        self.scheme == other.scheme
-            && self.buckets == other.buckets
-            && self.clock == other.clock
-            && self.generation == other.generation
+        self.scheme == other.scheme && self.buckets == other.buckets && self.clock == other.clock
     }
 }
 
@@ -425,10 +370,6 @@ impl crate::state::PredictorState for Btb {
 
     fn live_entries(&self) -> usize {
         self.len()
-    }
-
-    fn generation(&self) -> u64 {
-        Btb::generation(self)
     }
 
     fn flush(&mut self) {
@@ -580,54 +521,6 @@ mod tests {
         btb.flush();
         assert!(btb.is_empty());
         assert!(btb.lookup(VirtAddr::new(0x2000)).is_none());
-    }
-
-    #[test]
-    fn generation_tracks_content_not_lru() {
-        let mut btb = Btb::new(BtbScheme::zen34());
-        let g0 = btb.generation();
-        train_simple(&mut btb, 0x10_0ac0, BranchKind::Indirect, 0x5000);
-        let g1 = btb.generation();
-        assert_ne!(g0, g1, "insert restamps");
-        // Verbatim retrain (the steady-state hot loop): LRU-only.
-        train_simple(&mut btb, 0x10_0ac0, BranchKind::Indirect, 0x5000);
-        assert_eq!(btb.generation(), g1, "no-op retrain keeps the stamp");
-        // Target change restamps.
-        train_simple(&mut btb, 0x10_0ac0, BranchKind::Indirect, 0x6000);
-        let g2 = btb.generation();
-        assert_ne!(g2, g1);
-        // Kind change restamps.
-        train_simple(&mut btb, 0x10_0ac0, BranchKind::Direct, 0x6000);
-        let g3 = btb.generation();
-        assert_ne!(g3, g2);
-        // Flush of a non-empty BTB restamps; flushing empty does not.
-        btb.flush();
-        let g4 = btb.generation();
-        assert_ne!(g4, g3);
-        btb.flush();
-        assert_eq!(btb.generation(), g4);
-    }
-
-    #[test]
-    fn generation_values_are_never_reused_across_clones() {
-        // Snapshot-restore pattern: clone carries the stamp with the
-        // content; divergent mutation on the live side draws a value the
-        // clone's timeline can never produce.
-        let mut live = Btb::new(BtbScheme::zen34());
-        train_simple(&mut live, 0x10_0ac0, BranchKind::Indirect, 0x5000);
-        let snap = live.clone();
-        assert_eq!(live.generation(), snap.generation());
-        train_simple(&mut live, 0x10_0ac0, BranchKind::Indirect, 0x7000);
-        let diverged = live.generation();
-        // "Restore": adopt the snapshot wholesale, then mutate again.
-        live = snap.clone();
-        assert_eq!(live.generation(), snap.generation());
-        train_simple(&mut live, 0x10_0ac0, BranchKind::Indirect, 0x7000);
-        assert_ne!(
-            live.generation(),
-            diverged,
-            "same retrain after a rewind draws a fresh stamp"
-        );
     }
 }
 

@@ -38,10 +38,10 @@
 //! reference it is tested against. Per-instance [`BootCache`] values
 //! serve tests and counter plumbing that need isolation.
 //!
-//! A template is a frozen machine: anything its construction read —
-//! notably the process-level `PHANTOM_TRACE_CACHE` setting — is
-//! inherited by every instance stamped from it, whatever the
-//! environment says later in the same process.
+//! A template is a frozen machine: every instance stamped from it
+//! inherits exactly the state its construction produced. Machine
+//! construction reads no environment, so nothing outside the explicit
+//! boot arguments can make a template differ from a fresh boot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

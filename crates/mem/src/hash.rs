@@ -18,10 +18,8 @@
 //! * `PhysMemory::frames`: `all` (a debug assertion), `any`, `count`,
 //!   and a filtered collect that is sorted before use;
 //! * `Btb::buckets`: a `sum` of bucket lengths;
-//! * the trace cache's blocks: `retain`, and extending a set with
-//!   their code frames;
-//! * the decode cache, the trace cache's code-frame and heat maps and
-//!   the wrong path's line set: lookups, inserts and clears only.
+//! * the decode cache's entry and code-frame maps and the wrong path's
+//!   line set: lookups, inserts and clears only.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -10,8 +10,8 @@ use std::sync::Arc;
 /// value is never reused: after a snapshot restore rolls a table (and
 /// its version) back, later mutations draw *fresh* stamps instead of
 /// re-walking the numbers the discarded timeline already used. Caches
-/// keyed by `(table, version)` — TLB entries, decoded-trace blocks —
-/// therefore can't mistake post-restore state for pre-restore state.
+/// keyed by `(table, version)` — the TLB fast path — therefore can't
+/// mistake post-restore state for pre-restore state.
 static PT_VERSIONS: AtomicU64 = AtomicU64::new(1);
 
 fn next_pt_version() -> u64 {
@@ -165,28 +165,17 @@ struct Mapping {
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     /// 4 KiB mappings keyed by page number, one map per address-space
-    /// half (index 0: user, bit 63 clear; index 1: kernel), the split
-    /// the per-half version stamps already make. A user mapping after
-    /// a clone then unshares only the user map, never the kernel
-    /// image's.
+    /// half (index 0: user, bit 63 clear; index 1: kernel). A user
+    /// mapping after a clone then unshares only the user map, never
+    /// the kernel image's.
     small: [Arc<BTreeMap<u64, Mapping>>; 2],
     huge: Arc<BTreeMap<u64, Mapping>>,
     /// Restamped from [`PT_VERSIONS`] on every mutation; lets cached
-    /// translations (TLB fast paths, decoded-trace blocks) prove their
-    /// entry still reflects the table. The maps are `Arc`-backed so
-    /// cloning a table (snapshots, per-shard setup) is three pointer
-    /// bumps; the first mutation of a map after a clone unshares it.
+    /// translations (the TLB fast path) prove their entry still
+    /// reflects the table. The maps are `Arc`-backed so cloning a table
+    /// (snapshots, per-shard setup) is three pointer bumps; the first
+    /// mutation of a map after a clone unshares it.
     version: u64,
-    /// Version of the last mutation whose VA lies in the user half of
-    /// the address space (bit 63 clear). A mutation only ever changes
-    /// the leaf entry at its own VA, so translations in one half are
-    /// provably unchanged while that half's stamp is — consumers
-    /// caching per-half (trace blocks over kernel text, say) survive
-    /// the other half churning.
-    version_user: u64,
-    /// Version of the last mutation whose VA lies in the kernel half
-    /// (bit 63 set).
-    version_kernel: u64,
 }
 
 impl PageTable {
@@ -204,7 +193,7 @@ impl PageTable {
         flags: PageFlags,
     ) -> Option<(PhysAddr, PageFlags)> {
         debug_assert!(va.is_aligned(1 << PAGE_SHIFT), "unaligned 4k mapping {va}");
-        self.bump_version(va);
+        self.bump_version();
         self.small_mut(va.page_number())
             .insert(
                 va.page_number(),
@@ -225,7 +214,7 @@ impl PageTable {
         flags: PageFlags,
     ) -> Option<(PhysAddr, PageFlags)> {
         debug_assert!(va.is_aligned(HUGE_PAGE_SIZE), "unaligned 2M mapping {va}");
-        self.bump_version(va);
+        self.bump_version();
         Arc::make_mut(&mut self.huge)
             .insert(
                 va.raw() >> HUGE_PAGE_SHIFT,
@@ -243,7 +232,7 @@ impl PageTable {
         if !self.small(page).contains_key(&page) {
             return None;
         }
-        self.bump_version(va);
+        self.bump_version();
         self.small_mut(page)
             .remove(&page)
             .map(|m| (m.frame, m.flags))
@@ -256,14 +245,14 @@ impl PageTable {
     pub fn set_flags(&mut self, va: VirtAddr, flags: PageFlags) -> Option<PageFlags> {
         let page = va.page_number();
         if self.small(page).contains_key(&page) {
-            self.bump_version(va);
+            self.bump_version();
             let m = self.small_mut(page).get_mut(&page).expect("checked above");
             let old = m.flags;
             m.flags = flags;
             return Some(old);
         }
         if self.huge.contains_key(&(va.raw() >> HUGE_PAGE_SHIFT)) {
-            self.bump_version(va);
+            self.bump_version();
             let m = Arc::make_mut(&mut self.huge)
                 .get_mut(&(va.raw() >> HUGE_PAGE_SHIFT))
                 .expect("checked above");
@@ -309,8 +298,7 @@ impl PageTable {
             |i| (new_base + (i << PAGE_SHIFT)).page_number(),
         );
         if moved != 0 {
-            self.bump_version(old_base);
-            self.bump_version(new_base);
+            self.bump_version();
         }
         moved
     }
@@ -335,8 +323,7 @@ impl PageTable {
             |i| (new_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT,
         );
         if moved != 0 {
-            self.bump_version(old_base);
-            self.bump_version(new_base);
+            self.bump_version();
         }
         moved
     }
@@ -351,27 +338,9 @@ impl PageTable {
         self.version
     }
 
-    /// The mutation stamp of one address-space half (`kernel` = bit 63
-    /// set). Same guarantee as [`PageTable::version`], scoped to the
-    /// half: an unchanged stamp proves every translation with a VA in
-    /// that half unchanged, however much the other half churned.
-    pub fn class_version(&self, kernel: bool) -> u64 {
-        if kernel {
-            self.version_kernel
-        } else {
-            self.version_user
-        }
-    }
-
-    /// Draw a fresh global stamp for a mutation at `va`, updating both
-    /// the whole-table version and `va`'s half.
-    fn bump_version(&mut self, va: VirtAddr) {
+    /// Draw a fresh global stamp for a mutation.
+    fn bump_version(&mut self) {
         self.version = next_pt_version();
-        if va.raw() >> 63 != 0 {
-            self.version_kernel = self.version;
-        } else {
-            self.version_user = self.version;
-        }
     }
 
     /// The 4 KiB map of the half `page` lies in.
@@ -528,8 +497,7 @@ impl PageTable {
             self.small_mut(key).insert(key, m);
         }
         if !moved.is_empty() {
-            self.bump_version(old_base);
-            self.bump_version(new_base);
+            self.bump_version();
         }
         moved.len()
     }
@@ -555,8 +523,7 @@ impl PageTable {
             huge.insert((new_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT, m);
         }
         if !moved.is_empty() {
-            self.bump_version(old_base);
-            self.bump_version(new_base);
+            self.bump_version();
         }
         moved.len()
     }
@@ -819,34 +786,6 @@ mod tests {
         assert_eq!(pt.version(), v1, "no-op mutators leave the version alone");
         pt.set_flags(VirtAddr::new(0x1000), PageFlags::USER_TEXT);
         assert!(pt.version() > v1);
-    }
-
-    #[test]
-    fn class_versions_track_their_half_only() {
-        let mut pt = PageTable::new();
-        pt.map_4k(
-            VirtAddr::new(0xffff_ffff_8000_0000),
-            PhysAddr::new(0x20_000),
-            PageFlags::KERNEL_TEXT,
-        );
-        let kernel = pt.class_version(true);
-        let user = pt.class_version(false);
-        // User-half churn leaves the kernel stamp alone (and vice versa).
-        pt.map_4k(
-            VirtAddr::new(0x1000),
-            PhysAddr::new(0x10_000),
-            PageFlags::USER_DATA,
-        );
-        pt.unmap_4k(VirtAddr::new(0x1000));
-        assert_eq!(pt.class_version(true), kernel);
-        assert!(pt.class_version(false) > user);
-        let user = pt.class_version(false);
-        pt.set_flags(VirtAddr::new(0xffff_ffff_8000_0000), PageFlags::KERNEL_DATA);
-        assert!(pt.class_version(true) > kernel);
-        assert_eq!(pt.class_version(false), user);
-        // Both stamps always trail the whole-table version.
-        assert!(pt.class_version(true) <= pt.version());
-        assert_eq!(pt.class_version(true), pt.version());
     }
 
     #[test]

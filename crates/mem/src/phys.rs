@@ -282,9 +282,8 @@ impl PhysMemory {
     ///
     /// Returns the physical page numbers whose contents the rewind
     /// changed (written-since-checkpoint frames, including ones
-    /// zero-tombstoned away), sorted, so callers holding
-    /// content-derived caches — decoded traces, for one — can
-    /// invalidate exactly those frames.
+    /// zero-tombstoned away), sorted. No production caller needs the
+    /// list; the rewind proptests compare it with the full scan's.
     pub fn restore_from(&mut self, snap: &PhysMemory) -> Vec<u64> {
         debug_assert!(
             snap.frames.keys().all(|k| self.frames.contains_key(k)),

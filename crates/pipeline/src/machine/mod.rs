@@ -23,7 +23,6 @@ mod execute;
 mod fetch;
 mod memory;
 mod snapshot;
-mod trace;
 mod wrongpath;
 
 use std::sync::Arc;
@@ -170,13 +169,8 @@ pub struct Machine {
     /// Memoized `(pc, privilege) → (inst, len)` decodes; timing- and
     /// event-invisible (see [`decode`]).
     decode_cache: decode::DecodeCache,
-    /// Recorded hot superblocks replayed straight-line by the run loop;
-    /// timing- and event-invisible like the decode cache (see
-    /// [`trace`]).
-    trace_cache: trace::TraceCache,
     /// Probe-arena re-arms (see `phantom_sidechannel::ProbeArena`):
-    /// host instrumentation, deliberately preserved across [`restore`]
-    /// like the trace/decode caches' stats.
+    /// host instrumentation, deliberately preserved across [`restore`].
     ///
     /// [`restore`]: Machine::restore
     probe_rearms: u64,
@@ -220,14 +214,6 @@ impl Machine {
             halted: false,
             bus: EventBus::new(),
             decode_cache: decode::DecodeCache::new(),
-            // Trace replay defaults on; `PHANTOM_TRACE_CACHE=0` forces
-            // it off (results are bit-identical either way — see the
-            // parity gate in CI). Process-level: read once per
-            // construction, and boot templates carry it into every
-            // instance, so set it before the process starts.
-            trace_cache: trace::TraceCache::new(
-                std::env::var("PHANTOM_TRACE_CACHE").map_or(true, |v| v != "0"),
-            ),
             probe_rearms: 0,
         }
     }
@@ -355,10 +341,9 @@ impl Machine {
     }
 
     /// Physical memory, mutably. Conservatively invalidates the decode
-    /// and trace caches: raw writes could rewrite code bytes.
+    /// cache: raw writes could rewrite code bytes.
     pub fn phys_mut(&mut self) -> &mut PhysMemory {
         self.decode_cache.invalidate();
-        self.trace_invalidate_all();
         &mut self.phys
     }
 
@@ -368,11 +353,10 @@ impl Machine {
     }
 
     /// The page table, mutably (the §6.2 PTE-flag tricks).
-    /// Conservatively invalidates the decode and trace caches: mapping
-    /// or flag changes can alter what decodes.
+    /// Conservatively invalidates the decode cache: mapping or flag
+    /// changes can alter what decodes.
     pub fn page_table_mut(&mut self) -> &mut PageTable {
         self.decode_cache.invalidate();
-        self.trace_invalidate_all();
         &mut self.page_table
     }
 
@@ -492,10 +476,19 @@ impl Machine {
     }
 
     /// Enable or disable the decoded-instruction cache (enabled by
-    /// default). Disabling exists for A/B benchmarking — results are
-    /// identical either way, only host wall-clock changes.
+    /// default). Disabled is the uncached reference the coherence tests
+    /// compare the cache against — results are identical either way,
+    /// only host wall-clock changes.
     pub fn set_decode_cache_enabled(&mut self, enabled: bool) {
         self.decode_cache.set_enabled(enabled);
+    }
+
+    /// Always `(0, 0, 0)`: the trace-replay engine these counters
+    /// described is gone. Kept only because the benchmark harness
+    /// (`perfbench/`) still reads it; it goes away with the next
+    /// declared benchmark change.
+    pub fn trace_stats(&self) -> (u64, u64, u64) {
+        (0, 0, 0)
     }
 }
 

@@ -262,16 +262,17 @@ fn perf_counters_are_identical_at_1_and_8_threads() {
 }
 
 // ---------------------------------------------------------------------
-// Self-modifying code through the runner: the trace/superblock engine's
-// invalidation must be worker-count-invisible.
+// Self-modifying code through the runner: decode-cache coherence must
+// hold across rewinds and be worker-count-invisible.
 // ---------------------------------------------------------------------
 
 /// A trial that executes a program which overwrites its own hot inner
 /// function mid-run: `f` returns 1 for 24 calls, gets patched to return
 /// 2 by an architectural store, runs 24 more calls, halts (r3 = 72).
-/// Every trial rewinds the fork and re-runs, so each worker's warm
-/// trace cache is repeatedly invalidated and re-recorded — any
-/// coherence slip shows up as a sample diverging by worker or trial.
+/// Every trial rewinds the fork and re-runs, so each worker's decode
+/// cache is rewound with the fork and invalidated by the patch again —
+/// any coherence slip shows up as a sample diverging by worker or
+/// trial.
 struct SelfModifyingTrials {
     trials: usize,
 }
