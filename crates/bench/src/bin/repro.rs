@@ -37,6 +37,8 @@
 //! Tables render on stdout; per-sweep wall-clock notes go to stderr so
 //! piped output stays byte-for-byte reproducible.
 
+use std::path::{Path, PathBuf};
+
 use phantom::ablation::NoiseSweepConfig;
 use phantom::gadgets::{census, generate_corpus, CorpusConfig};
 use phantom::mitigations::{
@@ -45,7 +47,8 @@ use phantom::mitigations::{
 };
 use phantom::report;
 use phantom::report::json::{
-    diff, BenchSnapshot, NoiseSweepRecord, PhtChannelRecord, Tolerance, SCHEMA,
+    diff, diff_noise_sweep, diff_pht_channel, document, BenchSnapshot, Json, NoiseSweepRecord,
+    PhtChannelRecord, Regression, Tolerance,
 };
 use phantom::report::value::JsonValue;
 use phantom::runner::TrialRunner;
@@ -55,7 +58,7 @@ use phantom_bench::campaign::{self, CampaignConfig};
 use phantom_bench::{
     collect_snapshot, run_figure6_on, run_figure7, run_mds_on, run_noise_sweep_on,
     run_pht_channel_on, run_table1_on, run_table2_on, run_table3_on, run_table4_on, run_table5_on,
-    timed, BenchConfig,
+    timed, BenchConfig, RunnerError,
 };
 
 const USAGE: &str = "\
@@ -199,7 +202,7 @@ fn runner() -> TrialRunner {
     }
 }
 
-fn table1(r: &TrialRunner) -> Result<(), phantom_bench::RunnerError> {
+fn table1(r: &TrialRunner) -> Result<(), RunnerError> {
     let t = timed(r, |r| run_table1_on(r, 0))?;
     print!("{}", report::render_table1(&t.result));
     eprintln!("[table1: {}]", t.wall_note());
@@ -208,7 +211,7 @@ fn table1(r: &TrialRunner) -> Result<(), phantom_bench::RunnerError> {
 
 /// Figure 6 over an explicit uarch set. The default mirrors the paper's
 /// plot (Zen 2 and Zen 4); `--uarch` / `--spec` widen or narrow it.
-fn figure6(r: &TrialRunner, profiles: &[UarchProfile]) -> Result<(), phantom_bench::RunnerError> {
+fn figure6(r: &TrialRunner, profiles: &[UarchProfile]) -> Result<(), RunnerError> {
     for profile in profiles {
         let profile = profile.clone();
         let name = profile.name.clone();
@@ -252,14 +255,14 @@ fn figure7() {
     eprintln!("[figure7: wall {:.2}s]", start.elapsed().as_secs_f64());
 }
 
-fn table2(r: &TrialRunner, bits: usize) -> Result<(), phantom_bench::RunnerError> {
+fn table2(r: &TrialRunner, bits: usize) -> Result<(), RunnerError> {
     let t = timed(r, |r| run_table2_on(r, bits, 0))?;
     print!("{}", report::render_table2(&t.result));
     eprintln!("[table2: {}]", t.wall_note());
     Ok(())
 }
 
-fn table3(r: &TrialRunner, runs: usize) -> Result<(), phantom_bench::RunnerError> {
+fn table3(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
     let slots = if full() { 0 } else { 64 };
     for p in [
         UarchProfile::zen2(),
@@ -274,7 +277,7 @@ fn table3(r: &TrialRunner, runs: usize) -> Result<(), phantom_bench::RunnerError
     Ok(())
 }
 
-fn table4(r: &TrialRunner, runs: usize) -> Result<(), phantom_bench::RunnerError> {
+fn table4(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
     let slots = if full() { 0 } else { 64 };
     for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
         let name = p.name.clone();
@@ -285,7 +288,7 @@ fn table4(r: &TrialRunner, runs: usize) -> Result<(), phantom_bench::RunnerError
     Ok(())
 }
 
-fn table5(r: &TrialRunner, runs: usize) -> Result<(), phantom_bench::RunnerError> {
+fn table5(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
     // The paper pairs Zen 1 with 8 GiB and Zen 2 with 64 GiB.
     let configs: [(UarchProfile, u64); 2] = if full() {
         [
@@ -307,7 +310,7 @@ fn table5(r: &TrialRunner, runs: usize) -> Result<(), phantom_bench::RunnerError
     Ok(())
 }
 
-fn mds(r: &TrialRunner, bytes: usize) -> Result<(), phantom_bench::RunnerError> {
+fn mds(r: &TrialRunner, bytes: usize) -> Result<(), RunnerError> {
     let runs = if full() { 10 } else { 3 };
     for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
         let name = p.name.clone();
@@ -321,7 +324,7 @@ fn mds(r: &TrialRunner, bytes: usize) -> Result<(), phantom_bench::RunnerError> 
     Ok(())
 }
 
-fn o4() -> Result<(), phantom_bench::RunnerError> {
+fn o4() -> Result<(), RunnerError> {
     for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
         let name = p.name.clone();
         let o = o4_suppress_bp_on_non_br(p)?;
@@ -340,14 +343,14 @@ fn o4() -> Result<(), phantom_bench::RunnerError> {
     Ok(())
 }
 
-fn o5() -> Result<(), phantom_bench::RunnerError> {
+fn o5() -> Result<(), RunnerError> {
     let fetched = o5_auto_ibrs_fetch(0)?;
     println!("O5 [Zen 4, AutoIBRS on]: cross-privilege transient fetch observed = {fetched}");
     println!("=> AutoIBRS does not prevent IF of cross-privilege branch targets (P1 unaffected).");
     Ok(())
 }
 
-fn software() -> Result<(), phantom_bench::RunnerError> {
+fn software() -> Result<(), RunnerError> {
     let (u, p) = lfence_gadget_protection(UarchProfile::zen2())?;
     println!("lfence at gadget entry [Zen 2]: transient load unprotected={u} protected={p}");
     let (u, p) = rsb_stuffing_protection(UarchProfile::zen2())?;
@@ -359,7 +362,7 @@ fn software() -> Result<(), phantom_bench::RunnerError> {
     Ok(())
 }
 
-fn ablation() -> Result<(), phantom_bench::RunnerError> {
+fn ablation() -> Result<(), RunnerError> {
     println!("resteer-latency sweep (Zen 2 shape):");
     for p in phantom::ablation::resteer_latency_sweep(&[4, 5, 6, 8, 10, 12, 16])? {
         println!(
@@ -391,68 +394,18 @@ fn noise_sweep(
     r: &TrialRunner,
     cfg: &NoiseSweepConfig,
     flags: &BenchFlags,
-    json_given: bool,
-) -> Result<(), phantom_bench::RunnerError> {
+) -> Result<(), RunnerError> {
     let t = timed(r, |r| run_noise_sweep_on(r, cfg))?;
     print!("{}", report::render_noise_sweep(&t.result));
     eprintln!("[noise-sweep: {}]", t.wall_note());
     let records: Vec<NoiseSweepRecord> = t.result.iter().map(NoiseSweepRecord::from).collect();
-
-    if json_given {
-        let mut root = JsonValue::object();
-        root.set("schema", JsonValue::Str(SCHEMA.to_string()));
-        root.set(
-            "noise_sweep",
-            JsonValue::Array(records.iter().map(NoiseSweepRecord::to_json).collect()),
-        );
-        std::fs::write(&flags.json, root.to_pretty_string())
-            .map_err(|e| format!("write {}: {e}", flags.json.display()))?;
-        eprintln!("[noise-sweep: wrote {}]", flags.json.display());
-    }
-
-    if let Some(baseline_path) = &flags.baseline {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("read {}: {e}", baseline_path.display()))?;
-        let baseline = BenchSnapshot::from_json_str(&text)?;
-        let tol = match flags.tolerance {
-            Some(pct) => Tolerance::uniform(pct),
-            None => Tolerance::default(),
-        };
-        let mut regressions: Vec<String> = Vec::new();
-        let base_sweep = baseline.noise_sweep.as_deref().unwrap_or(&[]);
-        for base_p in base_sweep.iter().filter(|p| p.is_quiet()) {
-            match records
-                .iter()
-                .find(|c| c.axis == base_p.axis && c.value == base_p.value)
-            {
-                Some(cur_p) if (base_p.accuracy - cur_p.accuracy) * 100.0 > tol.accuracy_pp => {
-                    regressions.push(format!(
-                        "noise_sweep[{} = 0].accuracy: {} -> {}",
-                        base_p.axis, base_p.accuracy, cur_p.accuracy
-                    ));
-                }
-                None => regressions.push(format!("noise_sweep[{} = 0] missing", base_p.axis)),
-                _ => {}
-            }
-        }
-        if regressions.is_empty() {
-            println!(
-                "no quiet-end regressions against {} (tolerance: {}pp accuracy, {} quiet point(s))",
-                baseline_path.display(),
-                tol.accuracy_pp,
-                base_sweep.iter().filter(|p| p.is_quiet()).count()
-            );
-        } else {
-            eprintln!(
-                "{} regression(s) against {}:",
-                regressions.len(),
-                baseline_path.display()
-            );
-            for reg in &regressions {
-                eprintln!("  {reg}");
-            }
-            std::process::exit(1);
-        }
+    flags.write_section("noise-sweep", "noise_sweep", &records)?;
+    if let Some((path, baseline, tol)) = flags.baseline()? {
+        let base = baseline.noise_sweep.unwrap_or_default();
+        let quiet = base.iter().filter(|p| p.is_quiet()).count();
+        let regressions = diff_noise_sweep(&base, &records, &tol);
+        let scope = format!("{quiet} quiet point(s)");
+        gate(path, &tol, "quiet-end ", &scope, &regressions, || {});
     }
     Ok(())
 }
@@ -462,12 +415,7 @@ fn noise_sweep(
 /// builtin AMD part. `--json` writes the records under the bench
 /// schema; `--baseline` gates per-uarch accuracy against a committed
 /// snapshot and exits 1 on regression, mirroring the `bench` diff gate.
-fn pht_channel(
-    r: &TrialRunner,
-    bits: usize,
-    flags: &BenchFlags,
-    json_given: bool,
-) -> Result<(), phantom_bench::RunnerError> {
+fn pht_channel(r: &TrialRunner, bits: usize, flags: &BenchFlags) -> Result<(), RunnerError> {
     let t = timed(r, |r| run_pht_channel_on(r, bits, 600))?;
     println!("PHT channel ({bits} bits, realistic noise, no cache probe):");
     println!(
@@ -488,64 +436,17 @@ fn pht_channel(
     }
     eprintln!("[pht-channel: {}]", t.wall_note());
     let records: Vec<PhtChannelRecord> = t.result.iter().map(PhtChannelRecord::from).collect();
-
-    if json_given {
-        let mut root = JsonValue::object();
-        root.set("schema", JsonValue::Str(SCHEMA.to_string()));
-        root.set(
-            "pht_channel",
-            JsonValue::Array(records.iter().map(PhtChannelRecord::to_json).collect()),
-        );
-        std::fs::write(&flags.json, root.to_pretty_string())
-            .map_err(|e| format!("write {}: {e}", flags.json.display()))?;
-        eprintln!("[pht-channel: wrote {}]", flags.json.display());
-    }
-
-    if let Some(baseline_path) = &flags.baseline {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("read {}: {e}", baseline_path.display()))?;
-        let baseline = BenchSnapshot::from_json_str(&text)?;
-        let tol = match flags.tolerance {
-            Some(pct) => Tolerance::uniform(pct),
-            None => Tolerance::default(),
-        };
-        let mut regressions: Vec<String> = Vec::new();
-        let base_rows = baseline.pht_channel.as_deref().unwrap_or(&[]);
-        for base_row in base_rows {
-            match records.iter().find(|c| c.uarch == base_row.uarch) {
-                Some(cur) if (base_row.accuracy - cur.accuracy) * 100.0 > tol.accuracy_pp => {
-                    regressions.push(format!(
-                        "pht_channel[{}].accuracy: {} -> {}",
-                        base_row.uarch, base_row.accuracy, cur.accuracy
-                    ));
-                }
-                None => regressions.push(format!("pht_channel[{}] missing", base_row.uarch)),
-                _ => {}
-            }
-        }
-        if regressions.is_empty() {
-            println!(
-                "no pht-channel regressions against {} (tolerance: {}pp accuracy, {} baseline row(s))",
-                baseline_path.display(),
-                tol.accuracy_pp,
-                base_rows.len()
-            );
-        } else {
-            eprintln!(
-                "{} regression(s) against {}:",
-                regressions.len(),
-                baseline_path.display()
-            );
-            for reg in &regressions {
-                eprintln!("  {reg}");
-            }
-            std::process::exit(1);
-        }
+    flags.write_section("pht-channel", "pht_channel", &records)?;
+    if let Some((path, baseline, tol)) = flags.baseline()? {
+        let base = baseline.pht_channel.unwrap_or_default();
+        let regressions = diff_pht_channel(&base, &records, &tol);
+        let scope = format!("{} baseline row(s)", base.len());
+        gate(path, &tol, "pht-channel ", &scope, &regressions, || {});
     }
     Ok(())
 }
 
-fn spectre() -> Result<(), phantom_bench::RunnerError> {
+fn spectre() -> Result<(), RunnerError> {
     println!("baseline: conventional Spectre-V2 vs PHANTOM windows");
     for p in UarchProfile::all() {
         let w = window_comparison(&p);
@@ -567,9 +468,9 @@ fn spectre() -> Result<(), phantom_bench::RunnerError> {
     Ok(())
 }
 
-fn overhead(r: &TrialRunner) -> Result<(), phantom_bench::RunnerError> {
+fn overhead(r: &TrialRunner) -> Result<(), RunnerError> {
     let t = timed(r, |r| {
-        Ok::<_, phantom_bench::RunnerError>(suppress_overhead_on(r, UarchProfile::zen2()))
+        Ok::<_, RunnerError>(suppress_overhead_on(r, UarchProfile::zen2()))
     })?;
     print!("{}", report::render_overhead(&t.result));
     eprintln!("[overhead: {}]", t.wall_note());
@@ -584,8 +485,8 @@ fn gadgets() {
 
 /// CLI flags for the `serve` campaign service.
 struct ServeFlags {
-    out: std::path::PathBuf,
-    resume: Option<std::path::PathBuf>,
+    out: PathBuf,
+    resume: Option<PathBuf>,
     bits: Option<usize>,
     seed: u64,
     ab: bool,
@@ -599,7 +500,7 @@ fn serve(
     registry: &UarchRegistry,
     uarch_names: &[String],
     sf: &ServeFlags,
-) -> Result<(), phantom_bench::RunnerError> {
+) -> Result<(), RunnerError> {
     let mut cfg = CampaignConfig::default_grid(registry);
     if !uarch_names.is_empty() {
         cfg.uarches = uarch_names
@@ -670,15 +571,79 @@ fn serve(
     Ok(())
 }
 
-/// CLI flags shared by `bench` / `--json`.
+/// CLI flags shared by `bench`, `noise-sweep` and `pht-channel`.
 struct BenchFlags {
-    json: std::path::PathBuf,
-    baseline: Option<std::path::PathBuf>,
+    json: Option<PathBuf>,
+    baseline: Option<PathBuf>,
     tolerance: Option<f64>,
     host_meta: bool,
 }
 
-fn bench(r: &TrialRunner, flags: &BenchFlags) -> Result<(), phantom_bench::RunnerError> {
+impl BenchFlags {
+    /// The `--baseline` snapshot and the tolerance to gate against it,
+    /// if a baseline was given.
+    fn baseline(&self) -> Result<Option<(&Path, BenchSnapshot, Tolerance)>, RunnerError> {
+        let Some(path) = &self.baseline else {
+            return Ok(None);
+        };
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let tol = self
+            .tolerance
+            .map_or_else(Tolerance::default, Tolerance::uniform);
+        Ok(Some((path, BenchSnapshot::from_json_str(&text)?, tol)))
+    }
+
+    /// `--json` for a one-section command: write `records` as the `key`
+    /// section of a snapshot-schema document.
+    fn write_section(&self, cmd: &str, key: &str, records: &impl Json) -> Result<(), RunnerError> {
+        if let Some(path) = &self.json {
+            let mut body = JsonValue::object();
+            body.set(key, records.to_json());
+            write_document(path, body)?;
+            eprintln!("[{cmd}: wrote {}]", path.display());
+        }
+        Ok(())
+    }
+}
+
+/// Write `body` under the snapshot schema tag to `path`.
+fn write_document(path: &Path, body: JsonValue) -> Result<(), RunnerError> {
+    std::fs::write(path, document(body).to_pretty_string())
+        .map_err(|e| format!("write {}: {e}", path.display()).into())
+}
+
+/// Print a gate's verdict: one clean line on stdout, or every
+/// regression on stderr followed by `detail`, then exit 1.
+fn gate(
+    path: &Path,
+    tol: &Tolerance,
+    kind: &str,
+    scope: &str,
+    regressions: &[Regression],
+    detail: impl FnOnce(),
+) {
+    if regressions.is_empty() {
+        println!(
+            "no {kind}regressions against {} (tolerance: {}pp accuracy, {scope})",
+            path.display(),
+            tol.accuracy_pp
+        );
+        return;
+    }
+    eprintln!(
+        "{} regression(s) against {}:",
+        regressions.len(),
+        path.display()
+    );
+    for reg in regressions {
+        eprintln!("  {reg}");
+    }
+    detail();
+    std::process::exit(1);
+}
+
+fn bench(r: &TrialRunner, flags: &BenchFlags) -> Result<(), RunnerError> {
     let cfg = BenchConfig {
         full: full(),
         seed: 0,
@@ -686,75 +651,45 @@ fn bench(r: &TrialRunner, flags: &BenchFlags) -> Result<(), phantom_bench::Runne
     };
     let start = std::time::Instant::now();
     let snap = collect_snapshot(r, &cfg)?;
-    std::fs::write(&flags.json, snap.to_json_string())
-        .map_err(|e| format!("write {}: {e}", flags.json.display()))?;
+    let path = flags
+        .json
+        .as_deref()
+        .unwrap_or(Path::new("BENCH_phantom.json"));
+    write_document(path, snap.to_json())?;
     eprintln!(
         "[bench: wrote {} in {:.2}s on {} threads]",
-        flags.json.display(),
+        path.display(),
         start.elapsed().as_secs_f64(),
         r.threads()
     );
 
-    if let Some(baseline_path) = &flags.baseline {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("read {}: {e}", baseline_path.display()))?;
-        let baseline = BenchSnapshot::from_json_str(&text)?;
-        let tol = match flags.tolerance {
-            Some(pct) => Tolerance::uniform(pct),
-            None => Tolerance::default(),
-        };
-        let regressions = diff(&baseline, &snap, &tol);
-        if regressions.is_empty() {
-            println!(
-                "no regressions against {} (tolerance: {}pp accuracy, {}% cycles)",
-                baseline_path.display(),
-                tol.accuracy_pp,
-                tol.cycles_pct
-            );
-        } else {
-            eprintln!(
-                "{} regression(s) against {}:",
-                regressions.len(),
-                baseline_path.display()
-            );
-            for reg in &regressions {
-                eprintln!("  {reg}");
-            }
-            // The raw hot-path counters make a hit-rate regression
-            // diagnosable from CI logs alone.
-            eprintln!("perf counters (baseline -> current):");
-            let (b, c) = (&baseline.perf, &snap.perf);
-            for (name, bv, cv) in [
-                (
-                    "decode_cache_hits",
-                    b.decode_cache_hits,
-                    c.decode_cache_hits,
-                ),
-                (
-                    "decode_cache_misses",
-                    b.decode_cache_misses,
-                    c.decode_cache_misses,
-                ),
-                ("tlb_hits", b.tlb_hits, c.tlb_hits),
-                ("tlb_misses", b.tlb_misses, c.tlb_misses),
-                ("cow_faults", b.cow_faults, c.cow_faults),
-                (
-                    "cow_frames_shared",
-                    b.cow_frames_shared,
-                    c.cow_frames_shared,
-                ),
-                (
-                    "restore_frames_copied",
-                    b.restore_frames_copied,
-                    c.restore_frames_copied,
-                ),
-                ("trial_retries", b.trial_retries, c.trial_retries),
-            ] {
-                let marker = if bv == cv { "" } else { "  <-- changed" };
-                eprintln!("  {name}: {bv} -> {cv}{marker}");
-            }
-            std::process::exit(1);
-        }
+    if let Some((path, baseline, tol)) = flags.baseline()? {
+        let scope = format!("{}% cycles", tol.cycles_pct);
+        gate(
+            path,
+            &tol,
+            "",
+            &scope,
+            &diff(&baseline, &snap, &tol),
+            || {
+                // The raw hot-path counters make a hit-rate regression
+                // diagnosable from CI logs alone.
+                eprintln!("perf counters (baseline -> current):");
+                let (base, cur) = (baseline.perf.to_json(), snap.perf.to_json());
+                let JsonValue::Object(counters) = &base else {
+                    return;
+                };
+                for (name, b) in counters {
+                    let c = cur.get(name).unwrap_or(&JsonValue::Null);
+                    let marker = if b == c { "" } else { "  <-- changed" };
+                    eprintln!(
+                        "  {name}: {} -> {}{marker}",
+                        b.to_compact_string(),
+                        c.to_compact_string()
+                    );
+                }
+            },
+        );
     }
     Ok(())
 }
@@ -766,9 +701,9 @@ fn discover(
     r: &TrialRunner,
     budget: usize,
     seed: u64,
-    out: &std::path::Path,
-    corpus: Option<&std::path::Path>,
-) -> Result<(), phantom_bench::RunnerError> {
+    out: &Path,
+    corpus: Option<&Path>,
+) -> Result<(), RunnerError> {
     use phantom_bench::discover::{discover_jsonl, run_discover_on, train_id, DiscoverConfig};
 
     let cfg = DiscoverConfig { budget, seed };
@@ -816,126 +751,92 @@ fn discover(
     Ok(())
 }
 
-fn main() {
-    let mut positional: Vec<String> = Vec::new();
-    let mut flags = BenchFlags {
-        json: std::path::PathBuf::from("BENCH_phantom.json"),
-        baseline: None,
-        tolerance: None,
-        host_meta: false,
-    };
-    let mut json_given = false;
-    let mut uarch_names: Vec<String> = Vec::new();
-    let mut spec_paths: Vec<std::path::PathBuf> = Vec::new();
-    let mut workers: Option<usize> = None;
-    let mut serve_flags = ServeFlags {
-        out: std::path::PathBuf::from("campaign.jsonl"),
-        resume: None,
-        bits: None,
-        seed: 0,
-        ab: false,
-    };
-    let mut serve_flag_given: Option<&'static str> = None;
-    // --out/--seed are shared by serve and discover; --corpus is
-    // discover-only.
-    let mut shared_flag_given: Option<&'static str> = None;
-    let mut out_given = false;
-    let mut corpus_dir: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    let missing = |flag: &str| -> ! { usage_error(&format!("{flag} requires a value")) };
+/// Commands that read the snapshot flags.
+const GATED: &[&str] = &["bench", "noise-sweep", "pht-channel"];
+
+/// Every flag: its name, whether it takes a value, and the commands
+/// that read it (empty: every command). A flag given to any other
+/// command is a usage error (exit 2), never a silent no-op.
+const FLAGS: &[(&str, bool, &[&str])] = &[
+    ("--uarch", true, &["figure6", "serve", "all"]),
+    ("--spec", true, &[]),
+    ("--workers", true, &[]),
+    ("--out", true, &["serve", "discover"]),
+    ("--seed", true, &["serve", "discover"]),
+    ("--corpus", true, &["discover"]),
+    ("--resume", true, &["serve"]),
+    ("--bits", true, &["serve"]),
+    ("--ab", false, &["serve"]),
+    ("--json", true, GATED),
+    ("--baseline", true, GATED),
+    ("--tolerance", true, GATED),
+    ("--host-meta", false, &["bench"]),
+];
+
+/// One flag occurrence: its [`FLAGS`] row and its value (empty for a
+/// switch).
+type Given = (
+    &'static (&'static str, bool, &'static [&'static str]),
+    String,
+);
+
+/// Split argv into positional words and flag occurrences, in order.
+fn parse_args(mut args: impl Iterator<Item = String>) -> (Vec<String>, Vec<Given>) {
+    let (mut positional, mut given) = (Vec::new(), Vec::new());
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => {
-                let v = args.next().unwrap_or_else(|| missing("--json"));
-                flags.json = v.into();
-                json_given = true;
-            }
-            "--baseline" => {
-                let v = args.next().unwrap_or_else(|| missing("--baseline"));
-                flags.baseline = Some(v.into());
-            }
-            "--tolerance" => {
-                let v = args.next().unwrap_or_else(|| missing("--tolerance"));
-                match v.parse::<f64>() {
-                    Ok(pct) if pct >= 0.0 && pct.is_finite() => flags.tolerance = Some(pct),
-                    _ => usage_error(&format!(
-                        "invalid --tolerance {v:?}: expected a non-negative percent"
-                    )),
-                }
-            }
-            "--host-meta" => flags.host_meta = true,
-            "--workers" => {
-                let v = args.next().unwrap_or_else(|| missing("--workers"));
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => workers = Some(n),
-                    _ => usage_error(&format!(
-                        "invalid --workers {v:?}: expected a positive integer thread count"
-                    )),
-                }
-            }
-            "--out" => {
-                let v = args.next().unwrap_or_else(|| missing("--out"));
-                serve_flags.out = v.into();
-                out_given = true;
-                shared_flag_given = Some("--out");
-            }
-            "--corpus" => {
-                let v = args.next().unwrap_or_else(|| missing("--corpus"));
-                corpus_dir = Some(v.into());
-            }
-            "--resume" => {
-                let v = args.next().unwrap_or_else(|| missing("--resume"));
-                serve_flags.resume = Some(v.into());
-                serve_flag_given = Some("--resume");
-            }
-            "--bits" => {
-                let v = args.next().unwrap_or_else(|| missing("--bits"));
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => serve_flags.bits = Some(n),
-                    _ => usage_error(&format!(
-                        "invalid --bits {v:?}: expected a positive bit count"
-                    )),
-                }
-                serve_flag_given = Some("--bits");
-            }
-            "--seed" => {
-                let v = args.next().unwrap_or_else(|| missing("--seed"));
-                match v.parse::<u64>() {
-                    Ok(n) => serve_flags.seed = n,
-                    Err(_) => usage_error(&format!(
-                        "invalid --seed {v:?}: expected an unsigned integer"
-                    )),
-                }
-                shared_flag_given = Some("--seed");
-            }
-            "--ab" => {
-                serve_flags.ab = true;
-                serve_flag_given = Some("--ab");
-            }
-            "--uarch" => {
-                let v = args.next().unwrap_or_else(|| missing("--uarch"));
-                uarch_names.extend(v.split(',').map(|s| s.trim().to_string()));
-            }
-            "--spec" => {
-                let v = args.next().unwrap_or_else(|| missing("--spec"));
-                spec_paths.push(v.into());
-            }
-            other => positional.push(other.to_string()),
+        match FLAGS.iter().find(|(name, ..)| *name == arg) {
+            Some(row @ (name, true, _)) => match args.next() {
+                Some(value) => given.push((row, value)),
+                None => usage_error(&format!("{name} requires a value")),
+            },
+            Some(row) => given.push((row, String::new())),
+            None => positional.push(arg),
         }
     }
+    (positional, given)
+}
+
+/// Every value given for `name`, in order.
+fn values<'a>(given: &'a [Given], name: &'a str) -> impl Iterator<Item = &'a str> {
+    given
+        .iter()
+        .filter(move |(row, _)| row.0 == name)
+        .map(|(_, value)| value.as_str())
+}
+
+/// The last value of `name` parsed as `T`; every value given must parse
+/// and pass `valid`, or the CLI exits 2.
+fn parsed<T: std::str::FromStr>(
+    given: &[Given],
+    name: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    values(given, name)
+        .map(|v| match v.parse::<T>() {
+            Ok(x) if valid(&x) => x,
+            _ => usage_error(&format!("invalid {name} {v:?}: expected {expected}")),
+        })
+        .last()
+}
+
+fn main() {
+    let (positional, given) = parse_args(std::env::args().skip(1));
+    let last = |name| values(&given, name).last().map(PathBuf::from);
+    let has = |name| values(&given, name).next().is_some();
 
     // The registry resolves every uarch name: Table 1 builtins plus any
     // spec files the user loads.
     let mut registry = UarchRegistry::with_builtins();
     let mut spec_keys: Vec<String> = Vec::new();
-    for path in &spec_paths {
+    for path in values(&given, "--spec") {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
-            Err(e) => usage_error(&format!("--spec {}: {e}", path.display())),
+            Err(e) => usage_error(&format!("--spec {path}: {e}")),
         };
         match registry.register_text(&text) {
             Ok(keys) => spec_keys.extend(keys),
-            Err(e) => usage_error(&format!("--spec {}: {e}", path.display())),
+            Err(e) => usage_error(&format!("--spec {path}: {e}")),
         }
     }
 
@@ -943,11 +844,54 @@ fn main() {
     // `repro --json out.json` alone means: run the bench snapshot;
     // `repro --spec file.spec` alone means: smoke-sweep the file's
     // uarches through Figure 6.
-    if cmd == "all" && (json_given || flags.baseline.is_some()) {
+    if cmd == "all" && (has("--json") || has("--baseline")) {
         cmd = "bench";
     } else if cmd == "all" && positional.is_empty() && !spec_keys.is_empty() {
         cmd = "figure6";
     }
+    for ((name, _, commands), _) in &given {
+        if let Some((last, rest)) = commands.split_last() {
+            if !commands.contains(&cmd) {
+                let list = match rest {
+                    [] => format!("{last} command"),
+                    _ => format!("{} and {last} commands", rest.join(", ")),
+                };
+                usage_error(&format!("{name} is only valid with the {list}"));
+            }
+        }
+    }
+
+    let uarch_names: Vec<String> = values(&given, "--uarch")
+        .flat_map(|v| v.split(','))
+        .map(|s| s.trim().to_string())
+        .collect();
+    let workers = parsed(
+        &given,
+        "--workers",
+        "a positive integer thread count",
+        |&n: &usize| n >= 1,
+    );
+    let seed = parsed(&given, "--seed", "an unsigned integer", |_: &u64| true).unwrap_or(0);
+    let flags = BenchFlags {
+        json: last("--json"),
+        baseline: last("--baseline"),
+        tolerance: parsed(
+            &given,
+            "--tolerance",
+            "a non-negative percent",
+            |p: &f64| *p >= 0.0 && p.is_finite(),
+        ),
+        host_meta: has("--host-meta"),
+    };
+    let serve_flags = ServeFlags {
+        out: last("--out").unwrap_or_else(|| "campaign.jsonl".into()),
+        resume: last("--resume"),
+        bits: parsed(&given, "--bits", "a positive bit count", |&n: &usize| {
+            n >= 1
+        }),
+        seed,
+        ab: has("--ab"),
+    };
 
     // Figure 6's sweep set: --uarch wins, then --spec file contents,
     // then the paper's zen2/zen4 plot.
@@ -981,26 +925,6 @@ fn main() {
         vec![UarchProfile::zen2(), UarchProfile::zen4()]
     };
 
-    // Serve-only flags on any other command are a usage error, not a
-    // silent no-op: `repro table2 --resume f` would otherwise discard
-    // the user's intent. --out/--seed are shared by serve and
-    // discover; --corpus belongs to discover alone.
-    if cmd != "serve" {
-        if let Some(flag) = serve_flag_given {
-            usage_error(&format!("{flag} is only valid with the serve command"));
-        }
-    }
-    if cmd != "serve" && cmd != "discover" {
-        if let Some(flag) = shared_flag_given {
-            usage_error(&format!(
-                "{flag} is only valid with the serve and discover commands"
-            ));
-        }
-    }
-    if cmd != "discover" && corpus_dir.is_some() {
-        usage_error("--corpus is only valid with the discover command");
-    }
-
     let num = |i: usize, default: usize| -> usize {
         match positional.get(i) {
             None => default,
@@ -1022,23 +946,16 @@ fn main() {
         None => runner(),
     };
 
-    let result: Result<(), phantom_bench::RunnerError> = match cmd {
+    let result: Result<(), RunnerError> = match cmd {
         "table1" => table1(&r),
         "serve" => serve(&r, &registry, &uarch_names, &serve_flags),
-        "discover" => {
-            let out = if out_given {
-                serve_flags.out.clone()
-            } else {
-                std::path::PathBuf::from("discover.jsonl")
-            };
-            discover(
-                &r,
-                num(1, if full() { 512 } else { 64 }),
-                serve_flags.seed,
-                &out,
-                corpus_dir.as_deref(),
-            )
-        }
+        "discover" => discover(
+            &r,
+            num(1, if full() { 512 } else { 64 }),
+            seed,
+            &last("--out").unwrap_or_else(|| "discover.jsonl".into()),
+            last("--corpus").as_deref(),
+        ),
         "figure6" => figure6(&r, &figure6_profiles),
         "list-uarchs" => {
             list_uarchs(&registry);
@@ -1069,19 +986,16 @@ fn main() {
                 NoiseSweepConfig::quick(500)
             };
             cfg.bits = num(1, cfg.bits);
-            noise_sweep(&r, &cfg, &flags, json_given)
+            noise_sweep(&r, &cfg, &flags)
         }
-        "pht-channel" => pht_channel(
-            &r,
-            num(1, if full() { 4096 } else { 128 }),
-            &flags,
-            json_given,
-        ),
+        "pht-channel" => pht_channel(&r, num(1, if full() { 4096 } else { 128 }), &flags),
         "overhead" => overhead(&r),
         "gadgets" => {
             gadgets();
             Ok(())
         }
+        // The scope check above leaves `all` no snapshot flags, so its
+        // sweep and PHT steps write and gate nothing.
         "all" => table1(&r)
             .and_then(|()| figure6(&r, &figure6_profiles))
             .map(|()| figure7())
@@ -1095,8 +1009,8 @@ fn main() {
             .and_then(|()| software())
             .and_then(|()| spectre())
             .and_then(|()| ablation())
-            .and_then(|()| noise_sweep(&r, &NoiseSweepConfig::quick(500), &flags, false))
-            .and_then(|()| pht_channel(&r, 128, &flags, false))
+            .and_then(|()| noise_sweep(&r, &NoiseSweepConfig::quick(500), &flags))
+            .and_then(|()| pht_channel(&r, 128, &flags))
             .and_then(|()| overhead(&r))
             .map(|()| gadgets()),
         "help" | "--help" | "-h" => {

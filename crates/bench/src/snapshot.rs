@@ -17,10 +17,10 @@ use phantom::mitigations::{
     rsb_stuffing_protection, sls_padding_protection, suppress_overhead_on,
 };
 use phantom::report::json::{
-    BenchSnapshot, CovertRecord, Figure6Record, Figure7Record, GadgetRecord, HostMeta,
-    MdsRunRecord, MdsTableRecord, NoiseSweepRecord, O4Record, O5Record, OverheadRecord, PerfRecord,
-    PhtChannelRecord, PhysAddrRunRecord, PhysAddrTableRecord, RunMeta, SlotRunRecord,
-    SlotTableRecord, SoftwareRecord, StageFlags, Table1Record,
+    BenchSnapshot, CovertRecord, DecodeCacheWall, ExperimentWall, Figure6Record, Figure7Record,
+    GadgetRecord, HostMeta, MdsRunRecord, MdsTableRecord, NoiseSweepRecord, O4Record, O5Record,
+    OverheadRecord, PerfRecord, PhtChannelRecord, PhysAddrRunRecord, PhysAddrTableRecord, RunMeta,
+    SlotRunRecord, SlotTableRecord, SoftwareRecord, StageFlags, Table1Record,
 };
 use phantom::runner::TrialRunner;
 use phantom::UarchProfile;
@@ -468,10 +468,20 @@ pub fn collect_snapshot(
     };
 
     let host = if cfg.host_meta {
+        let (enabled_seconds, disabled_seconds) = decode_cache_wall_ab();
         Some(HostMeta {
             threads: runner.threads() as u64,
-            wall_seconds: wall,
-            decode_cache_wall: Some(decode_cache_wall_ab()),
+            wall_seconds: wall
+                .into_iter()
+                .map(|(experiment, seconds)| ExperimentWall {
+                    experiment,
+                    seconds,
+                })
+                .collect(),
+            decode_cache_wall: Some(DecodeCacheWall {
+                enabled_seconds,
+                disabled_seconds,
+            }),
         })
     } else {
         None

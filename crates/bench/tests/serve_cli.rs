@@ -184,3 +184,109 @@ fn truncate_then_resume_is_byte_identical() {
         std::fs::remove_file(p).ok();
     }
 }
+
+/// A resume file whose first line nests 100k arrays deep is a foreign
+/// line like any other: the JSON reader refuses it with an error
+/// instead of overflowing the stack, so the campaign restarts from job
+/// 0, succeeds, and matches the uninterrupted run.
+#[test]
+fn deeply_nested_resume_line_restarts_from_job_0() {
+    let full_path = tmp("deep-full");
+    let out = repro(&tiny_args(full_path.to_str().unwrap()));
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let full = std::fs::read(&full_path).expect("campaign output exists");
+
+    let deep_path = tmp("deep");
+    let mut deep = "[".repeat(100_000).into_bytes();
+    deep.push(b'\n');
+    deep.extend_from_slice(&full);
+    std::fs::write(&deep_path, deep).unwrap();
+
+    let resumed_path = tmp("deep-resumed");
+    let mut args = tiny_args(resumed_path.to_str().unwrap());
+    args.extend(["--resume", deep_path.to_str().unwrap()]);
+    let out = repro(&args);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("0/15 jobs already complete"),
+        "{}",
+        stderr(&out)
+    );
+    assert_eq!(std::fs::read(&resumed_path).unwrap(), full);
+
+    for p in [&full_path, &deep_path, &resumed_path] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// Every flag belongs to the commands that read it. The snapshot flags
+/// (`--json`, `--baseline`, `--tolerance`) belong to bench, noise-sweep
+/// and pht-channel, `--host-meta` to bench, and `--uarch` to figure6,
+/// serve and all. Given to any other command they exit 2 with usage
+/// instead of being silently dropped.
+#[test]
+fn scoped_flags_on_other_commands_exit_2_with_usage() {
+    let snapshot = "the bench, noise-sweep and pht-channel commands";
+    for (args, scope) in [
+        (&["table1", "--baseline", "/nonexistent.json"][..], snapshot),
+        (&["table1", "--json", "x.json"][..], snapshot),
+        (&["serve", "--tolerance", "2"][..], snapshot),
+        (&["noise-sweep", "--host-meta"][..], "the bench command"),
+        (
+            &["table2", "--uarch", "zen2"][..],
+            "the figure6, serve and all commands",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("only valid with {scope}")), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
+    // --spec and --workers are read by every command.
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/uarch/whatif.spec"
+    );
+    let out = repro(&["list-uarchs", "--workers", "1", "--spec", spec]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+}
+
+/// A bare `--json`/`--baseline` still selects bench: the snapshot is
+/// written, and an unreadable baseline is a run failure (exit 1), not
+/// a usage error.
+#[test]
+fn bare_snapshot_flags_select_bench() {
+    let path = tmp("bare-bench");
+    let out = repro(&[
+        "--json",
+        path.to_str().unwrap(),
+        "--baseline",
+        "/nonexistent/baseline.json",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("repro bench failed"),
+        "{}",
+        stderr(&out)
+    );
+    let snap = std::fs::read_to_string(&path).expect("bench wrote the snapshot");
+    assert!(snap.starts_with("{\n  \"schema\": \"phantom-bench/v1\""));
+    std::fs::remove_file(&path).ok();
+}
+
+/// A baseline that nests too deep is a schema error (exit 1), not a
+/// stack-overflow abort.
+#[test]
+fn deeply_nested_baseline_fails_cleanly() {
+    let path = tmp("deep-baseline");
+    std::fs::write(&path, "[".repeat(100_000)).unwrap();
+    let out = repro(&["noise-sweep", "8", "--baseline", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("nesting too deep"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_file(&path).ok();
+}

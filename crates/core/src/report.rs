@@ -3,6 +3,8 @@
 //! value type in [`value`]).
 
 pub mod json;
+#[cfg(test)]
+mod proptests;
 pub mod value;
 
 use crate::ablation::NoiseSweepPoint;

@@ -4,12 +4,19 @@
 //!
 //! Every record mirrors one experiment's output with owned fields, so
 //! a snapshot parsed from disk is self-contained (no `&'static str`
-//! interning against the running binary). Serialization is built on
-//! [`JsonValue`]; object member order is
-//! fixed by the `to_json` implementations, which together with the
-//! deterministic writer makes snapshot bytes a pure function of the
-//! results — the determinism suite asserts byte-identity across
-//! thread counts on exactly this property.
+//! interning against the running binary). Each record is declared once
+//! with `record!`: the declaration is the struct, and its field list is
+//! also the [`Json`] encoding — one member per field, keyed by the
+//! field name, in field order. Together with the deterministic writer
+//! that makes snapshot bytes a pure function of the results; the
+//! determinism suite asserts byte-identity across thread counts on
+//! exactly this property.
+//!
+//! A field is required unless marked. `[lenient]` reads an absent (or
+//! `null`) member as the type's default, so baselines recorded before
+//! the field existed keep loading; `[omit]` does the same and also
+//! leaves the member out when the value is `None`. Keys a record does
+//! not declare are ignored on read.
 //!
 //! The canonical snapshot contains **only deterministic data**
 //! (simulated cycles, accuracies, counters). Host-volatile facts —
@@ -51,119 +58,202 @@ impl From<ParseError> for SchemaError {
     }
 }
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, SchemaError> {
-    v.get(key)
-        .ok_or_else(|| SchemaError(format!("missing field {key:?}")))
+/// A type with one JSON shape. `record!` derives it for every record;
+/// the leaf impls below give the shapes of the field types.
+pub trait Json: Sized {
+    /// Encode as a JSON value.
+    fn to_json(&self) -> JsonValue;
+
+    /// Decode from a JSON value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SchemaError`] on a shape mismatch.
+    fn from_json(v: &JsonValue) -> Result<Self, SchemaError>;
 }
 
-fn str_field(v: &JsonValue, key: &str) -> Result<String, SchemaError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a string")))
+macro_rules! leaf {
+    ($($ty:ty: $variant:ident, $read:ident, $what:literal;)*) => {$(
+        impl Json for $ty {
+            fn to_json(&self) -> JsonValue {
+                JsonValue::$variant(self.to_owned())
+            }
+
+            fn from_json(v: &JsonValue) -> Result<$ty, SchemaError> {
+                v.$read()
+                    .map(<$ty>::from)
+                    .ok_or_else(|| SchemaError(concat!("expected ", $what).to_string()))
+            }
+        }
+    )*};
 }
 
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, SchemaError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a u64")))
+leaf! {
+    u64: Uint, as_u64, "a u64";
+    i64: Int, as_i64, "an i64";
+    f64: Float, as_f64, "a number";
+    bool: Bool, as_bool, "a bool";
+    String: Str, as_str, "a string";
 }
 
-fn i64_field(v: &JsonValue, key: &str) -> Result<i64, SchemaError> {
-    field(v, key)?
-        .as_i64()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not an i64")))
+impl<T: Json> Json for Vec<T> {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(T::to_json).collect())
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Vec<T>, SchemaError> {
+        v.as_array()
+            .ok_or_else(|| SchemaError("expected an array".to_string()))?
+            .iter()
+            .map(T::from_json)
+            .collect()
+    }
 }
 
-fn f64_field(v: &JsonValue, key: &str) -> Result<f64, SchemaError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a number")))
+/// `None` is `null`.
+impl<T: Json> Json for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, T::to_json)
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Option<T>, SchemaError> {
+        if v.is_null() {
+            Ok(None)
+        } else {
+            T::from_json(v).map(Some)
+        }
+    }
 }
 
-fn bool_field(v: &JsonValue, key: &str) -> Result<bool, SchemaError> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not a bool")))
+/// Decode `member` of a record, naming its key in any error.
+fn member<T: Json>(key: &str, member: &JsonValue) -> Result<T, SchemaError> {
+    T::from_json(member).map_err(|e| SchemaError(format!("{key}: {}", e.0)))
 }
 
-fn array_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], SchemaError> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| SchemaError(format!("field {key:?} is not an array")))
+/// A required member: absent is an error.
+fn required<T: Json>(v: &JsonValue, key: &str) -> Result<T, SchemaError> {
+    match v.get(key) {
+        Some(m) => member(key, m),
+        None => Err(SchemaError(format!("missing field {key:?}"))),
+    }
 }
 
-fn vec_from<T>(
-    v: &JsonValue,
-    key: &str,
-    decode: impl Fn(&JsonValue) -> Result<T, SchemaError>,
-) -> Result<Vec<T>, SchemaError> {
-    array_field(v, key)?.iter().map(decode).collect()
+/// A `[lenient]` or `[omit]` member: absent or `null` reads as the
+/// default.
+fn lenient<T: Json + Default>(v: &JsonValue, key: &str) -> Result<T, SchemaError> {
+    match v.get(key) {
+        Some(m) if !m.is_null() => member(key, m),
+        _ => Ok(T::default()),
+    }
+}
+
+/// Declare a record: the struct (every field public, doc comments and
+/// derives kept) and its [`Json`] impl. `record!(impl Type { a, b })`
+/// gives an existing struct the same encoding.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$doc:meta])* $([$rule:ident])? $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        record!(impl $name { $($([$rule])? $field,)* });
+    };
+    (impl $name:ident { $($([$rule:ident])? $field:ident),* $(,)? }) => {
+        impl Json for $name {
+            fn to_json(&self) -> JsonValue {
+                let mut o = JsonValue::object();
+                $(record!(@put o, stringify!($field), &self.$field $(, $rule)?);)*
+                o
+            }
+
+            fn from_json(v: &JsonValue) -> Result<$name, SchemaError> {
+                Ok($name {
+                    $($field: record!(@get v, stringify!($field) $(, $rule)?),)*
+                })
+            }
+        }
+    };
+    (@put $o:ident, $key:expr, $value:expr) => {
+        $o.set($key, Json::to_json($value));
+    };
+    (@put $o:ident, $key:expr, $value:expr, lenient) => {
+        $o.set($key, Json::to_json($value));
+    };
+    (@put $o:ident, $key:expr, $value:expr, omit) => {
+        if let Some(value) = $value {
+            $o.set($key, Json::to_json(value));
+        }
+    };
+    (@get $v:ident, $key:expr) => {
+        required($v, $key)?
+    };
+    // Both rules read leniently; a misspelt rule matches no `@put` arm.
+    (@get $v:ident, $key:expr, $rule:ident) => {
+        lenient($v, $key)?
+    };
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 fn hex_decode(s: &str) -> Result<Vec<u8>, SchemaError> {
     if !s.len().is_multiple_of(2) {
         return Err(SchemaError("odd-length hex string".into()));
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&s[i..i + 2], 16)
-                .map_err(|_| SchemaError(format!("bad hex byte {:?}", &s[i..i + 2])))
+    let nibble = |c: u8| (c as char).to_digit(16);
+    s.as_bytes()
+        .chunks(2)
+        .map(|pair| match (nibble(pair[0]), nibble(pair[1])) {
+            (Some(hi), Some(lo)) => Ok(((hi << 4) | lo) as u8),
+            _ => Err(SchemaError(format!(
+                "bad hex byte {:?}",
+                String::from_utf8_lossy(pair)
+            ))),
         })
         .collect()
 }
 
-/// Run metadata that is part of the canonical (deterministic) output.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunMeta {
-    /// Protocol size: `"quick"` or `"full"` (`PHANTOM_FULL=1`).
-    pub profile: String,
-    /// The base seed the experiment seeds derive from.
-    pub seed: u64,
-}
-
-impl RunMeta {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("profile", JsonValue::Str(self.profile.clone()))
-            .set("seed", JsonValue::Uint(self.seed));
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<RunMeta, SchemaError> {
-        Ok(RunMeta {
-            profile: str_field(v, "profile")?,
-            seed: u64_field(v, "seed")?,
-        })
+record! {
+    /// Run metadata that is part of the canonical (deterministic) output.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RunMeta {
+        /// Protocol size: `"quick"` or `"full"` (`PHANTOM_FULL=1`).
+        profile: String,
+        /// The base seed the experiment seeds derive from.
+        seed: u64,
     }
 }
 
-/// One Table 1 cell: deepest stage per microarchitecture for a
-/// training × victim combination.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Table1Record {
-    /// Training instruction (display form, e.g. `"jmp*"`).
-    pub train: String,
-    /// Victim instruction (display form).
-    pub victim: String,
-    /// `(uarch, stage)` pairs in sweep order; stages are `-`, `IF`,
-    /// `ID` or `EX`.
-    pub stages: Vec<(String, String)>,
+record! {
+    /// One Table 1 cell: deepest stage per microarchitecture for a
+    /// training × victim combination.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Table1Record {
+        /// Training instruction (display form, e.g. `"jmp*"`).
+        train: String,
+        /// Victim instruction (display form).
+        victim: String,
+        /// Per-uarch stages, in sweep order.
+        stages: Vec<StageCell>,
+    }
+}
+
+record! {
+    /// The deepest stage one microarchitecture reached in a Table 1 cell.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StageCell {
+        /// Microarchitecture name.
+        uarch: String,
+        /// `-`, `IF`, `ID` or `EX`.
+        stage: String,
+    }
 }
 
 impl From<&Table1Cell> for Table1Record {
@@ -174,117 +264,42 @@ impl From<&Table1Cell> for Table1Record {
             stages: c
                 .stages
                 .iter()
-                .map(|(u, s)| (u.to_string(), s.to_string()))
+                .map(|(u, s)| StageCell {
+                    uarch: u.to_string(),
+                    stage: s.to_string(),
+                })
                 .collect(),
         }
     }
 }
 
-impl Table1Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("train", JsonValue::Str(self.train.clone()))
-            .set("victim", JsonValue::Str(self.victim.clone()))
-            .set(
-                "stages",
-                JsonValue::Array(
-                    self.stages
-                        .iter()
-                        .map(|(u, s)| {
-                            let mut cell = JsonValue::object();
-                            cell.set("uarch", JsonValue::Str(u.clone()))
-                                .set("stage", JsonValue::Str(s.clone()));
-                            cell
-                        })
-                        .collect(),
-                ),
-            );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<Table1Record, SchemaError> {
-        Ok(Table1Record {
-            train: str_field(v, "train")?,
-            victim: str_field(v, "victim")?,
-            stages: vec_from(v, "stages", |cell| {
-                Ok((str_field(cell, "uarch")?, str_field(cell, "stage")?))
-            })?,
-        })
+record! {
+    /// One Figure 6 sweep on one microarchitecture.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Figure6Record {
+        /// Microarchitecture name.
+        uarch: String,
+        /// Page-offset step of the sweep.
+        step: u64,
+        /// The swept points.
+        points: Vec<Figure6Point>,
     }
 }
 
-/// One Figure 6 sweep on one microarchitecture.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Figure6Record {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Page-offset step of the sweep.
-    pub step: u64,
-    /// The swept points.
-    pub points: Vec<Figure6Point>,
-}
+record!(impl Figure6Point { offset, hits, misses });
 
-impl Figure6Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("step", JsonValue::Uint(self.step))
-            .set(
-                "points",
-                JsonValue::Array(
-                    self.points
-                        .iter()
-                        .map(|p| {
-                            let mut point = JsonValue::object();
-                            point
-                                .set("offset", JsonValue::Uint(p.offset))
-                                .set("hits", JsonValue::Uint(p.hits))
-                                .set("misses", JsonValue::Uint(p.misses));
-                            point
-                        })
-                        .collect(),
-                ),
-            );
-        o
+record! {
+    /// The Figure 7 recovery: BTB index/tag functions as bit masks.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Figure7Record {
+        /// Collision samples used per kernel address.
+        samples_per_address: u64,
+        /// Recovered function masks (bit `i` set ⇔ address bit `i` is an
+        /// input of the XOR).
+        masks: Vec<u64>,
+        /// Whether the paper's published XOR patterns hold.
+        paper_patterns_hold: bool,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<Figure6Record, SchemaError> {
-        Ok(Figure6Record {
-            uarch: str_field(v, "uarch")?,
-            step: u64_field(v, "step")?,
-            points: vec_from(v, "points", |p| {
-                Ok(Figure6Point {
-                    offset: u64_field(p, "offset")?,
-                    hits: u64_field(p, "hits")?,
-                    misses: u64_field(p, "misses")?,
-                })
-            })?,
-        })
-    }
-}
-
-/// The Figure 7 recovery: BTB index/tag functions as bit masks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Figure7Record {
-    /// Collision samples used per kernel address.
-    pub samples_per_address: u64,
-    /// Recovered function masks (bit `i` set ⇔ address bit `i` is an
-    /// input of the XOR).
-    pub masks: Vec<u64>,
-    /// Whether the paper's published XOR patterns hold.
-    pub paper_patterns_hold: bool,
 }
 
 impl From<&Figure7> for Figure7Record {
@@ -297,68 +312,33 @@ impl From<&Figure7> for Figure7Record {
     }
 }
 
-impl Figure7Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "samples_per_address",
-            JsonValue::Uint(self.samples_per_address),
-        )
-        .set(
-            "masks",
-            JsonValue::Array(self.masks.iter().map(|&m| JsonValue::Uint(m)).collect()),
-        )
-        .set(
-            "paper_patterns_hold",
-            JsonValue::Bool(self.paper_patterns_hold),
-        );
-        o
+record! {
+    /// One Table 2 covert-channel row. The decoder fields (`probes`,
+    /// `abstentions`, `mean_confidence`) are lenient so baselines
+    /// recorded before the adaptive decoder keep loading.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CovertRecord {
+        /// Microarchitecture name.
+        uarch: String,
+        /// Retail part tested in the paper.
+        model: String,
+        /// Channel kind (display form: `"fetch (P1)"` / `"execute (P2)"`).
+        kind: String,
+        /// Bits transferred.
+        bits: u64,
+        /// Fraction decoded correctly.
+        accuracy: f64,
+        /// Total probes the adaptive decoder spent.
+        [lenient] probes: u64,
+        /// Bits the decoder abstained on.
+        [lenient] abstentions: u64,
+        /// Mean decode confidence across the transfer.
+        [lenient] mean_confidence: f64,
+        /// Simulated seconds for the transfer.
+        seconds: f64,
+        /// Simulated channel rate.
+        bits_per_sec: f64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<Figure7Record, SchemaError> {
-        Ok(Figure7Record {
-            samples_per_address: u64_field(v, "samples_per_address")?,
-            masks: array_field(v, "masks")?
-                .iter()
-                .map(|m| {
-                    m.as_u64()
-                        .ok_or_else(|| SchemaError("mask is not a u64".into()))
-                })
-                .collect::<Result<_, _>>()?,
-            paper_patterns_hold: bool_field(v, "paper_patterns_hold")?,
-        })
-    }
-}
-
-/// One Table 2 covert-channel row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CovertRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Retail part tested in the paper.
-    pub model: String,
-    /// Channel kind (display form: `"fetch (P1)"` / `"execute (P2)"`).
-    pub kind: String,
-    /// Bits transferred.
-    pub bits: u64,
-    /// Fraction decoded correctly.
-    pub accuracy: f64,
-    /// Total probes the adaptive decoder spent.
-    pub probes: u64,
-    /// Bits the decoder abstained on.
-    pub abstentions: u64,
-    /// Mean decode confidence across the transfer.
-    pub mean_confidence: f64,
-    /// Simulated seconds for the transfer.
-    pub seconds: f64,
-    /// Simulated channel rate.
-    pub bits_per_sec: f64,
 }
 
 impl From<&CovertResult> for CovertRecord {
@@ -378,77 +358,33 @@ impl From<&CovertResult> for CovertRecord {
     }
 }
 
-impl CovertRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("model", JsonValue::Str(self.model.clone()))
-            .set("kind", JsonValue::Str(self.kind.clone()))
-            .set("bits", JsonValue::Uint(self.bits))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("probes", JsonValue::Uint(self.probes))
-            .set("abstentions", JsonValue::Uint(self.abstentions))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence))
-            .set("seconds", JsonValue::Float(self.seconds))
-            .set("bits_per_sec", JsonValue::Float(self.bits_per_sec));
-        o
+record! {
+    /// One PHT-channel (BranchSpectre-style) row: Table-2-shaped numbers
+    /// for the conditional-branch-predictor channel, plus the
+    /// out-of-place flip the scheme admitted.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhtChannelRecord {
+        /// Microarchitecture name.
+        uarch: String,
+        /// Retail part tested in the paper.
+        model: String,
+        /// XOR distance between victim and probe PC.
+        flip_mask: u64,
+        /// Bits recovered.
+        bits: u64,
+        /// Fraction decoded correctly.
+        accuracy: f64,
+        /// Total probes the adaptive decoder spent.
+        probes: u64,
+        /// Bits the decoder abstained on.
+        abstentions: u64,
+        /// Mean decode confidence across the recovery.
+        mean_confidence: f64,
+        /// Simulated seconds for the recovery.
+        seconds: f64,
+        /// Simulated channel rate.
+        bits_per_sec: f64,
     }
-
-    /// Decode from a JSON object. The decoder fields (`probes`,
-    /// `abstentions`, `mean_confidence`) parse leniently so baselines
-    /// recorded before the adaptive decoder keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<CovertRecord, SchemaError> {
-        Ok(CovertRecord {
-            uarch: str_field(v, "uarch")?,
-            model: str_field(v, "model")?,
-            kind: str_field(v, "kind")?,
-            bits: u64_field(v, "bits")?,
-            accuracy: f64_field(v, "accuracy")?,
-            probes: v.get("probes").and_then(JsonValue::as_u64).unwrap_or(0),
-            abstentions: v
-                .get("abstentions")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            mean_confidence: v
-                .get("mean_confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            seconds: f64_field(v, "seconds")?,
-            bits_per_sec: f64_field(v, "bits_per_sec")?,
-        })
-    }
-}
-
-/// One PHT-channel (BranchSpectre-style) row: Table-2-shaped numbers
-/// for the conditional-branch-predictor channel, plus the
-/// out-of-place flip the scheme admitted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhtChannelRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Retail part tested in the paper.
-    pub model: String,
-    /// XOR distance between victim and probe PC.
-    pub flip_mask: u64,
-    /// Bits recovered.
-    pub bits: u64,
-    /// Fraction decoded correctly.
-    pub accuracy: f64,
-    /// Total probes the adaptive decoder spent.
-    pub probes: u64,
-    /// Bits the decoder abstained on.
-    pub abstentions: u64,
-    /// Mean decode confidence across the recovery.
-    pub mean_confidence: f64,
-    /// Simulated seconds for the recovery.
-    pub seconds: f64,
-    /// Simulated channel rate.
-    pub bits_per_sec: f64,
 }
 
 impl From<&PhtChannelResult> for PhtChannelRecord {
@@ -468,62 +404,28 @@ impl From<&PhtChannelResult> for PhtChannelRecord {
     }
 }
 
-impl PhtChannelRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("model", JsonValue::Str(self.model.clone()))
-            .set("flip_mask", JsonValue::Uint(self.flip_mask))
-            .set("bits", JsonValue::Uint(self.bits))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("probes", JsonValue::Uint(self.probes))
-            .set("abstentions", JsonValue::Uint(self.abstentions))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence))
-            .set("seconds", JsonValue::Float(self.seconds))
-            .set("bits_per_sec", JsonValue::Float(self.bits_per_sec));
-        o
+record! {
+    /// One KASLR-style run: used for both Table 3 (kernel image) and
+    /// Table 4 (physmap), whose result shapes are identical.
+    /// `confidence` is lenient so baselines recorded before the field
+    /// keep loading.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SlotRunRecord {
+        /// The attacker's best guess.
+        guessed_slot: u64,
+        /// Ground truth.
+        actual_slot: u64,
+        /// Whether the guess was right.
+        correct: bool,
+        /// The winning score.
+        best_score: i64,
+        /// How decisively the winner beat the runner-up, in `[0, 1]`.
+        [lenient] confidence: f64,
+        /// Simulated cycles consumed.
+        cycles: u64,
+        /// Simulated seconds consumed.
+        seconds: f64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PhtChannelRecord, SchemaError> {
-        Ok(PhtChannelRecord {
-            uarch: str_field(v, "uarch")?,
-            model: str_field(v, "model")?,
-            flip_mask: u64_field(v, "flip_mask")?,
-            bits: u64_field(v, "bits")?,
-            accuracy: f64_field(v, "accuracy")?,
-            probes: u64_field(v, "probes")?,
-            abstentions: u64_field(v, "abstentions")?,
-            mean_confidence: f64_field(v, "mean_confidence")?,
-            seconds: f64_field(v, "seconds")?,
-            bits_per_sec: f64_field(v, "bits_per_sec")?,
-        })
-    }
-}
-
-/// One KASLR-style run: used for both Table 3 (kernel image) and
-/// Table 4 (physmap), whose result shapes are identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotRunRecord {
-    /// The attacker's best guess.
-    pub guessed_slot: u64,
-    /// Ground truth.
-    pub actual_slot: u64,
-    /// Whether the guess was right.
-    pub correct: bool,
-    /// The winning score.
-    pub best_score: i64,
-    /// How decisively the winner beat the runner-up, in `[0, 1]`.
-    pub confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
 }
 
 impl From<&KaslrImageResult> for SlotRunRecord {
@@ -554,105 +456,58 @@ impl From<&PhysmapResult> for SlotRunRecord {
     }
 }
 
-impl SlotRunRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("guessed_slot", JsonValue::Uint(self.guessed_slot))
-            .set("actual_slot", JsonValue::Uint(self.actual_slot))
-            .set("correct", JsonValue::Bool(self.correct))
-            .set("best_score", JsonValue::Int(self.best_score))
-            .set("confidence", JsonValue::Float(self.confidence))
-            .set("cycles", JsonValue::Uint(self.cycles))
-            .set("seconds", JsonValue::Float(self.seconds));
-        o
+/// Fraction of `runs` that pass `correct` (0 for no runs).
+fn fraction_correct<T>(runs: &[T], correct: impl Fn(&T) -> bool) -> f64 {
+    if runs.is_empty() {
+        return 0.0;
     }
-
-    /// Decode from a JSON object. `confidence` parses leniently (absent
-    /// ⇒ 0) so baselines recorded before the field keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<SlotRunRecord, SchemaError> {
-        Ok(SlotRunRecord {
-            guessed_slot: u64_field(v, "guessed_slot")?,
-            actual_slot: u64_field(v, "actual_slot")?,
-            correct: bool_field(v, "correct")?,
-            best_score: i64_field(v, "best_score")?,
-            confidence: v
-                .get("confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            cycles: u64_field(v, "cycles")?,
-            seconds: f64_field(v, "seconds")?,
-        })
-    }
+    runs.iter().filter(|r| correct(r)).count() as f64 / runs.len() as f64
 }
 
-/// Table 3 / Table 4 rows for one microarchitecture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlotTableRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Per-reboot runs.
-    pub runs: Vec<SlotRunRecord>,
+record! {
+    /// Table 3 / Table 4 rows for one microarchitecture.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SlotTableRecord {
+        /// Microarchitecture name.
+        uarch: String,
+        /// Per-reboot runs.
+        runs: Vec<SlotRunRecord>,
+    }
 }
 
 impl SlotTableRecord {
     /// Fraction of correct runs.
     pub fn accuracy(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        self.runs.iter().filter(|r| r.correct).count() as f64 / self.runs.len() as f64
+        fraction_correct(&self.runs, |r| r.correct)
     }
 
     /// Total simulated cycles across runs.
     pub fn total_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.cycles).sum()
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone())).set(
-            "runs",
-            JsonValue::Array(self.runs.iter().map(SlotRunRecord::to_json).collect()),
-        );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<SlotTableRecord, SchemaError> {
-        Ok(SlotTableRecord {
-            uarch: str_field(v, "uarch")?,
-            runs: vec_from(v, "runs", SlotRunRecord::from_json)?,
-        })
-    }
 }
 
-/// One Table 5 physical-address search run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhysAddrRunRecord {
-    /// The attacker's guess (`None` if the search came up empty).
-    pub guessed_pa: Option<u64>,
-    /// Ground truth.
-    pub actual_pa: u64,
-    /// Whether the guess was right.
-    pub correct: bool,
-    /// Huge-page candidates tested.
-    pub guesses_tested: u64,
-    /// Confidence of the hit reload (0 when the scan came up empty).
-    pub confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
+record! {
+    /// One Table 5 physical-address search run. `confidence` is lenient
+    /// so baselines recorded before the field keep loading.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhysAddrRunRecord {
+        /// The attacker's guess (`None`, written `null`, if the search
+        /// came up empty).
+        guessed_pa: Option<u64>,
+        /// Ground truth.
+        actual_pa: u64,
+        /// Whether the guess was right.
+        correct: bool,
+        /// Huge-page candidates tested.
+        guesses_tested: u64,
+        /// Confidence of the hit reload (0 when the scan came up empty).
+        [lenient] confidence: f64,
+        /// Simulated cycles consumed.
+        cycles: u64,
+        /// Simulated seconds consumed.
+        seconds: f64,
+    }
 }
 
 impl From<&PhysAddrResult> for PhysAddrRunRecord {
@@ -669,125 +524,51 @@ impl From<&PhysAddrResult> for PhysAddrRunRecord {
     }
 }
 
-impl PhysAddrRunRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "guessed_pa",
-            match self.guessed_pa {
-                Some(pa) => JsonValue::Uint(pa),
-                None => JsonValue::Null,
-            },
-        )
-        .set("actual_pa", JsonValue::Uint(self.actual_pa))
-        .set("correct", JsonValue::Bool(self.correct))
-        .set("guesses_tested", JsonValue::Uint(self.guesses_tested))
-        .set("confidence", JsonValue::Float(self.confidence))
-        .set("cycles", JsonValue::Uint(self.cycles))
-        .set("seconds", JsonValue::Float(self.seconds));
-        o
+record! {
+    /// Table 5 rows for one (microarchitecture, memory size) pair.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhysAddrTableRecord {
+        /// Microarchitecture name.
+        uarch: String,
+        /// Simulated physical memory, in GiB.
+        memory_gib: u64,
+        /// Per-run results.
+        runs: Vec<PhysAddrRunRecord>,
     }
-
-    /// Decode from a JSON object. `confidence` parses leniently (absent
-    /// ⇒ 0) so baselines recorded before the field keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PhysAddrRunRecord, SchemaError> {
-        let guessed = field(v, "guessed_pa")?;
-        Ok(PhysAddrRunRecord {
-            guessed_pa: if guessed.is_null() {
-                None
-            } else {
-                Some(
-                    guessed
-                        .as_u64()
-                        .ok_or_else(|| SchemaError("guessed_pa is not a u64".into()))?,
-                )
-            },
-            actual_pa: u64_field(v, "actual_pa")?,
-            correct: bool_field(v, "correct")?,
-            guesses_tested: u64_field(v, "guesses_tested")?,
-            confidence: v
-                .get("confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            cycles: u64_field(v, "cycles")?,
-            seconds: f64_field(v, "seconds")?,
-        })
-    }
-}
-
-/// Table 5 rows for one (microarchitecture, memory size) pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhysAddrTableRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Simulated physical memory, in GiB.
-    pub memory_gib: u64,
-    /// Per-run results.
-    pub runs: Vec<PhysAddrRunRecord>,
 }
 
 impl PhysAddrTableRecord {
     /// Fraction of correct runs.
     pub fn accuracy(&self) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        self.runs.iter().filter(|r| r.correct).count() as f64 / self.runs.len() as f64
+        fraction_correct(&self.runs, |r| r.correct)
     }
 
     /// Total simulated cycles across runs.
     pub fn total_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.cycles).sum()
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("memory_gib", JsonValue::Uint(self.memory_gib))
-            .set(
-                "runs",
-                JsonValue::Array(self.runs.iter().map(PhysAddrRunRecord::to_json).collect()),
-            );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PhysAddrTableRecord, SchemaError> {
-        Ok(PhysAddrTableRecord {
-            uarch: str_field(v, "uarch")?,
-            memory_gib: u64_field(v, "memory_gib")?,
-            runs: vec_from(v, "runs", PhysAddrRunRecord::from_json)?,
-        })
-    }
 }
 
-/// One §7.4 MDS leak run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MdsRunRecord {
-    /// The leaked bytes, hex-encoded.
-    pub leaked_hex: String,
-    /// Fraction recovered exactly.
-    pub accuracy: f64,
-    /// Whether any signal was observed.
-    pub signal: bool,
-    /// Mean confidence of the per-byte hit reloads.
-    pub mean_confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
-    /// Simulated leak rate.
-    pub bytes_per_sec: f64,
+record! {
+    /// One §7.4 MDS leak run. `mean_confidence` is lenient so baselines
+    /// recorded before the field keep loading.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MdsRunRecord {
+        /// The leaked bytes, hex-encoded.
+        leaked_hex: String,
+        /// Fraction recovered exactly.
+        accuracy: f64,
+        /// Whether any signal was observed.
+        signal: bool,
+        /// Mean confidence of the per-byte hit reloads.
+        [lenient] mean_confidence: f64,
+        /// Simulated cycles consumed.
+        cycles: u64,
+        /// Simulated seconds consumed.
+        seconds: f64,
+        /// Simulated leak rate.
+        bytes_per_sec: f64,
+    }
 }
 
 impl From<&MdsLeakResult> for MdsRunRecord {
@@ -813,49 +594,17 @@ impl MdsRunRecord {
     pub fn leaked(&self) -> Result<Vec<u8>, SchemaError> {
         hex_decode(&self.leaked_hex)
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("leaked_hex", JsonValue::Str(self.leaked_hex.clone()))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("signal", JsonValue::Bool(self.signal))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence))
-            .set("cycles", JsonValue::Uint(self.cycles))
-            .set("seconds", JsonValue::Float(self.seconds))
-            .set("bytes_per_sec", JsonValue::Float(self.bytes_per_sec));
-        o
-    }
-
-    /// Decode from a JSON object. `mean_confidence` parses leniently
-    /// (absent ⇒ 0) so baselines recorded before the field keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<MdsRunRecord, SchemaError> {
-        Ok(MdsRunRecord {
-            leaked_hex: str_field(v, "leaked_hex")?,
-            accuracy: f64_field(v, "accuracy")?,
-            signal: bool_field(v, "signal")?,
-            mean_confidence: v
-                .get("mean_confidence")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0),
-            cycles: u64_field(v, "cycles")?,
-            seconds: f64_field(v, "seconds")?,
-            bytes_per_sec: f64_field(v, "bytes_per_sec")?,
-        })
-    }
 }
 
-/// §7.4 MDS leak runs for one microarchitecture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MdsTableRecord {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Per-reboot runs.
-    pub runs: Vec<MdsRunRecord>,
+record! {
+    /// §7.4 MDS leak runs for one microarchitecture.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MdsTableRecord {
+        /// Microarchitecture name.
+        uarch: String,
+        /// Per-reboot runs.
+        runs: Vec<MdsRunRecord>,
+    }
 }
 
 impl MdsTableRecord {
@@ -871,39 +620,19 @@ impl MdsTableRecord {
     pub fn total_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.cycles).sum()
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone())).set(
-            "runs",
-            JsonValue::Array(self.runs.iter().map(MdsRunRecord::to_json).collect()),
-        );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<MdsTableRecord, SchemaError> {
-        Ok(MdsTableRecord {
-            uarch: str_field(v, "uarch")?,
-            runs: vec_from(v, "runs", MdsRunRecord::from_json)?,
-        })
-    }
 }
 
-/// Which pipeline stages an experiment's signal reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageFlags {
-    /// IF channel fired.
-    pub fetched: bool,
-    /// ID channel fired.
-    pub decoded: bool,
-    /// EX channel fired.
-    pub executed: bool,
+record! {
+    /// Which pipeline stages an experiment's signal reached.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct StageFlags {
+        /// IF channel fired.
+        fetched: bool,
+        /// ID channel fired.
+        decoded: bool,
+        /// EX channel fired.
+        executed: bool,
+    }
 }
 
 impl From<&ComboOutcome> for StageFlags {
@@ -916,135 +645,66 @@ impl From<&ComboOutcome> for StageFlags {
     }
 }
 
-impl StageFlags {
-    fn to_json(self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("fetched", JsonValue::Bool(self.fetched))
-            .set("decoded", JsonValue::Bool(self.decoded))
-            .set("executed", JsonValue::Bool(self.executed));
-        o
-    }
-
-    fn from_json(v: &JsonValue) -> Result<StageFlags, SchemaError> {
-        Ok(StageFlags {
-            fetched: bool_field(v, "fetched")?,
-            decoded: bool_field(v, "decoded")?,
-            executed: bool_field(v, "executed")?,
-        })
+record! {
+    /// One O4 (`SuppressBPOnNonBr`) outcome.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct O4Record {
+        /// Microarchitecture name.
+        uarch: String,
+        /// Stages reached with the bit clear.
+        baseline: StageFlags,
+        /// Stages reached with the bit set.
+        suppressed: StageFlags,
     }
 }
 
-/// One O4 (`SuppressBPOnNonBr`) outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct O4Record {
-    /// Microarchitecture name.
-    pub uarch: String,
-    /// Stages reached with the bit clear.
-    pub baseline: StageFlags,
-    /// Stages reached with the bit set.
-    pub suppressed: StageFlags,
-}
-
-impl O4Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("baseline", self.baseline.to_json())
-            .set("suppressed", self.suppressed.to_json());
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<O4Record, SchemaError> {
-        Ok(O4Record {
-            uarch: str_field(v, "uarch")?,
-            baseline: StageFlags::from_json(field(v, "baseline")?)?,
-            suppressed: StageFlags::from_json(field(v, "suppressed")?)?,
-        })
+record! {
+    /// The O5 (AutoIBRS) outcome.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct O5Record {
+        /// Whether cross-privilege transient fetch was still observed.
+        transient_fetch_observed: bool,
     }
 }
 
-/// The O5 (AutoIBRS) outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct O5Record {
-    /// Whether cross-privilege transient fetch was still observed.
-    pub transient_fetch_observed: bool,
-}
-
-impl O5Record {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "transient_fetch_observed",
-            JsonValue::Bool(self.transient_fetch_observed),
-        );
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<O5Record, SchemaError> {
-        Ok(O5Record {
-            transient_fetch_observed: bool_field(v, "transient_fetch_observed")?,
-        })
+record! {
+    /// One §8.2 software-mitigation placement check.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SoftwareRecord {
+        /// Mitigation name (`"lfence"`, `"rsb_stuffing"`, `"sls_padding"`).
+        name: String,
+        /// Microarchitecture the check ran on.
+        uarch: String,
+        /// Signal observed without the mitigation.
+        unprotected: bool,
+        /// Signal observed with the mitigation in place.
+        protected: bool,
     }
 }
 
-/// One §8.2 software-mitigation placement check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SoftwareRecord {
-    /// Mitigation name (`"lfence"`, `"rsb_stuffing"`, `"sls_padding"`).
-    pub name: String,
-    /// Microarchitecture the check ran on.
-    pub uarch: String,
-    /// Signal observed without the mitigation.
-    pub unprotected: bool,
-    /// Signal observed with the mitigation in place.
-    pub protected: bool,
-}
-
-impl SoftwareRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("name", JsonValue::Str(self.name.clone()))
-            .set("uarch", JsonValue::Str(self.uarch.clone()))
-            .set("unprotected", JsonValue::Bool(self.unprotected))
-            .set("protected", JsonValue::Bool(self.protected));
-        o
-    }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<SoftwareRecord, SchemaError> {
-        Ok(SoftwareRecord {
-            name: str_field(v, "name")?,
-            uarch: str_field(v, "uarch")?,
-            unprotected: bool_field(v, "unprotected")?,
-            protected: bool_field(v, "protected")?,
-        })
+record! {
+    /// The §6.3 mitigation-overhead suite.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OverheadRecord {
+        /// Per-workload cycle counts.
+        per_workload: Vec<WorkloadCycles>,
+        /// Geometric-mean overhead, percent.
+        geomean_overhead_pct: f64,
     }
 }
 
-/// The §6.3 mitigation-overhead suite.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadRecord {
-    /// Per-workload `(name, baseline cycles, suppressed cycles)`.
-    pub per_workload: Vec<(String, u64, u64)>,
-    /// Geometric-mean overhead, percent.
-    pub geomean_overhead_pct: f64,
+record! {
+    /// One §6.3 workload's simulated cycles with and without the
+    /// mitigation.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WorkloadCycles {
+        /// Workload name.
+        workload: String,
+        /// Cycles with `SuppressBPOnNonBr` clear.
+        baseline_cycles: u64,
+        /// Cycles with `SuppressBPOnNonBr` set.
+        suppressed_cycles: u64,
+    }
 }
 
 impl From<&OverheadResult> for OverheadRecord {
@@ -1053,67 +713,28 @@ impl From<&OverheadResult> for OverheadRecord {
             per_workload: r
                 .per_workload
                 .iter()
-                .map(|(n, b, s)| (n.to_string(), *b, *s))
+                .map(|(n, b, s)| WorkloadCycles {
+                    workload: n.to_string(),
+                    baseline_cycles: *b,
+                    suppressed_cycles: *s,
+                })
                 .collect(),
             geomean_overhead_pct: r.geomean_overhead_pct,
         }
     }
 }
 
-impl OverheadRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set(
-            "per_workload",
-            JsonValue::Array(
-                self.per_workload
-                    .iter()
-                    .map(|(name, base, supp)| {
-                        let mut w = JsonValue::object();
-                        w.set("workload", JsonValue::Str(name.clone()))
-                            .set("baseline_cycles", JsonValue::Uint(*base))
-                            .set("suppressed_cycles", JsonValue::Uint(*supp));
-                        w
-                    })
-                    .collect(),
-            ),
-        )
-        .set(
-            "geomean_overhead_pct",
-            JsonValue::Float(self.geomean_overhead_pct),
-        );
-        o
+record! {
+    /// The §9.1 gadget census.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct GadgetRecord {
+        /// Conventional Spectre gadgets.
+        spectre_gadgets: u64,
+        /// Phantom-only single-load gadgets.
+        mds_gadgets: u64,
+        /// Total exploitable with Phantom.
+        total_with_phantom: u64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<OverheadRecord, SchemaError> {
-        Ok(OverheadRecord {
-            per_workload: vec_from(v, "per_workload", |w| {
-                Ok((
-                    str_field(w, "workload")?,
-                    u64_field(w, "baseline_cycles")?,
-                    u64_field(w, "suppressed_cycles")?,
-                ))
-            })?,
-            geomean_overhead_pct: f64_field(v, "geomean_overhead_pct")?,
-        })
-    }
-}
-
-/// The §9.1 gadget census.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GadgetRecord {
-    /// Conventional Spectre gadgets.
-    pub spectre_gadgets: u64,
-    /// Phantom-only single-load gadgets.
-    pub mds_gadgets: u64,
-    /// Total exploitable with Phantom.
-    pub total_with_phantom: u64,
 }
 
 impl From<&GadgetCensus> for GadgetRecord {
@@ -1126,50 +747,25 @@ impl From<&GadgetCensus> for GadgetRecord {
     }
 }
 
-impl GadgetRecord {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("spectre_gadgets", JsonValue::Uint(self.spectre_gadgets))
-            .set("mds_gadgets", JsonValue::Uint(self.mds_gadgets))
-            .set(
-                "total_with_phantom",
-                JsonValue::Uint(self.total_with_phantom),
-            );
-        o
+record! {
+    /// One point of the noise sweep: the adaptive fetch channel under a
+    /// single [`NoiseModel`](phantom_sidechannel::NoiseModel) knob.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct NoiseSweepRecord {
+        /// The swept knob: `"jitter_cycles"`, `"spurious_evict"` or
+        /// `"missed_signal"`.
+        axis: String,
+        /// The knob value.
+        value: f64,
+        /// Channel accuracy at that point (abstentions count as wrong).
+        accuracy: f64,
+        /// Total probes the adaptive decoder spent.
+        probes: u64,
+        /// Bits the decoder abstained on.
+        abstentions: u64,
+        /// Mean decode confidence across the transfer.
+        mean_confidence: f64,
     }
-
-    /// Decode from a JSON object.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<GadgetRecord, SchemaError> {
-        Ok(GadgetRecord {
-            spectre_gadgets: u64_field(v, "spectre_gadgets")?,
-            mds_gadgets: u64_field(v, "mds_gadgets")?,
-            total_with_phantom: u64_field(v, "total_with_phantom")?,
-        })
-    }
-}
-
-/// One point of the noise sweep: the adaptive fetch channel under a
-/// single [`NoiseModel`](phantom_sidechannel::NoiseModel) knob.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NoiseSweepRecord {
-    /// The swept knob: `"jitter_cycles"`, `"spurious_evict"` or
-    /// `"missed_signal"`.
-    pub axis: String,
-    /// The knob value.
-    pub value: f64,
-    /// Channel accuracy at that point (abstentions count as wrong).
-    pub accuracy: f64,
-    /// Total probes the adaptive decoder spent.
-    pub probes: u64,
-    /// Bits the decoder abstained on.
-    pub abstentions: u64,
-    /// Mean decode confidence across the transfer.
-    pub mean_confidence: f64,
 }
 
 impl From<&NoiseSweepPoint> for NoiseSweepRecord {
@@ -1187,404 +783,206 @@ impl From<&NoiseSweepPoint> for NoiseSweepRecord {
 
 impl NoiseSweepRecord {
     /// Whether this is a quiet-end point (the knob at zero) — the
-    /// points [`diff`] gates on.
+    /// points [`diff_noise_sweep`] gates on.
     pub fn is_quiet(&self) -> bool {
         self.value == 0.0
     }
+}
 
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("axis", JsonValue::Str(self.axis.clone()))
-            .set("value", JsonValue::Float(self.value))
-            .set("accuracy", JsonValue::Float(self.accuracy))
-            .set("probes", JsonValue::Uint(self.probes))
-            .set("abstentions", JsonValue::Uint(self.abstentions))
-            .set("mean_confidence", JsonValue::Float(self.mean_confidence));
-        o
-    }
-
-    /// Decode from a JSON object.
+record! {
+    /// Deterministic hot-path counters: the measured decode-cache, TLB
+    /// and copy-on-write snapshot wins.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<NoiseSweepRecord, SchemaError> {
-        Ok(NoiseSweepRecord {
-            axis: str_field(v, "axis")?,
-            value: f64_field(v, "value")?,
-            accuracy: f64_field(v, "accuracy")?,
-            probes: u64_field(v, "probes")?,
-            abstentions: u64_field(v, "abstentions")?,
-            mean_confidence: f64_field(v, "mean_confidence")?,
-        })
+    /// Every counter comes from a fixed reference workload, so they are
+    /// part of the canonical snapshot and diffable against a baseline —
+    /// a hit-rate drop is a perf regression the gate can catch without
+    /// trusting wall clocks. Counters introduced after the first
+    /// baseline are lenient, and keys of removed counters
+    /// (`trace_hits`, `trace_bailouts`, `trace_invalidations`) are
+    /// ignored, so old baselines keep loading.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PerfRecord {
+        /// Decode-cache hits on the reference workload.
+        decode_cache_hits: u64,
+        /// Decode-cache misses on the reference workload.
+        decode_cache_misses: u64,
+        /// Full decodes the cache eliminated (equals `hits`).
+        decodes_avoided: u64,
+        /// TLB hits on the reference workload (page walks skipped by the
+        /// translation fast path).
+        [lenient] tlb_hits: u64,
+        /// TLB misses on the reference workload (page walks taken).
+        [lenient] tlb_misses: u64,
+        /// Frames unshared by a write after a checkpoint on the
+        /// snapshot/restore reference workload.
+        [lenient] cow_faults: u64,
+        /// Frames still shared between the live memory and its snapshot at
+        /// the end of the snapshot/restore reference workload.
+        [lenient] cow_frames_shared: u64,
+        /// Frames rewound by `restore` on the snapshot/restore reference
+        /// workload (the O(dirty) restore cost).
+        [lenient] restore_frames_copied: u64,
+        /// Bounded probe retries the trial runner performed while
+        /// collecting the snapshot (trials re-run on a fresh fork after a
+        /// recoverable failure). Zero in a healthy run: a nonzero value
+        /// means some scenario silently leaned on the retry path.
+        [lenient] trial_retries: u64,
+        /// Boots served from an existing template by the boot-cache
+        /// reference workload (an isolated cache, so the counter never
+        /// depends on what the process-global one has seen).
+        [lenient] boot_cache_hits: u64,
+        /// Dirty frames the journaled rewind visited on the
+        /// snapshot/restore reference workload.
+        [lenient] rewind_journal_frames: u64,
+        /// Retired frame buffers the pool recycled into copy-on-write
+        /// copies on the snapshot/restore reference workload.
+        [lenient] frame_pool_reuses: u64,
+        /// Probes re-armed over a standing arena mapping by the probe-arena
+        /// reference workload.
+        [lenient] probe_arena_rearms: u64,
     }
 }
 
-/// Deterministic hot-path counters: the measured decode-cache, TLB
-/// and copy-on-write snapshot wins.
-///
-/// Every counter comes from a fixed reference workload, so they are
-/// part of the canonical snapshot and diffable against a baseline —
-/// a hit-rate drop is a perf regression the gate can catch without
-/// trusting wall clocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PerfRecord {
-    /// Decode-cache hits on the reference workload.
-    pub decode_cache_hits: u64,
-    /// Decode-cache misses on the reference workload.
-    pub decode_cache_misses: u64,
-    /// Full decodes the cache eliminated (equals `hits`).
-    pub decodes_avoided: u64,
-    /// TLB hits on the reference workload (page walks skipped by the
-    /// translation fast path).
-    pub tlb_hits: u64,
-    /// TLB misses on the reference workload (page walks taken).
-    pub tlb_misses: u64,
-    /// Frames unshared by a write after a checkpoint on the
-    /// snapshot/restore reference workload.
-    pub cow_faults: u64,
-    /// Frames still shared between the live memory and its snapshot at
-    /// the end of the snapshot/restore reference workload.
-    pub cow_frames_shared: u64,
-    /// Frames rewound by `restore` on the snapshot/restore reference
-    /// workload (the O(dirty) restore cost).
-    pub restore_frames_copied: u64,
-    /// Bounded probe retries the trial runner performed while
-    /// collecting the snapshot (trials re-run on a fresh fork after a
-    /// recoverable failure). Zero in a healthy run: a nonzero value
-    /// means some scenario silently leaned on the retry path.
-    pub trial_retries: u64,
-    /// Boots served from an existing template by the boot-cache
-    /// reference workload (an isolated cache, so the counter never
-    /// depends on what the process-global one has seen).
-    pub boot_cache_hits: u64,
-    /// Dirty frames the journaled rewind visited on the
-    /// snapshot/restore reference workload.
-    pub rewind_journal_frames: u64,
-    /// Retired frame buffers the pool recycled into copy-on-write
-    /// copies on the snapshot/restore reference workload.
-    pub frame_pool_reuses: u64,
-    /// Probes re-armed over a standing arena mapping by the probe-arena
-    /// reference workload.
-    pub probe_arena_rearms: u64,
+/// `hits / (hits + misses)`, 0 when both are 0.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    if hits + misses == 0 {
+        return 0.0;
+    }
+    hits as f64 / (hits + misses) as f64
 }
 
 impl PerfRecord {
     /// Decode-cache hit fraction of the reference workload, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.decode_cache_hits + self.decode_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.decode_cache_hits as f64 / total as f64
+        hit_rate(self.decode_cache_hits, self.decode_cache_misses)
     }
 
     /// TLB hit fraction of the reference workload, in `[0, 1]`.
     pub fn tlb_hit_rate(&self) -> f64 {
-        let total = self.tlb_hits + self.tlb_misses;
-        if total == 0 {
-            return 0.0;
+        hit_rate(self.tlb_hits, self.tlb_misses)
+    }
+}
+
+record! {
+    /// Host-volatile metadata. **Not** part of the canonical snapshot:
+    /// only emitted on request, and always ignored by [`diff`], because
+    /// wall-clock and thread count vary run to run. Keys this version no
+    /// longer writes (`snapshot_wall`, the removed deep-copy A/B) are
+    /// ignored.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HostMeta {
+        /// Worker threads the trial runner used.
+        threads: u64,
+        /// Host wall-clock per experiment.
+        wall_seconds: Vec<ExperimentWall>,
+        /// Wall-clock A/B of the decode cache on the reference workload.
+        [omit] decode_cache_wall: Option<DecodeCacheWall>,
+    }
+}
+
+record! {
+    /// Host wall-clock of one experiment.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExperimentWall {
+        /// Experiment name.
+        experiment: String,
+        /// Wall-clock seconds.
+        seconds: f64,
+    }
+}
+
+record! {
+    /// Host wall-clock of the decode-cache reference workload, cache
+    /// enabled vs disabled.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DecodeCacheWall {
+        /// Seconds with the decode cache enabled.
+        enabled_seconds: f64,
+        /// Seconds with the decode cache disabled.
+        disabled_seconds: f64,
+    }
+}
+
+record! {
+    /// The complete machine-readable result of a `repro bench` run.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BenchSnapshot {
+        /// Canonical run metadata.
+        meta: RunMeta,
+        /// Table 1 cells.
+        table1: Vec<Table1Record>,
+        /// Figure 6 sweeps.
+        figure6: Vec<Figure6Record>,
+        /// Figure 7 recovery.
+        figure7: Figure7Record,
+        /// Table 2 covert-channel rows.
+        table2: Vec<CovertRecord>,
+        /// Table 3 (kernel image KASLR), one record per uarch.
+        table3: Vec<SlotTableRecord>,
+        /// Table 4 (physmap KASLR), one record per uarch.
+        table4: Vec<SlotTableRecord>,
+        /// Table 5 (physical address), one record per (uarch, memory).
+        table5: Vec<PhysAddrTableRecord>,
+        /// §7.4 MDS leak, one record per uarch.
+        mds: Vec<MdsTableRecord>,
+        /// O4 outcomes.
+        o4: Vec<O4Record>,
+        /// O5 outcome.
+        o5: O5Record,
+        /// §8.2 software mitigation checks.
+        software: Vec<SoftwareRecord>,
+        /// §6.3 overhead suite.
+        overhead: OverheadRecord,
+        /// §9.1 gadget census.
+        gadgets: GadgetRecord,
+        /// Deterministic hot-path counters.
+        perf: PerfRecord,
+        /// Noise sweep of the adaptive fetch channel. Optional so
+        /// baselines recorded before the sweep existed keep loading.
+        [omit] noise_sweep: Option<Vec<NoiseSweepRecord>>,
+        /// PHT-channel (BranchSpectre-style) rows. Optional so baselines
+        /// recorded before the channel existed keep loading.
+        [omit] pht_channel: Option<Vec<PhtChannelRecord>>,
+        /// Host-volatile metadata (ignored by [`diff`]).
+        [omit] host: Option<HostMeta>,
+    }
+}
+
+/// A schema-tagged document: `"schema"` first, then the members of
+/// `body` in order. Every snapshot-schema file — the full snapshot and
+/// the one-section `noise-sweep`/`pht-channel` files — has this shape.
+pub fn document(body: JsonValue) -> JsonValue {
+    let mut doc = JsonValue::object();
+    doc.set("schema", JsonValue::Str(SCHEMA.to_string()));
+    if let JsonValue::Object(members) = body {
+        for (key, value) in members {
+            doc.set(&key, value);
         }
-        self.tlb_hits as f64 / total as f64
     }
-
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("decode_cache_hits", JsonValue::Uint(self.decode_cache_hits))
-            .set(
-                "decode_cache_misses",
-                JsonValue::Uint(self.decode_cache_misses),
-            )
-            .set("decodes_avoided", JsonValue::Uint(self.decodes_avoided))
-            .set("tlb_hits", JsonValue::Uint(self.tlb_hits))
-            .set("tlb_misses", JsonValue::Uint(self.tlb_misses))
-            .set("cow_faults", JsonValue::Uint(self.cow_faults))
-            .set("cow_frames_shared", JsonValue::Uint(self.cow_frames_shared))
-            .set(
-                "restore_frames_copied",
-                JsonValue::Uint(self.restore_frames_copied),
-            )
-            .set("trial_retries", JsonValue::Uint(self.trial_retries))
-            .set("boot_cache_hits", JsonValue::Uint(self.boot_cache_hits))
-            .set(
-                "rewind_journal_frames",
-                JsonValue::Uint(self.rewind_journal_frames),
-            )
-            .set("frame_pool_reuses", JsonValue::Uint(self.frame_pool_reuses))
-            .set(
-                "probe_arena_rearms",
-                JsonValue::Uint(self.probe_arena_rearms),
-            );
-        o
-    }
-
-    /// Decode from a JSON object. Counters introduced after a baseline
-    /// was recorded parse leniently (absent ⇒ 0), and keys of removed
-    /// counters (`trace_hits`, `trace_bailouts`, `trace_invalidations`)
-    /// are ignored, so old baselines keep loading.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<PerfRecord, SchemaError> {
-        let lenient = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Ok(PerfRecord {
-            decode_cache_hits: u64_field(v, "decode_cache_hits")?,
-            decode_cache_misses: u64_field(v, "decode_cache_misses")?,
-            decodes_avoided: u64_field(v, "decodes_avoided")?,
-            tlb_hits: lenient("tlb_hits"),
-            tlb_misses: lenient("tlb_misses"),
-            cow_faults: lenient("cow_faults"),
-            cow_frames_shared: lenient("cow_frames_shared"),
-            restore_frames_copied: lenient("restore_frames_copied"),
-            trial_retries: lenient("trial_retries"),
-            boot_cache_hits: lenient("boot_cache_hits"),
-            rewind_journal_frames: lenient("rewind_journal_frames"),
-            frame_pool_reuses: lenient("frame_pool_reuses"),
-            probe_arena_rearms: lenient("probe_arena_rearms"),
-        })
-    }
-}
-
-/// Host-volatile metadata. **Not** part of the canonical snapshot:
-/// only emitted on request, and always ignored by [`diff`], because
-/// wall-clock and thread count vary run to run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostMeta {
-    /// Worker threads the trial runner used.
-    pub threads: u64,
-    /// Host wall-clock per experiment, `(name, seconds)`.
-    pub wall_seconds: Vec<(String, f64)>,
-    /// Wall-clock A/B of the decode cache on the reference workload:
-    /// `(enabled seconds, disabled seconds)`.
-    pub decode_cache_wall: Option<(f64, f64)>,
-}
-
-impl HostMeta {
-    /// Encode as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("threads", JsonValue::Uint(self.threads)).set(
-            "wall_seconds",
-            JsonValue::Array(
-                self.wall_seconds
-                    .iter()
-                    .map(|(name, secs)| {
-                        let mut w = JsonValue::object();
-                        w.set("experiment", JsonValue::Str(name.clone()))
-                            .set("seconds", JsonValue::Float(*secs));
-                        w
-                    })
-                    .collect(),
-            ),
-        );
-        if let Some((on, off)) = self.decode_cache_wall {
-            let mut w = JsonValue::object();
-            w.set("enabled_seconds", JsonValue::Float(on))
-                .set("disabled_seconds", JsonValue::Float(off));
-            o.set("decode_cache_wall", w);
-        }
-        o
-    }
-
-    /// Decode from a JSON object. Keys this version no longer writes
-    /// (`snapshot_wall`, the removed deep-copy A/B) are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on a shape mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<HostMeta, SchemaError> {
-        Ok(HostMeta {
-            threads: u64_field(v, "threads")?,
-            wall_seconds: vec_from(v, "wall_seconds", |w| {
-                Ok((str_field(w, "experiment")?, f64_field(w, "seconds")?))
-            })?,
-            decode_cache_wall: match v.get("decode_cache_wall") {
-                Some(w) if !w.is_null() => Some((
-                    f64_field(w, "enabled_seconds")?,
-                    f64_field(w, "disabled_seconds")?,
-                )),
-                _ => None,
-            },
-        })
-    }
-}
-
-/// The complete machine-readable result of a `repro bench` run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchSnapshot {
-    /// Canonical run metadata.
-    pub meta: RunMeta,
-    /// Table 1 cells.
-    pub table1: Vec<Table1Record>,
-    /// Figure 6 sweeps.
-    pub figure6: Vec<Figure6Record>,
-    /// Figure 7 recovery.
-    pub figure7: Figure7Record,
-    /// Table 2 covert-channel rows.
-    pub table2: Vec<CovertRecord>,
-    /// Table 3 (kernel image KASLR), one record per uarch.
-    pub table3: Vec<SlotTableRecord>,
-    /// Table 4 (physmap KASLR), one record per uarch.
-    pub table4: Vec<SlotTableRecord>,
-    /// Table 5 (physical address), one record per (uarch, memory).
-    pub table5: Vec<PhysAddrTableRecord>,
-    /// §7.4 MDS leak, one record per uarch.
-    pub mds: Vec<MdsTableRecord>,
-    /// O4 outcomes.
-    pub o4: Vec<O4Record>,
-    /// O5 outcome.
-    pub o5: O5Record,
-    /// §8.2 software mitigation checks.
-    pub software: Vec<SoftwareRecord>,
-    /// §6.3 overhead suite.
-    pub overhead: OverheadRecord,
-    /// §9.1 gadget census.
-    pub gadgets: GadgetRecord,
-    /// Deterministic hot-path counters.
-    pub perf: PerfRecord,
-    /// Noise sweep of the adaptive fetch channel. Optional so
-    /// baselines recorded before the sweep existed keep loading.
-    pub noise_sweep: Option<Vec<NoiseSweepRecord>>,
-    /// PHT-channel (BranchSpectre-style) rows. Optional so baselines
-    /// recorded before the channel existed keep loading.
-    pub pht_channel: Option<Vec<PhtChannelRecord>>,
-    /// Host-volatile metadata (ignored by [`diff`]).
-    pub host: Option<HostMeta>,
+    doc
 }
 
 impl BenchSnapshot {
-    /// Encode the snapshot as a JSON value.
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = JsonValue::object();
-        o.set("schema", JsonValue::Str(SCHEMA.to_string()))
-            .set("meta", self.meta.to_json())
-            .set(
-                "table1",
-                JsonValue::Array(self.table1.iter().map(Table1Record::to_json).collect()),
-            )
-            .set(
-                "figure6",
-                JsonValue::Array(self.figure6.iter().map(Figure6Record::to_json).collect()),
-            )
-            .set("figure7", self.figure7.to_json())
-            .set(
-                "table2",
-                JsonValue::Array(self.table2.iter().map(CovertRecord::to_json).collect()),
-            )
-            .set(
-                "table3",
-                JsonValue::Array(self.table3.iter().map(SlotTableRecord::to_json).collect()),
-            )
-            .set(
-                "table4",
-                JsonValue::Array(self.table4.iter().map(SlotTableRecord::to_json).collect()),
-            )
-            .set(
-                "table5",
-                JsonValue::Array(
-                    self.table5
-                        .iter()
-                        .map(PhysAddrTableRecord::to_json)
-                        .collect(),
-                ),
-            )
-            .set(
-                "mds",
-                JsonValue::Array(self.mds.iter().map(MdsTableRecord::to_json).collect()),
-            )
-            .set(
-                "o4",
-                JsonValue::Array(self.o4.iter().map(O4Record::to_json).collect()),
-            )
-            .set("o5", self.o5.to_json())
-            .set(
-                "software",
-                JsonValue::Array(self.software.iter().map(SoftwareRecord::to_json).collect()),
-            )
-            .set("overhead", self.overhead.to_json())
-            .set("gadgets", self.gadgets.to_json())
-            .set("perf", self.perf.to_json());
-        if let Some(sweep) = &self.noise_sweep {
-            o.set(
-                "noise_sweep",
-                JsonValue::Array(sweep.iter().map(NoiseSweepRecord::to_json).collect()),
-            );
-        }
-        if let Some(rows) = &self.pht_channel {
-            o.set(
-                "pht_channel",
-                JsonValue::Array(rows.iter().map(PhtChannelRecord::to_json).collect()),
-            );
-        }
-        if let Some(host) = &self.host {
-            o.set("host", host.to_json());
-        }
-        o
-    }
-
     /// Serialize to the canonical pretty-printed JSON document.
     pub fn to_json_string(&self) -> String {
-        self.to_json().to_pretty_string()
-    }
-
-    /// Decode a snapshot from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SchemaError`] on an unknown schema or shape
-    /// mismatch.
-    pub fn from_json(v: &JsonValue) -> Result<BenchSnapshot, SchemaError> {
-        let schema = str_field(v, "schema")?;
-        if schema != SCHEMA {
-            return Err(SchemaError(format!(
-                "unknown schema {schema:?} (expected {SCHEMA:?})"
-            )));
-        }
-        Ok(BenchSnapshot {
-            meta: RunMeta::from_json(field(v, "meta")?)?,
-            table1: vec_from(v, "table1", Table1Record::from_json)?,
-            figure6: vec_from(v, "figure6", Figure6Record::from_json)?,
-            figure7: Figure7Record::from_json(field(v, "figure7")?)?,
-            table2: vec_from(v, "table2", CovertRecord::from_json)?,
-            table3: vec_from(v, "table3", SlotTableRecord::from_json)?,
-            table4: vec_from(v, "table4", SlotTableRecord::from_json)?,
-            table5: vec_from(v, "table5", PhysAddrTableRecord::from_json)?,
-            mds: vec_from(v, "mds", MdsTableRecord::from_json)?,
-            o4: vec_from(v, "o4", O4Record::from_json)?,
-            o5: O5Record::from_json(field(v, "o5")?)?,
-            software: vec_from(v, "software", SoftwareRecord::from_json)?,
-            overhead: OverheadRecord::from_json(field(v, "overhead")?)?,
-            gadgets: GadgetRecord::from_json(field(v, "gadgets")?)?,
-            perf: PerfRecord::from_json(field(v, "perf")?)?,
-            noise_sweep: match v.get("noise_sweep") {
-                Some(s) if !s.is_null() => Some(vec_from(v, "noise_sweep", |p| {
-                    NoiseSweepRecord::from_json(p)
-                })?),
-                _ => None,
-            },
-            pht_channel: match v.get("pht_channel") {
-                Some(s) if !s.is_null() => Some(vec_from(v, "pht_channel", |p| {
-                    PhtChannelRecord::from_json(p)
-                })?),
-                _ => None,
-            },
-            host: match v.get("host") {
-                Some(h) if !h.is_null() => Some(HostMeta::from_json(h)?),
-                _ => None,
-            },
-        })
+        document(self.to_json()).to_pretty_string()
     }
 
     /// Parse a snapshot from its JSON text.
     ///
     /// # Errors
     ///
-    /// Returns a [`SchemaError`] on malformed JSON or shape mismatch.
+    /// Returns a [`SchemaError`] on malformed JSON, an unknown schema or
+    /// a shape mismatch.
     pub fn from_json_str(text: &str) -> Result<BenchSnapshot, SchemaError> {
-        BenchSnapshot::from_json(&parse(text)?)
+        let v = parse(text)?;
+        let schema: String = required(&v, "schema")?;
+        if schema != SCHEMA {
+            return Err(SchemaError(format!(
+                "unknown schema {schema:?} (expected {SCHEMA:?})"
+            )));
+        }
+        BenchSnapshot::from_json(&v)
     }
 }
 
@@ -1640,32 +1038,53 @@ impl Tolerance {
         }
     }
 
-    fn accuracy_regressed(&self, base: f64, cur: f64) -> bool {
-        (base - cur) * 100.0 > self.accuracy_pp
-    }
-
-    fn cycles_regressed(&self, base: u64, cur: u64) -> bool {
-        cur as f64 > base as f64 * (1.0 + self.cycles_pct / 100.0)
-    }
-}
-
-fn check_accuracy(out: &mut Vec<Regression>, tol: &Tolerance, metric: String, base: f64, cur: f64) {
-    if tol.accuracy_regressed(base, cur) {
-        out.push(Regression {
-            metric,
-            baseline: base,
-            current: cur,
-        });
+    /// Push a regression onto `out` if accuracy fell beyond tolerance.
+    fn check_accuracy(&self, out: &mut Vec<Regression>, metric: String, base: f64, cur: f64) {
+        if (base - cur) * 100.0 > self.accuracy_pp {
+            out.push(Regression {
+                metric,
+                baseline: base,
+                current: cur,
+            });
+        }
     }
 }
 
-fn check_cycles(out: &mut Vec<Regression>, tol: &Tolerance, metric: String, base: u64, cur: u64) {
-    if tol.cycles_regressed(base, cur) {
-        out.push(Regression {
-            metric,
-            baseline: base as f64,
-            current: cur as f64,
-        });
+/// The row gate: match every baseline row to the current row with the
+/// same label and compare their gauges — accuracy may drop
+/// `accuracy_pp` points and, where a row counts them, total simulated
+/// cycles may grow `cycles_pct` percent. A baseline row with no
+/// current counterpart flags as `"{section}[{label}] missing"`.
+fn gate_rows<'a, T: 'a>(
+    out: &mut Vec<Regression>,
+    tol: &Tolerance,
+    section: &str,
+    base: impl IntoIterator<Item = &'a T>,
+    cur: impl Iterator<Item = &'a T> + Clone,
+    label: impl Fn(&T) -> String,
+    gauge: impl Fn(&T) -> (f64, Option<u64>),
+) {
+    for b in base {
+        let row = format!("{section}[{}]", label(b));
+        let Some(c) = cur.clone().find(|c| label(c) == label(b)) else {
+            out.push(Regression {
+                metric: format!("{row} missing"),
+                baseline: 1.0,
+                current: 0.0,
+            });
+            continue;
+        };
+        let ((b_acc, b_cycles), (c_acc, c_cycles)) = (gauge(b), gauge(c));
+        tol.check_accuracy(out, format!("{row}.accuracy"), b_acc, c_acc);
+        if let (Some(b_cycles), Some(c_cycles)) = (b_cycles, c_cycles) {
+            if c_cycles as f64 > b_cycles as f64 * (1.0 + tol.cycles_pct / 100.0) {
+                out.push(Regression {
+                    metric: format!("{row}.cycles"),
+                    baseline: b_cycles as f64,
+                    current: c_cycles as f64,
+                });
+            }
+        }
     }
 }
 
@@ -1674,197 +1093,117 @@ fn check_cycles(out: &mut Vec<Regression>, tol: &Tolerance, metric: String, base
 ///
 /// Checked: Table 2 per-row accuracy, Table 3/4/5 per-uarch accuracy
 /// and total simulated cycles, MDS per-uarch mean accuracy and cycles,
-/// the decode-cache hit rate, and the quiet-end (knob = 0) noise-sweep
-/// points' accuracy — the noisy points degrade by design, so only the
-/// quiet baseline is gated. Improvements never flag; the `host`
-/// section is ignored entirely. A baseline record with no counterpart
-/// in `current` (missing uarch, fewer experiments) flags as a
-/// coverage regression.
+/// the decode-cache and TLB hit rates, and — when the baseline has the
+/// section — [`diff_noise_sweep`] and [`diff_pht_channel`].
+/// Improvements never flag; the `host` section is ignored entirely. A
+/// baseline record with no counterpart in `current` (missing uarch,
+/// fewer experiments) flags as a coverage regression.
 pub fn diff(baseline: &BenchSnapshot, current: &BenchSnapshot, tol: &Tolerance) -> Vec<Regression> {
     let mut out = Vec::new();
-
-    for base_row in &baseline.table2 {
-        let key = (&base_row.uarch, &base_row.kind);
-        match current.table2.iter().find(|r| (&r.uarch, &r.kind) == key) {
-            Some(cur_row) => check_accuracy(
-                &mut out,
-                tol,
-                format!("table2[{} | {}].accuracy", base_row.uarch, base_row.kind),
-                base_row.accuracy,
-                cur_row.accuracy,
-            ),
-            None => out.push(Regression {
-                metric: format!("table2[{} | {}] missing", base_row.uarch, base_row.kind),
-                baseline: 1.0,
-                current: 0.0,
-            }),
-        }
-    }
-
-    for (name, base_tables, cur_tables) in [
-        ("table3", &baseline.table3, &current.table3),
-        ("table4", &baseline.table4, &current.table4),
-    ] {
-        for base_t in base_tables.iter() {
-            match cur_tables.iter().find(|t| t.uarch == base_t.uarch) {
-                Some(cur_t) => {
-                    check_accuracy(
-                        &mut out,
-                        tol,
-                        format!("{name}[{}].accuracy", base_t.uarch),
-                        base_t.accuracy(),
-                        cur_t.accuracy(),
-                    );
-                    check_cycles(
-                        &mut out,
-                        tol,
-                        format!("{name}[{}].cycles", base_t.uarch),
-                        base_t.total_cycles(),
-                        cur_t.total_cycles(),
-                    );
-                }
-                None => out.push(Regression {
-                    metric: format!("{name}[{}] missing", base_t.uarch),
-                    baseline: 1.0,
-                    current: 0.0,
-                }),
-            }
-        }
-    }
-
-    for base_t in &baseline.table5 {
-        match current
-            .table5
-            .iter()
-            .find(|t| t.uarch == base_t.uarch && t.memory_gib == base_t.memory_gib)
-        {
-            Some(cur_t) => {
-                check_accuracy(
-                    &mut out,
-                    tol,
-                    format!(
-                        "table5[{} | {} GiB].accuracy",
-                        base_t.uarch, base_t.memory_gib
-                    ),
-                    base_t.accuracy(),
-                    cur_t.accuracy(),
-                );
-                check_cycles(
-                    &mut out,
-                    tol,
-                    format!(
-                        "table5[{} | {} GiB].cycles",
-                        base_t.uarch, base_t.memory_gib
-                    ),
-                    base_t.total_cycles(),
-                    cur_t.total_cycles(),
-                );
-            }
-            None => out.push(Regression {
-                metric: format!(
-                    "table5[{} | {} GiB] missing",
-                    base_t.uarch, base_t.memory_gib
-                ),
-                baseline: 1.0,
-                current: 0.0,
-            }),
-        }
-    }
-
-    for base_t in &baseline.mds {
-        match current.mds.iter().find(|t| t.uarch == base_t.uarch) {
-            Some(cur_t) => {
-                check_accuracy(
-                    &mut out,
-                    tol,
-                    format!("mds[{}].accuracy", base_t.uarch),
-                    base_t.mean_accuracy(),
-                    cur_t.mean_accuracy(),
-                );
-                check_cycles(
-                    &mut out,
-                    tol,
-                    format!("mds[{}].cycles", base_t.uarch),
-                    base_t.total_cycles(),
-                    cur_t.total_cycles(),
-                );
-            }
-            None => out.push(Regression {
-                metric: format!("mds[{}] missing", base_t.uarch),
-                baseline: 1.0,
-                current: 0.0,
-            }),
-        }
-    }
-
-    check_accuracy(
+    let (b, c) = (baseline, current);
+    gate_rows(
         &mut out,
         tol,
-        "perf.decode_cache.hit_rate".to_string(),
-        baseline.perf.hit_rate(),
-        current.perf.hit_rate(),
+        "table2",
+        &b.table2,
+        c.table2.iter(),
+        |r| format!("{} | {}", r.uarch, r.kind),
+        |r| (r.accuracy, None),
     );
-
-    // Only gate the TLB hit rate when the baseline has one — older
-    // baselines predate the counter and parse it as 0/0.
-    if baseline.perf.tlb_hits + baseline.perf.tlb_misses > 0 {
-        check_accuracy(
+    for (name, base, cur) in [
+        ("table3", &b.table3, &c.table3),
+        ("table4", &b.table4, &c.table4),
+    ] {
+        gate_rows(
             &mut out,
             tol,
-            "perf.tlb.hit_rate".to_string(),
-            baseline.perf.tlb_hit_rate(),
-            current.perf.tlb_hit_rate(),
+            name,
+            base,
+            cur.iter(),
+            |t| t.uarch.clone(),
+            |t| (t.accuracy(), Some(t.total_cycles())),
         );
     }
-
-    // Gate the noise sweep's quiet-end points when the baseline has the
-    // section. The noisy points degrade by design; the quiet baseline
-    // of each axis must not.
-    if let Some(base_sweep) = &baseline.noise_sweep {
-        let cur_sweep = current.noise_sweep.as_deref().unwrap_or(&[]);
-        for base_p in base_sweep.iter().filter(|p| p.is_quiet()) {
-            match cur_sweep
-                .iter()
-                .find(|p| p.axis == base_p.axis && p.value == base_p.value)
-            {
-                Some(cur_p) => check_accuracy(
-                    &mut out,
-                    tol,
-                    format!("noise_sweep[{} = 0].accuracy", base_p.axis),
-                    base_p.accuracy,
-                    cur_p.accuracy,
-                ),
-                None => out.push(Regression {
-                    metric: format!("noise_sweep[{} = 0] missing", base_p.axis),
-                    baseline: 1.0,
-                    current: 0.0,
-                }),
-            }
-        }
+    gate_rows(
+        &mut out,
+        tol,
+        "table5",
+        &b.table5,
+        c.table5.iter(),
+        |t| format!("{} | {} GiB", t.uarch, t.memory_gib),
+        |t| (t.accuracy(), Some(t.total_cycles())),
+    );
+    gate_rows(
+        &mut out,
+        tol,
+        "mds",
+        &b.mds,
+        c.mds.iter(),
+        |t| t.uarch.clone(),
+        |t| (t.mean_accuracy(), Some(t.total_cycles())),
+    );
+    let perf = "perf.decode_cache.hit_rate".to_string();
+    tol.check_accuracy(&mut out, perf, b.perf.hit_rate(), c.perf.hit_rate());
+    // Only gate the TLB hit rate when the baseline has one — older
+    // baselines predate the counter and parse it as 0/0.
+    if b.perf.tlb_hits + b.perf.tlb_misses > 0 {
+        let perf = "perf.tlb.hit_rate".to_string();
+        tol.check_accuracy(&mut out, perf, b.perf.tlb_hit_rate(), c.perf.tlb_hit_rate());
     }
-
-    // Gate PHT-channel rows the same way as Table 2, but only when the
-    // baseline already has the section (older baselines predate it).
-    if let Some(base_rows) = &baseline.pht_channel {
-        let cur_rows = current.pht_channel.as_deref().unwrap_or(&[]);
-        for base_row in base_rows {
-            match cur_rows.iter().find(|r| r.uarch == base_row.uarch) {
-                Some(cur_row) => check_accuracy(
-                    &mut out,
-                    tol,
-                    format!("pht_channel[{}].accuracy", base_row.uarch),
-                    base_row.accuracy,
-                    cur_row.accuracy,
-                ),
-                None => out.push(Regression {
-                    metric: format!("pht_channel[{}] missing", base_row.uarch),
-                    baseline: 1.0,
-                    current: 0.0,
-                }),
-            }
-        }
+    if let Some(base) = &b.noise_sweep {
+        out.extend(diff_noise_sweep(
+            base,
+            c.noise_sweep.as_deref().unwrap_or(&[]),
+            tol,
+        ));
     }
+    if let Some(base) = &b.pht_channel {
+        out.extend(diff_pht_channel(
+            base,
+            c.pht_channel.as_deref().unwrap_or(&[]),
+            tol,
+        ));
+    }
+    out
+}
 
+/// Gate the noise sweep's quiet-end (`value == 0`) points on accuracy.
+/// The noisy points degrade by design; the quiet baseline of each axis
+/// must not.
+pub fn diff_noise_sweep(
+    baseline: &[NoiseSweepRecord],
+    current: &[NoiseSweepRecord],
+    tol: &Tolerance,
+) -> Vec<Regression> {
+    let mut out = Vec::new();
+    gate_rows(
+        &mut out,
+        tol,
+        "noise_sweep",
+        baseline.iter().filter(|p| p.is_quiet()),
+        current.iter().filter(|p| p.is_quiet()),
+        |p| format!("{} = 0", p.axis),
+        |p| (p.accuracy, None),
+    );
+    out
+}
+
+/// Gate PHT-channel rows on per-uarch accuracy, as Table 2 is gated.
+pub fn diff_pht_channel(
+    baseline: &[PhtChannelRecord],
+    current: &[PhtChannelRecord],
+    tol: &Tolerance,
+) -> Vec<Regression> {
+    let mut out = Vec::new();
+    gate_rows(
+        &mut out,
+        tol,
+        "pht_channel",
+        baseline,
+        current.iter(),
+        |r| r.uarch.clone(),
+        |r| (r.accuracy, None),
+    );
     out
 }
 
@@ -1881,7 +1220,16 @@ mod tests {
             table1: vec![Table1Record {
                 train: "jmp*".into(),
                 victim: "non branch".into(),
-                stages: vec![("Zen".into(), "EX".into()), ("Zen 4".into(), "ID".into())],
+                stages: vec![
+                    StageCell {
+                        uarch: "Zen".into(),
+                        stage: "EX".into(),
+                    },
+                    StageCell {
+                        uarch: "Zen 4".into(),
+                        stage: "ID".into(),
+                    },
+                ],
             }],
             figure6: vec![Figure6Record {
                 uarch: "Zen 2".into(),
@@ -1973,7 +1321,11 @@ mod tests {
                 protected: false,
             }],
             overhead: OverheadRecord {
-                per_workload: vec![("arith".into(), 1000, 1010)],
+                per_workload: vec![WorkloadCycles {
+                    workload: "arith".into(),
+                    baseline_cycles: 1000,
+                    suppressed_cycles: 1010,
+                }],
                 geomean_overhead_pct: 0.69,
             },
             gadgets: GadgetRecord {
@@ -2051,6 +1403,8 @@ mod tests {
         }
         rt!(snap.meta.clone(), RunMeta);
         rt!(snap.table1[0].clone(), Table1Record);
+        rt!(snap.table1[0].stages[0].clone(), StageCell);
+        rt!(snap.figure6[0].points[0], Figure6Point);
         rt!(snap.figure6[0].clone(), Figure6Record);
         rt!(snap.figure7.clone(), Figure7Record);
         rt!(snap.table2[0].clone(), CovertRecord);
@@ -2061,9 +1415,11 @@ mod tests {
         rt!(snap.mds[0].clone(), MdsTableRecord);
         rt!(snap.mds[0].runs[0].clone(), MdsRunRecord);
         rt!(snap.o4[0].clone(), O4Record);
+        rt!(snap.o4[0].baseline, StageFlags);
         rt!(snap.o5.clone(), O5Record);
         rt!(snap.software[0].clone(), SoftwareRecord);
         rt!(snap.overhead.clone(), OverheadRecord);
+        rt!(snap.overhead.per_workload[0].clone(), WorkloadCycles);
         rt!(snap.gadgets.clone(), GadgetRecord);
         rt!(snap.perf.clone(), PerfRecord);
         rt!(
@@ -2081,8 +1437,14 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.host = Some(HostMeta {
             threads: 8,
-            wall_seconds: vec![("table1".into(), 1.25)],
-            decode_cache_wall: Some((0.8, 1.3)),
+            wall_seconds: vec![ExperimentWall {
+                experiment: "table1".into(),
+                seconds: 1.25,
+            }],
+            decode_cache_wall: Some(DecodeCacheWall {
+                enabled_seconds: 0.8,
+                disabled_seconds: 1.3,
+            }),
         });
         let back = BenchSnapshot::from_json_str(&snap.to_json_string()).expect("parses");
         assert_eq!(back, snap);
@@ -2098,8 +1460,8 @@ mod tests {
         legacy_host.set("snapshot_wall", wall);
         let mut legacy = snap.to_json();
         legacy.set("host", legacy_host);
-        let back =
-            BenchSnapshot::from_json_str(&legacy.to_pretty_string()).expect("legacy host parses");
+        let back = BenchSnapshot::from_json_str(&document(legacy).to_pretty_string())
+            .expect("legacy host parses");
         assert_eq!(back.host, Some(host));
     }
 
@@ -2108,8 +1470,17 @@ mod tests {
         for bytes in [&b""[..], &b"\x00\xff\x10"[..], &b"secret"[..]] {
             assert_eq!(hex_decode(&hex_encode(bytes)).unwrap(), bytes);
         }
-        assert!(hex_decode("abc").is_err());
-        assert!(hex_decode("zz").is_err());
+        // Malformed hex is a schema error, never a panic: odd length,
+        // non-hex digits, a sign `from_str_radix` would accept, and a
+        // multi-byte character straddling a digit pair.
+        for bad in ["abc", "zz", "+f", "a\u{e9}b"] {
+            assert!(hex_decode(bad).is_err(), "{bad:?}");
+        }
+        let run = MdsRunRecord {
+            leaked_hex: "a\u{e9}b".into(),
+            ..sample_snapshot().mds[0].runs[0].clone()
+        };
+        assert!(run.leaked().is_err());
     }
 
     #[test]
@@ -2345,5 +1716,70 @@ mod tests {
                 .all(|r| !r.metric.contains("tlb")),
             "old baseline must not flag tlb"
         );
+    }
+
+    #[test]
+    fn committed_snapshot_round_trips_byte_for_byte() {
+        // The wire format is the field lists above: parsing the
+        // committed baseline and writing it back must reproduce it.
+        let text = include_str!("../../../../BENCH_phantom.json");
+        let snap = BenchSnapshot::from_json_str(text).expect("committed baseline parses");
+        assert_eq!(snap.to_json_string(), text);
+        assert!(diff(&snap, &snap, &Tolerance::default()).is_empty());
+    }
+
+    #[test]
+    fn field_rules_shape_the_members() {
+        let mut snap = sample_snapshot();
+        // `[omit]` leaves a `None` out; a required `Option` writes null.
+        snap.host = None;
+        let v = snap.to_json();
+        assert_eq!(v.get("host"), None);
+        let run = &snap.table5[0].runs[0];
+        assert_eq!(run.to_json().get("guessed_pa"), Some(&JsonValue::Null));
+        // Members follow field order, keyed by field name.
+        let keys: Vec<String> = match snap.gadgets.to_json() {
+            JsonValue::Object(members) => members.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("record encoded as {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            ["spectre_gadgets", "mds_gadgets", "total_with_phantom"]
+        );
+        // `[lenient]` reads null as the default; a required member
+        // does not, and the error names the key.
+        let mut old = without(snap.table2[0].to_json(), &["probes", "abstentions"]);
+        old.set("probes", JsonValue::Null);
+        let covert = CovertRecord::from_json(&old).unwrap();
+        assert_eq!((covert.probes, covert.abstentions), (0, 0));
+        let err = CovertRecord::from_json(&without(snap.table2[0].to_json(), &["bits"]));
+        assert_eq!(err, Err(SchemaError("missing field \"bits\"".into())));
+        let mut bad = without(snap.table2[0].to_json(), &["accuracy"]);
+        bad.set("accuracy", JsonValue::Str("high".into()));
+        let err = CovertRecord::from_json(&bad).unwrap_err();
+        assert!(err.0.starts_with("accuracy: "), "{err}");
+    }
+
+    #[test]
+    fn section_gates_match_the_snapshot_diff() {
+        let base = sample_snapshot();
+        let mut cur = base.clone();
+        cur.noise_sweep.as_mut().unwrap()[0].accuracy = 0.5;
+        cur.pht_channel.as_mut().unwrap()[0].accuracy = 0.5;
+        let sweep = diff_noise_sweep(
+            base.noise_sweep.as_ref().unwrap(),
+            cur.noise_sweep.as_ref().unwrap(),
+            &Tolerance::default(),
+        );
+        let pht = diff_pht_channel(
+            base.pht_channel.as_ref().unwrap(),
+            cur.pht_channel.as_ref().unwrap(),
+            &Tolerance::default(),
+        );
+        let all: Vec<Regression> = sweep.into_iter().chain(pht).collect();
+        assert_eq!(all, diff(&base, &cur, &Tolerance::default()));
+        assert_eq!(all.len(), 2, "{all:?}");
+        assert_eq!(all[0].metric, "noise_sweep[spurious_evict = 0].accuracy");
+        assert_eq!(all[1].metric, "pht_channel[Zen 2].accuracy");
     }
 }

@@ -280,17 +280,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The writer
+/// emits at most five levels; the cap keeps the recursive descent from
+/// overflowing the stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Accepts exactly the subset the writer emits
-/// (all of standard JSON minus non-finite numbers).
+/// (all of standard JSON minus non-finite numbers), nested at most
+/// [`MAX_DEPTH`] deep.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with byte offset on malformed input or
-/// trailing garbage.
+/// Returns a [`ParseError`] with byte offset on malformed input,
+/// nesting deeper than [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -304,6 +311,8 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -344,8 +353,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("nesting too deep"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -477,19 +497,19 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if float {
-            text.parse::<f64>()
-                .map(JsonValue::Float)
-                .map_err(|_| self.error("bad number"))
-        } else if let Some(rest) = text.strip_prefix('-') {
-            rest.parse::<i64>()
-                .map(|n| JsonValue::Int(-n))
-                .map_err(|_| self.error("bad number"))
+        let integer = if float {
+            None
+        } else if text.starts_with('-') {
+            text.parse::<i64>().ok().map(JsonValue::Int)
         } else {
-            text.parse::<u64>()
-                .map(JsonValue::Uint)
-                .map_err(|_| self.error("bad number"))
-        }
+            text.parse::<u64>().ok().map(JsonValue::Uint)
+        };
+        // An integer beyond 64 bits is how the writer prints a large
+        // integral float (`1e20` as `100000000000000000000`), so it
+        // reads back as one.
+        integer
+            .or_else(|| text.parse::<f64>().ok().map(JsonValue::Float))
+            .ok_or_else(|| self.error("bad number"))
     }
 }
 
@@ -525,6 +545,19 @@ mod tests {
                 JsonValue::Float(g) => assert_eq!(g.to_bits(), f.to_bits()),
                 other => panic!("expected float, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn boundary_integers_and_large_floats_round_trip() {
+        for v in [JsonValue::Int(i64::MIN), JsonValue::Uint(u64::MAX)] {
+            assert_eq!(round_trip(&v), v);
+        }
+        for f in [1e20, -1e20, 1e300, f64::MAX, f64::MIN] {
+            assert_eq!(round_trip(&JsonValue::Float(f)).as_f64(), Some(f));
+        }
+        for bad in ["-", "--1", "1-", "+1"] {
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
 
@@ -594,6 +627,18 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        // Far past the cap, unterminated, in objects too.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]
