@@ -26,7 +26,8 @@ fn warm_machine() -> Machine {
 fn bench_snapshot(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath/snapshot");
     group.sample_size(20);
-    // The CoW checkpoint: per-resident-frame Arc bumps.
+    // The CoW checkpoint: one machine clone whose memory is one Arc
+    // bump per 64-frame chunk.
     group.bench_function("cow", |b| {
         let mut m = warm_machine();
         b.iter(|| black_box(m.snapshot()))

@@ -20,7 +20,7 @@ use std::io::Write;
 use phantom::attacks::{pht_channel_decoded_on, PhtChannelConfig};
 use phantom::covert::{
     execute_channel_decoded_on, fetch_channel_boot_per_trial_on, fetch_channel_decoded_on,
-    CovertConfig,
+    CovertConfig, RECEIVER_PHYS_BYTES,
 };
 use phantom::decode::DecoderConfig;
 use phantom::report::json::SCHEMA;
@@ -441,6 +441,9 @@ pub fn ab_compare(runner: &TrialRunner, bits: usize, seed: u64) -> Result<AbRepo
     let profile = UarchProfile::zen2();
     let covert = CovertConfig { bits, seed };
     let noise = NoiseModel::quiet(seed);
+    // Build the one-time boot template before either clock starts, so
+    // neither arm pays for it.
+    phantom_kernel::System::new_cached(profile.clone(), RECEIVER_PHYS_BYTES, seed)?;
 
     let t0 = std::time::Instant::now();
     let forked = fetch_channel_decoded_on(

@@ -290,3 +290,44 @@ fn deeply_nested_baseline_fails_cleanly() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// A spec whose tables would not fit in memory is a spec error (exit
+/// 2), like any other invalid field — not an allocation abort (134)
+/// when `--spec` builds its machine. The non-power-of-two case is the
+/// control that always exited 2.
+#[test]
+fn oversized_spec_tables_exit_2() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/uarch/");
+    for (file, from, to) in [
+        ("whatif.spec", "cache.l1i 64 8 64", "cache.l1i 63 8 64"),
+        (
+            "whatif.spec",
+            "cache.l1i 64 8 64",
+            "cache.l1i 64 4294967295 64",
+        ),
+        ("m1_firestorm.spec", "cbp.ways 2", "cbp.ways 4294967295"),
+    ] {
+        let text = std::fs::read_to_string(format!("{dir}{file}")).unwrap();
+        assert!(text.contains(from), "{file} has {from:?}");
+        let path = tmp(&format!("oversized-{}", to.replace(' ', "_")));
+        std::fs::write(&path, text.replace(from, to)).unwrap();
+        for args in [
+            vec!["list-uarchs", "--spec", path.to_str().unwrap()],
+            vec!["--spec", path.to_str().unwrap()],
+        ] {
+            let out = repro(&args);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{to}: {args:?}: {}",
+                stderr(&out)
+            );
+            assert!(
+                stderr(&out).contains("invalid spec field"),
+                "{to}: {}",
+                stderr(&out)
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -24,15 +24,18 @@
 //! honestly in `bits_per_sec`.
 //!
 //! Setup boots through the boot-image cache and installs a standing
-//! [`ProbeArena`] before taking the checkpoint, so trials re-arm the
-//! probe buffer in place. The fresh-boot, per-probe-mapping arm these
+//! [`ProbeArena`]; the booted instance is then sealed by move as the
+//! job's restore point ([`System::into_checkpoint`]) and each worker
+//! forks one private copy, so a job pays for two machine-sized copies
+//! (the instance and a fork) and trials re-arm the probe buffer in
+//! place. The fresh-boot, per-probe-mapping arm these
 //! replace survives only as the reference in the root `determinism`
 //! tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use phantom_kernel::System;
+use phantom_kernel::{System, SystemCheckpoint};
 use phantom_mem::VirtAddr;
 use phantom_pipeline::{Checkpoint, UarchProfile};
 use phantom_sidechannel::{NoiseModel, ProbeArena, ProbeLevel};
@@ -40,6 +43,10 @@ use phantom_sidechannel::{NoiseModel, ProbeArena, ProbeLevel};
 use crate::decode::{decode_adaptive, Decoded, DecoderConfig};
 use crate::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig, PrimitiveError};
 use crate::runner::{BootEveryFork, Scenario, ScenarioError, Trial, TrialRunner};
+
+/// Physical memory of the receiver's machine (its boot template is
+/// keyed by this size and the profile).
+pub const RECEIVER_PHYS_BYTES: u64 = 1 << 30;
 
 /// Which primitive carries the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,16 +122,32 @@ struct ChannelScenario {
 
 /// Per-worker receiver state: a booted system plus the rewind point.
 ///
-/// `setup` boots exactly one system; the runner seals it into the
-/// scenario checkpoint and every worker forks a clone. The clone
+/// `setup` boots exactly one system; the runner seals it by move into
+/// a [`ChannelSeal`] and every worker forks one private copy. The fork
 /// shares the boot-time physical frames (and the `Arc`-held rewind
-/// point) copy-on-write, so a fork costs pointer bumps — never a
+/// point) copy-on-write, so a fork costs one machine clone — never a
 /// reboot — and each trial's dirty frames stay private to its worker.
-#[derive(Clone)]
 struct ChannelState {
     sys: System,
+    /// The rewind point: the seal's machine checkpoint on a fork. The
+    /// state `setup` returns has none until its first probe seals it
+    /// lazily by clone — only a caller that probes a set-up state
+    /// directly (the [`BootEveryFork`] arm) pays that copy.
+    snap: Option<Checkpoint>,
+    geometry: ChannelGeometry,
+}
+
+/// The sealed receiver: the set-up instance itself, as a fork point.
+struct ChannelSeal {
+    sys: SystemCheckpoint,
+    geometry: ChannelGeometry,
+}
+
+/// What every fork of one receiver shares besides its machine: probe
+/// configuration, sender targets and victim sites.
+#[derive(Clone)]
+struct ChannelGeometry {
     cfg: PrimitiveConfig,
-    snap: Checkpoint,
     snap_cycles: u64,
     /// Sender target encoding a 1 (mapped) and a 0 (unmapped hole).
     t1: VirtAddr,
@@ -153,7 +176,7 @@ impl ChannelScenario {
 
 impl Scenario for ChannelScenario {
     type State = ChannelState;
-    type Checkpoint = ChannelState;
+    type Checkpoint = ChannelSeal;
     type Sample = BitSample;
     type Output = CovertResult;
 
@@ -166,9 +189,12 @@ impl Scenario for ChannelScenario {
             CovertKind::Fetch => 0xc0de,
             CovertKind::Execute => 0xe8ec,
         };
-        let mut sys =
-            System::new_cached(self.profile.clone(), 1 << 30, self.config.seed ^ boot_salt)
-                .map_err(|e| PrimitiveError(e.to_string()))?;
+        let mut sys = System::new_cached(
+            self.profile.clone(),
+            RECEIVER_PHYS_BYTES,
+            self.config.seed ^ boot_salt,
+        )
+        .map_err(|e| PrimitiveError(e.to_string()))?;
         let attacker = VirtAddr::new(0x5000_0000);
         // Standing probe mapping, installed *before* the checkpoint so
         // every trial re-arms it in place instead of re-mapping the
@@ -212,50 +238,55 @@ impl Scenario for ChannelScenario {
                 )
             }
         };
-        let snap = sys.machine_mut().checkpoint();
         let snap_cycles = sys.machine().cycles();
         Ok(ChannelState {
             sys,
-            cfg,
-            snap,
-            snap_cycles,
-            t1,
-            t0,
-            victim,
-            gadget,
+            snap: None,
+            geometry: ChannelGeometry {
+                cfg,
+                snap_cycles,
+                t1,
+                t0,
+                victim,
+                gadget,
+            },
         })
     }
 
-    fn checkpoint(&self, state: ChannelState) -> Result<ChannelState, ScenarioError> {
-        Ok(state)
+    fn checkpoint(&self, state: ChannelState) -> Result<ChannelSeal, ScenarioError> {
+        Ok(ChannelSeal {
+            sys: state.sys.into_checkpoint(),
+            geometry: state.geometry,
+        })
     }
 
-    fn fork(&self, checkpoint: &ChannelState) -> Result<ChannelState, ScenarioError> {
-        Ok(checkpoint.clone())
+    fn fork(&self, seal: &ChannelSeal) -> Result<ChannelState, ScenarioError> {
+        Ok(ChannelState {
+            sys: seal.sys.fork(),
+            snap: Some(seal.sys.checkpoint().clone()),
+            geometry: seal.geometry.clone(),
+        })
     }
 
     fn probe(&self, state: &mut ChannelState, trial: Trial) -> Result<BitSample, ScenarioError> {
         // Rewind to the post-boot checkpoint: every bit sees the same
         // receiver, regardless of which worker measures it.
-        state.snap.rewind(state.sys.machine_mut());
+        let sys = &mut state.sys;
+        let snap = state
+            .snap
+            .get_or_insert_with(|| sys.machine_mut().checkpoint());
+        snap.rewind(sys.machine_mut());
+        let g = &state.geometry;
         let mut rng = StdRng::seed_from_u64(trial.seed);
         let bit = rng.gen_bool(0.5);
-        let target = if bit { state.t1 } else { state.t0 };
+        let target = if bit { g.t1 } else { g.t0 };
         let mut noise = self.noise_proto.reseeded(trial.seed ^ self.uarch_salt());
-        let sys = &mut state.sys;
         let outcome = decode_adaptive(&self.decoder, |_| {
             let reading = match self.kind {
-                CovertKind::Fetch => {
-                    p1_probe_scored(sys, &state.cfg, state.victim, target, &mut noise)?
+                CovertKind::Fetch => p1_probe_scored(sys, &g.cfg, g.victim, target, &mut noise)?,
+                CovertKind::Execute => {
+                    p2_probe_scored(sys, &g.cfg, g.victim, g.gadget, target, &mut noise)?
                 }
-                CovertKind::Execute => p2_probe_scored(
-                    sys,
-                    &state.cfg,
-                    state.victim,
-                    state.gadget,
-                    target,
-                    &mut noise,
-                )?,
             };
             Ok::<_, ScenarioError>((reading.hit, reading.confidence))
         })?;
@@ -268,7 +299,7 @@ impl Scenario for ChannelScenario {
             abstained,
             probes: outcome.probes,
             confidence: outcome.confidence.value(),
-            cycles: state.sys.machine().cycles() - state.snap_cycles,
+            cycles: sys.machine().cycles() - g.snap_cycles,
         })
     }
 
@@ -387,8 +418,9 @@ pub fn fetch_channel_decoded_on(
 }
 
 /// [`fetch_channel_decoded_on`] through the [`BootEveryFork`] adapter:
-/// every trial re-boots and re-trains the system instead of forking the
-/// post-boot checkpoint. Decoded bits and accuracy are identical to the
+/// every trial re-boots the system (through the boot-image cache) and
+/// probes that fresh state instead of forking the post-boot
+/// checkpoint. Decoded bits and accuracy are identical to the
 /// forking path by construction — only wall-clock differs. This is the
 /// slow arm of the `repro serve --ab` comparison; never use it for
 /// production sweeps.

@@ -23,10 +23,12 @@
 //!    order**, into the experiment's output.
 //!
 //! Worlds backed by a [`Machine`](phantom_pipeline::Machine) get the
-//! fork for free: keep a
-//! [`Checkpoint`](phantom_pipeline::Checkpoint) (or clone the whole
-//! state — machine clones share physical frames copy-on-write), so a
-//! fork is O(resident-frame pointer bumps) instead of a reboot.
+//! fork for free: seal the set-up world by move
+//! ([`Machine::into_checkpoint`](phantom_pipeline::Machine::into_checkpoint),
+//! [`System::into_checkpoint`](phantom_kernel::System::into_checkpoint))
+//! and fork it per worker, so a fork is one machine clone — its
+//! physical frames shared copy-on-write, one pointer bump per 64-frame
+//! chunk — instead of a reboot.
 //! Scenarios that boot a fresh world inside every probe carry no
 //! shared state at all and use `type Checkpoint = ()`.
 //!
@@ -332,18 +334,28 @@ impl TrialRunner {
     }
 }
 
-/// Adapter that deliberately *defeats* checkpoint reuse: every fork
-/// re-runs the wrapped scenario's `setup` + `train` from scratch, as a
-/// pre-checkpoint runner would have. Samples and scores are unchanged
-/// (the contract requires `fork` to reproduce the post-train state), so
-/// the only observable difference is wall-clock — which is exactly what
-/// the boot-per-trial vs fork-per-trial A/B in `repro serve --ab`
-/// measures.
+/// Adapter that deliberately *defeats* checkpoint reuse: every trial
+/// re-runs the wrapped scenario's `setup` + `train` from scratch and
+/// probes that fresh state, as a pre-checkpoint runner would have. The
+/// wrapped scenario's `checkpoint` and `fork` are never called, so its
+/// `probe` must accept a state straight from `setup` + `train`.
+/// Samples and scores are unchanged (the contract requires `fork` to
+/// reproduce the post-train state), so the only observable difference
+/// is wall-clock — which is exactly what the boot-per-trial vs
+/// fork-per-trial A/B in `repro serve --ab` measures.
 #[derive(Debug, Clone, Copy)]
 pub struct BootEveryFork<S>(pub S);
 
+impl<S: Scenario> BootEveryFork<S> {
+    fn rebuild(&self) -> Result<S::State, ScenarioError> {
+        let mut state = self.0.setup()?;
+        self.0.train(&mut state)?;
+        Ok(state)
+    }
+}
+
 impl<S: Scenario> Scenario for BootEveryFork<S> {
-    type State = S::State;
+    type State = ();
     type Checkpoint = ();
     type Sample = S::Sample;
     type Output = S::Output;
@@ -352,28 +364,22 @@ impl<S: Scenario> Scenario for BootEveryFork<S> {
         self.0.trials()
     }
 
-    fn setup(&self) -> Result<Self::State, ScenarioError> {
-        self.0.setup()
+    /// One build up front, discarded: a world that cannot be built
+    /// fails the run before any trial.
+    fn setup(&self) -> Result<(), ScenarioError> {
+        self.rebuild().map(drop)
     }
 
-    fn train(&self, state: &mut Self::State) -> Result<(), ScenarioError> {
-        self.0.train(state)
-    }
-
-    fn checkpoint(&self, state: Self::State) -> Result<(), ScenarioError> {
-        // The trained state is discarded; forks rebuild it.
-        drop(state);
+    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
         Ok(())
     }
 
-    fn fork(&self, (): &()) -> Result<Self::State, ScenarioError> {
-        let mut state = self.0.setup()?;
-        self.0.train(&mut state)?;
-        Ok(state)
+    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
+        Ok(())
     }
 
-    fn probe(&self, state: &mut Self::State, trial: Trial) -> Result<Self::Sample, ScenarioError> {
-        self.0.probe(state, trial)
+    fn probe(&self, (): &mut (), trial: Trial) -> Result<Self::Sample, ScenarioError> {
+        self.0.probe(&mut self.rebuild()?, trial)
     }
 
     fn score(&self, samples: Vec<Self::Sample>) -> Self::Output {
@@ -608,6 +614,79 @@ mod tests {
                 "{threads} workers: one fork per worker plus one retry"
             );
             assert_eq!(runner.trial_retries(), 1, "{threads} workers");
+        }
+    }
+
+    /// Counts `setup`, `checkpoint` and `fork` calls; every trial
+    /// checks it probes a freshly built state.
+    #[derive(Default)]
+    struct Counting {
+        setups: AtomicUsize,
+        checkpoints: AtomicUsize,
+        forks: AtomicUsize,
+    }
+
+    impl Scenario for Counting {
+        type State = u64;
+        type Checkpoint = u64;
+        type Sample = usize;
+        type Output = Vec<usize>;
+
+        fn trials(&self) -> usize {
+            9
+        }
+
+        fn setup(&self) -> Result<u64, ScenarioError> {
+            self.setups.fetch_add(1, Ordering::SeqCst);
+            Ok(0)
+        }
+
+        fn train(&self, state: &mut u64) -> Result<(), ScenarioError> {
+            *state += 7;
+            Ok(())
+        }
+
+        fn checkpoint(&self, state: u64) -> Result<u64, ScenarioError> {
+            self.checkpoints.fetch_add(1, Ordering::SeqCst);
+            Ok(state)
+        }
+
+        fn fork(&self, checkpoint: &u64) -> Result<u64, ScenarioError> {
+            self.forks.fetch_add(1, Ordering::SeqCst);
+            Ok(*checkpoint)
+        }
+
+        fn probe(&self, state: &mut u64, trial: Trial) -> Result<usize, ScenarioError> {
+            assert_eq!(
+                *state, 7,
+                "trial {} sees a fresh trained state",
+                trial.index
+            );
+            *state += 1;
+            Ok(trial.index)
+        }
+
+        fn score(&self, samples: Vec<usize>) -> Vec<usize> {
+            samples
+        }
+    }
+
+    #[test]
+    fn boot_every_fork_rebuilds_before_every_trial() {
+        for threads in [1, 4] {
+            let scenario = BootEveryFork(Counting::default());
+            let out = TrialRunner::with_threads(threads)
+                .run(&scenario, 0)
+                .unwrap();
+            assert_eq!(out, (0..9).collect::<Vec<_>>(), "{threads} workers");
+            let inner = &scenario.0;
+            assert_eq!(
+                inner.setups.load(Ordering::SeqCst),
+                9 + 1,
+                "{threads} workers: one build per trial plus the up-front one"
+            );
+            assert_eq!(inner.checkpoints.load(Ordering::SeqCst), 0);
+            assert_eq!(inner.forks.load(Ordering::SeqCst), 0);
         }
     }
 

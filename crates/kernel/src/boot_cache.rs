@@ -11,9 +11,10 @@
 //!
 //! 1. clone the template machine: physical frames and the page-table
 //!    maps stay `Arc`-shared (copy-on-write) with the template, so
-//!    what is copied is the frame map (one `Arc` per resident frame,
-//!    the largest term), each cache's flat line and PLRU arrays, the
-//!    TLB and the predictors — no per-set allocation and no
+//!    what is copied is the frame map (one `Arc` per 64-frame chunk,
+//!    about 17 for a 1 GiB machine, plus the dirty-frame journal),
+//!    each cache's flat line and PLRU arrays, the TLB and the
+//!    predictors — no per-set allocation, no per-frame work and no
 //!    page-table entry;
 //! 2. rebase the image's 4 KiB and the physmap's 2 MiB page-table
 //!    entries from the canonical bases to the seed's randomized bases

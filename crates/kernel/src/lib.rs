@@ -41,7 +41,7 @@ pub use boot_cache::{BootCache, BootTemplate};
 pub use image::KernelImage;
 pub use layout::KaslrLayout;
 pub use module::KernelModule;
-pub use system::{System, SystemError};
+pub use system::{System, SystemCheckpoint, SystemError};
 
 /// Syscall numbers (Linux x86-64 values where they exist).
 pub mod sysno {

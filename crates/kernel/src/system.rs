@@ -7,7 +7,7 @@ use phantom_bpu::MsrState;
 use phantom_isa::asm::Assembler;
 use phantom_isa::{BranchKind, Inst, Reg};
 use phantom_mem::{PageFlags, PrivilegeLevel, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
-use phantom_pipeline::{Machine, TransientReport, UarchProfile};
+use phantom_pipeline::{Checkpoint, Machine, TransientReport, UarchProfile};
 
 use crate::image::KernelImage;
 use crate::layout::KaslrLayout;
@@ -291,6 +291,22 @@ impl System {
         self.boot_seed
     }
 
+    /// Seal this system as a fork point. The machine moves into the
+    /// checkpoint (see [`Machine::into_checkpoint`]), so sealing copies
+    /// nothing; [`SystemCheckpoint::fork`] then pays one machine clone
+    /// per private copy.
+    pub fn into_checkpoint(self) -> SystemCheckpoint {
+        SystemCheckpoint {
+            machine: self.machine.into_checkpoint(),
+            layout: self.layout,
+            image: self.image,
+            module: self.module,
+            secret: self.secret,
+            boot_seed: self.boot_seed,
+            kpti: self.kpti,
+        }
+    }
+
     // ----- user-space operations ----------------------------------------
 
     /// Invoke a syscall from the user stub with up to three arguments.
@@ -458,10 +474,71 @@ impl System {
     }
 }
 
+/// A booted system sealed by [`System::into_checkpoint`]: the machine
+/// [`Checkpoint`] plus the ground truth a fork needs.
+///
+/// A campaign job stamps its system out of a boot template, seals that
+/// instance here and forks one system per worker, so the job pays for
+/// two machine-sized copies (the instance and each fork) and the
+/// restore point is the instance itself.
+#[derive(Debug, Clone)]
+pub struct SystemCheckpoint {
+    machine: Checkpoint,
+    layout: KaslrLayout,
+    image: KernelImage,
+    module: KernelModule,
+    secret: Vec<u8>,
+    boot_seed: u64,
+    kpti: bool,
+}
+
+impl SystemCheckpoint {
+    /// A private system whose state equals the sealed one: one machine
+    /// clone ([`Checkpoint::fork`]) plus the ground-truth fields.
+    pub fn fork(&self) -> System {
+        System {
+            machine: self.machine.fork(),
+            layout: self.layout,
+            image: self.image,
+            module: self.module,
+            secret: self.secret.clone(),
+            boot_seed: self.boot_seed,
+            kpti: self.kpti,
+        }
+    }
+
+    /// The machine checkpoint, for rewinding a fork between trials.
+    pub fn checkpoint(&self) -> &Checkpoint {
+        &self.machine
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::FAKE_PID;
+
+    #[test]
+    fn a_sealed_system_forks_and_rewinds_like_its_clone() {
+        let mut sys = System::new_cached(UarchProfile::zen2(), 1 << 30, 7).unwrap();
+        sys.getpid().unwrap();
+        let mut clone = sys.clone();
+        let sealed = sys.into_checkpoint();
+        let mut fork = sealed.fork();
+        assert_eq!(fork.layout(), clone.layout());
+        assert_eq!(fork.image(), clone.image());
+        assert_eq!(fork.secret(), clone.secret());
+        assert_eq!(fork.boot_seed(), 7);
+        assert_eq!(fork.kpti(), clone.kpti());
+        let before = fork.machine().cycles();
+        for sys in [&mut fork, &mut clone] {
+            sys.readv(3, 0xdead_beef).unwrap();
+        }
+        assert_eq!(fork.machine().cycles(), clone.machine().cycles());
+        assert_eq!(fork.machine().reg(Reg::R12), clone.machine().reg(Reg::R12));
+        sealed.checkpoint().rewind(fork.machine_mut());
+        assert_eq!(fork.machine().cycles(), before);
+    }
 
     fn boot(seed: u64) -> System {
         System::new(UarchProfile::zen2(), 1 << 30, seed).expect("boot")

@@ -15,7 +15,7 @@
 //! no output depends on iteration order. Every iteration over these
 //! maps is order-free:
 //!
-//! * `PhysMemory::frames`: `all` (a debug assertion), `any`, `count`,
+//! * `PhysMemory::chunks`: `all` (a debug assertion), `any`, `count`,
 //!   and a filtered collect that is sorted before use;
 //! * `Btb::buckets`: a `sum` of bucket lengths;
 //! * the decode cache's entry and code-frame maps and the wrong path's

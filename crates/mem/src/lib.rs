@@ -44,4 +44,6 @@ pub use phys::PhysMemory;
 pub use tlb::{Tlb, TlbEntry};
 
 #[cfg(test)]
+mod flat_model;
+#[cfg(test)]
 mod proptests;

@@ -1,6 +1,11 @@
 //! Sparse physical memory with frame allocation and copy-on-write
 //! checkpointing.
 //!
+//! Resident frames live in `Arc`-shared chunks of 64, so cloning a
+//! memory (a checkpoint, a fork) costs one pointer bump per chunk. The
+//! flat one-entry-per-frame store the chunks replaced is kept only as
+//! a `#[cfg(test)]` oracle (`flat_model.rs`) under a proptest.
+//!
 //! Rewinds always walk a dirty-frame journal (O(frames written since
 //! the checkpoint)) and always recycle retired frames through a
 //! bounded pool. The full-scan rewind the journal replaced is kept only
@@ -30,7 +35,7 @@ impl std::error::Error for OutOfFrames {}
 /// One all-zero frame shared by every memory: restore points absent
 /// frames here instead of deallocating, so earlier checkpoints that
 /// still reference the frame number stay restorable.
-fn zero_frame() -> Arc<[u8; PAGE_SIZE as usize]> {
+pub(crate) fn zero_frame() -> Arc<[u8; PAGE_SIZE as usize]> {
     static ZERO: OnceLock<Arc<[u8; PAGE_SIZE as usize]>> = OnceLock::new();
     Arc::clone(ZERO.get_or_init(|| Arc::new([0; PAGE_SIZE as usize])))
 }
@@ -38,10 +43,20 @@ fn zero_frame() -> Arc<[u8; PAGE_SIZE as usize]> {
 /// A resident frame: reference-counted contents plus the write epoch
 /// that last touched it (see [`PhysMemory::snapshot`]).
 #[derive(Debug, Clone)]
-struct Frame {
-    data: Arc<[u8; PAGE_SIZE as usize]>,
-    epoch: u64,
+pub(crate) struct Frame {
+    pub(crate) data: Arc<[u8; PAGE_SIZE as usize]>,
+    pub(crate) epoch: u64,
 }
+
+/// Frames per chunk: the unit a clone shares and the first write to a
+/// shared chunk copies.
+const CHUNK_FRAMES: u64 = 64;
+
+/// One chunk of the frame store: slot `page % CHUNK_FRAMES` of chunk
+/// `page / CHUNK_FRAMES` holds that page's frame, if materialized.
+type Chunk = [Option<Frame>; CHUNK_FRAMES as usize];
+
+const EMPTY_SLOT: Option<Frame> = None;
 
 /// Upper bound on pooled retired frames. A trial dirties a few dozen
 /// frames; the bound only exists so a pathological workload cannot pin
@@ -57,13 +72,13 @@ const FRAME_POOL_CAP: usize = 4096;
 /// (and no weak references), so a pooled buffer can never alias a live
 /// frame; `take` transfers that exclusive ownership to the caller.
 #[derive(Debug, Default)]
-struct FramePool {
+pub(crate) struct FramePool {
     free: Vec<Arc<[u8; PAGE_SIZE as usize]>>,
 }
 
 impl FramePool {
     /// Retire a frame buffer into the pool if nothing else can see it.
-    fn put(&mut self, buf: Arc<[u8; PAGE_SIZE as usize]>) {
+    pub(crate) fn put(&mut self, buf: Arc<[u8; PAGE_SIZE as usize]>) {
         if self.free.len() < FRAME_POOL_CAP
             && Arc::strong_count(&buf) == 1
             && Arc::weak_count(&buf) == 0
@@ -72,12 +87,12 @@ impl FramePool {
         }
     }
 
-    fn take(&mut self) -> Option<Arc<[u8; PAGE_SIZE as usize]>> {
+    pub(crate) fn take(&mut self) -> Option<Arc<[u8; PAGE_SIZE as usize]>> {
         self.free.pop()
     }
 
     #[cfg(test)]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.free.len()
     }
 
@@ -89,6 +104,11 @@ impl FramePool {
 
 #[cfg(test)]
 impl PhysMemory {
+    /// Retired buffers currently pooled.
+    pub(crate) fn pool_len(&self) -> usize {
+        self.pool.len()
+    }
+
     /// Test-only invariant check: every pooled buffer is exclusively
     /// owned and is not the backing store of any live frame.
     pub(crate) fn pool_is_alias_free(&self) -> bool {
@@ -96,9 +116,8 @@ impl PhysMemory {
             Arc::strong_count(buf) == 1
                 && Arc::weak_count(buf) == 0
                 && !self
-                    .frames
-                    .values()
-                    .any(|frame| Arc::ptr_eq(&frame.data, buf))
+                    .frames()
+                    .any(|(_, frame)| Arc::ptr_eq(&frame.data, buf))
         })
     }
 }
@@ -117,10 +136,13 @@ impl Clone for FramePool {
 /// Frames are 4 KiB and materialized lazily so "64 GiB" machines (Table 5
 /// runs with 8 GiB and 64 GiB parts) cost only what is touched.
 ///
-/// Frames are backed by `Arc`s and copy-on-write: [`Clone`] and
-/// [`snapshot`](PhysMemory::snapshot) share every frame with the copy
-/// (O(resident frames) pointer bumps), the first write to a shared
-/// frame pays one 4 KiB copy, and
+/// Frames are backed by `Arc`s and copy-on-write, and grouped into
+/// `Arc`-shared chunks of 64: [`Clone`] and
+/// [`snapshot`](PhysMemory::snapshot) share every chunk with the copy
+/// (O(chunks) pointer bumps — about 17 for a booted 1 GiB machine —
+/// not O(resident frames)). The first write to a chunk still shared
+/// with a copy copies that chunk's 64 slots (pointer bumps); the first
+/// write to a shared frame then pays one 4 KiB copy, and
 /// [`restore_from`](PhysMemory::restore_from) copies back only the
 /// frames written since the checkpoint.
 ///
@@ -142,7 +164,10 @@ impl Clone for FramePool {
 #[derive(Debug, Clone, Default)]
 pub struct PhysMemory {
     capacity: u64,
-    frames: IntMap<u64, Frame>,
+    /// Resident frames by chunk number (`page / CHUNK_FRAMES`).
+    chunks: IntMap<u64, Arc<Chunk>>,
+    /// Materialized frames across all chunks.
+    resident: usize,
     next_free: u64,
     /// Frames skipped by `alloc_huge` alignment, handed back out by
     /// `alloc_frame` once the bump region is exhausted.
@@ -180,7 +205,28 @@ impl PhysMemory {
 
     /// Number of frames that have been materialized.
     pub fn resident_frames(&self) -> usize {
-        self.frames.len()
+        self.resident
+    }
+
+    /// The resident frame of `page`, if materialized.
+    fn frame(&self, page: u64) -> Option<&Frame> {
+        self.chunks.get(&(page / CHUNK_FRAMES))?[(page % CHUNK_FRAMES) as usize].as_ref()
+    }
+
+    /// Every resident frame with its page number, in no fixed order.
+    fn frames(&self) -> impl Iterator<Item = (u64, &Frame)> {
+        self.chunks.iter().flat_map(|(&chunk, slots)| {
+            slots.iter().enumerate().filter_map(move |(slot, frame)| {
+                Some((chunk * CHUNK_FRAMES + slot as u64, frame.as_ref()?))
+            })
+        })
+    }
+
+    /// Drop the pooled retired frames. A memory sealed as a read-only
+    /// checkpoint never faults again, so its pool would only pin
+    /// buffers (clones start with an empty pool anyway).
+    pub fn clear_frame_pool(&mut self) {
+        self.pool = FramePool::default();
     }
 
     /// Allocate the next free frame (bump allocator, falling back to
@@ -247,8 +293,9 @@ impl PhysMemory {
     }
 
     /// Take a copy-on-write checkpoint: the returned memory shares every
-    /// frame with `self` (pointer bumps only), and the epoch bump makes
-    /// later writes to `self` detectable by [`restore_from`].
+    /// chunk with `self` (one pointer bump per chunk), and the epoch
+    /// bump makes later writes to `self` detectable by
+    /// [`restore_from`].
     ///
     /// [`restore_from`]: PhysMemory::restore_from
     pub fn snapshot(&mut self) -> PhysMemory {
@@ -286,7 +333,7 @@ impl PhysMemory {
     /// list; the rewind proptests compare it with the full scan's.
     pub fn restore_from(&mut self, snap: &PhysMemory) -> Vec<u64> {
         debug_assert!(
-            snap.frames.keys().all(|k| self.frames.contains_key(k)),
+            snap.frames().all(|(page, _)| self.frame(page).is_some()),
             "restore_from: snapshot is not from this memory's timeline"
         );
         // Journal epochs are non-decreasing, so everything written
@@ -316,10 +363,9 @@ impl PhysMemory {
     /// scan of the frame map.
     fn scan_dirty(&self, snap: &PhysMemory) -> Vec<u64> {
         let mut dirty: Vec<u64> = self
-            .frames
-            .iter()
+            .frames()
             .filter(|(_, f)| f.epoch > snap.epoch)
-            .map(|(p, _)| *p)
+            .map(|(p, _)| p)
             .collect();
         dirty.sort_unstable();
         dirty
@@ -340,14 +386,21 @@ impl PhysMemory {
         let epoch = self.epoch;
         let mut copied = Vec::with_capacity(dirty.len());
         for page in dirty {
-            let frame = self
-                .frames
-                .get_mut(&page)
+            let chunk = self
+                .chunks
+                .get_mut(&(page / CHUNK_FRAMES))
                 .expect("dirty frames are resident");
-            if frame.epoch <= snap.epoch {
+            let slot = (page % CHUNK_FRAMES) as usize;
+            let stamped = chunk[slot].as_ref().map(|f| f.epoch);
+            if stamped.expect("dirty frames are resident") <= snap.epoch {
                 continue; // journal entry superseded by an older restore
             }
-            let fresh = match snap.frames.get(&page) {
+            // Checked before `make_mut`, so a superseded entry never
+            // copies a chunk still shared with a checkpoint.
+            let frame = Arc::make_mut(chunk)[slot]
+                .as_mut()
+                .expect("dirty frames are resident");
+            let fresh = match snap.frame(page) {
                 Some(original) => Arc::clone(&original.data),
                 None => zero_frame(),
             };
@@ -392,28 +445,42 @@ impl PhysMemory {
     }
 
     /// Resident frames currently sharing contents with a checkpoint (or
-    /// the global zero frame) instead of owning a private copy.
+    /// the global zero frame) instead of owning a private copy: a frame
+    /// counts when its chunk is shared (the copy reaches the frame
+    /// through the same chunk) or its contents are.
     pub fn cow_frames_shared(&self) -> u64 {
-        self.frames
+        self.chunks
             .values()
-            .filter(|f| Arc::strong_count(&f.data) > 1)
-            .count() as u64
+            .map(|chunk| {
+                let chunk_shared = Arc::strong_count(chunk) > 1;
+                chunk
+                    .iter()
+                    .flatten()
+                    .filter(|f| chunk_shared || Arc::strong_count(&f.data) > 1)
+                    .count() as u64
+            })
+            .sum()
     }
 
     fn frame_mut(&mut self, pa: PhysAddr) -> &mut [u8; PAGE_SIZE as usize] {
-        use std::collections::hash_map::Entry;
         let epoch = self.epoch;
         let page = pa.page_number();
-        let frame = match self.frames.entry(page) {
-            Entry::Occupied(e) => {
-                let frame = e.into_mut();
+        // A chunk still shared with a copy is copied here (64 slot
+        // clones); its frames' contents stay shared until written.
+        let chunk = Arc::make_mut(
+            self.chunks
+                .entry(page / CHUNK_FRAMES)
+                .or_insert_with(|| Arc::new([EMPTY_SLOT; CHUNK_FRAMES as usize])),
+        );
+        let frame = match &mut chunk[(page % CHUNK_FRAMES) as usize] {
+            Some(frame) => {
                 if frame.epoch != epoch {
                     frame.epoch = epoch;
                     self.journal.push((epoch, page));
                 }
                 frame
             }
-            Entry::Vacant(e) => {
+            empty @ None => {
                 let data = match self.pool.take() {
                     Some(mut buf) => {
                         self.frame_pool_reuses += 1;
@@ -425,7 +492,8 @@ impl PhysMemory {
                     None => Arc::new([0; PAGE_SIZE as usize]),
                 };
                 self.journal.push((epoch, page));
-                e.insert(Frame { data, epoch })
+                self.resident += 1;
+                empty.insert(Frame { data, epoch })
             }
         };
         if Arc::strong_count(&frame.data) > 1 || Arc::weak_count(&frame.data) > 0 {
@@ -447,8 +515,7 @@ impl PhysMemory {
 
     /// Read one byte. Unmaterialized memory reads as zero.
     pub fn read_u8(&self, pa: PhysAddr) -> u8 {
-        self.frames
-            .get(&pa.page_number())
+        self.frame(pa.page_number())
             .map_or(0, |f| f.data[pa.page_offset() as usize])
     }
 
@@ -477,11 +544,11 @@ impl PhysMemory {
         u64::from_le_bytes(bytes)
     }
 
-    /// Write a little-endian u64 (may straddle frames).
+    /// Write a little-endian u64 (may straddle frames). One frame
+    /// lookup when the 8 bytes sit in one frame; the flat-store oracle
+    /// keeps the byte-at-a-time write it is checked against.
     pub fn write_u64(&mut self, pa: PhysAddr, value: u64) {
-        for (i, b) in value.to_le_bytes().iter().enumerate() {
-            self.write_u8(pa + i as u64, *b);
-        }
+        self.write_bytes(pa, &value.to_le_bytes());
     }
 
     /// Copy `data` into memory starting at `pa`.
@@ -505,7 +572,7 @@ impl PhysMemory {
             let addr = pa + out.len() as u64;
             let in_frame = (PAGE_SIZE - addr.page_offset()) as usize;
             let chunk = in_frame.min(len - out.len());
-            match self.frames.get(&addr.page_number()) {
+            match self.frame(addr.page_number()) {
                 Some(frame) => {
                     let start = addr.page_offset() as usize;
                     out.extend_from_slice(&frame.data[start..start + chunk]);
@@ -526,7 +593,7 @@ impl PhysMemory {
             let start = addr.page_offset() as usize;
             let chunk = (PAGE_SIZE as usize - start).min(buf.len() - off);
             let dst = &mut buf[off..off + chunk];
-            match self.frames.get(&addr.page_number()) {
+            match self.frame(addr.page_number()) {
                 Some(frame) => dst.copy_from_slice(&frame.data[start..start + chunk]),
                 None => dst.fill(0),
             }
@@ -780,6 +847,38 @@ mod tests {
             assert_eq!(Arc::strong_count(buf), 1);
             assert_eq!(Arc::weak_count(buf), 0);
         }
+    }
+
+    #[test]
+    fn clones_share_chunks_and_a_write_copies_only_its_chunk() {
+        let mut m = PhysMemory::new(1 << 24);
+        // 200 frames over four chunks (64 frames each).
+        for i in 0..200 {
+            m.write_u8(PhysAddr::new(i * PAGE_SIZE), 1);
+        }
+        assert_eq!(m.chunks.len(), 4);
+        let mut copy = m.clone();
+        let shared = |a: &PhysMemory, b: &PhysMemory| {
+            let mut n = 0;
+            for (k, chunk) in &a.chunks {
+                n += usize::from(Arc::ptr_eq(chunk, &b.chunks[k]));
+            }
+            n
+        };
+        assert_eq!(shared(&m, &copy), 4, "a clone shares every chunk");
+        assert_eq!(copy.cow_frames_shared(), 200);
+        copy.write_u8(PhysAddr::new(70 * PAGE_SIZE), 2);
+        assert_eq!(shared(&m, &copy), 3, "the write copied one chunk");
+        assert_eq!(copy.cow_faults(), 1, "and one frame");
+        assert_eq!(copy.cow_frames_shared(), 199);
+        assert_eq!(m.cow_frames_shared(), 199);
+        assert_eq!(m.read_u8(PhysAddr::new(70 * PAGE_SIZE)), 1);
+        drop(copy);
+        assert_eq!(
+            m.cow_frames_shared(),
+            0,
+            "nothing shared once the copy is gone"
+        );
     }
 
     #[test]

@@ -563,3 +563,172 @@ proptest! {
         }
     }
 }
+
+// ----- the chunked frame store against the flat one -------------------
+
+/// One step of the chunked-vs-flat model check. Addresses span four
+/// 64-frame chunks, so writes land in shared and private chunks alike.
+#[derive(Debug, Clone)]
+enum PhysOp {
+    AllocFrame,
+    AllocContiguous(u64),
+    AllocHuge,
+    WriteU8(u64, u8),
+    WriteU64(u64, u64),
+    /// `(address, length, fill byte)`: may straddle frames and chunks.
+    WriteBytes(u64, usize, u8),
+    Read(u64, usize),
+    /// Take a checkpoint of the live memory.
+    Snapshot,
+    /// Keep a plain clone of the live memory (shares every chunk).
+    Clone,
+    /// Write through kept clone `i % clones.len()`.
+    CloneWrite(usize, u64, u8),
+    /// Drop kept clone `i % clones.len()`.
+    DropClone(usize),
+    BeginEpoch,
+    /// Rewind to checkpoint `i % snapshots.len()` (no-op when none).
+    Restore(usize),
+}
+
+/// Addresses over four chunks (64 frames × 4 KiB each).
+const PHYS_SPAN: u64 = 4 * 64 * PAGE_SIZE;
+
+fn arb_phys_ops() -> impl Strategy<Value = Vec<PhysOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            Just(PhysOp::AllocFrame),
+            (1u64..40).prop_map(PhysOp::AllocContiguous),
+            Just(PhysOp::AllocHuge),
+            (0..PHYS_SPAN, any::<u8>()).prop_map(|(a, v)| PhysOp::WriteU8(a, v)),
+            (0..PHYS_SPAN, any::<u8>()).prop_map(|(a, v)| PhysOp::WriteU8(a, v)),
+            (0..PHYS_SPAN - 8, any::<u64>()).prop_map(|(a, v)| PhysOp::WriteU64(a, v)),
+            (0..PHYS_SPAN - 9000, 1usize..9000, any::<u8>())
+                .prop_map(|(a, n, v)| PhysOp::WriteBytes(a, n, v)),
+            (0..PHYS_SPAN - 5000, 1usize..5000).prop_map(|(a, n)| PhysOp::Read(a, n)),
+            Just(PhysOp::Snapshot),
+            Just(PhysOp::Clone),
+            (any::<usize>(), 0..PHYS_SPAN, any::<u8>())
+                .prop_map(|(i, a, v)| PhysOp::CloneWrite(i, a, v)),
+            any::<usize>().prop_map(PhysOp::DropClone),
+            Just(PhysOp::BeginEpoch),
+            any::<usize>().prop_map(PhysOp::Restore),
+            any::<usize>().prop_map(PhysOp::Restore),
+        ],
+        1..80,
+    )
+}
+
+/// Every observable counter of a memory, in one comparable tuple:
+/// the six counters (the five public ones plus the pool length) and
+/// `resident_frames`.
+macro_rules! phys_counters {
+    ($m:expr) => {
+        (
+            $m.cow_faults(),
+            $m.restore_frames_copied(),
+            $m.rewind_journal_frames(),
+            $m.frame_pool_reuses(),
+            $m.cow_frames_shared(),
+            $m.pool_len(),
+            $m.resident_frames(),
+        )
+    };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The chunked frame store is the flat one it replaced: over any
+    /// sequence of allocations, writes, reads, checkpoints, clones
+    /// (kept alive and written through), epochs and interleaved
+    /// restores, both layouts read back the same bytes, report the
+    /// same counters after every step (including `cow_frames_shared`
+    /// while chunks are shared) and rewind the same page lists.
+    #[test]
+    fn chunked_frames_match_the_flat_store(
+        ops in arb_phys_ops(),
+        probes in proptest::collection::vec(0..PHYS_SPAN, 1..30),
+    ) {
+        use crate::flat_model::FlatPhysMemory;
+        const CAPACITY: u64 = 1 << 24;
+        let mut live = PhysMemory::new(CAPACITY);
+        let mut flat = FlatPhysMemory::new(CAPACITY);
+        let mut snaps: Vec<(PhysMemory, FlatPhysMemory)> = Vec::new();
+        let mut clones: Vec<(PhysMemory, FlatPhysMemory)> = Vec::new();
+        for op in ops {
+            match op {
+                PhysOp::AllocFrame => prop_assert_eq!(live.alloc_frame(), flat.alloc_frame()),
+                PhysOp::AllocContiguous(n) => {
+                    prop_assert_eq!(live.alloc_contiguous(n), flat.alloc_contiguous(n));
+                }
+                PhysOp::AllocHuge => prop_assert_eq!(live.alloc_huge(), flat.alloc_huge()),
+                PhysOp::WriteU8(a, v) => {
+                    live.write_u8(PhysAddr::new(a), v);
+                    flat.write_u8(PhysAddr::new(a), v);
+                }
+                PhysOp::WriteU64(a, v) => {
+                    live.write_u64(PhysAddr::new(a), v);
+                    flat.write_u64(PhysAddr::new(a), v);
+                }
+                PhysOp::WriteBytes(a, n, v) => {
+                    live.write_bytes(PhysAddr::new(a), &vec![v; n]);
+                    flat.write_bytes(PhysAddr::new(a), &vec![v; n]);
+                }
+                PhysOp::Read(a, n) => {
+                    let got = live.read_bytes(PhysAddr::new(a), n);
+                    prop_assert_eq!(&got, &flat.read_bytes(PhysAddr::new(a), n));
+                    let mut buf = vec![0xa5; n];
+                    live.read_into(PhysAddr::new(a), &mut buf);
+                    prop_assert_eq!(buf, got);
+                }
+                PhysOp::Snapshot => snaps.push((live.snapshot(), flat.snapshot())),
+                PhysOp::Clone => clones.push((live.clone(), flat.clone())),
+                PhysOp::CloneWrite(i, a, v) => {
+                    if !clones.is_empty() {
+                        let n = clones.len();
+                        let (c, f) = &mut clones[i % n];
+                        c.write_u8(PhysAddr::new(a), v);
+                        f.write_u8(PhysAddr::new(a), v);
+                        prop_assert_eq!(phys_counters!(c), phys_counters!(f));
+                    }
+                }
+                PhysOp::DropClone(i) => {
+                    if !clones.is_empty() {
+                        let n = clones.len();
+                        clones.remove(i % n);
+                    }
+                }
+                PhysOp::BeginEpoch => {
+                    live.begin_epoch();
+                    flat.begin_epoch();
+                }
+                PhysOp::Restore(i) => {
+                    if !snaps.is_empty() {
+                        let (s, f) = &snaps[i % snaps.len()];
+                        prop_assert_eq!(live.restore_from(s), flat.restore_from(f));
+                    }
+                }
+            }
+            prop_assert_eq!(phys_counters!(live), phys_counters!(flat));
+        }
+        for a in probes {
+            prop_assert_eq!(
+                live.read_u64(PhysAddr::new(a)).to_le_bytes().to_vec(),
+                flat.read_bytes(PhysAddr::new(a), 8)
+            );
+        }
+        for ((s, f), a) in snaps.iter().zip(0..) {
+            prop_assert_eq!(phys_counters!(s), phys_counters!(f), "snapshot {}", a);
+            for a in (0..PHYS_SPAN).step_by(4093) {
+                prop_assert_eq!(s.read_u8(PhysAddr::new(a)), f.read_u8(PhysAddr::new(a)));
+            }
+        }
+        for (c, f) in &clones {
+            prop_assert_eq!(phys_counters!(c), phys_counters!(f));
+            for a in (0..PHYS_SPAN).step_by(4093) {
+                prop_assert_eq!(c.read_u8(PhysAddr::new(a)), f.read_u8(PhysAddr::new(a)));
+            }
+        }
+    }
+}

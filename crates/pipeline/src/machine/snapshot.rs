@@ -9,24 +9,27 @@
 //! retraining it from scratch.
 //!
 //! Checkpoint and rewind are O(dirty state), not O(machine):
-//! [`phantom_mem::PhysMemory`] frames are `Arc`-shared copy-on-write,
-//! so `snapshot` is a per-resident-frame pointer bump and `restore`
-//! copies back only frames written since the checkpoint (see
-//! [`phantom_mem::PhysMemory::restore_from`]). The page-table maps and
-//! the decoded-line cache are `Arc`-backed too, so the big cold
-//! structures are shared rather than deep-copied.
+//! [`phantom_mem::PhysMemory`] frames are `Arc`-shared copy-on-write
+//! in chunks of 64, so the memory part of a snapshot is one pointer
+//! bump per chunk, and `restore` copies back only frames written since
+//! the checkpoint (see [`phantom_mem::PhysMemory::restore_from`]). The
+//! page-table maps and the decoded-line cache are `Arc`-backed too, so
+//! the big cold structures are shared rather than deep-copied.
 //!
 //! What a whole-machine clone (a snapshot, a fork, a boot-template
-//! instance) does copy: the frame map (one `Arc` per resident frame,
-//! the largest term), each set-associative cache as one flat line
-//! array plus one PLRU word and one dirty flag per set (L1I, L1D, L2
-//! and the µop cache: a few allocations and memcpys each, however
-//! many sets), the TLB, the predictor tables, the PMU and the
-//! architectural registers.
+//! instance) does copy: the frame map (one `Arc` per 64-frame chunk
+//! plus the dirty-frame journal), each set-associative cache as one
+//! flat line array plus one PLRU word and one dirty flag per set (L1I,
+//! L1D, L2 and the µop cache: a few allocations and memcpys each,
+//! however many sets), the TLB, the predictor tables, the PMU and the
+//! architectural registers. [`Machine::snapshot`] copies memory once;
+//! [`Machine::into_checkpoint`] copies nothing — it seals the machine
+//! itself.
 
 use std::sync::Arc;
 
 use super::Machine;
+use crate::events::EventBus;
 
 /// An immutable checkpoint of a [`Machine`].
 ///
@@ -51,16 +54,22 @@ impl Machine {
         // cloning, so the clone (the snapshot) carries the same epoch
         // token and `restore` can copy back only sets the live machine
         // dirtied since this point.
+        self.begin_restore_epochs();
+        // Memory is copied once: take it out for the machine clone,
+        // then give the copy `PhysMemory::snapshot`'s pre-epoch-bump
+        // frame set and the live machine its post-bump memory back.
+        let live = std::mem::take(&mut self.phys);
+        let mut inner = Box::new(self.clone());
+        self.phys = live;
+        inner.phys = self.phys.snapshot();
+        MachineSnapshot { inner }
+    }
+
+    /// Open restore epochs on the caches, µop cache and predictors.
+    fn begin_restore_epochs(&mut self) {
         self.caches.begin_epoch();
         self.uop_cache.begin_epoch();
         self.bpu.begin_epoch();
-        // `PhysMemory::snapshot` returns the pre-epoch-bump frame set;
-        // the machine clone below carries the post-bump live memory, so
-        // swap the snapshot's copy in.
-        let phys = self.phys.snapshot();
-        let mut inner = Box::new(self.clone());
-        inner.phys = phys;
-        MachineSnapshot { inner }
     }
 
     /// Rewind to `snapshot`. Sinks currently attached to `self` stay
@@ -104,11 +113,21 @@ impl Machine {
     }
 
     /// Seal the machine into a thread-shareable [`Checkpoint`] and
-    /// consume it. Equivalent to [`Machine::snapshot`] followed by
-    /// [`Checkpoint::new`], but makes the intended lifecycle — boot
-    /// once, fork per worker — read directly at the call site.
+    /// consume it: the machine itself becomes the restore point, with
+    /// no copy. Observationally the same as [`Machine::checkpoint`]
+    /// (the snapshot of a machine that is then dropped): the restore
+    /// epochs open exactly as `snapshot` opens them, the sealed machine
+    /// keeps no event sinks (a clone would detach them) and no pooled
+    /// frames (a clone starts with an empty pool). Forks and rewinds
+    /// from either checkpoint are indistinguishable; the pipeline
+    /// proptests compare them.
     pub fn into_checkpoint(mut self) -> Checkpoint {
-        Checkpoint::new(self.snapshot())
+        self.begin_restore_epochs();
+        self.bus = EventBus::new();
+        self.phys.clear_frame_pool();
+        Checkpoint::new(MachineSnapshot {
+            inner: Box::new(self),
+        })
     }
 
     /// Take a [`Checkpoint`] of the current state, leaving the machine
@@ -127,8 +146,10 @@ impl Machine {
 /// Cloning a checkpoint is an `Arc` bump; every fork shares the
 /// checkpoint's physical frames copy-on-write (the read-only base) and
 /// unshares only the frames it writes (its private dirty overlay), so
-/// a fork costs O(resident-frame pointer bumps) and each trial's writes
-/// cost one 4 KiB copy per dirtied frame — never a reboot.
+/// a fork costs one machine clone (its memory one pointer bump per
+/// 64-frame chunk) and each trial's writes cost one 4 KiB copy per
+/// dirtied frame plus one 64-slot copy per chunk first written —
+/// never a reboot.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     base: Arc<MachineSnapshot>,

@@ -13,6 +13,9 @@ use phantom_isa::inst::AluOp;
 use phantom_isa::{BranchKind, Cond, Inst, Reg};
 use phantom_mem::{PageFlags, PrivilegeLevel, VirtAddr};
 
+use phantom_cache::PerfCounters;
+
+use crate::events::{EventSink, PipelineEvent};
 use crate::machine::Machine;
 use crate::profile::UarchProfile;
 
@@ -154,6 +157,62 @@ fn final_state(m: &Machine) -> (Vec<u64>, (bool, bool, bool), Vec<u8>) {
     (regs, m.flags(), data)
 }
 
+/// Records every pipeline event a machine emits.
+struct Recorder(Vec<PipelineEvent>);
+
+impl EventSink for Recorder {
+    fn on_event(&mut self, event: &PipelineEvent) {
+        self.0.push(*event);
+    }
+}
+
+/// What the sealing proptest compares: architectural state, PC and
+/// cycles, with the event stream that produced them; then the PMU, the
+/// TLB's hit/miss counts and the physical-memory counters.
+type Observation = (
+    (Vec<u64>, (bool, bool, bool), Vec<u8>, VirtAddr, u64),
+    Vec<PipelineEvent>,
+    (PerfCounters, u64, u64, [u64; 5], Vec<u8>),
+);
+
+fn observe(m: &Machine, events: Vec<PipelineEvent>) -> Observation {
+    let (regs, flags, data) = final_state(m);
+    let phys = m.phys();
+    (
+        (regs, flags, data, m.pc(), m.cycles()),
+        events,
+        (
+            m.pmu().clone(),
+            m.tlb().hits(),
+            m.tlb().misses(),
+            [
+                phys.cow_faults(),
+                phys.restore_frames_copied(),
+                phys.rewind_journal_frames(),
+                phys.frame_pool_reuses(),
+                phys.cow_frames_shared(),
+            ],
+            m.peek(VirtAddr::new(STACK_TOP - 0x100), 0x200),
+        ),
+    )
+}
+
+/// Run up to `steps` instructions (stopping at `hlt`) with a recorder
+/// attached, and observe the result.
+fn observe_run(m: &mut Machine, steps: usize) -> Observation {
+    let id = m.attach_sink(Recorder(Vec::new()));
+    for _ in 0..steps {
+        if m.step().expect("steps").halted {
+            break;
+        }
+    }
+    let events = m
+        .detach_sink_as::<Recorder>(id)
+        .expect("recorder attached")
+        .0;
+    observe(m, events)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -267,6 +326,48 @@ proptest! {
         // Continuation B must replay A exactly.
         m.run(400).expect("terminates");
         prop_assert_eq!(end_a, (final_state(&m), m.cycles()));
+    }
+
+    /// Sealing by move ([`Machine::into_checkpoint`]) is sealing by
+    /// clone ([`Machine::checkpoint`]): after `prefix` steps, one copy
+    /// of a BTB-poisoned machine is sealed each way; forks of the two
+    /// checkpoints commit, time, count and emit the same run, and
+    /// rewind to the same state — after which they replay it again.
+    #[test]
+    fn move_sealed_checkpoint_matches_clone_sealed(
+        program in arb_program(),
+        poisons in arb_poison(),
+        prefix in 0usize..40,
+        steps in 1usize..400,
+    ) {
+        let profile = UarchProfile::zen2();
+        let mut m = build_machine(&profile, &program);
+        let program_len = encode_all(&program).expect("encodable").len() as u64 + 1;
+        poison_btb(&mut m, program_len, &poisons);
+        for _ in 0..prefix {
+            if m.step().expect("steps").halted {
+                break;
+            }
+        }
+        let mut cloned = m.clone();
+        let by_clone = cloned.checkpoint();
+        drop(cloned);
+        let by_move = m.into_checkpoint();
+
+        let mut forks = [by_clone.fork(), by_move.fork()];
+        let views = forks.each_mut().map(|fork| observe_run(fork, steps));
+        prop_assert_eq!(&views[0], &views[1], "forks diverge");
+
+        by_clone.rewind(&mut forks[0]);
+        by_move.rewind(&mut forks[1]);
+        let rewound = forks.each_ref().map(|fork| observe(fork, Vec::new()));
+        prop_assert_eq!(&rewound[0], &rewound[1], "rewinds diverge");
+        let replays = forks.each_mut().map(|fork| observe_run(fork, steps));
+        prop_assert_eq!(&replays[0], &replays[1], "replays diverge");
+        // The replay after the rewind is the first run again (the
+        // physical-memory counters aside: they count the rewind).
+        prop_assert_eq!(&replays[1].0, &views[1].0);
+        prop_assert_eq!(&replays[1].1, &views[1].1);
     }
 
     /// Transient side effects are bounded: every wrong-path load in the

@@ -90,6 +90,35 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+// Bounds `UarchSpec::validate` enforces, so a spec that validates
+// always builds a machine that runs: the tables are allocated whole by
+// `Machine::new` and copied by every machine clone, and the timing
+// fields feed cycle arithmetic and wrong-path loops. Each bound admits
+// every builtin and committed spec with room to spare.
+
+/// BTB ways: 32× the builtins' 2 (discover's mutator draws up to 8).
+pub const MAX_BTB_WAYS: usize = 64;
+/// CBP counters (sets × ways): 256× the builtins' 4,096 (M1 Firestorm's
+/// 1,024 × 2 is smaller); 16 MiB of 16-byte counters.
+pub const MAX_CBP_COUNTERS: usize = 1 << 20;
+/// Lines per cache level (sets × ways): 32× the largest builtin level
+/// (the 1,024 × 8 L2); 6 MiB of 24-byte line records.
+pub const MAX_CACHE_LINES: usize = 1 << 18;
+/// Bytes per cache level (sets × ways × line size): 2,048× the largest
+/// builtin level (512 KiB), and far from overflowing the capacity
+/// arithmetic.
+pub const MAX_CACHE_BYTES: usize = 1 << 30;
+/// Every latency field, in cycles: ~5,000× the largest builtin latency
+/// (200-cycle memory), so latency sums and the cycle counter cannot
+/// overflow.
+pub const MAX_LATENCY: u64 = 1 << 20;
+/// Fetch block bytes: one 4 KiB page (builtins fetch 32 or 64 bytes);
+/// the wrong path walks the block line by line.
+pub const MAX_FETCH_BLOCK: u64 = 4096;
+/// Transient µop budgets: 23× the largest builtin (44); the wrong path
+/// steps one µop at a time.
+pub const MAX_EXEC_UOPS: u32 = 1024;
+
 fn invalid(field: &'static str, msg: impl Into<String>) -> SpecError {
     SpecError::Invalid {
         field,
@@ -493,6 +522,12 @@ impl UarchSpec {
         if self.btb.ways == 0 {
             return Err(invalid("btb.ways", "must be nonzero"));
         }
+        if self.btb.ways > MAX_BTB_WAYS {
+            return Err(invalid(
+                "btb.ways",
+                format!("at most {MAX_BTB_WAYS} supported (got {})", self.btb.ways),
+            ));
+        }
         if self.btb.folds.is_empty() {
             return Err(invalid(
                 "btb.fold",
@@ -656,6 +691,18 @@ impl UarchSpec {
                 ));
             }
         }
+        let counters = (1usize << self.cbp.index_folds.len()).checked_mul(self.cbp.ways);
+        if counters.is_none_or(|n| n > MAX_CBP_COUNTERS) {
+            return Err(invalid(
+                "cbp.ways",
+                format!(
+                    "at most {MAX_CBP_COUNTERS} counters (sets x ways) supported \
+                     (got {} sets x {} ways)",
+                    1usize << self.cbp.index_folds.len(),
+                    self.cbp.ways
+                ),
+            ));
+        }
         // The runtime structure enforces its own residual constraints;
         // surface them under the block name if any slip through.
         self.cbp
@@ -671,6 +718,55 @@ impl UarchSpec {
             ("cache.uop", self.cache.uop),
         ] {
             CacheGeometry::try_new(g.sets, g.ways, g.line_size).map_err(|e| invalid(field, e))?;
+            let lines = g.sets.checked_mul(g.ways);
+            if lines.is_none_or(|n| n > MAX_CACHE_LINES) {
+                return Err(invalid(
+                    field,
+                    format!(
+                        "at most {MAX_CACHE_LINES} lines (sets x ways) supported \
+                         (got {} x {})",
+                        g.sets, g.ways
+                    ),
+                ));
+            }
+            let bytes = lines.and_then(|n| n.checked_mul(g.line_size));
+            if bytes.is_none_or(|n| n > MAX_CACHE_BYTES) {
+                return Err(invalid(
+                    field,
+                    format!(
+                        "at most {MAX_CACHE_BYTES} bytes (sets x ways x line size) \
+                         supported (got {} x {} x {})",
+                        g.sets, g.ways, g.line_size
+                    ),
+                ));
+            }
+        }
+        for (field, cycles) in [
+            ("cache.l1_latency", self.cache.l1_latency),
+            ("cache.l2_latency", self.cache.l2_latency),
+            ("cache.memory_latency", self.cache.memory_latency),
+            ("fetch_latency", self.fetch_latency),
+            ("decode_latency", self.decode_latency),
+            ("frontend_resteer_latency", self.frontend_resteer_latency),
+            ("backend_resteer_latency", self.backend_resteer_latency),
+        ] {
+            if cycles > MAX_LATENCY {
+                return Err(invalid(
+                    field,
+                    format!("at most {MAX_LATENCY} cycles supported (got {cycles})"),
+                ));
+            }
+        }
+        for (field, uops) in [
+            ("phantom_exec_uops", self.phantom_exec_uops),
+            ("spectre_exec_uops", self.spectre_exec_uops),
+        ] {
+            if uops > MAX_EXEC_UOPS {
+                return Err(invalid(
+                    field,
+                    format!("at most {MAX_EXEC_UOPS} supported (got {uops})"),
+                ));
+            }
         }
         if self.cache.l1_latency == 0 {
             return Err(invalid("cache.l1_latency", "must be nonzero"));
@@ -698,10 +794,13 @@ impl UarchSpec {
         // fetches (O1) and decodes (O2) phantom targets before the
         // frontend resteer lands, and backend windows dwarf frontend
         // windows.
-        if !self.fetch_block.is_power_of_two() {
+        if !self.fetch_block.is_power_of_two() || self.fetch_block > MAX_FETCH_BLOCK {
             return Err(invalid(
                 "fetch_block",
-                format!("must be a power of two (got {})", self.fetch_block),
+                format!(
+                    "must be a power of two up to {MAX_FETCH_BLOCK} (got {})",
+                    self.fetch_block
+                ),
             ));
         }
         if self.fetch_latency == 0 {

@@ -429,6 +429,50 @@ fn validation_rejects_bad_caches() {
 }
 
 #[test]
+fn validation_bounds_table_sizes_and_timing() {
+    // Each of these once validated and then aborted `Machine::new` on
+    // an allocation of terabytes (or overflowed its size arithmetic).
+    rejects("cache.l1i", |s| s.cache.l1i.ways = u32::MAX as usize);
+    rejects("cache.l2", |s| s.cache.l2.sets = 1 << 40);
+    rejects("cache.uop", |s| s.cache.uop.ways = usize::MAX);
+    rejects("cache.l1d", |s| s.cache.l1d.line_size = 1 << 62);
+    rejects("btb.ways", |s| s.btb.ways = u32::MAX as usize);
+    rejects("cbp.ways", |s| {
+        s.cbp.tag_folds = vec![1 << 20];
+        s.cbp.ways = u32::MAX as usize;
+    });
+    rejects("cbp.ways", |s| {
+        s.cbp.tag_folds = vec![1 << 20];
+        s.cbp.ways = usize::MAX;
+    });
+    // Direct-mapped, but 2^24 sets.
+    rejects("cbp.ways", |s| {
+        s.cbp.index_folds = (0..24).map(|b| (1u64 << b, 0)).collect();
+    });
+    // Timing fields that overflowed cycle sums or looped for ages.
+    rejects("cache.memory_latency", |s| {
+        s.cache.memory_latency = u64::MAX
+    });
+    rejects("decode_latency", |s| s.decode_latency = u64::MAX);
+    rejects("backend_resteer_latency", |s| {
+        s.backend_resteer_latency = MAX_LATENCY + 1
+    });
+    rejects("fetch_block", |s| s.fetch_block = 1 << 63);
+    rejects("spectre_exec_uops", |s| s.spectre_exec_uops = u32::MAX);
+    // The bounds themselves are admitted, and build.
+    let mut edge = UarchSpec::zen2();
+    edge.key = "edge".into();
+    edge.btb.ways = MAX_BTB_WAYS;
+    edge.cache.l1i = CacheGeometry::new(MAX_CACHE_LINES / 8, 8, 64);
+    edge.cache.l2 = CacheGeometry::new(64, 8, MAX_CACHE_BYTES / 512);
+    edge.cbp.index_folds = (0..20).map(|b| (1u64 << b, 0)).collect();
+    edge.backend_resteer_latency = MAX_LATENCY;
+    edge.spectre_exec_uops = MAX_EXEC_UOPS;
+    assert_eq!(edge.validate(), Ok(()));
+    assert!(crate::Machine::from_spec(&edge, 1 << 20).is_ok());
+}
+
+#[test]
 fn validation_rejects_bad_timing() {
     rejects("fetch_block", |s| s.fetch_block = 48);
     rejects("fetch_latency", |s| s.fetch_latency = 0);
@@ -785,5 +829,175 @@ proptest! {
         );
         prop_assert!(m1.aliases(a, c, ghr & 0xffff));
         prop_assert!(!legacy.aliases(a, c, ghr & 0xff));
+    }
+}
+
+// ----- no-panic property over spec text --------------------------------
+
+/// The committed example specs, the seeds of the structure-aware
+/// mutations below.
+const COMMITTED_SPECS: [&str; 2] = [
+    include_str!("../../../../examples/uarch/whatif.spec"),
+    include_str!("../../../../examples/uarch/m1_firestorm.spec"),
+];
+
+/// Numbers at the edges of every numeric parser the spec text reaches.
+const BOUNDARY_TOKENS: [&str; 6] = [
+    "0",
+    "4294967295",
+    "18446744073709551615",
+    "-1",
+    "1e400",
+    "NaN",
+];
+
+/// One structure-aware edit of a spec's text (indices wrap).
+#[derive(Debug, Clone)]
+enum SpecEdit {
+    DropLine(usize),
+    DuplicateLine(usize),
+    /// Replace token `.1` of line `.0` with `BOUNDARY_TOKENS[.2]`.
+    SwapToken(usize, usize, usize),
+    /// Cut the text at the char boundary at or below byte `.0`.
+    Truncate(usize),
+}
+
+fn arb_spec_edit() -> impl Strategy<Value = SpecEdit> {
+    prop_oneof![
+        any::<usize>().prop_map(SpecEdit::DropLine),
+        any::<usize>().prop_map(SpecEdit::DuplicateLine),
+        (any::<usize>(), any::<usize>(), 0..BOUNDARY_TOKENS.len())
+            .prop_map(|(l, t, b)| SpecEdit::SwapToken(l, t, b)),
+        (any::<usize>(), any::<usize>(), 0..BOUNDARY_TOKENS.len())
+            .prop_map(|(l, t, b)| SpecEdit::SwapToken(l, t, b)),
+        any::<usize>().prop_map(SpecEdit::Truncate),
+    ]
+}
+
+fn apply_spec_edit(text: &str, edit: &SpecEdit) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    if lines.is_empty() {
+        return String::new();
+    }
+    let n = lines.len();
+    match *edit {
+        SpecEdit::DropLine(i) => {
+            lines.remove(i % n);
+        }
+        SpecEdit::DuplicateLine(i) => {
+            let line = lines[i % n].clone();
+            lines.insert(i % n, line);
+        }
+        SpecEdit::SwapToken(i, t, b) => {
+            let mut tokens: Vec<&str> = lines[i % n].split_whitespace().collect();
+            if !tokens.is_empty() {
+                let k = t % tokens.len();
+                tokens[k] = BOUNDARY_TOKENS[b];
+                lines[i % n] = format!("  {}", tokens.join(" "));
+            }
+        }
+        SpecEdit::Truncate(at) => {
+            let mut cut = at % (text.len() + 1);
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return text[..cut].to_owned();
+        }
+    }
+    lines.join("\n") + "\n"
+}
+
+/// A committed spec under `edits` structure-aware edits.
+fn arb_edited_spec(edits: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    (
+        0..COMMITTED_SPECS.len(),
+        proptest::collection::vec(arb_spec_edit(), edits),
+    )
+        .prop_map(|(which, edits)| {
+            edits
+                .iter()
+                .fold(COMMITTED_SPECS[which].to_owned(), |text, edit| {
+                    apply_spec_edit(&text, edit)
+                })
+        })
+}
+
+/// Spec text for the no-panic property: arbitrary bytes (lossily
+/// decoded), or a committed spec under one edit (which often still
+/// registers, so the machine gets built) or up to four.
+fn arb_spec_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..400)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        arb_edited_spec(1..2),
+        arb_edited_spec(1..5),
+    ]
+}
+
+/// Register `text`; build and run a two-instruction program on every
+/// spec it registered.
+fn register_and_run(text: &str) {
+    let mut registry = UarchRegistry::with_builtins();
+    let Ok(keys) = registry.register_text(text) else {
+        return;
+    };
+    for key in keys {
+        let spec = registry.get(&key).expect("registered key resolves");
+        let mut m = crate::Machine::from_spec(spec, 1 << 20).expect("a registered spec validates");
+        let mut a = phantom_isa::asm::Assembler::new(0x40_0000);
+        a.push(phantom_isa::Inst::MovImm {
+            dst: phantom_isa::Reg::R0,
+            imm: 1,
+        });
+        a.push(phantom_isa::Inst::Halt);
+        let blob = a.finish().expect("assemble");
+        m.load_blob(&blob, phantom_mem::PageFlags::USER_TEXT)
+            .expect("load");
+        m.set_pc(VirtAddr::new(blob.base));
+        assert_eq!(m.run(8).expect("run"), crate::machine::RunExit::Halted);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Spec text never panics (or aborts) the process: registration
+    /// returns `Ok` or a structured `Err`, and every spec that
+    /// registers builds a machine that runs a two-instruction program.
+    #[test]
+    fn spec_text_never_panics(text in arb_spec_text()) {
+        let outcome = std::panic::catch_unwind(|| register_and_run(&text));
+        prop_assert!(outcome.is_ok(), "panicked on spec text:\n{}", text);
+    }
+}
+
+#[test]
+fn spec_edits_reach_the_oversized_table_reproducers() {
+    // One boundary-token swap turns each committed spec into a
+    // reproducer of the unbounded table sizes: both once registered
+    // and then aborted `Machine::new` on a multi-terabyte allocation
+    // (or a capacity overflow). Both are now spec errors.
+    for (spec, line, token, boundary, edited) in [
+        (
+            0,
+            "cache.l1i 64 8 64",
+            2,
+            1,
+            "  cache.l1i 64 4294967295 64\n",
+        ),
+        (1, "cbp.ways 2", 1, 1, "  cbp.ways 4294967295\n"),
+        (1, "cbp.ways 2", 1, 2, "  cbp.ways 18446744073709551615\n"),
+    ] {
+        let text = COMMITTED_SPECS[spec];
+        let at = text.lines().position(|l| l.trim() == line).unwrap();
+        let text = apply_spec_edit(text, &SpecEdit::SwapToken(at, token, boundary));
+        assert!(text.contains(edited), "{edited:?}");
+        let err = UarchRegistry::with_builtins()
+            .register_text(&text)
+            .expect_err("an oversized table must not register");
+        assert!(
+            err.to_string().starts_with("invalid spec field"),
+            "{edited:?}: {err}"
+        );
     }
 }
