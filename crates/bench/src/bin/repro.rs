@@ -780,20 +780,97 @@ type Given = (
     String,
 );
 
-/// Split argv into positional words and flag occurrences, in order.
-fn parse_args(mut args: impl Iterator<Item = String>) -> (Vec<String>, Vec<Given>) {
+/// Everything argv alone decides; `main` adds what needs the file
+/// system or the environment (spec files, uarch names, counts).
+struct Cli {
+    positional: Vec<String>,
+    given: Vec<Given>,
+    /// The command: `all` when none is named, and a bare `--json` or
+    /// `--baseline` reads as `bench`.
+    cmd: String,
+    workers: Option<usize>,
+    seed: u64,
+    bench: BenchFlags,
+    serve: ServeFlags,
+}
+
+/// Parse argv: split it into positional words and flag occurrences,
+/// resolve the command, check every flag's scope against [`FLAGS`] and
+/// parse the numeric flag values.
+///
+/// # Errors
+///
+/// Returns the usage-error message (the CLI prints it with the usage
+/// and exits 2).
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let (mut positional, mut given) = (Vec::new(), Vec::new());
     while let Some(arg) = args.next() {
         match FLAGS.iter().find(|(name, ..)| *name == arg) {
             Some(row @ (name, true, _)) => match args.next() {
                 Some(value) => given.push((row, value)),
-                None => usage_error(&format!("{name} requires a value")),
+                None => return Err(format!("{name} requires a value")),
             },
             Some(row) => given.push((row, String::new())),
             None => positional.push(arg),
         }
     }
-    (positional, given)
+    let has = |name| values(&given, name).next().is_some();
+    let last = |name| values(&given, name).last().map(PathBuf::from);
+
+    let mut cmd = positional.first().map_or("all", String::as_str);
+    if cmd == "all" && (has("--json") || has("--baseline")) {
+        cmd = "bench";
+    }
+    // A bare `--spec` turns `all` into `figure6` later (once the files
+    // registered); every flag valid with one is valid with the other.
+    for ((name, _, commands), _) in &given {
+        if let Some((last, rest)) = commands.split_last() {
+            if !commands.contains(&cmd) {
+                let list = match rest {
+                    [] => format!("{last} command"),
+                    _ => format!("{} and {last} commands", rest.join(", ")),
+                };
+                return Err(format!("{name} is only valid with the {list}"));
+            }
+        }
+    }
+
+    let workers = parsed(
+        &given,
+        "--workers",
+        "a positive integer thread count",
+        |&n: &usize| n >= 1,
+    )?;
+    let seed = parsed(&given, "--seed", "an unsigned integer", |_: &u64| true)?.unwrap_or(0);
+    let tolerance = parsed(
+        &given,
+        "--tolerance",
+        "a non-negative percent",
+        |p: &f64| *p >= 0.0 && p.is_finite(),
+    )?;
+    let bits = parsed(&given, "--bits", "a positive bit count", |&n: &usize| {
+        n >= 1
+    })?;
+    Ok(Cli {
+        cmd: cmd.to_string(),
+        workers,
+        seed,
+        bench: BenchFlags {
+            json: last("--json"),
+            baseline: last("--baseline"),
+            tolerance,
+            host_meta: has("--host-meta"),
+        },
+        serve: ServeFlags {
+            out: last("--out").unwrap_or_else(|| "campaign.jsonl".into()),
+            resume: last("--resume"),
+            bits,
+            seed,
+            ab: has("--ab"),
+        },
+        positional,
+        given,
+    })
 }
 
 /// Every value given for `name`, in order.
@@ -805,31 +882,33 @@ fn values<'a>(given: &'a [Given], name: &'a str) -> impl Iterator<Item = &'a str
 }
 
 /// The last value of `name` parsed as `T`; every value given must parse
-/// and pass `valid`, or the CLI exits 2.
+/// and pass `valid`.
 fn parsed<T: std::str::FromStr>(
     given: &[Given],
     name: &str,
     expected: &str,
     valid: impl Fn(&T) -> bool,
-) -> Option<T> {
-    values(given, name)
-        .map(|v| match v.parse::<T>() {
-            Ok(x) if valid(&x) => x,
-            _ => usage_error(&format!("invalid {name} {v:?}: expected {expected}")),
-        })
-        .last()
+) -> Result<Option<T>, String> {
+    let mut out = None;
+    for v in values(given, name) {
+        match v.parse::<T>() {
+            Ok(x) if valid(&x) => out = Some(x),
+            _ => return Err(format!("invalid {name} {v:?}: expected {expected}")),
+        }
+    }
+    Ok(out)
 }
 
 fn main() {
-    let (positional, given) = parse_args(std::env::args().skip(1));
-    let last = |name| values(&given, name).last().map(PathBuf::from);
-    let has = |name| values(&given, name).next().is_some();
+    let cli = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
+    let (positional, given) = (&cli.positional, &cli.given);
+    let last = |name| values(given, name).last().map(PathBuf::from);
 
     // The registry resolves every uarch name: Table 1 builtins plus any
     // spec files the user loads.
     let mut registry = UarchRegistry::with_builtins();
     let mut spec_keys: Vec<String> = Vec::new();
-    for path in values(&given, "--spec") {
+    for path in values(given, "--spec") {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) => usage_error(&format!("--spec {path}: {e}")),
@@ -840,58 +919,17 @@ fn main() {
         }
     }
 
-    let mut cmd = positional.first().map(String::as_str).unwrap_or("all");
-    // `repro --json out.json` alone means: run the bench snapshot;
     // `repro --spec file.spec` alone means: smoke-sweep the file's
     // uarches through Figure 6.
-    if cmd == "all" && (has("--json") || has("--baseline")) {
-        cmd = "bench";
-    } else if cmd == "all" && positional.is_empty() && !spec_keys.is_empty() {
+    let mut cmd = cli.cmd.as_str();
+    if cmd == "all" && positional.is_empty() && !spec_keys.is_empty() {
         cmd = "figure6";
     }
-    for ((name, _, commands), _) in &given {
-        if let Some((last, rest)) = commands.split_last() {
-            if !commands.contains(&cmd) {
-                let list = match rest {
-                    [] => format!("{last} command"),
-                    _ => format!("{} and {last} commands", rest.join(", ")),
-                };
-                usage_error(&format!("{name} is only valid with the {list}"));
-            }
-        }
-    }
 
-    let uarch_names: Vec<String> = values(&given, "--uarch")
+    let uarch_names: Vec<String> = values(given, "--uarch")
         .flat_map(|v| v.split(','))
         .map(|s| s.trim().to_string())
         .collect();
-    let workers = parsed(
-        &given,
-        "--workers",
-        "a positive integer thread count",
-        |&n: &usize| n >= 1,
-    );
-    let seed = parsed(&given, "--seed", "an unsigned integer", |_: &u64| true).unwrap_or(0);
-    let flags = BenchFlags {
-        json: last("--json"),
-        baseline: last("--baseline"),
-        tolerance: parsed(
-            &given,
-            "--tolerance",
-            "a non-negative percent",
-            |p: &f64| *p >= 0.0 && p.is_finite(),
-        ),
-        host_meta: has("--host-meta"),
-    };
-    let serve_flags = ServeFlags {
-        out: last("--out").unwrap_or_else(|| "campaign.jsonl".into()),
-        resume: last("--resume"),
-        bits: parsed(&given, "--bits", "a positive bit count", |&n: &usize| {
-            n >= 1
-        }),
-        seed,
-        ab: has("--ab"),
-    };
 
     // Figure 6's sweep set: --uarch wins, then --spec file contents,
     // then the paper's zen2/zen4 plot.
@@ -941,18 +979,18 @@ fn main() {
     full();
     // --workers wins outright; PHANTOM_THREADS is only consulted (and
     // only validated) when --workers is absent.
-    let r = match workers {
+    let r = match cli.workers {
         Some(n) => TrialRunner::with_threads(n),
         None => runner(),
     };
 
     let result: Result<(), RunnerError> = match cmd {
         "table1" => table1(&r),
-        "serve" => serve(&r, &registry, &uarch_names, &serve_flags),
+        "serve" => serve(&r, &registry, &uarch_names, &cli.serve),
         "discover" => discover(
             &r,
             num(1, if full() { 512 } else { 64 }),
-            seed,
+            cli.seed,
             &last("--out").unwrap_or_else(|| "discover.jsonl".into()),
             last("--corpus").as_deref(),
         ),
@@ -970,7 +1008,7 @@ fn main() {
         "table4" => table4(&r, num(1, if full() { 10 } else { 3 })),
         "table5" => table5(&r, num(1, if full() { 100 } else { 3 })),
         "mds" => mds(&r, num(1, if full() { 4096 } else { 64 })),
-        "bench" => bench(&r, &flags),
+        "bench" => bench(&r, &cli.bench),
         "o4" => o4(),
         "o5" => o5(),
         "software" => software(),
@@ -986,15 +1024,15 @@ fn main() {
                 NoiseSweepConfig::quick(500)
             };
             cfg.bits = num(1, cfg.bits);
-            noise_sweep(&r, &cfg, &flags)
+            noise_sweep(&r, &cfg, &cli.bench)
         }
-        "pht-channel" => pht_channel(&r, num(1, if full() { 4096 } else { 128 }), &flags),
+        "pht-channel" => pht_channel(&r, num(1, if full() { 4096 } else { 128 }), &cli.bench),
         "overhead" => overhead(&r),
         "gadgets" => {
             gadgets();
             Ok(())
         }
-        // The scope check above leaves `all` no snapshot flags, so its
+        // `parse_args`'s scope check leaves `all` no snapshot flags, so its
         // sweep and PHT steps write and gate nothing.
         "all" => table1(&r)
             .and_then(|()| figure6(&r, &figure6_profiles))
@@ -1009,8 +1047,8 @@ fn main() {
             .and_then(|()| software())
             .and_then(|()| spectre())
             .and_then(|()| ablation())
-            .and_then(|()| noise_sweep(&r, &NoiseSweepConfig::quick(500), &flags))
-            .and_then(|()| pht_channel(&r, 128, &flags))
+            .and_then(|()| noise_sweep(&r, &NoiseSweepConfig::quick(500), &cli.bench))
+            .and_then(|()| pht_channel(&r, 128, &cli.bench))
             .and_then(|()| overhead(&r))
             .map(|()| gadgets()),
         "help" | "--help" | "-h" => {
@@ -1023,5 +1061,119 @@ fn main() {
     if let Err(e) = result {
         eprintln!("repro {cmd} failed: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Every command `main` runs, plus words that are none.
+    const COMMANDS: &[&str] = &[
+        "table1",
+        "figure6",
+        "figure7",
+        "table2",
+        "table3",
+        "table4",
+        "table5",
+        "mds",
+        "o4",
+        "o5",
+        "software",
+        "spectre",
+        "ablation",
+        "noise-sweep",
+        "pht-channel",
+        "overhead",
+        "gadgets",
+        "serve",
+        "discover",
+        "list-uarchs",
+        "bench",
+        "all",
+        "help",
+        "--help",
+        "-h",
+        "bogus",
+        "",
+    ];
+
+    /// Number boundaries for the numeric flags and counts.
+    const NUMBERS: &[&str] = &[
+        "0",
+        "1",
+        "-1",
+        "-0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "0x10",
+        "1e308",
+        "NaN",
+        "inf",
+        "-inf",
+        " 1",
+    ];
+
+    fn arb_token() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0..FLAGS.len()).prop_map(|i| FLAGS[i].0.to_string()),
+            (0..COMMANDS.len()).prop_map(|i| COMMANDS[i].to_string()),
+            (0..NUMBERS.len()).prop_map(|i| NUMBERS[i].to_string()),
+            proptest::collection::vec(any::<u8>(), 0..12)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        ]
+    }
+
+    fn parse(argv: &[&str]) -> Result<Cli, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Argv never panics the parser: it returns a `Cli` whose every
+        /// flag is in scope for its command, or a usage error.
+        #[test]
+        fn argv_never_panics(tokens in proptest::collection::vec(arb_token(), 0..8)) {
+            let parsed = std::panic::catch_unwind(|| parse_args(tokens.clone().into_iter()));
+            prop_assert!(parsed.is_ok(), "panicked on argv {:?}", tokens);
+            match parsed.unwrap() {
+                Ok(cli) => {
+                    for ((_, _, commands), _) in &cli.given {
+                        prop_assert!(commands.is_empty() || commands.contains(&cli.cmd.as_str()));
+                    }
+                    prop_assert!(cli.workers != Some(0) && cli.serve.bits != Some(0));
+                }
+                Err(message) => prop_assert!(!message.is_empty()),
+            }
+        }
+    }
+
+    #[test]
+    fn argv_resolves_commands_and_rejects_misuse() {
+        assert_eq!(parse(&[]).unwrap().cmd, "all");
+        assert_eq!(parse(&["--json", "x.json"]).unwrap().cmd, "bench");
+        let serve = parse(&["serve", "--bits", "8", "--seed", "9001", "--workers", "4"]).unwrap();
+        assert_eq!(
+            (serve.serve.bits, serve.seed, serve.workers),
+            (Some(8), 9001, Some(4))
+        );
+        for (argv, error) in [
+            (&["serve", "--bits"][..], "--bits requires a value"),
+            (&["table1", "--json", "x"], "--json is only valid with the"),
+            (&["serve", "--workers", "0"], "invalid --workers \"0\""),
+            (&["serve", "--seed", "-1"], "invalid --seed \"-1\""),
+            (
+                &["bench", "--tolerance", "NaN"],
+                "invalid --tolerance \"NaN\"",
+            ),
+        ] {
+            let message = parse(argv)
+                .err()
+                .unwrap_or_else(|| panic!("{argv:?} parsed"));
+            assert!(message.starts_with(error), "{argv:?}: {message}");
+        }
     }
 }

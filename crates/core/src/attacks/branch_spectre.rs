@@ -23,6 +23,8 @@
 //! secret. Votes go through [`decode_adaptive`] exactly like the
 //! Table 2 covert channels, so noisy probes escalate and ties abstain.
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,7 +32,7 @@ use phantom_bpu::CbpScheme;
 use phantom_isa::asm::Assembler;
 use phantom_isa::{Cond, Inst};
 use phantom_mem::{PageFlags, VirtAddr};
-use phantom_pipeline::{Checkpoint, Machine, RunExit, UarchProfile};
+use phantom_pipeline::{Checkpoint, Machine, RunExit, TemplateStore, UarchProfile};
 use phantom_sidechannel::{NoiseModel, Reading};
 
 use crate::decode::{decode_adaptive, Decoded, DecoderConfig};
@@ -120,16 +122,36 @@ pub struct PhtChannelResult {
     pub mean_confidence: f64,
 }
 
+/// The victim conditional's PC. Fixed, so a calibrated world depends
+/// on the profile alone.
+const VICTIM: VirtAddr = VirtAddr::new(0x40_0000);
+
+/// Calibrated PHT worlds, one per profile: everything
+/// [`PhtScenario::calibrate`] builds is a function of the profile, so
+/// a process calibrates each profile once and every later job forks
+/// the template.
+type PhtTemplates = TemplateStore<UarchProfile, PhtState>;
+
+/// The process-global store behind [`pht_channel_decoded_on`].
+static PHT_TEMPLATES: PhtTemplates = TemplateStore::new();
+
 /// The PHT channel as a trial scenario: one trial per secret bit.
-struct PhtScenario {
+struct PhtScenario<'t> {
     profile: UarchProfile,
     config: PhtChannelConfig,
     noise_proto: NoiseModel,
     decoder: DecoderConfig,
+    /// Where `setup` gets its calibrated world: a template store, or
+    /// `None` to calibrate cold every time (the reference the store is
+    /// tested against).
+    templates: Option<&'t PhtTemplates>,
+    /// The probe PC `setup`'s world was calibrated with, for `score`.
+    probe: OnceLock<VirtAddr>,
 }
 
 /// Per-worker state: a machine with the three branch stubs loaded, the
-/// rewind point, and the calibrated probe signature.
+/// rewind point, and the calibrated probe signature. The same type is
+/// the per-profile template workers fork.
 #[derive(Clone)]
 struct PhtState {
     machine: Machine,
@@ -216,9 +238,24 @@ fn measure_round(
     Ok(machine.cycles() - before)
 }
 
-impl PhtScenario {
+impl PhtScenario<'_> {
     fn uarch_salt(&self) -> u64 {
         self.profile.name.bytes().map(u64::from).sum::<u64>()
+    }
+
+    /// Build the calibrated world from scratch: try each out-of-place
+    /// alias of the victim, nearest first, until one separates.
+    fn calibrate(&self) -> Result<PhtState, ScenarioError> {
+        for probe in out_of_place_cbp_aliases(&self.profile.cbp_scheme, VICTIM) {
+            if let Some(state) = self.try_candidate(VICTIM, probe)? {
+                return Ok(state);
+            }
+        }
+        Err(PrimitiveError(format!(
+            "no out-of-place CBP alias with timing separation on {}",
+            self.profile.name
+        ))
+        .into())
     }
 
     /// Build a calibrated state around one alias candidate. Returns
@@ -303,7 +340,7 @@ impl PhtScenario {
     }
 }
 
-impl Scenario for PhtScenario {
+impl Scenario for PhtScenario<'_> {
     type State = PhtState;
     type Checkpoint = PhtState;
     type Sample = PhtSample;
@@ -313,18 +350,19 @@ impl Scenario for PhtScenario {
         self.config.bits
     }
 
+    /// Fork the profile's calibrated template, calibrating it on first
+    /// use (or calibrate cold when the scenario has no store).
     fn setup(&self) -> Result<PhtState, ScenarioError> {
-        let victim = VirtAddr::new(0x40_0000);
-        for probe in out_of_place_cbp_aliases(&self.profile.cbp_scheme, victim) {
-            if let Some(state) = self.try_candidate(victim, probe)? {
-                return Ok(state);
+        let state = match self.templates {
+            Some(store) => {
+                PhtState::clone(&*store.get_or_build(&self.profile, || self.calibrate())?)
             }
-        }
-        Err(PrimitiveError(format!(
-            "no out-of-place CBP alias with timing separation on {}",
-            self.profile.name
-        ))
-        .into())
+            None => self.calibrate()?,
+        };
+        // Every setup of one scenario yields the same world, so the
+        // first one's probe stands for all.
+        let _ = self.probe.set(state.probe);
+        Ok(state)
     }
 
     fn checkpoint(&self, state: PhtState) -> Result<PhtState, ScenarioError> {
@@ -381,9 +419,7 @@ impl Scenario for PhtScenario {
         let mean_confidence =
             samples.iter().map(|s| s.confidence).sum::<f64>() / bits.max(1) as f64;
         let seconds = self.profile.cycles_to_seconds(cycles);
-        let victim = VirtAddr::new(0x40_0000);
-        let flip_mask = out_of_place_cbp_alias(&self.profile.cbp_scheme, victim)
-            .map_or(0, |a| a.raw() ^ victim.raw());
+        let flip_mask = self.probe.get().map_or(0, |p| p.raw() ^ VICTIM.raw());
         PhtChannelResult {
             uarch: self.profile.name.clone(),
             model: self.profile.model.clone(),
@@ -438,11 +474,33 @@ pub fn pht_channel_decoded_on(
     noise: NoiseModel,
     decoder: DecoderConfig,
 ) -> Result<PhtChannelResult, PrimitiveError> {
+    pht_channel_with(
+        runner,
+        Some(&PHT_TEMPLATES),
+        profile,
+        config,
+        noise,
+        decoder,
+    )
+}
+
+/// [`pht_channel_decoded_on`] with an explicit template store, or none
+/// to calibrate cold.
+fn pht_channel_with(
+    runner: &TrialRunner,
+    templates: Option<&PhtTemplates>,
+    profile: UarchProfile,
+    config: PhtChannelConfig,
+    noise: NoiseModel,
+    decoder: DecoderConfig,
+) -> Result<PhtChannelResult, PrimitiveError> {
     let scenario = PhtScenario {
         profile,
         config,
         noise_proto: noise,
         decoder,
+        templates,
+        probe: OnceLock::new(),
     };
     runner
         .run(&scenario, config.seed)
@@ -508,6 +566,58 @@ mod tests {
         )
         .unwrap();
         assert!(r.accuracy >= 0.9, "accuracy {}", r.accuracy);
+    }
+
+    /// Every builtin plus the committed M1 Firestorm spec.
+    fn profiles_with_m1() -> Vec<UarchProfile> {
+        let text = include_str!("../../../../examples/uarch/m1_firestorm.spec");
+        let mut registry = phantom_pipeline::UarchRegistry::with_builtins();
+        let keys = registry
+            .register_text(text)
+            .expect("committed spec registers");
+        let mut profiles = UarchProfile::all();
+        profiles.extend(
+            keys.iter()
+                .map(|k| registry.get(k).expect("registered").profile()),
+        );
+        profiles
+    }
+
+    #[test]
+    fn a_job_forked_from_the_template_equals_a_cold_calibration() {
+        let config = PhtChannelConfig { bits: 24, seed: 5 };
+        // One store for every profile, so a template served to the
+        // wrong profile would show.
+        let store = PhtTemplates::new();
+        for profile in profiles_with_m1() {
+            let name = profile.name.clone();
+            let before = (store.misses(), store.hits());
+            for threads in [1, 4] {
+                let runner = TrialRunner::with_threads(threads);
+                let run = |templates| {
+                    let noise = NoiseModel::realistic(config.seed);
+                    let decoder = DecoderConfig::default();
+                    pht_channel_with(&runner, templates, profile.clone(), config, noise, decoder)
+                        .unwrap()
+                };
+                let (cold, forked) = (run(None), run(Some(&store)));
+                let what = format!("{name} at {threads} workers");
+                assert_eq!(forked.accuracy, cold.accuracy, "{what}");
+                assert_eq!(forked.seconds, cold.seconds, "{what}");
+                assert_eq!(forked.probes, cold.probes, "{what}");
+                assert_eq!(forked.abstentions, cold.abstentions, "{what}");
+                assert_eq!(forked.mean_confidence, cold.mean_confidence, "{what}");
+                assert_eq!(forked.flip_mask, cold.flip_mask, "{what}");
+                assert_ne!(forked.flip_mask, 0, "{what}");
+            }
+            // The second job on the profile forked the first one's
+            // template instead of calibrating again.
+            assert_eq!(
+                (store.misses(), store.hits()),
+                (before.0 + 1, before.1 + 1),
+                "{name}"
+            );
+        }
     }
 
     #[test]

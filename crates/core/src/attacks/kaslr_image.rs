@@ -170,7 +170,7 @@ impl Scenario for KaslrImageSweep {
     fn probe(&self, _state: &mut (), trial: Trial) -> Result<KaslrImageResult, ScenarioError> {
         let seed = self.seed + trial.index as u64;
         let mut sys =
-            System::new(self.profile.clone(), 1 << 30, seed).map_err(AttackError::from)?;
+            System::new_cached(self.profile.clone(), 1 << 30, seed).map_err(AttackError::from)?;
         let slots = scan_window(sys.layout().image_slot, self.window, KERNEL_IMAGE_SLOTS);
         let config = KaslrImageConfig {
             slots,

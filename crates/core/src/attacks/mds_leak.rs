@@ -210,7 +210,7 @@ impl Scenario for MdsLeakSweep {
     fn probe(&self, _state: &mut (), trial: Trial) -> Result<MdsLeakResult, ScenarioError> {
         let seed = self.seed + trial.index as u64;
         let mut sys =
-            System::new(self.profile.clone(), 1 << 28, seed).map_err(AttackError::from)?;
+            System::new_cached(self.profile.clone(), 1 << 28, seed).map_err(AttackError::from)?;
         let physmap = sys.layout().physmap_base();
         let config = MdsLeakConfig {
             bytes: self.bytes,

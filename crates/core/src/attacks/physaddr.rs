@@ -206,8 +206,8 @@ impl Scenario for PhysAddrSweep {
 
     fn probe(&self, _state: &mut (), trial: Trial) -> Result<PhysAddrResult, ScenarioError> {
         let seed = self.seed + trial.index as u64;
-        let mut sys =
-            System::new(self.profile.clone(), self.phys_bytes, seed).map_err(AttackError::from)?;
+        let mut sys = System::new_cached(self.profile.clone(), self.phys_bytes, seed)
+            .map_err(AttackError::from)?;
         let (image_base, physmap_base) = (sys.image().base, sys.layout().physmap_base());
         let config = PhysAddrConfig {
             max_decoys: 100,

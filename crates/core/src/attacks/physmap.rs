@@ -168,7 +168,7 @@ impl Scenario for PhysmapSweep {
     fn probe(&self, _state: &mut (), trial: Trial) -> Result<PhysmapResult, ScenarioError> {
         let seed = self.seed + trial.index as u64;
         let mut sys =
-            System::new(self.profile.clone(), 1 << 30, seed).map_err(AttackError::from)?;
+            System::new_cached(self.profile.clone(), 1 << 30, seed).map_err(AttackError::from)?;
         let slots = scan_window(sys.layout().physmap_slot, self.window, PHYSMAP_SLOTS);
         let image_base = sys.image().base; // the §7.1 stage's output
         let config = PhysmapConfig {

@@ -71,7 +71,7 @@ pub fn o4_suppress_bp_on_non_br(profile: UarchProfile) -> Result<O4Outcome, Chan
 ///
 /// Returns [`PrimitiveError`] on setup failure.
 pub fn o5_auto_ibrs_fetch(seed: u64) -> Result<bool, PrimitiveError> {
-    let mut sys = System::new(UarchProfile::zen4(), 1 << 30, seed)
+    let mut sys = System::new_cached(UarchProfile::zen4(), 1 << 30, seed)
         .map_err(|e| PrimitiveError(e.to_string()))?;
     assert!(
         sys.machine().bpu().msr().auto_ibrs,
@@ -92,7 +92,7 @@ pub fn o5_auto_ibrs_fetch(seed: u64) -> Result<bool, PrimitiveError> {
 ///
 /// Returns [`PrimitiveError`] on setup failure.
 pub fn ibpb_blocks_p1(seed: u64) -> Result<bool, PrimitiveError> {
-    let mut sys = System::new(UarchProfile::zen3(), 1 << 30, seed)
+    let mut sys = System::new_cached(UarchProfile::zen3(), 1 << 30, seed)
         .map_err(|e| PrimitiveError(e.to_string()))?;
     let mut noise = NoiseModel::quiet(seed);
     let cfg = PrimitiveConfig::for_system(&sys, VirtAddr::new(0x5000_0000));

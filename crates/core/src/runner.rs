@@ -30,7 +30,9 @@
 //! physical frames shared copy-on-write, one pointer bump per 64-frame
 //! chunk — instead of a reboot.
 //! Scenarios that boot a fresh world inside every probe carry no
-//! shared state at all and use `type Checkpoint = ()`.
+//! shared state at all and use `type Checkpoint = ()`; their boots are
+//! boot-template instances
+//! ([`System::new_cached`](phantom_kernel::System::new_cached)).
 //!
 //! # Determinism across worker counts
 //!

@@ -19,9 +19,11 @@
 //! 2. rebase the image's 4 KiB and the physmap's 2 MiB page-table
 //!    entries from the canonical bases to the seed's randomized bases
 //!    (same frames, same flags — see
-//!    [`PageTable::rebase_4k_range`](phantom_mem::PageTable::rebase_4k_range)),
-//!    which builds each rebased map in one pass into a fresh
-//!    allocation rather than editing a deep copy of the shared one;
+//!    [`PageTable::rebase_4k_range`](phantom_mem::PageTable::rebase_4k_range)).
+//!    Each map is one sorted run, so the source range is a slice found
+//!    by binary search and each touched map is rebuilt by one linear
+//!    merge of its kept entries with the moved ones, into a fresh
+//!    allocation, rather than editing a deep copy of the shared one;
 //! 3. re-plant the seed's secret and re-point the syscall entry.
 //!
 //! The result is observationally identical to [`System::new`] with the
@@ -34,24 +36,25 @@
 //! end-to-end; the campaign determinism suite pins it at the
 //! trial-output level.
 //!
-//! The cache is process-global behind [`System::new_cached`], the only
-//! production boot path; [`System::new`] stays as the fresh-boot
-//! reference it is tested against. Per-instance [`BootCache`] values
-//! serve tests and counter plumbing that need isolation.
+//! The cache is a [`TemplateStore`], process-global behind
+//! [`System::new_cached`], the only production boot path (attack
+//! sweeps that boot once per trial and [`System::reboot`] go through
+//! it too); [`System::new`] stays as the fresh-boot reference it is
+//! tested against. Per-instance [`BootCache`] values serve tests and
+//! counter plumbing that need isolation.
 //!
 //! A template is a frozen machine: every instance stamped from it
 //! inherits exactly the state its construction produced. Machine
 //! construction reads no environment, so nothing outside the explicit
 //! boot arguments can make a template differ from a fresh boot.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use phantom_mem::{HUGE_PAGE_SIZE, PAGE_SIZE};
-use phantom_pipeline::UarchProfile;
+use phantom_pipeline::{TemplateStore, UarchProfile};
 
 use crate::layout::KaslrLayout;
 use crate::module::SECRET_LEN;
@@ -129,38 +132,23 @@ impl BootTemplate {
     }
 }
 
-struct CacheEntry {
-    profile: UarchProfile,
-    phys_bytes: u64,
-    template: Arc<BootTemplate>,
-}
-
-/// A set of boot templates keyed by `(profile, phys_bytes)`, with hit
-/// accounting.
+/// A set of boot templates keyed by `(phys_bytes, profile)`, with hit
+/// accounting: a [`TemplateStore`] of [`BootTemplate`]s.
 ///
 /// [`System::new_cached`] goes through the process-global instance;
 /// constructing a private one isolates the hit counters (the bench
 /// snapshot references do this to stay deterministic).
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct BootCache {
-    templates: Mutex<Vec<CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl std::fmt::Debug for BootCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BootCache")
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
+    templates: TemplateStore<(u64, UarchProfile), BootTemplate>,
 }
 
 impl BootCache {
     /// An empty cache.
-    pub fn new() -> BootCache {
-        BootCache::default()
+    pub const fn new() -> BootCache {
+        BootCache {
+            templates: TemplateStore::new(),
+        }
     }
 
     /// Boot a system for `seed`, building the `(profile, phys_bytes)`
@@ -180,12 +168,12 @@ impl BootCache {
 
     /// Boots served from an existing template.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.templates.hits()
     }
 
     /// Boots that had to build a template first.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.templates.misses()
     }
 
     fn template_for(
@@ -193,31 +181,16 @@ impl BootCache {
         profile: UarchProfile,
         phys_bytes: u64,
     ) -> Result<Arc<BootTemplate>, SystemError> {
-        let mut templates = self.templates.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = templates
-            .iter()
-            .find(|e| e.phys_bytes == phys_bytes && e.profile == profile)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&entry.template));
-        }
-        // Build under the lock: workers racing on a cold key wait for
-        // one boot instead of each paying their own.
-        let template = Arc::new(BootTemplate::new(profile.clone(), phys_bytes)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        templates.push(CacheEntry {
-            profile,
-            phys_bytes,
-            template: Arc::clone(&template),
-        });
-        Ok(template)
+        let key = (phys_bytes, profile);
+        self.templates
+            .get_or_build(&key, || BootTemplate::new(key.1.clone(), phys_bytes))
     }
 }
 
 /// The process-global cache behind [`System::new_cached`].
 pub fn global() -> &'static BootCache {
-    static GLOBAL: OnceLock<BootCache> = OnceLock::new();
-    GLOBAL.get_or_init(BootCache::new)
+    static GLOBAL: BootCache = BootCache::new();
+    &GLOBAL
 }
 
 #[cfg(test)]
@@ -226,6 +199,7 @@ mod tests {
     use crate::sysno;
     use phantom_isa::Reg;
     use phantom_mem::{AccessKind, PageFlags, PhysAddr, PrivilegeLevel, VirtAddr};
+    use proptest::prelude::*;
 
     const PHYS: u64 = 1 << 26;
 
@@ -240,19 +214,60 @@ mod tests {
         (pt.flags_of(va), pa.ok())
     }
 
+    /// The first seed whose image lands on `slot`: slot 0 is the
+    /// canonical slot (a no-op image rebase), slot 1 the one above it
+    /// (source and destination ranges overlap).
+    fn slot_seed(slot: u64) -> u64 {
+        (0u64..)
+            .find(|&s| KaslrLayout::randomize(s).image_slot == slot)
+            .unwrap()
+    }
+
+    /// Every entry of both 4 KiB halves and of the huge map of an
+    /// instance equals a fresh boot's, at the production memory size.
+    fn assert_same_page_table(cache: &BootCache, seed: u64) {
+        let phys = 1 << 30;
+        let fresh = System::new(UarchProfile::zen3(), phys, seed).unwrap();
+        let cached = cache.boot(UarchProfile::zen3(), phys, seed).unwrap();
+        let [fresh, cached] = [fresh, cached].map(|sys| sys.machine().page_table().entry_lists());
+        for (map, (want, got)) in ["user 4k", "kernel 4k", "2M"]
+            .iter()
+            .zip(fresh.iter().zip(&cached))
+        {
+            assert!(!want.is_empty(), "{map} map is empty (seed {seed})");
+            assert!(
+                want == got,
+                "{map} entries differ from a fresh boot's (seed {seed})"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A boot-template instance's page table is a fresh boot's,
+        /// entry for entry.
+        #[test]
+        fn instance_page_table_equals_a_fresh_boot(seed in any::<u64>()) {
+            static CACHE: BootCache = BootCache::new();
+            assert_same_page_table(&CACHE, seed);
+        }
+    }
+
+    #[test]
+    fn instance_page_table_equals_a_fresh_boot_on_the_edge_slots() {
+        let cache = BootCache::new();
+        for seed in [slot_seed(0), slot_seed(1)] {
+            assert_same_page_table(&cache, seed);
+        }
+    }
+
     #[test]
     fn boot_matches_a_fresh_boot() {
         let cache = BootCache::new();
         let template = cache.template_for(UarchProfile::zen2(), PHYS).unwrap();
         let canonical = KaslrLayout::fixed(0, 0);
-        // Besides arbitrary seeds, one whose image lands on the
-        // canonical slot (a no-op image rebase) and one a slot above it
-        // (source and destination ranges overlap).
-        let slot_seed = |slot| {
-            (0u64..)
-                .find(|&s| KaslrLayout::randomize(s).image_slot == slot)
-                .unwrap()
-        };
+        // Besides arbitrary seeds, the two edge slots.
         for seed in [11u64, 0xc0de, 7_777_777, slot_seed(0), slot_seed(1)] {
             let mut fresh = System::new(UarchProfile::zen2(), PHYS, seed).unwrap();
             let mut cached = cache.boot(UarchProfile::zen2(), PHYS, seed).unwrap();

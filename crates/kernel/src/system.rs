@@ -239,8 +239,10 @@ impl System {
         self.kpti = on;
     }
 
-    /// Reboot: fresh KASLR, cold caches and predictors. Charges the
-    /// reboot cost to wall-clock accounting via a fixed cycle budget.
+    /// Reboot: fresh KASLR, cold caches and predictors — the system
+    /// [`System::new_cached`] boots for `seed` on the same profile and
+    /// memory size. Nothing is charged for the reboot itself: the new
+    /// system's cycle counter starts from zero like any boot's.
     ///
     /// # Errors
     ///
@@ -248,7 +250,7 @@ impl System {
     pub fn reboot(&mut self, seed: u64) -> Result<(), SystemError> {
         let profile = self.machine.profile().clone();
         let phys = self.machine.phys().capacity();
-        *self = System::new(profile, phys, seed)?;
+        *self = System::new_cached(profile, phys, seed)?;
         Ok(())
     }
 

@@ -1,8 +1,7 @@
 //! Page tables: mapping, permission checks, translation.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{BitOr, BitOrAssign};
+use std::ops::{BitOr, BitOrAssign, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -143,6 +142,66 @@ struct Mapping {
     flags: PageFlags,
 }
 
+/// One page-table map: `(page key, mapping)` entries in one sorted
+/// run, keys unique. Lookups are binary searches, the slice of a key
+/// range is two `partition_point`s, and a clone (the first write to an
+/// `Arc`-shared map) is one memcpy of the run. Boot maps pages in
+/// ascending order, so `insert` appends without searching whenever the
+/// key is past the last one.
+#[derive(Debug, Clone, Default)]
+struct PageRun(Vec<(u64, Mapping)>);
+
+impl PageRun {
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    fn get(&self, key: &u64) -> Option<&Mapping> {
+        self.find(*key).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, key: &u64) -> Option<&mut Mapping> {
+        self.find(*key).ok().map(|i| &mut self.0[i].1)
+    }
+
+    fn contains_key(&self, key: &u64) -> bool {
+        self.find(*key).is_ok()
+    }
+
+    /// Insert or replace the entry for `key`, returning the replaced one.
+    fn insert(&mut self, key: u64, mapping: Mapping) -> Option<Mapping> {
+        if self.0.last().is_none_or(|&(last, _)| last < key) {
+            self.0.push((key, mapping));
+            return None;
+        }
+        match self.find(key) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, mapping)),
+            Err(i) => {
+                self.0.insert(i, (key, mapping));
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, key: &u64) -> Option<Mapping> {
+        self.find(*key).ok().map(|i| self.0.remove(i).1)
+    }
+
+    /// Index range of the entries keyed within `keys`.
+    fn span(&self, keys: &Range<u64>) -> Range<usize> {
+        let lo = self.0.partition_point(|&(k, _)| k < keys.start);
+        lo..lo + self.0[lo..].partition_point(|&(k, _)| k < keys.end)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// A flat page table: virtual page → (physical frame, flags).
 ///
 /// Supports 4 KiB pages and 2 MiB huge pages. Translation checks the
@@ -164,17 +223,18 @@ struct Mapping {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    /// 4 KiB mappings keyed by page number, one map per address-space
-    /// half (index 0: user, bit 63 clear; index 1: kernel). A user
-    /// mapping after a clone then unshares only the user map, never
-    /// the kernel image's.
-    small: [Arc<BTreeMap<u64, Mapping>>; 2],
-    huge: Arc<BTreeMap<u64, Mapping>>,
+    /// 4 KiB mappings keyed by page number, one sorted run per
+    /// address-space half (index 0: user, bit 63 clear; index 1:
+    /// kernel). A user mapping after a clone then unshares only the
+    /// user run, never the kernel image's.
+    small: [Arc<PageRun>; 2],
+    /// 2 MiB mappings keyed by `va >> 21`, one sorted run.
+    huge: Arc<PageRun>,
     /// Restamped from [`PT_VERSIONS`] on every mutation; lets cached
     /// translations (the TLB fast path) prove their entry still
-    /// reflects the table. The maps are `Arc`-backed so cloning a table
+    /// reflects the table. The runs are `Arc`-backed so cloning a table
     /// (snapshots, per-shard setup) is three pointer bumps; the first
-    /// mutation of a map after a clone unshares it.
+    /// mutation of a run after a clone unshares it with one memcpy.
     version: u64,
 }
 
@@ -275,9 +335,9 @@ impl PageTable {
     /// Overlap-safe: the result is exactly "remove every source entry,
     /// then insert every moved one", so rebasing a region onto an
     /// overlapping one (KASLR slots are closer together than the
-    /// kernel image is long) never drops or duplicates an entry. The
-    /// rebased map is built in one pass (see `rebase_keys`) rather
-    /// than by per-entry remove and insert.
+    /// kernel image is long) never drops or duplicates an entry. Each
+    /// touched map is rebuilt by one linear merge of its sorted run
+    /// (see `rebase_keys`) rather than by per-entry remove and insert.
     ///
     /// Returns the number of mappings moved. A no-op rebase (equal
     /// bases, or nothing mapped in the source range) leaves the
@@ -344,12 +404,12 @@ impl PageTable {
     }
 
     /// The 4 KiB map of the half `page` lies in.
-    fn small(&self, page: u64) -> &BTreeMap<u64, Mapping> {
+    fn small(&self, page: u64) -> &PageRun {
         &self.small[half_of(page)]
     }
 
     /// [`PageTable::small`], unshared for mutation.
-    fn small_mut(&mut self, page: u64) -> &mut BTreeMap<u64, Mapping> {
+    fn small_mut(&mut self, page: u64) -> &mut PageRun {
         Arc::make_mut(&mut self.small[half_of(page)])
     }
 
@@ -417,6 +477,17 @@ impl PageTable {
     pub fn is_empty(&self) -> bool {
         self.small.iter().all(|m| m.is_empty()) && self.huge.is_empty()
     }
+
+    /// Every mapping as `(page key, frame, flags)`, one key-ordered list
+    /// per map: the user half's 4 KiB pages, the kernel half's, then the
+    /// 2 MiB pages (keys are `va >> 12` and `va >> 21`). For parity
+    /// checks between tables built by different paths, such as a
+    /// boot-template instance and a fresh boot.
+    pub fn entry_lists(&self) -> [Vec<(u64, PhysAddr, PageFlags)>; 3] {
+        let [user, kernel] = &self.small;
+        [user, kernel, &self.huge]
+            .map(|run| run.0.iter().map(|&(k, m)| (k, m.frame, m.flags)).collect())
+    }
 }
 
 /// Which half of the address space (index into `PageTable::small`) a
@@ -427,47 +498,75 @@ fn half_of(page: u64) -> usize {
 
 /// Move the entries keyed `first..first + count` to `dest(i)`, where
 /// `i` is the key's offset from `first`; return how many moved. The
-/// entries are spread over `maps`, key `k` living in `maps[part(k)]`,
-/// so a range may straddle maps and a moved entry may change map.
-/// Each map that loses or gains an entry is rebuilt in one pass into
-/// a fresh allocation: its entries outside the source range as they
-/// are, then the moved ones landing in it chained last. Collecting
-/// into a `BTreeMap` sorts stably and keeps the last entry of equal
-/// keys (std's bulk build; the rebase proptest fails if that ever
-/// changes), so a moved entry replaces whatever the destination held
-/// — the same maps remove-all-then-insert-all yields, for any overlap
-/// of source and destination. A map with nothing to lose or gain (and
-/// its sharing) is left alone. A source range running past the top of
-/// the key space is clipped there rather than wrapped.
+/// entries are spread over `maps`, key `k` living in `maps[part(k)]`
+/// (`part` must not decrease as the key grows, so each map holds one
+/// contiguous key range and the maps in order form one sorted
+/// sequence), so a range may straddle maps and a moved entry may
+/// change map.
+///
+/// The source entries are one `partition_point` slice per map. Their
+/// destinations come out sorted, because `dest` increases with `i`,
+/// unless the destination wraps past the top of the key space; only
+/// then are they sorted. Each map that loses or gains an entry is then
+/// rebuilt by one linear merge into a fresh allocation: its entries
+/// outside the source range, merged with the moved ones landing in
+/// it. On equal keys the moved entry wins and the kept one is dropped
+/// — the maps remove-all-then-insert-all yields, for any overlap of
+/// source and destination. A map with nothing to lose or gain (and its
+/// sharing) is left alone. A source range running past the top of the
+/// key space is clipped there rather than wrapped.
 fn rebase_keys(
-    maps: &mut [Arc<BTreeMap<u64, Mapping>>],
+    maps: &mut [Arc<PageRun>],
     part: impl Fn(u64) -> usize,
     first: u64,
     count: u64,
     dest: impl Fn(u64) -> u64,
 ) -> usize {
-    let end = first.saturating_add(count);
-    let shifted: Vec<(u64, Mapping)> = maps
+    let source = first..first.saturating_add(count);
+    let mut moved: Vec<(u64, Mapping)> = maps
         .iter()
-        .flat_map(|map| map.range(first..end))
-        .map(|(&k, &m)| (dest(k - first), m))
+        .flat_map(|map| &map.0[map.span(&source)])
+        .map(|&(k, m)| (dest(k - first), m))
         .collect();
-    if shifted.is_empty() {
+    if moved.is_empty() {
         return 0;
     }
+    if !moved.is_sorted_by_key(|&(k, _)| k) {
+        moved.sort_unstable_by_key(|&(k, _)| k);
+    }
     for (i, map) in maps.iter_mut().enumerate() {
-        let incoming = shifted.iter().filter(|&&(k, _)| part(k) == i);
-        if map.range(first..end).next().is_none() && incoming.clone().next().is_none() {
+        let lost = map.span(&source);
+        let incoming = {
+            let lo = moved.partition_point(|&(k, _)| part(k) < i);
+            &moved[lo..lo + moved[lo..].partition_point(|&(k, _)| part(k) == i)]
+        };
+        if lost.is_empty() && incoming.is_empty() {
             continue;
         }
-        let kept = map.range(..first).chain(map.range(end..));
-        let rebased = kept
-            .map(|(&k, &m)| (k, m))
-            .chain(incoming.copied())
-            .collect();
-        *map = Arc::new(rebased);
+        let kept = map.0[..lost.start].iter().chain(&map.0[lost.end..]);
+        let capacity = map.len() - lost.len() + incoming.len();
+        *map = Arc::new(PageRun(merge_runs(kept.copied(), incoming, capacity)));
     }
-    shifted.len()
+    moved.len()
+}
+
+/// Merge two sorted runs of unique keys into one. On equal keys the
+/// `winners` entry is kept and the `kept` one dropped.
+fn merge_runs(
+    kept: impl Iterator<Item = (u64, Mapping)>,
+    winners: &[(u64, Mapping)],
+    capacity: usize,
+) -> Vec<(u64, Mapping)> {
+    let mut out = Vec::with_capacity(capacity);
+    let mut winners = winners.iter().copied().peekable();
+    for (k, m) in kept {
+        while let Some(w) = winners.next_if(|&(wk, _)| wk < k) {
+            out.push(w);
+        }
+        out.push(winners.next_if(|&(wk, _)| wk == k).unwrap_or((k, m)));
+    }
+    out.extend(winners);
+    out
 }
 
 /// Test-only oracle: the per-entry rebase that [`rebase_keys`]

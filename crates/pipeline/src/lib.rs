@@ -51,6 +51,7 @@ pub mod machine;
 pub mod profile;
 pub mod resteer;
 pub mod spec;
+pub mod templates;
 pub mod trace;
 pub mod transient;
 
@@ -63,5 +64,6 @@ pub use machine::{Checkpoint, Machine, MachineError, MachineSnapshot, RunExit, S
 pub use profile::{UarchProfile, Vendor};
 pub use resteer::{ResteerKind, SpeculationVerdict};
 pub use spec::{SpecError, UarchRegistry, UarchSpec};
+pub use templates::TemplateStore;
 pub use trace::{TraceEvent, TraceSink, Tracer};
 pub use transient::{TransientReport, TransientWindow};

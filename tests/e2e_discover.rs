@@ -6,8 +6,8 @@ use std::path::PathBuf;
 
 use phantom::runner::{trial_seed, TrialRunner};
 use phantom_bench::discover::{
-    beyond_table1, discover_jsonl, generate_case, minimize_case, parse_case, replay_case, run_case,
-    run_discover_on, CaseOutcome, DiscoverConfig,
+    beyond_table1, case_to_text, discover_jsonl, generate_case, minimize_case, parse_case,
+    replay_case, run_case, run_discover_on, CaseOutcome, DiscoverConfig,
 };
 use proptest::prelude::*;
 
@@ -127,5 +127,177 @@ proptest! {
     #[test]
     fn case_generation_is_pure(seed in any::<u64>()) {
         prop_assert_eq!(generate_case(seed), generate_case(seed));
+    }
+}
+
+/// Tokens a corpus edit swaps in: number boundaries (both radixes, at
+/// and past `u64::MAX`, around the 48-bit VA limit and page edges)
+/// and malformed numbers.
+const BOUNDARY_TOKENS: &[&str] = &[
+    "0",
+    "0x0",
+    "1",
+    "0xfff",
+    "0x1000",
+    "0x7fffffffffff",
+    "0x800000000000",
+    "0xffffffffffff",
+    "0xfffffffffffff000",
+    "0xffffffffffffffff",
+    "18446744073709551615",
+    "18446744073709551616",
+    "0x10000000000000000",
+    "-1",
+    "0x",
+    "1e9",
+];
+
+/// Lines an edit may insert: every op with boundary arguments, field
+/// lines and block delimiters.
+const INSERTED_LINES: &[&str] = &[
+    "nop",
+    "nopn 15",
+    "nopn 2",
+    "ret",
+    "load",
+    "jmp_ind",
+    "label 0",
+    "label 65535",
+    "jmp 0",
+    "jcc 65535",
+    "call 0",
+    "org 0xfff",
+    "org 0x0",
+    "org 0xffffffffffffffff",
+    "prog {",
+    "}",
+    "delta 0xfffffffffffff000",
+    "seed 0xffffffffffffffff",
+    "expect EX",
+    "train ret",
+    "base zen2",
+];
+
+/// The corpus files plus generated (unminimized, so op-rich) cases:
+/// the inputs the edits start from.
+static CORPUS_TEXTS: std::sync::LazyLock<Vec<String>> = std::sync::LazyLock::new(|| {
+    let mut texts: Vec<String> = corpus_files()
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("corpus file reads"))
+        .collect();
+    texts
+        .extend((0..8).map(|k| case_to_text(&generate_case(trial_seed(3, k)), phantom::Stage::If)));
+    texts
+});
+
+/// One structure-aware edit of a corpus file. Line and token indices
+/// wrap modulo the current count.
+#[derive(Debug, Clone)]
+enum CaseEdit {
+    DropLine(usize),
+    DuplicateLine(usize),
+    /// Replace token `.1` of line `.0` with `BOUNDARY_TOKENS[.2]`.
+    SwapToken(usize, usize, usize),
+    /// Give the `seed` (`false`) or `delta` (`true`) field
+    /// `BOUNDARY_TOKENS[.1]`.
+    SetNumber(bool, usize),
+    /// Insert `INSERTED_LINES[.1]` before line `.0`.
+    InsertLine(usize, usize),
+    /// Cut the text at the char boundary at or below byte `.0`.
+    Truncate(usize),
+}
+
+fn arb_case_edit() -> impl Strategy<Value = CaseEdit> {
+    prop_oneof![
+        any::<usize>().prop_map(CaseEdit::DropLine),
+        any::<usize>().prop_map(CaseEdit::DuplicateLine),
+        (any::<usize>(), any::<usize>(), 0..BOUNDARY_TOKENS.len())
+            .prop_map(|(l, t, b)| CaseEdit::SwapToken(l, t, b)),
+        (any::<bool>(), 0..BOUNDARY_TOKENS.len()).prop_map(|(d, b)| CaseEdit::SetNumber(d, b)),
+        (any::<usize>(), 0..INSERTED_LINES.len()).prop_map(|(l, i)| CaseEdit::InsertLine(l, i)),
+        any::<usize>().prop_map(CaseEdit::Truncate),
+    ]
+}
+
+fn apply_case_edit(text: &str, edit: &CaseEdit) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let n = lines.len().max(1);
+    match *edit {
+        CaseEdit::DropLine(i) if !lines.is_empty() => {
+            lines.remove(i % n);
+        }
+        CaseEdit::DuplicateLine(i) if !lines.is_empty() => {
+            let line = lines[i % n].clone();
+            lines.insert(i % n, line);
+        }
+        CaseEdit::SwapToken(i, t, b) if !lines.is_empty() => {
+            let mut tokens: Vec<&str> = lines[i % n].split_whitespace().collect();
+            if !tokens.is_empty() {
+                let k = t % tokens.len();
+                tokens[k] = BOUNDARY_TOKENS[b];
+                lines[i % n] = tokens.join(" ");
+            }
+        }
+        CaseEdit::SetNumber(delta, b) => {
+            let field = if delta { "delta" } else { "seed" };
+            for line in &mut lines {
+                if line.split_whitespace().next() == Some(field) {
+                    *line = format!("{field} {}", BOUNDARY_TOKENS[b]);
+                }
+            }
+        }
+        CaseEdit::InsertLine(i, l) => lines.insert(i % (lines.len() + 1), INSERTED_LINES[l].into()),
+        CaseEdit::Truncate(at) => {
+            let mut cut = at % (text.len() + 1);
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return text[..cut].to_owned();
+        }
+        _ => {}
+    }
+    lines.join("\n") + "\n"
+}
+
+/// Corpus-file text for the no-panic property: arbitrary bytes
+/// (lossily decoded), or a corpus file under one edit (which often
+/// still parses, so the case runs) or up to four.
+fn arb_case_text() -> impl Strategy<Value = String> {
+    let edited = |edits| {
+        (
+            0..CORPUS_TEXTS.len(),
+            proptest::collection::vec(arb_case_edit(), edits),
+        )
+            .prop_map(|(which, edits)| {
+                edits
+                    .iter()
+                    .fold(CORPUS_TEXTS[which].clone(), |text, edit| {
+                        apply_case_edit(&text, edit)
+                    })
+            })
+    };
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..300)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        edited(1..2),
+        edited(1..5),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Corpus-file text never panics: `parse_case` returns `Ok` or a
+    /// structured `Err`, and every case that parses runs through
+    /// `run_case` (an `Ok` or a rejection slug, never a panic; in the
+    /// debug test profile overflow checks are on).
+    #[test]
+    fn corpus_case_text_never_panics(text in arb_case_text()) {
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(entry) = parse_case(&text) {
+                let _ = run_case(&entry.case);
+            }
+        });
+        prop_assert!(outcome.is_ok(), "panicked on corpus text:\n{}", text);
     }
 }
