@@ -130,10 +130,6 @@ flags (serve):
                       are re-run; the final file is byte-identical to
                       an uninterrupted run
   --bits <n>          bits per transfer, i.e. trials per job (default 256)
-  --ab                instead of the grid, run one representative job
-                      twice — forking the post-boot checkpoint per
-                      trial vs re-booting per trial — and print both
-                      wall-clocks
 
 flags (bench; --json also implies bench when given alone):
   --json <path>       snapshot output path (default BENCH_phantom.json)
@@ -362,9 +358,9 @@ fn software() -> Result<(), RunnerError> {
     Ok(())
 }
 
-fn ablation() -> Result<(), RunnerError> {
+fn ablation(r: &TrialRunner) -> Result<(), RunnerError> {
     println!("resteer-latency sweep (Zen 2 shape):");
-    for p in phantom::ablation::resteer_latency_sweep(&[4, 5, 6, 8, 10, 12, 16])? {
+    for p in phantom::ablation::resteer_latency_sweep_on(r, &[4, 5, 6, 8, 10, 12, 16])? {
         println!(
             "  latency {:>2} cycles -> spare {:>2} uops -> {}",
             p.latency, p.spare_uops, p.stage
@@ -375,7 +371,7 @@ fn ablation() -> Result<(), RunnerError> {
         println!("  {} way(s) -> {:.0}% survive", p.ways, p.survival * 100.0);
     }
     println!("noise-accuracy curve (fetch channel, 128 bits):");
-    for p in phantom::ablation::noise_accuracy_curve(&[0.0, 0.01, 0.03, 0.1, 0.3], 128, 1)? {
+    for p in phantom::ablation::noise_accuracy_curve_on(r, &[0.0, 0.01, 0.03, 0.1, 0.3], 128, 1)? {
         println!(
             "  spurious {:>4.0}% -> accuracy {:.1}%",
             p.spurious_rate * 100.0,
@@ -489,7 +485,6 @@ struct ServeFlags {
     resume: Option<PathBuf>,
     bits: Option<usize>,
     seed: u64,
-    ab: bool,
 }
 
 /// The campaign service: expand the job grid, skip what a `--resume`
@@ -515,20 +510,6 @@ fn serve(
         cfg.bits = bits;
     }
     cfg.seed = sf.seed;
-
-    if sf.ab {
-        let bits = cfg.bits.min(64);
-        eprintln!("[serve --ab: {bits}-bit zen2 fetch transfer, quiet noise, both arms]");
-        let ab = campaign::ab_compare(r, bits, cfg.seed)?;
-        println!(
-            "fork-per-trial: {:.3}s   boot-per-trial: {:.3}s   ({:.1}x slower)   accuracy {:.4} in both arms",
-            ab.fork_secs,
-            ab.boot_secs,
-            ab.speedup(),
-            ab.accuracy
-        );
-        return Ok(());
-    }
 
     let jobs = campaign::jobs(&cfg);
     let (skip, prefix) = match &sf.resume {
@@ -766,7 +747,6 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--corpus", true, &["discover"]),
     ("--resume", true, &["serve"]),
     ("--bits", true, &["serve"]),
-    ("--ab", false, &["serve"]),
     ("--json", true, GATED),
     ("--baseline", true, GATED),
     ("--tolerance", true, GATED),
@@ -811,6 +791,9 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
                 None => return Err(format!("{name} requires a value")),
             },
             Some(row) => given.push((row, String::new())),
+            None if arg.starts_with("--") && arg != "--help" => {
+                return Err(format!("unknown flag {arg}"))
+            }
             None => positional.push(arg),
         }
     }
@@ -866,7 +849,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
             resume: last("--resume"),
             bits,
             seed,
-            ab: has("--ab"),
         },
         positional,
         given,
@@ -963,14 +945,19 @@ fn main() {
         vec![UarchProfile::zen2(), UarchProfile::zen4()]
     };
 
-    let num = |i: usize, default: usize| -> usize {
-        match positional.get(i) {
+    // The command's count (`repro table2 64`): at least `min`, as
+    // `--bits` and `--workers` are. Only discover takes 0, which
+    // writes an empty summary; a zero count elsewhere would score an
+    // empty run as NaN rates and 0/0 rows.
+    let count = |default: usize, min: usize| -> usize {
+        match positional.get(1) {
             None => default,
             Some(s) => match s.parse() {
-                Ok(n) => n,
-                Err(_) => usage_error(&format!(
-                    "invalid count {s:?} for {}: expected a non-negative integer",
-                    positional[0]
+                Ok(n) if n >= min => n,
+                _ => usage_error(&format!(
+                    "invalid count {s:?} for {}: expected a {} integer",
+                    positional[0],
+                    if min == 0 { "non-negative" } else { "positive" }
                 )),
             },
         }
@@ -989,7 +976,7 @@ fn main() {
         "serve" => serve(&r, &registry, &uarch_names, &cli.serve),
         "discover" => discover(
             &r,
-            num(1, if full() { 512 } else { 64 }),
+            count(if full() { 512 } else { 64 }, 0),
             cli.seed,
             &last("--out").unwrap_or_else(|| "discover.jsonl".into()),
             last("--corpus").as_deref(),
@@ -1003,17 +990,17 @@ fn main() {
             figure7();
             Ok(())
         }
-        "table2" => table2(&r, num(1, if full() { 4096 } else { 256 })),
-        "table3" => table3(&r, num(1, if full() { 100 } else { 5 })),
-        "table4" => table4(&r, num(1, if full() { 10 } else { 3 })),
-        "table5" => table5(&r, num(1, if full() { 100 } else { 3 })),
-        "mds" => mds(&r, num(1, if full() { 4096 } else { 64 })),
+        "table2" => table2(&r, count(if full() { 4096 } else { 256 }, 1)),
+        "table3" => table3(&r, count(if full() { 100 } else { 5 }, 1)),
+        "table4" => table4(&r, count(if full() { 10 } else { 3 }, 1)),
+        "table5" => table5(&r, count(if full() { 100 } else { 3 }, 1)),
+        "mds" => mds(&r, count(if full() { 4096 } else { 64 }, 1)),
         "bench" => bench(&r, &cli.bench),
         "o4" => o4(),
         "o5" => o5(),
         "software" => software(),
         "spectre" => spectre(),
-        "ablation" => ablation(),
+        "ablation" => ablation(&r),
         "noise-sweep" => {
             let mut cfg = if full() {
                 NoiseSweepConfig {
@@ -1023,10 +1010,10 @@ fn main() {
             } else {
                 NoiseSweepConfig::quick(500)
             };
-            cfg.bits = num(1, cfg.bits);
+            cfg.bits = count(cfg.bits, 1);
             noise_sweep(&r, &cfg, &cli.bench)
         }
-        "pht-channel" => pht_channel(&r, num(1, if full() { 4096 } else { 128 }), &cli.bench),
+        "pht-channel" => pht_channel(&r, count(if full() { 4096 } else { 128 }, 1), &cli.bench),
         "overhead" => overhead(&r),
         "gadgets" => {
             gadgets();
@@ -1046,7 +1033,7 @@ fn main() {
             .and_then(|()| o5())
             .and_then(|()| software())
             .and_then(|()| spectre())
-            .and_then(|()| ablation())
+            .and_then(|()| ablation(&r))
             .and_then(|()| noise_sweep(&r, &NoiseSweepConfig::quick(500), &cli.bench))
             .and_then(|()| pht_channel(&r, 128, &cli.bench))
             .and_then(|()| overhead(&r))
@@ -1164,6 +1151,7 @@ mod tests {
             (&["serve", "--bits"][..], "--bits requires a value"),
             (&["table1", "--json", "x"], "--json is only valid with the"),
             (&["serve", "--workers", "0"], "invalid --workers \"0\""),
+            (&["serve", "--ab"], "unknown flag --ab"),
             (&["serve", "--seed", "-1"], "invalid --seed \"-1\""),
             (
                 &["bench", "--tolerance", "NaN"],

@@ -18,10 +18,7 @@
 use std::io::Write;
 
 use phantom::attacks::{pht_channel_decoded_on, PhtChannelConfig};
-use phantom::covert::{
-    execute_channel_decoded_on, fetch_channel_boot_per_trial_on, fetch_channel_decoded_on,
-    CovertConfig, RECEIVER_PHYS_BYTES,
-};
+use phantom::covert::{execute_channel_decoded_on, fetch_channel_decoded_on, CovertConfig};
 use phantom::decode::DecoderConfig;
 use phantom::report::json::SCHEMA;
 use phantom::report::value::{parse, JsonValue};
@@ -402,79 +399,6 @@ pub fn run_campaign(
     Ok(())
 }
 
-/// Outcome of the boot-per-trial vs fork-per-trial A/B.
-#[derive(Debug, Clone, Copy)]
-pub struct AbReport {
-    /// Wall-clock seconds for the checkpoint-forking run.
-    pub fork_secs: f64,
-    /// Wall-clock seconds for the boot-every-trial run.
-    pub boot_secs: f64,
-    /// Decoded accuracy (identical for both arms by construction).
-    pub accuracy: f64,
-    /// Bits transferred in each arm.
-    pub bits: usize,
-}
-
-impl AbReport {
-    /// boot / fork wall-clock ratio.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.fork_secs > 0.0 {
-            self.boot_secs / self.fork_secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Run one representative job (zen2 fetch, quiet noise) twice — forking
-/// the post-boot checkpoint per trial vs re-booting per trial — and
-/// report host wall-clock for both arms. Both arms decode identical
-/// bits; only the time differs. Wall-clock stays out of campaign
-/// records, so this is the one place the repo measures it.
-///
-/// # Errors
-///
-/// Returns [`RunnerError`] if either arm fails, or if the two arms
-/// disagree on accuracy (which would falsify the fork contract).
-pub fn ab_compare(runner: &TrialRunner, bits: usize, seed: u64) -> Result<AbReport, RunnerError> {
-    let profile = UarchProfile::zen2();
-    let covert = CovertConfig { bits, seed };
-    let noise = NoiseModel::quiet(seed);
-    // Build the one-time boot template before either clock starts, so
-    // neither arm pays for it.
-    phantom_kernel::System::new_cached(profile.clone(), RECEIVER_PHYS_BYTES, seed)?;
-
-    let t0 = std::time::Instant::now();
-    let forked = fetch_channel_decoded_on(
-        runner,
-        profile.clone(),
-        covert,
-        noise.clone(),
-        DecoderConfig::default(),
-    )?;
-    let fork_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = std::time::Instant::now();
-    let booted =
-        fetch_channel_boot_per_trial_on(runner, profile, covert, noise, DecoderConfig::default())?;
-    let boot_secs = t1.elapsed().as_secs_f64();
-
-    if (forked.accuracy - booted.accuracy).abs() > f64::EPSILON {
-        return Err(format!(
-            "A/B arms disagree: fork accuracy {} vs boot accuracy {}",
-            forked.accuracy, booted.accuracy
-        )
-        .into());
-    }
-    Ok(AbReport {
-        fork_secs,
-        boot_secs,
-        accuracy: forked.accuracy,
-        bits,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,13 +519,5 @@ mod tests {
             campaign_bytes(&cfg, 8),
             "campaign records must not depend on the worker count"
         );
-    }
-
-    #[test]
-    fn ab_arms_agree_and_report_wall_clock() {
-        let runner = TrialRunner::new();
-        let ab = ab_compare(&runner, 8, 7).unwrap();
-        assert!(ab.accuracy > 0.9);
-        assert!(ab.fork_secs > 0.0 && ab.boot_secs > 0.0);
     }
 }

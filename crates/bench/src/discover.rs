@@ -843,16 +843,7 @@ impl Scenario for DiscoverScenario {
     }
 }
 
-/// Run a discovery campaign on a default runner.
-///
-/// # Errors
-///
-/// Propagates scenario failures.
-pub fn run_discover(cfg: DiscoverConfig) -> Result<DiscoverReport, RunnerError> {
-    run_discover_on(&TrialRunner::new(), cfg)
-}
-
-/// [`run_discover`] on an explicit runner. Output is byte-identical at
+/// Run a discovery campaign on `runner`. Output is byte-identical at
 /// any worker count.
 ///
 /// # Errors

@@ -4,9 +4,9 @@
 //! returning structured results that `repro` renders with
 //! [`phantom::report`]. Every sweep is a [`phantom::runner::Scenario`]
 //! driven by a [`TrialRunner`], so independent trials (reboots, bits,
-//! cells) shard across worker threads; the `*_on` variants take an
-//! explicit runner for thread-count control, and outputs are identical
-//! at any thread count. Run counts and search-space sizes are
+//! cells) shard across the worker threads of the runner each `*_on`
+//! function takes from its caller, and outputs are identical at any
+//! thread count. Run counts and search-space sizes are
 //! parameterized: the paper's full protocol (100 reboots, all 488 /
 //! 25 600 KASLR slots) is reachable by cranking the knobs, while the
 //! defaults keep a laptop run in minutes. Scaling choices are recorded
@@ -31,8 +31,7 @@ pub mod snapshot;
 
 pub use phantom::attacks::scan_window;
 pub use snapshot::{
-    collect_snapshot, cow_reference, decode_cache_reference, decode_cache_wall_ab, tlb_reference,
-    BenchConfig,
+    collect_snapshot, cow_reference, decode_cache_reference, tlb_reference, BenchConfig,
 };
 
 /// A boxed error for runner signatures.
@@ -85,29 +84,11 @@ pub fn timed<T, E>(
 /// # Errors
 ///
 /// Propagates experiment setup failures.
-pub fn run_table1(seed: u64) -> Result<Vec<Table1Cell>, RunnerError> {
-    run_table1_on(&TrialRunner::new(), seed)
-}
-
-/// [`run_table1`] on an explicit runner.
-///
-/// # Errors
-///
-/// Propagates experiment setup failures.
 pub fn run_table1_on(runner: &TrialRunner, seed: u64) -> Result<Vec<Table1Cell>, RunnerError> {
     Ok(table1_on(runner, &UarchProfile::all(), seed)?)
 }
 
 /// Regenerate Figure 6 (µop-cache page-offset sweep) on a profile.
-///
-/// # Errors
-///
-/// Propagates experiment setup failures.
-pub fn run_figure6(profile: UarchProfile, step: u64) -> Result<Vec<Figure6Point>, RunnerError> {
-    run_figure6_on(&TrialRunner::new(), profile, step)
-}
-
-/// [`run_figure6`] on an explicit runner.
 ///
 /// # Errors
 ///
@@ -136,15 +117,6 @@ pub fn run_figure7(samples: usize, seed: u64) -> Figure7 {
 /// # Errors
 ///
 /// Propagates channel failures.
-pub fn run_table2(bits: usize, seed: u64) -> Result<Vec<CovertResult>, RunnerError> {
-    run_table2_on(&TrialRunner::new(), bits, seed)
-}
-
-/// [`run_table2`] on an explicit runner.
-///
-/// # Errors
-///
-/// Propagates channel failures.
 pub fn run_table2_on(
     runner: &TrialRunner,
     bits: usize,
@@ -156,20 +128,6 @@ pub fn run_table2_on(
 /// Regenerate Table 3 rows: `runs` kernel-image KASLR breaks with a
 /// reboot (fresh KASLR) before each. `slots` limits the scanned window
 /// per run (0 = full 488).
-///
-/// # Errors
-///
-/// Propagates attack failures.
-pub fn run_table3(
-    profile: UarchProfile,
-    runs: usize,
-    slots: u64,
-    seed: u64,
-) -> Result<Vec<KaslrImageResult>, RunnerError> {
-    run_table3_on(&TrialRunner::new(), profile, runs, slots, seed)
-}
-
-/// [`run_table3`] on an explicit runner.
 ///
 /// # Errors
 ///
@@ -193,20 +151,6 @@ pub fn run_table3_on(
 }
 
 /// Regenerate Table 4 rows: `runs` physmap breaks (reboot per run).
-///
-/// # Errors
-///
-/// Propagates attack failures.
-pub fn run_table4(
-    profile: UarchProfile,
-    runs: usize,
-    slots: u64,
-    seed: u64,
-) -> Result<Vec<PhysmapResult>, RunnerError> {
-    run_table4_on(&TrialRunner::new(), profile, runs, slots, seed)
-}
-
-/// [`run_table4`] on an explicit runner.
 ///
 /// # Errors
 ///
@@ -235,20 +179,6 @@ pub fn run_table4_on(
 /// # Errors
 ///
 /// Propagates attack failures.
-pub fn run_table5(
-    profile: UarchProfile,
-    phys_bytes: u64,
-    runs: usize,
-    seed: u64,
-) -> Result<Vec<PhysAddrResult>, RunnerError> {
-    run_table5_on(&TrialRunner::new(), profile, phys_bytes, runs, seed)
-}
-
-/// [`run_table5`] on an explicit runner.
-///
-/// # Errors
-///
-/// Propagates attack failures.
 pub fn run_table5_on(
     runner: &TrialRunner,
     profile: UarchProfile,
@@ -268,20 +198,6 @@ pub fn run_table5_on(
 }
 
 /// Regenerate the §7.4 MDS leak: `runs` reboots, `bytes` leaked each.
-///
-/// # Errors
-///
-/// Propagates attack failures.
-pub fn run_mds(
-    profile: UarchProfile,
-    bytes: usize,
-    runs: usize,
-    seed: u64,
-) -> Result<Vec<MdsLeakResult>, RunnerError> {
-    run_mds_on(&TrialRunner::new(), profile, bytes, runs, seed)
-}
-
-/// [`run_mds`] on an explicit runner.
 ///
 /// # Errors
 ///
@@ -311,15 +227,6 @@ pub fn run_mds_on(
 /// # Errors
 ///
 /// Propagates channel failures.
-pub fn run_pht_channel(bits: usize, seed: u64) -> Result<Vec<PhtChannelResult>, RunnerError> {
-    run_pht_channel_on(&TrialRunner::new(), bits, seed)
-}
-
-/// [`run_pht_channel`] on an explicit runner.
-///
-/// # Errors
-///
-/// Propagates channel failures.
 pub fn run_pht_channel_on(
     runner: &TrialRunner,
     bits: usize,
@@ -339,15 +246,6 @@ pub fn run_pht_channel_on(
 /// Run the noise-robustness sweep: covert-channel accuracy, probe
 /// spend, and abstention counts as each noise knob sweeps from quiet
 /// to harsh while the others stay at zero.
-///
-/// # Errors
-///
-/// Propagates channel failures.
-pub fn run_noise_sweep(config: &NoiseSweepConfig) -> Result<Vec<NoiseSweepPoint>, RunnerError> {
-    run_noise_sweep_on(&TrialRunner::new(), config)
-}
-
-/// [`run_noise_sweep`] on an explicit runner.
 ///
 /// # Errors
 ///
@@ -374,7 +272,7 @@ mod tests {
 
     #[test]
     fn table3_runner_reboots_between_runs() {
-        let runs = run_table3(UarchProfile::zen3(), 2, 8, 77).unwrap();
+        let runs = run_table3_on(&TrialRunner::new(), UarchProfile::zen3(), 2, 8, 77).unwrap();
         assert_eq!(runs.len(), 2);
         assert!(runs.iter().all(|r| r.correct));
         // Different reboots landed on different slots (seeded).

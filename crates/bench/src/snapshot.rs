@@ -4,8 +4,8 @@
 //!
 //! The canonical snapshot is deterministic: same seeds, same thread
 //! count or not — byte-identical output (the determinism suite pins
-//! this). Host-volatile facts (wall-clock, thread count, the
-//! decode-cache wall-clock A/B) only appear when
+//! this). Host-volatile facts (per-experiment wall-clock, thread
+//! count) only appear when
 //! [`BenchConfig::host_meta`] is set, in the `host` section that the
 //! diff ignores.
 
@@ -17,10 +17,10 @@ use phantom::mitigations::{
     rsb_stuffing_protection, sls_padding_protection, suppress_overhead_on,
 };
 use phantom::report::json::{
-    BenchSnapshot, CovertRecord, DecodeCacheWall, ExperimentWall, Figure6Record, Figure7Record,
-    GadgetRecord, HostMeta, MdsRunRecord, MdsTableRecord, NoiseSweepRecord, O4Record, O5Record,
-    OverheadRecord, PerfRecord, PhtChannelRecord, PhysAddrRunRecord, PhysAddrTableRecord, RunMeta,
-    SlotRunRecord, SlotTableRecord, SoftwareRecord, StageFlags, Table1Record,
+    BenchSnapshot, CovertRecord, ExperimentWall, Figure6Record, Figure7Record, GadgetRecord,
+    HostMeta, MdsRunRecord, MdsTableRecord, NoiseSweepRecord, O4Record, O5Record, OverheadRecord,
+    PerfRecord, PhtChannelRecord, PhysAddrRunRecord, PhysAddrTableRecord, RunMeta, SlotRunRecord,
+    SlotTableRecord, SoftwareRecord, StageFlags, Table1Record,
 };
 use phantom::runner::TrialRunner;
 use phantom::UarchProfile;
@@ -250,24 +250,6 @@ pub fn probe_arena_reference() -> u64 {
     m.probe_rearms()
 }
 
-/// Host wall-clock A/B of the same workload with the decode cache
-/// enabled vs disabled, in seconds. Host-volatile — `host` section
-/// only.
-pub fn decode_cache_wall_ab() -> (f64, f64) {
-    let measure = |enabled: bool| -> f64 {
-        let mut m = reference_machine();
-        m.set_decode_cache_enabled(enabled);
-        let start = Instant::now();
-        for _ in 0..8 {
-            let mut fresh = reference_machine();
-            fresh.set_decode_cache_enabled(enabled);
-            fresh.run(REFERENCE_STEPS).expect("reference workload runs");
-        }
-        start.elapsed().as_secs_f64()
-    };
-    (measure(true), measure(false))
-}
-
 /// Run every experiment on `runner` and assemble the snapshot.
 ///
 /// # Errors
@@ -468,7 +450,6 @@ pub fn collect_snapshot(
     };
 
     let host = if cfg.host_meta {
-        let (enabled_seconds, disabled_seconds) = decode_cache_wall_ab();
         Some(HostMeta {
             threads: runner.threads() as u64,
             wall_seconds: wall
@@ -478,10 +459,6 @@ pub fn collect_snapshot(
                     seconds,
                 })
                 .collect(),
-            decode_cache_wall: Some(DecodeCacheWall {
-                enabled_seconds,
-                disabled_seconds,
-            }),
         })
     } else {
         None

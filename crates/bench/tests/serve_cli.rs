@@ -62,7 +62,7 @@ fn bad_workers_exits_2_with_usage() {
 fn serve_only_flags_on_other_commands_exit_2_with_usage() {
     for args in [
         &["table2", "--resume", "x.jsonl"][..],
-        &["bench", "--ab"][..],
+        &["bench", "--bits", "8"][..],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -77,6 +77,32 @@ fn serve_only_flags_on_other_commands_exit_2_with_usage() {
     let out = repro(&["table2", "--corpus", "dir"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("only valid with the discover command"));
+}
+
+/// A zero count is a usage error, as `--bits 0` and `--workers 0`
+/// are: scoring an empty run would print `NaN bits/s` and `0/0` rows.
+/// Only discover takes 0 (an empty summary).
+#[test]
+fn zero_counts_exit_2_with_usage() {
+    for cmd in [
+        "table2",
+        "table3",
+        "table4",
+        "table5",
+        "mds",
+        "pht-channel",
+        "noise-sweep",
+    ] {
+        let out = repro(&[cmd, "0"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd} 0: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("expected a positive integer"), "{cmd}: {err}");
+        assert!(err.contains("usage:"), "{cmd}: {err}");
+    }
+    let path = tmp("discover-0");
+    let out = repro(&["discover", "0", "--out", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -29,6 +29,8 @@
 //! assert!(!l1.probe(0x1000));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod geometry;
 pub mod hierarchy;
 pub mod perf;

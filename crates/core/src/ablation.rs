@@ -10,7 +10,8 @@ use phantom_pipeline::UarchProfile;
 use phantom_sidechannel::NoiseModel;
 
 use crate::channel::ChannelError;
-use crate::covert::{fetch_channel_noisy_on, CovertConfig};
+use crate::covert::{fetch_channel_decoded_on, CovertConfig};
+use crate::decode::DecoderConfig;
 use crate::experiment::{run_combo, Stage, TrainKind, VictimKind};
 use crate::primitives::PrimitiveError;
 use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
@@ -80,15 +81,6 @@ impl Scenario for LatencySweep {
 /// observe where EX appears. The Zen 1/2 vs Zen 3/4 split in Table 1 is
 /// exactly this threshold: transient execution exists iff the resteer
 /// lands after the first wrong-path µop can dispatch.
-///
-/// # Errors
-///
-/// Returns [`ChannelError`] if an experiment fails to set up.
-pub fn resteer_latency_sweep(latencies: &[u64]) -> Result<Vec<LatencyPoint>, ChannelError> {
-    resteer_latency_sweep_on(&TrialRunner::new(), latencies)
-}
-
-/// [`resteer_latency_sweep`] on an explicit runner.
 ///
 /// # Errors
 ///
@@ -197,7 +189,7 @@ impl Scenario for NoiseCurve {
         let mut noise = NoiseModel::quiet(self.seed);
         noise.spurious_evict = rate;
         noise.missed_signal = rate / 2.0;
-        let r = fetch_channel_noisy_on(
+        let r = fetch_channel_decoded_on(
             &TrialRunner::with_threads(1),
             UarchProfile::zen2(),
             CovertConfig {
@@ -205,6 +197,7 @@ impl Scenario for NoiseCurve {
                 seed: self.seed,
             },
             noise,
+            DecoderConfig::default(),
         )?;
         Ok(NoisePoint {
             spurious_rate: rate,
@@ -220,19 +213,6 @@ impl Scenario for NoiseCurve {
 /// Measure fetch-channel accuracy against the spurious-eviction rate —
 /// the knob behind every sub-100% number in Tables 2–5, and the reason
 /// the attacks repeat measurements and score (§7.3).
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on channel failure.
-pub fn noise_accuracy_curve(
-    rates: &[f64],
-    bits: usize,
-    seed: u64,
-) -> Result<Vec<NoisePoint>, PrimitiveError> {
-    noise_accuracy_curve_on(&TrialRunner::new(), rates, bits, seed)
-}
-
-/// [`noise_accuracy_curve`] on an explicit runner.
 ///
 /// # Errors
 ///
@@ -255,7 +235,7 @@ pub fn noise_accuracy_curve_on(
         .map_err(|e| PrimitiveError(e.to_string()))
 }
 
-/// Configuration for [`noise_sweep`]: one fetch covert-channel transfer
+/// Configuration for [`noise_sweep_on`]: one fetch covert-channel transfer
 /// per listed knob value, each axis swept independently on top of a
 /// quiet baseline so the curves are attributable to a single noise
 /// source.
@@ -370,7 +350,7 @@ impl Scenario for NoiseSweep {
             "spurious_evict" => noise.spurious_evict = value,
             _ => noise.missed_signal = value,
         }
-        let r = fetch_channel_noisy_on(
+        let r = fetch_channel_decoded_on(
             &TrialRunner::with_threads(1),
             UarchProfile::zen2(),
             CovertConfig {
@@ -378,6 +358,7 @@ impl Scenario for NoiseSweep {
                 seed: self.config.seed,
             },
             noise,
+            DecoderConfig::default(),
         )?;
         Ok(NoiseSweepPoint {
             axis,
@@ -403,15 +384,6 @@ impl Scenario for NoiseSweep {
 /// # Errors
 ///
 /// Returns [`PrimitiveError`] on channel failure.
-pub fn noise_sweep(config: &NoiseSweepConfig) -> Result<Vec<NoiseSweepPoint>, PrimitiveError> {
-    noise_sweep_on(&TrialRunner::new(), config)
-}
-
-/// [`noise_sweep`] on an explicit runner.
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on channel failure.
 pub fn noise_sweep_on(
     runner: &TrialRunner,
     config: &NoiseSweepConfig,
@@ -433,7 +405,7 @@ mod tests {
 
     #[test]
     fn latency_sweep_shows_the_ex_threshold() {
-        let points = resteer_latency_sweep(&[4, 5, 6, 8, 12, 16]).unwrap();
+        let points = resteer_latency_sweep_on(&TrialRunner::new(), &[4, 5, 6, 8, 12, 16]).unwrap();
         for p in &points {
             // fetch(1) + decode(4) must beat the resteer for ID; one
             // spare cycle past that dispatches the wrong-path load (EX).
@@ -466,7 +438,7 @@ mod tests {
     #[test]
     fn noise_sweep_covers_every_axis_and_stays_clean_when_quiet() {
         let config = NoiseSweepConfig::quick(5);
-        let points = noise_sweep(&config).unwrap();
+        let points = noise_sweep_on(&TrialRunner::new(), &config).unwrap();
         assert_eq!(points.len(), config.points());
         for p in &points {
             // Every axis's first value is its quiet baseline.
@@ -488,10 +460,13 @@ mod tests {
 
     #[test]
     fn noise_curve_degrades_monotonically_ish() {
-        let points = noise_accuracy_curve(&[0.0, 0.05, 0.3], 96, 3).unwrap();
+        let points =
+            noise_accuracy_curve_on(&TrialRunner::new(), &[0.0, 0.03, 0.05, 0.3], 96, 3).unwrap();
         assert!(points[0].accuracy > 0.99, "{points:?}");
+        // Light noise (3 % spurious evictions) keeps the channel strong.
+        assert!(points[1].accuracy > 0.7, "{points:?}");
         assert!(
-            points[2].accuracy < points[0].accuracy,
+            points[3].accuracy < points[0].accuracy,
             "heavy noise hurts: {points:?}"
         );
     }

@@ -441,18 +441,6 @@ impl Scenario for PhtScenario<'_> {
 ///
 /// Returns [`PrimitiveError`] on setup failure or when the scheme
 /// admits no out-of-place alias.
-pub fn pht_channel(
-    profile: UarchProfile,
-    config: PhtChannelConfig,
-) -> Result<PhtChannelResult, PrimitiveError> {
-    pht_channel_on(&TrialRunner::new(), profile, config)
-}
-
-/// [`pht_channel`] on an explicit runner (thread-count control).
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup failure.
 pub fn pht_channel_on(
     runner: &TrialRunner,
     profile: UarchProfile,
@@ -528,7 +516,7 @@ mod tests {
     fn recovers_the_secret_on_every_builtin_amd_part() {
         for p in UarchProfile::amd() {
             let name = p.name.clone();
-            let r = pht_channel(p, SMALL).unwrap();
+            let r = pht_channel_on(&TrialRunner::new(), p, SMALL).unwrap();
             assert!(r.accuracy >= 0.9, "{name}: accuracy {}", r.accuracy);
             assert!(r.bits_per_sec > 0.0, "{name}");
             assert_eq!(r.flip_mask.count_ones(), 1, "{name}: far-bit alias");

@@ -20,8 +20,8 @@ pub mod physaddr;
 pub mod physmap;
 
 pub use branch_spectre::{
-    out_of_place_cbp_alias, out_of_place_cbp_aliases, pht_channel, pht_channel_decoded_on,
-    pht_channel_on, PhtChannelConfig, PhtChannelResult,
+    out_of_place_cbp_alias, out_of_place_cbp_aliases, pht_channel_decoded_on, pht_channel_on,
+    PhtChannelConfig, PhtChannelResult,
 };
 pub use kaslr_image::{break_kaslr_image, KaslrImageConfig, KaslrImageResult, KaslrImageSweep};
 pub use mds_leak::{leak_kernel_memory, MdsLeakConfig, MdsLeakResult, MdsLeakSweep};

@@ -42,7 +42,7 @@ use phantom_sidechannel::{NoiseModel, ProbeArena, ProbeLevel};
 
 use crate::decode::{decode_adaptive, Decoded, DecoderConfig};
 use crate::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig, PrimitiveError};
-use crate::runner::{BootEveryFork, Scenario, ScenarioError, Trial, TrialRunner};
+use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
 
 /// Physical memory of the receiver's machine (its boot template is
 /// keyed by this size and the profile).
@@ -120,21 +120,23 @@ struct ChannelScenario {
     decoder: DecoderConfig,
 }
 
-/// Per-worker receiver state: a booted system plus the rewind point.
+/// Per-worker receiver state.
 ///
-/// `setup` boots exactly one system; the runner seals it by move into
-/// a [`ChannelSeal`] and every worker forks one private copy. The fork
-/// shares the boot-time physical frames (and the `Arc`-held rewind
-/// point) copy-on-write, so a fork costs one machine clone — never a
-/// reboot — and each trial's dirty frames stay private to its worker.
-struct ChannelState {
-    sys: System,
-    /// The rewind point: the seal's machine checkpoint on a fork. The
-    /// state `setup` returns has none until its first probe seals it
-    /// lazily by clone — only a caller that probes a set-up state
-    /// directly (the [`BootEveryFork`] arm) pays that copy.
-    snap: Option<Checkpoint>,
-    geometry: ChannelGeometry,
+/// `setup` boots exactly one receiver; the runner seals it by move
+/// into a [`ChannelSeal`] before any trial (the [`Scenario`] contract),
+/// and every worker probes its own fork. A fork shares the boot-time
+/// physical frames (and the `Arc`-held rewind point) copy-on-write, so
+/// it costs one machine clone — never a reboot — and each trial's
+/// dirty frames stay private to its worker.
+enum ChannelState {
+    /// The set-up receiver, which only the runner's seal consumes.
+    Booted(System, ChannelGeometry),
+    /// A worker's fork of the seal, with the seal's rewind point.
+    Forked {
+        sys: System,
+        snap: Checkpoint,
+        geometry: ChannelGeometry,
+    },
 }
 
 /// The sealed receiver: the set-up instance itself, as a fork point.
@@ -239,44 +241,48 @@ impl Scenario for ChannelScenario {
             }
         };
         let snap_cycles = sys.machine().cycles();
-        Ok(ChannelState {
-            sys,
-            snap: None,
-            geometry: ChannelGeometry {
-                cfg,
-                snap_cycles,
-                t1,
-                t0,
-                victim,
-                gadget,
-            },
-        })
+        let geometry = ChannelGeometry {
+            cfg,
+            snap_cycles,
+            t1,
+            t0,
+            victim,
+            gadget,
+        };
+        Ok(ChannelState::Booted(sys, geometry))
     }
 
     fn checkpoint(&self, state: ChannelState) -> Result<ChannelSeal, ScenarioError> {
+        let (sys, geometry) = match state {
+            ChannelState::Booted(sys, geometry) => (sys, geometry),
+            ChannelState::Forked { sys, geometry, .. } => (sys, geometry),
+        };
         Ok(ChannelSeal {
-            sys: state.sys.into_checkpoint(),
-            geometry: state.geometry,
+            sys: sys.into_checkpoint(),
+            geometry,
         })
     }
 
     fn fork(&self, seal: &ChannelSeal) -> Result<ChannelState, ScenarioError> {
-        Ok(ChannelState {
+        Ok(ChannelState::Forked {
             sys: seal.sys.fork(),
-            snap: Some(seal.sys.checkpoint().clone()),
+            snap: seal.sys.checkpoint().clone(),
             geometry: seal.geometry.clone(),
         })
     }
 
     fn probe(&self, state: &mut ChannelState, trial: Trial) -> Result<BitSample, ScenarioError> {
+        let ChannelState::Forked {
+            sys,
+            snap,
+            geometry: g,
+        } = state
+        else {
+            return Err("a receiver is probed only through a fork of its seal".into());
+        };
         // Rewind to the post-boot checkpoint: every bit sees the same
         // receiver, regardless of which worker measures it.
-        let sys = &mut state.sys;
-        let snap = state
-            .snap
-            .get_or_insert_with(|| sys.machine_mut().checkpoint());
         snap.rewind(sys.machine_mut());
-        let g = &state.geometry;
         let mut rng = StdRng::seed_from_u64(trial.seed);
         let bit = rng.gen_bool(0.5);
         let target = if bit { g.t1 } else { g.t0 };
@@ -336,19 +342,8 @@ fn run_channel_on(
         .map_err(|e| PrimitiveError(e.to_string()))
 }
 
-/// Run the fetch (P1) covert channel on one microarchitecture.
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn fetch_channel(
-    profile: UarchProfile,
-    config: CovertConfig,
-) -> Result<CovertResult, PrimitiveError> {
-    fetch_channel_on(&TrialRunner::new(), profile, config)
-}
-
-/// [`fetch_channel`] on an explicit runner (thread-count control).
+/// Run the fetch (P1) covert channel on one microarchitecture, with
+/// the paper's stressed sibling thread as noise.
 ///
 /// # Errors
 ///
@@ -360,40 +355,13 @@ pub fn fetch_channel_on(
 ) -> Result<CovertResult, PrimitiveError> {
     // Stress the sibling thread to stabilize the signal (§6.4 footnote).
     let noise = NoiseModel::with_smt_stress(config.seed);
-    fetch_channel_noisy_on(runner, profile, config, noise)
-}
-
-/// [`fetch_channel`] with an explicit noise model (ablation sweeps). The
-/// model's calibration knobs are kept; its stream is reseeded per trial.
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn fetch_channel_noisy(
-    profile: UarchProfile,
-    config: CovertConfig,
-    noise: NoiseModel,
-) -> Result<CovertResult, PrimitiveError> {
-    fetch_channel_noisy_on(&TrialRunner::new(), profile, config, noise)
-}
-
-/// [`fetch_channel_noisy`] on an explicit runner (thread-count control).
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn fetch_channel_noisy_on(
-    runner: &TrialRunner,
-    profile: UarchProfile,
-    config: CovertConfig,
-    noise: NoiseModel,
-) -> Result<CovertResult, PrimitiveError> {
     fetch_channel_decoded_on(runner, profile, config, noise, DecoderConfig::default())
 }
 
-/// [`fetch_channel_noisy_on`] with an explicit decoder config —
-/// `DecoderConfig::fixed(n)` reproduces the legacy fixed majority vote,
-/// the default escalates adaptively.
+/// [`fetch_channel_on`] with an explicit noise model (ablation sweeps)
+/// and decoder config. The model's calibration knobs are kept; its
+/// stream is reseeded per trial. `DecoderConfig::fixed(n)` reproduces
+/// the legacy fixed majority vote, the default escalates adaptively.
 ///
 /// # Errors
 ///
@@ -417,50 +385,7 @@ pub fn fetch_channel_decoded_on(
     )
 }
 
-/// [`fetch_channel_decoded_on`] through the [`BootEveryFork`] adapter:
-/// every trial re-boots the system (through the boot-image cache) and
-/// probes that fresh state instead of forking the post-boot
-/// checkpoint. Decoded bits and accuracy are identical to the
-/// forking path by construction — only wall-clock differs. This is the
-/// slow arm of the `repro serve --ab` comparison; never use it for
-/// production sweeps.
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn fetch_channel_boot_per_trial_on(
-    runner: &TrialRunner,
-    profile: UarchProfile,
-    config: CovertConfig,
-    noise: NoiseModel,
-    decoder: DecoderConfig,
-) -> Result<CovertResult, PrimitiveError> {
-    let seed = config.seed;
-    let scenario = BootEveryFork(ChannelScenario {
-        profile,
-        config,
-        kind: CovertKind::Fetch,
-        noise_proto: noise,
-        decoder,
-    });
-    runner
-        .run(&scenario, seed)
-        .map_err(|e| PrimitiveError(e.to_string()))
-}
-
 /// Run the execute (P2) covert channel (meaningful on Zen 1/2).
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn execute_channel(
-    profile: UarchProfile,
-    config: CovertConfig,
-) -> Result<CovertResult, PrimitiveError> {
-    execute_channel_on(&TrialRunner::new(), profile, config)
-}
-
-/// [`execute_channel`] on an explicit runner (thread-count control).
 ///
 /// # Errors
 ///
@@ -506,15 +431,6 @@ pub fn execute_channel_decoded_on(
 /// # Errors
 ///
 /// Returns [`PrimitiveError`] if any row fails.
-pub fn table2(config: CovertConfig) -> Result<Vec<CovertResult>, PrimitiveError> {
-    table2_on(&TrialRunner::new(), config)
-}
-
-/// [`table2`] on an explicit runner (thread-count control).
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] if any row fails.
 pub fn table2_on(
     runner: &TrialRunner,
     config: CovertConfig,
@@ -555,7 +471,7 @@ mod tests {
     fn fetch_channel_is_accurate_on_all_zen() {
         for p in UarchProfile::amd() {
             let name = p.name.clone();
-            let r = fetch_channel(p, SMALL).unwrap();
+            let r = fetch_channel_on(&TrialRunner::new(), p, SMALL).unwrap();
             assert!(r.accuracy >= 0.85, "{name}: accuracy {}", r.accuracy);
             assert!(r.bits_per_sec > 0.0);
         }
@@ -565,12 +481,12 @@ mod tests {
     fn execute_channel_works_on_zen12_not_zen3() {
         for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
             let name = p.name.clone();
-            let r = execute_channel(p, SMALL).unwrap();
+            let r = execute_channel_on(&TrialRunner::new(), p, SMALL).unwrap();
             assert!(r.accuracy >= 0.85, "{name}: accuracy {}", r.accuracy);
         }
         // On Zen 3 the phantom window never executes: the receiver sees
         // no signal and accuracy collapses to chance.
-        let r = execute_channel(UarchProfile::zen3(), SMALL).unwrap();
+        let r = execute_channel_on(&TrialRunner::new(), UarchProfile::zen3(), SMALL).unwrap();
         assert!(
             r.accuracy < 0.75,
             "Zen 3 execute channel is dead: {}",
@@ -580,7 +496,12 @@ mod tests {
 
     #[test]
     fn fetch_beats_chance_even_with_noise() {
-        let r = fetch_channel(UarchProfile::zen2(), CovertConfig { bits: 160, seed: 5 }).unwrap();
+        let r = fetch_channel_on(
+            &TrialRunner::new(),
+            UarchProfile::zen2(),
+            CovertConfig { bits: 160, seed: 5 },
+        )
+        .unwrap();
         assert!(r.accuracy > 0.8);
         assert_eq!(r.bits, 160);
     }

@@ -522,16 +522,7 @@ impl Scenario for Table1Scenario<'_> {
 }
 
 /// Run the full Table 1 sweep over the given microarchitectures,
-/// sharded across all available cores.
-///
-/// # Errors
-///
-/// Returns [`ChannelError`] if any combination fails to set up.
-pub fn table1(profiles: &[UarchProfile], seed: u64) -> Result<Vec<Table1Cell>, ChannelError> {
-    table1_on(&TrialRunner::new(), profiles, seed)
-}
-
-/// [`table1`] on an explicit runner (thread-count control).
+/// sharded across the runner's workers.
 ///
 /// # Errors
 ///
@@ -567,19 +558,6 @@ pub struct Figure6Point {
 /// The Figure 6 sweep: non-branch victim trained with `jmp*`, target C
 /// placed at every page offset; the ID channel (series fixed at
 /// `series_offset`) only fires when C's offset matches.
-///
-/// # Errors
-///
-/// Returns [`ChannelError`] on setup failure.
-pub fn figure6(
-    profile: UarchProfile,
-    series_offset: u64,
-    step: u64,
-) -> Result<Vec<Figure6Point>, ChannelError> {
-    figure6_on(&TrialRunner::new(), profile, series_offset, step)
-}
-
-/// [`figure6`] on an explicit runner (thread-count control).
 ///
 /// # Errors
 ///
@@ -817,7 +795,7 @@ mod tests {
 
     #[test]
     fn figure6_signal_only_at_matching_offset() {
-        let points = figure6(UarchProfile::zen2(), 0xac0, 0x200).unwrap();
+        let points = figure6_on(&TrialRunner::new(), UarchProfile::zen2(), 0xac0, 0x200).unwrap();
         assert!(
             points.iter().any(|p| p.offset == 0xac0),
             "sweep includes 0xac0"

@@ -64,7 +64,7 @@ pub mod report;
 pub mod runner;
 pub mod spectre;
 
-pub use experiment::{run_combo, table1, Stage};
+pub use experiment::{run_combo, table1_on, Stage};
 pub use phantom_pipeline::{IStr, SpecError, UarchProfile, UarchRegistry, UarchSpec};
 
 /// Convenience re-exports for experiment and attack code.
@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use crate::channel::{ExChannel, IdChannel, IfChannel};
     pub use crate::decode::{decode_adaptive, DecodeOutcome, Decoded, DecoderConfig};
-    pub use crate::experiment::{run_combo, table1, Stage, TrainKind, VictimKind};
+    pub use crate::experiment::{run_combo, table1_on, Stage, TrainKind, VictimKind};
     pub use crate::primitives::{
         p1_detect_executable, p2_detect_mapped, p3_leak_byte, PrimitiveConfig,
     };

@@ -574,11 +574,6 @@ impl Scenario for OverheadScenario {
 /// Measure the cycle overhead of `SuppressBPOnNonBr` over the workload
 /// suite, geomean over workloads (like the paper's UnixBench runs),
 /// with one runner trial per workload.
-pub fn suppress_overhead(profile: UarchProfile) -> OverheadResult {
-    suppress_overhead_on(&TrialRunner::new(), profile)
-}
-
-/// [`suppress_overhead`] on an explicit runner (thread-count control).
 pub fn suppress_overhead_on(runner: &TrialRunner, profile: UarchProfile) -> OverheadResult {
     let scenario = OverheadScenario {
         profile,
@@ -628,7 +623,7 @@ mod tests {
 
     #[test]
     fn suppress_overhead_is_small_but_nonzero() {
-        let r = suppress_overhead(UarchProfile::zen2());
+        let r = suppress_overhead_on(&TrialRunner::new(), UarchProfile::zen2());
         assert!(r.geomean_overhead_pct > 0.0, "{}", r.geomean_overhead_pct);
         assert!(
             r.geomean_overhead_pct < 5.0,

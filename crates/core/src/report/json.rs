@@ -867,16 +867,14 @@ record! {
     /// Host-volatile metadata. **Not** part of the canonical snapshot:
     /// only emitted on request, and always ignored by [`diff`], because
     /// wall-clock and thread count vary run to run. Keys this version no
-    /// longer writes (`snapshot_wall`, the removed deep-copy A/B) are
-    /// ignored.
+    /// longer writes are ignored: `snapshot_wall` (the removed deep-copy
+    /// A/B) and `decode_cache_wall` (the removed decode-cache A/B).
     #[derive(Debug, Clone, PartialEq)]
     pub struct HostMeta {
         /// Worker threads the trial runner used.
         threads: u64,
         /// Host wall-clock per experiment.
         wall_seconds: Vec<ExperimentWall>,
-        /// Wall-clock A/B of the decode cache on the reference workload.
-        [omit] decode_cache_wall: Option<DecodeCacheWall>,
     }
 }
 
@@ -888,18 +886,6 @@ record! {
         experiment: String,
         /// Wall-clock seconds.
         seconds: f64,
-    }
-}
-
-record! {
-    /// Host wall-clock of the decode-cache reference workload, cache
-    /// enabled vs disabled.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct DecodeCacheWall {
-        /// Seconds with the decode cache enabled.
-        enabled_seconds: f64,
-        /// Seconds with the decode cache disabled.
-        disabled_seconds: f64,
     }
 }
 
@@ -1441,23 +1427,23 @@ mod tests {
                 experiment: "table1".into(),
                 seconds: 1.25,
             }],
-            decode_cache_wall: Some(DecodeCacheWall {
-                enabled_seconds: 0.8,
-                disabled_seconds: 1.3,
-            }),
         });
         let back = BenchSnapshot::from_json_str(&snap.to_json_string()).expect("parses");
         assert_eq!(back, snap);
 
-        // Host sections written before the deep-copy A/B was removed
-        // still carry `snapshot_wall`: they parse, and the key is
-        // ignored.
+        // Host sections written before the deep-copy and decode-cache
+        // A/Bs were removed still carry `snapshot_wall` and
+        // `decode_cache_wall`: they parse, and the keys are ignored.
         let host = snap.host.take().expect("host set above");
         let mut legacy_host = host.to_json();
         let mut wall = JsonValue::object();
         wall.set("cow_seconds", JsonValue::Float(0.02))
             .set("deep_seconds", JsonValue::Float(0.41));
         legacy_host.set("snapshot_wall", wall);
+        let mut wall = JsonValue::object();
+        wall.set("enabled_seconds", JsonValue::Float(0.8))
+            .set("disabled_seconds", JsonValue::Float(1.3));
+        legacy_host.set("decode_cache_wall", wall);
         let mut legacy = snap.to_json();
         legacy.set("host", legacy_host);
         let back = BenchSnapshot::from_json_str(&document(legacy).to_pretty_string())

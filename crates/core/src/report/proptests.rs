@@ -15,8 +15,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use super::json::{
-    document, BenchSnapshot, CovertRecord, DecodeCacheWall, ExperimentWall, HostMeta, Json,
-    PerfRecord, PhysAddrRunRecord, SlotRunRecord, StageCell,
+    document, BenchSnapshot, CovertRecord, ExperimentWall, HostMeta, Json, PerfRecord,
+    PhysAddrRunRecord, SlotRunRecord, StageCell,
 };
 use super::value::{parse, JsonValue};
 
@@ -249,13 +249,12 @@ fn arb_perf() -> impl Strategy<Value = PerfRecord> {
 
 fn arb_host() -> impl Strategy<Value = Option<HostMeta>> {
     (
-        any::<u8>(),
+        any::<bool>(),
         any::<u64>(),
         vec((arb_string(), arb_f64()), 0..4),
-        (arb_f64(), arb_f64()),
     )
-        .prop_map(|(shape, threads, walls, (on, off))| {
-            (shape % 3 != 0).then(|| HostMeta {
+        .prop_map(|(present, threads, walls)| {
+            present.then(|| HostMeta {
                 threads,
                 wall_seconds: walls
                     .into_iter()
@@ -264,10 +263,6 @@ fn arb_host() -> impl Strategy<Value = Option<HostMeta>> {
                         seconds,
                     })
                     .collect(),
-                decode_cache_wall: (shape % 3 == 2).then_some(DecodeCacheWall {
-                    enabled_seconds: on,
-                    disabled_seconds: off,
-                }),
             })
         })
 }

@@ -154,14 +154,11 @@ pub struct TrialRunner {
     retries: Arc<AtomicU64>,
 }
 
-impl Default for TrialRunner {
-    fn default() -> TrialRunner {
-        TrialRunner::new()
-    }
-}
-
 impl TrialRunner {
-    /// A runner using all available cores.
+    /// A runner using all available cores. Binaries, examples and tests
+    /// choose it; library code runs on the runner its caller passes.
+    // No `Default`: a defaulted runner is a worker count nobody chose.
+    #[allow(clippy::new_without_default)]
     pub fn new() -> TrialRunner {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -333,59 +330,6 @@ impl TrialRunner {
                 scenario.probe(state, trial)
             }
         }
-    }
-}
-
-/// Adapter that deliberately *defeats* checkpoint reuse: every trial
-/// re-runs the wrapped scenario's `setup` + `train` from scratch and
-/// probes that fresh state, as a pre-checkpoint runner would have. The
-/// wrapped scenario's `checkpoint` and `fork` are never called, so its
-/// `probe` must accept a state straight from `setup` + `train`.
-/// Samples and scores are unchanged (the contract requires `fork` to
-/// reproduce the post-train state), so the only observable difference
-/// is wall-clock — which is exactly what the boot-per-trial vs
-/// fork-per-trial A/B in `repro serve --ab` measures.
-#[derive(Debug, Clone, Copy)]
-pub struct BootEveryFork<S>(pub S);
-
-impl<S: Scenario> BootEveryFork<S> {
-    fn rebuild(&self) -> Result<S::State, ScenarioError> {
-        let mut state = self.0.setup()?;
-        self.0.train(&mut state)?;
-        Ok(state)
-    }
-}
-
-impl<S: Scenario> Scenario for BootEveryFork<S> {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = S::Sample;
-    type Output = S::Output;
-
-    fn trials(&self) -> usize {
-        self.0.trials()
-    }
-
-    /// One build up front, discarded: a world that cannot be built
-    /// fails the run before any trial.
-    fn setup(&self) -> Result<(), ScenarioError> {
-        self.rebuild().map(drop)
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, (): &mut (), trial: Trial) -> Result<Self::Sample, ScenarioError> {
-        self.0.probe(&mut self.rebuild()?, trial)
-    }
-
-    fn score(&self, samples: Vec<Self::Sample>) -> Self::Output {
-        self.0.score(samples)
     }
 }
 
@@ -616,79 +560,6 @@ mod tests {
                 "{threads} workers: one fork per worker plus one retry"
             );
             assert_eq!(runner.trial_retries(), 1, "{threads} workers");
-        }
-    }
-
-    /// Counts `setup`, `checkpoint` and `fork` calls; every trial
-    /// checks it probes a freshly built state.
-    #[derive(Default)]
-    struct Counting {
-        setups: AtomicUsize,
-        checkpoints: AtomicUsize,
-        forks: AtomicUsize,
-    }
-
-    impl Scenario for Counting {
-        type State = u64;
-        type Checkpoint = u64;
-        type Sample = usize;
-        type Output = Vec<usize>;
-
-        fn trials(&self) -> usize {
-            9
-        }
-
-        fn setup(&self) -> Result<u64, ScenarioError> {
-            self.setups.fetch_add(1, Ordering::SeqCst);
-            Ok(0)
-        }
-
-        fn train(&self, state: &mut u64) -> Result<(), ScenarioError> {
-            *state += 7;
-            Ok(())
-        }
-
-        fn checkpoint(&self, state: u64) -> Result<u64, ScenarioError> {
-            self.checkpoints.fetch_add(1, Ordering::SeqCst);
-            Ok(state)
-        }
-
-        fn fork(&self, checkpoint: &u64) -> Result<u64, ScenarioError> {
-            self.forks.fetch_add(1, Ordering::SeqCst);
-            Ok(*checkpoint)
-        }
-
-        fn probe(&self, state: &mut u64, trial: Trial) -> Result<usize, ScenarioError> {
-            assert_eq!(
-                *state, 7,
-                "trial {} sees a fresh trained state",
-                trial.index
-            );
-            *state += 1;
-            Ok(trial.index)
-        }
-
-        fn score(&self, samples: Vec<usize>) -> Vec<usize> {
-            samples
-        }
-    }
-
-    #[test]
-    fn boot_every_fork_rebuilds_before_every_trial() {
-        for threads in [1, 4] {
-            let scenario = BootEveryFork(Counting::default());
-            let out = TrialRunner::with_threads(threads)
-                .run(&scenario, 0)
-                .unwrap();
-            assert_eq!(out, (0..9).collect::<Vec<_>>(), "{threads} workers");
-            let inner = &scenario.0;
-            assert_eq!(
-                inner.setups.load(Ordering::SeqCst),
-                9 + 1,
-                "{threads} workers: one build per trial plus the up-front one"
-            );
-            assert_eq!(inner.checkpoints.load(Ordering::SeqCst), 0);
-            assert_eq!(inner.forks.load(Ordering::SeqCst), 0);
         }
     }
 

@@ -23,6 +23,8 @@
 //! assert_eq!(m.rank(), 2); // third row is the sum of the first two
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod matrix;
 pub mod recover;
 

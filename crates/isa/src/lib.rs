@@ -31,6 +31,8 @@
 //! assert_eq!(len, 10);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod asm;
 pub mod decode;
 pub mod encode;

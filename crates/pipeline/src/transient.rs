@@ -142,6 +142,11 @@ mod tests {
         for p in UarchProfile::all() {
             let w = TransientWindow::for_resteer(&p, ResteerKind::Backend);
             assert!(w.exec_uops >= 40, "Spectre windows are wide on {p}");
+            let phantom = TransientWindow::for_resteer(&p, ResteerKind::Frontend);
+            assert!(
+                w.exec_uops > phantom.exec_uops,
+                "a backend resteer outlasts a frontend one on {p}"
+            );
         }
     }
 

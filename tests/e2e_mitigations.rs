@@ -1,9 +1,10 @@
 //! Cross-crate integration: the mitigation matrix of §6.3/§8.
 
 use phantom::mitigations::{
-    ibpb_blocks_p1, o4_suppress_bp_on_non_br, o5_auto_ibrs_fetch, suppress_overhead,
+    ibpb_blocks_p1, o4_suppress_bp_on_non_br, o5_auto_ibrs_fetch, suppress_overhead_on,
 };
 use phantom::primitives::{p2_detect_mapped, PrimitiveConfig};
+use phantom::runner::TrialRunner;
 use phantom::UarchProfile;
 use phantom_kernel::System;
 use phantom_mem::VirtAddr;
@@ -62,7 +63,7 @@ fn o5_and_ibpb() {
 
 #[test]
 fn overhead_is_fraction_of_a_percent_shaped() {
-    let r = suppress_overhead(UarchProfile::zen2());
+    let r = suppress_overhead_on(&TrialRunner::new(), UarchProfile::zen2());
     assert!(r.geomean_overhead_pct > 0.0);
     assert!(r.geomean_overhead_pct < 2.0, "{}", r.geomean_overhead_pct);
     // The cost concentrates in decoder-path-heavy (big-code) workloads.

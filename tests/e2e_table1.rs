@@ -1,7 +1,8 @@
 //! Cross-crate integration: the full Table 1 grid, asserted against the
 //! paper's published shape.
 
-use phantom::experiment::{asymmetric_combos, run_combo, Stage, TrainKind, VictimKind};
+use phantom::experiment::{asymmetric_combos, figure6_on, run_combo, Stage, TrainKind, VictimKind};
+use phantom::runner::TrialRunner;
 use phantom::UarchProfile;
 
 /// The paper's headline shape: for every servable asymmetric
@@ -87,7 +88,7 @@ fn channels_never_overreport_against_ground_truth() {
 fn figure6_dip_only_at_the_series_offset() {
     for profile in [UarchProfile::zen2(), UarchProfile::zen4()] {
         let name = profile.name.clone();
-        let points = phantom::experiment::figure6(profile, 0xac0, 0x160).expect("sweep");
+        let points = figure6_on(&TrialRunner::new(), profile, 0xac0, 0x160).expect("sweep");
         let hits: Vec<_> = points.iter().filter(|p| p.misses > 0).collect();
         assert_eq!(hits.len(), 1, "{name}: exactly one signalling offset");
         assert_eq!(hits[0].offset, 0xac0, "{name}");
