@@ -735,6 +735,19 @@ fn discover(
 /// Commands that read the snapshot flags.
 const GATED: &[&str] = &["bench", "noise-sweep", "pht-channel"];
 
+/// Commands that take a count (`repro table2 64`); every other command
+/// takes no positional word after its name.
+const COUNTED: &[&str] = &[
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "mds",
+    "noise-sweep",
+    "pht-channel",
+    "discover",
+];
+
 /// Every flag: its name, whether it takes a value, and the commands
 /// that read it (empty: every command). A flag given to any other
 /// command is a usage error (exit 2), never a silent no-op.
@@ -803,6 +816,17 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut cmd = positional.first().map_or("all", String::as_str);
     if cmd == "all" && (has("--json") || has("--baseline")) {
         cmd = "bench";
+    }
+    let words = if COUNTED.contains(&cmd) { 2 } else { 1 };
+    if let Some(word) = positional.get(words) {
+        return Err(format!(
+            "unexpected argument {word:?}: {cmd} takes {}",
+            if words == 2 {
+                "at most one count"
+            } else {
+                "no positional arguments"
+            }
+        ));
     }
     // A bare `--spec` turns `all` into `figure6` later (once the files
     // registered); every flag valid with one is valid with the other.
@@ -1141,6 +1165,11 @@ mod tests {
     #[test]
     fn argv_resolves_commands_and_rejects_misuse() {
         assert_eq!(parse(&[]).unwrap().cmd, "all");
+        assert_eq!(
+            parse(&["table2", "64"]).unwrap().positional,
+            ["table2", "64"]
+        );
+        assert_eq!(parse(&["discover", "0"]).unwrap().cmd, "discover");
         assert_eq!(parse(&["--json", "x.json"]).unwrap().cmd, "bench");
         let serve = parse(&["serve", "--bits", "8", "--seed", "9001", "--workers", "4"]).unwrap();
         assert_eq!(
@@ -1156,6 +1185,18 @@ mod tests {
             (
                 &["bench", "--tolerance", "NaN"],
                 "invalid --tolerance \"NaN\"",
+            ),
+            (
+                &["table1", "7"],
+                "unexpected argument \"7\": table1 takes no",
+            ),
+            (
+                &["list-uarchs", "extra", "words"],
+                "unexpected argument \"extra\": list-uarchs takes no",
+            ),
+            (
+                &["table2", "64", "--workers", "2", "7"],
+                "unexpected argument \"7\": table2 takes at most one count",
             ),
         ] {
             let message = parse(argv)

@@ -28,13 +28,15 @@
 //! job's restore point ([`System::into_checkpoint`]) and each worker
 //! forks one private copy, so a job pays for two machine-sized copies
 //! (the instance and a fork) and trials re-arm the probe buffer in
-//! place. The fresh-boot, per-probe-mapping arm these
-//! replace survives only as the reference in the root `determinism`
-//! tests.
+//! place. The training stub is planted before the seal too, so a trial
+//! maps nothing and its rewind keeps the decode cache warm. The
+//! fresh-boot, per-probe-mapping arm these replace survives only as
+//! the reference in the root `determinism` tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use phantom_isa::BranchKind;
 use phantom_kernel::{System, SystemCheckpoint};
 use phantom_mem::VirtAddr;
 use phantom_pipeline::{Checkpoint, UarchProfile};
@@ -240,6 +242,15 @@ impl Scenario for ChannelScenario {
                 )
             }
         };
+        // The training stub (`jmp *r11; hlt` at the victim's user
+        // alias) does not depend on the sender's target, so it is
+        // planted once here, like the arena: it takes exactly the frames
+        // the first per-trial plant would have, and trials then re-poke
+        // identical bytes into a mapped page, leaving the user
+        // page-table run shared with the seal and the decode cache warm
+        // across rewinds (the same `determinism` test pins this).
+        sys.plant_user_branch(cfg.user_alias(victim), BranchKind::Indirect, t1)
+            .map_err(|e| PrimitiveError(e.to_string()))?;
         let snap_cycles = sys.machine().cycles();
         let geometry = ChannelGeometry {
             cfg,

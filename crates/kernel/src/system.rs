@@ -388,15 +388,20 @@ impl System {
         Ok(())
     }
 
-    /// Train the BTB from user mode: place a branch of `kind` exactly at
-    /// `source`, point it at `target`, and execute it once. Branches to
-    /// inaccessible targets page-fault — and are caught — but still
-    /// deposit the BTB entry (the §6.2 fault-and-catch technique).
+    /// Plant a user-mode branch of `kind` exactly at `source`, pointed
+    /// at `target`, followed by a `hlt`: map the two pages the stub may
+    /// touch (if unmapped), then write its bytes. Nothing executes.
+    ///
+    /// The indirect kinds' bytes (`jmp *r11` / `call *r11`) do not
+    /// depend on `target`, so a receiver that probes with varying
+    /// targets can plant the stub once, before it checkpoints: every
+    /// later [`System::train_user_branch`] at the same source then maps
+    /// nothing and pokes identical bytes, which writes nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError::Machine`] on simulator errors.
-    pub fn train_user_branch(
+    /// Returns [`SystemError::Machine`] if physical memory runs out.
+    pub fn plant_user_branch(
         &mut self,
         source: VirtAddr,
         kind: BranchKind,
@@ -431,7 +436,25 @@ impl System {
         phantom_isa::encode::encode_into(&inst, &mut bytes).expect("encodable");
         bytes.push(0xF4); // hlt after the branch
         self.machine.poke(source, &bytes);
+        Ok(())
+    }
 
+    /// Train the BTB from user mode: [plant](System::plant_user_branch)
+    /// a branch of `kind` exactly at `source`, pointed at `target`, and
+    /// execute it once. Branches to inaccessible targets page-fault —
+    /// and are caught — but still deposit the BTB entry (the §6.2
+    /// fault-and-catch technique).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::Machine`] on simulator errors.
+    pub fn train_user_branch(
+        &mut self,
+        source: VirtAddr,
+        kind: BranchKind,
+        target: VirtAddr,
+    ) -> Result<(), SystemError> {
+        self.plant_user_branch(source, kind, target)?;
         self.machine.set_level(PrivilegeLevel::User);
         self.machine.set_reg(Reg::R11, target.raw());
         if kind == BranchKind::Cond {
@@ -652,6 +675,25 @@ mod tests {
         let hit = sys.machine().bpu().btb().lookup(k).expect("aliased entry");
         assert_eq!(hit.kind, BranchKind::Indirect);
         assert_eq!(hit.target, Some(VirtAddr::new(0x30_0000)));
+    }
+
+    #[test]
+    fn a_planted_indirect_stub_leaves_training_nothing_to_map() {
+        let mut sys = System::new(UarchProfile::zen3(), 1 << 30, 8).unwrap();
+        let k = sys.image().listing1_nop;
+        let u = VirtAddr::new(k.raw() ^ 0xffff_bff8_0000_0000);
+        sys.plant_user_branch(u, BranchKind::Indirect, VirtAddr::new(0x30_0000))
+            .unwrap();
+        let version = sys.machine().page_table().version();
+        let stub = sys.machine().peek(u, 4);
+        // Training toward another target maps nothing and finds the
+        // stub's bytes already in place, yet trains the BTB as usual.
+        sys.train_user_branch(u, BranchKind::Indirect, VirtAddr::new(0x31_0000))
+            .unwrap();
+        assert_eq!(sys.machine().page_table().version(), version);
+        assert_eq!(sys.machine().peek(u, 4), stub);
+        let hit = sys.machine().bpu().btb().lookup(k).expect("aliased entry");
+        assert_eq!(hit.target, Some(VirtAddr::new(0x31_0000)));
     }
 
     #[test]

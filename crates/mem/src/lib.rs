@@ -29,6 +29,8 @@
 //! assert_eq!(pa, PhysAddr::new(frame.raw() + 0x234));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod addr;
 pub mod fault;
 pub mod hash;

@@ -23,12 +23,13 @@ impl Machine {
         Ok(())
     }
 
-    /// Read up to `n` code bytes at `va` with execute permission at the
-    /// current privilege level, stopping at the first fault. Every
-    /// byte of a 4 KiB page translates alike, so this is one
-    /// translation and one slice copy per page.
-    pub(crate) fn read_code_bytes(&self, va: VirtAddr, n: usize) -> Vec<u8> {
-        let mut out = vec![0; n];
+    /// Read up to `out.len()` code bytes at `va` into `out` with
+    /// execute permission at the current privilege level, stopping at
+    /// the first fault; returns how many bytes were read. Every byte of
+    /// a 4 KiB page translates alike, so this is one translation and
+    /// one slice copy per page, and no allocation.
+    pub(crate) fn read_code_bytes(&self, va: VirtAddr, out: &mut [u8]) -> usize {
+        let n = out.len();
         let mut done = 0;
         while done < n {
             let addr = va + done as u64;
@@ -39,8 +40,7 @@ impl Machine {
             self.phys.read_into(pa, &mut out[done..done + chunk]);
             done += chunk;
         }
-        out.truncate(done);
-        out
+        done
     }
 
     /// Test oracle for [`read_code_bytes`](Machine::read_code_bytes):

@@ -167,7 +167,10 @@ pub struct Machine {
     halted: bool,
     bus: EventBus,
     /// Memoized `(pc, privilege) → (inst, len)` decodes; timing- and
-    /// event-invisible (see [`decode`]).
+    /// event-invisible, and kept warm across [`restore`] minus what the
+    /// rewind invalidates (see [`decode`]).
+    ///
+    /// [`restore`]: Machine::restore
     decode_cache: decode::DecodeCache,
     /// Probe-arena re-arms (see `phantom_sidechannel::ProbeArena`):
     /// host instrumentation, deliberately preserved across [`restore`].
@@ -470,7 +473,9 @@ impl Machine {
 
     /// Decode-cache `(hits, misses)` since construction. Hits are steps
     /// (architectural or transient) that skipped code-byte translation
-    /// and decode entirely.
+    /// and decode entirely. Host instrumentation, like
+    /// [`Machine::probe_rearms`]: a fork starts from its checkpoint's
+    /// counts and a rewind keeps the live ones.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
         self.decode_cache.stats()
     }

@@ -1288,3 +1288,109 @@ fn decode_cache_is_invisible_across_snapshot_restore() {
     );
     assert!(stats_on.0 > 0, "the hot loop decoded from the cache");
 }
+
+/// A loop whose body jumps out to a second code page and back: two
+/// instructions and a `jmp` on page `0x40_1000`, the rest on
+/// `0x40_0000`. Stores `R0` to the data page every iteration.
+fn two_page_loop(m: &mut Machine) {
+    let data = VirtAddr::new(0x50_0000);
+    m.map_range(data, 0x1000, PageFlags::USER_DATA).unwrap();
+    let mut a = Assembler::new(0x40_0000);
+    a.push(Inst::MovImm {
+        dst: Reg::R0,
+        imm: 0,
+    });
+    a.push(Inst::MovImm {
+        dst: Reg::R1,
+        imm: 1,
+    });
+    a.push(Inst::MovImm {
+        dst: Reg::R2,
+        imm: 16,
+    });
+    a.push(Inst::MovImm {
+        dst: Reg::R3,
+        imm: data.raw(),
+    });
+    a.label("loop_top");
+    a.jmp("far");
+    a.label("back");
+    a.push(Inst::Store {
+        base: Reg::R3,
+        disp: 0,
+        src: Reg::R0,
+    });
+    a.push(Inst::Cmp {
+        a: Reg::R0,
+        b: Reg::R2,
+    });
+    a.jb("loop_top");
+    a.push(Inst::Halt);
+    a.org(0x40_1000);
+    a.label("far");
+    a.push(Inst::Alu {
+        op: phantom_isa::inst::AluOp::Add,
+        dst: Reg::R0,
+        src: Reg::R1,
+    });
+    a.push(Inst::Nop);
+    a.jmp("back");
+    let blob = load_user(m, &a);
+    m.set_pc(VirtAddr::new(blob.base));
+}
+
+#[test]
+fn a_rewind_that_changes_no_run_and_no_code_frame_keeps_every_decode() {
+    let mut m = machine(UarchProfile::zen2());
+    two_page_loop(&mut m);
+    let snap = m.snapshot();
+    assert_eq!(m.run(10_000).unwrap(), RunExit::Halted);
+    let (_, misses) = m.decode_cache_stats();
+    assert!(misses > 0, "the first run decodes the loop");
+    // The run wrote only the data page: the rewind copies it back, but
+    // no code frame, and maps nothing.
+    m.restore(&snap);
+    assert_eq!(m.run(10_000).unwrap(), RunExit::Halted);
+    assert_eq!(m.reg(Reg::R0), 16);
+    assert_eq!(
+        m.decode_cache_stats().1,
+        misses,
+        "the rerun decodes everything from the cache"
+    );
+}
+
+#[test]
+fn a_rewind_that_restores_one_code_frame_drops_only_its_decodes() {
+    let mut m = machine(UarchProfile::zen2());
+    two_page_loop(&mut m);
+    let snap = m.snapshot();
+    // Dirty the far page's frame with a byte no instruction reads,
+    // then let a full run cache both pages' instructions.
+    m.poke(VirtAddr::new(0x40_1800), &[0xcc]);
+    assert_eq!(m.run(10_000).unwrap(), RunExit::Halted);
+    let far_frame = m
+        .page_table()
+        .translate(
+            VirtAddr::new(0x40_1000),
+            AccessKind::Read,
+            PrivilegeLevel::User,
+        )
+        .unwrap()
+        .page_number();
+    // The add, the nop and the jmp, at least; a transient decode past
+    // the jmp reads the frame too.
+    let far = m.decode_cache.decodes_reading(far_frame);
+    assert!(far >= 3);
+    // The rewind copies the far frame back: its decodes go, the first
+    // page's stay.
+    m.restore(&snap);
+    assert_eq!(m.decode_cache.decodes_reading(far_frame), 0);
+    let (_, misses) = m.decode_cache_stats();
+    assert_eq!(m.run(10_000).unwrap(), RunExit::Halted);
+    assert_eq!(m.reg(Reg::R0), 16);
+    assert_eq!(
+        m.decode_cache_stats().1 - misses,
+        far as u64,
+        "only the far frame's decodes miss"
+    );
+}

@@ -447,6 +447,226 @@ proptest! {
             m.set_level(PrivilegeLevel::Supervisor);
         }
         let pc = end - back;
-        prop_assert_eq!(m.read_code_bytes(pc, n), m.read_code_bytes_per_byte(pc, n));
+        let mut out = vec![0; n];
+        let read = m.read_code_bytes(pc, &mut out);
+        prop_assert_eq!(&out[..read], &m.read_code_bytes_per_byte(pc, n)[..]);
+    }
+}
+
+/// One step of a rewound-trial workload for
+/// `decode_cache_survives_rewinds_invisibly`. Pages are indices into
+/// the text's four pages and the four slots after them; offsets index
+/// [`TRIAL_OFFSETS`], so pokes, jumps and the program entry (page 0,
+/// offset 0) keep meeting at the same addresses.
+#[derive(Debug, Clone)]
+enum TrialOp {
+    /// Push a checkpoint.
+    Checkpoint,
+    /// Map fresh pages (a no-op where already mapped alike).
+    Map { page: u64, text: bool },
+    /// Unmap a page.
+    Unmap { page: u64 },
+    /// Unmap a page, then map a fresh executable one in its place.
+    Remap { page: u64 },
+    /// Poke one of [`POKES`], or the bytes already there, into a mapped
+    /// page.
+    Poke {
+        page: u64,
+        off: usize,
+        which: usize,
+        identical: bool,
+    },
+    /// Point the PC into a page.
+    Jump { page: u64, off: usize },
+    /// Point the program's store base (`R8`) at the program's own
+    /// code, so its stores rewrite it, or back at the data page.
+    StoreIntoCode(bool),
+    /// Change a page's flags through `page_table_mut`.
+    SetFlags { page: u64, which: usize },
+    /// Rewind to the outstanding checkpoint picked by this index.
+    Rewind(usize),
+}
+
+/// Pages the trial ops touch: the four text pages, then fresh slots.
+const TRIAL_PAGES: u64 = 8;
+/// Offsets the trial ops poke and jump to; the last straddles into the
+/// next page.
+const TRIAL_OFFSETS: [u64; 4] = [0, 0x40, 0x7f0, 0xffc];
+/// Instructions a trial pokes into code.
+const POKES: [Inst; 4] = [
+    Inst::Nop,
+    Inst::MovImm {
+        dst: Reg::R0,
+        imm: 7,
+    },
+    Inst::Alu {
+        op: AluOp::Add,
+        dst: Reg::R1,
+        src: Reg::R0,
+    },
+    Inst::Halt,
+];
+const TRIAL_FLAGS: [PageFlags; 3] = [
+    PageFlags::USER_TEXT,
+    PageFlags::USER_DATA,
+    PageFlags::KERNEL_TEXT,
+];
+
+fn arb_trial_op() -> impl Strategy<Value = TrialOp> {
+    // Half the ops aim at the program's own page.
+    let page = || prop_oneof![Just(0), 0..TRIAL_PAGES];
+    let off = || 0..TRIAL_OFFSETS.len();
+    let poke = || {
+        (page(), off(), 0..POKES.len(), any::<bool>()).prop_map(|(page, off, which, identical)| {
+            TrialOp::Poke {
+                page,
+                off,
+                which,
+                identical,
+            }
+        })
+    };
+    let rewind = || (0usize..4).prop_map(TrialOp::Rewind);
+    // No weights in `prop_oneof!`: pokes and rewinds are listed twice
+    // to come up more often.
+    prop_oneof![
+        Just(TrialOp::Checkpoint),
+        (page(), any::<bool>()).prop_map(|(page, text)| TrialOp::Map { page, text }),
+        page().prop_map(|page| TrialOp::Unmap { page }),
+        page().prop_map(|page| TrialOp::Remap { page }),
+        poke(),
+        poke(),
+        (page(), off()).prop_map(|(page, off)| TrialOp::Jump { page, off }),
+        any::<bool>().prop_map(TrialOp::StoreIntoCode),
+        (page(), 0..TRIAL_FLAGS.len()).prop_map(|(page, which)| TrialOp::SetFlags { page, which }),
+        rewind(),
+        rewind(),
+    ]
+}
+
+/// What the rewound-trial proptest compares after every op: each step's
+/// result, then registers, flags, PC, cycles and the PMU.
+type TrialTrace = Vec<(
+    Vec<Result<crate::machine::StepOutcome, crate::machine::MachineError>>,
+    Vec<u64>,
+    (bool, bool, bool),
+    VirtAddr,
+    u64,
+    PerfCounters,
+)>;
+
+/// Play `ops` on a fresh machine running `program`, with the decode
+/// cache on or off: apply each op, then step the machine the op's
+/// count of times, restarting at the program entry after a `hlt` or
+/// an error. Return the per-op trace and the event stream.
+fn play_trials(
+    program: &[Inst],
+    ops: &[(TrialOp, usize)],
+    cached: bool,
+) -> (TrialTrace, Vec<PipelineEvent>) {
+    let mut m = build_machine(&UarchProfile::zen2(), program);
+    m.set_decode_cache_enabled(cached);
+    // Caught faults land on a `hlt` at the top of the text, so an
+    // unmapped or NX page ends a run instead of erroring every step.
+    let handler = VirtAddr::new(TEXT_BASE + 0x3ff0);
+    m.poke(handler, &[0xF4]);
+    m.set_fault_handler(Some(handler));
+    let id = m.attach_sink(Recorder(Vec::new()));
+    let mut snaps = Vec::new();
+    let mut trace = TrialTrace::new();
+    let page_va = |page: u64| VirtAddr::new(TEXT_BASE + page * 0x1000);
+    for &(ref op, run) in ops {
+        match *op {
+            TrialOp::Checkpoint => snaps.push(m.snapshot()),
+            TrialOp::Map { page, text } => {
+                let flags = if text {
+                    PageFlags::USER_TEXT | PageFlags::WRITE
+                } else {
+                    PageFlags::USER_DATA
+                };
+                // A page mapped with other flags refuses the remap,
+                // alike in both arms.
+                let _ = m.map_range(page_va(page), 0x1000, flags);
+            }
+            TrialOp::Unmap { page } => {
+                m.unmap_range(page_va(page), 0x1000);
+            }
+            TrialOp::Remap { page } => {
+                m.unmap_range(page_va(page), 0x1000);
+                m.map_range(
+                    page_va(page),
+                    0x1000,
+                    PageFlags::USER_TEXT | PageFlags::WRITE,
+                )
+                .expect("the page was just unmapped");
+            }
+            TrialOp::Poke {
+                page,
+                off,
+                which,
+                identical,
+            } => {
+                let va = page_va(page) + TRIAL_OFFSETS[off];
+                let mut bytes = Vec::new();
+                phantom_isa::encode::encode_into(&POKES[which], &mut bytes).expect("encodable");
+                if m.try_peek(va, bytes.len()).is_ok() {
+                    if identical {
+                        bytes = m.peek(va, bytes.len());
+                    }
+                    m.poke(va, &bytes);
+                }
+            }
+            TrialOp::Jump { page, off } => m.set_pc(page_va(page) + TRIAL_OFFSETS[off]),
+            TrialOp::StoreIntoCode(into_code) => {
+                m.set_reg(Reg::R8, if into_code { TEXT_BASE } else { DATA_BASE });
+            }
+            TrialOp::SetFlags { page, which } => {
+                m.page_table_mut()
+                    .set_flags(page_va(page), TRIAL_FLAGS[which]);
+            }
+            TrialOp::Rewind(i) => {
+                if !snaps.is_empty() {
+                    let snap = &snaps[i % snaps.len()];
+                    m.restore(snap);
+                }
+            }
+        }
+        let mut steps = Vec::new();
+        for _ in 0..run {
+            let step = m.step();
+            let done = !matches!(&step, Ok(out) if !out.halted);
+            steps.push(step);
+            if done {
+                m.set_pc(VirtAddr::new(TEXT_BASE));
+            }
+        }
+        let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
+        trace.push((steps, regs, m.flags(), m.pc(), m.cycles(), m.pmu().clone()));
+    }
+    let events = m
+        .detach_sink_as::<Recorder>(id)
+        .expect("recorder attached")
+        .0;
+    (trace, events)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The decode cache survives rewinds invisibly: random sequences
+    /// of checkpoints, runs, fresh mappings, unmappings, code pokes
+    /// (changed and identical bytes), architectural stores into code,
+    /// page-flag changes and rewinds to any outstanding checkpoint
+    /// produce the same step results, registers, flags, PC, cycles,
+    /// PMU and event stream with the cache on as with it off.
+    #[test]
+    fn decode_cache_survives_rewinds_invisibly(
+        program in arb_program(),
+        ops in proptest::collection::vec((arb_trial_op(), 0usize..40), 1..32),
+    ) {
+        let (trace_on, events_on) = play_trials(&program, &ops, true);
+        let (trace_off, events_off) = play_trials(&program, &ops, false);
+        prop_assert_eq!(trace_on, trace_off);
+        prop_assert_eq!(events_on, events_off);
     }
 }

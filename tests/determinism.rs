@@ -442,9 +442,10 @@ struct Receiver {
 
 impl Receiver {
     /// Boot the receiver. `fast` selects the production stack:
-    /// `System::new_cached` plus a `ProbeArena` installed before the
-    /// checkpoint. Otherwise a fresh `System::new` with no arena, so
-    /// every probe maps its own eviction set.
+    /// `System::new_cached` plus a `ProbeArena` and the training stub
+    /// planted before the checkpoint. Otherwise a fresh `System::new`
+    /// with no arena and no stub, so every probe maps its own eviction
+    /// set and its own training pages.
     fn boot(profile: &UarchProfile, kind: phantom::covert::CovertKind, fast: bool) -> Receiver {
         use phantom::covert::CovertKind;
         use phantom::primitives::PrimitiveConfig;
@@ -490,6 +491,14 @@ impl Receiver {
                 )
             }
         };
+        if fast {
+            sys.plant_user_branch(
+                cfg.user_alias(victim),
+                phantom_isa::BranchKind::Indirect,
+                t1,
+            )
+            .expect("stub plants");
+        }
         let snap = sys.machine_mut().checkpoint();
         Receiver {
             sys,
@@ -560,9 +569,19 @@ fn production_probe_stack_matches_the_fresh_boot_reference() {
                 assert_eq!(got, want, "{} {kind:?} trial {trial}", profile.name);
             }
             // Not vacuous: the fast arm re-armed its arena every trial,
-            // the reference mapped fresh eviction sets instead.
+            // the reference mapped fresh eviction sets instead; and the
+            // fast arm's rewinds kept decodes the reference's per-trial
+            // mappings threw away.
             assert!(fast.sys.machine().probe_rearms() >= 32);
             assert_eq!(reference.sys.machine().probe_rearms(), 0);
+            let misses = |r: &Receiver| r.sys.machine().decode_cache_stats().1;
+            assert!(
+                misses(&fast) < misses(&reference),
+                "{} {kind:?}: fast arm missed {} decodes, reference {}",
+                profile.name,
+                misses(&fast),
+                misses(&reference)
+            );
         }
     }
 }
