@@ -47,21 +47,21 @@ use std::path::{Path, PathBuf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use phantom::collide::{collect_collisions, BtbOracle, CollisionOracle};
+use phantom::collide::{collisions, BtbOracle, CollisionOracle};
 use phantom::experiment::TrainKind;
 use phantom::property::LeakProbe;
 use phantom::report::json::SCHEMA;
 use phantom::report::value::JsonValue;
 use phantom::runner::{Scenario, ScenarioError, Trial, TrialRunner};
 use phantom::Stage;
-use phantom_gf2::{recover_functions, BitMatrix, RecoveryConfig};
+use phantom_gf2::{recover_functions, BitMatrix, RecoveryConfig, Span};
 use phantom_isa::asm::AsmError;
 use phantom_isa::encode::encode_into;
 use phantom_isa::{Assembler, Cond, Inst, Reg};
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::spec::mutate::{matches_base, mutate_spec, shrink_candidates};
 use phantom_pipeline::spec::{parse_specs, SPEC_HEADER};
-use phantom_pipeline::{Machine, UarchSpec};
+use phantom_pipeline::{Machine, UarchRegistry, UarchSpec};
 
 use crate::RunnerError;
 
@@ -319,7 +319,7 @@ pub fn alias_delta(spec: &UarchSpec, seed: u64) -> Option<u64> {
 #[must_use]
 pub fn generate_case(seed: u64) -> FuzzCase {
     let mut rng = StdRng::seed_from_u64(seed);
-    let builtins = UarchSpec::builtins();
+    let builtins = UarchRegistry::builtin().specs();
     let base = builtins[rng.gen_range(0..builtins.len())].clone();
     let (spec, mutated) = if rng.gen_bool(0.5) {
         let mutation_seed = rng.gen::<u64>();
@@ -614,12 +614,37 @@ fn asm_reject_slug(e: &AsmError) -> &'static str {
     }
 }
 
+/// Collisions the GF(2) oracle samples before it falls back to solving
+/// for the fold functions. Enough to span the alias nullspace
+/// (dimension ≤ 35 − rank ≈ 22 for the builtins): with fewer, the
+/// solver recovers spurious low-weight functions that are orthogonal
+/// only to the sampled differences, and the oracle wrongly refutes real
+/// aliases.
+const ORACLE_SAMPLES: usize = 32;
+
+/// Seeds the oracle's collision sampling apart from the case's other
+/// draws.
+const ORACLE_SALT: u64 = 0x6f72_6163;
+
 /// GF(2) confirmation that a non-zero delta is a structural BTB alias:
 /// the spec's own BTB must serve `V` after training at `V ^ δ`, and
-/// functions recovered from freshly sampled collisions must all
-/// annihilate δ. An in-place case (δ = 0) is trivially confirmed.
+/// functions recovered from [`ORACLE_SAMPLES`] freshly sampled
+/// collisions must all annihilate δ. An in-place case (δ = 0) is
+/// trivially confirmed.
+///
+/// The sampling stops as soon as the verdict is decided. Every function
+/// the solver can return annihilates each collider difference `c ^ V`,
+/// so it annihilates their span; once δ lies in the span of the
+/// differences sampled so far, every recovered function annihilates δ,
+/// whatever the remaining samples are, and the answer is `true`. Only
+/// when δ stays outside the span of all the samples does the oracle run
+/// the solver, so a refutation costs what the full procedure costs.
 #[must_use]
 pub fn oracle_confirms(case: &FuzzCase) -> bool {
+    confirms_within(case, ORACLE_SAMPLES)
+}
+
+fn confirms_within(case: &FuzzCase, samples: usize) -> bool {
     if case.delta == 0 {
         return true;
     }
@@ -628,17 +653,24 @@ pub fn oracle_confirms(case: &FuzzCase) -> bool {
     if !oracle.collides(VirtAddr::new(VICTIM ^ case.delta), victim) {
         return false;
     }
-    // Enough samples to span the alias nullspace (dimension ≤ 35 −
-    // rank ≈ 22 for the builtins): with fewer, the solver recovers
-    // spurious low-weight functions that are orthogonal only to the
-    // sampled differences, and the oracle wrongly refutes real aliases.
-    let colliders = collect_collisions(&mut oracle, victim, 32, case.seed ^ 0x6f72_6163);
+    let mut differences = Span::new();
+    let mut colliders = Vec::with_capacity(samples);
+    for c in collisions(&mut oracle, victim, case.seed ^ ORACLE_SALT).take(samples) {
+        if differences.insert(c ^ VICTIM) && differences.contains(case.delta) {
+            return true;
+        }
+        colliders.push(c);
+    }
     let functions = recover_functions(&[(VICTIM, colliders)], RecoveryConfig::default());
     functions.iter().all(|f| f.eval(case.delta) == 0)
 }
 
 fn builtin_by_key(key: &str) -> Option<UarchSpec> {
-    UarchSpec::builtins().into_iter().find(|s| s.key == key)
+    UarchRegistry::builtin()
+        .specs()
+        .iter()
+        .find(|s| s.key == key)
+        .cloned()
 }
 
 /// Minimize a leaky case: delta-debug the op sequence (greedy removal
@@ -1128,6 +1160,7 @@ pub fn write_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ops_round_trip_through_text() {
@@ -1230,6 +1263,81 @@ mod tests {
             !oracle_confirms(&bogus),
             "zen3 folds reject a lone bit flip"
         );
+    }
+
+    /// The full procedure, the reference the early-exit verdict is
+    /// pinned to: always sample `samples` collisions, always solve.
+    fn sampled_verdict(case: &FuzzCase, samples: usize) -> bool {
+        if case.delta == 0 {
+            return true;
+        }
+        let mut oracle = BtbOracle::new(case.spec.btb.scheme());
+        let victim = VirtAddr::new(VICTIM);
+        if !oracle.collides(VirtAddr::new(VICTIM ^ case.delta), victim) {
+            return false;
+        }
+        let colliders = phantom::collide::collect_collisions(
+            &mut oracle,
+            victim,
+            samples,
+            case.seed ^ ORACLE_SALT,
+        );
+        let functions = recover_functions(&[(VICTIM, colliders)], RecoveryConfig::default());
+        functions.iter().all(|f| f.eval(case.delta) == 0)
+    }
+
+    /// A builtin or mutated spec with a delta that is the spec's own
+    /// alias, a random flip of the translated bits (rarely an alias), or
+    /// the base builtin's alias carried onto a mutant.
+    fn arb_oracle_case() -> impl Strategy<Value = FuzzCase> {
+        (0..8usize, any::<bool>(), 0u8..3, any::<u64>(), any::<u64>()).prop_map(
+            |(i, mutate, kind, draw, seed)| {
+                let base = UarchSpec::builtins().swap_remove(i);
+                let spec = mutate
+                    .then(|| mutate_spec(&base, draw.rotate_left(17)))
+                    .flatten()
+                    .unwrap_or_else(|| base.clone());
+                let random = (draw & 0x0000_7fff_ffff_f000).max(1 << 12);
+                let delta = match kind {
+                    0 => alias_delta(&spec, draw),
+                    1 => Some(random),
+                    _ => alias_delta(&base, draw),
+                };
+                FuzzCase {
+                    mutated: spec != base,
+                    base_key: base.key.clone(),
+                    spec,
+                    delta: delta.unwrap_or(random),
+                    seed,
+                    ..known_leaky(TrainKind::JmpInd)
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Stopping once δ lies in the span of the sampled differences
+        /// never changes the verdict. Budgets of 4 and 8 are too few to
+        /// span an alias class, so the solver fallback (and the
+        /// spurious refutations it makes on so little data) is
+        /// exercised too.
+        #[test]
+        fn early_exit_verdict_equals_the_full_sample(
+            case in arb_oracle_case(),
+            budget in 0..3usize,
+        ) {
+            let samples = [4, 8, ORACLE_SAMPLES][budget];
+            prop_assert_eq!(
+                confirms_within(&case, samples),
+                sampled_verdict(&case, samples),
+                "{} delta {:#x} seed {}",
+                case.spec.key,
+                case.delta,
+                case.seed
+            );
+        }
     }
 
     #[test]

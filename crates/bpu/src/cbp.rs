@@ -396,6 +396,9 @@ impl Cbp {
             Some(e) => e,
             None => {
                 // Allocate: an invalid way first, else the LRU victim.
+                // `Cbp::try_new` validates the scheme, so every set has
+                // at least one way.
+                #[allow(clippy::expect_used)]
                 let victim = set
                     .iter_mut()
                     .min_by_key(|e| (e.valid, e.lru))

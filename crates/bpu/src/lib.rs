@@ -48,6 +48,8 @@
 //! assert_eq!(pred.target, Some(VirtAddr::new(0x40_8000)));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bhb;
 pub mod btb;
 pub mod cbp;

@@ -56,6 +56,10 @@ impl BtbOracle {
 }
 
 impl CollisionOracle for BtbOracle {
+    // Inlined into a caller generic over the oracle (the
+    // [`collisions`] stream), so the sampler's per-candidate check is a
+    // few table loads rather than a call.
+    #[inline]
     fn collides(&mut self, user: VirtAddr, kernel: VirtAddr) -> bool {
         if user.page_offset() != kernel.page_offset() {
             return false;
@@ -110,26 +114,40 @@ pub fn brute_force(
     BruteForceOutcome { patterns, tested }
 }
 
-/// Collect `count` random user-space addresses that collide with `K`,
-/// keeping the low 12 bits equal to `K`'s (the paper shrinks the search
-/// space the same way). Randomizes bits 12–46.
+/// The §6.2 collision sampler as a lazy stream: random user-space
+/// addresses that collide with `K`, in acceptance order. Each keeps
+/// `K`'s low 12 bits (the paper shrinks the search space the same way)
+/// and randomizes bits 12–46; the stream is a pure function of
+/// `(oracle, kernel, seed)`. Generic over the oracle, so a concrete
+/// [`BtbOracle`] is called without dynamic dispatch per candidate.
+///
+/// Every prefix of the stream is a valid sample, so a caller that can
+/// decide from fewer collisions stops pulling early.
+pub fn collisions<O: CollisionOracle + ?Sized>(
+    oracle: &mut O,
+    kernel: VirtAddr,
+    seed: u64,
+) -> impl Iterator<Item = u64> + '_ {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let low12 = kernel.raw() & 0xfff;
+    std::iter::from_fn(move || loop {
+        let random_mid: u64 = rng.gen::<u64>() & 0x0000_7fff_ffff_f000;
+        let candidate = VirtAddr::new(random_mid | low12);
+        if oracle.collides(candidate, kernel) {
+            return Some(candidate.raw());
+        }
+    })
+}
+
+/// The first `count` addresses of [`collisions`]: the fixed-size sample
+/// Figure 7 solves.
 pub fn collect_collisions(
     oracle: &mut dyn CollisionOracle,
     kernel: VirtAddr,
     count: usize,
     seed: u64,
 ) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let low12 = kernel.raw() & 0xfff;
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        let random_mid: u64 = rng.gen::<u64>() & 0x0000_7fff_ffff_f000;
-        let candidate = VirtAddr::new(random_mid | low12);
-        if oracle.collides(candidate, kernel) {
-            out.push(candidate.raw());
-        }
-    }
-    out
+    collisions(oracle, kernel, seed).take(count).collect()
 }
 
 /// The full Figure 7 reproduction: collisions against several kernel
@@ -279,6 +297,31 @@ mod tests {
                 let got = oracle.collides(user, kernel);
                 prop_assert_eq!(got, train_then_lookup(&scheme, user, kernel), "{} vs {}", user, kernel);
                 prop_assert!(got || kind != 0, "forced alias {} of {} missed", user, kernel);
+            }
+        }
+
+        /// The stream, pulled through a concrete oracle, yields what the
+        /// fixed-size sampler collects through `dyn`, and a shorter
+        /// sample is a prefix of a longer one: a caller that stops early
+        /// saw exactly the head of the full sample.
+        #[test]
+        fn collision_stream_matches_the_collected_sample(
+            scheme in arb_scheme(),
+            kernel in any::<u64>(),
+            seed in any::<u64>(),
+            n in 1usize..12,
+        ) {
+            // A user-half target, as discover samples: every signature
+            // it has is reachable by flipping bits 12–46.
+            let kernel = VirtAddr::new(kernel & 0x7fff_ffff_ffff);
+            let streamed: Vec<u64> = collisions(&mut BtbOracle::new(scheme.clone()), kernel, seed)
+                .take(n)
+                .collect();
+            let mut oracle = BtbOracle::new(scheme);
+            let collected = collect_collisions(&mut oracle, kernel, n + 4, seed);
+            prop_assert_eq!(&streamed[..], &collected[..n]);
+            for &u in &collected {
+                prop_assert!(oracle.collides(VirtAddr::new(u), kernel));
             }
         }
 

@@ -27,9 +27,11 @@
 
 pub mod matrix;
 pub mod recover;
+pub mod span;
 
 pub use matrix::BitMatrix;
 pub use recover::{recover_functions, RecoveredFunction, RecoveryConfig};
+pub use span::Span;
 
 #[cfg(test)]
 mod proptests;

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::span::Span;
+
 /// A matrix over GF(2), each row packed into a `u64` (so up to 64
 /// columns — addresses have 48 meaningful bits, plenty).
 ///
@@ -18,6 +20,8 @@ use std::fmt;
 pub struct BitMatrix {
     cols: u32,
     rows: Vec<u64>,
+    /// The row space, grown row by row.
+    span: Span,
 }
 
 impl BitMatrix {
@@ -31,6 +35,7 @@ impl BitMatrix {
         BitMatrix {
             cols,
             rows: Vec::new(),
+            span: Span::new(),
         }
     }
 
@@ -51,6 +56,7 @@ impl BitMatrix {
             (1u64 << self.cols) - 1
         };
         self.rows.push(row & mask);
+        self.span.insert(row & mask);
     }
 
     /// Number of rows.
@@ -69,41 +75,20 @@ impl BitMatrix {
     }
 
     /// Row-echelon basis of the row space (pivot rows, descending pivot
-    /// bit).
+    /// bit). Each basis row is the first row that grew the rank, reduced
+    /// against the pivots before it.
     pub fn row_basis(&self) -> Vec<u64> {
-        let mut basis: Vec<u64> = Vec::new(); // basis[i] has a unique leading bit
-        for &row in &self.rows {
-            let mut r = row;
-            for &b in &basis {
-                let lead = 63 - b.leading_zeros();
-                if r >> lead & 1 == 1 {
-                    r ^= b;
-                }
-            }
-            if r != 0 {
-                basis.push(r);
-                basis.sort_unstable_by_key(|&x| std::cmp::Reverse(x));
-            }
-        }
-        basis
+        self.span.basis().collect()
     }
 
     /// The rank of the matrix.
     pub fn rank(&self) -> u32 {
-        self.row_basis().len() as u32
+        self.span.dim()
     }
 
     /// Whether `v` lies in the row space.
     pub fn in_row_space(&self, v: u64) -> bool {
-        let basis = self.row_basis();
-        let mut r = v;
-        for &b in &basis {
-            let lead = 63 - b.leading_zeros();
-            if r >> lead & 1 == 1 {
-                r ^= b;
-            }
-        }
-        r == 0
+        self.span.contains(v)
     }
 
     /// A basis of the *nullspace dual*: all vectors `m` with
@@ -117,7 +102,6 @@ impl BitMatrix {
         // matrix whose rows are our rows.
         let mut basis = self.row_basis();
         // Reduce fully (each pivot bit appears in exactly one basis row).
-        basis.sort_unstable_by_key(|&x| std::cmp::Reverse(x));
         for i in 0..basis.len() {
             let lead = 63 - basis[i].leading_zeros();
             for j in 0..basis.len() {

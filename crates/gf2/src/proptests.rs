@@ -4,8 +4,83 @@ use proptest::prelude::*;
 
 use crate::matrix::{parity, BitMatrix};
 use crate::recover::{recover_functions, verify_functions, RecoveryConfig};
+use crate::span::Span;
+
+/// The row-echelon elimination `BitMatrix` ran before it kept a
+/// [`Span`]: reduce each row against the basis in descending order,
+/// keep a non-zero remainder, re-sort. `BitMatrix` now answers through
+/// `Span`, so this is the independent reference.
+fn reference_basis(rows: &[u64]) -> Vec<u64> {
+    let mut basis: Vec<u64> = Vec::new();
+    for &row in rows {
+        let mut r = row;
+        for &b in &basis {
+            let lead = 63 - b.leading_zeros();
+            if r >> lead & 1 == 1 {
+                r ^= b;
+            }
+        }
+        if r != 0 {
+            basis.push(r);
+            basis.sort_unstable_by_key(|&x| std::cmp::Reverse(x));
+        }
+    }
+    basis
+}
+
+fn reference_contains(basis: &[u64], v: u64) -> bool {
+    basis.iter().fold(v, |r, &b| {
+        let lead = 63 - b.leading_zeros();
+        if r >> lead & 1 == 1 {
+            r ^ b
+        } else {
+            r
+        }
+    }) == 0
+}
 
 proptest! {
+    /// `Span` (and so `BitMatrix::rank`, `in_row_space` and
+    /// `row_basis`) agrees with the reference elimination: same
+    /// dimension, same membership for members and random probes, and
+    /// the same echelon rows, which `orthogonal_basis` and everything
+    /// built on it read.
+    #[test]
+    fn span_matches_the_reference_elimination(
+        rows in proptest::collection::vec(any::<u64>(), 0..24),
+        gens in proptest::collection::vec(any::<u64>(), 6),
+        low_rank in any::<bool>(),
+        picks in any::<u32>(),
+        probes in proptest::collection::vec(any::<u64>(), 1..8),
+    ) {
+        // Half the cases draw rows from the span of six generators, so
+        // dependent rows are common.
+        let rows: Vec<u64> = if low_rank {
+            rows.iter()
+                .map(|r| gens.iter().enumerate().filter(|(i, _)| r >> i & 1 == 1).fold(0, |a, (_, g)| a ^ g))
+                .collect()
+        } else {
+            rows
+        };
+        let reference = reference_basis(&rows);
+        let mut span = Span::new();
+        for (i, &r) in rows.iter().enumerate() {
+            let before = span.dim();
+            prop_assert_eq!(span.insert(r), span.dim() == before + 1, "row {}", i);
+        }
+        let m = BitMatrix::from_rows(64, &rows);
+        prop_assert_eq!(span.dim() as usize, reference.len());
+        prop_assert_eq!(m.rank(), span.dim());
+        prop_assert_eq!(m.row_basis(), reference.clone());
+        let combo = rows.iter().enumerate().filter(|(i, _)| picks >> (i % 32) & 1 == 1).fold(0, |a, (_, r)| a ^ r);
+        prop_assert!(span.contains(combo));
+        for v in probes.into_iter().chain([combo, 0]) {
+            let want = reference_contains(&reference, v);
+            prop_assert_eq!(span.contains(v), want, "{:#x}", v);
+            prop_assert_eq!(m.in_row_space(v), want, "{:#x}", v);
+        }
+    }
+
     /// rank <= min(rows, cols), and appending a dependent row never
     /// changes the rank.
     #[test]

@@ -2,6 +2,7 @@
 //! Gaussian elimination standing in for the Z3 SMT solver.
 
 use crate::matrix::{parity, BitMatrix};
+use crate::span::Span;
 
 /// Configuration for [`recover_functions`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,9 +124,7 @@ pub fn recover_functions(
 
     let solution_dim = width as usize - diff_basis.len();
     let mut found: Vec<u64> = Vec::new();
-    // Reduced basis of the found masks, indexed by leading bit: testing a
-    // candidate's independence costs at most one XOR per found mask.
-    let mut found_basis = [0u64; 64];
+    let mut found_span = Span::new();
 
     'outer: for weight in 1..=cfg.max_weight {
         // Enumerate all masks of exactly `weight` bits over `width`
@@ -140,14 +139,10 @@ pub fn recover_functions(
         };
         let mut m: u64 = (1u64 << weight) - 1;
         loop {
-            if annihilates(m) {
-                let r = reduce(&found_basis, m);
-                if r != 0 {
-                    found_basis[leading_bit(r)] = r;
-                    found.push(m);
-                    if found.len() == solution_dim {
-                        break 'outer;
-                    }
+            if annihilates(m) && found_span.insert(m) {
+                found.push(m);
+                if found.len() == solution_dim {
+                    break 'outer;
                 }
             }
             // Next mask with the same popcount.
@@ -171,19 +166,6 @@ pub fn recover_functions(
         .collect();
     out.sort_by_key(|f| (f.weight(), f.mask));
     out
-}
-
-/// Reduce `v` against a basis indexed by leading bit; the remainder is
-/// zero exactly when `v` lies in the basis's span.
-fn reduce(basis: &[u64; 64], mut v: u64) -> u64 {
-    while v != 0 && basis[leading_bit(v)] != 0 {
-        v ^= basis[leading_bit(v)];
-    }
-    v
-}
-
-fn leading_bit(v: u64) -> usize {
-    63 - v.leading_zeros() as usize
 }
 
 /// Verify that a set of recovered functions is consistent with all the
