@@ -86,8 +86,8 @@ pub struct BruteForceOutcome {
 /// in user space) and test each pattern. On Zen 3/4 this fails for small
 /// `max_flips` — every fold function involves `b47`, so clearing it
 /// disturbs all twelve functions at once.
-pub fn brute_force(
-    oracle: &mut dyn CollisionOracle,
+pub fn brute_force<O: CollisionOracle + ?Sized>(
+    oracle: &mut O,
     kernel: VirtAddr,
     max_flips: u32,
 ) -> BruteForceOutcome {
@@ -141,8 +141,8 @@ pub fn collisions<O: CollisionOracle + ?Sized>(
 
 /// The first `count` addresses of [`collisions`]: the fixed-size sample
 /// Figure 7 solves.
-pub fn collect_collisions(
-    oracle: &mut dyn CollisionOracle,
+pub fn collect_collisions<O: CollisionOracle + ?Sized>(
+    oracle: &mut O,
     kernel: VirtAddr,
     count: usize,
     seed: u64,
@@ -166,8 +166,8 @@ pub struct Figure7 {
 
 /// Recover the Zen 3/4 cross-privilege BTB functions from behavioural
 /// collisions only.
-pub fn recover_figure7(
-    oracle: &mut dyn CollisionOracle,
+pub fn recover_figure7<O: CollisionOracle + ?Sized>(
+    oracle: &mut O,
     kernel_addresses: &[VirtAddr],
     samples_per_address: usize,
     seed: u64,

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use phantom_bpu::MsrState;
-use phantom_isa::asm::Assembler;
+use phantom_isa::asm::{AsmError, Assembler};
 use phantom_isa::{BranchKind, Inst, Reg};
 use phantom_mem::{PageFlags, PrivilegeLevel, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 use phantom_pipeline::{Checkpoint, Machine, TransientReport, UarchProfile};
@@ -27,7 +27,7 @@ pub const USER_STACK_SIZE: u64 = 0x4000;
 #[derive(Debug)]
 pub enum SystemError {
     /// Assembly of a kernel component failed (layout bug).
-    Asm(phantom_isa::asm::AsmError),
+    Asm(AsmError),
     /// The underlying machine errored.
     Machine(phantom_pipeline::machine::MachineError),
 }
@@ -43,8 +43,8 @@ impl std::fmt::Display for SystemError {
 
 impl std::error::Error for SystemError {}
 
-impl From<phantom_isa::asm::AsmError> for SystemError {
-    fn from(e: phantom_isa::asm::AsmError) -> Self {
+impl From<AsmError> for SystemError {
+    fn from(e: AsmError) -> Self {
         SystemError::Asm(e)
     }
 }
@@ -400,7 +400,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError::Machine`] if physical memory runs out.
+    /// Returns [`SystemError::Machine`] if physical memory runs out, or
+    /// [`SystemError::Asm`] if the branch fails to encode.
     pub fn plant_user_branch(
         &mut self,
         source: VirtAddr,
@@ -433,7 +434,7 @@ impl System {
             BranchKind::NotBranch => Inst::Nop,
         };
         let mut bytes = Vec::new();
-        phantom_isa::encode::encode_into(&inst, &mut bytes).expect("encodable");
+        phantom_isa::encode::encode_into(&inst, &mut bytes).map_err(AsmError::from)?;
         bytes.push(0xF4); // hlt after the branch
         self.machine.poke(source, &bytes);
         Ok(())
@@ -447,7 +448,8 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`SystemError::Machine`] on simulator errors.
+    /// Returns [`SystemError::Machine`] on simulator errors, or
+    /// [`SystemError::Asm`] if the branch or its `cmp` fails to encode.
     pub fn train_user_branch(
         &mut self,
         source: VirtAddr,
@@ -470,7 +472,7 @@ impl System {
                 },
                 &mut cmp,
             )
-            .expect("encodable");
+            .map_err(AsmError::from)?;
             // Execute the cmp from a scratch location just before source
             // is awkward; set flags directly by running cmp at the stub
             // page. Simplest: poke cmp+branch sequence? The branch must

@@ -296,16 +296,14 @@ impl Machine {
         self.poke(va, &value.to_le_bytes());
     }
 
-    /// Read a u64 via [`Machine::try_peek`], faulting if either page the
-    /// read touches is unmapped.
+    /// Read a u64 through the page table like [`Machine::try_peek`],
+    /// faulting if either page the read touches is unmapped.
     ///
     /// # Errors
     ///
     /// Returns the [`PageFault`] of the first untranslatable page.
     pub fn try_peek_u64(&self, va: VirtAddr) -> Result<u64, PageFault> {
-        Ok(u64::from_le_bytes(
-            self.try_peek(va, 8)?.try_into().expect("len-8 peek"),
-        ))
+        self.read_u64_virt(va, AccessKind::Read, PrivilegeLevel::Supervisor)
     }
 
     /// Read a u64 via [`Machine::peek`].
@@ -339,8 +337,10 @@ impl Machine {
             return Ok(self.phys.read_u64(pa));
         }
         let pa2 = self.translate_fast((va + 8u64).page_base(), access, level)?;
-        let mut bytes = self.phys.read_bytes(pa, in_page);
-        bytes.extend(self.phys.read_bytes(pa2, 8 - in_page));
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        let mut bytes = [0u8; 8];
+        let (low, high) = bytes.split_at_mut(in_page);
+        self.phys.read_into(pa, low);
+        self.phys.read_into(pa2, high);
+        Ok(u64::from_le_bytes(bytes))
     }
 }

@@ -1056,6 +1056,30 @@ fn ret_straddling_into_an_unmapped_page_faults_at_the_page_start() {
 }
 
 #[test]
+fn straddling_u64_peeks_follow_the_virtual_pages() {
+    // Two virtually adjacent pages whose frames are not adjacent (a
+    // third page is mapped in between), so a straddling read must
+    // join the bytes of both translations, as `try_peek` does.
+    let mut m = machine(UarchProfile::zen2());
+    let low = VirtAddr::new(0x7000_0000);
+    m.map_range(low, 0x1000, PageFlags::USER_DATA).unwrap();
+    m.map_range(VirtAddr::new(0x7100_0000), 0x1000, PageFlags::USER_DATA)
+        .unwrap();
+    m.map_range(low + 0x1000u64, 0x1000, PageFlags::USER_DATA)
+        .unwrap();
+    let va = low + 0xffdu64;
+    m.poke_u64(va, 0x0807_0605_0403_0201);
+    assert_eq!(m.try_peek_u64(va), Ok(0x0807_0605_0403_0201));
+    assert_eq!(m.peek(va, 8), 0x0807_0605_0403_0201u64.to_le_bytes());
+
+    // Into an unmapped page: both reads fault at that page's start.
+    let edge = VirtAddr::new(0x7100_0ffc);
+    let fault = m.try_peek_u64(edge).expect_err("second page unmapped");
+    assert_eq!(fault.addr, VirtAddr::new(0x7100_1000));
+    assert_eq!(m.try_peek(edge, 8).expect_err("same fault"), fault);
+}
+
+#[test]
 fn consecutive_fetch_faults_report_the_most_recent_fault() {
     // The fault handler itself is unmapped, so every handler redirect
     // immediately faults again on fetch. The machine must keep

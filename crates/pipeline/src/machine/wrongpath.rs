@@ -157,18 +157,14 @@ impl Machine {
                     // store buffer and are dropped at squash.
                     tpc = tpc + len;
                 }
-                Inst::Jmp { .. } => {
-                    tpc = VirtAddr::new(inst.direct_target(tpc.raw()).expect("direct"));
-                }
-                Inst::Call { .. } => {
-                    tpc = VirtAddr::new(inst.direct_target(tpc.raw()).expect("direct"));
-                }
-                Inst::Jcc { cond, .. } => {
-                    if cond.eval(tzf, tsf, tcf) {
-                        tpc = VirtAddr::new(inst.direct_target(tpc.raw()).expect("direct"));
-                    } else {
-                        tpc = tpc + len;
-                    }
+                Inst::Jcc { cond, .. } if !cond.eval(tzf, tsf, tcf) => tpc = tpc + len,
+                Inst::Jmp { .. } | Inst::Call { .. } | Inst::Jcc { .. } => {
+                    // Every direct branch has a target, so the walk never
+                    // stops here.
+                    let Some(target) = inst.direct_target(tpc.raw()) else {
+                        break;
+                    };
+                    tpc = VirtAddr::new(target);
                 }
                 Inst::JmpInd { src } | Inst::CallInd { src } => {
                     tpc = VirtAddr::new(tregs[usize::from(src.index())]);

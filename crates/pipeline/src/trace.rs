@@ -226,9 +226,13 @@ impl Tracer {
     ) -> Result<T, MachineError> {
         let id = machine.attach_sink(std::mem::take(&mut self.sink));
         let result = f(machine);
-        self.sink = *machine
+        // `f` only steps or runs the machine, and neither detaches a
+        // sink, so the one attached above is still there under `id`.
+        #[allow(clippy::expect_used)]
+        let sink = machine
             .detach_sink_as::<TraceSink>(id)
             .expect("tracer sink attached");
+        self.sink = *sink;
         result
     }
 

@@ -1,6 +1,7 @@
 //! End-to-end checks for the discover fuzzer: the committed regression
 //! corpus replays green, the JSONL report is byte-identical at any
-//! worker count, and the minimizer's invariants hold under proptest.
+//! worker count and to a committed golden run, and the minimizer's
+//! invariants hold under proptest.
 
 use std::path::PathBuf;
 
@@ -99,6 +100,36 @@ fn discover_jsonl_identical_at_one_and_two_workers() {
         .last()
         .expect("summary line")
         .contains("discover-summary"));
+}
+
+#[test]
+fn discover_jsonl_matches_the_committed_golden_bytes() {
+    // Every verdict of a 256-case run, pinned byte for byte: a change to
+    // the generator, the case runner, the minimizer or the alias oracle
+    // that moves any finding fails here.
+    let golden =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/discover_256_seed5.jsonl");
+    let expected = std::fs::read_to_string(&golden).expect("golden file reads");
+    let cfg = DiscoverConfig {
+        budget: 256,
+        seed: 5,
+    };
+    let report = run_discover_on(&TrialRunner::with_threads(1), cfg).expect("runs");
+    let actual = discover_jsonl(&report);
+    if actual != expected {
+        let first = actual
+            .lines()
+            .zip(expected.lines())
+            .position(|(a, e)| a != e)
+            .unwrap_or(actual.lines().count().min(expected.lines().count()));
+        panic!(
+            "discover 256 --seed 5 drifted from {} at line {}:\n  got      {:?}\n  expected {:?}",
+            golden.display(),
+            first + 1,
+            actual.lines().nth(first),
+            expected.lines().nth(first)
+        );
+    }
 }
 
 proptest! {
