@@ -465,9 +465,7 @@ fn spectre() -> Result<(), RunnerError> {
 }
 
 fn overhead(r: &TrialRunner) -> Result<(), RunnerError> {
-    let t = timed(r, |r| {
-        Ok::<_, RunnerError>(suppress_overhead_on(r, UarchProfile::zen2()))
-    })?;
+    let t = timed(r, |r| suppress_overhead_on(r, UarchProfile::zen2()))?;
     print!("{}", report::render_overhead(&t.result));
     eprintln!("[overhead: {}]", t.wall_note());
     Ok(())

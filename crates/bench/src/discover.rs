@@ -64,7 +64,7 @@ use phantom_isa::{Assembler, Cond, Inst, Reg};
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::spec::mutate::{matches_base, mutate_spec, shrink_candidates};
 use phantom_pipeline::spec::{parse_specs, SPEC_HEADER};
-use phantom_pipeline::{Machine, UarchRegistry, UarchSpec};
+use phantom_pipeline::{Machine, UarchProfile, UarchRegistry, UarchSpec};
 
 use crate::RunnerError;
 
@@ -95,6 +95,8 @@ const VA_LIMIT: u64 = 1 << 47;
 /// offset stays (the BTB indexes it directly) and so does b47 (the
 /// user/kernel half). [`alias_delta`] draws only from this domain.
 const DELTA_DOMAIN: u64 = 0x0000_7fff_ffff_f000;
+/// Physical memory of every case's machine.
+const CASE_PHYS: u64 = 1 << 26;
 
 /// One instruction-sequence gene. The closed set keeps the corpus text
 /// format total: every op serializes with [`op_text`] and parses back
@@ -459,36 +461,66 @@ fn payload_bytes() -> Vec<u8> {
 /// at `V`, run, and read the leak property off the event bus. Pure
 /// function of the case; candidate-induced failures come back as
 /// [`CaseOutcome::Rejected`] / [`CaseOutcome::Faulted`], never panics.
+/// Each call builds one cold machine; the discover scenario and the
+/// minimizer reset one machine per worker instead, with the same
+/// outcome.
 #[must_use]
 pub fn run_case(case: &FuzzCase) -> CaseOutcome {
-    let bytes = match assemble_ops(VICTIM, &case.ops) {
-        Ok(b) => b,
-        Err(e) => return CaseOutcome::Rejected(asm_reject_slug(&e).into()),
-    };
-    if bytes.len() as u64 > PROG_SPAN {
-        return CaseOutcome::Rejected("program-too-large".into());
+    match victim_program(case) {
+        Ok(bytes) => run_program(
+            &mut Machine::new(case.spec.profile(), CASE_PHYS),
+            case,
+            &bytes,
+        ),
+        Err(slug) => CaseOutcome::Rejected(slug.into()),
     }
-    let train_site = VICTIM ^ case.delta;
-    if train_site.wrapping_add(DIRECT_SPAN) >= VA_LIMIT {
-        return CaseOutcome::Rejected("train-site-out-of-range".into());
-    }
+}
 
-    let mut m = Machine::new(case.spec.profile(), 1 << 26);
+/// [`run_case`] on a reused machine: `m` is reset to the case's spec
+/// ([`Machine::reset`], observably a new machine) instead of a new one
+/// being built.
+fn run_case_on(m: &mut Machine, case: &FuzzCase) -> CaseOutcome {
+    match victim_program(case) {
+        Ok(bytes) => {
+            m.reset(case.spec.profile(), CASE_PHYS);
+            run_program(m, case, &bytes)
+        }
+        Err(slug) => CaseOutcome::Rejected(slug.into()),
+    }
+}
+
+/// The case's victim program, or the slug it is rejected under before
+/// any machine runs.
+fn victim_program(case: &FuzzCase) -> Result<Vec<u8>, &'static str> {
+    let bytes = assemble_ops(VICTIM, &case.ops).map_err(|e| asm_reject_slug(&e))?;
+    if bytes.len() as u64 > PROG_SPAN {
+        return Err("program-too-large");
+    }
+    if (VICTIM ^ case.delta).wrapping_add(DIRECT_SPAN) >= VA_LIMIT {
+        return Err("train-site-out-of-range");
+    }
+    Ok(bytes)
+}
+
+/// Train, install `bytes` and run the victim on `m`, a machine in the
+/// state `Machine::new(case.spec.profile(), CASE_PHYS)` builds.
+fn run_program(m: &mut Machine, case: &FuzzCase, bytes: &[u8]) -> CaseOutcome {
+    let train_site = VICTIM ^ case.delta;
     let mut pages = PageMapper::new();
     let text = PageFlags::USER_TEXT | PageFlags::WRITE;
     let mut geography = || -> Result<(), String> {
         // The program begins mid-page at V and may `org` forward up to
         // PROG_SPAN, so the mapping must cover [V, V + PROG_SPAN), not
         // just PROG_SPAN bytes from the page base.
-        pages.ensure(&mut m, VICTIM & !0xfff, (VICTIM & 0xfff) + PROG_SPAN, text)?;
-        pages.ensure(&mut m, train_site & !0xfff, 0x1000, text)?;
-        pages.ensure(&mut m, TARGET & !0xfff, 0x1000, text)?;
-        pages.ensure(&mut m, HALT & !0xfff, 0x1000, text)?;
-        pages.ensure(&mut m, CALL_SITE & !0xfff, 0x1000, text)?;
-        pages.ensure(&mut m, PROBE, 0x1000, PageFlags::USER_DATA)?;
-        pages.ensure(&mut m, STACK_BASE, 0x4000, PageFlags::USER_DATA)?;
+        pages.ensure(m, VICTIM & !0xfff, (VICTIM & 0xfff) + PROG_SPAN, text)?;
+        pages.ensure(m, train_site & !0xfff, 0x1000, text)?;
+        pages.ensure(m, TARGET & !0xfff, 0x1000, text)?;
+        pages.ensure(m, HALT & !0xfff, 0x1000, text)?;
+        pages.ensure(m, CALL_SITE & !0xfff, 0x1000, text)?;
+        pages.ensure(m, PROBE, 0x1000, PageFlags::USER_DATA)?;
+        pages.ensure(m, STACK_BASE, 0x4000, PageFlags::USER_DATA)?;
         if matches!(case.train, TrainKind::Jmp | TrainKind::Jcc) {
-            pages.ensure(&mut m, (train_site + DIRECT_SPAN) & !0xfff, 0x1000, text)?;
+            pages.ensure(m, (train_site + DIRECT_SPAN) & !0xfff, 0x1000, text)?;
         }
         Ok(())
     };
@@ -563,7 +595,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     }
 
     // --- Install the candidate program and run the victim. ----------
-    m.poke(VirtAddr::new(VICTIM), &bytes);
+    m.poke(VirtAddr::new(VICTIM), bytes);
     m.set_reg(Reg::R11, HALT);
     m.set_reg(Reg::SP, STACK_TOP - 128);
     m.poke_u64(VirtAddr::new(STACK_TOP - 128), HALT);
@@ -653,18 +685,28 @@ fn builtin_by_key(key: &str) -> Option<UarchSpec> {
 /// Minimize a leaky case: delta-debug the op sequence (greedy removal
 /// to a fixpoint), then shrink the spec toward its base builtin,
 /// keeping every step that still leaks. Pure function of the case, so
-/// minimization is deterministic.
+/// minimization is deterministic. Every candidate runs on one machine,
+/// reset between candidates.
 #[must_use]
 pub fn minimize_case(case: &FuzzCase) -> FuzzCase {
-    minimize(case).0
+    minimize(&mut Machine::new(case.spec.profile(), CASE_PHYS), case).0
 }
 
-/// [`minimize_case`], plus the observation of the last candidate it
-/// accepted. `None` means it accepted none, so the caller's observation
-/// of the input still describes the minimum; either way the minimum
-/// needs no further run.
-fn minimize(case: &FuzzCase) -> (FuzzCase, Option<LeakObservation>) {
-    let leak = |c: &FuzzCase| match run_case(c) {
+/// [`minimize_case`] on `m`, plus the observation of the last candidate
+/// it accepted. `None` means it accepted none, so the caller's
+/// observation of the input still describes the minimum; either way
+/// the minimum needs no further run.
+fn minimize(m: &mut Machine, case: &FuzzCase) -> (FuzzCase, Option<LeakObservation>) {
+    minimize_with(case, |c| run_case_on(m, c))
+}
+
+/// The minimizer over any evaluation of a candidate: the reused
+/// machine's in production, cold [`run_case`] as the tests' reference.
+fn minimize_with(
+    case: &FuzzCase,
+    mut run: impl FnMut(&FuzzCase) -> CaseOutcome,
+) -> (FuzzCase, Option<LeakObservation>) {
+    let mut leak = |c: &FuzzCase| match run(c) {
         CaseOutcome::Leak(obs) => Some(obs),
         _ => None,
     };
@@ -797,7 +839,10 @@ struct DiscoverScenario {
 }
 
 impl Scenario for DiscoverScenario {
-    type State = ();
+    /// The worker's one machine: every case's first run and all of its
+    /// minimizer candidates reset it to their spec.
+    type State = Machine;
+    /// Nothing is shared: each worker builds its own machine.
     type Checkpoint = ();
     type Sample = Disposition;
     type Output = DiscoverReport;
@@ -806,28 +851,35 @@ impl Scenario for DiscoverScenario {
         self.cfg.budget
     }
 
-    fn setup(&self) -> Result<(), ScenarioError> {
+    fn setup(&self) -> Result<Machine, ScenarioError> {
+        // A case resets the machine to its own spec before it runs, and
+        // the first such reset allocates the full-size tables, so a run
+        // whose cases are all rejected never builds them.
+        Ok(Machine::new(UarchProfile::minimal(), CASE_PHYS))
+    }
+
+    fn checkpoint(&self, _: Machine) -> Result<(), ScenarioError> {
+        // Dropped, not kept for `fork` to copy: with that copy alive for
+        // the whole run, the peak RSS over one-case runs was 0.1-0.2 MiB
+        // higher.
         Ok(())
     }
 
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
+    fn fork(&self, (): &()) -> Result<Machine, ScenarioError> {
+        self.setup()
     }
 
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, (): &mut (), trial: Trial) -> Result<Disposition, ScenarioError> {
+    fn probe(&self, m: &mut Machine, trial: Trial) -> Result<Disposition, ScenarioError> {
         let case = generate_case(trial.seed);
-        Ok(match run_case(&case) {
+        Ok(match run_case_on(m, &case) {
             CaseOutcome::Rejected(reason) => Disposition::Rejected(reason),
             CaseOutcome::Faulted(_) => Disposition::Faulted,
             CaseOutcome::Quiet(_) => Disposition::Quiet,
             CaseOutcome::Leak(obs) => {
-                // `run_case` is a pure function of the case, so the last
-                // leaking run the minimizer saw is the minimum's.
-                let (min, seen) = minimize(&case);
+                // Evaluation is a pure function of the case, on a reset
+                // machine as on a new one, so the last leaking run the
+                // minimizer saw is the minimum's.
+                let (min, seen) = minimize(m, &case);
                 let obs = seen.unwrap_or(obs);
                 Disposition::Leak(Box::new(Finding {
                     index: trial.index,
@@ -1399,19 +1451,52 @@ mod tests {
             }
         }
 
+        /// A worker machine that has just run, and minimized, an
+        /// unrelated case of another base spec evaluates the next case
+        /// exactly as a cold machine does.
+        #[test]
+        fn a_reused_machine_evaluates_like_a_cold_one(seed in any::<u64>(), other in any::<u64>()) {
+            let case = generate_case(seed);
+            let mut m = worker_after_another_case(&case, other);
+            prop_assert_eq!(run_case_on(&mut m, &case), run_case(&case));
+        }
+
         /// The minimizer's recorded observation is the minimum's: when
         /// it returns `None` the input's own observation is, and in both
-        /// cases a fresh run of the minimum agrees. `minimize_case` is
-        /// the same minimum.
+        /// cases a fresh run of the minimum agrees. Minimizing on a
+        /// worker machine that has already run another case returns
+        /// exactly what minimizing with a cold machine per candidate
+        /// does, and `minimize_case` is the same minimum.
         #[test]
-        fn minimize_returns_the_observation_of_its_minimum(seed in any::<u64>()) {
+        fn minimize_returns_the_observation_of_its_minimum(seed in any::<u64>(), other in any::<u64>()) {
             let case = generate_case(seed);
             if let CaseOutcome::Leak(first) = run_case(&case) {
-                let (min, seen) = minimize(&case);
+                let mut m = worker_after_another_case(&case, other);
+                let (min, seen) = minimize(&mut m, &case);
+                prop_assert_eq!(minimize_with(&case, run_case), (min.clone(), seen));
                 prop_assert_eq!(run_case(&min), CaseOutcome::Leak(seen.unwrap_or(first)));
                 prop_assert_eq!(minimize_case(&case), min);
             }
         }
+    }
+
+    /// A discover worker's machine after it ran the first case from
+    /// `seed` on whose base spec differs from `case`'s, and minimized
+    /// it if it leaked.
+    fn worker_after_another_case(case: &FuzzCase, seed: u64) -> Machine {
+        let mut m = DiscoverScenario {
+            cfg: DiscoverConfig { budget: 1, seed: 0 },
+        }
+        .setup()
+        .expect("a new machine");
+        let prior = (0..)
+            .map(|k| generate_case(seed.wrapping_add(k)))
+            .find(|c| c.base_key != case.base_key)
+            .expect("the generator draws every builtin");
+        if let CaseOutcome::Leak(_) = run_case_on(&mut m, &prior) {
+            minimize(&mut m, &prior);
+        }
+        m
     }
 
     #[test]

@@ -415,9 +415,7 @@ pub fn collect_snapshot(
         });
     }
 
-    let t = timed(runner, |r| {
-        Ok::<_, RunnerError>(suppress_overhead_on(r, UarchProfile::zen2()))
-    })?;
+    let t = timed(runner, |r| suppress_overhead_on(r, UarchProfile::zen2()))?;
     let overhead = OverheadRecord::from(&t.result);
     wall.push(("overhead".into(), t.wall.as_secs_f64()));
 

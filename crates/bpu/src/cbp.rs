@@ -260,6 +260,18 @@ struct CbpEntry {
     lru: u64,
 }
 
+/// The entry every way of a `scheme` table holds in reset state.
+fn reset_entry(scheme: &CbpScheme) -> CbpEntry {
+    CbpEntry {
+        tag: 0,
+        counter: scheme.reset_counter(),
+        // Untagged tables have no allocation state: every counter
+        // exists from reset. Tagged ways allocate on first update.
+        valid: scheme.tag.is_empty(),
+        lru: 0,
+    }
+}
+
 /// The conditional-branch predictor.
 ///
 /// Rewinds are journaled like `phantom_cache::SetAssocCache`'s:
@@ -297,6 +309,12 @@ pub struct Cbp {
     dirty: Vec<u64>,
     /// Indices flagged in `dirty`, in first-write order.
     dirty_sets: Vec<u32>,
+    /// Whether `dirty_sets` lists every set written since the table was
+    /// last in reset state (built, [`reset`](Cbp::reset) or
+    /// [`flush`](Cbp::flush)ed), so every other set still holds reset
+    /// entries. Opening an epoch or rewinding breaks that, and `reset`
+    /// then refills the whole table.
+    reset_outside_log: bool,
 }
 
 impl Cbp {
@@ -315,15 +333,7 @@ impl Cbp {
     /// Fallible [`Cbp::new`], for spec-provided schemes.
     pub fn try_new(scheme: CbpScheme) -> Result<Cbp, String> {
         scheme.validate()?;
-        let reset = CbpEntry {
-            tag: 0,
-            counter: scheme.reset_counter(),
-            // Untagged tables have no allocation state: every counter
-            // exists from reset. Tagged ways allocate on first update.
-            valid: scheme.tag.is_empty(),
-            lru: 0,
-        };
-        let entries = vec![reset; scheme.capacity()];
+        let entries = vec![reset_entry(&scheme); scheme.capacity()];
         let sets = scheme.sets();
         Ok(Cbp {
             scheme,
@@ -333,7 +343,51 @@ impl Cbp {
             epoch_token: next_epoch_token(),
             dirty: vec![0; sets.div_ceil(64)],
             dirty_sets: Vec::new(),
+            reset_outside_log: true,
         })
+    }
+
+    /// Put the CBP in reset state for `scheme` in place, as
+    /// `*self = Cbp::new(scheme)` would, with a fresh epoch token.
+    /// Refills only the sets written since the table was last in reset
+    /// state, unless an epoch was opened or a rewind ran since then
+    /// (both forget or replace the dirty log), in which case the whole
+    /// table is refilled in place. A scheme of another shape (sets or
+    /// ways) or another reset entry (counter width, tagging) reallocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheme fails [`CbpScheme::validate`], as
+    /// [`Cbp::new`] does.
+    pub fn reset(&mut self, scheme: CbpScheme) {
+        let fresh = reset_entry(&scheme);
+        if scheme.sets() != self.scheme.sets()
+            || scheme.ways != self.scheme.ways
+            || fresh != reset_entry(&self.scheme)
+        {
+            *self = Cbp::new(scheme);
+            return;
+        }
+        if let Err(e) = scheme.validate() {
+            panic!("{e}");
+        }
+        if self.reset_outside_log {
+            let ways = scheme.ways;
+            for &i in &self.dirty_sets {
+                let i = i as usize;
+                self.entries[i * ways..(i + 1) * ways].fill(fresh);
+                self.dirty[i / 64] = 0;
+            }
+        } else {
+            self.entries.fill(fresh);
+            self.dirty.fill(0);
+        }
+        self.dirty_sets.clear();
+        self.scheme = scheme;
+        self.ghr = 0;
+        self.clock = 0;
+        self.epoch_token = next_epoch_token();
+        self.reset_outside_log = true;
     }
 
     /// The indexing scheme.
@@ -432,6 +486,7 @@ impl Cbp {
             self.dirty[i as usize / 64] = 0;
         }
         self.dirty_sets.clear();
+        self.reset_outside_log = false;
     }
 
     /// Rewind to `snap`. When `snap` shares this CBP's epoch token and
@@ -442,6 +497,7 @@ impl Cbp {
     /// back to a full copy and adopts its token and log. Either way
     /// the result is bit-identical to `*self = snap.clone()`.
     pub fn restore_from(&mut self, snap: &Cbp) {
+        self.reset_outside_log = false;
         if self.epoch_token == snap.epoch_token && snap.dirty_sets.is_empty() {
             let ways = self.scheme.ways;
             for &i in &self.dirty_sets {
@@ -469,15 +525,10 @@ impl Cbp {
     /// [`restore_from`](Cbp::restore_from) does a full copy.
     pub fn flush(&mut self) {
         self.begin_epoch();
-        let reset = CbpEntry {
-            tag: 0,
-            counter: self.scheme.reset_counter(),
-            valid: self.scheme.tag.is_empty(),
-            lru: 0,
-        };
-        self.entries.fill(reset);
+        self.entries.fill(reset_entry(&self.scheme));
         self.ghr = 0;
         self.clock = 0;
+        self.reset_outside_log = true;
     }
 
     /// Entries holding trained content: allocated ways for tagged

@@ -18,6 +18,9 @@ use crate::msr::MsrState;
 use crate::rsb::Rsb;
 use crate::state::PredictorState;
 
+/// Return-stack depth of every BPU.
+const RSB_DEPTH: usize = 32;
+
 /// A prediction served to the fetch unit before decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prediction {
@@ -64,11 +67,22 @@ impl Bpu {
     pub fn with_schemes(btb: BtbScheme, cbp: CbpScheme, msr: MsrState) -> Bpu {
         Bpu {
             btb: Btb::new(btb),
-            rsb: Rsb::new(32),
+            rsb: Rsb::new(RSB_DEPTH),
             cbp: Cbp::new(cbp),
             bhb: Bhb::new(),
             msr,
         }
+    }
+
+    /// Put the BPU in the state [`Bpu::with_schemes`] builds, in place:
+    /// a new BTB, RSB and BHB, and the CBP reset through
+    /// [`Cbp::reset`] (only the sets it wrote, when it can tell).
+    pub fn reset(&mut self, btb: BtbScheme, cbp: CbpScheme, msr: MsrState) {
+        self.btb = Btb::new(btb);
+        self.rsb = Rsb::new(RSB_DEPTH);
+        self.cbp.reset(cbp);
+        self.bhb = Bhb::new();
+        self.msr = msr;
     }
 
     /// Current MSR state.

@@ -305,6 +305,58 @@ proptest! {
     }
 }
 
+/// Play `ops` on `live` with the rewind model check's meaning, keeping
+/// the checkpoints in `snaps`.
+fn play_rewind_ops(live: &mut Cbp, foreign: &Cbp, ops: &[RewindOp], snaps: &mut Vec<Cbp>) {
+    for op in ops {
+        match *op {
+            RewindOp::Update(p, taken) => live.update(pool_pc(p), taken),
+            RewindOp::Flush => live.flush(),
+            RewindOp::Checkpoint => {
+                live.begin_epoch();
+                snaps.push(live.clone());
+            }
+            RewindOp::PlainClone => snaps.push(live.clone()),
+            RewindOp::Rewind(i) if !snaps.is_empty() => live.restore_from(&snaps[i % snaps.len()]),
+            RewindOp::Rewind(_) => {}
+            RewindOp::Foreign => live.restore_from(foreign),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Cbp::reset` is `*self = Cbp::new(scheme)`: after any mix of
+    /// updates, flushes, checkpoints and rewinds (the last two make it
+    /// refill the whole table instead of the sets it logged), a reset
+    /// CBP equals a new one of the target scheme in every field and
+    /// logs nothing, and it resets exactly again after further rounds.
+    /// The target alternates between two schemes, of the same shape or
+    /// not (which reallocates).
+    #[test]
+    fn cbp_reset_matches_a_new_cbp(
+        first in arb_cbp_scheme(),
+        second in arb_cbp_scheme(),
+        rounds in proptest::collection::vec(arb_rewind_ops(), 1..4),
+        probes in proptest::collection::vec(any::<u16>(), 1..24),
+    ) {
+        let mut live = Cbp::new(first.clone());
+        let mut foreign = Cbp::new(second.clone());
+        foreign.update(pool_pc(1), true);
+        for (round, ops) in rounds.iter().enumerate() {
+            let mut snaps = Vec::new();
+            play_rewind_ops(&mut live, &foreign, ops, &mut snaps);
+            let target = if round % 2 == 0 { &second } else { &first };
+            live.reset(target.clone());
+            let fresh = Cbp::new(target.clone());
+            prop_assert!(live.same_state(&fresh), "round {} reset differs from new", round);
+            prop_assert_eq!(live.dirty_len(), 0);
+            prop_assert_eq!(cbp_view(&live, &probes), cbp_view(&fresh, &probes));
+        }
+    }
+}
+
 /// One step of the whole-BPU rewind model check.
 #[derive(Debug, Clone)]
 enum BpuOp {

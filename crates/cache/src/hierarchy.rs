@@ -99,6 +99,17 @@ impl CacheHierarchy {
         }
     }
 
+    /// Empty the hierarchy in place for `config`, as
+    /// `*self = CacheHierarchy::new(config)` would: each level clears
+    /// only the sets it touched since it was last empty, or reallocates
+    /// for a new shape. See [`SetAssocCache::reset`].
+    pub fn reset(&mut self, config: HierarchyConfig) {
+        self.config = config;
+        self.l1i.reset(config.l1i, config.replacement);
+        self.l1d.reset(config.l1d, config.replacement);
+        self.l2.reset(config.l2, config.replacement);
+    }
+
     /// The configuration this hierarchy was built with.
     pub fn config(&self) -> &HierarchyConfig {
         &self.config

@@ -85,6 +85,11 @@ pub struct SetAssocCache {
     dirty: Vec<bool>,
     /// Indices flagged in `dirty`, in first-mutation order.
     dirty_sets: Vec<u32>,
+    /// Whether `dirty_sets` lists every set mutated since the cache was
+    /// last empty (built or [`reset`](SetAssocCache::reset)), so every
+    /// other set still holds its empty contents. Opening an epoch or
+    /// rewinding breaks that, and `reset` then clears every set.
+    empty_outside_log: bool,
 }
 
 impl SetAssocCache {
@@ -101,7 +106,40 @@ impl SetAssocCache {
             epoch_token: next_epoch_token(),
             dirty: vec![false; geometry.sets],
             dirty_sets: Vec::new(),
+            empty_outside_log: true,
         }
+    }
+
+    /// Empty the cache in place, as `*self = SetAssocCache::new(geometry,
+    /// replacement)` would, with a fresh epoch token. Clears only the
+    /// sets mutated since the cache was last empty, unless an epoch was
+    /// opened or a rewind ran since then (both forget or replace the
+    /// dirty log), in which case every set is cleared in place. A
+    /// different geometry or policy reallocates.
+    pub fn reset(&mut self, geometry: CacheGeometry, replacement: Replacement) {
+        if self.geometry != geometry || self.replacement != replacement {
+            *self = SetAssocCache::new(geometry, replacement);
+            return;
+        }
+        if self.empty_outside_log {
+            let ways = geometry.ways;
+            for &i in &self.dirty_sets {
+                let i = i as usize;
+                self.lines[i * ways..(i + 1) * ways].fill(Line::default());
+                self.plru[i] = 0;
+                self.dirty[i] = false;
+            }
+        } else {
+            self.lines.fill(Line::default());
+            self.plru.fill(0);
+            self.dirty.fill(false);
+        }
+        self.dirty_sets.clear();
+        self.clock = 0;
+        self.hits = 0;
+        self.misses = 0;
+        self.epoch_token = next_epoch_token();
+        self.empty_outside_log = true;
     }
 
     /// The ways of set `set_idx`.
@@ -131,6 +169,7 @@ impl SetAssocCache {
             self.dirty[i as usize] = false;
         }
         self.dirty_sets.clear();
+        self.empty_outside_log = false;
     }
 
     /// Rewind to `snap`. When `snap` shares this cache's epoch token
@@ -144,6 +183,7 @@ impl SetAssocCache {
         self.clock = snap.clock;
         self.hits = snap.hits;
         self.misses = snap.misses;
+        self.empty_outside_log = false;
         if self.epoch_token == snap.epoch_token {
             let ways = self.geometry.ways;
             for &i in &self.dirty_sets {
@@ -483,6 +523,37 @@ mod tests {
         live.flush_all();
         live.restore_from(&snap);
         assert_same(&live, &snap);
+    }
+
+    #[test]
+    fn reset_matches_a_new_cache() {
+        let fresh = tiny(Replacement::TreePlru);
+        // Touched sets only, then after an epoch opened, then after a
+        // rewind: each must come back empty.
+        let mut c = tiny(Replacement::TreePlru);
+        for i in 0..6u64 {
+            c.access(i * 64);
+        }
+        c.reset(fresh.geometry, fresh.replacement);
+        assert_same(&c, &fresh);
+        c.access(0x40);
+        c.begin_epoch();
+        let snap = c.clone();
+        c.access(0x80);
+        c.reset(fresh.geometry, fresh.replacement);
+        assert_same(&c, &fresh);
+        c.restore_from(&snap);
+        c.reset(fresh.geometry, fresh.replacement);
+        assert_same(&c, &fresh);
+        // A reset cache tracks its touched sets again.
+        c.access(0xc0);
+        c.reset(fresh.geometry, fresh.replacement);
+        assert_same(&c, &fresh);
+        // Another shape or policy reallocates.
+        let other = SetAssocCache::new(CacheGeometry::new(8, 4, 64), Replacement::Lru);
+        c.reset(other.geometry, other.replacement);
+        assert_same(&c, &other);
+        assert_eq!(c.geometry(), other.geometry());
     }
 
     #[test]

@@ -48,6 +48,15 @@ impl UopCache {
         }
     }
 
+    /// Empty the µop cache in place, as
+    /// `*self = UopCache::with_geometry(geometry)` would. See
+    /// [`SetAssocCache::reset`].
+    pub fn reset(&mut self, geometry: CacheGeometry) {
+        self.cache.reset(geometry, Replacement::Lru);
+        self.hits = 0;
+        self.misses = 0;
+    }
+
     /// The µop-cache set an instruction address maps to under the
     /// *paper's* geometry: bits \[11:6\]. For a custom geometry use
     /// [`UopCache::geometry`]`().set_index(va)`.

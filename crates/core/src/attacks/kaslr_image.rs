@@ -117,7 +117,9 @@ pub fn break_kaslr_image(
         }
     }
 
-    let (guessed_slot, best_score) = best.expect("non-empty slot range");
+    let Some((guessed_slot, best_score)) = best else {
+        return Err(AttackError("empty slot range".into()));
+    };
     let actual_slot = sys.layout().image_slot;
     let cycles = sys.machine().cycles() - start_cycles;
     Ok(KaslrImageResult {

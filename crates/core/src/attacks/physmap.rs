@@ -114,7 +114,9 @@ pub fn break_physmap(
         }
     }
 
-    let (guessed_slot, best_score) = best.expect("non-empty slot range");
+    let Some((guessed_slot, best_score)) = best else {
+        return Err(AttackError("empty slot range".into()));
+    };
     let actual_slot = sys.layout().physmap_slot;
     let cycles = sys.machine().cycles() - start_cycles;
     Ok(PhysmapResult {

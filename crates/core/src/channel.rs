@@ -155,6 +155,9 @@ impl IdChannel {
     fn run_series(machine: &mut Machine, start: VirtAddr) -> (u64, u64) {
         let before = machine.pmu().snapshot();
         machine.set_pc(start);
+        // The series is the channel's own mapped code: direct jumps
+        // ending in `hlt`, which runs within its step budget.
+        #[allow(clippy::expect_used)]
         machine
             .run(2 * JMP_SERIES_LEN as u64 + 4)
             .expect("series runs to hlt");
@@ -212,6 +215,9 @@ impl PortChannel {
     ///
     /// Panics if the channel was never armed (a harness bug).
     pub fn observe(&self, machine: &Machine) -> u64 {
+        // Documented above: observing an unarmed channel is a harness
+        // bug.
+        #[allow(clippy::expect_used)]
         let snap = self
             .armed
             .expect("PortChannel must be armed before observing");

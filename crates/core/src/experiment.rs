@@ -247,6 +247,9 @@ impl Layout {
 
 fn emit(inst: &Inst) -> Vec<u8> {
     let mut bytes = Vec::new();
+    // Only a `NopN` length outside 3..=15 or a shift amount outside
+    // 0..=63 fails to encode, and the layouts emit neither.
+    #[allow(clippy::expect_used)]
     encode_into(inst, &mut bytes).expect("encodable");
     bytes
 }
@@ -380,11 +383,9 @@ pub fn run_combo_msr(
     // For ret training, the victim-run prediction pops the RSB: plant a
     // known "most recent call site" by executing a call.
     if train == TrainKind::Ret {
-        let mut call_bytes = Vec::new();
         let helper = lay.f; // a hlt: the call never returns in this run
         let disp = (helper.raw() as i64 - (lay.call_site.raw() as i64 + 5)) as i32;
-        encode_into(&Inst::Call { disp }, &mut call_bytes).expect("encodable");
-        m.poke(lay.call_site, &call_bytes);
+        m.poke(lay.call_site, &emit(&Inst::Call { disp }));
         m.set_reg(Reg::SP, stack_top);
         m.set_pc(lay.call_site);
         m.run(4).map_err(|e| ChannelError(e.to_string()))?;

@@ -132,8 +132,8 @@ impl Default for CorpusConfig {
 
 fn filler(rng: &mut StdRng, out: &mut Vec<Inst>, n: usize) {
     for _ in 0..n {
-        let r = Reg::from_index(rng.gen_range(3..10)).expect("in range");
-        let s = Reg::from_index(rng.gen_range(3..10)).expect("in range");
+        let r = Reg::ALL[usize::from(rng.gen_range(3..10u8))];
+        let s = Reg::ALL[usize::from(rng.gen_range(3..10u8))];
         match rng.gen_range(0..4) {
             0 => out.push(Inst::Alu {
                 op: AluOp::Add,

@@ -172,7 +172,7 @@ pub fn lfence_gadget_protection(profile: UarchProfile) -> Result<(bool, bool), C
         // Train jmp* -> gadget, then make the victim a nop.
         let mut bytes = Vec::new();
         phantom_isa::encode::encode_into(&Inst::JmpInd { src: Reg::R11 }, &mut bytes)
-            .expect("encodable");
+            .map_err(|e| ChannelError(e.to_string()))?;
         bytes.push(0xF4);
         m.poke(x, &bytes);
         m.set_reg(Reg::R11, gadget.raw());
@@ -215,7 +215,8 @@ pub fn rsb_stuffing_protection(profile: UarchProfile) -> Result<(bool, bool), Ch
         let stack_top = 0x7000_3f00u64;
         m.set_reg(Reg::SP, stack_top);
         let mut bytes = Vec::new();
-        phantom_isa::encode::encode_into(&Inst::Ret, &mut bytes).expect("encodable");
+        phantom_isa::encode::encode_into(&Inst::Ret, &mut bytes)
+            .map_err(|e| ChannelError(e.to_string()))?;
         bytes.push(0xF4);
         m.poke(x, &bytes);
         m.poke_u64(VirtAddr::new(stack_top), x.raw() + 8);
@@ -460,7 +461,11 @@ pub fn workload_suite() -> Vec<Workload> {
     ]
 }
 
-fn run_workload(profile: &UarchProfile, wl: &Workload, suppress: bool) -> u64 {
+fn run_workload(
+    profile: &UarchProfile,
+    wl: &Workload,
+    suppress: bool,
+) -> Result<u64, ScenarioError> {
     let mut m = Machine::new(profile.clone(), 1 << 24);
     if suppress {
         m.write_msr(MsrState {
@@ -498,18 +503,14 @@ fn run_workload(profile: &UarchProfile, wl: &Workload, suppress: bool) -> u64 {
     });
     a.jcc_cond(phantom_isa::Cond::Ne, "wl_top");
     a.push(Inst::Halt);
-    let blob = a.finish().expect("workload assembles");
-    m.load_blob(&blob, PageFlags::USER_TEXT).expect("loads");
-    let _ = &blob;
-    m.map_range(VirtAddr::new(0x60_0000), 0x2000, PageFlags::USER_DATA)
-        .expect("data maps");
-    m.map_range(VirtAddr::new(0x7000_0000), 0x4000, PageFlags::USER_DATA)
-        .expect("stack maps");
+    let blob = a.finish()?;
+    m.load_blob(&blob, PageFlags::USER_TEXT)?;
+    m.map_range(VirtAddr::new(0x60_0000), 0x2000, PageFlags::USER_DATA)?;
+    m.map_range(VirtAddr::new(0x7000_0000), 0x4000, PageFlags::USER_DATA)?;
     m.set_reg(Reg::SP, 0x7000_4000 - 64);
     m.set_pc(VirtAddr::new(blob.base));
-    m.run(40 * wl.iterations + 8000 * wl.iterations + 100)
-        .expect("workload runs");
-    m.cycles()
+    m.run(40 * wl.iterations + 8000 * wl.iterations + 100)?;
+    Ok(m.cycles())
 }
 
 /// Overhead measurement result.
@@ -553,8 +554,8 @@ impl Scenario for OverheadScenario {
 
     fn probe(&self, _state: &mut (), trial: Trial) -> Result<Self::Sample, ScenarioError> {
         let wl = &self.suite[trial.index];
-        let base = run_workload(&self.profile, wl, false);
-        let supp = run_workload(&self.profile, wl, true);
+        let base = run_workload(&self.profile, wl, false)?;
+        let supp = run_workload(&self.profile, wl, true)?;
         Ok((wl.name, base, supp))
     }
 
@@ -574,14 +575,19 @@ impl Scenario for OverheadScenario {
 /// Measure the cycle overhead of `SuppressBPOnNonBr` over the workload
 /// suite, geomean over workloads (like the paper's UnixBench runs),
 /// with one runner trial per workload.
-pub fn suppress_overhead_on(runner: &TrialRunner, profile: UarchProfile) -> OverheadResult {
+///
+/// # Errors
+///
+/// Returns the first workload that fails to assemble, map or run.
+pub fn suppress_overhead_on(
+    runner: &TrialRunner,
+    profile: UarchProfile,
+) -> Result<OverheadResult, ScenarioError> {
     let scenario = OverheadScenario {
         profile,
         suite: workload_suite(),
     };
-    runner
-        .run(&scenario, 0)
-        .expect("workload trials are infallible")
+    runner.run(&scenario, 0)
 }
 
 #[cfg(test)]
@@ -623,7 +629,7 @@ mod tests {
 
     #[test]
     fn suppress_overhead_is_small_but_nonzero() {
-        let r = suppress_overhead_on(&TrialRunner::new(), UarchProfile::zen2());
+        let r = suppress_overhead_on(&TrialRunner::new(), UarchProfile::zen2()).unwrap();
         assert!(r.geomean_overhead_pct > 0.0, "{}", r.geomean_overhead_pct);
         assert!(
             r.geomean_overhead_pct < 5.0,

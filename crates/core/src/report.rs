@@ -107,7 +107,7 @@ pub fn render_table2(results: &[CovertResult]) -> String {
 pub fn render_table3(uarch: &str, runs: &[KaslrImageResult]) -> String {
     let correct = runs.iter().filter(|r| r.correct).count();
     let mut secs: Vec<f64> = runs.iter().map(|r| r.seconds).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    secs.sort_by(f64::total_cmp);
     let median = secs.get(secs.len() / 2).copied().unwrap_or(0.0);
     format!(
         "Table 3 [{}]: kernel image KASLR — accuracy {}/{} ({:.0}%), median time {:.4}s (simulated)\n",
@@ -123,7 +123,7 @@ pub fn render_table3(uarch: &str, runs: &[KaslrImageResult]) -> String {
 pub fn render_table4(uarch: &str, runs: &[PhysmapResult]) -> String {
     let correct = runs.iter().filter(|r| r.correct).count();
     let mut secs: Vec<f64> = runs.iter().map(|r| r.seconds).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    secs.sort_by(f64::total_cmp);
     let median = secs.get(secs.len() / 2).copied().unwrap_or(0.0);
     format!(
         "Table 4 [{}]: physmap KASLR — accuracy {}/{} ({:.0}%), median time {:.4}s (simulated)\n",
@@ -139,7 +139,7 @@ pub fn render_table4(uarch: &str, runs: &[PhysmapResult]) -> String {
 pub fn render_table5(uarch: &str, memory_gib: u64, runs: &[PhysAddrResult]) -> String {
     let correct = runs.iter().filter(|r| r.correct).count();
     let mut secs: Vec<f64> = runs.iter().map(|r| r.seconds).collect();
-    secs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    secs.sort_by(f64::total_cmp);
     let median = secs.get(secs.len() / 2).copied().unwrap_or(0.0);
     format!(
         "Table 5 [{} | {} GiB]: physical address — accuracy {}/{} ({:.0}%), median time {:.4}s (simulated)\n",

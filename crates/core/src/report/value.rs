@@ -496,7 +496,9 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let Ok(text) = std::str::from_utf8(&self.bytes[start..self.pos]) else {
+            return Err(self.error("bad number"));
+        };
         let integer = if float {
             None
         } else if text.starts_with('-') {

@@ -277,7 +277,10 @@ impl TrialRunner {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("trial worker panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
 
@@ -301,6 +304,10 @@ impl TrialRunner {
         if let Some((_, e)) = first_error {
             return Err(e);
         }
+        // Every index below `n` was claimed exactly once, and a worker
+        // returns only after sampling each trial it claimed or with the
+        // error that aborted the run.
+        #[allow(clippy::expect_used)]
         Ok(slots
             .into_iter()
             .map(|slot| slot.expect("every claimed trial produced a sample"))

@@ -106,6 +106,10 @@ impl From<OutOfFrames> for MachineError {
     }
 }
 
+/// Shape of every machine's (timing-only) TLB.
+const TLB_SETS: usize = 64;
+const TLB_WAYS: usize = 8;
+
 /// The result of one architectural step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepOutcome {
@@ -201,7 +205,7 @@ impl Machine {
             pmu: PerfCounters::new(),
             phys: PhysMemory::new(phys_bytes),
             page_table: PageTable::new(),
-            tlb: Tlb::new(64, 8),
+            tlb: Tlb::new(TLB_SETS, TLB_WAYS),
             regs: [0; 16],
             zf: false,
             sf: false,
@@ -219,6 +223,79 @@ impl Machine {
             decode_cache: decode::DecodeCache::new(),
             probe_rearms: 0,
         }
+    }
+
+    /// Return the machine to what [`Machine::new`]`(profile,
+    /// phys_bytes)` builds, in place. Observably identical to
+    /// `*self = Machine::new(profile, phys_bytes)`: every state element,
+    /// timing, counter and event of later runs is the same, and attached
+    /// sinks are dropped (a new machine has none). What it saves is
+    /// the large tables. The caches, the µop cache and the CBP clear
+    /// only the sets touched since they were last empty; once a
+    /// [`snapshot`](Machine::snapshot) or seal has opened a restore
+    /// epoch since then (which forgets their dirty logs) they clear
+    /// every set in place instead, and a profile of another cache or
+    /// CBP shape reallocates them (see
+    /// [`SetAssocCache::reset`](phantom_cache::SetAssocCache::reset)
+    /// and [`Cbp::reset`](phantom_bpu::Cbp::reset)). The BTB, RSB and
+    /// BHB are rebuilt, and physical memory, the page table, the TLB,
+    /// the registers and the decode cache start fresh, as in `new`.
+    pub fn reset(&mut self, profile: UarchProfile, phys_bytes: u64) {
+        // Destructured so that a new field cannot be left out.
+        let Machine {
+            profile: shared,
+            bpu,
+            caches,
+            uop_cache,
+            pmu,
+            phys,
+            page_table,
+            tlb,
+            regs,
+            zf,
+            sf,
+            cf,
+            pc,
+            level,
+            thread,
+            cycles,
+            syscall_entry,
+            syscall_return,
+            fault_handler,
+            last_fault,
+            halted,
+            bus,
+            decode_cache,
+            probe_rearms,
+        } = self;
+        bpu.reset(
+            profile.btb_scheme.clone(),
+            profile.cbp_scheme.clone(),
+            MsrState::none(),
+        );
+        caches.reset(profile.cache);
+        uop_cache.reset(profile.uop_geometry);
+        *shared = Arc::new(profile);
+        *pmu = PerfCounters::new();
+        *phys = PhysMemory::new(phys_bytes);
+        *page_table = PageTable::new();
+        *tlb = Tlb::new(TLB_SETS, TLB_WAYS);
+        *regs = [0; 16];
+        *zf = false;
+        *sf = false;
+        *cf = false;
+        *pc = VirtAddr::new(0);
+        *level = PrivilegeLevel::User;
+        *thread = 0;
+        *cycles = 0;
+        *syscall_entry = None;
+        *syscall_return = None;
+        *fault_handler = None;
+        *last_fault = None;
+        *halted = false;
+        *bus = EventBus::new();
+        *decode_cache = decode::DecodeCache::new();
+        *probe_rearms = 0;
     }
 
     /// Create a machine from a declarative spec: validates, compiles

@@ -12,7 +12,7 @@
 //! builtin specs, and [`UarchProfile::all`] is served by the
 //! [`UarchRegistry`].
 
-use phantom_bpu::{BtbScheme, CbpScheme};
+use phantom_bpu::{BtbScheme, CbpScheme, MixedFold};
 use phantom_cache::{CacheGeometry, HierarchyConfig};
 
 use crate::intern::IStr;
@@ -157,6 +157,37 @@ impl UarchProfile {
             UarchProfile::zen3(),
             UarchProfile::zen4(),
         ]
+    }
+
+    /// Zen 2 shrunk to its smallest valid tables: one-set, one-way
+    /// caches and µop cache and a two-set conditional predictor. It
+    /// models no real part. A machine built from it costs next to
+    /// nothing, which suits a caller that keeps one machine and
+    /// [`reset`](crate::Machine::reset)s it to each real profile it
+    /// evaluates: the first such reset allocates the full-size tables.
+    pub fn minimal() -> UarchProfile {
+        let one_set = CacheGeometry::new(1, 1, 64);
+        let zen2 = UarchProfile::zen2();
+        UarchProfile {
+            cbp_scheme: CbpScheme {
+                index: vec![MixedFold {
+                    pc: 1 << 1,
+                    hist: 0,
+                }],
+                tag: Vec::new(),
+                ways: 1,
+                counter_bits: 2,
+                history_bits: 0,
+            },
+            cache: HierarchyConfig {
+                l1i: one_set,
+                l1d: one_set,
+                l2: one_set,
+                ..zen2.cache
+            },
+            uop_geometry: one_set,
+            ..zen2
+        }
     }
 
     /// Convert a cycle count to seconds at this profile's frequency.

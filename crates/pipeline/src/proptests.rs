@@ -105,8 +105,18 @@ fn arb_poison() -> impl Strategy<Value = Vec<Poison>> {
     )
 }
 
+/// Physical memory of every machine these tests build.
+const PHYS: u64 = 1 << 24;
+
 fn build_machine(profile: &UarchProfile, program: &[Inst]) -> Machine {
-    let mut m = Machine::new(profile.clone(), 1 << 24);
+    let mut m = Machine::new(profile.clone(), PHYS);
+    install_program(&mut m, program);
+    m
+}
+
+/// Map the text, data and stack windows, write `program` (plus a
+/// `hlt`) at the text base and point the PC at it.
+fn install_program(m: &mut Machine, program: &[Inst]) {
     let mut bytes = encode_all(program).expect("encodable");
     bytes.push(0xF4); // hlt
     m.map_range(
@@ -123,7 +133,6 @@ fn build_machine(profile: &UarchProfile, program: &[Inst]) -> Machine {
     m.set_reg(Reg::R8, DATA_BASE);
     m.set_reg(Reg::SP, STACK_TOP);
     m.set_pc(VirtAddr::new(TEXT_BASE));
-    m
 }
 
 fn poison_btb(m: &mut Machine, program_len: u64, poisons: &[Poison]) {
@@ -668,5 +677,151 @@ proptest! {
         let (trace_off, events_off) = play_trials(&program, &ops, false);
         prop_assert_eq!(trace_on, trace_off);
         prop_assert_eq!(events_on, events_off);
+    }
+}
+
+/// Zen 2 with a smaller L2 and µop cache and another replacement
+/// policy, from spec text: a reset to it reallocates every cache.
+fn reshaped_profile() -> UarchProfile {
+    let text = crate::spec::UarchSpec::zen2()
+        .to_text()
+        .replace("cache.l2 1024 8 64", "cache.l2 512 4 64")
+        .replace("cache.uop 64 8 64", "cache.uop 32 8 64")
+        .replace("cache.replacement lru", "cache.replacement fifo");
+    let spec = crate::spec::parse_specs(&text)
+        .expect("the reshaped spec parses")
+        .remove(0);
+    assert_eq!(spec.cache.l2.sets, 512, "the L2 line was rewritten");
+    assert_eq!(spec.cache.uop.sets, 32, "the µop line was rewritten");
+    spec.profile()
+}
+
+/// The tagged 2-way CBP of `examples/uarch/m1_firestorm.spec`.
+fn m1f_profile() -> UarchProfile {
+    crate::spec::parse_specs(include_str!("../../../examples/uarch/m1_firestorm.spec"))
+        .expect("the example spec parses")
+        .remove(0)
+        .profile()
+}
+
+/// A profile to reset a machine to: a builtin (all share one cache and
+/// CBP shape), a validated mutant of one, the reshaped Zen 2 or m1f.
+fn arb_reset_target() -> impl Strategy<Value = UarchProfile> {
+    prop_oneof![
+        (0..8usize).prop_map(|i| crate::spec::UarchSpec::builtins()[i].profile()),
+        (0..8usize, any::<u64>()).prop_map(|(i, seed)| {
+            let base = crate::spec::UarchSpec::builtins().swap_remove(i);
+            crate::spec::mutate::mutate_spec(&base, seed)
+                .unwrap_or(base)
+                .profile()
+        }),
+        Just(()).prop_map(|()| reshaped_profile()),
+        Just(()).prop_map(|()| m1f_profile()),
+    ]
+}
+
+/// Every cache, predictor and TLB view the reset proptest compares:
+/// each cache level's shape, counts and per-set contents, the CBP's
+/// trained entries, history and counters and the BTB's and RSB's
+/// contents at every text line, the BHB, and the TLB's counts and
+/// occupancy.
+fn structure_view(m: &Machine) -> Vec<String> {
+    let mut view = vec![format!("{:?}", m.profile())];
+    let caches = m.caches();
+    for cache in [caches.l1i(), caches.l1d(), caches.l2()] {
+        let g = cache.geometry();
+        view.push(format!("{g:?} {} {}", cache.hits(), cache.misses()));
+        for set in 0..g.sets {
+            let mut lines = cache.set_contents(set);
+            lines.sort_unstable();
+            view.push(format!("{lines:x?}"));
+        }
+    }
+    let uop = m.uop_cache();
+    view.push(format!(
+        "{:?} {} {}",
+        uop.geometry(),
+        uop.hits(),
+        uop.misses()
+    ));
+    for set in 0..uop.geometry().sets {
+        let mut lines = uop.set_contents(set);
+        lines.sort_unstable();
+        view.push(format!("{lines:x?}"));
+    }
+    let bpu = m.bpu();
+    let (cbp, btb) = (bpu.cbp(), bpu.btb());
+    view.push(format!(
+        "cbp {} {} {}; btb {}; rsb {} {:?}; bhb {}; msr {:?}",
+        cbp.scheme().summary(),
+        cbp.len(),
+        cbp.ghr(),
+        btb.len(),
+        bpu.rsb().len(),
+        bpu.rsb().peek(),
+        bpu.bhb().raw(),
+        bpu.msr(),
+    ));
+    for off in (0..0x4000).step_by(2) {
+        let pc = VirtAddr::new(TEXT_BASE + off);
+        view.push(format!("{:?} {:?}", cbp.counter(pc), btb.lookup(pc)));
+    }
+    let tlb = m.tlb();
+    view.push(format!("tlb {} {} {}", tlb.hits(), tlb.misses(), tlb.len()));
+    view
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Machine::reset` is `Machine::new`: a machine reset to one
+    /// profile, run on a BTB-poisoned program A, then reset to another
+    /// profile shows the same caches, predictors and TLB as a new
+    /// machine of that profile, and then runs a poisoned program B with
+    /// the same architectural result, cycles, PMU, TLB and memory
+    /// counters, event stream and final structures. Targets cover
+    /// builtins (the in-place reset of touched sets), mutants, another
+    /// cache geometry and policy, and the tagged 2-way CBP (both of
+    /// which reallocate). Between the resets a snapshot may open an
+    /// epoch, with or without a rewind to it, which makes the reset
+    /// clear every set instead of the ones it logged.
+    #[test]
+    fn reset_matches_a_new_machine(
+        a in arb_program(),
+        poison_a in arb_poison(),
+        b in arb_program(),
+        poison_b in arb_poison(),
+        targets in (arb_reset_target(), arb_reset_target()),
+        epoch_prefix in (0u8..3, 0usize..40),
+    ) {
+        let ((first, second), (epoch, prefix)) = (targets, epoch_prefix);
+        let mut m = Machine::new(UarchProfile::zen2(), PHYS);
+        m.reset(first, PHYS);
+        install_program(&mut m, &a);
+        let len_a = encode_all(&a).expect("encodable").len() as u64 + 1;
+        poison_btb(&mut m, len_a, &poison_a);
+        for _ in 0..prefix {
+            if m.step().expect("steps").halted {
+                break;
+            }
+        }
+        let snap = (epoch > 0).then(|| m.snapshot());
+        m.run(400).expect("program A terminates");
+        if let (Some(snap), 2) = (&snap, epoch) {
+            m.restore(snap);
+        }
+
+        m.reset(second.clone(), PHYS);
+        let mut fresh = Machine::new(second, PHYS);
+        prop_assert_eq!(structure_view(&m), structure_view(&fresh), "reset state differs");
+
+        let len_b = encode_all(&b).expect("encodable").len() as u64 + 1;
+        for machine in [&mut m, &mut fresh] {
+            install_program(machine, &b);
+            poison_btb(machine, len_b, &poison_b);
+        }
+        let (reset_run, fresh_run) = (observe_run(&mut m, 400), observe_run(&mut fresh, 400));
+        prop_assert_eq!(reset_run, fresh_run, "program B runs differ");
+        prop_assert_eq!(structure_view(&m), structure_view(&fresh), "state after program B differs");
     }
 }

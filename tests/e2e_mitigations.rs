@@ -63,7 +63,7 @@ fn o5_and_ibpb() {
 
 #[test]
 fn overhead_is_fraction_of_a_percent_shaped() {
-    let r = suppress_overhead_on(&TrialRunner::new(), UarchProfile::zen2());
+    let r = suppress_overhead_on(&TrialRunner::new(), UarchProfile::zen2()).unwrap();
     assert!(r.geomean_overhead_pct > 0.0);
     assert!(r.geomean_overhead_pct < 2.0, "{}", r.geomean_overhead_pct);
     // The cost concentrates in decoder-path-heavy (big-code) workloads.
