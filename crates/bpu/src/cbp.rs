@@ -13,22 +13,11 @@
 //! data, loadable from `phantom-uarch-spec` text.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use phantom_mem::VirtAddr;
+use phantom_mem::{SetJournal, VirtAddr};
 
 use crate::hashfn::{parity_fold, FoldFn};
 use crate::state::PredictorState;
-
-/// Source of rewind-epoch tokens (see [`Cbp::begin_epoch`]); same
-/// contract as the set-associative caches' tokens: two CBPs hold equal
-/// tokens only when one was cloned from the other with no epoch
-/// boundary in between.
-static CBP_EPOCHS: AtomicU64 = AtomicU64::new(1);
-
-fn next_epoch_token() -> u64 {
-    CBP_EPOCHS.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One CBP index-bit function: the XOR of a parity over branch-PC bits
 /// and a parity over global-history bits.
@@ -274,12 +263,11 @@ fn reset_entry(scheme: &CbpScheme) -> CbpEntry {
 
 /// The conditional-branch predictor.
 ///
-/// Rewinds are journaled like `phantom_cache::SetAssocCache`'s:
-/// [`begin_epoch`](Cbp::begin_epoch) opens an epoch before the CBP is
-/// cloned into a checkpoint, every update flags the one set it writes,
-/// and [`restore_from`](Cbp::restore_from) copies back only the
-/// flagged sets instead of the whole table (64 KiB for the legacy
-/// scheme).
+/// Rewinds and resets are journaled by a [`SetJournal`], as
+/// `phantom_cache::SetAssocCache`'s are: every update logs the one set
+/// it writes, so [`restore_from`](Cbp::restore_from) and
+/// [`reset`](Cbp::reset) usually rewrite only those sets instead of
+/// the whole table (64 KiB for the legacy scheme).
 ///
 /// # Examples
 ///
@@ -300,21 +288,9 @@ pub struct Cbp {
     entries: Vec<CbpEntry>,
     ghr: u64,
     clock: u64,
-    /// Epoch token shared with the checkpoint this CBP was cloned from
-    /// (if any). Equal tokens guarantee every set *not* flagged dirty
-    /// still holds the checkpoint's exact contents.
-    epoch_token: u64,
-    /// Per-set "written since the current epoch opened" flags, one bit
-    /// per set (bit `i % 64` of word `i / 64`).
-    dirty: Vec<u64>,
-    /// Indices flagged in `dirty`, in first-write order.
-    dirty_sets: Vec<u32>,
-    /// Whether `dirty_sets` lists every set written since the table was
-    /// last in reset state (built, [`reset`](Cbp::reset) or
-    /// [`flush`](Cbp::flush)ed), so every other set still holds reset
-    /// entries. Opening an epoch or rewinding breaks that, and `reset`
-    /// then refills the whole table.
-    reset_outside_log: bool,
+    /// The sets written since the last epoch or reset; set `i` is the
+    /// journal's row `i`.
+    journal: SetJournal,
 }
 
 impl Cbp {
@@ -333,61 +309,54 @@ impl Cbp {
     /// Fallible [`Cbp::new`], for spec-provided schemes.
     pub fn try_new(scheme: CbpScheme) -> Result<Cbp, String> {
         scheme.validate()?;
-        let entries = vec![reset_entry(&scheme); scheme.capacity()];
-        let sets = scheme.sets();
-        Ok(Cbp {
+        let mut cbp = Cbp {
             scheme,
-            entries,
+            entries: Vec::new(),
             ghr: 0,
             clock: 0,
-            epoch_token: next_epoch_token(),
-            dirty: vec![0; sets.div_ceil(64)],
-            dirty_sets: Vec::new(),
-            reset_outside_log: true,
-        })
+            journal: SetJournal::new(0),
+        };
+        cbp.clear(true);
+        Ok(cbp)
     }
 
     /// Put the CBP in reset state for `scheme` in place, as
-    /// `*self = Cbp::new(scheme)` would, with a fresh epoch token.
-    /// Refills only the sets written since the table was last in reset
-    /// state, unless an epoch was opened or a rewind ran since then
-    /// (both forget or replace the dirty log), in which case the whole
-    /// table is refilled in place. A scheme of another shape (sets or
-    /// ways) or another reset entry (counter width, tagging) reallocates.
+    /// `*self = Cbp::new(scheme)` would: only the sets
+    /// [`SetJournal::reset`] names when it can, else the whole table. A
+    /// scheme of another shape (sets or ways) or another reset entry
+    /// (counter width, tagging) reallocates.
     ///
     /// # Panics
     ///
     /// Panics if the scheme fails [`CbpScheme::validate`], as
     /// [`Cbp::new`] does.
     pub fn reset(&mut self, scheme: CbpScheme) {
-        let fresh = reset_entry(&scheme);
-        if scheme.sets() != self.scheme.sets()
-            || scheme.ways != self.scheme.ways
-            || fresh != reset_entry(&self.scheme)
-        {
-            *self = Cbp::new(scheme);
-            return;
-        }
         if let Err(e) = scheme.validate() {
             panic!("{e}");
         }
-        if self.reset_outside_log {
-            let ways = scheme.ways;
-            for &i in &self.dirty_sets {
-                let i = i as usize;
-                self.entries[i * ways..(i + 1) * ways].fill(fresh);
-                self.dirty[i / 64] = 0;
-            }
-        } else {
-            self.entries.fill(fresh);
-            self.dirty.fill(0);
-        }
-        self.dirty_sets.clear();
+        let reshape = scheme.sets() != self.scheme.sets()
+            || scheme.ways != self.scheme.ways
+            || reset_entry(&scheme) != reset_entry(&self.scheme);
         self.scheme = scheme;
+        self.clear(reshape);
+    }
+
+    /// Reset state for the current scheme; `reshape` reallocates the
+    /// table and its journal.
+    fn clear(&mut self, reshape: bool) {
+        let fresh = reset_entry(&self.scheme);
+        let (ways, entries) = (self.scheme.ways, &mut self.entries);
+        if reshape {
+            *entries = vec![fresh; self.scheme.capacity()];
+            self.journal = SetJournal::new(self.scheme.sets());
+        } else if !self
+            .journal
+            .reset(|i| entries[i * ways..(i + 1) * ways].fill(fresh))
+        {
+            entries.fill(fresh);
+        }
         self.ghr = 0;
         self.clock = 0;
-        self.epoch_token = next_epoch_token();
-        self.reset_outside_log = true;
     }
 
     /// The indexing scheme.
@@ -439,11 +408,7 @@ impl Cbp {
         let reset = self.scheme.reset_counter();
         self.clock += 1;
         let clock = self.clock;
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if self.dirty[word] & bit == 0 {
-            self.dirty[word] |= bit;
-            self.dirty_sets.push(idx as u32);
-        }
+        self.journal.touch(idx);
         let range = self.set_range(idx);
         let set = &mut self.entries[range];
         let entry = match set.iter_mut().find(|e| e.valid && e.tag == tag) {
@@ -476,59 +441,34 @@ impl Cbp {
         self.ghr = ((self.ghr << 1) | u64::from(taken)) & hist_mask;
     }
 
-    /// Open a new rewind epoch: draw a fresh token and forget the
-    /// dirty-set log. Call on the live CBP immediately before cloning
-    /// it into a checkpoint; the clone shares the token, and every
-    /// later update of the live CBP lands in its dirty log.
+    /// Open a new rewind epoch ([`SetJournal::begin_epoch`]). Call on
+    /// the live CBP immediately before cloning it into a checkpoint.
     pub fn begin_epoch(&mut self) {
-        self.epoch_token = next_epoch_token();
-        for &i in &self.dirty_sets {
-            self.dirty[i as usize / 64] = 0;
-        }
-        self.dirty_sets.clear();
-        self.reset_outside_log = false;
+        self.journal.begin_epoch();
     }
 
-    /// Rewind to `snap`. When `snap` shares this CBP's epoch token and
-    /// has itself written nothing since the epoch opened (the
-    /// [`begin_epoch`](Cbp::begin_epoch)-then-clone protocol), only
-    /// the sets updated since then are copied back. Any other snapshot
-    /// — a foreign one, or any after a [`flush`](Cbp::flush) — falls
-    /// back to a full copy and adopts its token and log. Either way
-    /// the result is bit-identical to `*self = snap.clone()`.
+    /// Rewind to `snap`, bit-identically to `*self = snap.clone()`:
+    /// only the sets [`SetJournal::restore_from`] names when it can,
+    /// else a full copy.
     pub fn restore_from(&mut self, snap: &Cbp) {
-        self.reset_outside_log = false;
-        if self.epoch_token == snap.epoch_token && snap.dirty_sets.is_empty() {
-            let ways = self.scheme.ways;
-            for &i in &self.dirty_sets {
-                let i = i as usize;
-                let span = i * ways..(i + 1) * ways;
-                self.entries[span.clone()].copy_from_slice(&snap.entries[span]);
-                self.dirty[i / 64] = 0;
-            }
-            self.dirty_sets.clear();
-        } else {
+        let (ways, entries) = (self.scheme.ways, &mut self.entries);
+        if !self.journal.restore_from(&snap.journal, |i| {
+            let span = i * ways..(i + 1) * ways;
+            entries[span.clone()].copy_from_slice(&snap.entries[span]);
+        }) {
             if self.scheme != snap.scheme {
                 self.scheme = snap.scheme.clone();
             }
-            self.entries.clone_from(&snap.entries);
-            self.epoch_token = snap.epoch_token;
-            self.dirty.clone_from(&snap.dirty);
-            self.dirty_sets.clone_from(&snap.dirty_sets);
+            entries.clone_from(&snap.entries);
         }
         self.ghr = snap.ghr;
         self.clock = snap.clock;
     }
 
-    /// Reset every counter, allocation and the history register (IBPB).
-    /// Every set changes, so the rewind journal is abandoned: the next
-    /// [`restore_from`](Cbp::restore_from) does a full copy.
+    /// Reset every counter, allocation and the history register (IBPB),
+    /// as [`reset`](Cbp::reset) to the current scheme does.
     pub fn flush(&mut self) {
-        self.begin_epoch();
-        self.entries.fill(reset_entry(&self.scheme));
-        self.ghr = 0;
-        self.clock = 0;
-        self.reset_outside_log = true;
+        self.clear(false);
     }
 
     /// Entries holding trained content: allocated ways for tagged
@@ -561,9 +501,9 @@ impl Cbp {
             && self.clock == other.clock
     }
 
-    /// Length of the dirty-set log.
+    /// Number of sets the journal has logged.
     pub(crate) fn dirty_len(&self) -> usize {
-        self.dirty_sets.len()
+        self.journal.logged_rows()
     }
 }
 

@@ -254,18 +254,15 @@ impl Bpu {
         None
     }
 
-    /// Open a rewind epoch on the journaled structures (the CBP); call
-    /// immediately before cloning the BPU into a checkpoint. See
+    /// Open a rewind epoch on the journaled structure (the CBP); see
     /// [`Cbp::begin_epoch`].
     pub fn begin_epoch(&mut self) {
         self.cbp.begin_epoch();
     }
 
-    /// Rewind to `snap` in place: the CBP copies back only the sets
-    /// updated since [`begin_epoch`](Bpu::begin_epoch) (see
-    /// [`Cbp::restore_from`]), the BTB and RSB reuse their buffers
-    /// through `clone_from`, and the BHB and MSRs are copied. The
-    /// result is identical to `*self = snap.clone()`.
+    /// Rewind to `snap` in place, identically to `*self = snap.clone()`:
+    /// the CBP through [`Cbp::restore_from`], the BTB and RSB by
+    /// `clone_from` (reusing their buffers), the BHB and MSRs by copy.
     pub fn restore_from(&mut self, snap: &Bpu) {
         self.btb.clone_from(&snap.btb);
         self.rsb.clone_from(&snap.rsb);

@@ -100,9 +100,8 @@ impl CacheHierarchy {
     }
 
     /// Empty the hierarchy in place for `config`, as
-    /// `*self = CacheHierarchy::new(config)` would: each level clears
-    /// only the sets it touched since it was last empty, or reallocates
-    /// for a new shape. See [`SetAssocCache::reset`].
+    /// `*self = CacheHierarchy::new(config)` would; see
+    /// [`SetAssocCache::reset`].
     pub fn reset(&mut self, config: HierarchyConfig) {
         self.config = config;
         self.l1i.reset(config.l1i, config.replacement);
@@ -183,18 +182,15 @@ impl CacheHierarchy {
     }
 
     /// Open a new restore epoch on all three levels; see
-    /// [`SetAssocCache::begin_epoch`]. Call on the live hierarchy just
-    /// before cloning it into a snapshot.
+    /// [`SetAssocCache::begin_epoch`].
     pub fn begin_epoch(&mut self) {
         self.l1i.begin_epoch();
         self.l1d.begin_epoch();
         self.l2.begin_epoch();
     }
 
-    /// Rewind all three levels to `snap`; O(sets touched since the
-    /// epoch opened) when `snap` came from this hierarchy's own
-    /// [`begin_epoch`](CacheHierarchy::begin_epoch)-then-clone, a full
-    /// copy otherwise. See [`SetAssocCache::restore_from`].
+    /// Rewind all three levels to `snap`; see
+    /// [`SetAssocCache::restore_from`].
     pub fn restore_from(&mut self, snap: &CacheHierarchy) {
         self.config = snap.config;
         self.l1i.restore_from(&snap.l1i);

@@ -3,7 +3,8 @@
 //! one flat array instead; `proptests.rs` checks the two agree on every
 //! observable (outcomes, probes, set contents, counters) across clones
 //! and epoch restores. The implementation below is kept as it was when
-//! the flat layout replaced it.
+//! the flat layout replaced it, apart from the fast-path rule of
+//! `restore_from`, which also demands that the snapshot logged nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,17 +106,18 @@ impl NestedSetAssocCache {
     }
 
     /// Rewind to `snap`. When `snap` shares this cache's epoch token
-    /// (the [`begin_epoch`](NestedSetAssocCache::begin_epoch)-then-clone
+    /// and has itself mutated nothing since (the
+    /// [`begin_epoch`](NestedSetAssocCache::begin_epoch)-then-clone
     /// protocol), only the sets touched since that epoch opened are
     /// copied — O(dirty) instead of O(cache). Any other snapshot falls
-    /// back to a full copy and adopts its token, so a later rewind to
-    /// the same snapshot is fast again. Either way the result is
-    /// bit-identical to `*self = snap.clone()` plus a clean dirty log.
+    /// back to a full copy and adopts its token and log, so a later
+    /// rewind to the same snapshot is fast again. Either way the result
+    /// is bit-identical to `*self = snap.clone()`.
     pub fn restore_from(&mut self, snap: &NestedSetAssocCache) {
         self.clock = snap.clock;
         self.hits = snap.hits;
         self.misses = snap.misses;
-        if self.epoch_token == snap.epoch_token {
+        if self.epoch_token == snap.epoch_token && snap.dirty_sets.is_empty() {
             for &i in &self.dirty_sets {
                 let i = i as usize;
                 self.sets[i].lines.copy_from_slice(&snap.sets[i].lines);

@@ -29,19 +29,26 @@ enum Op {
     FlushAll,
     /// `begin_epoch` on the live cache, then clone it into a snapshot.
     Snapshot,
+    /// Clone the live cache without opening an epoch: a snapshot that
+    /// shares the live token but may have logged sets of its own.
+    PlainClone,
     /// `restore_from` one of the snapshots taken so far. The newest one
     /// shares the live cache's epoch token (the dirty-set path); older
-    /// ones, or any after a foreign restore, take the full-copy path.
+    /// ones, plain clones, or any after a foreign restore, take the
+    /// full-copy path.
     Restore(usize),
     /// `restore_from` an independently built cache (a foreign token),
     /// filled with these addresses.
     RestoreForeign(Vec<u64>),
+    /// `reset` the live cache, alternately to another geometry and
+    /// policy and back to the first; the model is rebuilt by `new`.
+    Reset,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let addr = 0u64..1 << 14;
     (
-        0u8..16,
+        0u8..18,
         addr.clone(),
         any::<usize>(),
         proptest::collection::vec(addr, 0..24),
@@ -52,7 +59,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
             10 => Op::FlushAll,
             11 | 12 => Op::Snapshot,
             13 | 14 => Op::Restore(i),
-            _ => Op::RestoreForeign(addrs),
+            15 => Op::RestoreForeign(addrs),
+            16 => Op::PlainClone,
+            _ => Op::Reset,
         })
 }
 
@@ -69,23 +78,33 @@ fn assert_agree(flat: &SetAssocCache, nested: &NestedSetAssocCache) -> Result<()
     Ok(())
 }
 
+/// Whether two caches are bit-identical, journal included: `Debug`
+/// prints every field.
+fn identical(a: &SetAssocCache, b: &SetAssocCache) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The flat one-array cache is observationally identical to the
     /// nested one-`Vec`-per-set layout it replaced, for every policy,
     /// geometry and op sequence — including clones taken under the
-    /// epoch protocol and restores through both the dirty-set and the
-    /// full-copy paths.
+    /// epoch protocol or without it, restores through both the
+    /// dirty-set and the full-copy paths (each bit-identical to a
+    /// clone of the snapshot), and resets, whose model is a new cache.
     #[test]
     fn flat_cache_matches_nested_model(
         geometry in arb_geometry(),
         replacement in arb_replacement(),
+        other_geometry in arb_geometry(),
+        other_replacement in arb_replacement(),
         ops in proptest::collection::vec(arb_op(), 1..160),
     ) {
         let mut flat = SetAssocCache::new(geometry, replacement);
         let mut nested = NestedSetAssocCache::new(geometry, replacement);
         let mut snaps: Vec<(SetAssocCache, NestedSetAssocCache)> = Vec::new();
+        let mut resets = 0;
         for op in ops {
             match op {
                 Op::Access(a) => {
@@ -105,11 +124,13 @@ proptest! {
                     nested.begin_epoch();
                     snaps.push((flat.clone(), nested.clone()));
                 }
+                Op::PlainClone => snaps.push((flat.clone(), nested.clone())),
                 Op::Restore(i) => {
                     if !snaps.is_empty() {
                         let (fs, ns) = &snaps[i % snaps.len()];
                         flat.restore_from(fs);
                         nested.restore_from(ns);
+                        prop_assert!(identical(&flat, fs), "restore differs from a clone");
                     }
                 }
                 Op::RestoreForeign(addrs) => {
@@ -120,6 +141,17 @@ proptest! {
                     }
                     flat.restore_from(&fs);
                     nested.restore_from(&ns);
+                    prop_assert!(identical(&flat, &fs), "restore differs from a clone");
+                }
+                Op::Reset => {
+                    let (g, r) = if resets % 2 == 0 {
+                        (other_geometry, other_replacement)
+                    } else {
+                        (geometry, replacement)
+                    };
+                    resets += 1;
+                    flat.reset(g, r);
+                    nested = NestedSetAssocCache::new(g, r);
                 }
             }
             assert_agree(&flat, &nested)?;

@@ -1,17 +1,8 @@
 //! A generic set-associative cache with pluggable replacement.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use phantom_mem::SetJournal;
 
 use crate::geometry::CacheGeometry;
-
-/// Source of snapshot-epoch tokens (see [`SetAssocCache::begin_epoch`]).
-/// Process-global so two caches hold equal tokens only when one was
-/// cloned from the other with no epoch boundary in between.
-static EPOCH_TOKENS: AtomicU64 = AtomicU64::new(1);
-
-fn next_epoch_token() -> u64 {
-    EPOCH_TOKENS.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Replacement policy for a [`SetAssocCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -75,71 +66,51 @@ pub struct SetAssocCache {
     clock: u64,
     hits: u64,
     misses: u64,
-    /// Epoch token shared with the snapshot this cache was cloned from
-    /// (if any). Equal tokens guarantee every set *not* flagged dirty
-    /// still holds the snapshot's exact contents, which is what lets
-    /// [`restore_from`](SetAssocCache::restore_from) copy only the
-    /// dirty sets.
-    epoch_token: u64,
-    /// Per-set "mutated since the current epoch opened" flags.
-    dirty: Vec<bool>,
-    /// Indices flagged in `dirty`, in first-mutation order.
-    dirty_sets: Vec<u32>,
-    /// Whether `dirty_sets` lists every set mutated since the cache was
-    /// last empty (built or [`reset`](SetAssocCache::reset)), so every
-    /// other set still holds its empty contents. Opening an epoch or
-    /// rewinding breaks that, and `reset` then clears every set.
-    empty_outside_log: bool,
+    /// The sets mutated since the last epoch or reset; set `i` is the
+    /// journal's row `i` (its ways in `lines` and its `plru` word).
+    journal: SetJournal,
 }
 
 impl SetAssocCache {
     /// Create an empty cache.
     pub fn new(geometry: CacheGeometry, replacement: Replacement) -> SetAssocCache {
-        SetAssocCache {
+        let mut cache = SetAssocCache {
             geometry,
             replacement,
-            lines: vec![Line::default(); geometry.sets * geometry.ways],
-            plru: vec![0; geometry.sets],
+            lines: Vec::new(),
+            plru: Vec::new(),
             clock: 0,
             hits: 0,
             misses: 0,
-            epoch_token: next_epoch_token(),
-            dirty: vec![false; geometry.sets],
-            dirty_sets: Vec::new(),
-            empty_outside_log: true,
-        }
+            journal: SetJournal::new(0),
+        };
+        cache.reset(geometry, replacement);
+        cache
     }
 
     /// Empty the cache in place, as `*self = SetAssocCache::new(geometry,
-    /// replacement)` would, with a fresh epoch token. Clears only the
-    /// sets mutated since the cache was last empty, unless an epoch was
-    /// opened or a rewind ran since then (both forget or replace the
-    /// dirty log), in which case every set is cleared in place. A
-    /// different geometry or policy reallocates.
+    /// replacement)` would: only the sets [`SetJournal::reset`] names
+    /// when it can, else every set. Another geometry reallocates.
     pub fn reset(&mut self, geometry: CacheGeometry, replacement: Replacement) {
-        if self.geometry != geometry || self.replacement != replacement {
-            *self = SetAssocCache::new(geometry, replacement);
-            return;
+        let ways = geometry.ways;
+        let (lines, plru) = (&mut self.lines, &mut self.plru);
+        // `new`'s shell has no lines yet.
+        if self.geometry != geometry || lines.is_empty() {
+            *lines = vec![Line::default(); geometry.sets * ways];
+            *plru = vec![0; geometry.sets];
+            self.journal = SetJournal::new(geometry.sets);
+        } else if !self.journal.reset(|i| {
+            lines[i * ways..(i + 1) * ways].fill(Line::default());
+            plru[i] = 0;
+        }) {
+            lines.fill(Line::default());
+            plru.fill(0);
         }
-        if self.empty_outside_log {
-            let ways = geometry.ways;
-            for &i in &self.dirty_sets {
-                let i = i as usize;
-                self.lines[i * ways..(i + 1) * ways].fill(Line::default());
-                self.plru[i] = 0;
-                self.dirty[i] = false;
-            }
-        } else {
-            self.lines.fill(Line::default());
-            self.plru.fill(0);
-            self.dirty.fill(false);
-        }
-        self.dirty_sets.clear();
+        self.geometry = geometry;
+        self.replacement = replacement;
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;
-        self.epoch_token = next_epoch_token();
-        self.empty_outside_log = true;
     }
 
     /// The ways of set `set_idx`.
@@ -149,60 +120,31 @@ impl SetAssocCache {
         &self.lines[set_idx * ways..(set_idx + 1) * ways]
     }
 
-    #[inline]
-    fn mark_dirty(&mut self, set_idx: usize) {
-        if !self.dirty[set_idx] {
-            self.dirty[set_idx] = true;
-            self.dirty_sets.push(set_idx as u32);
-        }
-    }
-
-    /// Open a new restore epoch: draw a fresh token and forget the
-    /// dirty-set log. Call on the *live* cache immediately before
-    /// cloning it into a snapshot — the clone then shares the token,
-    /// both sides start clean, and every later mutation of the live
-    /// cache lands in its dirty log, which is exactly the set of sets
-    /// [`restore_from`](SetAssocCache::restore_from) must copy back.
+    /// Open a new restore epoch ([`SetJournal::begin_epoch`]). Call on
+    /// the live cache immediately before cloning it into a snapshot.
     pub fn begin_epoch(&mut self) {
-        self.epoch_token = next_epoch_token();
-        for &i in &self.dirty_sets {
-            self.dirty[i as usize] = false;
-        }
-        self.dirty_sets.clear();
-        self.empty_outside_log = false;
+        self.journal.begin_epoch();
     }
 
-    /// Rewind to `snap`. When `snap` shares this cache's epoch token
-    /// (the [`begin_epoch`](SetAssocCache::begin_epoch)-then-clone
-    /// protocol), only the sets touched since that epoch opened are
-    /// copied — O(dirty) instead of O(cache). Any other snapshot falls
-    /// back to a full copy and adopts its token, so a later rewind to
-    /// the same snapshot is fast again. Either way the result is
-    /// bit-identical to `*self = snap.clone()` plus a clean dirty log.
+    /// Rewind to `snap`, bit-identically to `*self = snap.clone()`:
+    /// only the sets [`SetJournal::restore_from`] names when it can,
+    /// else a full copy.
     pub fn restore_from(&mut self, snap: &SetAssocCache) {
+        let ways = self.geometry.ways;
+        let (lines, plru) = (&mut self.lines, &mut self.plru);
+        if !self.journal.restore_from(&snap.journal, |i| {
+            let span = i * ways..(i + 1) * ways;
+            lines[span.clone()].copy_from_slice(&snap.lines[span]);
+            plru[i] = snap.plru[i];
+        }) {
+            self.geometry = snap.geometry;
+            self.replacement = snap.replacement;
+            lines.clone_from(&snap.lines);
+            plru.clone_from(&snap.plru);
+        }
         self.clock = snap.clock;
         self.hits = snap.hits;
         self.misses = snap.misses;
-        self.empty_outside_log = false;
-        if self.epoch_token == snap.epoch_token {
-            let ways = self.geometry.ways;
-            for &i in &self.dirty_sets {
-                let i = i as usize;
-                let span = i * ways..(i + 1) * ways;
-                self.lines[span.clone()].copy_from_slice(&snap.lines[span]);
-                self.plru[i] = snap.plru[i];
-                self.dirty[i] = false;
-            }
-            self.dirty_sets.clear();
-        } else {
-            self.geometry = snap.geometry;
-            self.replacement = snap.replacement;
-            self.lines.clone_from(&snap.lines);
-            self.plru.clone_from(&snap.plru);
-            self.epoch_token = snap.epoch_token;
-            self.dirty.clone_from(&snap.dirty);
-            self.dirty_sets.clone_from(&snap.dirty_sets);
-        }
     }
 
     /// The cache's geometry.
@@ -261,7 +203,7 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         self.clock += 1;
         let set_idx = self.geometry.set_index(addr);
-        self.mark_dirty(set_idx);
+        self.journal.touch(set_idx);
         let tag = self.geometry.tag(addr);
         let ways = self.geometry.ways;
         let line_shift = self.geometry.line_shift();
@@ -332,7 +274,7 @@ impl SetAssocCache {
         let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             set[way].valid = false;
-            self.mark_dirty(set_idx);
+            self.journal.touch(set_idx);
             true
         } else {
             false
@@ -345,7 +287,7 @@ impl SetAssocCache {
             line.valid = false;
         }
         for i in 0..self.geometry.sets {
-            self.mark_dirty(i);
+            self.journal.touch(i);
         }
     }
 

@@ -101,9 +101,7 @@ impl UopCache {
         self.cache.begin_epoch();
     }
 
-    /// Rewind to `snap` — O(sets touched since the epoch opened) when
-    /// `snap` shares this cache's epoch, a full copy otherwise. See
-    /// [`SetAssocCache::restore_from`].
+    /// Rewind to `snap`; see [`SetAssocCache::restore_from`].
     pub fn restore_from(&mut self, snap: &UopCache) {
         self.cache.restore_from(&snap.cache);
         self.hits = snap.hits;

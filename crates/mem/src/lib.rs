@@ -34,6 +34,7 @@
 pub mod addr;
 pub mod fault;
 pub mod hash;
+pub mod journal;
 pub mod paging;
 pub mod phys;
 pub mod tlb;
@@ -41,6 +42,7 @@ pub mod tlb;
 pub use addr::{PhysAddr, VirtAddr, HUGE_PAGE_SHIFT, HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use fault::{AccessKind, FaultReason, PageFault};
 pub use hash::{IntHasher, IntMap, IntSet};
+pub use journal::SetJournal;
 pub use paging::{PageFlags, PageTable, PrivilegeLevel};
 pub use phys::PhysMemory;
 pub use tlb::{Tlb, TlbEntry};

@@ -732,3 +732,170 @@ proptest! {
         }
     }
 }
+
+// ----- the set journal against a clone-everything table -----
+
+use crate::journal::SetJournal;
+
+/// A table of `rows × ways` words whose rewinds and resets go through a
+/// [`SetJournal`], the way the caches' and the CBP's do.
+#[derive(Debug, Clone)]
+struct JournaledTable {
+    ways: usize,
+    words: Vec<u64>,
+    journal: SetJournal,
+}
+
+impl JournaledTable {
+    fn new(rows: usize, ways: usize) -> JournaledTable {
+        JournaledTable {
+            ways,
+            words: vec![0; rows * ways],
+            journal: SetJournal::new(rows),
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.words.len() / self.ways
+    }
+
+    /// Write `value` into a row and way, both taken modulo the shape.
+    fn write(&mut self, row: usize, way: usize, value: u64) {
+        let row = row % self.rows();
+        self.journal.touch(row);
+        self.words[row * self.ways + way % self.ways] = value;
+    }
+
+    fn restore_from(&mut self, snap: &JournaledTable) {
+        let (ways, words) = (self.ways, &mut self.words);
+        if !self.journal.restore_from(&snap.journal, |row| {
+            let span = row * ways..(row + 1) * ways;
+            words[span.clone()].copy_from_slice(&snap.words[span]);
+        }) {
+            self.ways = snap.ways;
+            words.clone_from(&snap.words);
+        }
+    }
+
+    fn reset(&mut self) {
+        let (ways, words) = (self.ways, &mut self.words);
+        if !self
+            .journal
+            .reset(|row| words[row * ways..(row + 1) * ways].fill(0))
+        {
+            words.fill(0);
+        }
+    }
+}
+
+/// One step of the journal model check.
+#[derive(Debug, Clone)]
+enum JournalOp {
+    /// Write a word of the live table.
+    Write(usize, usize, u64),
+    /// Open an epoch without taking a snapshot.
+    BeginEpoch,
+    /// Open an epoch, then clone the live table (the checkpoint protocol).
+    Checkpoint,
+    /// Clone the live table without opening an epoch.
+    PlainClone,
+    /// Write a word of snapshot `i % snapshots.len()` after it was taken.
+    SnapWrite(usize, usize, usize, u64),
+    /// Rewind to snapshot `i % snapshots.len()`.
+    Restore(usize),
+    /// Rewind to an independent table of another shape.
+    ForeignRestore,
+    /// Return to the reset state.
+    Reset,
+}
+
+fn arb_journal_ops() -> impl Strategy<Value = Vec<JournalOp>> {
+    let op = (
+        0u8..16,
+        any::<usize>(),
+        0usize..200,
+        0usize..4,
+        any::<u64>(),
+    )
+        .prop_map(|(k, i, row, way, value)| match k {
+            0..=5 => JournalOp::Write(row, way, value),
+            6 => JournalOp::BeginEpoch,
+            7 | 8 => JournalOp::Checkpoint,
+            9 => JournalOp::PlainClone,
+            10 => JournalOp::SnapWrite(i, row, way, value),
+            11..=13 => JournalOp::Restore(i),
+            14 => JournalOp::ForeignRestore,
+            _ => JournalOp::Reset,
+        });
+    proptest::collection::vec(op, 1..120)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A table that rewinds and resets through its `SetJournal` is one
+    /// that rewinds by cloning the snapshot and resets by zeroing every
+    /// word: after every restore its words and its journal equal the
+    /// snapshot's, after every reset its words are a fresh table's, and
+    /// its log never holds more entries than rows. Covers rows on both
+    /// sides of a bitmap word, epochs opened without a snapshot, plain
+    /// clones and checkpoints written after they were taken (same
+    /// token, non-empty log), and foreign tables of another shape.
+    #[test]
+    fn set_journal_matches_a_clone_everything_table(
+        rows in 1usize..130,
+        ways in 1usize..4,
+        foreign_rows in 1usize..130,
+        foreign_ways in 1usize..4,
+        ops in arb_journal_ops(),
+    ) {
+        let mut live = JournaledTable::new(rows, ways);
+        let mut model = live.words.clone();
+        let mut foreign = JournaledTable::new(foreign_rows, foreign_ways);
+        foreign.write(1, 0, 7);
+        let mut snaps: Vec<JournaledTable> = Vec::new();
+        for op in ops {
+            match op {
+                JournalOp::Write(row, way, value) => {
+                    live.write(row, way, value);
+                    let row = row % live.rows();
+                    model[row * live.ways + way % live.ways] = value;
+                }
+                JournalOp::BeginEpoch => live.journal.begin_epoch(),
+                JournalOp::Checkpoint => {
+                    live.journal.begin_epoch();
+                    snaps.push(live.clone());
+                }
+                JournalOp::PlainClone => snaps.push(live.clone()),
+                JournalOp::SnapWrite(i, row, way, value) => {
+                    if !snaps.is_empty() {
+                        let n = snaps.len();
+                        snaps[i % n].write(row, way, value);
+                    }
+                }
+                JournalOp::Restore(i) => {
+                    if !snaps.is_empty() {
+                        let snap = &snaps[i % snaps.len()];
+                        live.restore_from(snap);
+                        prop_assert_eq!(&live.words, &snap.words);
+                        prop_assert_eq!(&live.journal, &snap.journal);
+                        model = snap.words.clone();
+                    }
+                }
+                JournalOp::ForeignRestore => {
+                    live.restore_from(&foreign);
+                    prop_assert_eq!(&live.journal, &foreign.journal);
+                    model = foreign.words.clone();
+                }
+                JournalOp::Reset => {
+                    live.reset();
+                    prop_assert_eq!(&live.words, &JournaledTable::new(live.rows(), live.ways).words);
+                    prop_assert_eq!(live.journal.logged_rows(), 0);
+                    model.fill(0);
+                }
+            }
+            prop_assert_eq!(&live.words, &model);
+            prop_assert!(live.journal.logged_rows() <= live.rows());
+        }
+    }
+}

@@ -230,12 +230,10 @@ impl Machine {
     /// `*self = Machine::new(profile, phys_bytes)`: every state element,
     /// timing, counter and event of later runs is the same, and attached
     /// sinks are dropped (a new machine has none). What it saves is
-    /// the large tables. The caches, the µop cache and the CBP clear
-    /// only the sets touched since they were last empty; once a
-    /// [`snapshot`](Machine::snapshot) or seal has opened a restore
-    /// epoch since then (which forgets their dirty logs) they clear
-    /// every set in place instead, and a profile of another cache or
-    /// CBP shape reallocates them (see
+    /// the large tables. The caches, the µop cache and the CBP clear in
+    /// place what their [`SetJournal`](phantom_mem::SetJournal) reports
+    /// (the touched sets, or every set when it cannot tell), and
+    /// reallocate for another shape (see
     /// [`SetAssocCache::reset`](phantom_cache::SetAssocCache::reset)
     /// and [`Cbp::reset`](phantom_bpu::Cbp::reset)). The BTB, RSB and
     /// BHB are rebuilt, and physical memory, the page table, the TLB,

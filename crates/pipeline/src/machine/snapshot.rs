@@ -99,8 +99,9 @@ impl Machine {
     pub fn restore(&mut self, snapshot: &MachineSnapshot) {
         let s = &*snapshot.inner;
         self.profile = Arc::clone(&s.profile);
-        // O(sets dirtied since the checkpoint) when the epoch tokens
-        // match (the common rewind loop); full copies otherwise.
+        // O(sets dirtied since the checkpoint) when the snapshot opened
+        // the structures' journal epochs (the common rewind loop); full
+        // copies otherwise. See `phantom_mem::SetJournal`.
         self.bpu.restore_from(&s.bpu);
         self.caches.restore_from(&s.caches);
         self.uop_cache.restore_from(&s.uop_cache);
