@@ -14,7 +14,7 @@
 
 use std::fmt;
 
-use phantom_mem::{SetJournal, VirtAddr};
+use phantom_mem::{RowStore, VirtAddr};
 
 use crate::hashfn::{parity_fold, FoldFn};
 use crate::state::PredictorState;
@@ -263,11 +263,12 @@ fn reset_entry(scheme: &CbpScheme) -> CbpEntry {
 
 /// The conditional-branch predictor.
 ///
-/// Rewinds and resets are journaled by a [`SetJournal`], as
-/// `phantom_cache::SetAssocCache`'s are: every update logs the one set
-/// it writes, so [`restore_from`](Cbp::restore_from) and
-/// [`reset`](Cbp::reset) usually rewrite only those sets instead of
-/// the whole table (64 KiB for the legacy scheme).
+/// The table is a [`RowStore`] with one row per set, as
+/// `phantom_cache::SetAssocCache`'s is: clones share the sets neither
+/// side has written, every update logs the one set it writes, and
+/// [`restore_from`](Cbp::restore_from) and [`reset`](Cbp::reset)
+/// usually rewrite only those sets instead of the whole table (64 KiB
+/// for the legacy scheme).
 ///
 /// # Examples
 ///
@@ -282,15 +283,17 @@ fn reset_entry(scheme: &CbpScheme) -> CbpEntry {
 /// // History shifted, but the counter at the *new* index is untouched;
 /// // train along the same history path to flip the prediction.
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two CBPs are equal when their scheme, entries, history and clock
+/// are, however their sets are shared; the rewind journal is not
+/// compared.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cbp {
     scheme: CbpScheme,
-    entries: Vec<CbpEntry>,
+    /// Set `i` is row `i`, `ways` entries wide.
+    entries: RowStore<CbpEntry>,
     ghr: u64,
     clock: u64,
-    /// The sets written since the last epoch or reset; set `i` is the
-    /// journal's row `i`.
-    journal: SetJournal,
 }
 
 impl Cbp {
@@ -309,22 +312,19 @@ impl Cbp {
     /// Fallible [`Cbp::new`], for spec-provided schemes.
     pub fn try_new(scheme: CbpScheme) -> Result<Cbp, String> {
         scheme.validate()?;
-        let mut cbp = Cbp {
+        Ok(Cbp {
+            entries: RowStore::new(scheme.sets(), scheme.ways, reset_entry(&scheme)),
             scheme,
-            entries: Vec::new(),
             ghr: 0,
             clock: 0,
-            journal: SetJournal::new(0),
-        };
-        cbp.clear(true);
-        Ok(cbp)
+        })
     }
 
     /// Put the CBP in reset state for `scheme` in place, as
-    /// `*self = Cbp::new(scheme)` would: only the sets
-    /// [`SetJournal::reset`] names when it can, else the whole table. A
-    /// scheme of another shape (sets or ways) or another reset entry
-    /// (counter width, tagging) reallocates.
+    /// `*self = Cbp::new(scheme)` would, through [`RowStore::reset`]:
+    /// only the sets written since the last reset when it can tell
+    /// which, and a new table for a scheme of another shape (sets or
+    /// ways) or another reset entry (counter width, tagging).
     ///
     /// # Panics
     ///
@@ -334,27 +334,9 @@ impl Cbp {
         if let Err(e) = scheme.validate() {
             panic!("{e}");
         }
-        let reshape = scheme.sets() != self.scheme.sets()
-            || scheme.ways != self.scheme.ways
-            || reset_entry(&scheme) != reset_entry(&self.scheme);
+        self.entries
+            .reset(scheme.sets(), scheme.ways, reset_entry(&scheme));
         self.scheme = scheme;
-        self.clear(reshape);
-    }
-
-    /// Reset state for the current scheme; `reshape` reallocates the
-    /// table and its journal.
-    fn clear(&mut self, reshape: bool) {
-        let fresh = reset_entry(&self.scheme);
-        let (ways, entries) = (self.scheme.ways, &mut self.entries);
-        if reshape {
-            *entries = vec![fresh; self.scheme.capacity()];
-            self.journal = SetJournal::new(self.scheme.sets());
-        } else if !self
-            .journal
-            .reset(|i| entries[i * ways..(i + 1) * ways].fill(fresh))
-        {
-            entries.fill(fresh);
-        }
         self.ghr = 0;
         self.clock = 0;
     }
@@ -369,18 +351,14 @@ impl Cbp {
         self.ghr
     }
 
-    fn set_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let base = idx * self.scheme.ways;
-        base..base + self.scheme.ways
-    }
-
     /// Predicted direction for a conditional at `pc` under the current
     /// history. Pure: no counter, LRU or history state is touched.
     pub fn predict(&self, pc: VirtAddr) -> bool {
         let idx = self.scheme.index_of(pc, self.ghr);
         let tag = self.scheme.tag_of(pc);
         let threshold = self.scheme.taken_threshold();
-        self.entries[self.set_range(idx)]
+        self.entries
+            .row(idx)
             .iter()
             .find(|e| e.valid && e.tag == tag)
             .is_some_and(|e| e.counter >= threshold)
@@ -392,7 +370,8 @@ impl Cbp {
     pub fn counter(&self, pc: VirtAddr) -> Option<u8> {
         let idx = self.scheme.index_of(pc, self.ghr);
         let tag = self.scheme.tag_of(pc);
-        self.entries[self.set_range(idx)]
+        self.entries
+            .row(idx)
             .iter()
             .find(|e| e.valid && e.tag == tag)
             .map(|e| e.counter)
@@ -408,9 +387,7 @@ impl Cbp {
         let reset = self.scheme.reset_counter();
         self.clock += 1;
         let clock = self.clock;
-        self.journal.touch(idx);
-        let range = self.set_range(idx);
-        let set = &mut self.entries[range];
+        let set = self.entries.row_mut(idx);
         let entry = match set.iter_mut().find(|e| e.valid && e.tag == tag) {
             Some(e) => e,
             None => {
@@ -441,25 +418,30 @@ impl Cbp {
         self.ghr = ((self.ghr << 1) | u64::from(taken)) & hist_mask;
     }
 
-    /// Open a new rewind epoch ([`SetJournal::begin_epoch`]). Call on
+    /// Open a new rewind epoch ([`RowStore::begin_epoch`]). Call on
     /// the live CBP immediately before cloning it into a checkpoint.
     pub fn begin_epoch(&mut self) {
-        self.journal.begin_epoch();
+        self.entries.begin_epoch();
     }
 
-    /// Rewind to `snap`, bit-identically to `*self = snap.clone()`:
-    /// only the sets [`SetJournal::restore_from`] names when it can,
-    /// else a full copy.
+    /// Share every set written so far, so clones taken from now on copy
+    /// none until they write it ([`RowStore::seal`]).
+    pub fn seal(&mut self) {
+        self.entries.seal();
+    }
+
+    /// Number of set chunks this CBP owns rather than shares
+    /// ([`RowStore::owned_chunks`]).
+    pub fn owned_chunks(&self) -> usize {
+        self.entries.owned_chunks()
+    }
+
+    /// Rewind to `snap`, to a state equal to `*self = snap.clone()`:
+    /// only the sets written since `snap`'s epoch when
+    /// [`RowStore::restore_from`] can tell, else a copy of every chunk.
     pub fn restore_from(&mut self, snap: &Cbp) {
-        let (ways, entries) = (self.scheme.ways, &mut self.entries);
-        if !self.journal.restore_from(&snap.journal, |i| {
-            let span = i * ways..(i + 1) * ways;
-            entries[span.clone()].copy_from_slice(&snap.entries[span]);
-        }) {
-            if self.scheme != snap.scheme {
-                self.scheme = snap.scheme.clone();
-            }
-            entries.clone_from(&snap.entries);
+        if !self.entries.restore_from(&snap.entries) && self.scheme != snap.scheme {
+            self.scheme = snap.scheme.clone();
         }
         self.ghr = snap.ghr;
         self.clock = snap.clock;
@@ -468,17 +450,20 @@ impl Cbp {
     /// Reset every counter, allocation and the history register (IBPB),
     /// as [`reset`](Cbp::reset) to the current scheme does.
     pub fn flush(&mut self) {
-        self.clear(false);
+        self.entries.clear();
+        self.ghr = 0;
+        self.clock = 0;
     }
 
     /// Entries holding trained content: allocated ways for tagged
     /// schemes, counters moved off reset for untagged ones.
     pub fn len(&self) -> usize {
         let reset = self.scheme.reset_counter();
+        let entries = self.entries.iter_rows().flatten();
         if self.scheme.tag.is_empty() {
-            self.entries.iter().filter(|e| e.counter != reset).count()
+            entries.filter(|e| e.counter != reset).count()
         } else {
-            self.entries.iter().filter(|e| e.valid).count()
+            entries.filter(|e| e.valid).count()
         }
     }
 
@@ -491,19 +476,9 @@ impl Cbp {
 /// Test-only accessors for the rewind proptests.
 #[cfg(test)]
 impl Cbp {
-    /// Whether every predictive field (scheme, counters, allocations,
-    /// history and clock) equals `other`'s;
-    /// the journal bookkeeping is not compared.
-    pub(crate) fn same_state(&self, other: &Cbp) -> bool {
-        self.scheme == other.scheme
-            && self.entries == other.entries
-            && self.ghr == other.ghr
-            && self.clock == other.clock
-    }
-
     /// Number of sets the journal has logged.
     pub(crate) fn dirty_len(&self) -> usize {
-        self.journal.logged_rows()
+        self.entries.logged_rows()
     }
 }
 

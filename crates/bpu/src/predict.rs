@@ -260,6 +260,12 @@ impl Bpu {
         self.cbp.begin_epoch();
     }
 
+    /// Share every CBP set written so far, so clones taken from now on
+    /// copy none until they write it; see [`Cbp::seal`].
+    pub fn seal(&mut self) {
+        self.cbp.seal();
+    }
+
     /// Rewind to `snap` in place, identically to `*self = snap.clone()`:
     /// the CBP through [`Cbp::restore_from`], the BTB and RSB by
     /// `clone_from` (reusing their buffers), the BHB and MSRs by copy.
@@ -289,7 +295,7 @@ impl Bpu {
     pub(crate) fn same_state(&self, other: &Bpu) -> bool {
         self.btb.same_state(&other.btb)
             && self.rsb.same_state(&other.rsb)
-            && self.cbp.same_state(&other.cbp)
+            && self.cbp == other.cbp
             && self.bhb == other.bhb
             && self.msr == other.msr
     }

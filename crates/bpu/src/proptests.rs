@@ -208,18 +208,26 @@ enum RewindOp {
     Rewind(usize),
     /// Rewind to a snapshot of an unrelated predictor (foreign token).
     Foreign,
+    /// Share the live CBP's written sets.
+    Seal,
+    /// Clone snapshot `i % snapshots.len()`, resolve one conditional in
+    /// the clone and keep it as another snapshot: a fork written
+    /// through.
+    Fork(usize, u16, bool),
 }
 
 fn arb_rewind_ops() -> impl Strategy<Value = Vec<RewindOp>> {
     // The selector weights updates 6, rewinds 3, checkpoints 2 and the
     // rest 1 each.
     let op =
-        (0u8..14, any::<u16>(), any::<bool>(), any::<usize>()).prop_map(|(k, p, t, i)| match k {
+        (0u8..16, any::<u16>(), any::<bool>(), any::<usize>()).prop_map(|(k, p, t, i)| match k {
             0..=5 => RewindOp::Update(p, t),
             6 => RewindOp::Flush,
             7 | 8 => RewindOp::Checkpoint,
             9 => RewindOp::PlainClone,
             10..=12 => RewindOp::Rewind(i),
+            13 => RewindOp::Seal,
+            14 => RewindOp::Fork(i, p, t),
             _ => RewindOp::Foreign,
         });
     proptest::collection::vec(op, 1..120)
@@ -251,9 +259,11 @@ proptest! {
     /// only ever rewinds by cloning agrees with it after every step.
     /// Covers the legacy, the tagged 2-way (m1f-style) and mutated
     /// schemes, flushes mid-epoch, repeated rewinds to the same and to
-    /// older checkpoints, snapshots with a dirty log of their own, and
-    /// foreign-token snapshots (including another scheme's). The dirty
-    /// log never outgrows the table.
+    /// older checkpoints, snapshots with a dirty log of their own,
+    /// foreign-token snapshots (including another scheme's), seals, and
+    /// forks written through: no snapshot's observables ever change
+    /// after it was taken, whatever its forks and the live CBP write
+    /// into the sets they share. The dirty log never outgrows the table.
     #[test]
     fn journaled_cbp_rewind_matches_clone(
         scheme in arb_cbp_scheme(),
@@ -266,6 +276,7 @@ proptest! {
         let mut foreign = Cbp::new(foreign_scheme);
         foreign.update(pool_pc(1), true);
         let mut snaps: Vec<(Cbp, Cbp)> = Vec::new();
+        let mut views = Vec::new();
         for op in ops {
             let target = match op {
                 RewindOp::Update(p, taken) => {
@@ -293,14 +304,33 @@ proptest! {
                 }
                 RewindOp::Rewind(_) => None,
                 RewindOp::Foreign => Some((&foreign, &foreign)),
+                RewindOp::Seal => {
+                    live.seal();
+                    prop_assert_eq!(live.owned_chunks(), 0);
+                    None
+                }
+                RewindOp::Fork(i, p, taken) => {
+                    if !snaps.is_empty() {
+                        let (mut fork, mut shadow_fork) = snaps[i % snaps.len()].clone();
+                        fork.update(pool_pc(p), taken);
+                        shadow_fork.update(pool_pc(p), taken);
+                        snaps.push((fork, shadow_fork));
+                    }
+                    None
+                }
             };
             if let Some((snap, shadow_snap)) = target {
                 live.restore_from(snap);
-                prop_assert!(live.same_state(&snap.clone()), "rewind differs from a clone");
+                prop_assert!(live == snap.clone(), "rewind differs from a clone");
                 shadow = shadow_snap.clone();
             }
             prop_assert!(live.dirty_len() <= live.scheme().sets());
             prop_assert_eq!(cbp_view(&live, &probes), cbp_view(&shadow, &probes));
+            views.extend(snaps[views.len()..].iter().map(|(snap, _)| cbp_view(snap, &probes)));
+            for ((snap, shadow_snap), view) in snaps.iter().zip(&views) {
+                prop_assert_eq!(&cbp_view(snap, &probes), view, "a snapshot changed");
+                prop_assert!(snap == shadow_snap);
+            }
         }
     }
 }
@@ -320,6 +350,13 @@ fn play_rewind_ops(live: &mut Cbp, foreign: &Cbp, ops: &[RewindOp], snaps: &mut 
             RewindOp::Rewind(i) if !snaps.is_empty() => live.restore_from(&snaps[i % snaps.len()]),
             RewindOp::Rewind(_) => {}
             RewindOp::Foreign => live.restore_from(foreign),
+            RewindOp::Seal => live.seal(),
+            RewindOp::Fork(i, p, taken) if !snaps.is_empty() => {
+                let mut fork = snaps[i % snaps.len()].clone();
+                fork.update(pool_pc(p), taken);
+                snaps.push(fork);
+            }
+            RewindOp::Fork(..) => {}
         }
     }
 }
@@ -350,7 +387,7 @@ proptest! {
             let target = if round % 2 == 0 { &second } else { &first };
             live.reset(target.clone());
             let fresh = Cbp::new(target.clone());
-            prop_assert!(live.same_state(&fresh), "round {} reset differs from new", round);
+            prop_assert!(live == fresh, "round {} reset differs from new", round);
             prop_assert_eq!(live.dirty_len(), 0);
             prop_assert_eq!(cbp_view(&live, &probes), cbp_view(&fresh, &probes));
         }

@@ -80,7 +80,7 @@ impl Default for HierarchyConfig {
 /// assert_eq!(level, Level::L1);
 /// assert!(cycles2 < cycles);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheHierarchy {
     config: HierarchyConfig,
     l1i: SetAssocCache,
@@ -187,6 +187,20 @@ impl CacheHierarchy {
         self.l1i.begin_epoch();
         self.l1d.begin_epoch();
         self.l2.begin_epoch();
+    }
+
+    /// Share every set written so far on all three levels; see
+    /// [`SetAssocCache::seal`].
+    pub fn seal(&mut self) {
+        self.l1i.seal();
+        self.l1d.seal();
+        self.l2.seal();
+    }
+
+    /// Set chunks the three levels own rather than share; see
+    /// [`SetAssocCache::owned_chunks`].
+    pub fn owned_chunks(&self) -> usize {
+        self.l1i.owned_chunks() + self.l1d.owned_chunks() + self.l2.owned_chunks()
     }
 
     /// Rewind all three levels to `snap`; see

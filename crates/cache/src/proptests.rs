@@ -43,12 +43,18 @@ enum Op {
     /// `reset` the live cache, alternately to another geometry and
     /// policy and back to the first; the model is rebuilt by `new`.
     Reset,
+    /// `seal` the live cache (the model has nothing to seal).
+    Seal,
+    /// Clone one of the snapshots taken so far, access these addresses
+    /// in the clone and keep it as another snapshot: a fork written
+    /// through, which must not show in the snapshot or its siblings.
+    Fork(usize, Vec<u64>),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let addr = 0u64..1 << 14;
     (
-        0u8..18,
+        0u8..21,
         addr.clone(),
         any::<usize>(),
         proptest::collection::vec(addr, 0..24),
@@ -61,6 +67,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
             13 | 14 => Op::Restore(i),
             15 => Op::RestoreForeign(addrs),
             16 => Op::PlainClone,
+            17 | 18 => Op::Seal,
+            19 => Op::Fork(i, addrs),
             _ => Op::Reset,
         })
 }
@@ -78,21 +86,18 @@ fn assert_agree(flat: &SetAssocCache, nested: &NestedSetAssocCache) -> Result<()
     Ok(())
 }
 
-/// Whether two caches are bit-identical, journal included: `Debug`
-/// prints every field.
-fn identical(a: &SetAssocCache, b: &SetAssocCache) -> bool {
-    format!("{a:?}") == format!("{b:?}")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The flat one-array cache is observationally identical to the
+    /// The copy-on-write row cache is observationally identical to the
     /// nested one-`Vec`-per-set layout it replaced, for every policy,
     /// geometry and op sequence — including clones taken under the
-    /// epoch protocol or without it, restores through both the
-    /// dirty-set and the full-copy paths (each bit-identical to a
-    /// clone of the snapshot), and resets, whose model is a new cache.
+    /// epoch protocol or without it, seals, forks written through
+    /// (whose writes must not reach the snapshot they share sets
+    /// with, nor its other forks), restores through both the dirty-set
+    /// and the full-copy paths (each equal in every line and counter to
+    /// a clone of the snapshot), and resets, whose model is a new
+    /// cache.
     #[test]
     fn flat_cache_matches_nested_model(
         geometry in arb_geometry(),
@@ -130,7 +135,7 @@ proptest! {
                         let (fs, ns) = &snaps[i % snaps.len()];
                         flat.restore_from(fs);
                         nested.restore_from(ns);
-                        prop_assert!(identical(&flat, fs), "restore differs from a clone");
+                        prop_assert!(flat == *fs, "restore differs from a clone");
                     }
                 }
                 Op::RestoreForeign(addrs) => {
@@ -141,7 +146,7 @@ proptest! {
                     }
                     flat.restore_from(&fs);
                     nested.restore_from(&ns);
-                    prop_assert!(identical(&flat, &fs), "restore differs from a clone");
+                    prop_assert!(flat == fs, "restore differs from a clone");
                 }
                 Op::Reset => {
                     let (g, r) = if resets % 2 == 0 {
@@ -153,11 +158,24 @@ proptest! {
                     flat.reset(g, r);
                     nested = NestedSetAssocCache::new(g, r);
                 }
+                Op::Seal => {
+                    flat.seal();
+                    prop_assert_eq!(flat.owned_chunks(), 0);
+                }
+                Op::Fork(i, addrs) => {
+                    if !snaps.is_empty() {
+                        let (mut ff, mut nf) = snaps[i % snaps.len()].clone();
+                        for &a in &addrs {
+                            prop_assert_eq!(ff.access(a), nf.access(a));
+                        }
+                        snaps.push((ff, nf));
+                    }
+                }
             }
             assert_agree(&flat, &nested)?;
-        }
-        for (fs, ns) in &snaps {
-            assert_agree(fs, ns)?;
+            for (fs, ns) in &snaps {
+                assert_agree(fs, ns)?;
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! A generic set-associative cache with pluggable replacement.
 
-use phantom_mem::SetJournal;
+use phantom_mem::RowStore;
 
 use crate::geometry::CacheGeometry;
 
@@ -26,7 +26,9 @@ pub struct AccessOutcome {
     pub evicted: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One way of a set. The slot after a set's ways is not a way: its
+/// `stamp` holds the set's tree-PLRU bits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -52,60 +54,43 @@ struct Line {
 /// assert_eq!(out.evicted, Some(0x000));
 /// assert!(!c.probe(0x000));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two caches are equal when their shape, policy, counters and every
+/// set's lines and replacement state are, however their sets are
+/// shared; the rewind journal is not compared.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     replacement: Replacement,
-    /// Every set's ways in one flat array: set `i` is
-    /// `lines[i * ways..(i + 1) * ways]`. One allocation per cache, so
-    /// cloning or dropping a cache is a memcpy, not one heap block per
-    /// set.
-    lines: Vec<Line>,
-    /// Tree-PLRU state bits per set (ways-1 internal nodes each).
-    plru: Vec<u64>,
+    /// Set `i` is row `i`: its `ways` lines, then the slot holding its
+    /// tree-PLRU bits. The store shares untouched sets between clones
+    /// and journals the touched ones for rewinds and resets.
+    sets: RowStore<Line>,
     clock: u64,
     hits: u64,
     misses: u64,
-    /// The sets mutated since the last epoch or reset; set `i` is the
-    /// journal's row `i` (its ways in `lines` and its `plru` word).
-    journal: SetJournal,
 }
 
 impl SetAssocCache {
     /// Create an empty cache.
     pub fn new(geometry: CacheGeometry, replacement: Replacement) -> SetAssocCache {
-        let mut cache = SetAssocCache {
+        SetAssocCache {
             geometry,
             replacement,
-            lines: Vec::new(),
-            plru: Vec::new(),
+            sets: RowStore::new(geometry.sets, geometry.ways + 1, Line::default()),
             clock: 0,
             hits: 0,
             misses: 0,
-            journal: SetJournal::new(0),
-        };
-        cache.reset(geometry, replacement);
-        cache
+        }
     }
 
     /// Empty the cache in place, as `*self = SetAssocCache::new(geometry,
-    /// replacement)` would: only the sets [`SetJournal::reset`] names
-    /// when it can, else every set. Another geometry reallocates.
+    /// replacement)` would, through [`RowStore::reset`]: only the sets
+    /// written since the last reset when it can tell which, and no
+    /// table-sized allocation for another geometry.
     pub fn reset(&mut self, geometry: CacheGeometry, replacement: Replacement) {
-        let ways = geometry.ways;
-        let (lines, plru) = (&mut self.lines, &mut self.plru);
-        // `new`'s shell has no lines yet.
-        if self.geometry != geometry || lines.is_empty() {
-            *lines = vec![Line::default(); geometry.sets * ways];
-            *plru = vec![0; geometry.sets];
-            self.journal = SetJournal::new(geometry.sets);
-        } else if !self.journal.reset(|i| {
-            lines[i * ways..(i + 1) * ways].fill(Line::default());
-            plru[i] = 0;
-        }) {
-            lines.fill(Line::default());
-            plru.fill(0);
-        }
+        self.sets
+            .reset(geometry.sets, geometry.ways + 1, Line::default());
         self.geometry = geometry;
         self.replacement = replacement;
         self.clock = 0;
@@ -116,32 +101,34 @@ impl SetAssocCache {
     /// The ways of set `set_idx`.
     #[inline]
     fn set(&self, set_idx: usize) -> &[Line] {
-        let ways = self.geometry.ways;
-        &self.lines[set_idx * ways..(set_idx + 1) * ways]
+        &self.sets.row(set_idx)[..self.geometry.ways]
     }
 
-    /// Open a new restore epoch ([`SetJournal::begin_epoch`]). Call on
+    /// Open a new restore epoch ([`RowStore::begin_epoch`]). Call on
     /// the live cache immediately before cloning it into a snapshot.
     pub fn begin_epoch(&mut self) {
-        self.journal.begin_epoch();
+        self.sets.begin_epoch();
     }
 
-    /// Rewind to `snap`, bit-identically to `*self = snap.clone()`:
-    /// only the sets [`SetJournal::restore_from`] names when it can,
-    /// else a full copy.
+    /// Share every set this cache has written, so clones taken from now
+    /// on copy none until they write it ([`RowStore::seal`]).
+    pub fn seal(&mut self) {
+        self.sets.seal();
+    }
+
+    /// Number of set chunks this cache owns rather than shares
+    /// ([`RowStore::owned_chunks`]).
+    pub fn owned_chunks(&self) -> usize {
+        self.sets.owned_chunks()
+    }
+
+    /// Rewind to `snap`, to a state equal to `*self = snap.clone()`:
+    /// only the sets written since `snap`'s epoch when
+    /// [`RowStore::restore_from`] can tell, else a copy of every chunk.
     pub fn restore_from(&mut self, snap: &SetAssocCache) {
-        let ways = self.geometry.ways;
-        let (lines, plru) = (&mut self.lines, &mut self.plru);
-        if !self.journal.restore_from(&snap.journal, |i| {
-            let span = i * ways..(i + 1) * ways;
-            lines[span.clone()].copy_from_slice(&snap.lines[span]);
-            plru[i] = snap.plru[i];
-        }) {
-            self.geometry = snap.geometry;
-            self.replacement = snap.replacement;
-            lines.clone_from(&snap.lines);
-            plru.clone_from(&snap.plru);
-        }
+        self.sets.restore_from(&snap.sets);
+        self.geometry = snap.geometry;
+        self.replacement = snap.replacement;
         self.clock = snap.clock;
         self.hits = snap.hits;
         self.misses = snap.misses;
@@ -203,13 +190,12 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         self.clock += 1;
         let set_idx = self.geometry.set_index(addr);
-        self.journal.touch(set_idx);
         let tag = self.geometry.tag(addr);
         let ways = self.geometry.ways;
         let line_shift = self.geometry.line_shift();
         let sets_shift = self.geometry.sets.trailing_zeros();
-        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        let plru = &mut self.plru[set_idx];
+        let (set, meta) = self.sets.row_mut(set_idx).split_at_mut(ways);
+        let plru = &mut meta[0].stamp;
 
         if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
             self.hits += 1;
@@ -270,24 +256,21 @@ impl SetAssocCache {
     pub fn flush_line(&mut self, addr: u64) -> bool {
         let set_idx = self.geometry.set_index(addr);
         let tag = self.geometry.tag(addr);
-        let ways = self.geometry.ways;
-        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
-            set[way].valid = false;
-            self.journal.touch(set_idx);
-            true
-        } else {
-            false
-        }
+        let set = self.set(set_idx);
+        let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) else {
+            return false;
+        };
+        self.sets.row_mut(set_idx)[way].valid = false;
+        true
     }
 
     /// Invalidate every line.
     pub fn flush_all(&mut self) {
-        for line in &mut self.lines {
-            line.valid = false;
-        }
+        let ways = self.geometry.ways;
         for i in 0..self.geometry.sets {
-            self.journal.touch(i);
+            for line in &mut self.sets.row_mut(i)[..ways] {
+                line.valid = false;
+            }
         }
     }
 
@@ -406,14 +389,7 @@ mod tests {
     /// Full structural equality, including replacement state — the
     /// dirty-set restore must be indistinguishable from a fresh clone.
     fn assert_same(a: &SetAssocCache, b: &SetAssocCache) {
-        assert_eq!(a.clock, b.clock);
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(a.misses, b.misses);
-        assert_eq!(a.plru, b.plru);
-        assert_eq!(a.lines.len(), b.lines.len());
-        for (lx, ly) in a.lines.iter().zip(&b.lines) {
-            assert_eq!((lx.tag, lx.valid, lx.stamp), (ly.tag, ly.valid, ly.stamp));
-        }
+        assert!(a == b);
     }
 
     #[test]

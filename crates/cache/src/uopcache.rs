@@ -25,7 +25,7 @@ use crate::setassoc::{AccessOutcome, Replacement, SetAssocCache};
 /// uc.fill(0x10ac0);
 /// assert!(uc.lookup(0x10ac0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UopCache {
     cache: SetAssocCache,
     hits: u64,
@@ -99,6 +99,17 @@ impl UopCache {
     /// Open a new restore epoch; see [`SetAssocCache::begin_epoch`].
     pub fn begin_epoch(&mut self) {
         self.cache.begin_epoch();
+    }
+
+    /// Share every set written so far; see [`SetAssocCache::seal`].
+    pub fn seal(&mut self) {
+        self.cache.seal();
+    }
+
+    /// Set chunks owned rather than shared; see
+    /// [`SetAssocCache::owned_chunks`].
+    pub fn owned_chunks(&self) -> usize {
+        self.cache.owned_chunks()
     }
 
     /// Rewind to `snap`; see [`SetAssocCache::restore_from`].

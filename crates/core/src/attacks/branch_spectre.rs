@@ -23,7 +23,7 @@
 //! secret. Votes go through [`decode_adaptive`] exactly like the
 //! Table 2 covert channels, so noisy probes escalate and ties abstain.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,9 +149,10 @@ struct PhtScenario<'t> {
     probe: OnceLock<VirtAddr>,
 }
 
-/// Per-worker state: a machine with the three branch stubs loaded, the
-/// rewind point, and the calibrated probe signature. The same type is
-/// the per-profile template workers fork.
+/// A calibrated world: a machine with the three branch stubs loaded,
+/// the rewind point, and the calibrated probe signature. The
+/// per-profile template is one, sealed, and each worker probes its own
+/// clone of it.
 #[derive(Clone)]
 struct PhtState {
     machine: Machine,
@@ -169,6 +170,15 @@ struct PhtState {
     threshold: u64,
     span: u64,
     taken_is_slow: bool,
+}
+
+/// What `setup` hands the runner and what `fork` hands a worker.
+enum PhtWorld {
+    /// The calibrated template, which only the runner's checkpoint
+    /// consumes: shared, never copied.
+    Template(Arc<PhtState>),
+    /// A worker's own copy of the template, the job's one machine copy.
+    Forked(Box<PhtState>),
 }
 
 /// One decoded bit and the simulated cycles its trial consumed.
@@ -325,6 +335,8 @@ impl PhtScenario<'_> {
             return Ok(None);
         }
         snap.rewind(&mut machine);
+        // Every job's worker clones this world: share its sets.
+        machine.seal();
         let (slow, fast) = (taken_cycles.max(nt_cycles), taken_cycles.min(nt_cycles));
         Ok(Some(PhtState {
             machine,
@@ -341,8 +353,8 @@ impl PhtScenario<'_> {
 }
 
 impl Scenario for PhtScenario<'_> {
-    type State = PhtState;
-    type Checkpoint = PhtState;
+    type State = PhtWorld;
+    type Checkpoint = Arc<PhtState>;
     type Sample = PhtSample;
     type Output = PhtChannelResult;
 
@@ -350,30 +362,36 @@ impl Scenario for PhtScenario<'_> {
         self.config.bits
     }
 
-    /// Fork the profile's calibrated template, calibrating it on first
-    /// use (or calibrate cold when the scenario has no store).
-    fn setup(&self) -> Result<PhtState, ScenarioError> {
-        let state = match self.templates {
-            Some(store) => {
-                PhtState::clone(&*store.get_or_build(&self.profile, || self.calibrate())?)
-            }
-            None => self.calibrate()?,
+    /// The profile's calibrated template, calibrated on first use (or
+    /// cold when the scenario has no store). Nothing is copied here:
+    /// the checkpoint is the template itself and each worker's fork is
+    /// the job's one machine copy.
+    fn setup(&self) -> Result<PhtWorld, ScenarioError> {
+        let template = match self.templates {
+            Some(store) => store.get_or_build(&self.profile, || self.calibrate())?,
+            None => Arc::new(self.calibrate()?),
         };
         // Every setup of one scenario yields the same world, so the
         // first one's probe stands for all.
-        let _ = self.probe.set(state.probe);
-        Ok(state)
+        let _ = self.probe.set(template.probe);
+        Ok(PhtWorld::Template(template))
     }
 
-    fn checkpoint(&self, state: PhtState) -> Result<PhtState, ScenarioError> {
-        Ok(state)
+    fn checkpoint(&self, world: PhtWorld) -> Result<Arc<PhtState>, ScenarioError> {
+        Ok(match world {
+            PhtWorld::Template(template) => template,
+            PhtWorld::Forked(state) => Arc::new(*state),
+        })
     }
 
-    fn fork(&self, checkpoint: &PhtState) -> Result<PhtState, ScenarioError> {
-        Ok(checkpoint.clone())
+    fn fork(&self, template: &Arc<PhtState>) -> Result<PhtWorld, ScenarioError> {
+        Ok(PhtWorld::Forked(Box::new(PhtState::clone(template))))
     }
 
-    fn probe(&self, state: &mut PhtState, trial: Trial) -> Result<PhtSample, ScenarioError> {
+    fn probe(&self, world: &mut PhtWorld, trial: Trial) -> Result<PhtSample, ScenarioError> {
+        let PhtWorld::Forked(state) = world else {
+            return Err("a PHT world is probed only through a fork of its template".into());
+        };
         let mut rng = StdRng::seed_from_u64(trial.seed);
         let secret = rng.gen_bool(0.5);
         let mut noise = self.noise_proto.reseeded(trial.seed ^ self.uarch_salt());
@@ -606,6 +624,50 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    /// A PHT job copies its machine once: setup and checkpoint hand on
+    /// the sealed template itself, and the worker's fork shares every
+    /// cache, µop-cache and CBP set with it until a trial writes one.
+    #[test]
+    fn a_job_copies_the_template_once_and_only_the_sets_it_writes() {
+        let store = PhtTemplates::new();
+        let scenario = PhtScenario {
+            profile: UarchProfile::zen2(),
+            config: PhtChannelConfig { bits: 8, seed: 2 },
+            noise_proto: NoiseModel::quiet(2),
+            decoder: DecoderConfig::default(),
+            templates: Some(&store),
+            probe: OnceLock::new(),
+        };
+        let template = scenario.checkpoint(scenario.setup().unwrap()).unwrap();
+        let stored = store
+            .get_or_build(&scenario.profile, || scenario.calibrate())
+            .unwrap();
+        assert!(Arc::ptr_eq(&template, &stored), "no copy before the fork");
+        let owned = |world: &PhtWorld| match world {
+            PhtWorld::Forked(state) => state.machine.owned_set_chunks(),
+            PhtWorld::Template(_) => panic!("not a fork"),
+        };
+        let mut fork = scenario.fork(&template).unwrap();
+        assert_eq!(owned(&fork), 0, "a fresh fork copies no set");
+        for index in 0..8 {
+            scenario
+                .probe(
+                    &mut fork,
+                    Trial {
+                        index,
+                        seed: index as u64,
+                    },
+                )
+                .unwrap();
+        }
+        assert!(owned(&fork) > 0, "trials write some sets");
+        assert_eq!(
+            template.machine.owned_set_chunks(),
+            0,
+            "the template is intact"
+        );
     }
 
     #[test]

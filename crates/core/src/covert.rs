@@ -26,9 +26,11 @@
 //! Setup boots through the boot-image cache and installs a standing
 //! [`ProbeArena`]; the booted instance is then sealed by move as the
 //! job's restore point ([`System::into_checkpoint`]) and each worker
-//! forks one private copy, so a job pays for two machine-sized copies
-//! (the instance and a fork) and trials re-arm the probe buffer in
-//! place. The training stub is planted before the seal too, so a trial
+//! forks one private copy. So a job makes two machine clones (the
+//! instance and a fork), and neither copies a cache, µop-cache or CBP
+//! set: set-up writes none, the instance and the seal share every set
+//! chunk with the boot template, and a fork copies only the chunks
+//! its trials write. Trials re-arm the probe buffer in place. The training stub is planted before the seal too, so a trial
 //! maps nothing and its rewind keeps the decode cache warm. The
 //! fresh-boot, per-probe-mapping arm these replace survives only as
 //! the reference in the root `determinism` tests.
@@ -474,6 +476,9 @@ pub fn table2_on(
 
 #[cfg(test)]
 mod tests {
+    use phantom_bpu::Cbp;
+    use phantom_cache::{CacheHierarchy, UopCache};
+
     use super::*;
 
     const SMALL: CovertConfig = CovertConfig { bits: 96, seed: 9 };
@@ -503,6 +508,78 @@ mod tests {
             "Zen 3 execute channel is dead: {}",
             r.accuracy
         );
+    }
+
+    fn scenario(profile: UarchProfile, kind: CovertKind) -> ChannelScenario {
+        ChannelScenario {
+            profile,
+            config: CovertConfig { bits: 8, seed: 4 },
+            kind,
+            noise_proto: NoiseModel::quiet(4),
+            decoder: DecoderConfig::default(),
+        }
+    }
+
+    /// Channel set-up (a boot-template instance, the probe arena and
+    /// the planted training stub) writes no cache, µop-cache or CBP
+    /// set. That is why a sealed receiver and every fork of it can
+    /// share all those sets with the boot template.
+    #[test]
+    fn channel_setup_leaves_caches_and_cbp_in_reset_state() {
+        for kind in [CovertKind::Fetch, CovertKind::Execute] {
+            for profile in UarchProfile::amd() {
+                let what = format!("{} {kind}", profile.name);
+                let Ok(ChannelState::Booted(sys, _)) = scenario(profile.clone(), kind).setup()
+                else {
+                    panic!("{what}: set-up failed");
+                };
+                let m = sys.machine();
+                assert!(m.caches() == &CacheHierarchy::new(profile.cache), "{what}");
+                assert!(
+                    m.uop_cache() == &UopCache::with_geometry(profile.uop_geometry),
+                    "{what}"
+                );
+                assert!(
+                    m.bpu().cbp() == &Cbp::new(profile.cbp_scheme.clone()),
+                    "{what}"
+                );
+                assert_eq!(m.owned_set_chunks(), 0, "{what}");
+            }
+        }
+    }
+
+    /// A fork of a sealed receiver shares every cache, µop-cache and
+    /// CBP set with the seal and copies only the set chunks its trials
+    /// write; the seal never sees those writes.
+    #[test]
+    fn a_receiver_fork_copies_only_the_sets_it_writes() {
+        let machine = |state: &ChannelState| match state {
+            ChannelState::Forked { sys, .. } => sys.machine().owned_set_chunks(),
+            ChannelState::Booted(..) => panic!("not a fork"),
+        };
+        for kind in [CovertKind::Fetch, CovertKind::Execute] {
+            let scenario = scenario(UarchProfile::zen2(), kind);
+            let seal = scenario.checkpoint(scenario.setup().unwrap()).unwrap();
+            let mut fork = scenario.fork(&seal).unwrap();
+            assert_eq!(machine(&fork), 0, "{kind}: a fresh fork copies no set");
+            for index in 0..8 {
+                let trial = Trial {
+                    index,
+                    seed: index as u64,
+                };
+                scenario.probe(&mut fork, trial).unwrap();
+            }
+            let written = machine(&fork);
+            assert!(
+                (1..40).contains(&written),
+                "{kind}: {written} chunks copied"
+            );
+            assert_eq!(
+                machine(&scenario.fork(&seal).unwrap()),
+                0,
+                "{kind}: the seal is intact"
+            );
+        }
     }
 
     #[test]

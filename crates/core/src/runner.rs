@@ -28,7 +28,11 @@
 //! [`System::into_checkpoint`](phantom_kernel::System::into_checkpoint))
 //! and fork it per worker, so a fork is one machine clone — its
 //! physical frames shared copy-on-write, one pointer bump per 64-frame
-//! chunk — instead of a reboot.
+//! chunk, and its cache, µop-cache and CBP sets shared the same way,
+//! one pointer bump per 16-set chunk — instead of a reboot. Worlds
+//! built once per key (the PHT lane's calibrated template) hand the
+//! shared template itself to `checkpoint`, so `fork` makes the job's
+//! only copy.
 //! Scenarios that boot a fresh world inside every probe carry no
 //! shared state at all and use `type Checkpoint = ()`; their boots are
 //! boot-template instances

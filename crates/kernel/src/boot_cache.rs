@@ -9,13 +9,14 @@
 //! `(profile, phys_bytes)` into an immortal **template** at a canonical
 //! layout, and per seed:
 //!
-//! 1. clone the template machine: physical frames and the page-table
-//!    maps stay `Arc`-shared (copy-on-write) with the template, so
-//!    what is copied is the frame map (one `Arc` per 64-frame chunk,
-//!    about 17 for a 1 GiB machine, plus the dirty-frame journal),
-//!    each cache's flat line and PLRU arrays, the TLB and the
-//!    predictors — no per-set allocation, no per-frame work and no
-//!    page-table entry;
+//! 1. clone the template machine: physical frames, the page-table maps
+//!    and (the template being sealed) every cache, µop-cache and CBP
+//!    set chunk stay `Arc`-shared (copy-on-write) with the template,
+//!    so what is copied is the frame map (one `Arc` per 64-frame
+//!    chunk, about 17 for a 1 GiB machine, plus the dirty-frame
+//!    journal), one pointer per 16-set chunk, the TLB, the BTB and
+//!    small state — no set, no per-frame work and no page-table
+//!    entry;
 //! 2. rebase the image's 4 KiB and the physmap's 2 MiB page-table
 //!    entries from the canonical bases to the seed's randomized bases
 //!    (same frames, same flags — see
@@ -82,7 +83,9 @@ impl BootTemplate {
     pub fn new(profile: UarchProfile, phys_bytes: u64) -> Result<BootTemplate, SystemError> {
         // The template's own seed is irrelevant: everything
         // seed-dependent is replaced at instantiation.
-        let system = System::with_layout(profile, phys_bytes, 0, KaslrLayout::fixed(0, 0))?;
+        let mut system = System::with_layout(profile, phys_bytes, 0, KaslrLayout::fixed(0, 0))?;
+        // Instances clone the machine: let them share every set.
+        system.machine_mut().seal();
         let image_base = system.layout().image_base();
         let mut image_pages = 0;
         while system

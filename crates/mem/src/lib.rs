@@ -34,17 +34,17 @@
 pub mod addr;
 pub mod fault;
 pub mod hash;
-pub mod journal;
 pub mod paging;
 pub mod phys;
+pub mod rows;
 pub mod tlb;
 
 pub use addr::{PhysAddr, VirtAddr, HUGE_PAGE_SHIFT, HUGE_PAGE_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use fault::{AccessKind, FaultReason, PageFault};
 pub use hash::{IntHasher, IntMap, IntSet};
-pub use journal::SetJournal;
 pub use paging::{PageFlags, PageTable, PrivilegeLevel};
 pub use phys::PhysMemory;
+pub use rows::RowStore;
 pub use tlb::{Tlb, TlbEntry};
 
 #[cfg(test)]

@@ -733,99 +733,89 @@ proptest! {
     }
 }
 
-// ----- the set journal against a clone-everything table -----
+// ----- the row store against a clone-everything table -----
 
-use crate::journal::SetJournal;
+use crate::rows::{RowStore, CHUNK_ROWS};
 
-/// A table of `rows × ways` words whose rewinds and resets go through a
-/// [`SetJournal`], the way the caches' and the CBP's do.
+/// A [`RowStore`] and the flat words it must hold.
 #[derive(Debug, Clone)]
-struct JournaledTable {
-    ways: usize,
+struct Modeled {
+    store: RowStore<u64>,
     words: Vec<u64>,
-    journal: SetJournal,
 }
 
-impl JournaledTable {
-    fn new(rows: usize, ways: usize) -> JournaledTable {
-        JournaledTable {
-            ways,
-            words: vec![0; rows * ways],
-            journal: SetJournal::new(rows),
+impl Modeled {
+    fn new(rows: usize, width: usize) -> Modeled {
+        Modeled {
+            store: RowStore::new(rows, width, 0),
+            words: vec![0; rows * width],
         }
     }
 
-    fn rows(&self) -> usize {
-        self.words.len() / self.ways
+    /// Write `value` into a row and item, both taken modulo the shape.
+    fn write(&mut self, row: usize, item: usize, value: u64) {
+        let (row, item) = (row % self.store.rows(), item % self.store.width());
+        self.store.row_mut(row)[item] = value;
+        self.words[row * self.store.width() + item] = value;
     }
 
-    /// Write `value` into a row and way, both taken modulo the shape.
-    fn write(&mut self, row: usize, way: usize, value: u64) {
-        let row = row % self.rows();
-        self.journal.touch(row);
-        self.words[row * self.ways + way % self.ways] = value;
-    }
-
-    fn restore_from(&mut self, snap: &JournaledTable) {
-        let (ways, words) = (self.ways, &mut self.words);
-        if !self.journal.restore_from(&snap.journal, |row| {
-            let span = row * ways..(row + 1) * ways;
-            words[span.clone()].copy_from_slice(&snap.words[span]);
-        }) {
-            self.ways = snap.ways;
-            words.clone_from(&snap.words);
-        }
-    }
-
-    fn reset(&mut self) {
-        let (ways, words) = (self.ways, &mut self.words);
-        if !self
-            .journal
-            .reset(|row| words[row * ways..(row + 1) * ways].fill(0))
-        {
-            words.fill(0);
-        }
+    /// The store holds exactly the model's words.
+    fn check(&self) -> Result<(), TestCaseError> {
+        let flat: Vec<u64> = self.store.iter_rows().flatten().copied().collect();
+        prop_assert_eq!(&flat, &self.words);
+        prop_assert!(self.store.logged_rows() <= self.store.rows());
+        Ok(())
     }
 }
 
-/// One step of the journal model check.
+/// One step of the row store model check.
 #[derive(Debug, Clone)]
-enum JournalOp {
-    /// Write a word of the live table.
+enum RowOp {
+    /// Write an item of the live table.
     Write(usize, usize, u64),
     /// Open an epoch without taking a snapshot.
     BeginEpoch,
     /// Open an epoch, then clone the live table (the checkpoint protocol).
     Checkpoint,
+    /// Share the live table's owned chunks.
+    Seal,
     /// Clone the live table without opening an epoch.
     PlainClone,
-    /// Write a word of snapshot `i % snapshots.len()` after it was taken.
+    /// Write an item of snapshot `i % snapshots.len()` after it was taken.
     SnapWrite(usize, usize, usize, u64),
+    /// Clone snapshot `i % snapshots.len()`, write an item of the clone
+    /// and keep it as another snapshot: a fork written through.
+    Fork(usize, usize, usize, u64),
     /// Rewind to snapshot `i % snapshots.len()`.
     Restore(usize),
     /// Rewind to an independent table of another shape.
     ForeignRestore,
     /// Return to the reset state.
     Reset,
+    /// Reset to the other shape (and back, alternately).
+    Reshape,
 }
 
-fn arb_journal_ops() -> impl Strategy<Value = Vec<JournalOp>> {
+fn arb_row_ops() -> impl Strategy<Value = Vec<RowOp>> {
     let op = (
-        0u8..16,
+        0u8..20,
         any::<usize>(),
         0usize..200,
         0usize..4,
         any::<u64>(),
     )
-        .prop_map(|(k, i, row, way, value)| match k {
-            0..=5 => JournalOp::Write(row, way, value),
-            6 => JournalOp::BeginEpoch,
-            7 | 8 => JournalOp::Checkpoint,
-            9 => JournalOp::PlainClone,
-            10 => JournalOp::SnapWrite(i, row, way, value),
-            11..=13 => JournalOp::Restore(i),
-            14 => JournalOp::ForeignRestore,
-            _ => JournalOp::Reset,
+        .prop_map(|(k, i, row, item, value)| match k {
+            0..=5 => RowOp::Write(row, item, value),
+            6 => RowOp::BeginEpoch,
+            7 | 8 => RowOp::Checkpoint,
+            9 => RowOp::PlainClone,
+            10 => RowOp::SnapWrite(i, row, item, value),
+            11..=13 => RowOp::Restore(i),
+            14 => RowOp::ForeignRestore,
+            15 => RowOp::Reset,
+            16 | 17 => RowOp::Seal,
+            18 => RowOp::Fork(i, row, item, value),
+            _ => RowOp::Reshape,
         });
     proptest::collection::vec(op, 1..120)
 }
@@ -833,69 +823,98 @@ fn arb_journal_ops() -> impl Strategy<Value = Vec<JournalOp>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A table that rewinds and resets through its `SetJournal` is one
-    /// that rewinds by cloning the snapshot and resets by zeroing every
-    /// word: after every restore its words and its journal equal the
-    /// snapshot's, after every reset its words are a fresh table's, and
-    /// its log never holds more entries than rows. Covers rows on both
-    /// sides of a bitmap word, epochs opened without a snapshot, plain
-    /// clones and checkpoints written after they were taken (same
-    /// token, non-empty log), and foreign tables of another shape.
+    /// A [`RowStore`] is a table that rewinds by cloning the snapshot
+    /// and resets by zeroing every word, however its chunks are shared:
+    /// after every step the live table and every snapshot hold their
+    /// model's words, so a write to the live table, a snapshot or a
+    /// fork never shows in a table it shares chunks with. After every
+    /// restore the journal equals the snapshot's; after every reset the
+    /// log is empty and a clone of a sealed table owns no chunk. Covers
+    /// tables of one chunk and of several, a last chunk padded past the
+    /// last row, rows on both sides of a bitmap word, epochs
+    /// opened without a snapshot, seals at any point, plain clones and
+    /// checkpoints written after they were taken (same token, non-empty
+    /// log), and foreign tables and resets of another shape.
     #[test]
-    fn set_journal_matches_a_clone_everything_table(
+    fn row_store_matches_a_clone_everything_table(
         rows in 1usize..130,
-        ways in 1usize..4,
-        foreign_rows in 1usize..130,
-        foreign_ways in 1usize..4,
-        ops in arb_journal_ops(),
+        width in 1usize..4,
+        other_rows in 1usize..130,
+        other_width in 1usize..4,
+        ops in arb_row_ops(),
     ) {
-        let mut live = JournaledTable::new(rows, ways);
-        let mut model = live.words.clone();
-        let mut foreign = JournaledTable::new(foreign_rows, foreign_ways);
+        let mut live = Modeled::new(rows, width);
+        let mut foreign = Modeled::new(other_rows, other_width);
         foreign.write(1, 0, 7);
-        let mut snaps: Vec<JournaledTable> = Vec::new();
+        foreign.store.seal();
+        let mut snaps: Vec<Modeled> = Vec::new();
+        let mut reshapes = 0;
         for op in ops {
             match op {
-                JournalOp::Write(row, way, value) => {
-                    live.write(row, way, value);
-                    let row = row % live.rows();
-                    model[row * live.ways + way % live.ways] = value;
-                }
-                JournalOp::BeginEpoch => live.journal.begin_epoch(),
-                JournalOp::Checkpoint => {
-                    live.journal.begin_epoch();
+                RowOp::Write(row, item, value) => live.write(row, item, value),
+                RowOp::BeginEpoch => live.store.begin_epoch(),
+                RowOp::Checkpoint => {
+                    live.store.begin_epoch();
                     snaps.push(live.clone());
                 }
-                JournalOp::PlainClone => snaps.push(live.clone()),
-                JournalOp::SnapWrite(i, row, way, value) => {
+                RowOp::Seal => {
+                    live.store.seal();
+                    prop_assert_eq!(live.store.owned_chunks(), 0);
+                    prop_assert_eq!(live.clone().store.owned_chunks(), 0);
+                }
+                RowOp::PlainClone => snaps.push(live.clone()),
+                RowOp::SnapWrite(i, row, item, value) => {
                     if !snaps.is_empty() {
                         let n = snaps.len();
-                        snaps[i % n].write(row, way, value);
+                        snaps[i % n].write(row, item, value);
                     }
                 }
-                JournalOp::Restore(i) => {
+                RowOp::Fork(i, row, item, value) => {
+                    if !snaps.is_empty() {
+                        let mut fork = snaps[i % snaps.len()].clone();
+                        fork.write(row, item, value);
+                        prop_assert!(fork.store.owned_chunks() >= 1);
+                        snaps.push(fork);
+                    }
+                }
+                RowOp::Restore(i) => {
                     if !snaps.is_empty() {
                         let snap = &snaps[i % snaps.len()];
-                        live.restore_from(snap);
-                        prop_assert_eq!(&live.words, &snap.words);
-                        prop_assert_eq!(&live.journal, &snap.journal);
-                        model = snap.words.clone();
+                        live.store.restore_from(&snap.store);
+                        live.words.clone_from(&snap.words);
+                        prop_assert!(live.store == snap.store);
+                        prop_assert_eq!(live.store.journal(), snap.store.journal());
                     }
                 }
-                JournalOp::ForeignRestore => {
-                    live.restore_from(&foreign);
-                    prop_assert_eq!(&live.journal, &foreign.journal);
-                    model = foreign.words.clone();
+                RowOp::ForeignRestore => {
+                    live.store.restore_from(&foreign.store);
+                    live.words.clone_from(&foreign.words);
+                    prop_assert_eq!(live.store.journal(), foreign.store.journal());
                 }
-                JournalOp::Reset => {
-                    live.reset();
-                    prop_assert_eq!(&live.words, &JournaledTable::new(live.rows(), live.ways).words);
-                    prop_assert_eq!(live.journal.logged_rows(), 0);
-                    model.fill(0);
+                RowOp::Reset => {
+                    live.store.clear();
+                    live.words.fill(0);
+                    prop_assert_eq!(live.store.logged_rows(), 0);
+                }
+                RowOp::Reshape => {
+                    let (r, w) = if reshapes % 2 == 0 { (other_rows, other_width) } else { (rows, width) };
+                    reshapes += 1;
+                    let reshaped = (r, w) != (live.store.rows(), live.store.width());
+                    live.store.reset(r, w, 0);
+                    live.words = vec![0; r * w];
+                    if reshaped {
+                        prop_assert_eq!(live.store.owned_chunks(), 0);
+                    }
                 }
             }
-            prop_assert_eq!(&live.words, &model);
-            prop_assert!(live.journal.logged_rows() <= live.rows());
+            live.check()?;
+            foreign.check()?;
+            for snap in &snaps {
+                snap.check()?;
+            }
         }
+        // The chunk count follows the shape.
+        let chunks = live.store.rows().div_ceil(CHUNK_ROWS);
+        prop_assert!(live.store.owned_chunks() <= chunks);
     }
 }

@@ -42,13 +42,35 @@ pub struct TlbEntry {
 /// assert!(tlb.lookup(VirtAddr::new(0x1234), 1).is_some());
 /// assert!(tlb.lookup(VirtAddr::new(0x1234), 2).is_none(), "other ASID");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Tlb {
     sets: Vec<Vec<(TlbEntry, u64)>>,
     ways: usize,
     clock: u64,
     hits: u64,
     misses: u64,
+}
+
+impl Clone for Tlb {
+    fn clone(&self) -> Tlb {
+        Tlb {
+            sets: self.sets.clone(),
+            ways: self.ways,
+            clock: self.clock,
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+
+    /// Copy `source` into this TLB's own buffers: a rewind reallocates
+    /// neither the set vector nor any set that already has room.
+    fn clone_from(&mut self, source: &Tlb) {
+        self.sets.clone_from(&source.sets);
+        self.ways = source.ways;
+        self.clock = source.clock;
+        self.hits = source.hits;
+        self.misses = source.misses;
+    }
 }
 
 impl Tlb {

@@ -230,10 +230,11 @@ impl Machine {
     /// `*self = Machine::new(profile, phys_bytes)`: every state element,
     /// timing, counter and event of later runs is the same, and attached
     /// sinks are dropped (a new machine has none). What it saves is
-    /// the large tables. The caches, the µop cache and the CBP clear in
-    /// place what their [`SetJournal`](phantom_mem::SetJournal) reports
-    /// (the touched sets, or every set when it cannot tell), and
-    /// reallocate for another shape (see
+    /// the large tables. The caches, the µop cache and the CBP reset
+    /// through their [`RowStore`](phantom_mem::RowStore)s: the sets
+    /// written since the last reset are cleared in place, any other set
+    /// chunk that may differ is pointed at the store's shared cold
+    /// chunk, and another shape builds a table of cold chunks (see
     /// [`SetAssocCache::reset`](phantom_cache::SetAssocCache::reset)
     /// and [`Cbp::reset`](phantom_bpu::Cbp::reset)). The BTB, RSB and
     /// BHB are rebuilt, and physical memory, the page table, the TLB,

@@ -27,13 +27,16 @@
 //!
 //! What a whole-machine clone (a snapshot, a fork, a boot-template
 //! instance) does copy: the frame map (one `Arc` per 64-frame chunk
-//! plus the dirty-frame journal), each set-associative cache as one
-//! flat line array plus one PLRU word and one dirty flag per set (L1I,
-//! L1D, L2 and the µop cache: a few allocations and memcpys each,
-//! however many sets), the TLB, the predictor tables, the PMU and the
-//! architectural registers. [`Machine::snapshot`] copies memory once;
-//! [`Machine::into_checkpoint`] copies nothing — it seals the machine
-//! itself.
+//! plus the dirty-frame journal); the sets of the L1I, L1D, L2, µop
+//! cache and CBP as one pointer per 16-set chunk the source shares,
+//! plus a copy of each chunk it owns (see [`phantom_mem::RowStore`]);
+//! the TLB's set vectors, the BTB's bucket map, the PMU and the
+//! architectural registers. [`Machine::snapshot`] and
+//! [`Machine::into_checkpoint`] seal the sets first, so a snapshot, a
+//! seal and every fork of it share all of them, and a fork copies a
+//! chunk only when a trial first writes one of its sets.
+//! [`Machine::snapshot`] copies memory once; [`Machine::into_checkpoint`]
+//! copies nothing — it seals the machine itself.
 
 use std::sync::Arc;
 
@@ -62,8 +65,9 @@ impl Machine {
         // Open restore epochs on the set-associative structures before
         // cloning, so the clone (the snapshot) carries the same epoch
         // token and `restore` can copy back only sets the live machine
-        // dirtied since this point.
-        self.begin_restore_epochs();
+        // dirtied since this point; seal them so the clone shares every
+        // set chunk with the live machine.
+        self.open_restore_point();
         // Memory is copied once: take it out for the machine clone,
         // then give the copy `PhysMemory::snapshot`'s pre-epoch-bump
         // frame set and the live machine its post-bump memory back.
@@ -74,11 +78,32 @@ impl Machine {
         MachineSnapshot { inner }
     }
 
-    /// Open restore epochs on the caches, µop cache and predictors.
-    fn begin_restore_epochs(&mut self) {
+    /// Open restore epochs on the caches, µop cache and predictors, and
+    /// seal their sets.
+    fn open_restore_point(&mut self) {
         self.caches.begin_epoch();
         self.uop_cache.begin_epoch();
         self.bpu.begin_epoch();
+        self.seal();
+    }
+
+    /// Share every cache, µop-cache and CBP set chunk this machine owns,
+    /// so clones taken from now on (snapshots, forks, template
+    /// instances) copy none of those sets until they write them. State
+    /// and restore epochs are unchanged; see
+    /// [`RowStore::seal`](phantom_mem::RowStore::seal).
+    pub fn seal(&mut self) {
+        self.caches.seal();
+        self.uop_cache.seal();
+        self.bpu.seal();
+    }
+
+    /// Number of cache, µop-cache and CBP set chunks this machine owns
+    /// rather than shares: those it wrote (or was cloned owning) since
+    /// its sets were last sealed or reset. A fork of a sealed machine
+    /// owns none.
+    pub fn owned_set_chunks(&self) -> usize {
+        self.caches.owned_chunks() + self.uop_cache.owned_chunks() + self.bpu.cbp().owned_chunks()
     }
 
     /// Rewind to `snapshot`. Sinks currently attached to `self` stay
@@ -101,7 +126,7 @@ impl Machine {
         self.profile = Arc::clone(&s.profile);
         // O(sets dirtied since the checkpoint) when the snapshot opened
         // the structures' journal epochs (the common rewind loop); full
-        // copies otherwise. See `phantom_mem::SetJournal`.
+        // copies otherwise. See `phantom_mem::RowStore`.
         self.bpu.restore_from(&s.bpu);
         self.caches.restore_from(&s.caches);
         self.uop_cache.restore_from(&s.uop_cache);
@@ -110,7 +135,7 @@ impl Machine {
         let shared = self.page_table.shares_runs(&s.page_table);
         self.decode_cache.rewind(&s.decode_cache, shared, &restored);
         self.page_table = s.page_table.clone();
-        self.tlb = s.tlb.clone();
+        self.tlb.clone_from(&s.tlb);
         self.regs = s.regs;
         self.zf = s.zf;
         self.sf = s.sf;
@@ -139,7 +164,7 @@ impl Machine {
     /// from either checkpoint are indistinguishable; the pipeline
     /// proptests compare them.
     pub fn into_checkpoint(mut self) -> Checkpoint {
-        self.begin_restore_epochs();
+        self.open_restore_point();
         self.bus = EventBus::new();
         self.phys.clear_frame_pool();
         Checkpoint::new(MachineSnapshot {
@@ -164,9 +189,10 @@ impl Machine {
 /// checkpoint's physical frames copy-on-write (the read-only base) and
 /// unshares only the frames it writes (its private dirty overlay), so
 /// a fork costs one machine clone (its memory one pointer bump per
-/// 64-frame chunk) and each trial's writes cost one 4 KiB copy per
-/// dirtied frame plus one 64-slot copy per chunk first written —
-/// never a reboot.
+/// 64-frame chunk, its sets one per 16-set chunk) and each trial's
+/// writes cost one 4 KiB copy per dirtied frame plus one 64-slot copy
+/// per frame chunk and one set-chunk copy per set chunk first
+/// written — never a reboot.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     base: Arc<MachineSnapshot>,
