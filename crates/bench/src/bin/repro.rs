@@ -37,6 +37,8 @@
 //! Tables render on stdout; per-sweep wall-clock notes go to stderr so
 //! piped output stays byte-for-byte reproducible.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::path::{Path, PathBuf};
 
 use phantom::ablation::NoiseSweepConfig;
@@ -954,14 +956,11 @@ fn main() {
             })
             .collect()
     } else if !spec_keys.is_empty() {
+        // Every key was registered just above, so each resolves.
         spec_keys
             .iter()
-            .map(|key| {
-                registry
-                    .get(key)
-                    .expect("just-registered key resolves")
-                    .profile()
-            })
+            .filter_map(|key| registry.get(key))
+            .map(|spec| spec.profile())
             .collect()
     } else {
         vec![UarchProfile::zen2(), UarchProfile::zen4()]

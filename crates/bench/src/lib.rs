@@ -12,6 +12,8 @@
 //! defaults keep a laptop run in minutes. Scaling choices are recorded
 //! in `EXPERIMENTS.md`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use phantom::ablation::{noise_sweep_on, NoiseSweepConfig, NoiseSweepPoint};
 use phantom::attacks::{
     pht_channel_on, KaslrImageResult, KaslrImageSweep, MdsLeakResult, MdsLeakSweep,

@@ -53,7 +53,7 @@ pub struct BenchConfig {
 /// Steps of the fixed hot loop behind [`decode_cache_reference`].
 const REFERENCE_STEPS: u64 = 20_000;
 
-fn reference_machine() -> Machine {
+fn reference_machine() -> Result<Machine, RunnerError> {
     let mut m = Machine::new(UarchProfile::zen2(), 1 << 24);
     let mut a = Assembler::new(0x40_0000);
     a.push(Inst::MovImm {
@@ -88,29 +88,37 @@ fn reference_machine() -> Machine {
         amount: 1,
     });
     a.jmp("hot");
-    let blob = a.finish().expect("reference workload assembles");
-    m.load_blob(&blob, PageFlags::USER_TEXT)
-        .expect("reference workload fits");
+    let blob = a.finish()?;
+    m.load_blob(&blob, PageFlags::USER_TEXT)?;
     m.set_pc(VirtAddr::new(blob.base));
-    m
+    Ok(m)
 }
 
 /// Run the fixed decode-cache reference workload and return its
 /// `(hits, misses)` counters. Pure function of the workload — safe to
 /// diff against a committed baseline.
-pub fn decode_cache_reference() -> (u64, u64) {
-    let mut m = reference_machine();
-    m.run(REFERENCE_STEPS).expect("reference workload runs");
-    m.decode_cache_stats()
+///
+/// # Errors
+///
+/// Returns the assembly or machine error if the workload fails to
+/// build or run.
+pub fn decode_cache_reference() -> Result<(u64, u64), RunnerError> {
+    let mut m = reference_machine()?;
+    m.run(REFERENCE_STEPS)?;
+    Ok(m.decode_cache_stats())
 }
 
 /// Run the fixed reference workload and return the machine's TLB
 /// `(hits, misses)` — the page walks the translation fast path
 /// skipped vs took. Pure function of the workload.
-pub fn tlb_reference() -> (u64, u64) {
-    let mut m = reference_machine();
-    m.run(REFERENCE_STEPS).expect("reference workload runs");
-    (m.tlb().hits(), m.tlb().misses())
+///
+/// # Errors
+///
+/// As [`decode_cache_reference`].
+pub fn tlb_reference() -> Result<(u64, u64), RunnerError> {
+    let mut m = reference_machine()?;
+    m.run(REFERENCE_STEPS)?;
+    Ok((m.tlb().hits(), m.tlb().misses()))
 }
 
 /// Base of the data pages the CoW reference workload dirties.
@@ -123,14 +131,13 @@ const COW_ROUNDS: usize = 4;
 /// A machine whose hot loop stores into [`COW_DIRTY_PAGES`] distinct
 /// data pages — the dirty footprint a snapshot/restore round trip
 /// pays for.
-fn cow_reference_machine() -> Machine {
+fn cow_reference_machine() -> Result<Machine, RunnerError> {
     let mut m = Machine::new(UarchProfile::zen2(), 1 << 24);
     m.map_range(
         VirtAddr::new(COW_DATA_BASE),
         COW_DIRTY_PAGES * phantom_mem::PAGE_SIZE,
         PageFlags::USER_DATA,
-    )
-    .expect("data pages fit");
+    )?;
     // Materialize the data frames so every round's stores hit shared
     // (checkpointed) frames and the fault counts are exact multiples.
     // The pattern must be non-zero: poke skips chunks that already
@@ -167,11 +174,10 @@ fn cow_reference_machine() -> Machine {
         src: Reg::R1,
     });
     a.jmp("hot");
-    let blob = a.finish().expect("cow reference workload assembles");
-    m.load_blob(&blob, PageFlags::USER_TEXT)
-        .expect("cow reference workload fits");
+    let blob = a.finish()?;
+    m.load_blob(&blob, PageFlags::USER_TEXT)?;
     m.set_pc(VirtAddr::new(blob.base));
-    m
+    Ok(m)
 }
 
 /// Run the fixed checkpoint/rewind reference workload — `COW_ROUNDS`
@@ -179,33 +185,41 @@ fn cow_reference_machine() -> Machine {
 /// physical memory's `(cow_faults, cow_frames_shared,
 /// restore_frames_copied)`. Pure function of the workload: every
 /// counter is driven by the modeled machine, never by host state.
-pub fn cow_reference() -> (u64, u64, u64) {
-    let mut m = cow_reference_machine();
+///
+/// # Errors
+///
+/// As [`decode_cache_reference`].
+pub fn cow_reference() -> Result<(u64, u64, u64), RunnerError> {
+    let mut m = cow_reference_machine()?;
     let snap = m.snapshot();
     for _ in 0..COW_ROUNDS {
-        m.run(64).expect("cow reference workload runs");
+        m.run(64)?;
         m.restore(&snap);
     }
     let phys = m.phys();
-    (
+    Ok((
         phys.cow_faults(),
         phys.cow_frames_shared(),
         phys.restore_frames_copied(),
-    )
+    ))
 }
 
 /// Run the fixed checkpoint/rewind reference workload and return
 /// `(rewind_journal_frames, frame_pool_reuses)`. Pure function of the
 /// workload.
-pub fn rewind_pool_reference() -> (u64, u64) {
-    let mut m = cow_reference_machine();
+///
+/// # Errors
+///
+/// As [`decode_cache_reference`].
+pub fn rewind_pool_reference() -> Result<(u64, u64), RunnerError> {
+    let mut m = cow_reference_machine()?;
     let snap = m.snapshot();
     for _ in 0..COW_ROUNDS {
-        m.run(64).expect("cow reference workload runs");
+        m.run(64)?;
         m.restore(&snap);
     }
     let phys = m.phys();
-    (phys.rewind_journal_frames(), phys.frame_pool_reuses())
+    Ok((phys.rewind_journal_frames(), phys.frame_pool_reuses()))
 }
 
 /// Profile and capacity of the boot-cache reference workload: small on
@@ -218,14 +232,16 @@ const BOOT_REFERENCE_PHYS: u64 = 1 << 26;
 /// one, so the count is identical however many cached boots other
 /// experiments performed — and return the cache's hit counter
 /// (canonically 2). Pure function of the workload.
-pub fn boot_cache_reference() -> u64 {
+///
+/// # Errors
+///
+/// Returns the boot failure.
+pub fn boot_cache_reference() -> Result<u64, RunnerError> {
     let cache = phantom_kernel::BootCache::new();
     for seed in [1u64, 2, 3] {
-        cache
-            .boot(UarchProfile::zen2(), BOOT_REFERENCE_PHYS, seed)
-            .expect("reference boot succeeds");
+        cache.boot(UarchProfile::zen2(), BOOT_REFERENCE_PHYS, seed)?;
     }
-    cache.hits()
+    Ok(cache.hits())
 }
 
 /// Eviction sets the probe-arena reference workload re-arms.
@@ -236,18 +252,21 @@ const ARENA_REFERENCE_SETS: usize = 6;
 /// instrumentation counter. Uses a private machine, so the count never
 /// depends on what the shipped scenarios armed. Pure function of the
 /// workload.
-pub fn probe_arena_reference() -> u64 {
+///
+/// # Errors
+///
+/// Returns the arena's install or arm failure.
+pub fn probe_arena_reference() -> Result<u64, RunnerError> {
     let mut m = Machine::new(UarchProfile::zen2(), 1 << 24);
     let arena = phantom_sidechannel::ProbeArena::install(
         &mut m,
         VirtAddr::new(0x6000_0000),
         phantom_sidechannel::ProbeLevel::L1I,
-    )
-    .expect("reference arena installs");
+    )?;
     for set in 0..ARENA_REFERENCE_SETS {
-        arena.arm(&mut m, set).expect("reference arena arms");
+        arena.arm(&mut m, set)?;
     }
-    m.probe_rearms()
+    Ok(m.probe_rearms())
 }
 
 /// Run every experiment on `runner` and assemble the snapshot.
@@ -422,12 +441,12 @@ pub fn collect_snapshot(
     let corpus = phantom::gadgets::generate_corpus(&phantom::gadgets::CorpusConfig::default());
     let gadgets = GadgetRecord::from(&phantom::gadgets::census(&corpus));
 
-    let (hits, misses) = decode_cache_reference();
-    let (tlb_hits, tlb_misses) = tlb_reference();
-    let (cow_faults, cow_frames_shared, restore_frames_copied) = cow_reference();
-    let (rewind_journal_frames, frame_pool_reuses) = rewind_pool_reference();
-    let boot_cache_hits = boot_cache_reference();
-    let probe_arena_rearms = probe_arena_reference();
+    let (hits, misses) = decode_cache_reference()?;
+    let (tlb_hits, tlb_misses) = tlb_reference()?;
+    let (cow_faults, cow_frames_shared, restore_frames_copied) = cow_reference()?;
+    let (rewind_journal_frames, frame_pool_reuses) = rewind_pool_reference()?;
+    let boot_cache_hits = boot_cache_reference()?;
+    let probe_arena_rearms = probe_arena_reference()?;
     let perf = PerfRecord {
         decode_cache_hits: hits,
         decode_cache_misses: misses,
@@ -493,24 +512,24 @@ mod tests {
 
     #[test]
     fn reference_workload_is_deterministic_and_cache_friendly() {
-        let (h1, m1) = decode_cache_reference();
-        let (h2, m2) = decode_cache_reference();
+        let (h1, m1) = decode_cache_reference().unwrap();
+        let (h2, m2) = decode_cache_reference().unwrap();
         assert_eq!((h1, m1), (h2, m2));
         assert!(h1 > m1 * 100, "hot loop: {h1} hits vs {m1} misses");
     }
 
     #[test]
     fn tlb_reference_is_deterministic_and_hit_dominated() {
-        let (h1, m1) = tlb_reference();
-        let (h2, m2) = tlb_reference();
+        let (h1, m1) = tlb_reference().unwrap();
+        let (h2, m2) = tlb_reference().unwrap();
         assert_eq!((h1, m1), (h2, m2));
         assert!(h1 > m1 * 100, "hot loop: {h1} hits vs {m1} misses");
     }
 
     #[test]
     fn cow_reference_is_deterministic_and_counts_only_dirty_frames() {
-        let a = cow_reference();
-        let b = cow_reference();
+        let a = cow_reference().unwrap();
+        let b = cow_reference().unwrap();
         assert_eq!(a, b);
         let (cow_faults, shared, copied) = a;
         // Each round unshares exactly the stored-to data pages, and
@@ -524,8 +543,8 @@ mod tests {
 
     #[test]
     fn rewind_pool_reference_is_deterministic_and_counts_exact_multiples() {
-        let a = rewind_pool_reference();
-        let b = rewind_pool_reference();
+        let a = rewind_pool_reference().unwrap();
+        let b = rewind_pool_reference().unwrap();
         assert_eq!(a, b);
         let (journal_frames, pool_reuses) = a;
         // Every round dirties exactly the stored-to data pages, and the
@@ -540,22 +559,22 @@ mod tests {
     fn boot_cache_reference_is_deterministic_and_isolated() {
         // Three same-key boots: one template build, two hits — however
         // many cached boots the rest of the process performed.
-        assert_eq!(boot_cache_reference(), 2);
-        assert_eq!(boot_cache_reference(), 2);
+        assert_eq!(boot_cache_reference().unwrap(), 2);
+        assert_eq!(boot_cache_reference().unwrap(), 2);
     }
 
     #[test]
     fn probe_arena_reference_counts_every_rearm() {
-        let a = probe_arena_reference();
+        let a = probe_arena_reference().unwrap();
         assert_eq!(a, ARENA_REFERENCE_SETS as u64);
-        assert_eq!(probe_arena_reference(), a);
+        assert_eq!(probe_arena_reference().unwrap(), a);
     }
 
     #[test]
     fn reference_workload_results_do_not_depend_on_the_cache() {
-        let mut cached = reference_machine();
+        let mut cached = reference_machine().unwrap();
         cached.run(REFERENCE_STEPS).unwrap();
-        let mut uncached = reference_machine();
+        let mut uncached = reference_machine().unwrap();
         uncached.set_decode_cache_enabled(false);
         uncached.run(REFERENCE_STEPS).unwrap();
         assert_eq!(cached.cycles(), uncached.cycles());

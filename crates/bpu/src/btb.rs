@@ -11,9 +11,12 @@
 //! direct branch targets as PC-relative", §5.2).
 
 use phantom_isa::BranchKind;
-use phantom_mem::{IntMap, PrivilegeLevel, VirtAddr};
+use phantom_mem::{PrivilegeLevel, VirtAddr};
 
 use crate::hashfn::FoldFamily;
+
+#[cfg(test)]
+pub(crate) mod map_model;
 
 /// How the BTB keys entries for a given microarchitecture.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,7 +152,18 @@ pub struct BtbHit {
     pub thread: u8,
 }
 
+/// Page offsets per fetch page: one bucket slot each.
+const PAGE_OFFSETS: usize = 4096;
+
 /// The Branch Target Buffer.
+///
+/// Buckets are kept in page-offset order, one per offset that holds an
+/// entry. A 4,096-bit occupancy bitmap answers "no bucket here" with one
+/// bit test, which is most bytes of a fetch window, and a bucket's
+/// position is the number of occupied offsets below it (a per-word
+/// prefix count plus one popcount), so there is no map to hash or copy.
+/// Bucket vectors past the live ones are spares: a flush or rewind
+/// keeps their allocations for the next new offset.
 ///
 /// # Examples
 ///
@@ -168,8 +182,15 @@ pub struct BtbHit {
 #[derive(Debug)]
 pub struct Btb {
     scheme: BtbScheme,
-    /// Entries bucketed by page offset; fold signatures disambiguate.
-    buckets: IntMap<u16, Vec<BtbEntry>>,
+    /// Bit `o % 64` of word `o / 64` is set when page offset `o` has a
+    /// bucket.
+    occupied: [u64; PAGE_OFFSETS / 64],
+    /// `below[w]`: occupied offsets in words `0..w`.
+    below: [u16; PAGE_OFFSETS / 64],
+    /// `buckets[..live]`: the non-empty buckets in page-offset order
+    /// (fold signatures disambiguate within one); the rest are spares.
+    buckets: Vec<Vec<BtbEntry>>,
+    live: usize,
     clock: u64,
 }
 
@@ -178,7 +199,10 @@ impl Btb {
     pub fn new(scheme: BtbScheme) -> Btb {
         Btb {
             scheme,
-            buckets: IntMap::default(),
+            occupied: [0; PAGE_OFFSETS / 64],
+            below: [0; PAGE_OFFSETS / 64],
+            buckets: Vec::new(),
+            live: 0,
             clock: 0,
         }
     }
@@ -186,6 +210,50 @@ impl Btb {
     /// The indexing scheme.
     pub fn scheme(&self) -> &BtbScheme {
         &self.scheme
+    }
+
+    /// Whether page offset `page_offset` has a bucket: one bit test.
+    #[inline]
+    fn occupied(&self, page_offset: u16) -> bool {
+        self.occupied[usize::from(page_offset >> 6)] >> (page_offset & 63) & 1 == 1
+    }
+
+    /// Where page offset `page_offset`'s bucket sits (or would sit)
+    /// among the live ones: the occupied offsets below it.
+    #[inline]
+    fn rank(&self, page_offset: u16) -> usize {
+        let word = usize::from(page_offset >> 6);
+        let below_in_word = self.occupied[word] & ((1 << (page_offset & 63)) - 1);
+        usize::from(self.below[word]) + below_in_word.count_ones() as usize
+    }
+
+    /// The bucket at `page_offset`, if it has one.
+    #[inline]
+    fn bucket(&self, page_offset: u16) -> Option<&[BtbEntry]> {
+        if !self.occupied(page_offset) {
+            return None;
+        }
+        Some(&self.buckets[self.rank(page_offset)])
+    }
+
+    /// The bucket at `page_offset`, made (empty) if it has none: a spare
+    /// vector moves into place, so no allocation while spares last.
+    fn bucket_mut(&mut self, page_offset: u16) -> &mut Vec<BtbEntry> {
+        let rank = self.rank(page_offset);
+        if !self.occupied(page_offset) {
+            if self.live == self.buckets.len() {
+                self.buckets.push(Vec::new());
+            }
+            self.buckets[rank..=self.live].rotate_right(1);
+            self.buckets[rank].clear();
+            self.live += 1;
+            let word = usize::from(page_offset >> 6);
+            self.occupied[word] |= 1 << (page_offset & 63);
+            for below in &mut self.below[word + 1..] {
+                *below += 1;
+            }
+        }
+        &mut self.buckets[rank]
     }
 
     /// Record a resolved branch: source address, decoded kind, resolved
@@ -225,7 +293,7 @@ impl Btb {
         let privilege_tagged = self.scheme.privilege_tagged;
         let ways = self.scheme.ways;
         let clock = self.clock;
-        let bucket = self.buckets.entry(page_offset).or_default();
+        let bucket = self.bucket_mut(page_offset);
         // Alias match: same signature (and privilege when tagged).
         if let Some(existing) = bucket
             .iter_mut()
@@ -285,11 +353,10 @@ impl Btb {
     /// [`Btb::lookup`] under an explicit BHB history tag (selects among
     /// multi-target entry slots).
     pub fn lookup_with_history(&self, source: VirtAddr, bhb_tag: u16) -> Option<BtbHit> {
-        let page_offset = (source.raw() & 0xfff) as u16;
         // Bucket first: most window bytes have no entry at their page
         // offset at all, and the fold signature is only worth computing
         // once a bucket exists.
-        let bucket = self.buckets.get(&page_offset)?;
+        let bucket = self.bucket((source.raw() & 0xfff) as u16)?;
         let signature = self.scheme.family.signature(source);
         let entry = bucket.iter().find(|e| e.signature == signature)?;
         let target = if entry.kind == BranchKind::Ret {
@@ -306,37 +373,61 @@ impl Btb {
         })
     }
 
+    /// Every hit in the fetch window `[base, base+len)`, in address
+    /// order: [`Btb::lookup`] at each byte, where a byte whose page
+    /// offset has no bucket costs one bit test.
+    pub fn window_hits(&self, base: VirtAddr, len: u64) -> impl Iterator<Item = BtbHit> + '_ {
+        (0..len)
+            .map(move |off| base + off)
+            .filter(|source| self.occupied((source.raw() & 0xfff) as u16))
+            .filter_map(|source| self.lookup(source))
+    }
+
     /// Scan a fetch window `[base, base+len)` for the first predicted
     /// branch source, in address order. This is the pre-decode BTB query
     /// the fetch unit performs for every block.
     pub fn lookup_window(&self, base: VirtAddr, len: u64) -> Option<BtbHit> {
-        (0..len).find_map(|off| self.lookup(base + off))
+        self.window_hits(base, len).next()
     }
 
-    /// Remove every entry (IBPB).
+    /// Empty the BTB for `scheme` in place, as `*self = Btb::new(scheme)`
+    /// would, keeping the bucket vectors as spares.
+    pub fn reset(&mut self, scheme: BtbScheme) {
+        self.flush();
+        self.scheme = scheme;
+        self.clock = 0;
+    }
+
+    /// Remove every entry (IBPB). The bucket vectors stay as spares.
     pub fn flush(&mut self) {
-        self.buckets.clear();
+        self.occupied = [0; PAGE_OFFSETS / 64];
+        self.below = [0; PAGE_OFFSETS / 64];
+        self.live = 0;
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.buckets[..self.live].iter().map(Vec::len).sum()
     }
 
     /// Whether the BTB holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 }
 
 /// Hand-written so [`clone_from`](Clone::clone_from) — the per-trial
-/// rewind — reuses the bucket table instead of reallocating it, and
-/// skips the scheme when it already matches.
+/// rewind — copies the source's buckets into the vectors this BTB
+/// already has (live or spare) instead of reallocating them, and skips
+/// the scheme when it already matches. A clone carries no spares.
 impl Clone for Btb {
     fn clone(&self) -> Btb {
         Btb {
             scheme: self.scheme.clone(),
-            buckets: self.buckets.clone(),
+            occupied: self.occupied,
+            below: self.below,
+            buckets: self.buckets[..self.live].to_vec(),
+            live: self.live,
             clock: self.clock,
         }
     }
@@ -345,16 +436,34 @@ impl Clone for Btb {
         if self.scheme != source.scheme {
             self.scheme = source.scheme.clone();
         }
-        self.buckets.clone_from(&source.buckets);
+        self.occupied = source.occupied;
+        self.below = source.below;
+        let live = &source.buckets[..source.live];
+        let reused = live.len().min(self.buckets.len());
+        for (mine, theirs) in self.buckets.iter_mut().zip(&live[..reused]) {
+            mine.clone_from(theirs);
+        }
+        self.buckets.extend_from_slice(&live[reused..]);
+        self.live = source.live;
         self.clock = source.clock;
     }
 }
 
 #[cfg(test)]
 impl Btb {
-    /// Test-only: whether every field equals `other`'s.
+    /// Test-only: whether every field equals `other`'s, spare bucket
+    /// vectors aside.
     pub(crate) fn same_state(&self, other: &Btb) -> bool {
-        self.scheme == other.scheme && self.buckets == other.buckets && self.clock == other.clock
+        self.scheme == other.scheme
+            && self.occupied == other.occupied
+            && self.below == other.below
+            && self.buckets[..self.live] == other.buckets[..other.live]
+            && self.clock == other.clock
+    }
+
+    /// Test-only: every entry, in page-offset then bucket order.
+    pub(crate) fn entries(&self) -> Vec<BtbEntry> {
+        self.buckets[..self.live].concat()
     }
 }
 

@@ -75,10 +75,11 @@ impl Bpu {
     }
 
     /// Put the BPU in the state [`Bpu::with_schemes`] builds, in place:
-    /// a new BTB, RSB and BHB, and the CBP reset through
-    /// [`Cbp::reset`] (only the sets it wrote, when it can tell).
+    /// the BTB emptied through [`Btb::reset`], a new RSB and BHB, and
+    /// the CBP reset through [`Cbp::reset`] (only the sets it wrote,
+    /// when it can tell).
     pub fn reset(&mut self, btb: BtbScheme, cbp: CbpScheme, msr: MsrState) {
-        self.btb = Btb::new(btb);
+        self.btb.reset(btb);
         self.rsb = Rsb::new(RSB_DEPTH);
         self.cbp.reset(cbp);
         self.bhb = Bhb::new();
@@ -241,17 +242,11 @@ impl Bpu {
         let scheme_tagged = self.btb.scheme().privilege_tagged;
         let stibp = self.msr.stibp;
         let eibrs = self.msr.eibrs_tagging;
-        for off in 0..window {
-            if let Some(h) = self.btb.lookup(base + off) {
-                let hidden_priv = (scheme_tagged || eibrs) && h.trained_at != level;
-                let hidden_smt = stibp && h.thread != thread;
-                if hidden_priv || hidden_smt {
-                    continue;
-                }
-                return Some(h);
-            }
-        }
-        None
+        self.btb.window_hits(base, window).find(|h| {
+            let hidden_priv = (scheme_tagged || eibrs) && h.trained_at != level;
+            let hidden_smt = stibp && h.thread != thread;
+            !(hidden_priv || hidden_smt)
+        })
     }
 
     /// Open a rewind epoch on the journaled structure (the CBP); see

@@ -538,3 +538,134 @@ proptest! {
         }
     }
 }
+
+// ----- the bitmap BTB against the bucket-map model ------------------------
+
+/// One step of the bitmap-vs-map BTB check.
+#[derive(Debug, Clone)]
+enum BtbOp {
+    /// `(source, kind, target, privilege is user, history tag)`.
+    Train(u64, BranchKind, u64, bool, u16),
+    Flush,
+    /// Clone both BTBs into a snapshot.
+    Checkpoint,
+    /// `clone_from` snapshot `i % snapshots.len()`.
+    Rewind(usize),
+    /// `clone_from` a BTB of another scheme.
+    Foreign,
+    /// `reset` to the BTB's own scheme.
+    Reset,
+}
+
+/// A branch source: a page offset from a pool that covers both ends
+/// of the page and both sides of a bitmap word, above high bits that
+/// alias, collide or differ under the Zen fold families.
+fn btb_source(offset: u8, high: u8) -> u64 {
+    const OFFSETS: [u64; 8] = [0x000, 0x03f, 0x040, 0xac0, 0x7ff, 0xfc0, 0xffe, 0xfff];
+    const HIGH: [u64; 6] = [
+        0,
+        1 << 23,
+        1 << 24,
+        (1 << 12) ^ (1 << 24),
+        1 << 36,
+        0xffff_8000_0000_0000,
+    ];
+    0x40_0000 ^ HIGH[usize::from(high) % HIGH.len()] ^ OFFSETS[usize::from(offset) % OFFSETS.len()]
+}
+
+fn arb_btb_ops() -> impl Strategy<Value = Vec<BtbOp>> {
+    let op = (
+        (0u8..13, any::<u8>(), any::<u8>()),
+        arb_kind(),
+        any::<u16>(),
+        any::<bool>(),
+        0u16..3,
+        any::<usize>(),
+    )
+        .prop_map(|((k, o, h), kind, q, user, tag, i)| match k {
+            0..=6 => BtbOp::Train(btb_source(o, h), kind, u64::from(q) << 4, user, tag),
+            7 => BtbOp::Flush,
+            8 => BtbOp::Checkpoint,
+            9 | 10 => BtbOp::Rewind(i),
+            11 => BtbOp::Reset,
+            _ => BtbOp::Foreign,
+        });
+    proptest::collection::vec(op, 1..120)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The bitmap BTB (buckets in page-offset order, found by a bit test
+    /// and a rank, rewound into spare vectors) is the bucket-map BTB it
+    /// replaced: after every training (aliasing, evicting, multi-target,
+    /// privilege-tagged), flush, reset and `clone_from` rewind (to
+    /// snapshots of either age and to a BTB of another scheme) both hold the same
+    /// entries and count, and every window scan, at any base and length
+    /// (page-crossing ones included), finds the same hits with and
+    /// without history tags. A rewind in place also equals a clone of
+    /// its snapshot, spare vectors aside.
+    #[test]
+    fn bitmap_btb_matches_bucket_map_model(
+        tagged in any::<bool>(),
+        ways in 1usize..4,
+        ops in arb_btb_ops(),
+        windows in proptest::collection::vec((any::<u8>(), any::<u8>(), 1u64..40, 0u16..3), 1..12),
+    ) {
+        use crate::btb::map_model::MapBtb;
+        let scheme = BtbScheme { ways, privilege_tagged: tagged, ..BtbScheme::zen34() };
+        let mut live = Btb::new(scheme.clone());
+        let mut model = MapBtb::new(scheme.clone());
+        let mut foreign = (Btb::new(BtbScheme::intel()), MapBtb::new(BtbScheme::intel()));
+        for (i, src) in [0x1000u64, 0x1fc0, 0x2040].into_iter().enumerate() {
+            let target = VirtAddr::new(0x9000 + i as u64);
+            foreign.0.train(VirtAddr::new(src), BranchKind::Indirect, target, PrivilegeLevel::User, 0);
+            foreign.1.train(VirtAddr::new(src), BranchKind::Indirect, target, PrivilegeLevel::User, 0);
+        }
+        let mut snaps: Vec<(Btb, MapBtb)> = Vec::new();
+        for op in ops {
+            match op {
+                BtbOp::Train(src, kind, target, user, tag) => {
+                    let level = if user { PrivilegeLevel::User } else { PrivilegeLevel::Supervisor };
+                    let (src, target) = (VirtAddr::new(src), VirtAddr::new(target));
+                    live.train_with_history(src, kind, target, level, 0, tag);
+                    model.train_with_history(src, kind, target, level, 0, tag);
+                }
+                BtbOp::Flush => {
+                    live.flush();
+                    model.flush();
+                }
+                BtbOp::Reset => {
+                    live.reset(scheme.clone());
+                    model = MapBtb::new(scheme.clone());
+                    prop_assert!(live.same_state(&Btb::new(scheme.clone())), "reset differs from new");
+                }
+                BtbOp::Checkpoint => snaps.push((live.clone(), model.clone())),
+                BtbOp::Rewind(i) => {
+                    if !snaps.is_empty() {
+                        let (snap, model_snap) = &snaps[i % snaps.len()];
+                        live.clone_from(snap);
+                        model.clone_from(model_snap);
+                        prop_assert!(live.same_state(&snap.clone()), "rewind differs from a clone");
+                    }
+                }
+                BtbOp::Foreign => {
+                    live.clone_from(&foreign.0);
+                    model.clone_from(&foreign.1);
+                    prop_assert!(live.same_state(&foreign.0.clone()), "foreign rewind differs from a clone");
+                }
+            }
+            prop_assert_eq!(live.entries(), model.entries());
+            prop_assert_eq!(live.len(), model.len());
+            prop_assert_eq!(live.is_empty(), model.is_empty());
+            for &(o, h, len, tag) in &windows {
+                let base = VirtAddr::new(btb_source(o, h)) - u64::from(o % 8);
+                prop_assert_eq!(live.lookup_window(base, len), model.lookup_window(base, len));
+                let hits: Vec<_> = live.window_hits(base, len).collect();
+                let expected: Vec<_> = (0..len).filter_map(|off| model.lookup(base + off)).collect();
+                prop_assert_eq!(hits, expected);
+                prop_assert_eq!(live.lookup_with_history(base, tag), model.lookup_with_history(base, tag));
+            }
+        }
+    }
+}

@@ -321,3 +321,41 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fused `access_if_present` (one set search) is `probe`
+    /// followed, on a hit, by `access`, under every policy: same answer,
+    /// and afterwards equal lines, replacement state and counters. So
+    /// `UopCache::dispatch_lookup` equals the probe-then-access oracle
+    /// it replaced, hit and miss counts included, over interleaved
+    /// fills.
+    #[test]
+    fn fused_dispatch_lookup_matches_probe_then_access(
+        geometry in arb_geometry(),
+        replacement in arb_replacement(),
+        ops in proptest::collection::vec((any::<bool>(), 0u64..1 << 13), 1..200),
+    ) {
+        use crate::uopcache::UopCache;
+        let mut fused = SetAssocCache::new(geometry, replacement);
+        let mut oracle = fused.clone();
+        let mut uop = UopCache::with_geometry(geometry);
+        let mut uop_oracle = uop.clone();
+        for (fill, addr) in ops {
+            if fill {
+                prop_assert_eq!(fused.access(addr), oracle.access(addr));
+                prop_assert_eq!(uop.fill(addr), uop_oracle.fill(addr));
+            } else {
+                let hit = oracle.probe(addr);
+                if hit {
+                    oracle.access(addr);
+                }
+                prop_assert_eq!(fused.access_if_present(addr), hit);
+                prop_assert_eq!(uop.dispatch_lookup(addr), uop_oracle.dispatch_lookup_by_probe(addr));
+            }
+            prop_assert!(fused == oracle);
+            prop_assert!(uop == uop_oracle);
+        }
+    }
+}

@@ -243,6 +243,33 @@ impl SetAssocCache {
         }
     }
 
+    /// Touch `addr` only if it is present: one set search that, on a
+    /// hit, updates replacement state and counts the hit exactly as
+    /// [`access`](SetAssocCache::access) does, and on a miss changes
+    /// nothing (no miss count, no fill). Equal to `probe` followed, on
+    /// a hit, by `access`. Returns whether it hit.
+    pub fn access_if_present(&mut self, addr: u64) -> bool {
+        let set_idx = self.geometry.set_index(addr);
+        let tag = self.geometry.tag(addr);
+        let Some(way) = self
+            .set(set_idx)
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+        else {
+            return false;
+        };
+        self.clock += 1;
+        self.hits += 1;
+        let ways = self.geometry.ways;
+        let row = self.sets.row_mut(set_idx);
+        match self.replacement {
+            Replacement::Lru => row[way].stamp = self.clock,
+            Replacement::TreePlru => Self::plru_touch(&mut row[ways].stamp, ways, way),
+            Replacement::Fifo => {}
+        }
+        true
+    }
+
     /// Non-destructive presence check (does not update replacement state).
     pub fn probe(&self, addr: u64) -> bool {
         let tag = self.geometry.tag(addr);

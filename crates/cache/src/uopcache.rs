@@ -66,11 +66,26 @@ impl UopCache {
 
     /// Look up whether the line holding `va` has decoded µops cached.
     /// Counts a hit or miss (the dispatch-path decision the counters see).
+    /// A hit refreshes replacement state; a miss fills nothing (the
+    /// decode stage fills).
     pub fn dispatch_lookup(&mut self, va: u64) -> bool {
+        let hit = self.cache.access_if_present(va);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Test oracle for [`dispatch_lookup`](UopCache::dispatch_lookup):
+    /// a presence probe, then an access on a hit (two set searches, the
+    /// implementation before the fused one).
+    #[cfg(test)]
+    pub(crate) fn dispatch_lookup_by_probe(&mut self, va: u64) -> bool {
         let hit = self.cache.probe(va);
         if hit {
             self.hits += 1;
-            // A hit refreshes replacement state.
             self.cache.access(va);
         } else {
             self.misses += 1;

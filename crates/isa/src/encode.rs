@@ -89,6 +89,33 @@ pub fn encoded_len(inst: &Inst) -> usize {
     }
 }
 
+/// The longest encoding of any instruction: a 15-byte `nopN`.
+pub const MAX_INST_LEN: usize = 15;
+
+/// One instruction's bytes, held inline: encoding allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Encoded {
+    bytes: [u8; MAX_INST_LEN],
+    len: usize,
+}
+
+impl Encoded {
+    fn push(&mut self, byte: u8) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// The encoding.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// Encode `inst`, appending its bytes to `out`.
 ///
 /// # Errors
@@ -106,6 +133,28 @@ pub fn encoded_len(inst: &Inst) -> usize {
 /// # Ok::<(), phantom_isa::encode::EncodeError>(())
 /// ```
 pub fn encode_into(inst: &Inst, out: &mut Vec<u8>) -> Result<(), EncodeError> {
+    out.extend_from_slice(encode(inst)?.as_bytes());
+    Ok(())
+}
+
+/// Encode `inst` into an inline buffer (no allocation).
+///
+/// # Errors
+///
+/// As [`encode_into`].
+///
+/// # Examples
+///
+/// ```
+/// use phantom_isa::{encode::encode, Inst};
+/// assert_eq!(encode(&Inst::Jmp { disp: 1 })?.as_bytes(), [0xE9, 1, 0, 0, 0]);
+/// # Ok::<(), phantom_isa::encode::EncodeError>(())
+/// ```
+pub fn encode(inst: &Inst) -> Result<Encoded, EncodeError> {
+    let mut out = Encoded {
+        bytes: [0; MAX_INST_LEN],
+        len: 0,
+    };
     match *inst {
         Inst::Nop => out.push(0x90),
         Inst::NopN { len } => {
@@ -114,7 +163,8 @@ pub fn encode_into(inst: &Inst, out: &mut Vec<u8>) -> Result<(), EncodeError> {
             }
             out.push(0x0F);
             out.push(len);
-            out.extend(std::iter::repeat_n(0x00, usize::from(len) - 2));
+            // The padding bytes are the buffer's zeros.
+            out.len = usize::from(len);
         }
         Inst::Jmp { disp } => {
             out.push(0xE9);
@@ -198,7 +248,7 @@ pub fn encode_into(inst: &Inst, out: &mut Vec<u8>) -> Result<(), EncodeError> {
         Inst::Halt => out.push(0xF4),
         Inst::Invalid { byte } => out.push(byte),
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Encode a sequence of instructions into a fresh byte vector.

@@ -7,7 +7,7 @@ use phantom_bpu::MsrState;
 use phantom_isa::asm::{AsmError, Assembler};
 use phantom_isa::{BranchKind, Inst, Reg};
 use phantom_mem::{PageFlags, PrivilegeLevel, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
-use phantom_pipeline::{Checkpoint, Machine, TransientReport, UarchProfile};
+use phantom_pipeline::{Checkpoint, Machine, UarchProfile};
 
 use crate::image::KernelImage;
 use crate::layout::KaslrLayout;
@@ -311,15 +311,17 @@ impl System {
 
     // ----- user-space operations ----------------------------------------
 
-    /// Invoke a syscall from the user stub with up to three arguments.
-    /// Returns every transient report produced along the way (training
-    /// effects, phantom windows inside the kernel, …).
+    /// Invoke a syscall from the user stub with up to three arguments
+    /// and run until the stub halts. The wrong paths it takes leave
+    /// their traces in the caches and predictors, which is what the
+    /// probes read; callers that want the reports themselves step the
+    /// machine with [`Machine::run_collecting`].
     ///
     /// # Errors
     ///
     /// Returns [`SystemError::Machine`] on simulator errors (not on
     /// architectural page faults, which the user fault handler absorbs).
-    pub fn syscall(&mut self, nr: u64, args: &[u64]) -> Result<Vec<TransientReport>, SystemError> {
+    pub fn syscall(&mut self, nr: u64, args: &[u64]) -> Result<(), SystemError> {
         self.machine.set_level(PrivilegeLevel::User);
         self.machine.set_reg(Reg::R0, nr);
         for (i, a) in args.iter().enumerate().take(3) {
@@ -335,8 +337,8 @@ impl System {
             self.machine.tlb_mut().invalidate_asid(0);
             self.machine.add_cycles(300);
         }
-        let (_, reports) = self.machine.run_collecting(10_000)?;
-        Ok(reports)
+        self.machine.run(10_000)?;
+        Ok(())
     }
 
     /// `getpid()` — drives the Listing 1 path.
@@ -344,7 +346,7 @@ impl System {
     /// # Errors
     ///
     /// See [`System::syscall`].
-    pub fn getpid(&mut self) -> Result<Vec<TransientReport>, SystemError> {
+    pub fn getpid(&mut self) -> Result<(), SystemError> {
         self.syscall(sysno::GETPID, &[])
     }
 
@@ -354,7 +356,7 @@ impl System {
     /// # Errors
     ///
     /// See [`System::syscall`].
-    pub fn readv(&mut self, fd: u64, iov: u64) -> Result<Vec<TransientReport>, SystemError> {
+    pub fn readv(&mut self, fd: u64, iov: u64) -> Result<(), SystemError> {
         self.syscall(sysno::READV, &[fd, iov])
     }
 
@@ -385,6 +387,16 @@ impl System {
             }
             page = page + PAGE_SIZE;
         }
+        Ok(())
+    }
+
+    /// Poke `inst` and a `hlt` after it at `va`, encoded on the stack.
+    fn poke_then_halt(&mut self, va: VirtAddr, inst: &Inst) -> Result<(), SystemError> {
+        let encoded = phantom_isa::encode::encode(inst).map_err(AsmError::from)?;
+        let len = encoded.as_bytes().len();
+        let mut bytes = [0xF4; phantom_isa::encode::MAX_INST_LEN + 1];
+        bytes[..len].copy_from_slice(encoded.as_bytes());
+        self.machine.poke(va, &bytes[..=len]);
         Ok(())
     }
 
@@ -433,11 +445,7 @@ impl System {
             BranchKind::Ret => Inst::Ret,
             BranchKind::NotBranch => Inst::Nop,
         };
-        let mut bytes = Vec::new();
-        phantom_isa::encode::encode_into(&inst, &mut bytes).map_err(AsmError::from)?;
-        bytes.push(0xF4); // hlt after the branch
-        self.machine.poke(source, &bytes);
-        Ok(())
+        self.poke_then_halt(source, &inst)
     }
 
     /// Train the BTB from user mode: [plant](System::plant_user_branch)
@@ -464,24 +472,19 @@ impl System {
             // equal registers) and train the direction predictor.
             self.machine.set_reg(Reg::R9, 1);
             self.machine.set_reg(Reg::R10, 1);
-            let mut cmp = Vec::new();
-            phantom_isa::encode::encode_into(
-                &Inst::Cmp {
-                    a: Reg::R9,
-                    b: Reg::R10,
-                },
-                &mut cmp,
-            )
-            .map_err(AsmError::from)?;
             // Execute the cmp from a scratch location just before source
             // is awkward; set flags directly by running cmp at the stub
             // page. Simplest: poke cmp+branch sequence? The branch must
             // sit exactly at `source`, so run the cmp from a scratch page.
             let scratch = VirtAddr::new(USER_STUB + 0x100);
             self.map_user(scratch, 16, PageFlags::USER_TEXT | PageFlags::WRITE)?;
-            let mut seq = cmp;
-            seq.push(0xF4);
-            self.machine.poke(scratch, &seq);
+            self.poke_then_halt(
+                scratch,
+                &Inst::Cmp {
+                    a: Reg::R9,
+                    b: Reg::R10,
+                },
+            )?;
             self.machine.set_pc(scratch);
             self.machine.run(4)?;
         }

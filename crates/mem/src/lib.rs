@@ -45,9 +45,11 @@ pub use hash::{IntHasher, IntMap, IntSet};
 pub use paging::{PageFlags, PageTable, PrivilegeLevel};
 pub use phys::PhysMemory;
 pub use rows::RowStore;
-pub use tlb::{Tlb, TlbEntry};
+pub use tlb::{Tlb, TlbEntry, TlbSlot};
 
 #[cfg(test)]
 mod flat_model;
+#[cfg(test)]
+mod nested_tlb;
 #[cfg(test)]
 mod proptests;

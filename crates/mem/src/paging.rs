@@ -143,17 +143,41 @@ struct Mapping {
 }
 
 /// One page-table map: `(page key, mapping)` entries in one sorted
-/// run, keys unique. Lookups are binary searches, the slice of a key
-/// range is two `partition_point`s, and a clone (the first write to an
+/// run, keys unique. A lookup first tries the slot a gap-free run would
+/// hold the key in, then binary-searches; the slice of a key range is
+/// two `partition_point`s, and a clone (the first write to an
 /// `Arc`-shared map) is one memcpy of the run. Boot maps pages in
 /// ascending order, so `insert` appends without searching whenever the
 /// key is past the last one.
 #[derive(Debug, Clone, Default)]
-struct PageRun(Vec<(u64, Mapping)>);
+pub(crate) struct PageRun(Vec<(u64, Mapping)>);
 
 impl PageRun {
-    fn find(&self, key: u64) -> Result<usize, usize> {
+    /// `binary_search` over the keys, after one guess: in a run whose
+    /// keys from the first up to `key` have no gap (the kernel image's
+    /// pages are contiguous), `key` sits at slot `key - first`.
+    pub(crate) fn find(&self, key: u64) -> Result<usize, usize> {
+        let first = self.0.first().map_or(0, |&(k, _)| k);
+        let slot = key.wrapping_sub(first) as usize;
+        match self.0.get(slot) {
+            Some(&(k, _)) if k == key => Ok(slot),
+            _ => self.find_by_search(key),
+        }
+    }
+
+    /// [`PageRun::find`] without the guess.
+    pub(crate) fn find_by_search(&self, key: u64) -> Result<usize, usize> {
         self.0.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// Test-only: a run holding `keys` (sorted, unique).
+    #[cfg(test)]
+    pub(crate) fn from_keys(keys: &[u64]) -> PageRun {
+        let mapping = Mapping {
+            frame: PhysAddr::new(0),
+            flags: PageFlags::USER_DATA,
+        };
+        PageRun(keys.iter().map(|&k| (k, mapping)).collect())
     }
 
     fn get(&self, key: &u64) -> Option<&Mapping> {
@@ -443,6 +467,23 @@ impl PageTable {
         access: AccessKind,
         level: PrivilegeLevel,
     ) -> Result<PhysAddr, PageFault> {
+        self.translate_with_flags(va, access, level)
+            .map(|(pa, _)| pa)
+    }
+
+    /// [`PageTable::translate`], also returning the flags of the mapping
+    /// that served it (what [`PageTable::flags_of`] reports for `va`),
+    /// from the same walk.
+    ///
+    /// # Errors
+    ///
+    /// As [`PageTable::translate`].
+    pub fn translate_with_flags(
+        &self,
+        va: VirtAddr,
+        access: AccessKind,
+        level: PrivilegeLevel,
+    ) -> Result<(PhysAddr, PageFlags), PageFault> {
         let fault = |reason| PageFault {
             addr: va,
             access,
@@ -475,7 +516,7 @@ impl PageTable {
         } else {
             va.page_offset()
         };
-        Ok(m.frame + offset)
+        Ok((m.frame + offset, m.flags))
     }
 
     /// Number of mappings (4 KiB + huge).

@@ -587,6 +587,28 @@ impl PhysMemory {
         out
     }
 
+    /// Whether the bytes starting at `pa` equal `data`: one frame lookup
+    /// and one slice comparison per frame the range touches, and no
+    /// copy. Unmaterialized memory reads as zero.
+    pub fn holds(&self, pa: PhysAddr, data: &[u8]) -> bool {
+        let mut off = 0usize;
+        while off < data.len() {
+            let addr = pa + off as u64;
+            let start = addr.page_offset() as usize;
+            let chunk = (PAGE_SIZE as usize - start).min(data.len() - off);
+            let want = &data[off..off + chunk];
+            let same = match self.frame(addr.page_number()) {
+                Some(frame) => frame.data[start..start + chunk] == *want,
+                None => want.iter().all(|&b| b == 0),
+            };
+            if !same {
+                return false;
+            }
+            off += chunk;
+        }
+        true
+    }
+
     /// Fill `buf` with the bytes starting at `pa`: one frame lookup
     /// and one slice copy per frame the range touches.
     /// Unmaterialized memory reads as zero.

@@ -640,7 +640,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The chunked frame store is the flat one it replaced: over any
-    /// sequence of allocations, writes, reads, checkpoints, clones
+    /// sequence of allocations, writes, reads (and `holds` compares),
+    /// checkpoints, clones
     /// (kept alive and written through), epochs and interleaved
     /// restores, both layouts read back the same bytes, report the
     /// same counters after every step (including `cow_frames_shared`
@@ -680,7 +681,16 @@ proptest! {
                     prop_assert_eq!(&got, &flat.read_bytes(PhysAddr::new(a), n));
                     let mut buf = vec![0xa5; n];
                     live.read_into(PhysAddr::new(a), &mut buf);
-                    prop_assert_eq!(buf, got);
+                    prop_assert_eq!(&buf, &got);
+                    // `holds` compares in place: the read bytes match,
+                    // and flipping any one of them (first, middle or
+                    // last, on either side of a frame edge) does not.
+                    prop_assert!(live.holds(PhysAddr::new(a), &got));
+                    for i in [0, n / 2, n - 1] {
+                        buf[i] ^= 1;
+                        prop_assert!(!live.holds(PhysAddr::new(a), &buf));
+                        buf[i] ^= 1;
+                    }
                 }
                 PhysOp::Snapshot => snaps.push((live.snapshot(), flat.snapshot())),
                 PhysOp::Clone => clones.push((live.clone(), flat.clone())),
@@ -916,5 +926,207 @@ proptest! {
         // The chunk count follows the shape.
         let chunks = live.store.rows().div_ceil(CHUNK_ROWS);
         prop_assert!(live.store.owned_chunks() <= chunks);
+    }
+}
+
+// ----- the flat TLB against the one-`Vec`-per-set model -----------------
+
+/// One step of the flat-TLB model check.
+#[derive(Debug, Clone)]
+enum TlbOp {
+    Lookup(u64, u16),
+    Peek(u64, u16),
+    /// `(page, asid, frame, version)`.
+    Insert(u64, u16, u64, u64),
+    Refresh(u64, u16, u64, u64),
+    InvalidatePage(u64, u16),
+    InvalidateAsid(u16),
+    FlushAll,
+    /// Take a snapshot of both TLBs.
+    Checkpoint,
+    /// Rewind both to snapshot `i % snapshots.len()` by `clone_from`.
+    Rewind(usize),
+    /// Rewind both to a TLB of another shape.
+    Foreign,
+    /// Rewind both to a new TLB of the same shape (no slots allocated).
+    Fresh,
+    /// `reset` the flat TLB; the model becomes a new one.
+    Reset,
+}
+
+fn arb_tlb_ops() -> impl Strategy<Value = Vec<TlbOp>> {
+    // Few pages and ASIDs, so sets fill, evict and hit often.
+    let op = (
+        0u8..18,
+        0u64..48,
+        0u16..3,
+        0u64..1 << 20,
+        0u64..4,
+        any::<usize>(),
+    )
+        .prop_map(|(k, page, asid, frame, version, i)| match k {
+            0..=3 => TlbOp::Lookup(page, asid),
+            4 => TlbOp::Peek(page, asid),
+            5..=8 => TlbOp::Insert(page, asid, frame, version),
+            9 => TlbOp::Refresh(page, asid, frame, version),
+            10 => TlbOp::InvalidatePage(page, asid),
+            11 => TlbOp::InvalidateAsid(asid),
+            12 => TlbOp::FlushAll,
+            13 => TlbOp::Checkpoint,
+            14 => TlbOp::Rewind(i),
+            15 => TlbOp::Fresh,
+            16 => TlbOp::Reset,
+            _ => TlbOp::Foreign,
+        });
+    proptest::collection::vec(op, 1..160)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat TLB (`sets × ways` slots and a fill count per set) is
+    /// the one-`Vec`-per-set TLB it replaced: every `lookup` and `peek`
+    /// returns the same entry, and after every step the hit and miss
+    /// counters and the occupancy agree, over inserts that evict,
+    /// re-inserts, refreshes, `invlpg`, ASID and full flushes, resets,
+    /// and `clone_from` rewinds to snapshots of the same and another
+    /// shape and to new TLBs whose slots are not yet allocated.
+    #[test]
+    fn flat_tlb_matches_nested_model(
+        set_bits in 0u32..4,
+        ways in 1usize..5,
+        ops in arb_tlb_ops(),
+    ) {
+        let sets = 1usize << set_bits;
+        use crate::nested_tlb::NestedTlb;
+        use crate::tlb::Tlb;
+        let va = |page: u64| VirtAddr::new(page << 12 | page & 0xfff);
+        let mut flat = Tlb::new(sets, ways);
+        let mut nested = NestedTlb::new(sets, ways);
+        let mut foreign = (Tlb::new(8, 2), NestedTlb::new(8, 2));
+        for page in 0..5 {
+            let pa = PhysAddr::new(page << 12);
+            foreign.0.insert(va(page), pa, PageFlags::USER_DATA, 1, 9);
+            foreign.1.insert(va(page), pa, PageFlags::USER_DATA, 1, 9);
+        }
+        // The live TLBs' shape, which a reset keeps.
+        let mut shape = (sets, ways);
+        let mut snaps: Vec<(Tlb, NestedTlb, (usize, usize))> = Vec::new();
+        for op in ops {
+            match op {
+                TlbOp::Lookup(page, asid) => {
+                    prop_assert_eq!(flat.lookup(va(page), asid), nested.lookup(va(page), asid));
+                }
+                TlbOp::Peek(page, asid) => {
+                    prop_assert_eq!(flat.peek(va(page), asid), nested.peek(va(page), asid));
+                }
+                TlbOp::Insert(page, asid, frame, version) => {
+                    let pa = PhysAddr::new(frame << 12);
+                    flat.insert(va(page), pa, PageFlags::USER_TEXT, asid, version);
+                    nested.insert(va(page), pa, PageFlags::USER_TEXT, asid, version);
+                }
+                TlbOp::Refresh(page, asid, frame, version) => {
+                    let pa = PhysAddr::new(frame << 12);
+                    if let Some(slot) = flat.find(va(page), asid) {
+                        flat.refresh_at(slot, pa, PageFlags::USER_DATA, version);
+                    }
+                    nested.refresh(va(page), asid, pa, PageFlags::USER_DATA, version);
+                }
+                TlbOp::InvalidatePage(page, asid) => {
+                    flat.invalidate_page(va(page), asid);
+                    nested.invalidate_page(va(page), asid);
+                }
+                TlbOp::InvalidateAsid(asid) => {
+                    flat.invalidate_asid(asid);
+                    nested.invalidate_asid(asid);
+                }
+                TlbOp::FlushAll => {
+                    flat.flush_all();
+                    nested.flush_all();
+                }
+                TlbOp::Checkpoint => snaps.push((flat.clone(), nested.clone(), shape)),
+                TlbOp::Rewind(i) => {
+                    if !snaps.is_empty() {
+                        let (f, n, s) = &snaps[i % snaps.len()];
+                        flat.clone_from(f);
+                        nested.clone_from(n);
+                        shape = *s;
+                    }
+                }
+                TlbOp::Foreign => {
+                    flat.clone_from(&foreign.0);
+                    nested.clone_from(&foreign.1);
+                    shape = (8, 2);
+                }
+                TlbOp::Fresh => {
+                    flat.clone_from(&Tlb::new(sets, ways));
+                    nested.clone_from(&NestedTlb::new(sets, ways));
+                    shape = (sets, ways);
+                }
+                TlbOp::Reset => {
+                    flat.reset();
+                    nested = NestedTlb::new(shape.0, shape.1);
+                }
+            }
+            prop_assert_eq!((flat.hits(), flat.misses()), (nested.hits(), nested.misses()));
+            prop_assert_eq!(flat.len(), nested.len());
+        }
+        // Every resident translation, without charging anything.
+        for page in 0..48 {
+            for asid in 0..3 {
+                prop_assert_eq!(flat.peek(va(page), asid), nested.peek(va(page), asid));
+            }
+        }
+    }
+
+    /// `PageRun::find`'s dense-slot guess never changes its answer: over
+    /// runs with and without gaps, for keys inside, between, before and
+    /// after the run, it equals the plain binary search.
+    #[test]
+    fn page_run_find_matches_binary_search(
+        first in 0u64..1 << 40,
+        gaps in proptest::collection::vec(prop_oneof![Just(1u64), Just(1u64), Just(1u64), 2u64..6], 0..40),
+        probes in proptest::collection::vec(0u64..50, 1..40),
+    ) {
+        use crate::paging::PageRun;
+        let mut keys = vec![first];
+        for gap in gaps {
+            let last = keys[keys.len() - 1];
+            keys.push(last + gap);
+        }
+        let run = PageRun::from_keys(&keys);
+        let empty = PageRun::from_keys(&[]);
+        for p in probes {
+            let key = (first + p).wrapping_sub(3);
+            prop_assert_eq!(run.find(key), run.find_by_search(key), "key {} in {:?}", key, keys);
+            prop_assert_eq!(empty.find(key), empty.find_by_search(key));
+        }
+    }
+
+    /// `translate_with_flags` is `translate` and `flags_of` from one
+    /// walk: same address or fault, and on success the flags of the
+    /// mapping that served it, over 4 KiB mappings shadowing huge ones.
+    #[test]
+    fn translate_with_flags_is_translate_and_flags_of(
+        small in proptest::collection::vec((0u64..8, arb_flags()), 0..6),
+        huge_flags in arb_flags(),
+        page in 0u64..600,
+        off in 0u64..PAGE_SIZE,
+        access_idx in 0usize..3,
+        user in any::<bool>(),
+    ) {
+        let mut pt = PageTable::new();
+        pt.map_2m(VirtAddr::new(0), PhysAddr::new(HUGE_PAGE_SIZE), huge_flags);
+        for &(p, flags) in &small {
+            pt.map_4k(VirtAddr::new(p * PAGE_SIZE), PhysAddr::new((p + 1) * PAGE_SIZE), flags);
+        }
+        let va = VirtAddr::new(page * PAGE_SIZE + off);
+        let access = [AccessKind::Read, AccessKind::Write, AccessKind::Execute][access_idx];
+        let level = if user { PrivilegeLevel::User } else { PrivilegeLevel::Supervisor };
+        let fused = pt.translate_with_flags(va, access, level);
+        prop_assert_eq!(fused.map(|(pa, _)| pa), pt.translate(va, access, level));
+        if let Ok((_, flags)) = fused {
+            prop_assert_eq!(Some(flags), pt.flags_of(va));
+        }
     }
 }

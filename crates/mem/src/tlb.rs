@@ -31,7 +31,31 @@ pub struct TlbEntry {
     pub pt_version: u64,
 }
 
+/// An entry that no set holds: the filler of the unused ways.
+const VACANT: (TlbEntry, u64) = (
+    TlbEntry {
+        vpn: 0,
+        frame: PhysAddr::new(0),
+        flags: PageFlags::NONE,
+        asid: 0,
+        pt_version: 0,
+    },
+    0,
+);
+
+/// Where [`Tlb::find`] found an entry: valid until the TLB's next
+/// insertion or invalidation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbSlot(usize);
+
 /// A set-associative, ASID-tagged TLB.
+///
+/// The sets are stored flat: set `s` holds its `fill[s]` entries, with
+/// their LRU stamps, in `slots[s * ways..]`. A TLB is two allocations,
+/// and a rewind (`clone_from`) copies each set's live entries into the
+/// buffers it already has. The slots are allocated by the first
+/// insertion, so a machine that never translates (or is reset before
+/// it does) pays for none.
 ///
 /// # Examples
 ///
@@ -44,7 +68,8 @@ pub struct TlbEntry {
 /// ```
 #[derive(Debug)]
 pub struct Tlb {
-    sets: Vec<Vec<(TlbEntry, u64)>>,
+    slots: Vec<(TlbEntry, u64)>,
+    fill: Vec<usize>,
     ways: usize,
     clock: u64,
     hits: u64,
@@ -54,7 +79,8 @@ pub struct Tlb {
 impl Clone for Tlb {
     fn clone(&self) -> Tlb {
         Tlb {
-            sets: self.sets.clone(),
+            slots: self.slots.clone(),
+            fill: self.fill.clone(),
             ways: self.ways,
             clock: self.clock,
             hits: self.hits,
@@ -62,11 +88,21 @@ impl Clone for Tlb {
         }
     }
 
-    /// Copy `source` into this TLB's own buffers: a rewind reallocates
-    /// neither the set vector nor any set that already has room.
+    /// Copy `source` into this TLB's own buffers: a rewind allocates
+    /// nothing and, for the same shape, copies only live entries.
     fn clone_from(&mut self, source: &Tlb) {
-        self.sets.clone_from(&source.sets);
-        self.ways = source.ways;
+        let same_shape = self.ways == source.ways && self.fill.len() == source.fill.len();
+        if same_shape && (self.slots.len() == source.slots.len() || source.slots.is_empty()) {
+            let ways = self.ways;
+            for (set, &n) in source.fill.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                let live = set * ways..set * ways + n;
+                self.slots[live.clone()].copy_from_slice(&source.slots[live]);
+            }
+        } else {
+            self.slots.clone_from(&source.slots);
+            self.ways = source.ways;
+        }
+        self.fill.clone_from(&source.fill);
         self.clock = source.clock;
         self.hits = source.hits;
         self.misses = source.misses;
@@ -83,7 +119,8 @@ impl Tlb {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways > 0, "ways must be nonzero");
         Tlb {
-            sets: vec![Vec::new(); sets],
+            slots: Vec::new(),
+            fill: vec![0; sets],
             ways,
             clock: 0,
             hits: 0,
@@ -91,41 +128,77 @@ impl Tlb {
         }
     }
 
-    fn set_of(&self, vpn: u64) -> usize {
-        (vpn as usize) & (self.sets.len() - 1)
+    /// The slot range of `vpn`'s set that holds entries.
+    #[inline]
+    fn live(&self, vpn: u64) -> std::ops::Range<usize> {
+        let set = (vpn as usize) & (self.fill.len() - 1);
+        let base = set * self.ways;
+        base..base + self.fill[set]
+    }
+
+    /// Find the entry translating `va` under `asid` without perturbing
+    /// any replacement or accounting state. One set search serves a
+    /// whole charged translation: read the entry with
+    /// [`entry`](Tlb::entry), then charge it with
+    /// [`charge_hit`](Tlb::charge_hit) or refresh it with
+    /// [`refresh_at`](Tlb::refresh_at).
+    #[inline]
+    pub fn find(&self, va: VirtAddr, asid: u16) -> Option<TlbSlot> {
+        let vpn = va.page_number();
+        let live = self.live(vpn);
+        if live.is_empty() {
+            return None;
+        }
+        let start = live.start;
+        self.slots[live]
+            .iter()
+            .position(|(e, _)| e.vpn == vpn && e.asid == asid)
+            .map(|i| TlbSlot(start + i))
+    }
+
+    /// The entry at `slot`.
+    #[inline]
+    pub fn entry(&self, slot: TlbSlot) -> &TlbEntry {
+        &self.slots[slot.0].0
+    }
+
+    /// Charge a hit on the entry at `slot`: tick the clock, refresh its
+    /// LRU stamp and count the hit, as a hitting
+    /// [`lookup`](Tlb::lookup) does.
+    #[inline]
+    pub fn charge_hit(&mut self, slot: TlbSlot) {
+        self.clock += 1;
+        self.slots[slot.0].1 = self.clock;
+        self.hits += 1;
+    }
+
+    /// Charge a miss: tick the clock and count it, as a missing
+    /// [`lookup`](Tlb::lookup) does.
+    pub fn charge_miss(&mut self) {
+        self.clock += 1;
+        self.misses += 1;
     }
 
     /// Look up a translation for `va` under `asid`. Counts hit/miss and
     /// refreshes LRU on hit.
     pub fn lookup(&mut self, va: VirtAddr, asid: u16) -> Option<TlbEntry> {
-        self.clock += 1;
-        let vpn = va.page_number();
-        let clock = self.clock;
-        let set = self.set_of(vpn);
-        if let Some((entry, stamp)) = self.sets[set]
-            .iter_mut()
-            .find(|(e, _)| e.vpn == vpn && e.asid == asid)
-        {
-            *stamp = clock;
-            self.hits += 1;
-            return Some(*entry);
+        match self.find(va, asid) {
+            Some(slot) => {
+                self.charge_hit(slot);
+                Some(*self.entry(slot))
+            }
+            None => {
+                self.charge_miss();
+                None
+            }
         }
-        self.misses += 1;
-        None
     }
 
     /// Look up a translation without perturbing any replacement or
     /// accounting state: no hit/miss counters, no LRU refresh, no clock
-    /// tick. This is the probe the translation fast path uses *before*
-    /// deciding whether the charged, counting [`lookup`](Tlb::lookup)
-    /// would have run — so peeking is observationally free.
+    /// tick.
     pub fn peek(&self, va: VirtAddr, asid: u16) -> Option<&TlbEntry> {
-        let vpn = va.page_number();
-        let set = self.set_of(vpn);
-        self.sets[set]
-            .iter()
-            .find(|(e, _)| e.vpn == vpn && e.asid == asid)
-            .map(|(e, _)| e)
+        self.find(va, asid).map(|slot| self.entry(slot))
     }
 
     /// Insert a translation (evicting LRU within the set if full),
@@ -140,90 +213,91 @@ impl Tlb {
     ) {
         self.clock += 1;
         let vpn = va.page_number();
-        let set = self.set_of(vpn);
-        let ways = self.ways;
-        let clock = self.clock;
-        let entries = &mut self.sets[set];
-        if let Some((e, stamp)) = entries
-            .iter_mut()
-            .find(|(e, _)| e.vpn == vpn && e.asid == asid)
-        {
-            *e = TlbEntry {
-                vpn,
-                frame: frame.page_base(),
-                flags,
-                asid,
-                pt_version,
-            };
-            *stamp = clock;
+        let entry = TlbEntry {
+            vpn,
+            frame: frame.page_base(),
+            flags,
+            asid,
+            pt_version,
+        };
+        if let Some(slot) = self.find(va, asid) {
+            self.slots[slot.0] = (entry, self.clock);
             return;
         }
-        if entries.len() >= ways {
-            if let Some(pos) = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(i, _)| i)
-            {
-                entries.remove(pos);
-            }
+        if self.slots.is_empty() {
+            self.slots = vec![VACANT; self.fill.len() * self.ways];
         }
-        entries.push((
-            TlbEntry {
-                vpn,
-                frame: frame.page_base(),
-                flags,
-                asid,
-                pt_version,
-            },
-            clock,
-        ));
+        let live = self.live(vpn);
+        if live.len() < self.ways {
+            self.slots[live.end] = (entry, self.clock);
+            self.fill[live.start / self.ways] += 1;
+        } else if let Some(lru) = live.min_by_key(|&i| self.slots[i].1) {
+            // The clock ticks on every lookup and insertion, so stamps
+            // are unique and the order inside a set is unobservable:
+            // the new entry takes the evicted one's slot.
+            self.slots[lru] = (entry, self.clock);
+        }
     }
 
-    /// Revalidate a resident entry in place: update its frame, flags and
-    /// page-table version without touching the clock, LRU stamps or
+    /// Revalidate the entry at `slot` in place: update its frame, flags
+    /// and page-table version without touching the clock, LRU stamps or
     /// hit/miss counters. Used when a charged lookup hit a stale entry —
     /// the hit's timing already happened; only the cached translation
-    /// content is brought up to date. No-op if the entry is absent.
-    pub fn refresh(
+    /// content is brought up to date.
+    pub fn refresh_at(
         &mut self,
-        va: VirtAddr,
-        asid: u16,
+        slot: TlbSlot,
         frame: PhysAddr,
         flags: PageFlags,
         pt_version: u64,
     ) {
-        let vpn = va.page_number();
-        let set = self.set_of(vpn);
-        if let Some((e, _)) = self.sets[set]
-            .iter_mut()
-            .find(|(e, _)| e.vpn == vpn && e.asid == asid)
-        {
-            e.frame = frame.page_base();
-            e.flags = flags;
-            e.pt_version = pt_version;
+        let e = &mut self.slots[slot.0].0;
+        e.frame = frame.page_base();
+        e.flags = flags;
+        e.pt_version = pt_version;
+    }
+
+    /// Drop the entries of every set that `drop` selects, keeping the
+    /// survivors' order (`Vec::retain` per set).
+    fn retain(&mut self, sets: std::ops::Range<usize>, drop: impl Fn(&TlbEntry) -> bool) {
+        for set in sets {
+            let base = set * self.ways;
+            let mut kept = base;
+            for i in base..base + self.fill[set] {
+                if !drop(&self.slots[i].0) {
+                    self.slots[kept] = self.slots[i];
+                    kept += 1;
+                }
+            }
+            self.fill[set] = kept - base;
         }
     }
 
     /// Invalidate one page for one ASID (`invlpg`).
     pub fn invalidate_page(&mut self, va: VirtAddr, asid: u16) {
         let vpn = va.page_number();
-        let set = self.set_of(vpn);
-        self.sets[set].retain(|(e, _)| !(e.vpn == vpn && e.asid == asid));
+        let set = self.live(vpn).start / self.ways;
+        self.retain(set..set + 1, |e| e.vpn == vpn && e.asid == asid);
     }
 
     /// Invalidate every entry of one ASID (a non-PCID context switch).
     pub fn invalidate_asid(&mut self, asid: u16) {
-        for set in &mut self.sets {
-            set.retain(|(e, _)| e.asid != asid);
-        }
+        self.retain(0..self.fill.len(), |e| e.asid == asid);
     }
 
     /// Invalidate everything (write to CR3 without PCID).
     pub fn flush_all(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
+    }
+
+    /// Empty the TLB and zero its clock and counters in place, as
+    /// `*self = Tlb::new(sets, ways)` would for its own shape, keeping
+    /// its buffers.
+    pub fn reset(&mut self) {
+        self.flush_all();
+        self.clock = 0;
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Lifetime hits.
@@ -238,7 +312,7 @@ impl Tlb {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().sum()
     }
 
     /// Whether the TLB holds no entries.
@@ -435,13 +509,8 @@ mod tests {
             0,
             1,
         );
-        tlb.refresh(
-            entry_va(1),
-            0,
-            PhysAddr::new(0x7000),
-            PageFlags::USER_TEXT,
-            5,
-        );
+        let slot = tlb.find(entry_va(1), 0).unwrap();
+        tlb.refresh_at(slot, PhysAddr::new(0x7000), PageFlags::USER_TEXT, 5);
         let e = *tlb.peek(entry_va(1), 0).unwrap();
         assert_eq!(e.frame, PhysAddr::new(0x7000));
         assert_eq!(e.pt_version, 5);

@@ -1,10 +1,49 @@
 //! The fetch stage: architectural and wrong-path instruction fetch.
 
-use phantom_mem::{AccessKind, IntSet, PageFault, VirtAddr, PAGE_SIZE};
+use phantom_mem::{AccessKind, PageFault, VirtAddr, PAGE_SIZE};
 
 use crate::events::PipelineEvent;
 
 use super::Machine;
+
+/// Lines a [`LineSet`] holds without allocating; a wrong path that
+/// touches more spills to the heap.
+const INLINE_LINES: usize = 16;
+
+/// The cache lines one wrong path has touched, for de-duplication: a
+/// linear scan of an inline array, spilling to the heap only past
+/// [`INLINE_LINES`] lines.
+#[derive(Debug)]
+pub(crate) struct LineSet {
+    inline: [u64; INLINE_LINES],
+    len: usize,
+    spill: Vec<u64>,
+}
+
+impl LineSet {
+    /// An empty set.
+    pub(crate) fn new() -> LineSet {
+        LineSet {
+            inline: [0; INLINE_LINES],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Add `line`, returning whether it was absent (`IntSet::insert`).
+    pub(crate) fn insert(&mut self, line: u64) -> bool {
+        if self.inline[..self.len].contains(&line) || self.spill.contains(&line) {
+            return false;
+        }
+        if self.len < INLINE_LINES {
+            self.inline[self.len] = line;
+            self.len += 1;
+        } else {
+            self.spill.push(line);
+        }
+        true
+    }
+}
 
 impl Machine {
     /// Architecturally fetch the line at `pc`: translate with execute
@@ -68,7 +107,7 @@ impl Machine {
         &mut self,
         va: VirtAddr,
         decode_stage: bool,
-        lines: &mut IntSet<u64>,
+        lines: &mut LineSet,
     ) -> bool {
         let line = va.raw() & !63;
         if !lines.insert(line) {

@@ -87,8 +87,9 @@ impl Machine {
     /// privilege level, charging TLB hit/miss timing. State evolution
     /// (cycle counter, TLB hit/miss counters, LRU order, fills) is
     /// bit-identical to the pre-fast-path sequence `page_table.translate`
-    /// then lookup-and-fill-on-miss; the page walk itself only runs when
-    /// no version-current TLB entry covers `va`.
+    /// then lookup-and-fill-on-miss. One TLB set search serves the whole
+    /// translation, and the page walk, which also yields the flags to
+    /// cache, only runs when no version-current TLB entry covers `va`.
     ///
     /// # Errors
     ///
@@ -103,33 +104,38 @@ impl Machine {
         let level = self.level;
         let asid = asid_for(level);
         let version = self.page_table.version();
-        if let Some(entry) = self.tlb.peek(va, asid) {
+        let slot = self.tlb.find(va, asid);
+        if let Some(slot) = slot {
+            let entry = self.tlb.entry(slot);
             if entry.pt_version == version {
                 let resolved = entry_translate(entry, va, access, level);
                 if resolved.is_ok() {
                     // The walk would have succeeded and the charged
                     // lookup would have hit: count the hit and refresh
                     // LRU, exactly as before.
-                    self.tlb.lookup(va, asid);
+                    self.tlb.charge_hit(slot);
                 }
                 // On a fault the walk failed *before* any TLB charge, so
                 // the fault path touches nothing.
                 return resolved;
             }
         }
-        let pa = self.page_table.translate(va, access, level)?;
-        if self.tlb.lookup(va, asid).is_none() {
-            self.cycles += Self::PAGE_WALK_CYCLES;
-            let flags = self.page_table.flags_of(va).unwrap_or(PageFlags::NONE);
-            self.tlb.insert(va, pa, flags, asid, version);
-        } else {
-            // A resident entry whose fill predates the last page-table
-            // mutation: the hit (and its timing) is architecturally
-            // real, but the cached translation must be revalidated
-            // before the fast path may trust it. Content-only update —
-            // no counter, clock or LRU movement.
-            let flags = self.page_table.flags_of(va).unwrap_or(PageFlags::NONE);
-            self.tlb.refresh(va, asid, pa, flags, version);
+        let (pa, flags) = self.page_table.translate_with_flags(va, access, level)?;
+        match slot {
+            Some(slot) => {
+                // A resident entry whose fill predates the last page-table
+                // mutation: the hit (and its timing) is architecturally
+                // real, but the cached translation must be revalidated
+                // before the fast path may trust it. Content-only update —
+                // no counter, clock or LRU movement.
+                self.tlb.charge_hit(slot);
+                self.tlb.refresh_at(slot, pa, flags, version);
+            }
+            None => {
+                self.tlb.charge_miss();
+                self.cycles += Self::PAGE_WALK_CYCLES;
+                self.tlb.insert(va, pa, flags, asid, version);
+            }
         }
         Ok(pa)
     }
@@ -252,7 +258,7 @@ impl Machine {
                 .unwrap_or_else(|e| panic!("poke at unmapped {addr}: {e}"));
             let in_page = (PAGE_SIZE - addr.page_offset()) as usize;
             let chunk = &bytes[off..off + in_page.min(bytes.len() - off)];
-            if self.phys.read_bytes(pa, chunk.len()) != chunk {
+            if !self.phys.holds(pa, chunk) {
                 self.note_code_write(pa);
                 self.phys.write_bytes(pa, chunk);
             }

@@ -29,6 +29,9 @@ use std::sync::Arc;
 
 pub use snapshot::{Checkpoint, MachineSnapshot};
 
+#[cfg(test)]
+pub(crate) use fetch::LineSet;
+
 use phantom_bpu::{Bpu, MsrState};
 use phantom_cache::{CacheHierarchy, PerfCounters, UopCache};
 use phantom_isa::{Inst, Reg};
@@ -278,7 +281,7 @@ impl Machine {
         *pmu = PerfCounters::new();
         *phys = PhysMemory::new(phys_bytes);
         *page_table = PageTable::new();
-        *tlb = Tlb::new(TLB_SETS, TLB_WAYS);
+        tlb.reset();
         *regs = [0; 16];
         *zf = false;
         *sf = false;

@@ -30,8 +30,9 @@
 //! plus the dirty-frame journal); the sets of the L1I, L1D, L2, µop
 //! cache and CBP as one pointer per 16-set chunk the source shares,
 //! plus a copy of each chunk it owns (see [`phantom_mem::RowStore`]);
-//! the TLB's set vectors, the BTB's bucket map, the PMU and the
-//! architectural registers. [`Machine::snapshot`] and
+//! the TLB's two flat buffers (slots and fill counts), the BTB's
+//! occupancy bitmap and bucket vector, the PMU and the architectural
+//! registers. [`Machine::snapshot`] and
 //! [`Machine::into_checkpoint`] seal the sets first, so a snapshot, a
 //! seal and every fork of it share all of them, and a fork copies a
 //! chunk only when a trial first writes one of its sets.

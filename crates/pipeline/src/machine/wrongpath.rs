@@ -2,11 +2,12 @@
 //! number of executed µops, with nested phantom steering (§7.4).
 
 use phantom_isa::Inst;
-use phantom_mem::{AccessKind, IntSet, VirtAddr};
+use phantom_mem::{AccessKind, VirtAddr};
 
 use crate::events::PipelineEvent;
 use crate::transient::{TransientReport, TransientWindow};
 
+use super::fetch::LineSet;
 use super::Machine;
 
 impl Machine {
@@ -25,7 +26,7 @@ impl Machine {
         // Transient fetch of the target line. An inaccessible target
         // (unmapped / NX / supervisor-only from user) fills nothing —
         // primitive P1's signal.
-        let mut lines = IntSet::default();
+        let mut lines = LineSet::new();
         if !self.transient_touch(start, window.decode, &mut lines) {
             return report;
         }

@@ -825,3 +825,19 @@ proptest! {
         prop_assert_eq!(structure_view(&m), structure_view(&fresh), "state after program B differs");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The wrong path's inline line set de-duplicates exactly like the
+    /// `IntSet` it replaced, below, at and past its inline capacity
+    /// (where it spills to the heap).
+    #[test]
+    fn inline_line_set_matches_int_set(lines in proptest::collection::vec(0u64..40, 0..80)) {
+        let mut inline = crate::machine::LineSet::new();
+        let mut oracle = phantom_mem::IntSet::default();
+        for line in lines {
+            prop_assert_eq!(inline.insert(line << 6), oracle.insert(line << 6));
+        }
+    }
+}

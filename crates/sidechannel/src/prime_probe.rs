@@ -1,6 +1,6 @@
 //! Prime+Probe on the L1I, L1D and L2 caches.
 
-use phantom_mem::{AccessKind, PageFlags, PrivilegeLevel, VirtAddr};
+use phantom_mem::{AccessKind, PageFlags, PhysAddr, PrivilegeLevel, VirtAddr};
 use phantom_pipeline::Machine;
 
 use crate::noise::NoiseModel;
@@ -33,11 +33,32 @@ pub struct ProbeResult {
 /// attacker lines; `probe` re-touches them, counting evictions by
 /// latency. The probe re-primes as a side effect (touching reloads the
 /// lines), matching how the loop is used in practice.
+///
+/// Construction (and [`ProbeArena::arm`]) also translates every line
+/// once. A touch reuses that physical address while the page table's
+/// [`version`](phantom_mem::PageTable::version) is the one it was
+/// resolved under, which proves the translation unchanged, and walks
+/// the table again otherwise, so a line unmapped since still fails with
+/// [`ProbeError`].
 #[derive(Debug, Clone)]
 pub struct PrimeProbe {
     level: ProbeLevel,
     set: usize,
-    lines: Vec<VirtAddr>,
+    /// Each line and its physical address under page-table version
+    /// `version` (`None`: it did not translate then).
+    lines: Vec<(VirtAddr, Option<PhysAddr>)>,
+    version: u64,
+}
+
+/// The translation every probe touch makes: a user read.
+fn translate_line(machine: &Machine, va: VirtAddr) -> Result<PhysAddr, ProbeError> {
+    machine
+        .page_table()
+        .translate(va, AccessKind::Read, PrivilegeLevel::User)
+        .map_err(|e| ProbeError {
+            line: va,
+            reason: e.to_string(),
+        })
 }
 
 /// Error from eviction-set construction.
@@ -150,7 +171,27 @@ impl PrimeProbe {
             }
             lines.push(page + (set as u64) * geometry.line_size as u64);
         }
-        Ok(PrimeProbe { level, set, lines })
+        Ok(PrimeProbe::resolved(machine, level, set, lines))
+    }
+
+    /// The probe over `lines`, each translated once against the current
+    /// page table.
+    fn resolved(
+        machine: &Machine,
+        level: ProbeLevel,
+        set: usize,
+        lines: impl IntoIterator<Item = VirtAddr>,
+    ) -> PrimeProbe {
+        let lines = lines
+            .into_iter()
+            .map(|va| (va, translate_line(machine, va).ok()))
+            .collect();
+        PrimeProbe {
+            level,
+            set,
+            lines,
+            version: machine.page_table().version(),
+        }
     }
 
     /// Build an L2 eviction set for `set` over a 2 MiB huge page at
@@ -193,13 +234,8 @@ impl PrimeProbe {
             return Err(BuildError("L2 too large for one huge page".into()));
         }
         let lines = (0..geometry.ways)
-            .map(|w| huge_base + w as u64 * stride + (set as u64) * geometry.line_size as u64)
-            .collect();
-        Ok(PrimeProbe {
-            level: ProbeLevel::L2,
-            set,
-            lines,
-        })
+            .map(|w| huge_base + w as u64 * stride + (set as u64) * geometry.line_size as u64);
+        Ok(PrimeProbe::resolved(machine, ProbeLevel::L2, set, lines))
     }
 
     /// The targeted cache.
@@ -212,19 +248,41 @@ impl PrimeProbe {
         self.set
     }
 
-    /// The eviction-set line addresses.
-    pub fn lines(&self) -> &[VirtAddr] {
-        &self.lines
+    /// The eviction-set line addresses, in prime order.
+    pub fn lines(&self) -> impl ExactSizeIterator<Item = VirtAddr> + '_ {
+        self.lines.iter().map(|&(va, _)| va)
     }
 
-    fn touch(&self, machine: &mut Machine, va: VirtAddr) -> Result<u64, ProbeError> {
-        let pa = machine
-            .page_table()
-            .translate(va, AccessKind::Read, PrivilegeLevel::User)
-            .map_err(|e| ProbeError {
-                line: va,
-                reason: e.to_string(),
-            })?;
+    /// The physical address of `line`: the one resolved at construction
+    /// while the page table is unchanged since, else a fresh walk.
+    fn phys(
+        &self,
+        machine: &Machine,
+        line: (VirtAddr, Option<PhysAddr>),
+    ) -> Result<PhysAddr, ProbeError> {
+        match line {
+            (_, Some(pa)) if machine.page_table().version() == self.version => Ok(pa),
+            (va, _) => translate_line(machine, va),
+        }
+    }
+
+    /// Test oracle: this probe with no resolved addresses, so every
+    /// touch walks the page table (the implementation before the
+    /// addresses were cached).
+    #[cfg(test)]
+    pub(crate) fn walking(&self) -> PrimeProbe {
+        PrimeProbe {
+            lines: self.lines.iter().map(|&(va, _)| (va, None)).collect(),
+            ..self.clone()
+        }
+    }
+
+    fn touch(
+        &self,
+        machine: &mut Machine,
+        line: (VirtAddr, Option<PhysAddr>),
+    ) -> Result<u64, ProbeError> {
+        let pa = self.phys(machine, line)?;
         let (_, latency) = match self.level {
             ProbeLevel::L1I => machine.caches_mut().access_inst(pa.raw()),
             ProbeLevel::L1D | ProbeLevel::L2 => machine.caches_mut().access_data(pa.raw()),
@@ -307,13 +365,7 @@ impl PrimeProbe {
         for &line in self.lines.iter().rev() {
             // Noise: spurious pre-probe eviction of this way.
             if noise.rolls_spurious_evict() {
-                let pa = machine
-                    .page_table()
-                    .translate(line, AccessKind::Read, PrivilegeLevel::User)
-                    .map_err(|e| ProbeError {
-                        line,
-                        reason: e.to_string(),
-                    })?;
+                let pa = self.phys(machine, line)?;
                 machine.caches_mut().flush_line(pa.raw());
             }
             let mut latency = noise.jitter(self.touch(machine, line)?);
@@ -439,22 +491,21 @@ impl ProbeArena {
         if set >= self.sets {
             return Err(BuildError(format!("set {set} out of range")));
         }
-        let mut lines = Vec::with_capacity(self.ways);
-        for way in 0..self.ways {
-            let page = self.base + (way as u64) * 4096;
-            if machine.page_table().flags_of(page).is_none() {
+        let lines = (0..self.ways)
+            .map(|way| self.base + (way as u64) * 4096 + (set as u64) * self.line_size as u64);
+        let probe = PrimeProbe::resolved(machine, self.level, set, lines);
+        // A line that translated lies on a mapped page; only the others
+        // need the page looked up.
+        for &(line, pa) in &probe.lines {
+            if pa.is_none() && machine.page_table().flags_of(line).is_none() {
                 return Err(BuildError(format!(
-                    "arena page {page} is not mapped (arena not installed?)"
+                    "arena page {} is not mapped (arena not installed?)",
+                    line.page_base()
                 )));
             }
-            lines.push(page + (set as u64) * self.line_size as u64);
         }
         machine.count_probe_rearm();
-        Ok(PrimeProbe {
-            level: self.level,
-            set,
-            lines,
-        })
+        Ok(probe)
     }
 }
 
@@ -715,7 +766,7 @@ mod tests {
             let b = arena.arm(&mut arena_m, set).unwrap();
             assert_eq!(a.level(), b.level());
             assert_eq!(a.set(), b.set());
-            assert_eq!(a.lines(), b.lines());
+            assert!(a.lines().eq(b.lines()));
         }
         assert_eq!(arena_m.probe_rearms(), 3);
         assert_eq!(fresh.probe_rearms(), 0);

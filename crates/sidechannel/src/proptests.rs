@@ -96,3 +96,100 @@ proptest! {
         }
     }
 }
+
+/// One step of the cached-address Prime+Probe check.
+#[derive(Debug, Clone)]
+enum PpOp {
+    Prime,
+    /// A victim data access to L1D set `set`, tag `tag`.
+    Victim(usize, u64),
+    /// Unmap eviction-set way `way`'s page.
+    Unmap(usize),
+    /// Map eviction-set way `way`'s page again (fresh frame).
+    Remap(usize),
+    /// Map an unrelated page: the table version moves, no line does.
+    MapElsewhere(u64),
+    Probe,
+}
+
+fn arb_pp_ops() -> impl Strategy<Value = Vec<PpOp>> {
+    let op = (0u8..12, 0usize..64, 0u64..16).prop_map(|(k, i, t)| match k {
+        0 | 1 => PpOp::Prime,
+        2..=4 => PpOp::Victim(i, t),
+        5 => PpOp::Unmap(i % 8),
+        6 => PpOp::Remap(i % 8),
+        7 => PpOp::MapElsewhere(t),
+        _ => PpOp::Probe,
+    });
+    proptest::collection::vec(op, 1..40)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A probe that reuses the physical addresses it resolved when it
+    /// was built is the probe that walks the page table on every touch:
+    /// two identical machines, one driven through each, return the same
+    /// prime and probe results (the same `ProbeError` once a way's page
+    /// is unmapped between prime and probe, and the same readings after
+    /// it is mapped again to another frame) and end with equal cycles
+    /// and caches, under realistic noise with spurious
+    /// evictions. Covers L1I, L1D and armed arena probes.
+    #[test]
+    fn cached_line_addresses_match_the_walk(
+        level in 0u8..3,
+        set in 0usize..64,
+        seed in any::<u64>(),
+        ops in arb_pp_ops(),
+    ) {
+        use crate::prime_probe::ProbeArena;
+        let base = VirtAddr::new(0x5000_0000);
+        let mut cached_m = machine();
+        let pp = match level {
+            0 => PrimeProbe::new_l1d(&mut cached_m, base, set).unwrap(),
+            1 => PrimeProbe::new_l1i(&mut cached_m, base, set).unwrap(),
+            _ => {
+                let arena = ProbeArena::install(&mut cached_m, base, crate::ProbeLevel::L1D).unwrap();
+                arena.arm(&mut cached_m, set).unwrap()
+            }
+        };
+        let mut walk_m = cached_m.clone();
+        let walking = pp.walking();
+        let flags = if level == 1 { PageFlags::USER_TEXT } else { PageFlags::USER_DATA };
+        let mut noise = (NoiseModel::realistic(seed), NoiseModel::realistic(seed));
+        for op in ops {
+            match op {
+                PpOp::Prime => prop_assert_eq!(pp.prime(&mut cached_m), walking.prime(&mut walk_m)),
+                PpOp::Victim(vs, tag) => {
+                    let va = VirtAddr::new(0x6000_0000 + tag * 0x1000 + vs as u64 * 64);
+                    for m in [&mut cached_m, &mut walk_m] {
+                        m.map_range(va, 64, PageFlags::USER_DATA).unwrap();
+                        let pa = m.page_table().translate(va, AccessKind::Read, PrivilegeLevel::User).unwrap();
+                        m.caches_mut().access_data(pa.raw());
+                    }
+                }
+                PpOp::Unmap(way) => {
+                    for m in [&mut cached_m, &mut walk_m] {
+                        m.unmap_range(base + way as u64 * 4096, 4096);
+                    }
+                }
+                PpOp::Remap(way) => {
+                    for m in [&mut cached_m, &mut walk_m] {
+                        m.map_range(base + way as u64 * 4096, 4096, flags).unwrap();
+                    }
+                }
+                PpOp::MapElsewhere(page) => {
+                    for m in [&mut cached_m, &mut walk_m] {
+                        m.map_range(VirtAddr::new(0x7000_0000 + page * 4096), 4096, flags).unwrap();
+                    }
+                }
+                PpOp::Probe => prop_assert_eq!(
+                    pp.probe_scored(&mut cached_m, &mut noise.0),
+                    walking.probe_scored(&mut walk_m, &mut noise.1)
+                ),
+            }
+            prop_assert_eq!(cached_m.cycles(), walk_m.cycles());
+            prop_assert!(cached_m.caches() == walk_m.caches());
+        }
+    }
+}

@@ -2,10 +2,11 @@
 //! register it, and compare it against its builtin ancestor.
 //!
 //! `examples/uarch/whatif.spec` describes "Zen 2F" — Zen 2 with Zen 4's
-//! fast decode resteer. The paper's observation O3 (transient
-//! *execution* of phantom targets) exists on Zen 1/2 only because their
-//! decoder-detected resteer is slow; this what-if machine shows that
-//! closing the resteer gap alone demotes the attack from EX to ID.
+//! fast decode resteer and a phantom execute budget of zero. The paper
+//! ties observation O3 (transient *execution* of phantom targets on
+//! Zen 1/2) to their slow decoder-detected resteer; the model does not
+//! derive one from the other, so the spec sets both fields, and the
+//! what-if machine shows the attack demoted from EX to ID.
 //!
 //! Run with: `cargo run --example custom_uarch`
 
@@ -46,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(reparsed, vec![whatif]);
     println!("\nspec -> text -> spec round-trip: ok");
 
-    // Sanity: the what-if really is stock Zen 2 apart from the resteer.
+    // Sanity: the what-if really is stock Zen 2 apart from the resteer
+    // and the phantom execute budget.
     let (zen2, zen2f) = (
         UarchProfile::zen2(),
         registry.get("zen2f").unwrap().profile(),
