@@ -59,7 +59,7 @@ use phantom::runner::{Scenario, ScenarioError, Trial, TrialRunner};
 use phantom::Stage;
 use phantom_gf2::BitMatrix;
 use phantom_isa::asm::AsmError;
-use phantom_isa::encode::encode_into;
+use phantom_isa::encode::{encode_all, NOP_LENS};
 use phantom_isa::{Assembler, Cond, Inst, Reg};
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::spec::mutate::{matches_base, mutate_spec, shrink_candidates};
@@ -163,10 +163,10 @@ pub fn parse_op(line: &str) -> Result<ProgOp, String> {
         "nop" => ProgOp::Nop,
         "nopn" => {
             let n = num("length")?;
-            if !(3..=15).contains(&n) {
-                return Err(format!("nopn length {n} outside 3..=15"));
+            match u8::try_from(n) {
+                Ok(len) if NOP_LENS.contains(&len) => ProgOp::NopN(len),
+                _ => return Err(format!("nopn length {n} outside {NOP_LENS:?}")),
             }
-            ProgOp::NopN(n as u8)
         }
         "ret" => ProgOp::Ret,
         "load" => ProgOp::Load,
@@ -365,7 +365,7 @@ fn random_ops(rng: &mut StdRng) -> Vec<ProgOp> {
     for _ in 0..count {
         ops.push(match rng.gen_range(0..13u32) {
             0 | 1 => ProgOp::Nop,
-            2 => ProgOp::NopN(rng.gen_range(3..16u8)),
+            2 => ProgOp::NopN(rng.gen_range(NOP_LENS)),
             3 | 4 => ProgOp::Ret,
             5 => ProgOp::Load,
             6 | 7 => ProgOp::JmpInd,
@@ -441,24 +441,16 @@ impl PageMapper {
     }
 }
 
-fn emit(inst: &Inst) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    // Only a `NopN` length or a shift amount can be out of range, and
-    // no caller emits either: each passes a fixed branch, load or halt.
-    #[allow(clippy::expect_used)]
-    encode_into(inst, &mut bytes).expect("canonical instructions encode");
-    bytes
-}
-
-fn payload_bytes() -> Vec<u8> {
-    let mut bytes = emit(&Inst::Load {
+/// The signal payload the trained branches steer to: a load of `[r8]`,
+/// then `hlt`.
+const PAYLOAD: [Inst; 2] = [
+    Inst::Load {
         dst: Reg::R9,
         base: Reg::R8,
         disp: 0,
-    });
-    bytes.push(0xf4);
-    bytes
-}
+    },
+    Inst::Halt,
+];
 
 /// Evaluate one case: train at `V ^ δ`, install the candidate program
 /// at `V`, run, and read the leak property off the event bus. Pure
@@ -531,41 +523,40 @@ fn run_program(m: &mut Machine, case: &FuzzCase, bytes: &[u8]) -> CaseOutcome {
         return CaseOutcome::Faulted(format!("map: {e}"));
     }
 
-    m.poke(VirtAddr::new(TARGET), &payload_bytes());
-    m.poke(VirtAddr::new(HALT), &emit(&Inst::Halt));
     m.set_reg(Reg::R8, PROBE);
 
     // --- Train at the (possibly aliased) site. ----------------------
     let x = VirtAddr::new(train_site);
+    let code = |insts: &[Inst]| encode_all(insts).map_err(|e| e.to_string());
+    let aimed = |branch: Inst, pc: u64, target: u64| {
+        branch.with_target(pc, target).map_err(|e| e.to_string())
+    };
     let train_result: Result<(), String> = (|| {
+        m.poke(VirtAddr::new(TARGET), &code(&PAYLOAD)?);
+        m.poke(VirtAddr::new(HALT), &code(&[Inst::Halt])?);
         match case.train {
             TrainKind::JmpInd => {
-                let mut b = emit(&Inst::JmpInd { src: Reg::R11 });
-                b.push(0xf4);
-                m.poke(x, &b);
+                m.poke(x, &code(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt])?);
                 m.set_reg(Reg::R11, TARGET);
                 m.set_reg(Reg::SP, STACK_TOP);
                 m.set_pc(x);
                 m.run(8).map_err(|e| e.to_string())?;
             }
             TrainKind::Jmp => {
-                m.poke(VirtAddr::new(train_site + DIRECT_SPAN), &payload_bytes());
-                let mut b = emit(&Inst::Jmp {
-                    disp: (DIRECT_SPAN - 5) as i32,
-                });
-                b.push(0xf4);
-                m.poke(x, &b);
+                m.poke(VirtAddr::new(train_site + DIRECT_SPAN), &code(&PAYLOAD)?);
+                let jmp = aimed(Inst::Jmp { disp: 0 }, train_site, train_site + DIRECT_SPAN)?;
+                m.poke(x, &code(&[jmp, Inst::Halt])?);
                 m.set_pc(x);
                 m.run(8).map_err(|e| e.to_string())?;
             }
             TrainKind::Jcc => {
-                m.poke(VirtAddr::new(train_site + DIRECT_SPAN), &payload_bytes());
-                let mut b = emit(&Inst::Jcc {
+                m.poke(VirtAddr::new(train_site + DIRECT_SPAN), &code(&PAYLOAD)?);
+                let jcc = Inst::Jcc {
                     cond: Cond::Eq,
-                    disp: (DIRECT_SPAN - 6) as i32,
-                });
-                b.push(0xf4);
-                m.poke(x, &b);
+                    disp: 0,
+                };
+                let jcc = aimed(jcc, train_site, train_site + DIRECT_SPAN)?;
+                m.poke(x, &code(&[jcc, Inst::Halt])?);
                 for _ in 0..10 {
                     m.set_flags(true, false, false);
                     m.set_pc(x);
@@ -573,18 +564,17 @@ fn run_program(m: &mut Machine, case: &FuzzCase, bytes: &[u8]) -> CaseOutcome {
                 }
             }
             TrainKind::Ret => {
-                let mut b = emit(&Inst::Ret);
-                b.push(0xf4);
-                m.poke(x, &b);
+                m.poke(x, &code(&[Inst::Ret, Inst::Halt])?);
                 m.set_reg(Reg::SP, STACK_TOP);
                 m.poke_u64(VirtAddr::new(STACK_TOP), TARGET);
                 m.set_pc(x);
                 m.run(8).map_err(|e| e.to_string())?;
                 // Plant the RSB: execute a call near the victim so the
                 // predicted return target is the payload after it.
-                let disp = (HALT as i64 - (CALL_SITE as i64 + 5)) as i32;
-                m.poke(VirtAddr::new(CALL_SITE), &emit(&Inst::Call { disp }));
-                m.poke(VirtAddr::new(CALL_SITE + 5), &payload_bytes());
+                let call = aimed(Inst::Call { disp: 0 }, CALL_SITE, HALT)?;
+                m.poke(VirtAddr::new(CALL_SITE), &code(&[call])?);
+                let ret_site = CALL_SITE + call.len() as u64;
+                m.poke(VirtAddr::new(ret_site), &code(&PAYLOAD)?);
                 m.set_reg(Reg::SP, STACK_TOP);
                 m.set_pc(VirtAddr::new(CALL_SITE));
                 m.run(4).map_err(|e| e.to_string())?;

@@ -15,7 +15,8 @@
 //!   dispatched (transient execution).
 
 use phantom_cache::Event;
-use phantom_isa::asm::Assembler;
+use phantom_isa::asm::{AsmError, Assembler};
+use phantom_isa::encode::EncodeError;
 use phantom_isa::Inst;
 use phantom_mem::{AccessKind, PageFlags, PrivilegeLevel, VirtAddr};
 use phantom_pipeline::Machine;
@@ -35,6 +36,18 @@ impl std::fmt::Display for ChannelError {
 }
 
 impl std::error::Error for ChannelError {}
+
+impl From<EncodeError> for ChannelError {
+    fn from(e: EncodeError) -> ChannelError {
+        ChannelError(e.to_string())
+    }
+}
+
+impl From<AsmError> for ChannelError {
+    fn from(e: AsmError) -> ChannelError {
+        ChannelError(e.to_string())
+    }
+}
 
 /// The Instruction Fetch observation channel (I-cache timing).
 ///

@@ -2,7 +2,7 @@
 //! combination, observed through the §5.1 channels — **Table 1** — plus
 //! the **Figure 6** µop-cache page-offset sweep.
 
-use phantom_isa::encode::encode_into;
+use phantom_isa::encode::{encode, encode_all};
 use phantom_isa::{Cond, Inst, Reg};
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::{Machine, TransientReport, UarchProfile};
@@ -75,13 +75,15 @@ impl VictimKind {
         VictimKind::NonBranch,
     ];
 
-    fn inst(self, disp_to: impl Fn(usize) -> i32) -> Inst {
+    /// The victim instruction; a direct one still has to be aimed
+    /// ([`Inst::with_target`]).
+    fn inst(self) -> Inst {
         match self {
             VictimKind::JmpInd => Inst::JmpInd { src: Reg::R11 },
-            VictimKind::Jmp => Inst::Jmp { disp: disp_to(5) },
+            VictimKind::Jmp => Inst::Jmp { disp: 0 },
             VictimKind::Jcc => Inst::Jcc {
                 cond: Cond::Eq,
-                disp: disp_to(6),
+                disp: 0,
             },
             VictimKind::Ret => Inst::Ret,
             VictimKind::NonBranch => Inst::Nop,
@@ -89,13 +91,7 @@ impl VictimKind {
     }
 
     fn len(self) -> u64 {
-        match self {
-            VictimKind::JmpInd => 2,
-            VictimKind::Jmp => 5,
-            VictimKind::Jcc => 6,
-            VictimKind::Ret => 1,
-            VictimKind::NonBranch => 1,
-        }
+        self.inst().len() as u64
     }
 }
 
@@ -199,7 +195,7 @@ struct Layout {
     /// Architectural continuation target F.
     f: VirtAddr,
     /// Call site whose return address is the RSB-served target R for
-    /// ret-training (R = call_site + 5).
+    /// ret-training (R = the end of the call at call_site).
     call_site: VirtAddr,
     /// Probe data address the payload load touches.
     probe: VirtAddr,
@@ -238,34 +234,32 @@ impl Layout {
     /// line for straight-line speculation).
     fn signal_site(&self, train: TrainKind, victim: VictimKind) -> VirtAddr {
         match train {
-            TrainKind::Ret => self.call_site + 5,
+            TrainKind::Ret => self.return_site(),
             TrainKind::NonBranch => self.victim_site(train, victim) + victim.len(),
             _ => self.c,
         }
     }
-}
 
-fn emit(inst: &Inst) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    // Only a `NopN` length outside 3..=15 or a shift amount outside
-    // 0..=63 fails to encode, and the layouts emit neither.
-    #[allow(clippy::expect_used)]
-    encode_into(inst, &mut bytes).expect("encodable");
-    bytes
+    /// R: the return address the call at `call_site` pushes.
+    fn return_site(&self) -> VirtAddr {
+        self.call_site + Inst::Call { disp: 0 }.len() as u64
+    }
 }
 
 /// The signal payload: a load of `[R8]` (the EX signal) that also, by
 /// being fetched and decoded at its address, provides the IF and ID
 /// signals. Ends in `hlt`.
-fn payload_bytes() -> Vec<u8> {
-    let mut bytes = emit(&Inst::Load {
+const PAYLOAD: [Inst; 2] = [
+    Inst::Load {
         dst: Reg::R9,
         base: Reg::R8,
         disp: 0,
-    });
-    bytes.extend(emit(&Inst::Halt));
-    bytes
-}
+    },
+    Inst::Halt,
+];
+
+/// A non-branch victim: two nops and a `hlt`.
+pub(crate) const NOPS_THEN_HALT: [Inst; 3] = [Inst::Nop, Inst::Nop, Inst::Halt];
 
 /// Run one training × victim combination on a fresh machine and measure
 /// it through the observation channels.
@@ -322,9 +316,9 @@ pub fn run_combo_msr(
         .map_err(|e| ChannelError(e.to_string()))?;
 
     // Payload at C and at the RSB return site; F is a plain halt.
-    m.poke(lay.c, &payload_bytes());
-    m.poke(lay.call_site + 5, &payload_bytes());
-    m.poke(lay.f, &emit(&Inst::Halt));
+    m.poke(lay.c, &encode_all(&PAYLOAD)?);
+    m.poke(lay.return_site(), &encode_all(&PAYLOAD)?);
+    m.poke(lay.f, encode(&Inst::Halt)?.as_bytes());
 
     // --- Channels. ----------------------------------------------------
     let if_ch = IfChannel::new(signal);
@@ -335,30 +329,28 @@ pub fn run_combo_msr(
     // --- Train. ---------------------------------------------------------
     match train {
         TrainKind::JmpInd => {
-            let mut bytes = emit(&Inst::JmpInd { src: Reg::R11 });
-            bytes.push(0xf4);
-            m.poke(x, &bytes);
+            m.poke(
+                x,
+                &encode_all(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt])?,
+            );
             m.set_reg(Reg::R11, lay.c.raw());
             m.set_reg(Reg::SP, stack_top);
             m.set_pc(x);
             m.run(8).map_err(|e| ChannelError(e.to_string()))?;
         }
         TrainKind::Jmp => {
-            let disp = (lay.c.raw() as i64 - (x.raw() as i64 + 5)) as i32;
-            let mut bytes = emit(&Inst::Jmp { disp });
-            bytes.push(0xf4);
-            m.poke(x, &bytes);
+            let jmp = Inst::Jmp { disp: 0 }.with_target(x.raw(), lay.c.raw())?;
+            m.poke(x, &encode_all(&[jmp, Inst::Halt])?);
             m.set_pc(x);
             m.run(8).map_err(|e| ChannelError(e.to_string()))?;
         }
         TrainKind::Jcc => {
-            let disp = (lay.c.raw() as i64 - (x.raw() as i64 + 6)) as i32;
-            let mut bytes = emit(&Inst::Jcc {
+            let jcc = Inst::Jcc {
                 cond: Cond::Eq,
-                disp,
-            });
-            bytes.push(0xf4);
-            m.poke(x, &bytes);
+                disp: 0,
+            }
+            .with_target(x.raw(), lay.c.raw())?;
+            m.poke(x, &encode_all(&[jcc, Inst::Halt])?);
             // Train the direction predictor thoroughly toward taken.
             for _ in 0..10 {
                 m.set_flags(true, false, false);
@@ -367,9 +359,7 @@ pub fn run_combo_msr(
             }
         }
         TrainKind::Ret => {
-            let mut bytes = emit(&Inst::Ret);
-            bytes.push(0xf4);
-            m.poke(x, &bytes);
+            m.poke(x, &encode_all(&[Inst::Ret, Inst::Halt])?);
             m.set_reg(Reg::SP, stack_top);
             m.poke_u64(VirtAddr::new(stack_top), lay.c.raw());
             m.set_pc(x);
@@ -384,26 +374,23 @@ pub fn run_combo_msr(
     // known "most recent call site" by executing a call.
     if train == TrainKind::Ret {
         let helper = lay.f; // a hlt: the call never returns in this run
-        let disp = (helper.raw() as i64 - (lay.call_site.raw() as i64 + 5)) as i32;
-        m.poke(lay.call_site, &emit(&Inst::Call { disp }));
+        let call = Inst::Call { disp: 0 }.with_target(lay.call_site.raw(), helper.raw())?;
+        m.poke(lay.call_site, encode(&call)?.as_bytes());
         m.set_reg(Reg::SP, stack_top);
         m.set_pc(lay.call_site);
         m.run(4).map_err(|e| ChannelError(e.to_string()))?;
     }
 
     // --- Install the victim instruction at X. ---------------------------
-    let disp_to = |len: usize| (lay.f.raw() as i64 - (x.raw() as i64 + len as i64)) as i32;
-    let vic_inst = victim.inst(disp_to);
-    let mut vic_bytes = emit(&vic_inst);
+    let vic_inst = victim.inst().with_target(x.raw(), lay.f.raw())?;
     // Straight-line payload already lives right after the victim for the
     // non-branch-training rows; otherwise halt the fallthrough.
-    if train == TrainKind::NonBranch {
-        vic_bytes.extend(payload_bytes());
+    let fallthrough: &[Inst] = if train == TrainKind::NonBranch {
+        &PAYLOAD
     } else {
-        vic_bytes.extend(emit(&Inst::NopN { len: 3 }));
-        vic_bytes.push(0xf4);
-    }
-    m.poke(x, &vic_bytes);
+        &[Inst::NopN { len: 3 }, Inst::Halt]
+    };
+    m.poke(x, &encode_all([&vic_inst].into_iter().chain(fallthrough))?);
 
     // Victim-run register/stack state.
     m.set_reg(Reg::R11, lay.f.raw()); // victim jmp* goes to F
@@ -646,7 +633,7 @@ fn figure6_point(
         .map_err(|e| ChannelError(e.to_string()))?;
     m.map_range(c.page_base(), 0x1000, text)
         .map_err(|e| ChannelError(e.to_string()))?;
-    m.poke(c, &payload_bytes());
+    m.poke(c, &encode_all(&PAYLOAD)?);
     m.map_range(VirtAddr::new(0x60_0000), 64, PageFlags::USER_DATA)
         .map_err(|e| ChannelError(e.to_string()))?;
     m.set_reg(Reg::R8, 0x60_0000);
@@ -654,13 +641,14 @@ fn figure6_point(
     let id_ch = IdChannel::install(&mut m, VirtAddr::new(0x70_0000), series_offset)?;
 
     // Train jmp* -> C, then replace with nops (the non-branch victim).
-    let mut bytes = emit(&Inst::JmpInd { src: Reg::R11 });
-    bytes.push(0xf4);
-    m.poke(x, &bytes);
+    m.poke(
+        x,
+        &encode_all(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt])?,
+    );
     m.set_reg(Reg::R11, c.raw());
     m.set_pc(x);
     m.run(8).map_err(|e| ChannelError(e.to_string()))?;
-    m.poke(x, &[0x90, 0x90, 0xf4]);
+    m.poke(x, &encode_all(&NOPS_THEN_HALT)?);
 
     id_ch.prime(&mut m);
     m.set_pc(x);
@@ -822,7 +810,7 @@ mod tests {
         let other = VirtAddr::new(victim.raw() + 0x100); // different page offset
         m.map_range(victim.page_base(), 0x1000, text).unwrap();
         m.map_range(lay.c.page_base(), 0x1000, text).unwrap();
-        m.poke(lay.c, &payload_bytes());
+        m.poke(lay.c, &encode_all(&PAYLOAD).unwrap());
         let id_ch = IdChannel::install(&mut m, lay.series_base, lay.signal_offset).unwrap();
         let ex_ch = ExChannel::install(&mut m, lay.probe).unwrap();
         let if_ch = IfChannel::new(lay.c);
@@ -830,16 +818,16 @@ mod tests {
         let mut noise = NoiseModel::quiet(0);
 
         // Train at `other`, not at the victim.
-        let mut bytes = Vec::new();
-        encode_into(&Inst::JmpInd { src: Reg::R11 }, &mut bytes).unwrap();
-        bytes.push(0xF4);
-        m.poke(other, &bytes);
+        m.poke(
+            other,
+            &encode_all(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt]).unwrap(),
+        );
         m.set_reg(Reg::R11, lay.c.raw());
         m.set_pc(other);
         m.run(8).unwrap();
 
         // Victim nops at the real site.
-        m.poke(victim, &[0x90, 0x90, 0xF4]);
+        m.poke(victim, &encode_all(&NOPS_THEN_HALT).unwrap());
         id_ch.prime(&mut m);
         if_ch.arm(&mut m);
         ex_ch.arm(&mut m);
@@ -889,19 +877,19 @@ mod tests {
         m.map_range(VirtAddr::new(0x60_0000), 64, PageFlags::USER_DATA)
             .unwrap();
         m.set_reg(Reg::R8, 0x60_0000);
-        m.poke(c, &payload_bytes());
-        m.poke(c_prime, &payload_bytes());
+        m.poke(c, &encode_all(&PAYLOAD).unwrap());
+        m.poke(c_prime, &encode_all(&PAYLOAD).unwrap());
 
         // Train a direct jmp at A -> C.
-        let disp = (c.raw() as i64 - (a_site.raw() as i64 + 5)) as i32;
-        let mut bytes = emit(&Inst::Jmp { disp });
-        bytes.push(0xf4);
-        m.poke(a_site, &bytes);
+        let jmp = Inst::Jmp { disp: 0 }
+            .with_target(a_site.raw(), c.raw())
+            .unwrap();
+        m.poke(a_site, &encode_all(&[jmp, Inst::Halt]).unwrap());
         m.set_pc(a_site);
         m.run(8).unwrap();
 
         // Victim: nops at B. Flush both candidate targets.
-        m.poke(b_site, &[0x90, 0x90, 0xf4]);
+        m.poke(b_site, &encode_all(&NOPS_THEN_HALT).unwrap());
         m.caches_mut().flush_all();
         m.set_pc(b_site);
         let (_, reports) = m.run_collecting(8).unwrap();

@@ -5,6 +5,7 @@
 
 use phantom_bpu::MsrState;
 use phantom_isa::asm::Assembler;
+use phantom_isa::encode::{encode, encode_all};
 use phantom_isa::inst::AluOp;
 use phantom_isa::{BranchKind, Inst, Reg};
 use phantom_kernel::System;
@@ -13,7 +14,7 @@ use phantom_pipeline::{Machine, UarchProfile};
 use phantom_sidechannel::NoiseModel;
 
 use crate::channel::ChannelError;
-use crate::experiment::{run_combo_msr, ComboOutcome, TrainKind, VictimKind};
+use crate::experiment::{run_combo_msr, ComboOutcome, TrainKind, VictimKind, NOPS_THEN_HALT};
 use crate::primitives::{p1_detect_executable, PrimitiveConfig, PrimitiveError};
 use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
 
@@ -170,15 +171,14 @@ pub fn lfence_gadget_protection(profile: UarchProfile) -> Result<(bool, bool), C
             .map_err(|e| ChannelError(e.to_string()))?;
 
         // Train jmp* -> gadget, then make the victim a nop.
-        let mut bytes = Vec::new();
-        phantom_isa::encode::encode_into(&Inst::JmpInd { src: Reg::R11 }, &mut bytes)
-            .map_err(|e| ChannelError(e.to_string()))?;
-        bytes.push(0xF4);
-        m.poke(x, &bytes);
+        m.poke(
+            x,
+            &encode_all(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt])?,
+        );
         m.set_reg(Reg::R11, gadget.raw());
         m.set_pc(x);
         m.run(8).map_err(|e| ChannelError(e.to_string()))?;
-        m.poke(x, &[0x90, 0x90, 0xF4]);
+        m.poke(x, &encode_all(&NOPS_THEN_HALT)?);
         m.caches_mut().flush_all();
 
         m.set_pc(x);
@@ -214,19 +214,18 @@ pub fn rsb_stuffing_protection(profile: UarchProfile) -> Result<(bool, bool), Ch
         // entry, and plant an RSB entry via a call.
         let stack_top = 0x7000_3f00u64;
         m.set_reg(Reg::SP, stack_top);
-        let mut bytes = Vec::new();
-        phantom_isa::encode::encode_into(&Inst::Ret, &mut bytes)
-            .map_err(|e| ChannelError(e.to_string()))?;
-        bytes.push(0xF4);
-        m.poke(x, &bytes);
+        m.poke(x, &encode_all(&[Inst::Ret, Inst::Halt])?);
         m.poke_u64(VirtAddr::new(stack_top), x.raw() + 8);
-        m.poke(x + 8, &[0xF4]);
+        m.poke(x + 8, encode(&Inst::Halt)?.as_bytes());
         m.set_pc(x);
         m.run(4).map_err(|e| ChannelError(e.to_string()))?;
         m.bpu_mut().rsb_mut().push(VirtAddr::new(0x48_0b40));
         m.map_range(VirtAddr::new(0x48_0000), 0x1000, text)
             .map_err(|e| ChannelError(e.to_string()))?;
-        m.poke(VirtAddr::new(0x48_0b40), &[0x90, 0xF4]);
+        m.poke(
+            VirtAddr::new(0x48_0b40),
+            &encode_all(&[Inst::Nop, Inst::Halt])?,
+        );
 
         if stuffed {
             // RSB stuffing overwrites the poisoned entries; a flush is
@@ -235,7 +234,7 @@ pub fn rsb_stuffing_protection(profile: UarchProfile) -> Result<(bool, bool), Ch
         }
 
         // Victim: a nop at X; the Ret-kind prediction pops the RSB.
-        m.poke(x, &[0x90, 0x90, 0xF4]);
+        m.poke(x, &encode_all(&NOPS_THEN_HALT)?);
         m.caches_mut().flush_all();
         m.set_pc(x);
         let (_, reports) = m
@@ -271,7 +270,7 @@ pub fn sls_padding_protection(profile: UarchProfile) -> Result<(bool, bool), Cha
         m.poke_u64(VirtAddr::new(stack_top), 0x40_0f00);
         m.map_range(VirtAddr::new(0x40_0f00), 16, text)
             .map_err(|e| ChannelError(e.to_string()))?;
-        m.poke(VirtAddr::new(0x40_0f00), &[0xF4]);
+        m.poke(VirtAddr::new(0x40_0f00), encode(&Inst::Halt)?.as_bytes());
 
         // ret; [lfence pad;] load [R8]; hlt — the load is dead code that
         // only straight-line speculation can reach.

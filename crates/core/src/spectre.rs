@@ -19,6 +19,7 @@
 //!   asserted in this module's tests.
 
 use phantom_isa::asm::Assembler;
+use phantom_isa::encode::encode;
 use phantom_isa::inst::AluOp;
 use phantom_isa::{Inst, Reg};
 use phantom_mem::{PageFlags, VirtAddr};
@@ -115,7 +116,7 @@ pub fn spectre_v2_leak(profile: UarchProfile, secret: u8) -> Result<SpectreLeak,
     }); // encode
     g.push(Inst::Halt);
     m.load_blob(&g.finish().map_err(err)?, text).map_err(err)?;
-    m.poke(benign, &[0xF4]); // hlt
+    m.poke(benign, encode(&Inst::Halt).map_err(err)?.as_bytes());
 
     // Victim: jmp* r11.
     let mut v = Assembler::new(victim_branch.raw());

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use crate::encode::{encode_into, EncodeError};
-use crate::inst::Inst;
+use crate::inst::{Cond, Inst};
 
 /// An assembled code blob: raw bytes plus resolved label addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +27,9 @@ impl Blob {
     /// # Panics
     ///
     /// Panics if the label was never defined; hand-written experiment
-    /// code treats a missing label as a programming error. Generated
-    /// programs (the discover fuzzer) must use [`Blob::try_addr`]
-    /// instead — a mutated program that lost a label is a rejected
-    /// candidate, not a crash.
+    /// code treats a missing label as a programming error. Code that
+    /// reads labels of a generated program should use
+    /// [`Blob::try_addr`] instead.
     pub fn addr(&self, label: &str) -> u64 {
         self.try_addr(label).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -46,11 +45,6 @@ impl Blob {
             .get(label)
             .copied()
             .ok_or_else(|| AsmError::UndefinedLabel(label.to_string()))
-    }
-
-    /// End address (base + length).
-    pub fn end(&self) -> u64 {
-        self.base + self.bytes.len() as u64
     }
 }
 
@@ -113,11 +107,9 @@ impl From<EncodeError> for AsmError {
 enum Item {
     Inst(Inst),
     /// A direct branch whose displacement is patched to reach a label.
-    /// `make` receives the resolved displacement.
     Fixup {
         label: String,
-        make: fn(i32) -> Inst,
-        len: usize,
+        inst: Inst,
     },
     Label(String),
     /// Pad with single-byte nops up to the given absolute address.
@@ -171,90 +163,30 @@ impl Assembler {
 
     /// `jmp` to a label (displacement patched in pass two).
     pub fn jmp(&mut self, label: impl Into<String>) -> &mut Self {
-        self.items.push(Item::Fixup {
-            label: label.into(),
-            make: |disp| Inst::Jmp { disp },
-            len: 5,
-        });
-        self
+        self.fixup(label, Inst::Jmp { disp: 0 })
     }
 
     /// `call` to a label.
     pub fn call(&mut self, label: impl Into<String>) -> &mut Self {
-        self.items.push(Item::Fixup {
-            label: label.into(),
-            make: |disp| Inst::Call { disp },
-            len: 5,
-        });
-        self
+        self.fixup(label, Inst::Call { disp: 0 })
     }
 
     /// `jcc` (condition `Below`) to a label. For other conditions use
     /// [`Assembler::jcc_cond`].
     pub fn jb(&mut self, label: impl Into<String>) -> &mut Self {
-        self.items.push(Item::Fixup {
-            label: label.into(),
-            make: |disp| Inst::Jcc {
-                cond: crate::inst::Cond::Below,
-                disp,
-            },
-            len: 6,
-        });
-        self
+        self.jcc_cond(Cond::Below, label)
     }
 
     /// `jcc` with an arbitrary condition to a label.
-    pub fn jcc_cond(&mut self, cond: crate::inst::Cond, label: impl Into<String>) -> &mut Self {
-        // Monomorphic fixup functions keep `Item` a plain enum; dispatch on
-        // the condition at patch time via a table.
-        fn make_eq(d: i32) -> Inst {
-            Inst::Jcc {
-                cond: crate::inst::Cond::Eq,
-                disp: d,
-            }
-        }
-        fn make_ne(d: i32) -> Inst {
-            Inst::Jcc {
-                cond: crate::inst::Cond::Ne,
-                disp: d,
-            }
-        }
-        fn make_b(d: i32) -> Inst {
-            Inst::Jcc {
-                cond: crate::inst::Cond::Below,
-                disp: d,
-            }
-        }
-        fn make_ae(d: i32) -> Inst {
-            Inst::Jcc {
-                cond: crate::inst::Cond::AboveEq,
-                disp: d,
-            }
-        }
-        fn make_s(d: i32) -> Inst {
-            Inst::Jcc {
-                cond: crate::inst::Cond::Sign,
-                disp: d,
-            }
-        }
-        fn make_ns(d: i32) -> Inst {
-            Inst::Jcc {
-                cond: crate::inst::Cond::NotSign,
-                disp: d,
-            }
-        }
-        let make = match cond {
-            crate::inst::Cond::Eq => make_eq as fn(i32) -> Inst,
-            crate::inst::Cond::Ne => make_ne,
-            crate::inst::Cond::Below => make_b,
-            crate::inst::Cond::AboveEq => make_ae,
-            crate::inst::Cond::Sign => make_s,
-            crate::inst::Cond::NotSign => make_ns,
-        };
+    pub fn jcc_cond(&mut self, cond: Cond, label: impl Into<String>) -> &mut Self {
+        self.fixup(label, Inst::Jcc { cond, disp: 0 })
+    }
+
+    /// The direct branch `inst`, aimed at `label` in pass two.
+    fn fixup(&mut self, label: impl Into<String>, inst: Inst) -> &mut Self {
         self.items.push(Item::Fixup {
             label: label.into(),
-            make,
-            len: 6,
+            inst,
         });
         self
     }
@@ -291,8 +223,7 @@ impl Assembler {
         let mut pc = self.base;
         for item in &self.items {
             match item {
-                Item::Inst(inst) => pc += inst.len() as u64,
-                Item::Fixup { len, .. } => pc += *len as u64,
+                Item::Inst(inst) | Item::Fixup { inst, .. } => pc += inst.len() as u64,
                 Item::Label(name) => {
                     if labels.insert(name.clone(), pc).is_some() {
                         return Err(AsmError::DuplicateLabel(name.clone()));
@@ -326,20 +257,12 @@ impl Assembler {
                     encode_into(inst, &mut bytes)?;
                     pc += inst.len() as u64;
                 }
-                Item::Fixup { label, make, len } => {
+                Item::Fixup { label, inst } => {
                     let target = *labels
                         .get(label)
                         .ok_or_else(|| AsmError::UndefinedLabel(label.clone()))?;
-                    let next = pc + *len as u64;
-                    let disp = target.wrapping_sub(next) as i64;
-                    let disp = i32::try_from(disp).map_err(|_| AsmError::DispOverflow {
-                        from: pc,
-                        to: target,
-                    })?;
-                    let inst = make(disp);
-                    debug_assert_eq!(inst.len(), *len);
-                    encode_into(&inst, &mut bytes)?;
-                    pc = next;
+                    encode_into(&inst.with_target(pc, target)?, &mut bytes)?;
+                    pc += inst.len() as u64;
                 }
                 Item::Label(_) => {}
                 Item::Org(addr) => {

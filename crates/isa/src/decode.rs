@@ -6,31 +6,8 @@
 //! bytes — crucial for Phantom, where the frontend fetches and decodes at
 //! addresses that may hold data, not code.
 
-use crate::inst::{AluOp, Cond, Inst};
-use crate::reg::Reg;
-
-fn reg(byte: u8) -> Option<Reg> {
-    Reg::from_index(byte)
-}
-
-fn split_modrm(byte: u8) -> Option<(Reg, Reg)> {
-    Some((Reg::from_index(byte >> 4)?, Reg::from_index(byte & 0xF)?))
-}
-
-fn i32_at(bytes: &[u8], off: usize) -> Option<i32> {
-    let b: [u8; 4] = bytes.get(off..off + 4)?.try_into().ok()?;
-    Some(i32::from_le_bytes(b))
-}
-
-fn u32_at(bytes: &[u8], off: usize) -> Option<u32> {
-    let b: [u8; 4] = bytes.get(off..off + 4)?.try_into().ok()?;
-    Some(u32::from_le_bytes(b))
-}
-
-fn u64_at(bytes: &[u8], off: usize) -> Option<u64> {
-    let b: [u8; 8] = bytes.get(off..off + 8)?.try_into().ok()?;
-    Some(u64::from_le_bytes(b))
-}
+use crate::inst::Inst;
+use crate::slot::{Reader, Stop};
 
 /// Decode one instruction from the front of `bytes`.
 ///
@@ -38,9 +15,11 @@ fn u64_at(bytes: &[u8], off: usize) -> Option<u64> {
 /// is empty or holds a *truncated* multi-byte instruction (the caller —
 /// the fetch unit — must supply more bytes).
 ///
-/// Malformed but complete encodings (bad register index, bad condition
-/// code, bad nop length) decode to [`Inst::Invalid`] consuming one byte,
-/// so decoding always makes progress on any sufficiently long input.
+/// The operand fields are read left to right: the first missing byte
+/// gives `None`, and the first out-of-range field (bad register index,
+/// condition code, nop length or shift amount) gives [`Inst::Invalid`]
+/// consuming one byte, so decoding always makes progress on any
+/// sufficiently long input.
 ///
 /// # Examples
 ///
@@ -55,150 +34,10 @@ fn u64_at(bytes: &[u8], off: usize) -> Option<u64> {
 /// ```
 pub fn decode(bytes: &[u8]) -> Option<(Inst, usize)> {
     let op = *bytes.first()?;
-    let invalid = Some((Inst::Invalid { byte: op }, 1));
-    match op {
-        0x90 => Some((Inst::Nop, 1)),
-        0x0F => {
-            let len = *bytes.get(1)?;
-            if !(3..=15).contains(&len) {
-                return invalid;
-            }
-            if bytes.len() < usize::from(len) {
-                return None;
-            }
-            Some((Inst::NopN { len }, usize::from(len)))
-        }
-        0xE9 => Some((
-            Inst::Jmp {
-                disp: i32_at(bytes, 1)?,
-            },
-            5,
-        )),
-        0xFF => match reg(*bytes.get(1)?) {
-            Some(src) => Some((Inst::JmpInd { src }, 2)),
-            None => invalid,
-        },
-        0x71 => {
-            let cond = match Cond::from_code(*bytes.get(1)?) {
-                Some(c) => c,
-                None => return invalid,
-            };
-            Some((
-                Inst::Jcc {
-                    cond,
-                    disp: i32_at(bytes, 2)?,
-                },
-                6,
-            ))
-        }
-        0xE8 => Some((
-            Inst::Call {
-                disp: i32_at(bytes, 1)?,
-            },
-            5,
-        )),
-        0xF1 => match reg(*bytes.get(1)?) {
-            Some(src) => Some((Inst::CallInd { src }, 2)),
-            None => invalid,
-        },
-        0xC3 => Some((Inst::Ret, 1)),
-        0x8B => {
-            let (dst, base) = match split_modrm(*bytes.get(1)?) {
-                Some(p) => p,
-                None => return invalid,
-            };
-            Some((
-                Inst::Load {
-                    dst,
-                    base,
-                    disp: i32_at(bytes, 2)?,
-                },
-                6,
-            ))
-        }
-        0x89 => {
-            let (base, src) = match split_modrm(*bytes.get(1)?) {
-                Some(p) => p,
-                None => return invalid,
-            };
-            Some((
-                Inst::Store {
-                    base,
-                    disp: i32_at(bytes, 2)?,
-                    src,
-                },
-                6,
-            ))
-        }
-        0xB8 => {
-            let dst = match reg(*bytes.get(1)?) {
-                Some(r) => r,
-                None => return invalid,
-            };
-            Some((
-                Inst::MovImm {
-                    dst,
-                    imm: u64_at(bytes, 2)?,
-                },
-                10,
-            ))
-        }
-        0x8A => match split_modrm(*bytes.get(1)?) {
-            Some((dst, src)) => Some((Inst::MovReg { dst, src }, 2)),
-            None => invalid,
-        },
-        0x01 => {
-            let aop = match AluOp::from_code(*bytes.get(1)?) {
-                Some(o) => o,
-                None => return invalid,
-            };
-            match split_modrm(*bytes.get(2)?) {
-                Some((dst, src)) => Some((Inst::Alu { op: aop, dst, src }, 3)),
-                None => invalid,
-            }
-        }
-        0xC1 | 0xD1 => {
-            let dst = match reg(*bytes.get(1)?) {
-                Some(r) => r,
-                None => return invalid,
-            };
-            let amount = *bytes.get(2)?;
-            if amount > 63 {
-                return invalid;
-            }
-            if op == 0xC1 {
-                Some((Inst::Shr { dst, amount }, 3))
-            } else {
-                Some((Inst::Shl { dst, amount }, 3))
-            }
-        }
-        0x81 => {
-            let dst = match reg(*bytes.get(1)?) {
-                Some(r) => r,
-                None => return invalid,
-            };
-            Some((
-                Inst::AndImm {
-                    dst,
-                    imm: u32_at(bytes, 2)?,
-                },
-                6,
-            ))
-        }
-        0x39 => match split_modrm(*bytes.get(1)?) {
-            Some((a, b)) => Some((Inst::Cmp { a, b }, 2)),
-            None => invalid,
-        },
-        0xFA => Some((Inst::Lfence, 1)),
-        0xFB => Some((Inst::Mfence, 1)),
-        0xAE => match reg(*bytes.get(1)?) {
-            Some(addr) => Some((Inst::Clflush { addr }, 2)),
-            None => invalid,
-        },
-        0x05 => Some((Inst::Syscall, 1)),
-        0x07 => Some((Inst::Sysret, 1)),
-        0xF4 => Some((Inst::Halt, 1)),
-        other => Some((Inst::Invalid { byte: other }, 1)),
+    match Inst::read(op, &mut Reader::after_opcode(bytes)) {
+        Ok(inst) => Some((inst, inst.len())).filter(|&(_, len)| len <= bytes.len()),
+        Err(Stop::Truncated) => None,
+        Err(Stop::Malformed) => Some((Inst::Invalid { byte: op }, 1)),
     }
 }
 

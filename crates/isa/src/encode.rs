@@ -1,96 +1,47 @@
 //! Byte-level instruction encoding.
 //!
-//! The encoding is variable length (1–15 bytes). Opcode map:
-//!
-//! | opcode | instruction | total length |
-//! |---|---|---|
-//! | `0x90` | `nop` | 1 |
-//! | `0x0F len pad…` | `nopN` (multi-byte nop) | `len` (3–15) |
-//! | `0xE9 rel32` | `jmp` | 5 |
-//! | `0xFF reg` | `jmp*` | 2 |
-//! | `0x71 cc rel32` | `jcc` | 6 |
-//! | `0xE8 rel32` | `call` | 5 |
-//! | `0xF1 reg` | `call*` | 2 |
-//! | `0xC3` | `ret` | 1 |
-//! | `0x8B modrm disp32` | load | 6 |
-//! | `0x89 modrm disp32` | store | 6 |
-//! | `0xB8 reg imm64` | mov imm | 10 |
-//! | `0x8A modrm` | mov reg | 2 |
-//! | `0x01 op modrm` | alu | 3 |
-//! | `0xC1 reg amt` | shr | 3 |
-//! | `0xD1 reg amt` | shl | 3 |
-//! | `0x81 reg imm32` | and imm | 6 |
-//! | `0x39 modrm` | cmp | 2 |
-//! | `0xFA` / `0xFB` | lfence / mfence | 1 |
-//! | `0xAE reg` | clflush | 2 |
-//! | `0x05` / `0x07` | syscall / sysret | 1 |
-//! | `0xF4` | hlt | 1 |
-//! | anything else | invalid | 1 |
-//!
-//! `modrm` packs two register indices into one byte (high nibble first).
+//! The encoding is variable length (1–15 bytes): an opcode byte, then
+//! the operand slots in order. Each instruction's opcode and slots are
+//! its row in the instruction table ([`Inst`]'s declaration in
+//! `inst.rs`); how each slot is laid out is in `slot.rs`. A byte that
+//! opens no row decodes as [`Inst::Invalid`].
+
+use std::ops::RangeInclusive;
 
 use crate::inst::Inst;
-use crate::reg::Reg;
 
 /// Error returned when an [`Inst`] value cannot be encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodeError {
-    /// `NopN` length outside 3–15.
+    /// `NopN` length outside [`NOP_LENS`].
     BadNopLen(u8),
-    /// Shift amount outside 0–63.
+    /// Shift amount outside [`SHIFT_AMOUNTS`].
     BadShiftAmount(u8),
 }
 
 impl std::fmt::Display for EncodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EncodeError::BadNopLen(n) => write!(f, "multi-byte nop length {n} outside 3..=15"),
-            EncodeError::BadShiftAmount(n) => write!(f, "shift amount {n} outside 0..=63"),
+            EncodeError::BadNopLen(n) => {
+                write!(f, "multi-byte nop length {n} outside {NOP_LENS:?}")
+            }
+            EncodeError::BadShiftAmount(n) => {
+                write!(f, "shift amount {n} outside {SHIFT_AMOUNTS:?}")
+            }
         }
     }
 }
 
 impl std::error::Error for EncodeError {}
 
-fn modrm(hi: Reg, lo: Reg) -> u8 {
-    (hi.index() << 4) | lo.index()
-}
+/// The lengths a multi-byte `nopN` may have.
+pub const NOP_LENS: RangeInclusive<u8> = 3..=15;
 
-/// The encoded length of `inst` in bytes.
-///
-/// # Examples
-///
-/// ```
-/// use phantom_isa::{encode::encoded_len, Inst};
-/// assert_eq!(encoded_len(&Inst::Nop), 1);
-/// assert_eq!(encoded_len(&Inst::Jmp { disp: 0 }), 5);
-/// assert_eq!(encoded_len(&Inst::NopN { len: 9 }), 9);
-/// ```
-pub fn encoded_len(inst: &Inst) -> usize {
-    match inst {
-        Inst::Nop
-        | Inst::Ret
-        | Inst::Lfence
-        | Inst::Mfence
-        | Inst::Syscall
-        | Inst::Sysret
-        | Inst::Halt
-        | Inst::Invalid { .. } => 1,
-        Inst::NopN { len } => usize::from(*len),
-        Inst::JmpInd { .. }
-        | Inst::CallInd { .. }
-        | Inst::MovReg { .. }
-        | Inst::Cmp { .. }
-        | Inst::Clflush { .. } => 2,
-        Inst::Alu { .. } | Inst::Shr { .. } | Inst::Shl { .. } => 3,
-        Inst::Jmp { .. } | Inst::Call { .. } => 5,
-        Inst::Jcc { .. } | Inst::Load { .. } | Inst::Store { .. } | Inst::AndImm { .. } => 6,
-        Inst::MovImm { .. } => 10,
-    }
-}
+/// The amounts `shr` and `shl` may shift by.
+pub const SHIFT_AMOUNTS: RangeInclusive<u8> = 0..=63;
 
 /// The longest encoding of any instruction: a 15-byte `nopN`.
-pub const MAX_INST_LEN: usize = 15;
+pub const MAX_INST_LEN: usize = *NOP_LENS.end() as usize;
 
 /// One instruction's bytes, held inline: encoding allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,14 +51,9 @@ pub struct Encoded {
 }
 
 impl Encoded {
-    fn push(&mut self, byte: u8) {
+    pub(crate) fn push(&mut self, byte: u8) {
         self.bytes[self.len] = byte;
         self.len += 1;
-    }
-
-    fn extend_from_slice(&mut self, bytes: &[u8]) {
-        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
     }
 
     /// The encoding.
@@ -155,99 +101,7 @@ pub fn encode(inst: &Inst) -> Result<Encoded, EncodeError> {
         bytes: [0; MAX_INST_LEN],
         len: 0,
     };
-    match *inst {
-        Inst::Nop => out.push(0x90),
-        Inst::NopN { len } => {
-            if !(3..=15).contains(&len) {
-                return Err(EncodeError::BadNopLen(len));
-            }
-            out.push(0x0F);
-            out.push(len);
-            // The padding bytes are the buffer's zeros.
-            out.len = usize::from(len);
-        }
-        Inst::Jmp { disp } => {
-            out.push(0xE9);
-            out.extend_from_slice(&disp.to_le_bytes());
-        }
-        Inst::JmpInd { src } => {
-            out.push(0xFF);
-            out.push(src.index());
-        }
-        Inst::Jcc { cond, disp } => {
-            out.push(0x71);
-            out.push(cond.code());
-            out.extend_from_slice(&disp.to_le_bytes());
-        }
-        Inst::Call { disp } => {
-            out.push(0xE8);
-            out.extend_from_slice(&disp.to_le_bytes());
-        }
-        Inst::CallInd { src } => {
-            out.push(0xF1);
-            out.push(src.index());
-        }
-        Inst::Ret => out.push(0xC3),
-        Inst::Load { dst, base, disp } => {
-            out.push(0x8B);
-            out.push(modrm(dst, base));
-            out.extend_from_slice(&disp.to_le_bytes());
-        }
-        Inst::Store { base, disp, src } => {
-            out.push(0x89);
-            out.push(modrm(base, src));
-            out.extend_from_slice(&disp.to_le_bytes());
-        }
-        Inst::MovImm { dst, imm } => {
-            out.push(0xB8);
-            out.push(dst.index());
-            out.extend_from_slice(&imm.to_le_bytes());
-        }
-        Inst::MovReg { dst, src } => {
-            out.push(0x8A);
-            out.push(modrm(dst, src));
-        }
-        Inst::Alu { op, dst, src } => {
-            out.push(0x01);
-            out.push(op.code());
-            out.push(modrm(dst, src));
-        }
-        Inst::Shr { dst, amount } => {
-            if amount > 63 {
-                return Err(EncodeError::BadShiftAmount(amount));
-            }
-            out.push(0xC1);
-            out.push(dst.index());
-            out.push(amount);
-        }
-        Inst::Shl { dst, amount } => {
-            if amount > 63 {
-                return Err(EncodeError::BadShiftAmount(amount));
-            }
-            out.push(0xD1);
-            out.push(dst.index());
-            out.push(amount);
-        }
-        Inst::AndImm { dst, imm } => {
-            out.push(0x81);
-            out.push(dst.index());
-            out.extend_from_slice(&imm.to_le_bytes());
-        }
-        Inst::Cmp { a, b } => {
-            out.push(0x39);
-            out.push(modrm(a, b));
-        }
-        Inst::Lfence => out.push(0xFA),
-        Inst::Mfence => out.push(0xFB),
-        Inst::Clflush { addr } => {
-            out.push(0xAE);
-            out.push(addr.index());
-        }
-        Inst::Syscall => out.push(0x05),
-        Inst::Sysret => out.push(0x07),
-        Inst::Halt => out.push(0xF4),
-        Inst::Invalid { byte } => out.push(byte),
-    }
+    inst.write(&mut out)?;
     Ok(out)
 }
 
@@ -267,21 +121,22 @@ where
     Ok(out)
 }
 
-/// Returns `true` if `inst` survives an encode/decode round trip
-/// unchanged. `Invalid` bytes that alias real opcodes do not round-trip;
-/// everything else should.
-pub fn round_trips(inst: &Inst) -> bool {
-    let mut buf = Vec::new();
-    if encode_into(inst, &mut buf).is_err() {
-        return false;
-    }
-    matches!(crate::decode::decode(&buf), Some((d, n)) if d == *inst && n == buf.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inst::{AluOp, Cond};
+    use crate::reg::Reg;
+
+    /// Whether `inst` survives an encode/decode round trip unchanged.
+    /// `Invalid` bytes that alias real opcodes do not round-trip;
+    /// everything else should.
+    fn round_trips(inst: &Inst) -> bool {
+        let mut buf = Vec::new();
+        if encode_into(inst, &mut buf).is_err() {
+            return false;
+        }
+        matches!(crate::decode::decode(&buf), Some((d, n)) if d == *inst && n == buf.len())
+    }
 
     #[test]
     fn lengths_match_encoding() {
@@ -346,7 +201,7 @@ mod tests {
         for inst in &samples {
             let mut buf = Vec::new();
             encode_into(inst, &mut buf).unwrap();
-            assert_eq!(buf.len(), encoded_len(inst), "{inst}");
+            assert_eq!(buf.len(), inst.len(), "{inst}");
             assert!(round_trips(inst), "{inst}");
         }
     }

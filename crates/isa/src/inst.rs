@@ -1,9 +1,13 @@
-//! The instruction enumeration.
+//! The instruction table: each instruction declared once, with its
+//! encoding, branch kind and text.
 
 use std::fmt;
 
+use crate::asm::AsmError;
+use crate::encode::{EncodeError, Encoded};
 use crate::kind::BranchKind;
 use crate::reg::Reg;
+use crate::slot::{Reader, Stop};
 
 /// Condition code for [`Inst::Jcc`].
 ///
@@ -124,175 +128,277 @@ impl AluOp {
     }
 }
 
-/// One decoded instruction.
+/// Declare the instruction set, one row per instruction:
 ///
-/// The encoding is variable length (1–15 bytes, like x86). Displacements
-/// for direct control flow are relative to the **end** of the instruction,
-/// matching x86 `rel32` semantics.
-///
-/// # Examples
-///
+/// ```text
+/// /// Variant docs.
+/// Variant { /// Field docs.
+///           field: Type, … } = opcode [slot(field), …] BranchKind "text",
 /// ```
-/// use phantom_isa::{BranchKind, Inst, Reg};
-/// let i = Inst::Jmp { disp: -5 };
-/// assert_eq!(i.kind(), BranchKind::Direct);
-/// assert_eq!(i.len(), 5);
-/// // A jmp at 0x100 with disp -5 targets itself.
-/// assert_eq!(i.direct_target(0x100), Some(0x100));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Inst {
-    /// Single-byte no-op.
-    Nop,
-    /// Multi-byte no-op occupying `len` bytes (3–15), like
-    /// `nop DWORD PTR [rax+rax*1+0x0]` in the paper's Listing 1.
-    NopN {
-        /// Total encoded length in bytes.
-        len: u8,
-    },
-    /// Direct unconditional jump, `rel32` from instruction end.
-    Jmp {
-        /// Displacement from the end of this instruction.
-        disp: i32,
-    },
-    /// Indirect jump through a register.
-    JmpInd {
-        /// Register holding the absolute target.
-        src: Reg,
-    },
-    /// Conditional direct branch.
-    Jcc {
-        /// Branch condition.
-        cond: Cond,
-        /// Displacement from the end of this instruction.
-        disp: i32,
-    },
-    /// Direct call (pushes return address).
-    Call {
-        /// Displacement from the end of this instruction.
-        disp: i32,
-    },
-    /// Indirect call through a register.
-    CallInd {
-        /// Register holding the absolute target.
-        src: Reg,
-    },
-    /// Return (pops return address).
-    Ret,
-    /// Load `dst = [base + disp]`.
-    Load {
-        /// Destination register.
-        dst: Reg,
-        /// Base address register.
-        base: Reg,
-        /// Byte displacement.
-        disp: i32,
-    },
-    /// Store `[base + disp] = src`.
-    Store {
-        /// Base address register.
-        base: Reg,
-        /// Byte displacement.
-        disp: i32,
-        /// Source register.
-        src: Reg,
-    },
-    /// Load a 64-bit immediate.
-    MovImm {
-        /// Destination register.
-        dst: Reg,
-        /// Immediate value.
-        imm: u64,
-    },
-    /// Register-register move.
-    MovReg {
-        /// Destination register.
-        dst: Reg,
-        /// Source register.
-        src: Reg,
-    },
-    /// Register-register ALU operation.
-    Alu {
-        /// Operation.
-        op: AluOp,
-        /// Destination (and left operand).
-        dst: Reg,
-        /// Right operand.
-        src: Reg,
-    },
-    /// `dst >>= amount` (logical).
-    Shr {
-        /// Destination register.
-        dst: Reg,
-        /// Shift amount (0–63).
-        amount: u8,
-    },
-    /// `dst <<= amount`.
-    Shl {
-        /// Destination register.
-        dst: Reg,
-        /// Shift amount (0–63).
-        amount: u8,
-    },
-    /// `dst &= imm` (32-bit immediate, zero-extended).
-    AndImm {
-        /// Destination register.
-        dst: Reg,
-        /// Immediate mask.
-        imm: u32,
-    },
-    /// Compare two registers and set flags (like `cmp a, b`).
-    Cmp {
-        /// Left operand.
-        a: Reg,
-        /// Right operand.
-        b: Reg,
-    },
-    /// Load fence: stalls until earlier loads retire; the recommended
-    /// Spectre speculation barrier (§2.4).
-    Lfence,
-    /// Full memory fence.
-    Mfence,
-    /// Flush the cache line containing `[addr]` from the data caches
-    /// (`clflush`).
-    Clflush {
-        /// Register holding the address to flush.
-        addr: Reg,
-    },
-    /// Enter the kernel (syscall number in `R0`, args in `R1`, `R2`, …).
-    Syscall,
-    /// Return from kernel to user mode.
-    Sysret,
-    /// Stop the machine (used to terminate simulated programs).
-    Halt,
-    /// An undecodable byte; consumes exactly one byte, like a `#UD`-ing
-    /// x86 sequence. Phantom targets pointing into data decode to these.
-    Invalid {
-        /// The offending byte.
-        byte: u8,
-    },
+///
+/// The slots name the operand fields in encoding order after the opcode
+/// byte: `reg`, `modrm(hi, lo)`, `cond`, `alu`, `shift`, `nop_len` and
+/// `le` (see `slot.rs`). The rows generate [`Inst`], [`Inst::kind`],
+/// [`Inst::len`], `Display`, and the per-instruction halves of
+/// [`encode`](crate::encode::encode) and
+/// [`decode`](crate::decode::decode); `Invalid` is added, unlisted. A
+/// slot that names no field, or a field that no slot names, does not
+/// compile, and neither does a repeated opcode.
+macro_rules! instructions {
+    (
+        $(#[$meta:meta])*
+        pub enum Inst {
+            $(
+                $(#[$doc:meta])*
+                $name:ident $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty,)* })?
+                    = $op:literal [$($slot:ident($($arg:ident),+)),*] $kind:ident $text:literal,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Inst {
+            $($(#[$doc])* $name $({ $($(#[$fdoc])* $field: $ty,)* })?,)*
+            /// An undecodable byte; consumes exactly one byte, like a `#UD`-ing
+            /// x86 sequence. Phantom targets pointing into data decode to these.
+            Invalid {
+                /// The offending byte.
+                byte: u8,
+            },
+        }
+
+        impl Inst {
+            /// The control-flow classification the *decoder* derives for this
+            /// instruction — what gets compared against the BTB's predicted kind.
+            pub const fn kind(&self) -> BranchKind {
+                match self {
+                    $(Inst::$name { .. } => BranchKind::$kind,)*
+                    Inst::Invalid { .. } => BranchKind::NotBranch,
+                }
+            }
+
+            /// Encoded length in bytes.
+            #[allow(unused_variables)]
+            pub const fn len(&self) -> usize {
+                match *self {
+                    $(Inst::$name { $($($arg,)+)* } => {
+                        let n = 1;
+                        $(let n = slot!(len n, $slot($($arg),+));)*
+                        n
+                    })*
+                    Inst::Invalid { .. } => 1,
+                }
+            }
+
+            /// Append this instruction's bytes to `out`.
+            pub(crate) fn write(&self, out: &mut Encoded) -> Result<(), EncodeError> {
+                match *self {
+                    $(Inst::$name { $($($arg,)+)* } => {
+                        out.push($op);
+                        $(slot!(put out, $slot($($arg),+));)*
+                    })*
+                    Inst::Invalid { byte } => out.push(byte),
+                }
+                Ok(())
+            }
+
+            /// Read the instruction with opcode `op` from `r`, which
+            /// stands just past the opcode.
+            pub(crate) fn read(op: u8, r: &mut Reader<'_>) -> Result<Inst, Stop> {
+                match op {
+                    $($op => {
+                        $(slot!(get r, $slot($($arg),+));)*
+                        Ok(Inst::$name { $($($arg,)+)* })
+                    })*
+                    _ => Err(Stop::Malformed),
+                }
+            }
+        }
+
+        impl fmt::Display for Inst {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $(Inst::$name { $($($arg,)+)* } => write!(f, $text),)*
+                    Inst::Invalid { byte } => write!(f, "(bad {byte:#04x})"),
+                }
+            }
+        }
+    };
+}
+
+/// One operand slot of a table row: `put` writes its fields, `get` reads
+/// and binds them, `len` adds its width to the running length `n`. Each
+/// slot is one byte wide except `le` (the field's own width) and
+/// `nop_len`, whose field is the instruction's whole length.
+macro_rules! slot {
+    (put $out:ident, modrm($hi:ident, $lo:ident)) => {
+        $out.modrm($hi, $lo)?
+    };
+    (put $out:ident, $slot:ident($field:ident)) => {
+        $out.$slot($field)?
+    };
+    (get $r:ident, modrm($hi:ident, $lo:ident)) => {
+        let ($hi, $lo) = $r.modrm()?;
+    };
+    (get $r:ident, $slot:ident($field:ident)) => {
+        let $field = $r.$slot()?;
+    };
+    (len $n:ident, nop_len($len:ident)) => {
+        $len as usize
+    };
+    (len $n:ident, le($field:ident)) => {
+        $n + std::mem::size_of_val(&$field)
+    };
+    (len $n:ident, $slot:ident($($field:ident),+)) => {
+        $n + 1
+    };
+}
+
+instructions! {
+    /// One decoded instruction.
+    ///
+    /// The encoding is variable length (1–15 bytes, like x86). Displacements
+    /// for direct control flow are relative to the **end** of the instruction,
+    /// matching x86 `rel32` semantics.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use phantom_isa::{BranchKind, Inst, Reg};
+    /// let i = Inst::Jmp { disp: -5 };
+    /// assert_eq!(i.kind(), BranchKind::Direct);
+    /// assert_eq!(i.len(), 5);
+    /// // A jmp at 0x100 with disp -5 targets itself.
+    /// assert_eq!(i.direct_target(0x100), Some(0x100));
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Inst {
+        /// Single-byte no-op.
+        Nop = 0x90 [] NotBranch "nop",
+        /// Multi-byte no-op occupying `len` bytes (3–15), like
+        /// `nop DWORD PTR [rax+rax*1+0x0]` in the paper's Listing 1.
+        NopN {
+            /// Total encoded length in bytes.
+            len: u8,
+        } = 0x0F [nop_len(len)] NotBranch "nop{len}",
+        /// Direct unconditional jump, `rel32` from instruction end.
+        Jmp {
+            /// Displacement from the end of this instruction.
+            disp: i32,
+        } = 0xE9 [le(disp)] Direct "jmp {disp:+}",
+        /// Indirect jump through a register.
+        JmpInd {
+            /// Register holding the absolute target.
+            src: Reg,
+        } = 0xFF [reg(src)] Indirect "jmp *{src}",
+        /// Conditional direct branch.
+        Jcc {
+            /// Branch condition.
+            cond: Cond,
+            /// Displacement from the end of this instruction.
+            disp: i32,
+        } = 0x71 [cond(cond), le(disp)] Cond "j{cond} {disp:+}",
+        /// Direct call (pushes return address).
+        Call {
+            /// Displacement from the end of this instruction.
+            disp: i32,
+        } = 0xE8 [le(disp)] Call "call {disp:+}",
+        /// Indirect call through a register.
+        CallInd {
+            /// Register holding the absolute target.
+            src: Reg,
+        } = 0xF1 [reg(src)] CallInd "call *{src}",
+        /// Return (pops return address).
+        Ret = 0xC3 [] Ret "ret",
+        /// Load `dst = [base + disp]`.
+        Load {
+            /// Destination register.
+            dst: Reg,
+            /// Base address register.
+            base: Reg,
+            /// Byte displacement.
+            disp: i32,
+        } = 0x8B [modrm(dst, base), le(disp)] NotBranch "mov {dst}, [{base}{disp:+}]",
+        /// Store `[base + disp] = src`.
+        Store {
+            /// Base address register.
+            base: Reg,
+            /// Byte displacement.
+            disp: i32,
+            /// Source register.
+            src: Reg,
+        } = 0x89 [modrm(base, src), le(disp)] NotBranch "mov [{base}{disp:+}], {src}",
+        /// Load a 64-bit immediate.
+        MovImm {
+            /// Destination register.
+            dst: Reg,
+            /// Immediate value.
+            imm: u64,
+        } = 0xB8 [reg(dst), le(imm)] NotBranch "mov {dst}, {imm:#x}",
+        /// Register-register move.
+        MovReg {
+            /// Destination register.
+            dst: Reg,
+            /// Source register.
+            src: Reg,
+        } = 0x8A [modrm(dst, src)] NotBranch "mov {dst}, {src}",
+        /// Register-register ALU operation.
+        Alu {
+            /// Operation.
+            op: AluOp,
+            /// Destination (and left operand).
+            dst: Reg,
+            /// Right operand.
+            src: Reg,
+        } = 0x01 [alu(op), modrm(dst, src)] NotBranch "{op:?} {dst}, {src}",
+        /// `dst >>= amount` (logical).
+        Shr {
+            /// Destination register.
+            dst: Reg,
+            /// Shift amount (0–63).
+            amount: u8,
+        } = 0xC1 [reg(dst), shift(amount)] NotBranch "shr {dst}, {amount}",
+        /// `dst <<= amount`.
+        Shl {
+            /// Destination register.
+            dst: Reg,
+            /// Shift amount (0–63).
+            amount: u8,
+        } = 0xD1 [reg(dst), shift(amount)] NotBranch "shl {dst}, {amount}",
+        /// `dst &= imm` (32-bit immediate, zero-extended).
+        AndImm {
+            /// Destination register.
+            dst: Reg,
+            /// Immediate mask.
+            imm: u32,
+        } = 0x81 [reg(dst), le(imm)] NotBranch "and {dst}, {imm:#x}",
+        /// Compare two registers and set flags (like `cmp a, b`).
+        Cmp {
+            /// Left operand.
+            a: Reg,
+            /// Right operand.
+            b: Reg,
+        } = 0x39 [modrm(a, b)] NotBranch "cmp {a}, {b}",
+        /// Load fence: stalls until earlier loads retire; the recommended
+        /// Spectre speculation barrier (§2.4).
+        Lfence = 0xFA [] NotBranch "lfence",
+        /// Full memory fence.
+        Mfence = 0xFB [] NotBranch "mfence",
+        /// Flush the cache line containing `[addr]` from the data caches
+        /// (`clflush`).
+        Clflush {
+            /// Register holding the address to flush.
+            addr: Reg,
+        } = 0xAE [reg(addr)] NotBranch "clflush [{addr}]",
+        /// Enter the kernel (syscall number in `R0`, args in `R1`, `R2`, …).
+        Syscall = 0x05 [] NotBranch "syscall",
+        /// Return from kernel to user mode.
+        Sysret = 0x07 [] NotBranch "sysret",
+        /// Stop the machine (used to terminate simulated programs).
+        Halt = 0xF4 [] NotBranch "hlt",
+    }
 }
 
 impl Inst {
-    /// The control-flow classification the *decoder* derives for this
-    /// instruction — what gets compared against the BTB's predicted kind.
-    pub fn kind(&self) -> BranchKind {
-        match self {
-            Inst::Jmp { .. } => BranchKind::Direct,
-            Inst::JmpInd { .. } => BranchKind::Indirect,
-            Inst::Jcc { .. } => BranchKind::Cond,
-            Inst::Call { .. } => BranchKind::Call,
-            Inst::CallInd { .. } => BranchKind::CallInd,
-            Inst::Ret => BranchKind::Ret,
-            _ => BranchKind::NotBranch,
-        }
-    }
-
-    /// Encoded length in bytes.
-    pub fn len(&self) -> usize {
-        crate::encode::encoded_len(self)
-    }
-
     /// `true` if the encoding is a single byte. Provided for
     /// `clippy::len_without_is_empty` symmetry; instructions are never
     /// zero-length.
@@ -303,67 +409,69 @@ impl Inst {
     /// For direct control flow (`jmp`, `jcc`, `call`), the absolute target
     /// given the instruction's start address. `None` for other kinds.
     pub fn direct_target(&self, pc: u64) -> Option<u64> {
-        let (disp, len) = match self {
-            Inst::Jmp { disp } => (*disp, self.len()),
-            Inst::Jcc { disp, .. } => (*disp, self.len()),
-            Inst::Call { disp } => (*disp, self.len()),
-            _ => return None,
+        let (Inst::Jmp { disp } | Inst::Jcc { disp, .. } | Inst::Call { disp }) = *self else {
+            return None;
         };
-        Some(pc.wrapping_add(len as u64).wrapping_add(disp as i64 as u64))
-    }
-
-    /// Whether this instruction performs a data-memory access.
-    pub fn touches_memory(&self) -> bool {
-        matches!(
-            self,
-            Inst::Load { .. }
-                | Inst::Store { .. }
-                | Inst::Ret
-                | Inst::Call { .. }
-                | Inst::CallInd { .. }
+        Some(
+            pc.wrapping_add(self.len() as u64)
+                .wrapping_add(disp as i64 as u64),
         )
     }
 
-    /// Whether this is a speculation barrier.
-    pub fn is_fence(&self) -> bool {
-        matches!(self, Inst::Lfence | Inst::Mfence)
-    }
-}
-
-impl fmt::Display for Inst {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Inst::Nop => write!(f, "nop"),
-            Inst::NopN { len } => write!(f, "nop{len}"),
-            Inst::Jmp { disp } => write!(f, "jmp {disp:+}"),
-            Inst::JmpInd { src } => write!(f, "jmp *{src}"),
-            Inst::Jcc { cond, disp } => write!(f, "j{cond} {disp:+}"),
-            Inst::Call { disp } => write!(f, "call {disp:+}"),
-            Inst::CallInd { src } => write!(f, "call *{src}"),
-            Inst::Ret => write!(f, "ret"),
-            Inst::Load { dst, base, disp } => write!(f, "mov {dst}, [{base}{disp:+}]"),
-            Inst::Store { base, disp, src } => write!(f, "mov [{base}{disp:+}], {src}"),
-            Inst::MovImm { dst, imm } => write!(f, "mov {dst}, {imm:#x}"),
-            Inst::MovReg { dst, src } => write!(f, "mov {dst}, {src}"),
-            Inst::Alu { op, dst, src } => write!(f, "{op:?} {dst}, {src}"),
-            Inst::Shr { dst, amount } => write!(f, "shr {dst}, {amount}"),
-            Inst::Shl { dst, amount } => write!(f, "shl {dst}, {amount}"),
-            Inst::AndImm { dst, imm } => write!(f, "and {dst}, {imm:#x}"),
-            Inst::Cmp { a, b } => write!(f, "cmp {a}, {b}"),
-            Inst::Lfence => write!(f, "lfence"),
-            Inst::Mfence => write!(f, "mfence"),
-            Inst::Clflush { addr } => write!(f, "clflush [{addr}]"),
-            Inst::Syscall => write!(f, "syscall"),
-            Inst::Sysret => write!(f, "sysret"),
-            Inst::Halt => write!(f, "hlt"),
-            Inst::Invalid { byte } => write!(f, "(bad {byte:#04x})"),
+    /// This instruction placed at `pc`, with a direct branch's (`jmp`,
+    /// `jcc`, `call`) displacement set so that it reaches `target`; any
+    /// other instruction comes back unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AsmError::DispOverflow`] if `target` is out of `rel32`
+    /// reach from the instruction's end.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use phantom_isa::Inst;
+    /// let j = Inst::Jmp { disp: 0 }.with_target(0x1000, 0x1015)?;
+    /// assert_eq!(j, Inst::Jmp { disp: 0x10 });
+    /// assert_eq!(j.direct_target(0x1000), Some(0x1015));
+    /// # Ok::<(), phantom_isa::asm::AsmError>(())
+    /// ```
+    pub fn with_target(mut self, pc: u64, target: u64) -> Result<Inst, AsmError> {
+        let end = pc.wrapping_add(self.len() as u64);
+        if let Inst::Jmp { disp } | Inst::Jcc { disp, .. } | Inst::Call { disp } = &mut self {
+            *disp = i32::try_from(target.wrapping_sub(end) as i64).map_err(|_| {
+                AsmError::DispOverflow {
+                    from: pc,
+                    to: target,
+                }
+            })?;
         }
+        Ok(self)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+
+    /// The opcode of every table row: each byte that opens a valid
+    /// instruction when every field after it reads 3 or 0 (a register,
+    /// condition, ALU operation, nop length and shift amount all in
+    /// range).
+    pub(crate) fn table_opcodes() -> BTreeSet<u8> {
+        (0..=255u8)
+            .filter(|&op| {
+                let mut bytes = [0; 16];
+                bytes[..2].copy_from_slice(&[op, 3]);
+                !matches!(
+                    crate::decode::decode(&bytes),
+                    Some((Inst::Invalid { .. }, _))
+                )
+            })
+            .collect()
+    }
 
     #[test]
     fn kinds_cover_branch_taxonomy() {
@@ -424,20 +532,138 @@ mod tests {
         assert_eq!(AluOp::Xor.apply(0b1100, 0b1010), 0b0110);
     }
 
+    /// The text of one instance of every row, and of `Invalid`, as the
+    /// hand-written `Display` printed it. `Alu` prints the operation's
+    /// `Debug` name, which pipeline traces show.
     #[test]
-    fn memory_touching_classification() {
-        assert!(Inst::Load {
-            dst: Reg::R0,
-            base: Reg::R1,
-            disp: 0
+    fn display_golden() {
+        let golden = [
+            (Inst::Nop, "nop"),
+            (Inst::NopN { len: 7 }, "nop7"),
+            (Inst::Jmp { disp: -5 }, "jmp -5"),
+            (Inst::JmpInd { src: Reg::R11 }, "jmp *r11"),
+            (
+                Inst::Jcc {
+                    cond: Cond::AboveEq,
+                    disp: 0x40,
+                },
+                "jae +64",
+            ),
+            (Inst::Call { disp: 0 }, "call +0"),
+            (Inst::CallInd { src: Reg::R3 }, "call *r3"),
+            (Inst::Ret, "ret"),
+            (
+                Inst::Load {
+                    dst: Reg::R9,
+                    base: Reg::R8,
+                    disp: -16,
+                },
+                "mov r9, [r8-16]",
+            ),
+            (
+                Inst::Store {
+                    base: Reg::R2,
+                    disp: 8,
+                    src: Reg::R1,
+                },
+                "mov [r2+8], r1",
+            ),
+            (
+                Inst::MovImm {
+                    dst: Reg::R0,
+                    imm: 0xdead_beef,
+                },
+                "mov r0, 0xdeadbeef",
+            ),
+            (
+                Inst::MovReg {
+                    dst: Reg::R4,
+                    src: Reg::R5,
+                },
+                "mov r4, r5",
+            ),
+            (
+                Inst::Alu {
+                    op: AluOp::Xor,
+                    dst: Reg::R6,
+                    src: Reg::R7,
+                },
+                "Xor r6, r7",
+            ),
+            (
+                Inst::Shr {
+                    dst: Reg::R3,
+                    amount: 12,
+                },
+                "shr r3, 12",
+            ),
+            (
+                Inst::Shl {
+                    dst: Reg::R3,
+                    amount: 6,
+                },
+                "shl r3, 6",
+            ),
+            (
+                Inst::AndImm {
+                    dst: Reg::R3,
+                    imm: 0xff,
+                },
+                "and r3, 0xff",
+            ),
+            (
+                Inst::Cmp {
+                    a: Reg::R1,
+                    b: Reg::R2,
+                },
+                "cmp r1, r2",
+            ),
+            (Inst::Lfence, "lfence"),
+            (Inst::Mfence, "mfence"),
+            (Inst::Clflush { addr: Reg::R8 }, "clflush [r8]"),
+            (Inst::Syscall, "syscall"),
+            (Inst::Sysret, "sysret"),
+            (Inst::Halt, "hlt"),
+            (Inst::Invalid { byte: 0x42 }, "(bad 0x42)"),
+        ];
+        for (inst, text) in golden {
+            assert_eq!(inst.to_string(), text, "{inst:?}");
         }
-        .touches_memory());
-        assert!(Inst::Ret.touches_memory());
-        assert!(!Inst::Nop.touches_memory());
-        assert!(!Inst::MovImm {
-            dst: Reg::R0,
-            imm: 1
-        }
-        .touches_memory());
+        // One instance per row, then `Invalid`.
+        let opcodes: BTreeSet<u8> = golden[..golden.len() - 1]
+            .iter()
+            .map(|(inst, _)| crate::encode::encode(inst).unwrap().as_bytes()[0])
+            .collect();
+        assert_eq!(opcodes, table_opcodes());
+    }
+
+    #[test]
+    fn with_target_aims_direct_branches_from_their_end() {
+        let jcc = Inst::Jcc {
+            cond: Cond::Eq,
+            disp: 0,
+        };
+        let aimed = jcc.with_target(0x1000, 0x2000).unwrap();
+        assert_eq!(aimed.direct_target(0x1000), Some(0x2000));
+        assert_eq!(
+            aimed,
+            Inst::Jcc {
+                cond: Cond::Eq,
+                disp: 0x1000 - 6
+            }
+        );
+        assert_eq!(
+            Inst::Call { disp: 0 }.with_target(0x1000, 0x1000),
+            Ok(Inst::Call { disp: -5 })
+        );
+        // Non-branches come back unchanged; out-of-reach targets error.
+        assert_eq!(Inst::Ret.with_target(0, u64::MAX), Ok(Inst::Ret));
+        assert_eq!(
+            Inst::Jmp { disp: 0 }.with_target(0, 1 << 40),
+            Err(AsmError::DispOverflow {
+                from: 0,
+                to: 1 << 40
+            })
+        );
     }
 }

@@ -6,8 +6,9 @@
 //! mismatch. For that story to be faithful, the simulated CPU must fetch
 //! *bytes* and decode them. This crate provides:
 //!
-//! * [`Inst`] — the instruction enumeration (branches, loads, stores, ALU,
-//!   fences, nop sleds, …) with a [`BranchKind`] classification,
+//! * [`Inst`] — the instruction table (branches, loads, stores, ALU,
+//!   fences, nop sleds, …): one row per instruction gives its opcode,
+//!   operand layout, [`BranchKind`] and text,
 //! * [`encode`](encode::encode_into) / [`decode`](decode::decode) — a
 //!   byte-true variable-length encoding, total on arbitrary byte input
 //!   (unknown bytes decode to [`Inst::Invalid`], as on real hardware where
@@ -39,6 +40,7 @@ pub mod encode;
 pub mod inst;
 pub mod kind;
 pub mod reg;
+mod slot;
 
 pub use asm::Assembler;
 pub use inst::{Cond, Inst};
@@ -47,3 +49,5 @@ pub use reg::Reg;
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod reference;

@@ -1,10 +1,16 @@
-//! Property-based tests for the encoder/decoder pair.
+//! Property-based tests for the encoder/decoder pair, and the tests
+//! that hold the instruction table to the hand-written reference codec.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 use crate::decode::{decode, decode_all};
-use crate::encode::{encode_all, encode_into};
+use crate::encode::{encode, encode_all, encode_into, EncodeError};
+use crate::inst::tests::table_opcodes;
 use crate::inst::{AluOp, Cond, Inst};
+use crate::reference;
 use crate::reg::Reg;
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
@@ -142,5 +148,89 @@ proptest! {
             }
         }
         prop_assert_eq!(jumps, pads.len());
+    }
+}
+
+/// The table's encoding of `inst`, as the reference encoder reports it.
+fn table_encode(inst: &Inst) -> Result<Vec<u8>, EncodeError> {
+    encode(inst).map(|e| e.as_bytes().to_vec())
+}
+
+fn reference_encode(inst: &Inst) -> Result<Vec<u8>, EncodeError> {
+    reference::encode(inst).map(|e| e.as_bytes().to_vec())
+}
+
+/// Every opcode byte pair decodes as the reference decoder does at
+/// every truncation, followed by a tail whose third byte is a valid
+/// shift amount, by one whose third byte is the first invalid one, and
+/// by one of `0xFF` bytes.
+#[test]
+fn table_decode_matches_the_reference_on_every_two_byte_prefix() {
+    let tails: [[u8; 14]; 3] = [
+        [
+            0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 1, 2, 3, 4, 5, 6,
+        ],
+        [
+            0x40, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 1, 2, 3, 4, 5, 6,
+        ],
+        [0xFF; 14],
+    ];
+    for tail in tails {
+        let mut buf = [0u8; 16];
+        buf[2..].copy_from_slice(&tail);
+        for b0 in 0..=255u8 {
+            for b1 in 0..=255u8 {
+                buf[0] = b0;
+                buf[1] = b1;
+                for n in 0..=15 {
+                    assert_eq!(
+                        decode(&buf[..n]),
+                        reference::decode(&buf[..n]),
+                        "{:02x?}",
+                        &buf[..n]
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Sampling `arb_inst` reaches every row of the table: a row added
+/// without an `arb_inst` arm fails here.
+#[test]
+fn arb_inst_covers_every_table_row() {
+    let mut rng = TestRng::deterministic("arb_inst_covers_every_table_row", 0);
+    let strategy = arb_inst();
+    let seen: BTreeSet<u8> = (0..4096)
+        .map(|_| table_encode(&strategy.generate(&mut rng)).unwrap()[0])
+        .collect();
+    assert_eq!(seen, table_opcodes());
+}
+
+proptest! {
+    /// On any short input the table decodes as the reference decoder.
+    #[test]
+    fn table_decode_matches_the_reference(bytes in proptest::collection::vec(any::<u8>(), 0..=16)) {
+        prop_assert_eq!(decode(&bytes), reference::decode(&bytes));
+    }
+
+    /// The table encodes every instruction, out-of-range `NopN` lengths
+    /// and shift amounts included, to the reference's bytes or error.
+    #[test]
+    fn table_encode_matches_the_reference(
+        insts in proptest::collection::vec(
+            prop_oneof![
+                arb_inst(),
+                any::<u8>().prop_map(|len| Inst::NopN { len }),
+                (arb_reg(), any::<u8>()).prop_map(|(dst, amount)| Inst::Shr { dst, amount }),
+                (arb_reg(), any::<u8>()).prop_map(|(dst, amount)| Inst::Shl { dst, amount }),
+                any::<u8>().prop_map(|byte| Inst::Invalid { byte }),
+            ],
+            1..64,
+        ),
+    ) {
+        for inst in &insts {
+            prop_assert_eq!(table_encode(inst), reference_encode(inst), "{:?}", inst);
+        }
     }
 }

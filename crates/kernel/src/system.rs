@@ -5,6 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use phantom_bpu::MsrState;
 use phantom_isa::asm::{AsmError, Assembler};
+use phantom_isa::encode::{encode, MAX_INST_LEN};
 use phantom_isa::{BranchKind, Inst, Reg};
 use phantom_mem::{PageFlags, PrivilegeLevel, VirtAddr, HUGE_PAGE_SIZE, PAGE_SIZE};
 use phantom_pipeline::{Checkpoint, Machine, UarchProfile};
@@ -392,11 +393,15 @@ impl System {
 
     /// Poke `inst` and a `hlt` after it at `va`, encoded on the stack.
     fn poke_then_halt(&mut self, va: VirtAddr, inst: &Inst) -> Result<(), SystemError> {
-        let encoded = phantom_isa::encode::encode(inst).map_err(AsmError::from)?;
-        let len = encoded.as_bytes().len();
-        let mut bytes = [0xF4; phantom_isa::encode::MAX_INST_LEN + 1];
-        bytes[..len].copy_from_slice(encoded.as_bytes());
-        self.machine.poke(va, &bytes[..=len]);
+        let mut bytes = [0; 2 * MAX_INST_LEN];
+        let mut len = 0;
+        for inst in [inst, &Inst::Halt] {
+            let encoded = encode(inst).map_err(AsmError::from)?;
+            let encoded = encoded.as_bytes();
+            bytes[len..len + encoded.len()].copy_from_slice(encoded);
+            len += encoded.len();
+        }
+        self.machine.poke(va, &bytes[..len]);
         Ok(())
     }
 
@@ -413,7 +418,7 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SystemError::Machine`] if physical memory runs out, or
-    /// [`SystemError::Asm`] if the branch fails to encode.
+    /// [`SystemError::Asm`] if a direct branch cannot reach `target`.
     pub fn plant_user_branch(
         &mut self,
         source: VirtAddr,
@@ -428,23 +433,16 @@ impl System {
         let inst = match kind {
             BranchKind::Indirect => Inst::JmpInd { src: Reg::R11 },
             BranchKind::CallInd => Inst::CallInd { src: Reg::R11 },
-            BranchKind::Direct | BranchKind::Call | BranchKind::Cond => {
-                // Direct kinds need an encodable displacement; the BTB
-                // stores it PC-relative anyway.
-                let disp = target.raw().wrapping_sub(source.raw() + 5) as i64;
-                let disp = i32::try_from(disp).unwrap_or(0x7fff_0000);
-                match kind {
-                    BranchKind::Direct => Inst::Jmp { disp },
-                    BranchKind::Call => Inst::Call { disp },
-                    _ => Inst::Jcc {
-                        cond: phantom_isa::Cond::Eq,
-                        disp: disp - 1,
-                    },
-                }
-            }
+            BranchKind::Direct => Inst::Jmp { disp: 0 },
+            BranchKind::Call => Inst::Call { disp: 0 },
+            BranchKind::Cond => Inst::Jcc {
+                cond: phantom_isa::Cond::Eq,
+                disp: 0,
+            },
             BranchKind::Ret => Inst::Ret,
             BranchKind::NotBranch => Inst::Nop,
         };
+        let inst = inst.with_target(source.raw(), target.raw())?;
         self.poke_then_halt(source, &inst)
     }
 

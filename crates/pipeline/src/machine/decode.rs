@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use phantom_bpu::Prediction;
 use phantom_isa::decode::decode;
+use phantom_isa::encode::MAX_INST_LEN;
 use phantom_isa::{BranchKind, Inst};
 use phantom_mem::{AccessKind, IntMap, IntSet, PhysAddr, PrivilegeLevel, VirtAddr};
 
@@ -13,9 +14,6 @@ use crate::resteer::ResteerKind;
 use crate::transient::TransientWindow;
 
 use super::{Machine, MachineError};
-
-/// The longest x86 instruction: a decode never reads more code bytes.
-const MAX_INST_LEN: usize = 15;
 
 /// Per-line decoded-instruction cache.
 ///

@@ -97,20 +97,20 @@ impl Machine {
         let mut next = pc + len;
         match inst {
             Inst::Nop | Inst::NopN { .. } => {}
-            Inst::MovImm { dst, imm } => self.set_reg(dst, imm),
-            Inst::MovReg { dst, src } => self.set_reg(dst, self.reg(src)),
-            Inst::Alu { op, dst, src } => {
-                let v = op.apply(self.reg(dst), self.reg(src));
-                self.set_reg(dst, v);
-            }
-            Inst::Shr { dst, amount } => self.set_reg(dst, self.reg(dst) >> amount),
-            Inst::Shl { dst, amount } => self.set_reg(dst, self.reg(dst) << amount),
-            Inst::AndImm { dst, imm } => self.set_reg(dst, self.reg(dst) & u64::from(imm)),
-            Inst::Cmp { a, b } => {
-                let (av, bv) = (self.reg(a), self.reg(b));
-                self.zf = av == bv;
-                self.cf = av < bv;
-                self.sf = (av.wrapping_sub(bv) as i64) < 0;
+            Inst::MovImm { .. }
+            | Inst::MovReg { .. }
+            | Inst::Alu { .. }
+            | Inst::Shr { .. }
+            | Inst::Shl { .. }
+            | Inst::AndImm { .. }
+            | Inst::Cmp { .. } => {
+                register_op(
+                    inst,
+                    &mut self.regs,
+                    &mut self.zf,
+                    &mut self.sf,
+                    &mut self.cf,
+                );
             }
             Inst::Load { dst, base, disp } => {
                 let addr = VirtAddr::new(self.reg(base).wrapping_add(disp as i64 as u64));
@@ -165,55 +165,30 @@ impl Machine {
                 }
             }
             Inst::Lfence | Inst::Mfence => self.cycles += 8,
-            Inst::Jmp { .. } => {
-                let Some(target) = actual_target else {
-                    return self.branch_without_target(pc);
-                };
-                self.bpu
-                    .train_smt(pc, BranchKind::Direct, target, self.level, self.thread);
-                self.bpu.record_edge(pc, target);
-                next = target;
-            }
-            Inst::Jcc { .. } => {
-                self.bpu.train_direction(pc, taken);
-                if taken {
+            Inst::Jmp { .. }
+            | Inst::Jcc { .. }
+            | Inst::JmpInd { .. }
+            | Inst::Call { .. }
+            | Inst::CallInd { .. } => {
+                let kind = inst.kind();
+                if kind == BranchKind::Cond {
+                    self.bpu.train_direction(pc, taken);
+                }
+                // Only a conditional branch falls through.
+                if taken || kind != BranchKind::Cond {
                     let Some(target) = actual_target else {
                         return self.branch_without_target(pc);
                     };
                     self.bpu
-                        .train_smt(pc, BranchKind::Cond, target, self.level, self.thread);
-                    self.bpu.record_edge(pc, target);
+                        .train_smt(pc, kind, target, self.level, self.thread);
+                    if matches!(kind, BranchKind::Call | BranchKind::CallInd) {
+                        self.push_return(pc + len)?;
+                        self.bpu.rsb_mut().push(pc + len);
+                    } else {
+                        self.bpu.record_edge(pc, target);
+                    }
                     next = target;
                 }
-            }
-            Inst::JmpInd { .. } => {
-                let Some(target) = actual_target else {
-                    return self.branch_without_target(pc);
-                };
-                self.bpu
-                    .train_smt(pc, BranchKind::Indirect, target, self.level, self.thread);
-                self.bpu.record_edge(pc, target);
-                next = target;
-            }
-            Inst::Call { .. } => {
-                let Some(target) = actual_target else {
-                    return self.branch_without_target(pc);
-                };
-                self.bpu
-                    .train_smt(pc, BranchKind::Call, target, self.level, self.thread);
-                self.push_return(pc + len)?;
-                self.bpu.rsb_mut().push(pc + len);
-                next = target;
-            }
-            Inst::CallInd { .. } => {
-                let Some(target) = actual_target else {
-                    return self.branch_without_target(pc);
-                };
-                self.bpu
-                    .train_smt(pc, BranchKind::CallInd, target, self.level, self.thread);
-                self.push_return(pc + len)?;
-                self.bpu.rsb_mut().push(pc + len);
-                next = target;
             }
             Inst::Ret => {
                 let sp = VirtAddr::new(self.reg(Reg::SP));
@@ -276,5 +251,35 @@ impl Machine {
                 Ok(())
             }
         }
+    }
+}
+
+/// Apply `inst` to a register file and its flags, for the instructions
+/// whose only effect is there (`MovImm`, `MovReg`, `Alu`, `Shr`, `Shl`,
+/// `AndImm`, `Cmp`); any other instruction changes nothing. The
+/// architectural path and the wrong path both execute them through this.
+#[inline]
+pub(super) fn register_op(
+    inst: Inst,
+    regs: &mut [u64; 16],
+    zf: &mut bool,
+    sf: &mut bool,
+    cf: &mut bool,
+) {
+    let r = |reg: Reg| usize::from(reg.index());
+    match inst {
+        Inst::MovImm { dst, imm } => regs[r(dst)] = imm,
+        Inst::MovReg { dst, src } => regs[r(dst)] = regs[r(src)],
+        Inst::Alu { op, dst, src } => regs[r(dst)] = op.apply(regs[r(dst)], regs[r(src)]),
+        Inst::Shr { dst, amount } => regs[r(dst)] >>= amount,
+        Inst::Shl { dst, amount } => regs[r(dst)] <<= amount,
+        Inst::AndImm { dst, imm } => regs[r(dst)] &= u64::from(imm),
+        Inst::Cmp { a, b } => {
+            let (av, bv) = (regs[r(a)], regs[r(b)]);
+            *zf = av == bv;
+            *cf = av < bv;
+            *sf = (av.wrapping_sub(bv) as i64) < 0;
+        }
+        _ => {}
     }
 }

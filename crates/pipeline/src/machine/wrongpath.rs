@@ -7,6 +7,7 @@ use phantom_mem::{AccessKind, VirtAddr};
 use crate::events::PipelineEvent;
 use crate::transient::{TransientReport, TransientWindow};
 
+use super::execute::register_op;
 use super::fetch::LineSet;
 use super::Machine;
 
@@ -94,39 +95,14 @@ impl Machine {
             self.emit(PipelineEvent::WrongPathUop { pc: tpc });
             match inst {
                 Inst::Nop | Inst::NopN { .. } => tpc = tpc + len,
-                Inst::MovImm { dst, imm } => {
-                    tregs[usize::from(dst.index())] = imm;
-                    tpc = tpc + len;
-                }
-                Inst::MovReg { dst, src } => {
-                    tregs[usize::from(dst.index())] = tregs[usize::from(src.index())];
-                    tpc = tpc + len;
-                }
-                Inst::Alu { op, dst, src } => {
-                    let d = usize::from(dst.index());
-                    tregs[d] = op.apply(tregs[d], tregs[usize::from(src.index())]);
-                    tpc = tpc + len;
-                }
-                Inst::Shr { dst, amount } => {
-                    let d = usize::from(dst.index());
-                    tregs[d] >>= amount;
-                    tpc = tpc + len;
-                }
-                Inst::Shl { dst, amount } => {
-                    let d = usize::from(dst.index());
-                    tregs[d] <<= amount;
-                    tpc = tpc + len;
-                }
-                Inst::AndImm { dst, imm } => {
-                    let d = usize::from(dst.index());
-                    tregs[d] &= u64::from(imm);
-                    tpc = tpc + len;
-                }
-                Inst::Cmp { a, b } => {
-                    let (av, bv) = (tregs[usize::from(a.index())], tregs[usize::from(b.index())]);
-                    tzf = av == bv;
-                    tcf = av < bv;
-                    tsf = (av.wrapping_sub(bv) as i64) < 0;
+                Inst::MovImm { .. }
+                | Inst::MovReg { .. }
+                | Inst::Alu { .. }
+                | Inst::Shr { .. }
+                | Inst::Shl { .. }
+                | Inst::AndImm { .. }
+                | Inst::Cmp { .. } => {
+                    register_op(inst, &mut tregs, &mut tzf, &mut tsf, &mut tcf);
                     tpc = tpc + len;
                 }
                 Inst::Load { dst, base, disp } => {

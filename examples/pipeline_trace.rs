@@ -12,6 +12,7 @@
 //! Run with: `cargo run --release --example pipeline_trace`
 
 use phantom_isa::asm::Assembler;
+use phantom_isa::encode::encode_all;
 use phantom_isa::{Inst, Reg};
 use phantom_mem::{PageFlags, VirtAddr};
 use phantom_pipeline::{EventSink, Machine, PipelineEvent, Tracer, UarchProfile};
@@ -73,7 +74,7 @@ fn trace_one(profile: UarchProfile) -> Result<(), Box<dyn std::error::Error>> {
 
     // Victim run: the jmp* is now a nop sled, but the BTB remembers.
     // Attach a tally sink to the event bus for the duration of the run.
-    m.poke(x, &[0x90, 0x90, 0xF4]);
+    m.poke(x, &encode_all(&[Inst::Nop, Inst::Nop, Inst::Halt])?);
     m.set_pc(x);
     println!("-- victim run (same bytes are now nops):");
     let tally_id = m.attach_sink(WrongPathTally::default());
