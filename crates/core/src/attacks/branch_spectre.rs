@@ -22,7 +22,14 @@
 //! is served and the probe runs clean. The cycle delta *is* the
 //! secret. Votes go through [`decode_adaptive`] exactly like the
 //! Table 2 covert channels, so noisy probes escalate and ties abstain.
+//!
+//! A round starts at a rewind point that restores all model state, so
+//! it is a pure function of the calibrated world and the secret bit.
+//! Calibration simulates both rounds once per profile and records their
+//! cycles; every vote replays its secret's round under fresh noise, and
+//! no trial runs a simulated step.
 
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
@@ -127,9 +134,9 @@ pub struct PhtChannelResult {
 const VICTIM: VirtAddr = VirtAddr::new(0x40_0000);
 
 /// Calibrated PHT worlds, one per profile: everything
-/// [`PhtScenario::calibrate`] builds is a function of the profile, so
-/// a process calibrates each profile once and every later job forks
-/// the template.
+/// [`PhtScenario::calibrate`] finds is a function of the profile, so a
+/// process calibrates each profile once and every later job shares the
+/// template.
 type PhtTemplates = TemplateStore<UarchProfile, PhtState>;
 
 /// The process-global store behind [`pht_channel_decoded_on`].
@@ -149,36 +156,30 @@ struct PhtScenario<'t> {
     probe: OnceLock<VirtAddr>,
 }
 
-/// A calibrated world: a machine with the three branch stubs loaded,
-/// the rewind point, and the calibrated probe signature. The
-/// per-profile template is one, sealed, and each worker probes its own
-/// clone of it.
-#[derive(Clone)]
+/// A calibrated world: the alias, the probe-cycle signature of the two
+/// counter states, and the round calibration simulated for each secret.
+/// No machine: a rewound round is pure, so a trial needs only these
+/// numbers. Every job and worker on a profile shares its one template.
+#[derive(Debug)]
 struct PhtState {
-    machine: Machine,
-    snap: Checkpoint,
-    snap_cycles: u64,
-    /// Victim conditional (outcome = the secret bit).
-    victim: VirtAddr,
     /// Out-of-place probe conditional aliasing the victim in the CBP.
     probe: VirtAddr,
-    /// History-alignment conditional (always not-taken), chosen to
-    /// never touch the victim's CBP set.
-    aligner: VirtAddr,
     /// Calibrated probe-cycle threshold between the two counter
     /// states, the separation span, and which side means "taken".
     threshold: u64,
     span: u64,
     taken_is_slow: bool,
+    /// The round with the victim not taken (`[0]`) and taken (`[1]`).
+    rounds: [Round; 2],
 }
 
-/// What `setup` hands the runner and what `fork` hands a worker.
-enum PhtWorld {
-    /// The calibrated template, which only the runner's checkpoint
-    /// consumes: shared, never copied.
-    Template(Arc<PhtState>),
-    /// A worker's own copy of the template, the job's one machine copy.
-    Forked(Box<PhtState>),
+/// What one victim → re-align → timed probe round costs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Round {
+    /// The timed probe's cycles, which the attacker reads.
+    probe_cycles: u64,
+    /// The whole round's cycles from the rewind point: the vote's cost.
+    total_cycles: u64,
 }
 
 /// One decoded bit and the simulated cycles its trial consumed.
@@ -228,59 +229,26 @@ fn align_history(
     Ok(())
 }
 
-/// One victim → re-align → timed probe round. Returns the probe's raw
-/// cycle cost; everything before the probe is untimed (the attacker
-/// only ever times its own code).
-fn measure_round(
-    machine: &mut Machine,
-    snap: &Checkpoint,
-    victim: VirtAddr,
+/// The machine a round runs on: the victim, probe and aligner stubs
+/// loaded and the probe's BTB entry planted, checkpointed at the point
+/// every round rewinds to.
+struct Rig {
+    machine: Machine,
+    snap: Checkpoint,
     probe: VirtAddr,
+    /// History-alignment conditional (always not-taken), chosen to
+    /// never touch the victim's CBP set.
     aligner: VirtAddr,
     history_bits: u32,
-    secret: bool,
-) -> Result<u64, ScenarioError> {
-    snap.rewind(machine);
-    run_branch(machine, victim, secret)?;
-    align_history(machine, aligner, history_bits)?;
-    let before = machine.cycles();
-    run_branch(machine, probe, false)?;
-    Ok(machine.cycles() - before)
 }
 
-impl PhtScenario<'_> {
-    fn uarch_salt(&self) -> u64 {
-        self.profile.name.bytes().map(u64::from).sum::<u64>()
-    }
-
-    /// Build the calibrated world from scratch: try each out-of-place
-    /// alias of the victim, nearest first, until one separates.
-    fn calibrate(&self) -> Result<PhtState, ScenarioError> {
-        for probe in out_of_place_cbp_aliases(&self.profile.cbp_scheme, VICTIM) {
-            if let Some(state) = self.try_candidate(VICTIM, probe)? {
-                return Ok(state);
-            }
-        }
-        Err(PrimitiveError(format!(
-            "no out-of-place CBP alias with timing separation on {}",
-            self.profile.name
-        ))
-        .into())
-    }
-
-    /// Build a calibrated state around one alias candidate. Returns
-    /// `None` when the candidate yields no timing separation (e.g. the
-    /// pair also collides in the BTB and the victim's run destroys the
-    /// planted entry).
-    fn try_candidate(
-        &self,
-        victim: VirtAddr,
-        probe: VirtAddr,
-    ) -> Result<Option<PhtState>, ScenarioError> {
-        let scheme = &self.profile.cbp_scheme;
+impl Rig {
+    /// Build the rig for `probe` on a fresh machine of `profile`.
+    fn new(profile: &UarchProfile, probe: VirtAddr) -> Result<Rig, ScenarioError> {
+        let scheme = &profile.cbp_scheme;
         let history_bits = scheme.history_bits;
-        let mut machine = Machine::new(self.profile.clone(), 1 << 26);
-        load_branch_stub(&mut machine, victim)?;
+        let mut machine = Machine::new(profile.clone(), 1 << 26);
+        load_branch_stub(&mut machine, VICTIM)?;
         load_branch_stub(&mut machine, probe)?;
 
         // The aligner must never update the victim's CBP set. Every
@@ -288,13 +256,13 @@ impl PhtScenario<'_> {
         // actually executes under matter: a one-hot history (the single
         // planted/victim taken bit draining out) or all-zero. It also
         // needs its own page, distinct from both branch stubs.
-        let victim_set = scheme.index_of(victim, 0);
+        let victim_set = scheme.index_of(VICTIM, 0);
         let live_ghrs: Vec<u64> = std::iter::once(0)
             .chain((0..history_bits).map(|j| 1u64 << j))
             .collect();
         let probe_page = probe.raw() >> 12;
         let aligner = (1..4096u64)
-            .map(|k| VirtAddr::new(victim.raw() ^ (k << 12)))
+            .map(|k| VirtAddr::new(VICTIM.raw() ^ (k << 12)))
             .find(|&w| {
                 w.raw() >> 12 != probe_page
                     && live_ghrs
@@ -308,112 +276,97 @@ impl PhtScenario<'_> {
         // its baseline) with one taken execution, then re-align.
         run_branch(&mut machine, probe, true)?;
         align_history(&mut machine, aligner, history_bits)?;
-
-        let snap = machine.checkpoint();
-        let snap_cycles = machine.cycles();
-
-        // Calibrate both counter states end-to-end.
-        let taken_cycles = measure_round(
-            &mut machine,
-            &snap,
-            victim,
-            probe,
-            aligner,
-            history_bits,
-            true,
-        )?;
-        let nt_cycles = measure_round(
-            &mut machine,
-            &snap,
-            victim,
-            probe,
-            aligner,
-            history_bits,
-            false,
-        )?;
-        if taken_cycles == nt_cycles {
-            return Ok(None);
-        }
-        snap.rewind(&mut machine);
-        // Every job's worker clones this world: share its sets.
-        machine.seal();
-        let (slow, fast) = (taken_cycles.max(nt_cycles), taken_cycles.min(nt_cycles));
-        Ok(Some(PhtState {
+        Ok(Rig {
+            snap: machine.checkpoint(),
             machine,
-            snap,
-            snap_cycles,
-            victim,
             probe,
             aligner,
-            threshold: fast + (slow - fast) / 2,
-            span: slow - fast,
-            taken_is_slow: taken_cycles > nt_cycles,
-        }))
-    }
-}
-
-impl Scenario for PhtScenario<'_> {
-    type State = PhtWorld;
-    type Checkpoint = Arc<PhtState>;
-    type Sample = PhtSample;
-    type Output = PhtChannelResult;
-
-    fn trials(&self) -> usize {
-        self.config.bits
-    }
-
-    /// The profile's calibrated template, calibrated on first use (or
-    /// cold when the scenario has no store). Nothing is copied here:
-    /// the checkpoint is the template itself and each worker's fork is
-    /// the job's one machine copy.
-    fn setup(&self) -> Result<PhtWorld, ScenarioError> {
-        let template = match self.templates {
-            Some(store) => store.get_or_build(&self.profile, || self.calibrate())?,
-            None => Arc::new(self.calibrate()?),
-        };
-        // Every setup of one scenario yields the same world, so the
-        // first one's probe stands for all.
-        let _ = self.probe.set(template.probe);
-        Ok(PhtWorld::Template(template))
-    }
-
-    fn checkpoint(&self, world: PhtWorld) -> Result<Arc<PhtState>, ScenarioError> {
-        Ok(match world {
-            PhtWorld::Template(template) => template,
-            PhtWorld::Forked(state) => Arc::new(*state),
+            history_bits,
         })
     }
 
-    fn fork(&self, template: &Arc<PhtState>) -> Result<PhtWorld, ScenarioError> {
-        Ok(PhtWorld::Forked(Box::new(PhtState::clone(template))))
+    /// One victim → re-align → timed probe round from the rewind
+    /// point. Everything before the probe is untimed (the attacker only
+    /// ever times its own code), but the round costs all of it.
+    fn round(&mut self, secret: bool) -> Result<Round, ScenarioError> {
+        self.snap.rewind(&mut self.machine);
+        let start = self.machine.cycles();
+        run_branch(&mut self.machine, VICTIM, secret)?;
+        align_history(&mut self.machine, self.aligner, self.history_bits)?;
+        let before = self.machine.cycles();
+        run_branch(&mut self.machine, self.probe, false)?;
+        let end = self.machine.cycles();
+        Ok(Round {
+            probe_cycles: end - before,
+            total_cycles: end - start,
+        })
+    }
+}
+
+impl PhtScenario<'_> {
+    fn uarch_salt(&self) -> u64 {
+        self.profile.name.bytes().map(u64::from).sum::<u64>()
     }
 
-    fn probe(&self, world: &mut PhtWorld, trial: Trial) -> Result<PhtSample, ScenarioError> {
-        let PhtWorld::Forked(state) = world else {
-            return Err("a PHT world is probed only through a fork of its template".into());
-        };
+    /// Build the calibrated world from scratch: try each out-of-place
+    /// alias of the victim, nearest first, until one separates.
+    fn calibrate(&self) -> Result<PhtState, ScenarioError> {
+        for probe in out_of_place_cbp_aliases(&self.profile.cbp_scheme, VICTIM) {
+            if let Some(state) = self.try_candidate(probe)? {
+                return Ok(state);
+            }
+        }
+        Err(PrimitiveError(format!(
+            "no out-of-place CBP alias with timing separation on {}",
+            self.profile.name
+        ))
+        .into())
+    }
+
+    /// Calibrate around one alias candidate: simulate the round for
+    /// each secret once and keep their cycles; the machine goes away.
+    /// Returns `None` when the candidate yields no timing separation
+    /// (e.g. the pair also collides in the BTB and the victim's run
+    /// destroys the planted entry).
+    fn try_candidate(&self, probe: VirtAddr) -> Result<Option<PhtState>, ScenarioError> {
+        let mut rig = Rig::new(&self.profile, probe)?;
+        let taken = rig.round(true)?;
+        let not_taken = rig.round(false)?;
+        let (t, n) = (taken.probe_cycles, not_taken.probe_cycles);
+        if t == n {
+            return Ok(None);
+        }
+        let (slow, fast) = (t.max(n), t.min(n));
+        Ok(Some(PhtState {
+            probe,
+            threshold: fast + (slow - fast) / 2,
+            span: slow - fast,
+            taken_is_slow: t > n,
+            rounds: [not_taken, taken],
+        }))
+    }
+
+    /// Decode one trial's bit. `round` gives the round a vote costs
+    /// for the trial's secret; only the noise differs between votes.
+    fn decode_bit<E>(
+        &self,
+        state: &PhtState,
+        trial: Trial,
+        mut round: impl FnMut(bool) -> Result<Round, E>,
+    ) -> Result<PhtSample, E> {
         let mut rng = StdRng::seed_from_u64(trial.seed);
         let secret = rng.gen_bool(0.5);
         let mut noise = self.noise_proto.reseeded(trial.seed ^ self.uarch_salt());
-        let history_bits = self.profile.cbp_scheme.history_bits;
-        let (victim, probe, aligner) = (state.victim, state.probe, state.aligner);
-        let (threshold, span, taken_is_slow) = (state.threshold, state.span, state.taken_is_slow);
-        let snap_cycles = state.snap_cycles;
-        let machine = &mut state.machine;
-        let snap = &state.snap;
-        // Each vote replays victim → re-align → probe from the rewind
-        // point, so the trial's honest cost is the sum over rounds, not
-        // the machine's final (post-rewind) cycle counter.
+        // The trial's honest cost is the sum over its rounds.
         let mut spent = 0u64;
         let outcome = decode_adaptive(&self.decoder, |_| {
-            let cycles =
-                measure_round(machine, snap, victim, probe, aligner, history_bits, secret)?;
-            spent += machine.cycles() - snap_cycles;
+            let round = round(secret)?;
+            spent += round.total_cycles;
             // `Reading::classify` calls latencies at or below the
             // threshold hits; map "slow" back to "counter said taken".
-            let reading = Reading::classify(noise.jitter(cycles), threshold, span);
-            let says_taken = reading.hit != taken_is_slow;
-            Ok::<_, ScenarioError>((says_taken, reading.confidence))
+            let cycles = noise.jitter(round.probe_cycles);
+            let reading = Reading::classify(cycles, state.threshold, state.span);
+            Ok((reading.hit != state.taken_is_slow, reading.confidence))
         })?;
         let (correct, abstained) = match outcome.decoded {
             Decoded::Bit(b) => (b == secret, false),
@@ -426,6 +379,48 @@ impl Scenario for PhtScenario<'_> {
             confidence: outcome.confidence.value(),
             cycles: spent,
         })
+    }
+}
+
+impl Scenario for PhtScenario<'_> {
+    type State = Arc<PhtState>;
+    type Checkpoint = Arc<PhtState>;
+    type Sample = PhtSample;
+    type Output = PhtChannelResult;
+
+    fn trials(&self) -> usize {
+        self.config.bits
+    }
+
+    /// The profile's calibrated template, calibrated on first use (or
+    /// cold when the scenario has no store). Setup, checkpoint and
+    /// every fork hand on this one `Arc`: nothing is copied.
+    fn setup(&self) -> Result<Arc<PhtState>, ScenarioError> {
+        let template = match self.templates {
+            Some(store) => store.get_or_build(&self.profile, || self.calibrate())?,
+            None => Arc::new(self.calibrate()?),
+        };
+        // Every setup of one scenario yields the same world, so the
+        // first one's probe stands for all.
+        let _ = self.probe.set(template.probe);
+        Ok(template)
+    }
+
+    fn checkpoint(&self, template: Arc<PhtState>) -> Result<Arc<PhtState>, ScenarioError> {
+        Ok(template)
+    }
+
+    fn fork(&self, template: &Arc<PhtState>) -> Result<Arc<PhtState>, ScenarioError> {
+        Ok(Arc::clone(template))
+    }
+
+    /// Every vote replays the recorded round of the trial's secret.
+    fn probe(&self, state: &mut Arc<PhtState>, trial: Trial) -> Result<PhtSample, ScenarioError> {
+        let state = &**state;
+        let Ok(sample) = self.decode_bit(state, trial, |secret| {
+            Ok::<_, Infallible>(state.rounds[usize::from(secret)])
+        });
+        Ok(sample)
     }
 
     fn score(&self, samples: Vec<PhtSample>) -> PhtChannelResult {
@@ -517,6 +512,10 @@ fn pht_channel_with(
 mod tests {
     use super::*;
 
+    use phantom_pipeline::spec::mutate::mutate_spec;
+    use phantom_pipeline::UarchSpec;
+    use proptest::prelude::*;
+
     const SMALL: PhtChannelConfig = PhtChannelConfig { bits: 96, seed: 9 };
 
     #[test]
@@ -574,12 +573,13 @@ mod tests {
         assert!(r.accuracy >= 0.9, "accuracy {}", r.accuracy);
     }
 
+    const M1_SPEC: &str = include_str!("../../../../examples/uarch/m1_firestorm.spec");
+
     /// Every builtin plus the committed M1 Firestorm spec.
     fn profiles_with_m1() -> Vec<UarchProfile> {
-        let text = include_str!("../../../../examples/uarch/m1_firestorm.spec");
         let mut registry = phantom_pipeline::UarchRegistry::with_builtins();
         let keys = registry
-            .register_text(text)
+            .register_text(M1_SPEC)
             .expect("committed spec registers");
         let mut profiles = UarchProfile::all();
         profiles.extend(
@@ -626,48 +626,171 @@ mod tests {
         }
     }
 
-    /// A PHT job copies its machine once: setup and checkpoint hand on
-    /// the sealed template itself, and the worker's fork shares every
-    /// cache, µop-cache and CBP set with it until a trial writes one.
-    #[test]
-    fn a_job_copies_the_template_once_and_only_the_sets_it_writes() {
-        let store = PhtTemplates::new();
-        let scenario = PhtScenario {
+    fn zen2_scenario(store: &PhtTemplates) -> PhtScenario<'_> {
+        PhtScenario {
             profile: UarchProfile::zen2(),
             config: PhtChannelConfig { bits: 8, seed: 2 },
             noise_proto: NoiseModel::quiet(2),
             decoder: DecoderConfig::default(),
-            templates: Some(&store),
+            templates: Some(store),
             probe: OnceLock::new(),
-        };
+        }
+    }
+
+    /// A PHT job copies no machine: setup, checkpoint and every fork
+    /// hand on the stored template `Arc`, and trials leave it shared.
+    #[test]
+    fn a_pht_job_copies_no_machine() {
+        let store = PhtTemplates::new();
+        let scenario = zen2_scenario(&store);
         let template = scenario.checkpoint(scenario.setup().unwrap()).unwrap();
         let stored = store
             .get_or_build(&scenario.profile, || scenario.calibrate())
             .unwrap();
-        assert!(Arc::ptr_eq(&template, &stored), "no copy before the fork");
-        let owned = |world: &PhtWorld| match world {
-            PhtWorld::Forked(state) => state.machine.owned_set_chunks(),
-            PhtWorld::Template(_) => panic!("not a fork"),
-        };
-        let mut fork = scenario.fork(&template).unwrap();
-        assert_eq!(owned(&fork), 0, "a fresh fork copies no set");
-        for index in 0..8 {
-            scenario
-                .probe(
-                    &mut fork,
-                    Trial {
-                        index,
-                        seed: index as u64,
-                    },
-                )
-                .unwrap();
-        }
-        assert!(owned(&fork) > 0, "trials write some sets");
-        assert_eq!(
-            template.machine.owned_set_chunks(),
-            0,
-            "the template is intact"
+        assert!(
+            Arc::ptr_eq(&template, &stored),
+            "setup hands on the template"
         );
+        let mut fork = scenario.fork(&template).unwrap();
+        for index in 0..8 {
+            let trial = Trial {
+                index,
+                seed: index as u64,
+            };
+            scenario.probe(&mut fork, trial).unwrap();
+        }
+        assert!(Arc::ptr_eq(&fork, &template), "the fork is the template");
+        assert_eq!(
+            Arc::strong_count(&template),
+            4,
+            "store, setup, lookup, fork"
+        );
+    }
+
+    /// A round from the rewind point is pure: interleaved rounds of
+    /// both secrets each repeat what calibration recorded.
+    #[test]
+    fn a_rewound_round_repeats_the_recorded_one() {
+        let store = PhtTemplates::new();
+        for profile in profiles_with_m1() {
+            let scenario = PhtScenario {
+                profile,
+                ..zen2_scenario(&store)
+            };
+            let state = scenario.setup().unwrap();
+            let mut rig = Rig::new(&scenario.profile, state.probe).unwrap();
+            for i in 0..16 {
+                let secret = i % 3 != 1;
+                let round = rig.round(secret).unwrap();
+                assert_eq!(
+                    round,
+                    state.rounds[usize::from(secret)],
+                    "{} round {i}",
+                    scenario.profile.name
+                );
+            }
+        }
+    }
+
+    /// The simulating oracle the replay is checked against: the same
+    /// scenario, with every vote's round run on a machine.
+    struct Simulating<'s, 't>(&'s PhtScenario<'t>);
+
+    impl Scenario for Simulating<'_, '_> {
+        type State = (Arc<PhtState>, Rig);
+        type Checkpoint = Arc<PhtState>;
+        type Sample = PhtSample;
+        type Output = PhtChannelResult;
+
+        fn trials(&self) -> usize {
+            self.0.trials()
+        }
+
+        fn setup(&self) -> Result<Self::State, ScenarioError> {
+            self.fork(&self.0.setup()?)
+        }
+
+        fn checkpoint(&self, (template, _): Self::State) -> Result<Arc<PhtState>, ScenarioError> {
+            Ok(template)
+        }
+
+        fn fork(&self, template: &Arc<PhtState>) -> Result<Self::State, ScenarioError> {
+            let rig = Rig::new(&self.0.profile, template.probe)?;
+            Ok((Arc::clone(template), rig))
+        }
+
+        fn probe(
+            &self,
+            (template, rig): &mut Self::State,
+            trial: Trial,
+        ) -> Result<PhtSample, ScenarioError> {
+            self.0
+                .decode_bit(template, trial, |secret| rig.round(secret))
+        }
+
+        fn score(&self, samples: Vec<PhtSample>) -> PhtChannelResult {
+            self.0.score(samples)
+        }
+    }
+
+    /// Every builtin, the committed M1 Firestorm spec, or a seeded
+    /// mutant of one of them.
+    fn arb_profile() -> impl Strategy<Value = UarchProfile> {
+        (0..9usize, any::<u64>(), any::<bool>()).prop_map(|(i, seed, mutate)| {
+            let mut bases = UarchSpec::builtins();
+            bases.extend(phantom_pipeline::spec::parse_specs(M1_SPEC).expect("committed spec"));
+            let base = bases.swap_remove(i);
+            let spec = if mutate {
+                mutate_spec(&base, seed).unwrap_or(base)
+            } else {
+                base
+            };
+            spec.profile()
+        })
+    }
+
+    /// Quiet, realistic, wide jitter, or every cache-noise knob open.
+    fn noise(kind: u8, seed: u64) -> NoiseModel {
+        let mut noise = NoiseModel::realistic(seed);
+        match kind {
+            0 => return NoiseModel::quiet(seed),
+            1 => {}
+            2 => noise.jitter_cycles = 6,
+            _ => {
+                noise.spurious_evict = 1.0;
+                noise.missed_signal = 1.0;
+            }
+        }
+        noise
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Replayed trials give exactly what simulating every vote
+        /// gives: every result field, or the same error.
+        #[test]
+        fn replayed_trials_match_the_simulating_oracle(
+            profile in arb_profile(),
+            seed in any::<u64>(),
+            bits in 1usize..64,
+            noise_kind in 0u8..4,
+            four_workers in any::<bool>(),
+        ) {
+            let store = PhtTemplates::new();
+            let scenario = PhtScenario {
+                profile,
+                config: PhtChannelConfig { bits, seed },
+                noise_proto: noise(noise_kind, seed),
+                decoder: DecoderConfig::default(),
+                templates: Some(&store),
+                probe: OnceLock::new(),
+            };
+            let runner = TrialRunner::with_threads(if four_workers { 4 } else { 1 });
+            let replayed = runner.run(&scenario, seed).map_err(|e| e.to_string());
+            let simulated = runner.run(&Simulating(&scenario), seed).map_err(|e| e.to_string());
+            prop_assert_eq!(format!("{replayed:?}"), format!("{simulated:?}"));
+        }
     }
 
     #[test]

@@ -285,6 +285,8 @@ impl ExChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phantom_isa::encode::encode_all;
+    use phantom_isa::Reg;
     use phantom_pipeline::UarchProfile;
 
     #[test]
@@ -403,13 +405,21 @@ mod tests {
             m.map_range(c.page_base(), 0x1000, text).unwrap();
             m.map_range(VirtAddr::new(0x60_0000), 64, PageFlags::USER_DATA)
                 .unwrap();
-            m.set_reg(phantom_isa::Reg::R8, 0x60_0000);
-            m.poke(c, &[0x8b, 0x98, 0, 0, 0, 0, 0xf4]); // load r9,[r8]; hlt
-            m.poke(x, &[0xff, 0x0b, 0xf4]); // jmp* r11; hlt
-            m.set_reg(phantom_isa::Reg::R11, c.raw());
+            m.set_reg(Reg::R8, 0x60_0000);
+            let load = Inst::Load {
+                dst: Reg::R9,
+                base: Reg::R8,
+                disp: 0,
+            };
+            m.poke(c, &encode_all(&[load, Inst::Halt]).unwrap());
+            m.poke(
+                x,
+                &encode_all(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt]).unwrap(),
+            );
+            m.set_reg(Reg::R11, c.raw());
             m.set_pc(x);
             m.run(8).unwrap();
-            m.poke(x, &[0x90, 0x90, 0xf4]);
+            m.poke(x, &encode_all(&[Inst::Nop, Inst::Nop, Inst::Halt]).unwrap());
 
             let mut port = PortChannel::new();
             port.arm(&m);

@@ -185,7 +185,7 @@ mod tests {
     fn probe_observes_a_real_phantom_run() {
         // End to end on the machine: Zen 3, nop victim trained as jmp*,
         // must satisfy the property through the event bus alone.
-        use phantom_isa::encode::encode_into;
+        use phantom_isa::encode::encode_all;
         use phantom_isa::{Inst, Reg};
         use phantom_mem::PageFlags;
         use phantom_pipeline::{Machine, UarchProfile};
@@ -199,28 +199,22 @@ mod tests {
         m.map_range(va(0x60_0000), 64, PageFlags::USER_DATA)
             .unwrap();
         m.set_reg(Reg::R8, 0x60_0000);
-        let mut payload = Vec::new();
-        encode_into(
-            &Inst::Load {
-                dst: Reg::R9,
-                base: Reg::R8,
-                disp: 0,
-            },
-            &mut payload,
-        )
-        .unwrap();
-        payload.push(0xf4);
-        m.poke(c, &payload);
+        let load = Inst::Load {
+            dst: Reg::R9,
+            base: Reg::R8,
+            disp: 0,
+        };
+        m.poke(c, &encode_all(&[load, Inst::Halt]).unwrap());
 
         // Train jmp* -> C, then swap in the nop victim.
-        let mut bytes = Vec::new();
-        encode_into(&Inst::JmpInd { src: Reg::R11 }, &mut bytes).unwrap();
-        bytes.push(0xf4);
-        m.poke(x, &bytes);
+        m.poke(
+            x,
+            &encode_all(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt]).unwrap(),
+        );
         m.set_reg(Reg::R11, c.raw());
         m.set_pc(x);
         m.run(8).unwrap();
-        m.poke(x, &[0x90, 0x90, 0xf4]);
+        m.poke(x, &encode_all(&[Inst::Nop, Inst::Nop, Inst::Halt]).unwrap());
 
         let id = m.attach_sink(LeakProbe::new());
         m.set_pc(x);

@@ -30,9 +30,10 @@
 //! physical frames shared copy-on-write, one pointer bump per 64-frame
 //! chunk, and its cache, µop-cache and CBP sets shared the same way,
 //! one pointer bump per 16-set chunk — instead of a reboot. Worlds
-//! built once per key (the PHT lane's calibrated template) hand the
-//! shared template itself to `checkpoint`, so `fork` makes the job's
-//! only copy.
+//! built once per key and never written by a trial (the PHT lane's
+//! calibrated template, which holds numbers rather than a machine) use
+//! the shared template itself as state and checkpoint, so `fork` is an
+//! `Arc` clone.
 //! Scenarios that boot a fresh world inside every probe carry no
 //! shared state at all and use `type Checkpoint = ()`; their boots are
 //! boot-template instances

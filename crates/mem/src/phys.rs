@@ -175,12 +175,15 @@ pub struct PhysMemory {
     /// Current write epoch. Bumped by `snapshot` so writes after a
     /// checkpoint are distinguishable from the state it captured.
     epoch: u64,
-    /// Dirty-frame journal: one `(epoch, page)` entry per frame whose
-    /// epoch was raised, in raise order — epochs are therefore
-    /// non-decreasing, so the entries newer than a checkpoint's cutoff
-    /// are a suffix found by binary search. `restore_from` walks that
-    /// suffix (O(dirtied)) instead of scanning every resident frame.
-    journal: Vec<(u64, u64)>,
+    /// Dirty-frame journal: entry `i` records that page
+    /// `journal_pages[i]` had its epoch raised to `journal_epochs[i]`,
+    /// in raise order — epochs are therefore non-decreasing, so the
+    /// entries newer than a checkpoint's cutoff are a suffix found by
+    /// binary search. `restore_from` walks that suffix (O(dirtied))
+    /// instead of scanning every resident frame, and rewrites it in
+    /// place into the list of pages it rewound.
+    journal_epochs: Vec<u64>,
+    journal_pages: Vec<u64>,
     pool: FramePool,
     cow_faults: u64,
     restore_frames_copied: u64,
@@ -332,24 +335,33 @@ impl PhysMemory {
     /// zero-tombstoned away), sorted. `Machine::restore` drops the
     /// cached decodes of every page in it, so the list must name every
     /// page whose bytes the rewind changed, zero-tombstoned frames
-    /// among them: a page left out keeps stale decodes.
-    pub fn restore_from(&mut self, snap: &PhysMemory) -> Vec<u64> {
+    /// among them: a page left out keeps stale decodes. The list is the
+    /// rewritten journal tail, so a rewind allocates nothing.
+    pub fn restore_from(&mut self, snap: &PhysMemory) -> &[u64] {
         debug_assert!(
             snap.frames().all(|(page, _)| self.frame(page).is_some()),
             "restore_from: snapshot is not from this memory's timeline"
         );
-        // Journal epochs are non-decreasing, so everything written
-        // after the checkpoint is the suffix past this boundary.
-        let boundary = self.journal.partition_point(|&(e, _)| e <= snap.epoch);
-        let mut dirty: Vec<u64> = self.journal[boundary..].iter().map(|&(_, p)| p).collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        self.rewind_journal_frames += dirty.len() as u64;
+        // Everything written after the checkpoint is the journal suffix
+        // past the boundary. Sort and dedup it in place.
+        let boundary = self.journal_boundary(snap);
+        let tail = &mut self.journal_pages[boundary..];
+        tail.sort_unstable();
+        let mut unique = 0;
+        for i in 0..tail.len() {
+            if unique == 0 || tail[i] != tail[unique - 1] {
+                tail[unique] = tail[i];
+                unique += 1;
+            }
+        }
+        self.journal_pages.truncate(boundary + unique);
+        self.journal_epochs.truncate(boundary + unique);
+        self.rewind_journal_frames += unique as u64;
         debug_assert!(
-            dirty == self.scan_dirty(snap),
+            self.journal_pages[boundary..] == self.scan_dirty(snap),
             "journal disagrees with a full dirty-frame scan"
         );
-        self.rewind(snap, dirty)
+        self.rewind(snap, boundary)
     }
 
     /// Test oracle for [`restore_from`](PhysMemory::restore_from): the
@@ -358,7 +370,18 @@ impl PhysMemory {
     #[cfg(test)]
     pub(crate) fn restore_from_scan(&mut self, snap: &PhysMemory) -> Vec<u64> {
         let dirty = self.scan_dirty(snap);
-        self.rewind(snap, dirty)
+        let boundary = self.journal_boundary(snap);
+        self.journal_pages.truncate(boundary);
+        self.journal_pages.extend(&dirty);
+        self.journal_epochs.truncate(boundary);
+        self.journal_epochs
+            .resize(self.journal_pages.len(), self.epoch);
+        self.rewind(snap, boundary).to_vec()
+    }
+
+    /// Where the journal entries newer than `snap`'s cutoff begin.
+    fn journal_boundary(&self, snap: &PhysMemory) -> usize {
+        self.journal_epochs.partition_point(|&e| e <= snap.epoch)
     }
 
     /// Resident pages written since `snap`, sorted, found by a full
@@ -373,11 +396,12 @@ impl PhysMemory {
         dirty
     }
 
-    /// Copy `snap`'s contents back into the `dirty` pages (sorted,
-    /// deduplicated candidates; entries no longer newer than the
-    /// checkpoint are skipped) and rewind the allocator, epoch and
-    /// journal to match. Returns the pages actually rewound.
-    fn rewind(&mut self, snap: &PhysMemory, dirty: Vec<u64>) -> Vec<u64> {
+    /// Copy `snap`'s contents back into the pages of the journal tail
+    /// from `boundary` (sorted, deduplicated candidates; entries no
+    /// longer newer than the checkpoint are skipped) and rewind the
+    /// allocator, epoch and journal to match. Returns the pages
+    /// actually rewound: the new journal tail.
+    fn rewind(&mut self, snap: &PhysMemory, boundary: usize) -> &[u64] {
         self.capacity = snap.capacity;
         self.next_free = snap.next_free;
         self.recycled.clone_from(&snap.recycled);
@@ -386,8 +410,9 @@ impl PhysMemory {
         // dirty with respect to all of them.
         self.epoch = self.epoch.max(snap.epoch + 1);
         let epoch = self.epoch;
-        let mut copied = Vec::with_capacity(dirty.len());
-        for page in dirty {
+        let mut copied = boundary;
+        for i in boundary..self.journal_pages.len() {
+            let page = self.journal_pages[i];
             // Both `expect`s below rest on one invariant: every journaled
             // page was materialized by `frame_mut`, and a resident frame
             // is never dropped.
@@ -411,17 +436,18 @@ impl PhysMemory {
             let retired = std::mem::replace(&mut frame.data, fresh);
             frame.epoch = epoch;
             self.pool.put(retired);
-            copied.push(page);
+            self.journal_pages[copied] = page;
+            copied += 1;
         }
-        // Rewrite the journal tail: entries above the cutoff are now
-        // stale, and the restored frames were just re-stamped at the
-        // live epoch (so older outstanding checkpoints still see them
-        // as dirty — the interleaved-checkpoint guarantee).
-        let boundary = self.journal.partition_point(|&(e, _)| e <= snap.epoch);
-        self.journal.truncate(boundary);
-        self.journal.extend(copied.iter().map(|&p| (epoch, p)));
-        self.restore_frames_copied += copied.len() as u64;
-        copied
+        // The journal tail is now the restored frames, re-stamped at the
+        // live epoch (so older outstanding checkpoints still see them as
+        // dirty — the interleaved-checkpoint guarantee); the superseded
+        // entries are gone.
+        self.journal_pages.truncate(copied);
+        self.journal_epochs.truncate(boundary);
+        self.journal_epochs.resize(copied, epoch);
+        self.restore_frames_copied += (copied - boundary) as u64;
+        &self.journal_pages[boundary..]
     }
 
     /// Writes that had to copy a frame shared with a checkpoint (each
@@ -480,7 +506,8 @@ impl PhysMemory {
             Some(frame) => {
                 if frame.epoch != epoch {
                     frame.epoch = epoch;
-                    self.journal.push((epoch, page));
+                    self.journal_epochs.push(epoch);
+                    self.journal_pages.push(page);
                 }
                 frame
             }
@@ -495,7 +522,8 @@ impl PhysMemory {
                     }
                     None => Arc::new([0; PAGE_SIZE as usize]),
                 };
-                self.journal.push((epoch, page));
+                self.journal_epochs.push(epoch);
+                self.journal_pages.push(page);
                 self.resident += 1;
                 empty.insert(Frame { data, epoch })
             }
@@ -793,7 +821,7 @@ mod tests {
             m.write_u8(PhysAddr::new(5 * PAGE_SIZE), 0xcc);
             m.write_u8(PhysAddr::new(40 * PAGE_SIZE), 0xdd); // post-snap frame
             let copied = if journal {
-                m.restore_from(&snap)
+                m.restore_from(&snap).to_vec()
             } else {
                 m.restore_from_scan(&snap)
             };

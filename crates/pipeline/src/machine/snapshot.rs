@@ -134,7 +134,7 @@ impl Machine {
         self.pmu = s.pmu.clone();
         let restored = self.phys.restore_from(&s.phys);
         let shared = self.page_table.shares_runs(&s.page_table);
-        self.decode_cache.rewind(&s.decode_cache, shared, &restored);
+        self.decode_cache.rewind(&s.decode_cache, shared, restored);
         self.page_table = s.page_table.clone();
         self.tlb.clone_from(&s.tlb);
         self.regs = s.regs;

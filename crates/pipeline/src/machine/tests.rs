@@ -2,6 +2,7 @@
 //! transient side effects.
 
 use phantom_isa::asm::Assembler;
+use phantom_isa::encode::encode_all;
 use phantom_isa::{Inst, Reg};
 use phantom_mem::{AccessKind, FaultReason, PageFlags, PrivilegeLevel, VirtAddr};
 
@@ -11,6 +12,12 @@ use crate::resteer::ResteerKind;
 
 fn machine(profile: UarchProfile) -> Machine {
     Machine::new(profile, 1 << 26)
+}
+
+/// `nop; nop; hlt`: the non-branch victim that replaces a trained
+/// branch.
+fn nop_nop_hlt() -> Vec<u8> {
+    encode_all(&[Inst::Nop, Inst::Nop, Inst::Halt]).unwrap()
 }
 
 fn load_user(m: &mut Machine, asm: &Assembler) -> phantom_isa::asm::Blob {
@@ -288,7 +295,7 @@ fn phantom_on_nop(profile: UarchProfile) -> (Machine, crate::transient::Transien
 
     // Replace the branch with nops: the victim instruction is a non
     // branch, but the BTB still predicts jmp* -> C.
-    m.poke(VirtAddr::new(a_branch), &[0x90, 0x90, 0xf4]); // nop nop hlt
+    m.poke(VirtAddr::new(a_branch), &nop_nop_hlt());
 
     // Flush target cache state so transient effects are visible.
     m.caches_mut().flush_all();
@@ -389,7 +396,7 @@ fn suppress_bp_on_non_br_gates_execute_only() {
     m.set_reg(Reg::R0, c_target);
     m.set_pc(VirtAddr::new(a_branch));
     m.run(10).unwrap();
-    m.poke(VirtAddr::new(a_branch), &[0x90, 0x90, 0xf4]);
+    m.poke(VirtAddr::new(a_branch), &nop_nop_hlt());
     m.caches_mut().flush_all();
     m.set_pc(VirtAddr::new(a_branch));
     let (_, reports) = m.run_collecting(10).unwrap();
@@ -548,7 +555,7 @@ fn transient_fetch_fails_on_nx_target() {
     m.run(10).unwrap();
 
     // Victim: nops at the branch address.
-    m.poke(VirtAddr::new(a_branch), &[0x90, 0x90, 0xf4]);
+    m.poke(VirtAddr::new(a_branch), &nop_nop_hlt());
     m.caches_mut().flush_all();
     m.set_pc(VirtAddr::new(a_branch));
     let (_, reports) = m.run_collecting(10).unwrap();
@@ -581,6 +588,7 @@ fn invalid_bytes_error() {
     let mut m = machine(UarchProfile::zen2());
     m.map_range(VirtAddr::new(0x40_0000), 0x1000, PageFlags::USER_TEXT)
         .unwrap();
+    // Raw on purpose: no table row has opcode 0xCC.
     m.poke(VirtAddr::new(0x40_0000), &[0xCC]);
     m.set_pc(VirtAddr::new(0x40_0000));
     assert!(matches!(
@@ -613,6 +621,8 @@ fn truncated_code_at_mapping_edge_errors() {
     )
     .unwrap();
     // MovImm is 10 bytes; place its opcode 2 bytes before the page end.
+    // Raw on purpose: a cut-short instruction, which `encode` never
+    // writes.
     m.poke(VirtAddr::new(0x40_0ffe), &[0xB8, 0x00]);
     m.set_pc(VirtAddr::new(0x40_0ffe));
     assert!(matches!(m.run(4), Err(MachineError::TruncatedCode(_))));
@@ -627,7 +637,10 @@ fn sysret_without_syscall_errors() {
         PageFlags::USER_TEXT | PageFlags::WRITE,
     )
     .unwrap();
-    m.poke(VirtAddr::new(0x40_0000), &[0x07]); // sysret
+    m.poke(
+        VirtAddr::new(0x40_0000),
+        &encode_all(&[Inst::Sysret]).unwrap(),
+    );
     m.set_pc(VirtAddr::new(0x40_0000));
     assert!(matches!(m.run(4), Err(MachineError::SysretWithoutSyscall)));
 }
@@ -641,7 +654,10 @@ fn syscall_without_entry_errors() {
         PageFlags::USER_TEXT | PageFlags::WRITE,
     )
     .unwrap();
-    m.poke(VirtAddr::new(0x40_0000), &[0x05]); // syscall
+    m.poke(
+        VirtAddr::new(0x40_0000),
+        &encode_all(&[Inst::Syscall]).unwrap(),
+    );
     m.set_pc(VirtAddr::new(0x40_0000));
     assert!(matches!(m.run(4), Err(MachineError::NoSyscallEntry)));
 }
@@ -761,16 +777,14 @@ fn decode_cache_invalidates_on_self_modifying_store() {
     m.map_range(code, 0x1000, PageFlags::USER_TEXT | PageFlags::WRITE)
         .unwrap();
     // Target instruction at code+0x100: mov r0, 1 — warm the cache.
-    let mut warm = Vec::new();
-    phantom_isa::encode::encode_into(
-        &Inst::MovImm {
+    let warm = encode_all(&[
+        Inst::MovImm {
             dst: Reg::R0,
             imm: 1,
         },
-        &mut warm,
-    )
+        Inst::Halt,
+    ])
     .unwrap();
-    warm.push(0xF4); // hlt
     m.poke(code + 0x100, &warm);
     m.set_pc(code + 0x100);
     m.run(4).unwrap();
@@ -778,17 +792,11 @@ fn decode_cache_invalidates_on_self_modifying_store() {
 
     // Overwrite the target with `mov r0, 2` via an architectural store
     // of the first 8 encoded bytes.
-    let mut new_bytes = Vec::new();
-    phantom_isa::encode::encode_into(
-        &Inst::MovImm {
-            dst: Reg::R0,
-            imm: 2,
-        },
-        &mut new_bytes,
-    )
+    let new_bytes = encode_all(&[Inst::MovImm {
+        dst: Reg::R0,
+        imm: 2,
+    }])
     .unwrap();
-    new_bytes.push(0xF4);
-    new_bytes.resize(8, 0x90);
     let patch = u64::from_le_bytes(new_bytes[..8].try_into().unwrap());
     let mut a = Assembler::new(code.raw());
     a.push(Inst::MovImm {
@@ -824,7 +832,7 @@ fn decode_cache_is_privilege_aware() {
     let mut m = machine(UarchProfile::zen2());
     let code = VirtAddr::new(0x40_0000);
     m.map_range(code, 0x1000, PageFlags::KERNEL_TEXT).unwrap();
-    m.poke(code, &[0xF4]); // hlt
+    m.poke(code, &encode_all(&[Inst::Halt]).unwrap());
     m.set_level(PrivilegeLevel::Supervisor);
     m.set_pc(code);
     m.run(2).unwrap(); // caches (code, supervisor)
@@ -1124,17 +1132,12 @@ impl crate::events::EventSink for RecordEvents {
 /// a stale decode yields 48.
 fn self_modifying_program(m: &mut Machine) {
     let f_addr = 0x40_0200u64;
-    let mut patch = Vec::new();
-    phantom_isa::encode::encode_into(
-        &Inst::MovImm {
-            dst: Reg::R0,
-            imm: 2,
-        },
-        &mut patch,
-    )
+    // The store rewrites the first 8 of `mov r0, 2`'s 10 bytes.
+    let patch = encode_all(&[Inst::MovImm {
+        dst: Reg::R0,
+        imm: 2,
+    }])
     .unwrap();
-    phantom_isa::encode::encode_into(&Inst::Ret, &mut patch).unwrap();
-    patch.resize(8, 0x90);
     let patch = u64::from_le_bytes(patch[..8].try_into().unwrap());
 
     let mut a = Assembler::new(0x40_0000);

@@ -117,8 +117,7 @@ fn build_machine(profile: &UarchProfile, program: &[Inst]) -> Machine {
 /// Map the text, data and stack windows, write `program` (plus a
 /// `hlt`) at the text base and point the PC at it.
 fn install_program(m: &mut Machine, program: &[Inst]) {
-    let mut bytes = encode_all(program).expect("encodable");
-    bytes.push(0xF4); // hlt
+    let bytes = encode_all(program.iter().chain(&[Inst::Halt])).expect("encodable");
     m.map_range(
         VirtAddr::new(TEXT_BASE),
         0x4000,
@@ -578,7 +577,7 @@ fn play_trials(
     // Caught faults land on a `hlt` at the top of the text, so an
     // unmapped or NX page ends a run instead of erroring every step.
     let handler = VirtAddr::new(TEXT_BASE + 0x3ff0);
-    m.poke(handler, &[0xF4]);
+    m.poke(handler, &encode_all(&[Inst::Halt]).expect("encodable"));
     m.set_fault_handler(Some(handler));
     let id = m.attach_sink(Recorder(Vec::new()));
     let mut snaps = Vec::new();

@@ -291,6 +291,7 @@ impl Tracer {
 mod tests {
     use super::*;
     use phantom_isa::asm::Assembler;
+    use phantom_isa::encode::encode_all;
     use phantom_isa::Reg;
     use phantom_mem::PageFlags;
 
@@ -314,14 +315,14 @@ mod tests {
         });
         g.push(Inst::Halt);
         m.load_blob(&g.finish().unwrap(), text).unwrap();
-        let mut bytes = Vec::new();
-        phantom_isa::encode::encode_into(&Inst::JmpInd { src: Reg::R11 }, &mut bytes).unwrap();
-        bytes.push(0xF4);
-        m.poke(x, &bytes);
+        m.poke(
+            x,
+            &encode_all(&[Inst::JmpInd { src: Reg::R11 }, Inst::Halt]).unwrap(),
+        );
         m.set_reg(Reg::R11, c.raw());
         m.set_pc(x);
         m.run(8).unwrap();
-        m.poke(x, &[0x90, 0x90, 0xF4]);
+        m.poke(x, &encode_all(&[Inst::Nop, Inst::Nop, Inst::Halt]).unwrap());
         m.set_pc(x);
         (Tracer::new(32), m)
     }

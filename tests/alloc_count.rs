@@ -1,13 +1,14 @@
 //! Heap allocations on the trial hot path, counted by a counting global
 //! allocator.
 //!
-//! Every covert-channel bit and every PHT vote repeats the same few
-//! steps on a rewound machine, so the host cost of one trial is the
-//! cost of one simulated instruction and one probe. These tests pin how
-//! many heap allocations those steps make: none for a warm rewound
-//! `Machine::run` whose wrong path fetches and decodes, and an exact
-//! count for one warm covert probe. A change that adds an allocation to
-//! either path fails here, however small its share of wall time.
+//! Every covert-channel bit repeats the same few steps on a rewound
+//! machine, so the host cost of one trial is the cost of one simulated
+//! instruction and one probe. These tests pin how many heap allocations
+//! the trial paths make: none for a warm rewound `Machine::run` whose
+//! wrong path fetches and decodes, an exact count for one warm covert
+//! probe, and none for a warm PHT-lane trial (which replays its
+//! calibrated rounds). A change that adds an allocation to any of these
+//! paths fails here, however small its share of wall time.
 //!
 //! The counter is per thread, so tests running in parallel do not see
 //! each other's allocations.
@@ -15,10 +16,14 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
+use phantom::attacks::{pht_channel_decoded_on, PhtChannelConfig};
 use phantom::covert::CovertKind;
+use phantom::decode::DecoderConfig;
 use phantom::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig};
+use phantom::runner::TrialRunner;
 use phantom::UarchProfile;
 use phantom_isa::asm::Assembler;
+use phantom_isa::encode::encode_all;
 use phantom_isa::{BranchKind, Inst, Reg};
 use phantom_kernel::System;
 use phantom_mem::{PageFlags, VirtAddr};
@@ -101,7 +106,7 @@ fn phantom_victim(profile: UarchProfile) -> (Machine, phantom_pipeline::Checkpoi
     m.set_reg(Reg::R11, c.raw());
     m.set_pc(x);
     m.run(8).unwrap();
-    m.poke(x, &[0x90, 0x90, 0xF4]);
+    m.poke(x, &encode_all(&[Inst::Nop, Inst::Nop, Inst::Halt]).unwrap());
     m.set_pc(x);
     let snap = m.checkpoint();
     (m, snap)
@@ -211,18 +216,18 @@ impl Receiver {
 #[test]
 fn a_warm_covert_probe_makes_a_fixed_number_of_allocations() {
     // Per pair of probes (one at each sender target), after a warm-up:
-    // each probe allocates the armed eviction set's line list. On the
-    // execute channel the syscall writes the kernel stack, so each
-    // rewind also returns its two lists of rewound pages, and the probe
-    // at the mapped target lists its one transient load. Debug builds
-    // also check each of those rewinds against a full dirty-frame scan,
-    // which lists the pages it finds.
+    // each probe allocates the armed eviction set's line list, and on
+    // the execute channel the probe at the mapped target lists its one
+    // transient load. The execute channel's syscall writes the kernel
+    // stack, so its rewinds copy pages back, which allocates nothing in
+    // release builds; debug builds also check each of those rewinds
+    // against a full dirty-frame scan, which lists the pages it finds.
     const PAIRS: u64 = 8;
     let scans = if cfg!(debug_assertions) { 2 } else { 0 };
     for (profile, kind, per_pair) in [
         (UarchProfile::zen2(), CovertKind::Fetch, 2),
         (UarchProfile::zen4(), CovertKind::Fetch, 2),
-        (UarchProfile::zen2(), CovertKind::Execute, 7 + scans),
+        (UarchProfile::zen2(), CovertKind::Execute, 3 + scans),
     ] {
         let name = format!("{} {kind:?}", profile.name);
         let mut rx = Receiver::boot(profile, kind);
@@ -247,4 +252,27 @@ fn a_warm_covert_probe_makes_a_fixed_number_of_allocations() {
             "{name}: allocations over {PAIRS} probe pairs"
         );
     }
+}
+
+#[test]
+fn a_warm_pht_trial_allocates_nothing() {
+    // A PHT job allocates its sample list and the runner's bookkeeping
+    // once, whatever its size; its trials replay the profile's
+    // calibrated rounds and allocate nothing. So once the profile is
+    // calibrated, a job of many bits allocates exactly what a job of
+    // one bit does. One worker keeps every allocation on this thread.
+    let runner = TrialRunner::with_threads(1);
+    let job = |bits: usize| {
+        let (profile, decoder) = (UarchProfile::zen2(), DecoderConfig::default());
+        let noise = NoiseModel::realistic(3);
+        let config = PhtChannelConfig { bits, seed: 3 };
+        allocations_in(|| pht_channel_decoded_on(&runner, profile, config, noise, decoder).unwrap())
+    };
+    job(1);
+    let (one, base) = job(1);
+    let (many, allocations) = job(256);
+    // Not vacuous: the long job decodes every bit, with more votes.
+    assert_eq!((one.bits, many.bits), (1, 256));
+    assert!(many.probes > 256 && many.accuracy > 0.9, "{many:?}");
+    assert_eq!(allocations, base, "255 more warm PHT trials allocated");
 }
