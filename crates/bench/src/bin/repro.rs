@@ -29,10 +29,11 @@
 //! Figure 6); `--uarch <names>` picks Figure 6's sweep set (default:
 //! the paper's zen2,zen4 plot).
 //!
-//! Environment: `PHANTOM_FULL=1` uses the paper's full protocol sizes
-//! (all 488/25 600 slots, 4096 bits/bytes, 10–100 runs) — slow.
-//! `PHANTOM_THREADS=n` pins the trial runner's thread count (default:
-//! all cores); results are identical at any thread count.
+//! `--full` uses the paper's full protocol sizes (all 488/25 600 slots,
+//! 4096 bits/bytes, 10–100 runs) — slow. `--workers n` pins the trial
+//! runner's thread count (default: all cores); results are identical at
+//! any thread count. The whole configuration comes from argv: `repro`
+//! reads no environment variable.
 //!
 //! Tables render on stdout; per-sweep wall-clock notes go to stderr so
 //! piped output stays byte-for-byte reproducible.
@@ -111,10 +112,14 @@ flags:
                       set-indexed, history-mixed geometry (omitting it
                       keeps the legacy per-PC table); alone, runs
                       figure6 over the file's uarches as a smoke sweep
-  --workers <n>       trial-runner thread count for this invocation;
-                      takes precedence over PHANTOM_THREADS (the env
-                      var is not consulted — or validated — when
-                      --workers is given)
+  --workers <n>       trial-runner thread count for this invocation
+                      (default: all cores); results are identical at
+                      any thread count
+  --full              the paper's full protocol sizes (all 488/25 600
+                      slots, 4096 bits/bytes, 10-100 runs; slow); valid
+                      with the commands whose sizes it sets: figure6,
+                      figure7, table2-5, mds, noise-sweep, pht-channel,
+                      discover, bench and all
 
 flags (serve + discover):
   --out <path>        JSONL output path (default campaign.jsonl for
@@ -142,62 +147,14 @@ flags (bench; --json also implies bench when given alone):
                       <pct> percent (default: 1pp accuracy, 5% cycles)
   --host-meta         include host-volatile metadata (threads, wall
                       clocks) in a `host` section; breaks byte
-                      reproducibility across hosts, ignored by diffs
+                      reproducibility across hosts, ignored by diffs";
 
-environment:
-  PHANTOM_FULL=1     paper's full protocol sizes (slow); 0 or unset
-                     selects the quick protocol, anything else exits 2
-  PHANTOM_THREADS=n  pin the trial runner's thread count (overridden
-                     by --workers); results are identical at any
-                     thread count";
-
-/// Print a CLI-usage complaint and exit 2 (the CLI-error code, as for
-/// bad PHANTOM_THREADS). Never panics: a wrong invocation is the
-/// user's error, not the program's.
+/// Print a CLI-usage complaint and exit 2 (the CLI-error code). Never
+/// panics: a wrong invocation is the user's error, not the program's.
 fn usage_error(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!("{USAGE}");
     std::process::exit(2);
-}
-
-/// `PHANTOM_FULL`, parsed once per process: unset or `0` selects the
-/// quick protocol, `1` the paper's full sizes. Any other value exits 2,
-/// as a bad `PHANTOM_THREADS` does, rather than silently running the
-/// quick protocol.
-fn full() -> bool {
-    static FULL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FULL.get_or_init(|| match std::env::var("PHANTOM_FULL") {
-        Ok(v) if v == "1" => true,
-        Ok(v) if v == "0" => false,
-        Err(std::env::VarError::NotPresent) => false,
-        Ok(v) => {
-            eprintln!("invalid PHANTOM_FULL {v:?}: expected 0 or 1");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("invalid PHANTOM_FULL: {e}");
-            std::process::exit(2);
-        }
-    })
-}
-
-fn runner() -> TrialRunner {
-    match std::env::var("PHANTOM_THREADS") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => TrialRunner::with_threads(n),
-            _ => {
-                eprintln!(
-                    "invalid PHANTOM_THREADS {v:?}: expected a positive integer thread count"
-                );
-                std::process::exit(2);
-            }
-        },
-        Err(std::env::VarError::NotPresent) => TrialRunner::new(),
-        Err(e) => {
-            eprintln!("invalid PHANTOM_THREADS: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn table1(r: &TrialRunner) -> Result<(), RunnerError> {
@@ -209,12 +166,12 @@ fn table1(r: &TrialRunner) -> Result<(), RunnerError> {
 
 /// Figure 6 over an explicit uarch set. The default mirrors the paper's
 /// plot (Zen 2 and Zen 4); `--uarch` / `--spec` widen or narrow it.
-fn figure6(r: &TrialRunner, profiles: &[UarchProfile]) -> Result<(), RunnerError> {
+fn figure6(r: &TrialRunner, profiles: &[UarchProfile], full: bool) -> Result<(), RunnerError> {
     for profile in profiles {
         let profile = profile.clone();
         let name = profile.name.clone();
         println!("[{name}]");
-        let step = if full() { 0x40 } else { 0x100 };
+        let step = if full { 0x40 } else { 0x100 };
         let t = timed(r, |r| run_figure6_on(r, profile.clone(), step))?;
         print!("{}", report::render_figure6(&t.result));
         eprintln!("[figure6 {name}: {}]", t.wall_note());
@@ -245,8 +202,8 @@ fn list_uarchs(registry: &UarchRegistry) {
     }
 }
 
-fn figure7() {
-    let samples = if full() { 48 } else { 24 };
+fn figure7(full: bool) {
+    let samples = if full { 48 } else { 24 };
     let start = std::time::Instant::now();
     let fig = run_figure7(samples, 0);
     print!("{}", report::render_figure7(&fig));
@@ -260,8 +217,8 @@ fn table2(r: &TrialRunner, bits: usize) -> Result<(), RunnerError> {
     Ok(())
 }
 
-fn table3(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
-    let slots = if full() { 0 } else { 64 };
+fn table3(r: &TrialRunner, runs: usize, full: bool) -> Result<(), RunnerError> {
+    let slots = if full { 0 } else { 64 };
     for p in [
         UarchProfile::zen2(),
         UarchProfile::zen3(),
@@ -275,8 +232,8 @@ fn table3(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
     Ok(())
 }
 
-fn table4(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
-    let slots = if full() { 0 } else { 64 };
+fn table4(r: &TrialRunner, runs: usize, full: bool) -> Result<(), RunnerError> {
+    let slots = if full { 0 } else { 64 };
     for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
         let name = p.name.clone();
         let t = timed(r, |r| run_table4_on(r, p.clone(), runs, slots, 200))?;
@@ -286,9 +243,9 @@ fn table4(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
     Ok(())
 }
 
-fn table5(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
+fn table5(r: &TrialRunner, runs: usize, full: bool) -> Result<(), RunnerError> {
     // The paper pairs Zen 1 with 8 GiB and Zen 2 with 64 GiB.
-    let configs: [(UarchProfile, u64); 2] = if full() {
+    let configs: [(UarchProfile, u64); 2] = if full {
         [
             (UarchProfile::zen1(), 8 << 30),
             (UarchProfile::zen2(), 64 << 30),
@@ -308,8 +265,8 @@ fn table5(r: &TrialRunner, runs: usize) -> Result<(), RunnerError> {
     Ok(())
 }
 
-fn mds(r: &TrialRunner, bytes: usize) -> Result<(), RunnerError> {
-    let runs = if full() { 10 } else { 3 };
+fn mds(r: &TrialRunner, bytes: usize, full: bool) -> Result<(), RunnerError> {
+    let runs = if full { 10 } else { 3 };
     for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
         let name = p.name.clone();
         println!("[{name}] over {runs} reboots:");
@@ -624,9 +581,9 @@ fn gate(
     std::process::exit(1);
 }
 
-fn bench(r: &TrialRunner, flags: &BenchFlags) -> Result<(), RunnerError> {
+fn bench(r: &TrialRunner, flags: &BenchFlags, full: bool) -> Result<(), RunnerError> {
     let cfg = BenchConfig {
-        full: full(),
+        full,
         seed: 0,
         host_meta: flags.host_meta,
     };
@@ -636,7 +593,8 @@ fn bench(r: &TrialRunner, flags: &BenchFlags) -> Result<(), RunnerError> {
         .json
         .as_deref()
         .unwrap_or(Path::new("BENCH_phantom.json"));
-    write_document(path, snap.to_json())?;
+    std::fs::write(path, snap.to_json_string())
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
     eprintln!(
         "[bench: wrote {} in {:.2}s on {} threads]",
         path.display(),
@@ -735,6 +693,22 @@ fn discover(
 /// Commands that read the snapshot flags.
 const GATED: &[&str] = &["bench", "noise-sweep", "pht-channel"];
 
+/// Commands whose protocol sizes `--full` sets.
+const SIZED: &[&str] = &[
+    "figure6",
+    "figure7",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "mds",
+    "noise-sweep",
+    "pht-channel",
+    "discover",
+    "bench",
+    "all",
+];
+
 /// Commands that take a count (`repro table2 64`); every other command
 /// takes no positional word after its name.
 const COUNTED: &[&str] = &[
@@ -755,6 +729,7 @@ const FLAGS: &[(&str, bool, &[&str])] = &[
     ("--uarch", true, &["figure6", "serve", "all"]),
     ("--spec", true, &[]),
     ("--workers", true, &[]),
+    ("--full", false, SIZED),
     ("--out", true, &["serve", "discover"]),
     ("--seed", true, &["serve", "discover"]),
     ("--corpus", true, &["discover"]),
@@ -774,7 +749,7 @@ type Given = (
 );
 
 /// Everything argv alone decides; `main` adds what needs the file
-/// system or the environment (spec files, uarch names, counts).
+/// system (spec files) or the registry (uarch names), and the counts.
 struct Cli {
     positional: Vec<String>,
     given: Vec<Given>,
@@ -782,6 +757,8 @@ struct Cli {
     /// `--baseline` reads as `bench`.
     cmd: String,
     workers: Option<usize>,
+    /// `--full`: the paper's protocol sizes instead of the quick ones.
+    full: bool,
     seed: u64,
     bench: BenchFlags,
     serve: ServeFlags,
@@ -861,6 +838,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     Ok(Cli {
         cmd: cmd.to_string(),
         workers,
+        full: has("--full"),
         seed,
         bench: BenchFlags {
             json: last("--json"),
@@ -983,47 +961,43 @@ fn main() {
             },
         }
     };
-    // Validate PHANTOM_FULL before any work, whichever command runs.
-    full();
-    // --workers wins outright; PHANTOM_THREADS is only consulted (and
-    // only validated) when --workers is absent.
-    let r = match cli.workers {
-        Some(n) => TrialRunner::with_threads(n),
-        None => runner(),
-    };
+    let full = cli.full;
+    let r = cli
+        .workers
+        .map_or_else(TrialRunner::new, TrialRunner::with_threads);
 
     let result: Result<(), RunnerError> = match cmd {
         "table1" => table1(&r),
         "serve" => serve(&r, &registry, &uarch_names, &cli.serve),
         "discover" => discover(
             &r,
-            count(if full() { 512 } else { 64 }, 0),
+            count(if full { 512 } else { 64 }, 0),
             cli.seed,
             &last("--out").unwrap_or_else(|| "discover.jsonl".into()),
             last("--corpus").as_deref(),
         ),
-        "figure6" => figure6(&r, &figure6_profiles),
+        "figure6" => figure6(&r, &figure6_profiles, full),
         "list-uarchs" => {
             list_uarchs(&registry);
             Ok(())
         }
         "figure7" => {
-            figure7();
+            figure7(full);
             Ok(())
         }
-        "table2" => table2(&r, count(if full() { 4096 } else { 256 }, 1)),
-        "table3" => table3(&r, count(if full() { 100 } else { 5 }, 1)),
-        "table4" => table4(&r, count(if full() { 10 } else { 3 }, 1)),
-        "table5" => table5(&r, count(if full() { 100 } else { 3 }, 1)),
-        "mds" => mds(&r, count(if full() { 4096 } else { 64 }, 1)),
-        "bench" => bench(&r, &cli.bench),
+        "table2" => table2(&r, count(if full { 4096 } else { 256 }, 1)),
+        "table3" => table3(&r, count(if full { 100 } else { 5 }, 1), full),
+        "table4" => table4(&r, count(if full { 10 } else { 3 }, 1), full),
+        "table5" => table5(&r, count(if full { 100 } else { 3 }, 1), full),
+        "mds" => mds(&r, count(if full { 4096 } else { 64 }, 1), full),
+        "bench" => bench(&r, &cli.bench, full),
         "o4" => o4(),
         "o5" => o5(),
         "software" => software(),
         "spectre" => spectre(),
         "ablation" => ablation(&r),
         "noise-sweep" => {
-            let mut cfg = if full() {
+            let mut cfg = if full {
                 NoiseSweepConfig {
                     seed: 500,
                     ..Default::default()
@@ -1034,7 +1008,7 @@ fn main() {
             cfg.bits = count(cfg.bits, 1);
             noise_sweep(&r, &cfg, &cli.bench)
         }
-        "pht-channel" => pht_channel(&r, count(if full() { 4096 } else { 128 }, 1), &cli.bench),
+        "pht-channel" => pht_channel(&r, count(if full { 4096 } else { 128 }, 1), &cli.bench),
         "overhead" => overhead(&r),
         "gadgets" => {
             gadgets();
@@ -1043,13 +1017,13 @@ fn main() {
         // `parse_args`'s scope check leaves `all` no snapshot flags, so its
         // sweep and PHT steps write and gate nothing.
         "all" => table1(&r)
-            .and_then(|()| figure6(&r, &figure6_profiles))
-            .map(|()| figure7())
+            .and_then(|()| figure6(&r, &figure6_profiles, full))
+            .map(|()| figure7(full))
             .and_then(|()| table2(&r, 256))
-            .and_then(|()| table3(&r, 3))
-            .and_then(|()| table4(&r, 2))
-            .and_then(|()| table5(&r, 2))
-            .and_then(|()| mds(&r, 48))
+            .and_then(|()| table3(&r, 3, full))
+            .and_then(|()| table4(&r, 2, full))
+            .and_then(|()| table5(&r, 2, full))
+            .and_then(|()| mds(&r, 48, full))
             .and_then(|()| o4())
             .and_then(|()| o5())
             .and_then(|()| software())
@@ -1200,6 +1174,23 @@ mod tests {
                 .err()
                 .unwrap_or_else(|| panic!("{argv:?} parsed"));
             assert!(message.starts_with(error), "{argv:?}: {message}");
+        }
+    }
+
+    #[test]
+    fn full_is_a_switch_scoped_to_the_commands_it_sizes() {
+        for cmd in SIZED {
+            assert!(parse(&[cmd, "--full"]).unwrap().full, "{cmd}");
+            assert!(!parse(&[cmd]).unwrap().full, "{cmd}: off by default");
+        }
+        assert!(!parse(&[]).unwrap().full);
+        assert!(parse(&["--full"]).unwrap().full, "bare --full sizes `all`");
+        for cmd in ["list-uarchs", "serve", "o4", "gadgets", "help"] {
+            let message = parse(&[cmd, "--full"]).err().unwrap();
+            assert!(
+                message.starts_with("--full is only valid with the"),
+                "{cmd}: {message}"
+            );
         }
     }
 }

@@ -51,17 +51,6 @@ impl CampaignScenario {
             CampaignScenario::Pht => "pht",
         }
     }
-
-    /// Inverse of [`as_str`](CampaignScenario::as_str).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<CampaignScenario> {
-        match s {
-            "fetch" => Some(CampaignScenario::Fetch),
-            "execute" => Some(CampaignScenario::Execute),
-            "pht" => Some(CampaignScenario::Pht),
-            _ => None,
-        }
-    }
 }
 
 /// One point on a noise axis. The axis names match the

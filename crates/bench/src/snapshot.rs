@@ -39,8 +39,8 @@ use crate::{
 /// 0, no host section — the canonical, byte-reproducible run.
 #[derive(Debug, Clone, Default)]
 pub struct BenchConfig {
-    /// Use the paper's full protocol sizes (slow). Mirrors
-    /// `PHANTOM_FULL=1`.
+    /// Use the paper's full protocol sizes (slow): `repro bench
+    /// --full`.
     pub full: bool,
     /// Base seed; per-experiment seeds are fixed offsets from it so
     /// snapshots line up with the rendered tables.

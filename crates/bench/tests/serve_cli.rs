@@ -1,6 +1,6 @@
 //! End-to-end tests of the `repro serve` campaign service through the
-//! real binary: argument errors exit 2 with usage, `--workers` beats
-//! `PHANTOM_THREADS`, and kill-then-`--resume` reproduces the
+//! real binary: argument errors exit 2 with usage, the environment
+//! changes nothing, and kill-then-`--resume` reproduces the
 //! uninterrupted JSONL byte for byte.
 
 use std::path::PathBuf;
@@ -11,8 +11,6 @@ const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 fn repro(args: &[&str]) -> Output {
     Command::new(REPRO)
         .args(args)
-        .env_remove("PHANTOM_THREADS")
-        .env_remove("PHANTOM_FULL")
         .output()
         .expect("spawn repro")
 }
@@ -114,63 +112,31 @@ fn unreadable_resume_file_exits_2_with_usage() {
     assert!(err.contains("usage:"), "{err}");
 }
 
-/// `--workers` takes precedence over `PHANTOM_THREADS`: with the flag
-/// given, a garbage env value is never consulted, never validated, and
-/// the run succeeds. Without the flag, the same env value is a CLI
-/// error (exit 2).
+/// `repro` reads no environment: with the retired `PHANTOM_THREADS`
+/// and `PHANTOM_FULL` knobs set to garbage, a tiny campaign still
+/// succeeds and writes the same bytes as a run in a clean environment.
 #[test]
-fn workers_flag_overrides_phantom_threads() {
-    let path = tmp("precedence");
-    let out = Command::new(REPRO)
-        .args(tiny_args(path.to_str().unwrap()))
-        .env("PHANTOM_THREADS", "banana")
-        .output()
-        .expect("spawn repro");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert!(stderr(&out).contains("on 2 threads"), "{}", stderr(&out));
-
-    let out = Command::new(REPRO)
-        .args(["serve", "--uarch", "zen2", "--bits", "2"])
-        .env("PHANTOM_THREADS", "banana")
-        .output()
-        .expect("spawn repro");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "env must be validated sans flag"
-    );
-    assert!(stderr(&out).contains("PHANTOM_THREADS"));
-    std::fs::remove_file(&path).ok();
-}
-
-/// `PHANTOM_FULL` accepts only unset, `0` or `1`: a value like `true`
-/// or `yes` is a CLI error (exit 2) naming the variable, not a silent
-/// fall-back to the quick protocol.
-#[test]
-fn phantom_full_is_validated() {
-    let with_full = |value: &str| {
-        Command::new(REPRO)
-            .arg("list-uarchs")
-            .env_remove("PHANTOM_THREADS")
-            .env("PHANTOM_FULL", value)
+fn the_environment_changes_nothing() {
+    let run = |name: &str, env: &[(&str, &str)]| {
+        let path = tmp(name);
+        let out = Command::new(REPRO)
+            .args(tiny_args(path.to_str().unwrap()))
+            .env_clear()
+            .envs(env.iter().copied())
             .output()
-            .expect("spawn repro")
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0), "{name}: {}", stderr(&out));
+        let bytes = std::fs::read(&path).expect("campaign written");
+        std::fs::remove_file(&path).ok();
+        bytes
     };
-    for bad in ["true", "yes", "2", ""] {
-        let out = with_full(bad);
-        assert_eq!(out.status.code(), Some(2), "PHANTOM_FULL={bad:?}");
-        assert!(stderr(&out).contains("PHANTOM_FULL"), "{}", stderr(&out));
-    }
-    for good in ["0", "1"] {
-        let out = with_full(good);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "PHANTOM_FULL={good:?}: {}",
-            stderr(&out)
-        );
-    }
-    assert_eq!(repro(&["list-uarchs"]).status.code(), Some(0), "unset");
+    let clean = run("env-clean", &[]);
+    let garbage = run(
+        "env-garbage",
+        &[("PHANTOM_THREADS", "banana"), ("PHANTOM_FULL", "yes")],
+    );
+    assert!(!clean.is_empty());
+    assert!(clean == garbage, "environment changed the JSONL");
 }
 
 /// The flagship resume property through the real binary: run a small
@@ -269,6 +235,10 @@ fn scoped_flags_on_other_commands_exit_2_with_usage() {
         assert!(err.contains(&format!("only valid with {scope}")), "{err}");
         assert!(err.contains("usage:"), "{err}");
     }
+    // --full is read only by the commands whose sizes it sets.
+    let out = repro(&["list-uarchs", "--full"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--full is only valid with the figure6, figure7"));
     // --spec and --workers are read by every command.
     let spec = concat!(
         env!("CARGO_MANIFEST_DIR"),

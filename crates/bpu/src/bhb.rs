@@ -22,16 +22,16 @@ use phantom_mem::VirtAddr;
 /// use phantom_bpu::Bhb;
 /// use phantom_mem::VirtAddr;
 /// let mut bhb = Bhb::new();
-/// let empty = bhb.tag();
+/// let empty = bhb.raw();
 /// bhb.record(VirtAddr::new(0x1234), VirtAddr::new(0x2468));
-/// assert_ne!(bhb.tag(), empty);
+/// assert_ne!(bhb.raw(), empty);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Bhb {
     state: u64,
 }
 
-/// Number of meaningful tag bits exposed by [`Bhb::tag`].
+/// Number of meaningful bits in a BHB history tag.
 pub const BHB_TAG_BITS: u32 = 16;
 
 impl Bhb {
@@ -49,6 +49,7 @@ impl Bhb {
     }
 
     /// The current history tag (bounded to [`BHB_TAG_BITS`]).
+    #[cfg(test)]
     pub fn tag(&self) -> u16 {
         let folded = self.state ^ (self.state >> 16) ^ (self.state >> 32) ^ (self.state >> 48);
         (folded & ((1 << BHB_TAG_BITS) - 1)) as u16

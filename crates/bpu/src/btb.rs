@@ -111,13 +111,6 @@ impl BtbEntry {
         }
     }
 
-    /// The predicted target when this entry fires at `source` (primary
-    /// slot). Returns `None` for `ret`-kind entries (the RSB provides
-    /// those).
-    pub fn target_at(&self, source: VirtAddr) -> Option<VirtAddr> {
-        Some(Self::resolve(self.target.1, source))
-    }
-
     /// The predicted target under a specific BHB history tag: the slot
     /// whose training tag matches wins; otherwise the primary (most
     /// recently trained) slot serves.
@@ -128,11 +121,6 @@ impl BtbEntry {
             }
         }
         Some(Self::resolve(self.target.1, source))
-    }
-
-    /// Whether the entry currently holds two targets.
-    pub fn is_multi_target(&self) -> bool {
-        self.alt_target.is_some()
     }
 }
 
@@ -383,13 +371,6 @@ impl Btb {
             .filter_map(|source| self.lookup(source))
     }
 
-    /// Scan a fetch window `[base, base+len)` for the first predicted
-    /// branch source, in address order. This is the pre-decode BTB query
-    /// the fetch unit performs for every block.
-    pub fn lookup_window(&self, base: VirtAddr, len: u64) -> Option<BtbHit> {
-        self.window_hits(base, len).next()
-    }
-
     /// Empty the BTB for `scheme` in place, as `*self = Btb::new(scheme)`
     /// would, keeping the bucket vectors as spares.
     pub fn reset(&mut self, scheme: BtbScheme) {
@@ -464,25 +445,6 @@ impl Btb {
     /// Test-only: every entry, in page-offset then bucket order.
     pub(crate) fn entries(&self) -> Vec<BtbEntry> {
         self.buckets[..self.live].concat()
-    }
-}
-
-impl crate::state::PredictorState for Btb {
-    fn name(&self) -> &'static str {
-        "btb"
-    }
-
-    fn capacity(&self) -> usize {
-        // One bucket per page offset, `ways` entries each.
-        4096 * self.scheme.ways
-    }
-
-    fn live_entries(&self) -> usize {
-        self.len()
-    }
-
-    fn flush(&mut self) {
-        Btb::flush(self);
     }
 }
 
@@ -603,9 +565,9 @@ mod tests {
         let mut btb = Btb::new(BtbScheme::zen12());
         train_simple(&mut btb, 0x1010, BranchKind::Direct, 0x9000);
         train_simple(&mut btb, 0x1008, BranchKind::Indirect, 0x8000);
-        let hit = btb.lookup_window(VirtAddr::new(0x1000), 32).unwrap();
+        let hit = btb.window_hits(VirtAddr::new(0x1000), 32).next().unwrap();
         assert_eq!(hit.source, VirtAddr::new(0x1008), "address order wins");
-        assert!(btb.lookup_window(VirtAddr::new(0x1020), 32).is_none());
+        assert!(btb.window_hits(VirtAddr::new(0x1020), 32).next().is_none());
     }
 
     #[test]

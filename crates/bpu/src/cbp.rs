@@ -17,7 +17,6 @@ use std::fmt;
 use phantom_mem::{RowStore, VirtAddr};
 
 use crate::hashfn::{parity_fold, FoldFn};
-use crate::state::PredictorState;
 
 /// One CBP index-bit function: the XOR of a parity over branch-PC bits
 /// and a parity over global-history bits.
@@ -121,11 +120,6 @@ impl CbpScheme {
     /// Number of sets.
     pub fn sets(&self) -> usize {
         1 << self.index.len()
-    }
-
-    /// Total counter capacity (sets × ways).
-    pub fn capacity(&self) -> usize {
-        self.sets() * self.ways
     }
 
     /// The set index of `pc` under history `ghr`.
@@ -482,24 +476,6 @@ impl Cbp {
     }
 }
 
-impl PredictorState for Cbp {
-    fn name(&self) -> &'static str {
-        "cbp"
-    }
-
-    fn capacity(&self) -> usize {
-        self.scheme.capacity()
-    }
-
-    fn live_entries(&self) -> usize {
-        self.len()
-    }
-
-    fn flush(&mut self) {
-        Cbp::flush(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,14 +620,12 @@ mod tests {
     }
 
     #[test]
-    fn predictor_state_surface() {
+    fn flush_empties_the_table() {
         let mut cbp = Cbp::new(CbpScheme::legacy());
-        assert_eq!(PredictorState::name(&cbp), "cbp");
-        assert_eq!(PredictorState::capacity(&cbp), 4096);
-        assert_eq!(PredictorState::live_entries(&cbp), 0);
+        assert!(cbp.is_empty());
         cbp.update(pc(0x1000), true);
-        assert_eq!(PredictorState::live_entries(&cbp), 1);
-        PredictorState::flush(&mut cbp);
+        assert_eq!(cbp.len(), 1);
+        cbp.flush();
         assert!(cbp.is_empty());
     }
 

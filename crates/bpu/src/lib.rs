@@ -20,18 +20,16 @@
 //! history-mixed direction counters whose index/tag hashes are GF(2)
 //! folds just like the BTB's) and the mitigation MSRs
 //! (`SuppressBPOnNonBr`, AutoIBRS, eIBRS, STIBP, IBPB) whose incomplete
-//! coverage is the subject of §6.3 and §8. The BTB and CBP share one
-//! introspection surface, [`PredictorState`], so attacks read predictor
-//! state through a single interface.
+//! coverage is the subject of §6.3 and §8.
 //!
 //! # Examples
 //!
 //! ```
-//! use phantom_bpu::{Bpu, BtbScheme, MsrState};
+//! use phantom_bpu::{Bpu, BtbScheme, CbpScheme, MsrState};
 //! use phantom_isa::BranchKind;
 //! use phantom_mem::{PrivilegeLevel, VirtAddr};
 //!
-//! let mut bpu = Bpu::new(BtbScheme::zen34(), MsrState::default());
+//! let mut bpu = Bpu::with_schemes(BtbScheme::zen34(), CbpScheme::legacy(), MsrState::default());
 //! // Train an indirect branch at A -> C.
 //! bpu.train(
 //!     VirtAddr::new(0x40_1000),
@@ -42,7 +40,7 @@
 //! // The victim at an aliasing address reuses the entry — even if the
 //! // instruction there is not a branch at all.
 //! let pred = bpu
-//!     .predict_block(VirtAddr::new(0x40_1000), PrivilegeLevel::User, 0)
+//!     .predict_window(VirtAddr::new(0x40_1000), 32, PrivilegeLevel::User, 0)
 //!     .expect("prediction served");
 //! assert_eq!(pred.kind, BranchKind::Indirect);
 //! assert_eq!(pred.target, Some(VirtAddr::new(0x40_8000)));
@@ -57,7 +55,6 @@ pub mod hashfn;
 pub mod msr;
 pub mod predict;
 pub mod rsb;
-pub mod state;
 
 pub use bhb::{Bhb, BHB_TAG_BITS};
 pub use btb::{Btb, BtbEntry, BtbScheme};
@@ -66,7 +63,6 @@ pub use hashfn::{parity_fold, FoldFamily, FoldFn, SignatureTable};
 pub use msr::MsrState;
 pub use predict::{Bpu, Prediction};
 pub use rsb::Rsb;
-pub use state::PredictorState;
 
 #[cfg(test)]
 mod proptests;

@@ -1,7 +1,7 @@
 //! The combined branch prediction unit: BTB + RSB + CBP behind the
 //! mitigation MSRs.
 //!
-//! [`Bpu::predict_block`] is the *pre-decode* query the fetch unit runs
+//! [`Bpu::predict_window`] is the *pre-decode* query the fetch unit runs
 //! for every fetch window. It returns at most one [`Prediction`] — where
 //! the frontend should steer next and how trusted that steer is under
 //! the active mitigations (a prediction can be `restricted`, meaning it
@@ -16,7 +16,6 @@ use crate::btb::{Btb, BtbScheme};
 use crate::cbp::{Cbp, CbpScheme};
 use crate::msr::MsrState;
 use crate::rsb::Rsb;
-use crate::state::PredictorState;
 
 /// Return-stack depth of every BPU.
 const RSB_DEPTH: usize = 32;
@@ -58,6 +57,7 @@ pub struct Bpu {
 impl Bpu {
     /// Create a BPU with the given BTB scheme, the legacy conditional
     /// predictor, and the given MSR state.
+    #[cfg(test)]
     pub fn new(scheme: BtbScheme, msr: MsrState) -> Bpu {
         Bpu::with_schemes(scheme, CbpScheme::legacy(), msr)
     }
@@ -117,13 +117,6 @@ impl Bpu {
         &self.cbp
     }
 
-    /// Every predictor structure behind one introspection interface —
-    /// attacks and reports that read predictor state (occupancy)
-    /// iterate this instead of special-casing the BTB.
-    pub fn predictor_states(&self) -> [&dyn PredictorState; 2] {
-        [&self.btb, &self.cbp]
-    }
-
     /// The branch history buffer.
     pub fn bhb(&self) -> &Bhb {
         &self.bhb
@@ -167,21 +160,8 @@ impl Bpu {
         self.cbp.update(source, taken);
     }
 
-    /// Predicted direction for a conditional at `source`.
-    pub fn predict_direction(&self, source: VirtAddr) -> bool {
-        self.cbp.predict(source)
-    }
-
-    /// The pre-decode prediction query for a fetch window starting at
-    /// `base` (32 bytes, a typical fetch block). `level` is the *current*
-    /// privilege mode; `thread` the current SMT thread.
-    ///
-    /// Mitigation gating implemented here:
-    /// * **eIBRS tagging** (Intel): entries trained in another mode are
-    ///   invisible;
-    /// * **STIBP**: entries trained by the sibling thread are invisible;
-    /// * **AutoIBRS**: entries trained at user, predicted in supervisor,
-    ///   are served but `restricted` (O5: fetch still happens).
+    /// [`Bpu::predict_window`] over a 32-byte fetch block.
+    #[cfg(test)]
     pub fn predict_block(
         &mut self,
         base: VirtAddr,
@@ -191,9 +171,17 @@ impl Bpu {
         self.predict_window(base, 32, level, thread)
     }
 
-    /// [`Bpu::predict_block`] over an explicit window length (the machine
-    /// queries per-instruction spans so each prediction fires exactly
-    /// once).
+    /// The pre-decode prediction query for the `window` bytes starting
+    /// at `base` (the machine queries per-instruction spans so each
+    /// prediction fires exactly once). `level` is the *current*
+    /// privilege mode; `thread` the current SMT thread.
+    ///
+    /// Mitigation gating implemented here:
+    /// * **eIBRS tagging** (Intel): entries trained in another mode are
+    ///   invisible;
+    /// * **STIBP**: entries trained by the sibling thread are invisible;
+    /// * **AutoIBRS**: entries trained at user, predicted in supervisor,
+    ///   are served but `restricted` (O5: fetch still happens).
     pub fn predict_window(
         &mut self,
         base: VirtAddr,
@@ -368,9 +356,7 @@ mod tests {
         for _ in 0..8 {
             b.train_direction(src, true);
         }
-        assert!(
-            b.predict_direction(src) || b.predict_block(src, PrivilegeLevel::User, 0).is_some()
-        );
+        assert!(b.cbp().predict(src) || b.predict_block(src, PrivilegeLevel::User, 0).is_some());
     }
 
     #[test]

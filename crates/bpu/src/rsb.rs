@@ -103,11 +103,6 @@ impl Rsb {
         self.live == 0
     }
 
-    /// Capacity.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Clear all entries (IBPB-style flush, or RSB stuffing with dummy
     /// targets modeled as a flush).
     pub fn flush(&mut self) {

@@ -95,6 +95,7 @@ impl CacheGeometry {
     }
 
     /// The line-aligned base address.
+    #[cfg(test)]
     pub fn line_base(&self, addr: u64) -> u64 {
         addr & !(self.line_size as u64 - 1)
     }

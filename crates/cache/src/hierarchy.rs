@@ -151,22 +151,6 @@ impl CacheHierarchy {
         self.access(addr, true)
     }
 
-    /// Non-destructive probe of the L1I (for experiments inspecting
-    /// state without perturbing it).
-    pub fn probe_l1i(&self, addr: u64) -> bool {
-        self.l1i.probe(addr)
-    }
-
-    /// Non-destructive probe of the L1D.
-    pub fn probe_l1d(&self, addr: u64) -> bool {
-        self.l1d.probe(addr)
-    }
-
-    /// Non-destructive probe of the L2.
-    pub fn probe_l2(&self, addr: u64) -> bool {
-        self.l2.probe(addr)
-    }
-
     /// `clflush` semantics: remove the line from every level.
     pub fn flush_line(&mut self, addr: u64) {
         self.l1i.flush_line(addr);
@@ -244,9 +228,9 @@ mod tests {
         let (lvl, lat) = h.access_data(0x1000);
         assert_eq!(lvl, Level::Memory);
         assert_eq!(lat, 4 + 14 + 200);
-        assert!(h.probe_l1d(0x1000));
-        assert!(h.probe_l2(0x1000));
-        assert!(!h.probe_l1i(0x1000), "data access does not fill L1I");
+        assert!(h.l1d().probe(0x1000));
+        assert!(h.l2().probe(0x1000));
+        assert!(!h.l1i().probe(0x1000), "data access does not fill L1I");
     }
 
     #[test]
@@ -263,8 +247,8 @@ mod tests {
     fn inst_and_data_paths_are_split() {
         let mut h = CacheHierarchy::default();
         h.access_inst(0x2000);
-        assert!(h.probe_l1i(0x2000));
-        assert!(!h.probe_l1d(0x2000));
+        assert!(h.l1i().probe(0x2000));
+        assert!(!h.l1d().probe(0x2000));
         // Both share L2: a data access to the same line now hits L2.
         let (lvl, _) = h.access_data(0x2000);
         assert_eq!(lvl, Level::L2);
@@ -276,15 +260,15 @@ mod tests {
         let g2 = h.config.l2;
         let target = 0x4000u64;
         h.access_data(target);
-        assert!(h.probe_l1d(target));
+        assert!(h.l1d().probe(target));
         // Evict the target's L2 set by touching `ways` conflicting lines.
         let set = g2.set_index(target);
         for i in 1..=g2.ways as u64 {
             let conflict = g2.compose(g2.tag(target) + i, set);
             h.access_data(conflict);
         }
-        assert!(!h.probe_l2(target), "L2 line evicted");
-        assert!(!h.probe_l1d(target), "inclusivity back-invalidates L1D");
+        assert!(!h.l2().probe(target), "L2 line evicted");
+        assert!(!h.l1d().probe(target), "inclusivity back-invalidates L1D");
     }
 
     #[test]
@@ -293,9 +277,9 @@ mod tests {
         h.access_inst(0x3000);
         h.access_data(0x3000);
         h.flush_line(0x3000);
-        assert!(!h.probe_l1i(0x3000));
-        assert!(!h.probe_l1d(0x3000));
-        assert!(!h.probe_l2(0x3000));
+        assert!(!h.l1i().probe(0x3000));
+        assert!(!h.l1d().probe(0x3000));
+        assert!(!h.l2().probe(0x3000));
     }
 
     #[test]

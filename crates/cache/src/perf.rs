@@ -152,6 +152,7 @@ impl PerfCounters {
     }
 
     /// Reset all counters to zero.
+    #[cfg(test)]
     pub fn reset(&mut self) {
         self.counts = [0; 14];
     }

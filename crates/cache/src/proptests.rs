@@ -294,8 +294,8 @@ proptest! {
             touched.insert(line(addr));
         }
         for &l in &touched {
-            if h.probe_l1i(l) || h.probe_l1d(l) {
-                prop_assert!(h.probe_l2(l), "line {l:#x} in L1 but not L2");
+            if h.l1i().probe(l) || h.l1d().probe(l) {
+                prop_assert!(h.l2().probe(l), "line {l:#x} in L1 but not L2");
             }
         }
     }
@@ -315,7 +315,7 @@ proptest! {
         for i in 1..=g.ways as u64 {
             h.access_data(g.compose(g.tag(addr) + i * 1024, set));
         }
-        if !h.probe_l1d(addr) && h.probe_l2(addr) {
+        if !h.l1d().probe(addr) && h.l2().probe(addr) {
             let (_, l2) = h.access_data(addr);
             prop_assert!(l1 < l2 && l2 < mem);
         }

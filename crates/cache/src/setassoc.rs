@@ -302,6 +302,7 @@ impl SetAssocCache {
     }
 
     /// Number of valid lines in `set`.
+    #[cfg(test)]
     pub fn set_occupancy(&self, set: usize) -> usize {
         self.set(set).iter().filter(|l| l.valid).count()
     }

@@ -17,10 +17,11 @@ use crate::setassoc::{AccessOutcome, Replacement, SetAssocCache};
 /// # Examples
 ///
 /// ```
-/// use phantom_cache::UopCache;
+/// use phantom_cache::{CacheGeometry, UopCache};
 /// let mut uc = UopCache::new();
 /// // Two addresses 4096 bytes apart land in the same set…
-/// assert_eq!(UopCache::set_of(0x10ac0), UopCache::set_of(0x11ac0));
+/// let g = CacheGeometry::uop_cache();
+/// assert_eq!(g.set_index(0x10ac0), g.set_index(0x11ac0));
 /// // …and filling decoded lines makes later lookups hit.
 /// uc.fill(0x10ac0);
 /// assert!(uc.lookup(0x10ac0));
@@ -55,13 +56,6 @@ impl UopCache {
         self.cache.reset(geometry, Replacement::Lru);
         self.hits = 0;
         self.misses = 0;
-    }
-
-    /// The µop-cache set an instruction address maps to under the
-    /// *paper's* geometry: bits \[11:6\]. For a custom geometry use
-    /// [`UopCache::geometry`]`().set_index(va)`.
-    pub fn set_of(va: u64) -> usize {
-        CacheGeometry::uop_cache().set_index(va)
     }
 
     /// Look up whether the line holding `va` has decoded µops cached.
@@ -134,29 +128,16 @@ impl UopCache {
         self.misses = snap.misses;
     }
 
-    /// Number of valid ways in `set`.
-    pub fn set_occupancy(&self, set: usize) -> usize {
-        self.cache.set_occupancy(set)
-    }
-
-    /// Line addresses currently cached in `set`.
-    pub fn set_contents(&self, set: usize) -> Vec<u64> {
-        self.cache.set_contents(set)
-    }
-
     /// Lifetime dispatch hits (`op_cache_hit_miss.op_cache_hit`).
+    #[cfg(test)]
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Lifetime dispatch misses.
+    #[cfg(test)]
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// The geometry (64 sets × 8 ways × 64 B).
-    pub fn geometry(&self) -> CacheGeometry {
-        self.cache.geometry()
     }
 }
 
@@ -173,12 +154,20 @@ mod tests {
     #[test]
     fn set_selection_uses_low_12_bits() {
         // Same low 12 bits -> same set, regardless of high bits.
-        assert_eq!(UopCache::set_of(0x0000_0ac0), UopCache::set_of(0xffff_1ac0));
+        assert_eq!(
+            CacheGeometry::uop_cache().set_index(0x0000_0ac0),
+            CacheGeometry::uop_cache().set_index(0xffff_1ac0)
+        );
         // Bits [5:0] don't matter (within a line).
-        assert_eq!(UopCache::set_of(0xac0), UopCache::set_of(0xaff));
+        assert_eq!(
+            CacheGeometry::uop_cache().set_index(0xac0),
+            CacheGeometry::uop_cache().set_index(0xaff)
+        );
         // 64 distinct sets across a page.
-        let sets: std::collections::BTreeSet<_> =
-            (0..4096u64).step_by(64).map(UopCache::set_of).collect();
+        let sets: std::collections::BTreeSet<_> = (0..4096u64)
+            .step_by(64)
+            .map(|va| CacheGeometry::uop_cache().set_index(va))
+            .collect();
         assert_eq!(sets.len(), 64);
     }
 
@@ -186,7 +175,9 @@ mod tests {
     fn jmp_series_addresses_alias() {
         // The paper's priming jmp-series: 7 branches separated by 4096 B.
         let base = 0x40_0ac0u64;
-        let sets: Vec<_> = (0..7).map(|i| UopCache::set_of(base + i * 4096)).collect();
+        let sets: Vec<_> = (0..7)
+            .map(|i| CacheGeometry::uop_cache().set_index(base + i * 4096))
+            .collect();
         assert!(sets.windows(2).all(|w| w[0] == w[1]));
     }
 
@@ -198,7 +189,7 @@ mod tests {
         for i in 0..8 {
             uc.fill(base + i * 4096);
         }
-        assert_eq!(uc.set_occupancy(UopCache::set_of(base)), 8);
+        assert!((0..8).all(|i| uc.lookup(base + i * 4096)));
         // A phantom decode at a colliding address evicts a primed way.
         let out = uc.fill(0xdead_0ac0);
         assert!(out.evicted.is_some());

@@ -64,11 +64,6 @@ impl IfChannel {
         IfChannel { target }
     }
 
-    /// The observed address.
-    pub fn target(&self) -> VirtAddr {
-        self.target
-    }
-
     /// Arm: flush the target's line from the hierarchy.
     pub fn arm(&self, machine: &mut Machine) {
         if let Ok(pa) = machine.page_table().translate(
@@ -111,7 +106,6 @@ impl IfChannel {
 #[derive(Debug, Clone, Copy)]
 pub struct IdChannel {
     series_start: VirtAddr,
-    page_offset: u64,
 }
 
 impl IdChannel {
@@ -151,18 +145,13 @@ impl IdChannel {
             .map_err(|e| ChannelError(e.to_string()))?;
         Ok(IdChannel {
             series_start: VirtAddr::new(series_base.raw() + page_offset),
-            page_offset,
         })
     }
 
     /// The µop-cache set this channel monitors.
+    #[cfg(test)]
     pub fn set(&self) -> usize {
-        phantom_cache::UopCache::set_of(self.series_start.raw())
-    }
-
-    /// The page offset the series (and thus the monitored set) sits at.
-    pub fn page_offset(&self) -> u64 {
-        self.page_offset
+        phantom_cache::CacheGeometry::uop_cache().set_index(self.series_start.raw())
     }
 
     fn run_series(machine: &mut Machine, start: VirtAddr) -> (u64, u64) {
@@ -206,11 +195,13 @@ impl IdChannel {
 /// ports occupied by squashed µops), sampled before/after the victim —
 /// the same sampling discipline as the ID channel. Unlike [`ExChannel`],
 /// this fires for *any* wrong-path dispatch, loads or not.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortChannel {
     armed: Option<phantom_cache::perf::PerfSnapshot>,
 }
 
+#[cfg(test)]
 impl PortChannel {
     /// A fresh, unarmed channel.
     pub fn new() -> PortChannel {
@@ -256,11 +247,6 @@ impl ExChannel {
             .map_range(probe, 64, PageFlags::USER_DATA)
             .map_err(|e| ChannelError(e.to_string()))?;
         Ok(ExChannel { probe })
-    }
-
-    /// The probed data address.
-    pub fn probe_addr(&self) -> VirtAddr {
-        self.probe
     }
 
     /// Arm: flush the probe line.
@@ -386,7 +372,7 @@ mod tests {
         let mut m = Machine::new(UarchProfile::zen2(), 1 << 26);
         let ch = IdChannel::install(&mut m, VirtAddr::new(0x72_0000), 0xac0).unwrap();
         assert_eq!(ch.set(), (0xac0 >> 6) & 63);
-        assert_eq!(ch.page_offset(), 0xac0);
+        assert_eq!(ch.series_start.raw() & 0xfff, 0xac0);
     }
 
     #[test]

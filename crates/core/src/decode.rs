@@ -28,15 +28,7 @@ pub enum Decoded {
     Abstain,
 }
 
-impl Decoded {
-    /// The decoded bit, or `None` on abstention.
-    pub fn bit(self) -> Option<bool> {
-        match self {
-            Decoded::Bit(b) => Some(b),
-            Decoded::Abstain => None,
-        }
-    }
-}
+impl Decoded {}
 
 /// Escalation schedule and stopping rule for [`decode_adaptive`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,6 +57,7 @@ impl DecoderConfig {
     /// A non-adaptive config reproducing the legacy fixed majority
     /// vote: exactly `votes` probes per bit, no escalation, no
     /// confidence requirement.
+    #[cfg(test)]
     pub fn fixed(votes: u32) -> DecoderConfig {
         DecoderConfig {
             schedule: [votes, 0, 0],
@@ -73,6 +66,7 @@ impl DecoderConfig {
     }
 
     /// The worst-case probe count per bit.
+    #[cfg(test)]
     pub fn max_votes(&self) -> u32 {
         self.schedule.iter().sum()
     }

@@ -910,7 +910,7 @@ mod tests {
                 .unwrap()
                 .raw()
         };
-        assert!(m.caches().probe_l1i(pa(c_prime, &m)));
-        assert!(!m.caches().probe_l1i(pa(c, &m)), "C itself stays cold");
+        assert!(m.caches().l1i().probe(pa(c_prime, &m)));
+        assert!(!m.caches().l1i().probe(pa(c, &m)), "C itself stays cold");
     }
 }

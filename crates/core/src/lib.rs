@@ -85,21 +85,9 @@ pub mod prelude {
     pub use crate::channel::{ExChannel, IdChannel, IfChannel};
     pub use crate::decode::{decode_adaptive, DecodeOutcome, Decoded, DecoderConfig};
     pub use crate::experiment::{run_combo, table1_on, Stage, TrainKind, VictimKind};
-    pub use crate::primitives::{
-        p1_detect_executable, p2_detect_mapped, p3_leak_byte, PrimitiveConfig,
-    };
+    pub use crate::primitives::{p1_detect_executable, p2_detect_mapped, PrimitiveConfig};
     pub use crate::UarchProfile;
     pub use phantom_kernel::System;
     pub use phantom_mem::VirtAddr;
     pub use phantom_sidechannel::NoiseModel;
-}
-
-/// All eight microarchitectures evaluated in the paper's Table 1.
-pub fn uarch_all() -> Vec<UarchProfile> {
-    UarchProfile::all()
-}
-
-/// The four AMD microarchitectures the exploits target.
-pub fn uarch_amd() -> Vec<UarchProfile> {
-    UarchProfile::amd()
 }

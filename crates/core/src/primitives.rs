@@ -99,30 +99,14 @@ fn err<E: std::fmt::Display>(e: E) -> PrimitiveError {
 }
 
 /// **P1**: does executing `victim_pc` in the kernel transiently fetch
-/// `target`? Returns the raw probe evictions (callers threshold or score
-/// against a baseline).
+/// `target`? Returns the raw probe of I-cache set `probe_set` (callers
+/// threshold or score against a baseline): the §7.3 scoring probes the
+/// *same* set both with the injected target mapping into it (`T_S`)
+/// and mapping elsewhere (the baseline `B_S`).
 ///
 /// Steps (§6.1): ① train the BTB with a branch to `target` at the
-/// user alias of `victim_pc`, ② prime the I-cache set `target` maps to,
-/// ③ execute the victim (`getpid()`), ④ probe.
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn p1_probe(
-    sys: &mut System,
-    cfg: &PrimitiveConfig,
-    victim_pc: VirtAddr,
-    target: VirtAddr,
-    noise: &mut NoiseModel,
-) -> Result<usize, PrimitiveError> {
-    let set = ((target.raw() >> 6) & 63) as usize;
-    Ok(p1_probe_in_set(sys, cfg, victim_pc, target, set, noise)?.evictions)
-}
-
-/// [`p1_probe`] with an explicit monitored I-cache set — the §7.3
-/// scoring probes the *same* set both with the injected target mapping
-/// into it (`T_S`) and mapping elsewhere (the baseline `B_S`).
+/// user alias of `victim_pc`, ② prime the I-cache set, ③ execute the
+/// victim (`getpid()`), ④ probe.
 ///
 /// # Errors
 ///
@@ -166,8 +150,8 @@ pub fn p1_probe_in_set_scored(
     pp.probe_scored(sys.machine_mut(), noise).map_err(err)
 }
 
-/// [`p1_probe`] as a confidence-scored [`Reading`] (the probe set is
-/// derived from `target` as in [`p1_probe`]).
+/// **P1** as a confidence-scored [`Reading`], probing the I-cache set
+/// `target` maps to.
 ///
 /// # Errors
 ///
@@ -212,26 +196,9 @@ pub fn p1_detect_executable(
 ///
 /// Injects `jmp*`-to-Listing-3 at the `readv()` call site and passes
 /// `target - 0xbe0` as the second syscall argument, so the transient
-/// `mov r12, [r12+0xbe0]` loads `target`. Probes the L1D set `target`'s
-/// low bits select. Only effective where phantom windows execute
+/// `mov r12, [r12+0xbe0]` loads `target`. Probes L1D set `probe_set`
+/// (§7.3 scoring picks it). Only effective where phantom windows execute
 /// (Zen 1/2).
-///
-/// # Errors
-///
-/// Returns [`PrimitiveError`] on setup or syscall failure.
-pub fn p2_probe(
-    sys: &mut System,
-    cfg: &PrimitiveConfig,
-    listing2_call: VirtAddr,
-    listing3_gadget: VirtAddr,
-    target: VirtAddr,
-    noise: &mut NoiseModel,
-) -> Result<usize, PrimitiveError> {
-    let set = ((target.raw() >> 6) & 63) as usize;
-    Ok(p2_probe_in_set(sys, cfg, listing2_call, listing3_gadget, target, set, noise)?.evictions)
-}
-
-/// [`p2_probe`] with an explicit monitored L1D set (for §7.3 scoring).
 ///
 /// # Errors
 ///
@@ -291,7 +258,8 @@ pub fn p2_probe_in_set_scored(
     pp.probe_scored(sys.machine_mut(), noise).map_err(err)
 }
 
-/// [`p2_probe`] as a confidence-scored [`Reading`].
+/// **P2** as a confidence-scored [`Reading`], probing the L1D set
+/// `target` maps to.
 ///
 /// # Errors
 ///
@@ -350,6 +318,7 @@ pub fn p2_detect_mapped(
 ///
 /// Returns [`PrimitiveError`] on setup or syscall failure.
 #[allow(clippy::too_many_arguments)] // the primitive's contract mirrors the paper's step list
+#[cfg(test)]
 pub fn p3_leak_byte(
     sys: &mut System,
     cfg: &PrimitiveConfig,
@@ -534,7 +503,7 @@ mod tests {
         // The inner function's ret: call target + 3 (its NopN len 3).
         let inner_ret = {
             let call = sys.image().listing2_call;
-            let bytes = sys.machine().peek(call, 5);
+            let bytes = sys.machine().try_peek(call, 5).unwrap();
             let (inst, _) = phantom_isa::decode::decode(&bytes).unwrap();
             let target = inst.direct_target(call.raw()).unwrap();
             VirtAddr::new(target + 3)

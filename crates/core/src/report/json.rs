@@ -203,6 +203,7 @@ fn hex_encode(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
+#[cfg(test)]
 fn hex_decode(s: &str) -> Result<Vec<u8>, SchemaError> {
     if !s.len().is_multiple_of(2) {
         return Err(SchemaError("odd-length hex string".into()));
@@ -224,7 +225,7 @@ record! {
     /// Run metadata that is part of the canonical (deterministic) output.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct RunMeta {
-        /// Protocol size: `"quick"` or `"full"` (`PHANTOM_FULL=1`).
+        /// Protocol size: `"quick"` or `"full"` (`repro --full`).
         profile: String,
         /// The base seed the experiment seeds derive from.
         seed: u64,
@@ -591,6 +592,7 @@ impl MdsRunRecord {
     /// # Errors
     ///
     /// Returns a [`SchemaError`] if the hex string is malformed.
+    #[cfg(test)]
     pub fn leaked(&self) -> Result<Vec<u8>, SchemaError> {
         hex_decode(&self.leaked_hex)
     }

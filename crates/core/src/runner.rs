@@ -357,6 +357,7 @@ pub fn trial_seed(base_seed: u64, index: usize) -> u64 {
 /// from a 0-majority use
 /// [`VoteTally::majority`](phantom_sidechannel::VoteTally::majority)
 /// via the adaptive decoder instead.
+#[cfg(test)]
 pub fn majority(votes: u32, total: u32) -> bool {
     votes * 2 > total
 }

@@ -172,6 +172,7 @@ pub struct WindowComparison {
 impl WindowComparison {
     /// How many times wider the Spectre window is (∞ reported as the
     /// raw quotient against a 1-µop floor).
+    #[cfg(test)]
     pub fn ratio(&self) -> u32 {
         self.spectre_uops / self.phantom_uops.max(1)
     }

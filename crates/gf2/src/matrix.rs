@@ -59,17 +59,8 @@ impl BitMatrix {
         self.span.insert(row & mask);
     }
 
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of columns.
-    pub fn num_cols(&self) -> u32 {
-        self.cols
-    }
-
     /// The rows.
+    #[cfg(test)]
     pub fn rows(&self) -> &[u64] {
         &self.rows
     }

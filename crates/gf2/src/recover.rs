@@ -171,6 +171,7 @@ pub fn recover_functions(
 /// Verify that a set of recovered functions is consistent with all the
 /// collision data (every collider agrees with its kernel address on
 /// every function).
+#[cfg(test)]
 pub fn verify_functions(functions: &[RecoveredFunction], collisions: &[(u64, Vec<u64>)]) -> bool {
     collisions.iter().all(|(k, list)| {
         list.iter()

@@ -147,14 +147,6 @@ impl Assembler {
         self
     }
 
-    /// Append several instructions.
-    pub fn extend<I: IntoIterator<Item = Inst>>(&mut self, insts: I) -> &mut Self {
-        for i in insts {
-            self.push(i);
-        }
-        self
-    }
-
     /// Define a label at the current position.
     pub fn label(&mut self, name: impl Into<String>) -> &mut Self {
         self.items.push(Item::Label(name.into()));

@@ -16,8 +16,6 @@ use std::fmt;
 /// use phantom_isa::{BranchKind, Inst, Reg};
 /// assert_eq!(Inst::Nop.kind(), BranchKind::NotBranch);
 /// assert_eq!(Inst::JmpInd { src: Reg::R0 }.kind(), BranchKind::Indirect);
-/// assert!(BranchKind::Indirect.is_branch());
-/// assert!(!BranchKind::NotBranch.is_branch());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BranchKind {
@@ -50,11 +48,6 @@ impl BranchKind {
         BranchKind::Ret,
     ];
 
-    /// Whether this kind is a control-flow edge at all.
-    pub fn is_branch(self) -> bool {
-        self != BranchKind::NotBranch
-    }
-
     /// Whether the *architectural* next PC for this kind can only be
     /// finalized at the execute stage (conditional outcome, indirect
     /// target, or return address), as opposed to at decode.
@@ -62,6 +55,7 @@ impl BranchKind {
     /// Decode can finalize `jmp rel` and `call rel`: the displacement is in
     /// the instruction bytes. It cannot finalize `jcc`/`jmp*`/`ret`, which
     /// is exactly the window conventional Spectre exploits.
+    #[cfg(test)]
     pub fn is_execute_dependent(self) -> bool {
         matches!(
             self,

@@ -39,8 +39,8 @@
 //!
 //! The cache is a [`TemplateStore`], process-global behind
 //! [`System::new_cached`], the only production boot path (attack
-//! sweeps that boot once per trial and [`System::reboot`] go through
-//! it too); [`System::new`] stays as the fresh-boot reference it is
+//! sweeps that boot once per trial go through it too); [`System::new`]
+//! stays as the fresh-boot reference it is
 //! tested against. Per-instance [`BootCache`] values serve tests and
 //! counter plumbing that need isolation.
 //!
@@ -292,8 +292,8 @@ mod tests {
             ];
             for va in probe_points {
                 assert_eq!(
-                    cached.machine().peek(va, 32),
-                    fresh.machine().peek(va, 32),
+                    cached.machine().try_peek(va, 32).unwrap(),
+                    fresh.machine().try_peek(va, 32).unwrap(),
                     "bytes at {va} (seed {seed})"
                 );
             }
@@ -354,8 +354,8 @@ mod tests {
                 }
             }
             assert_eq!(
-                cached.machine().page_table().len(),
-                fresh.machine().page_table().len()
+                cached.machine().page_table().entry_lists(),
+                fresh.machine().page_table().entry_lists()
             );
 
             // Identical behavior and timing.

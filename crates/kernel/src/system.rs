@@ -231,11 +231,13 @@ impl System {
     /// the paper's hardened baseline). Phantom is KPTI-oblivious — the
     /// BTB is trained by the *branch*, not by touching kernel mappings —
     /// but the flag models the context-switch TLB cost.
+    #[cfg(test)]
     pub fn kpti(&self) -> bool {
         self.kpti
     }
 
     /// Toggle KPTI (affects syscall-boundary TLB flushes only).
+    #[cfg(test)]
     pub fn set_kpti(&mut self, on: bool) {
         self.kpti = on;
     }
@@ -248,6 +250,7 @@ impl System {
     /// # Errors
     ///
     /// Returns [`SystemError`] if the new kernel fails to load.
+    #[cfg(test)]
     pub fn reboot(&mut self, seed: u64) -> Result<(), SystemError> {
         let profile = self.machine.profile().clone();
         let phys = self.machine.phys().capacity();
@@ -290,6 +293,7 @@ impl System {
     }
 
     /// The boot seed.
+    #[cfg(test)]
     pub fn boot_seed(&self) -> u64 {
         self.boot_seed
     }
@@ -688,13 +692,13 @@ mod tests {
         sys.plant_user_branch(u, BranchKind::Indirect, VirtAddr::new(0x30_0000))
             .unwrap();
         let version = sys.machine().page_table().version();
-        let stub = sys.machine().peek(u, 4);
+        let stub = sys.machine().try_peek(u, 4).unwrap();
         // Training toward another target maps nothing and finds the
         // stub's bytes already in place, yet trains the BTB as usual.
         sys.train_user_branch(u, BranchKind::Indirect, VirtAddr::new(0x31_0000))
             .unwrap();
         assert_eq!(sys.machine().page_table().version(), version);
-        assert_eq!(sys.machine().peek(u, 4), stub);
+        assert_eq!(sys.machine().try_peek(u, 4).unwrap(), stub);
         let hit = sys.machine().bpu().btb().lookup(k).expect("aliased entry");
         assert_eq!(hit.target, Some(VirtAddr::new(0x31_0000)));
     }
@@ -706,7 +710,7 @@ mod tests {
         assert_eq!(a.secret().len(), SECRET_LEN);
         assert_ne!(a.secret(), b.secret());
         // And actually resident in kernel memory.
-        let in_mem = a.machine().peek(a.module().secret, 16);
+        let in_mem = a.machine().try_peek(a.module().secret, 16).unwrap();
         assert_eq!(&in_mem, &a.secret()[..16]);
     }
 

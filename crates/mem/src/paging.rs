@@ -64,11 +64,6 @@ impl PageFlags {
     pub const fn contains(self, other: PageFlags) -> bool {
         self.0 & other.0 == other.0
     }
-
-    /// The raw bit pattern.
-    pub const fn bits(self) -> u8 {
-        self.0
-    }
 }
 
 impl BitOr for PageFlags {
@@ -219,10 +214,6 @@ impl PageRun {
 
     fn len(&self) -> usize {
         self.0.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -517,16 +508,6 @@ impl PageTable {
             va.page_offset()
         };
         Ok((m.frame + offset, m.flags))
-    }
-
-    /// Number of mappings (4 KiB + huge).
-    pub fn len(&self) -> usize {
-        self.small.iter().map(|m| m.len()).sum::<usize>() + self.huge.len()
-    }
-
-    /// Whether the table has no mappings.
-    pub fn is_empty(&self) -> bool {
-        self.small.iter().all(|m| m.is_empty()) && self.huge.is_empty()
     }
 
     /// Every mapping as `(page key, frame, flags)`, one key-ordered list
@@ -1025,7 +1006,8 @@ mod tests {
             }
             let new_base = VirtAddr::new((0x10_0000i64 + shift * 0x1000) as u64);
             assert_eq!(pt.rebase_4k_range(VirtAddr::new(0x10_0000), new_base, 4), 4);
-            assert_eq!(pt.len(), 4, "no entries dropped or duplicated");
+            let entries: usize = pt.entry_lists().iter().map(Vec::len).sum();
+            assert_eq!(entries, 4, "no entries dropped or duplicated");
             for i in 0..4u64 {
                 let pa = pt
                     .translate(

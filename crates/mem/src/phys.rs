@@ -154,7 +154,7 @@ impl Clone for FramePool {
 /// let f = m.alloc_frame().unwrap();
 /// m.write_u64(f + 8, 0xdead_beef);
 /// assert_eq!(m.read_u64(f + 8), 0xdead_beef);
-/// assert_eq!(m.read_u8(f), 0); // untouched bytes read as zero
+/// assert_eq!(m.read_u64(f), 0); // untouched bytes read as zero
 ///
 /// let snap = m.snapshot();
 /// m.write_u64(f + 8, 0);
@@ -258,6 +258,7 @@ impl PhysMemory {
     /// # Errors
     ///
     /// Returns [`OutOfFrames`] when the configured capacity is exhausted.
+    #[cfg(test)]
     pub fn alloc_contiguous(&mut self, n: u64) -> Result<PhysAddr, OutOfFrames> {
         if self.next_free + n * PAGE_SIZE > self.capacity {
             return Err(OutOfFrames {
@@ -546,12 +547,14 @@ impl PhysMemory {
     }
 
     /// Read one byte. Unmaterialized memory reads as zero.
+    #[cfg(test)]
     pub fn read_u8(&self, pa: PhysAddr) -> u8 {
         self.frame(pa.page_number())
             .map_or(0, |f| f.data[pa.page_offset() as usize])
     }
 
     /// Write one byte.
+    #[cfg(test)]
     pub fn write_u8(&mut self, pa: PhysAddr, value: u8) {
         self.frame_mut(pa)[pa.page_offset() as usize] = value;
     }

@@ -160,7 +160,7 @@ proptest! {
             (fast.rebase_4k_range(old, new, count), oracle.rebase_4k_range_per_entry(old, new, count))
         };
         prop_assert_eq!(moved, expected);
-        prop_assert_eq!(fast.len(), oracle.len());
+        prop_assert_eq!(fast.entry_lists(), oracle.entry_lists());
         for size in [false, true] {
             prop_assert_eq!(observe(&fast, size), observe(&oracle, size));
         }
@@ -512,7 +512,8 @@ proptest! {
                 }
             };
             prop_assert_eq!(pt.version() != before, moved, "version stamp");
-            prop_assert_eq!(pt.len(), model.small.len() + model.huge.len());
+            let entries: usize = pt.entry_lists().iter().map(Vec::len).sum();
+            prop_assert_eq!(entries, model.small.len() + model.huge.len());
             for w in 0..SPLIT_WINDOWS.len() {
                 for s in 0..SPLIT_SLOTS {
                     let va = split_va(w, s) + 0x123;

@@ -294,11 +294,13 @@ impl<T: Copy + PartialEq> RowStore<T> {
     }
 
     /// Number of rows.
+    #[cfg(test)]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Items per row.
+    #[cfg(test)]
     pub fn width(&self) -> usize {
         self.width
     }

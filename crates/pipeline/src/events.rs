@@ -184,6 +184,7 @@ impl EventBus {
 
     /// Number of attached sinks.
     #[inline]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.sinks.len()
     }

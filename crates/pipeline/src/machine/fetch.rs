@@ -90,7 +90,11 @@ impl Machine {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             match self.translate_fast(va + i as u64, AccessKind::Execute, self.level) {
-                Ok(pa) => out.push(self.phys.read_u8(pa)),
+                Ok(pa) => {
+                    let mut byte = [0];
+                    self.phys.read_into(pa, &mut byte);
+                    out.push(byte[0]);
+                }
                 Err(_) => break,
             }
         }

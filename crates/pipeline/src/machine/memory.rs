@@ -286,17 +286,6 @@ impl Machine {
         Ok(out)
     }
 
-    /// Read bytes through the page table, ignoring permission bits
-    /// (setup/debug only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page in the range is unmapped.
-    pub fn peek(&self, va: VirtAddr, len: usize) -> Vec<u8> {
-        self.try_peek(va, len)
-            .unwrap_or_else(|e| panic!("peek at unmapped {}: {e}", e.addr))
-    }
-
     /// Write a u64 via [`Machine::poke`].
     pub fn poke_u64(&mut self, va: VirtAddr, value: u64) {
         self.poke(va, &value.to_le_bytes());
@@ -308,18 +297,9 @@ impl Machine {
     /// # Errors
     ///
     /// Returns the [`PageFault`] of the first untranslatable page.
+    #[cfg(test)]
     pub fn try_peek_u64(&self, va: VirtAddr) -> Result<u64, PageFault> {
         self.read_u64_virt(va, AccessKind::Read, PrivilegeLevel::Supervisor)
-    }
-
-    /// Read a u64 via [`Machine::peek`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either page the read touches is unmapped.
-    pub fn peek_u64(&self, va: VirtAddr) -> u64 {
-        self.try_peek_u64(va)
-            .unwrap_or_else(|e| panic!("peek at unmapped {}: {e}", e.addr))
     }
 
     /// Architectural u64 read at `va` honoring *virtual* page

@@ -300,36 +300,12 @@ impl Machine {
         *probe_rearms = 0;
     }
 
-    /// Create a machine from a declarative spec: validates, compiles
-    /// the profile, and delegates to [`Machine::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the spec's first validation failure.
-    pub fn from_spec(
-        spec: &crate::spec::UarchSpec,
-        phys_bytes: u64,
-    ) -> Result<Machine, crate::spec::SpecError> {
-        spec.validate()?;
-        Ok(Machine::new(spec.profile(), phys_bytes))
-    }
-
     // ----- event bus ---------------------------------------------------
 
     /// Attach an observation sink; every [`PipelineEvent`] the pipeline
     /// emits is delivered to it until detached.
     pub fn attach_sink<S: EventSink>(&mut self, sink: S) -> SinkId {
         self.bus.attach(Box::new(sink))
-    }
-
-    /// [`Machine::attach_sink`] for an already-boxed sink.
-    pub fn attach_boxed_sink(&mut self, sink: Box<dyn EventSink>) -> SinkId {
-        self.bus.attach(sink)
-    }
-
-    /// Detach the sink behind `id`, if attached.
-    pub fn detach_sink(&mut self, id: SinkId) -> Option<Box<dyn EventSink>> {
-        self.bus.detach(id)
     }
 
     /// Detach the sink behind `id` and downcast it to its concrete
@@ -342,6 +318,7 @@ impl Machine {
     }
 
     /// Number of attached sinks.
+    #[cfg(test)]
     pub fn sink_count(&self) -> usize {
         self.bus.len()
     }
@@ -397,11 +374,6 @@ impl Machine {
     /// Performance counters.
     pub fn pmu(&self) -> &PerfCounters {
         &self.pmu
-    }
-
-    /// Performance counters, mutably (reset between samples).
-    pub fn pmu_mut(&mut self) -> &mut PerfCounters {
-        &mut self.pmu
     }
 
     /// Physical memory.
@@ -463,6 +435,7 @@ impl Machine {
     }
 
     /// Current program counter.
+    #[cfg(test)]
     pub fn pc(&self) -> VirtAddr {
         self.pc
     }
@@ -483,11 +456,6 @@ impl Machine {
         self.level = level;
     }
 
-    /// Current SMT thread id.
-    pub fn thread(&self) -> u8 {
-        self.thread
-    }
-
     /// Switch the SMT thread id.
     pub fn set_thread(&mut self, thread: u8) {
         self.thread = thread;
@@ -504,11 +472,13 @@ impl Machine {
     }
 
     /// The most recent architectural fault (caught or not).
+    #[cfg(test)]
     pub fn last_fault(&self) -> Option<PageFault> {
         self.last_fault
     }
 
     /// The current flags `(zf, sf, cf)`.
+    #[cfg(test)]
     pub fn flags(&self) -> (bool, bool, bool) {
         (self.zf, self.sf, self.cf)
     }

@@ -207,11 +207,6 @@ impl Checkpoint {
         }
     }
 
-    /// The underlying snapshot (for [`Machine::restore`]).
-    pub fn snapshot(&self) -> &MachineSnapshot {
-        &self.base
-    }
-
     /// Fork a private machine whose state equals the checkpoint.
     ///
     /// The fork shares every physical frame with the checkpoint (and

@@ -94,7 +94,7 @@ fn loads_and_stores_roundtrip_through_memory() {
     m.set_pc(VirtAddr::new(blob.base));
     m.run(100).unwrap();
     assert_eq!(m.reg(Reg::R3), 0xdead_beef);
-    assert_eq!(m.peek_u64(data + 0x10), 0xdead_beef);
+    assert_eq!(m.try_peek_u64(data + 0x10).unwrap(), 0xdead_beef);
 }
 
 #[test]
@@ -324,7 +324,10 @@ fn phantom_fetch_and_decode_on_all_uarchs() {
                 PrivilegeLevel::Supervisor,
             )
             .unwrap();
-        assert!(m.caches().probe_l1i(c_pa.raw()), "I-cache filled on {name}");
+        assert!(
+            m.caches().l1i().probe(c_pa.raw()),
+            "I-cache filled on {name}"
+        );
         assert!(
             m.uop_cache().lookup(0x44_0b00),
             "uop cache filled on {name}"
@@ -353,7 +356,7 @@ fn phantom_execute_only_on_zen1_and_zen2() {
                     PrivilegeLevel::Supervisor,
                 )
                 .unwrap();
-            assert!(m.caches().probe_l1d(pa.raw()), "D-cache filled on {name}");
+            assert!(m.caches().l1d().probe(pa.raw()), "D-cache filled on {name}");
         }
     }
 }
@@ -569,7 +572,7 @@ fn transient_fetch_fails_on_nx_target() {
             PrivilegeLevel::Supervisor,
         )
         .unwrap();
-    assert!(!m.caches().probe_l1i(pa.raw()), "I-cache unaffected");
+    assert!(!m.caches().l1i().probe(pa.raw()), "I-cache unaffected");
 }
 
 #[test]
@@ -671,7 +674,7 @@ fn map_range_same_flags_is_idempotent() {
     let frames = m.phys().resident_frames();
     // Overlapping remap with identical flags: a no-op, data survives.
     m.map_range(va, 0x2000, PageFlags::USER_DATA).unwrap();
-    assert_eq!(m.peek_u64(va), 0xfeed);
+    assert_eq!(m.try_peek_u64(va).unwrap(), 0xfeed);
     assert_eq!(m.phys().resident_frames(), frames);
 }
 
@@ -891,16 +894,16 @@ fn restore_rewinds_memory_written_after_the_checkpoint() {
     m.poke_u64(data + 0x2000, 0x3333);
     m.restore(&snap);
 
-    assert_eq!(m.peek_u64(data), 0x1111);
-    assert_eq!(m.peek_u64(data + 0x2000), 0);
+    assert_eq!(m.try_peek_u64(data).unwrap(), 0x1111);
+    assert_eq!(m.try_peek_u64(data + 0x2000).unwrap(), 0);
     // Restore copies back only the dirtied frames.
     assert!(m.phys().restore_frames_copied() >= 2);
 
     // A second divergence from the same snapshot also rewinds.
     m.poke_u64(data + 0x1000, 0x4444);
     m.restore(&snap);
-    assert_eq!(m.peek_u64(data + 0x1000), 0);
-    assert_eq!(m.peek_u64(data), 0x1111);
+    assert_eq!(m.try_peek_u64(data + 0x1000).unwrap(), 0);
+    assert_eq!(m.try_peek_u64(data).unwrap(), 0x1111);
 }
 
 /// A machine (and therefore a checkpoint) can be shared by reference
@@ -922,11 +925,19 @@ fn forks_share_the_base_and_diverge_privately() {
 
     let mut a = ck.fork();
     let mut b = ck.fork();
-    assert_eq!(a.peek_u64(data), 0xba5e, "forks see the base state");
+    assert_eq!(
+        a.try_peek_u64(data).unwrap(),
+        0xba5e,
+        "forks see the base state"
+    );
     a.poke_u64(data, 0xaaaa);
     b.poke_u64(data, 0xbbbb);
-    assert_eq!(a.peek_u64(data), 0xaaaa);
-    assert_eq!(b.peek_u64(data), 0xbbbb, "sibling writes never alias");
+    assert_eq!(a.try_peek_u64(data).unwrap(), 0xaaaa);
+    assert_eq!(
+        b.try_peek_u64(data).unwrap(),
+        0xbbbb,
+        "sibling writes never alias"
+    );
     assert!(
         a.phys().cow_faults() >= 1,
         "the fork's write unshared a frame"
@@ -934,9 +945,9 @@ fn forks_share_the_base_and_diverge_privately() {
 
     // Rewind either fork and the base state is back — O(dirty frames).
     ck.rewind(&mut a);
-    assert_eq!(a.peek_u64(data), 0xba5e);
+    assert_eq!(a.try_peek_u64(data).unwrap(), 0xba5e);
     assert_eq!(
-        b.peek_u64(data),
+        b.try_peek_u64(data).unwrap(),
         0xbbbb,
         "rewinding one fork leaves siblings"
     );
@@ -1078,7 +1089,10 @@ fn straddling_u64_peeks_follow_the_virtual_pages() {
     let va = low + 0xffdu64;
     m.poke_u64(va, 0x0807_0605_0403_0201);
     assert_eq!(m.try_peek_u64(va), Ok(0x0807_0605_0403_0201));
-    assert_eq!(m.peek(va, 8), 0x0807_0605_0403_0201u64.to_le_bytes());
+    assert_eq!(
+        m.try_peek(va, 8).unwrap(),
+        0x0807_0605_0403_0201u64.to_le_bytes()
+    );
 
     // Into an unmapped page: both reads fault at that page's start.
     let edge = VirtAddr::new(0x7100_0ffc);

@@ -161,7 +161,7 @@ fn poison_btb(m: &mut Machine, program_len: u64, poisons: &[Poison]) {
 
 fn final_state(m: &Machine) -> (Vec<u64>, (bool, bool, bool), Vec<u8>) {
     let regs = Reg::ALL.iter().map(|&r| m.reg(r)).collect();
-    let data = m.peek(VirtAddr::new(DATA_BASE), 0x400);
+    let data = m.try_peek(VirtAddr::new(DATA_BASE), 0x400).unwrap();
     (regs, m.flags(), data)
 }
 
@@ -200,7 +200,7 @@ fn observe(m: &Machine, events: Vec<PipelineEvent>) -> Observation {
                 phys.frame_pool_reuses(),
                 phys.cow_frames_shared(),
             ],
-            m.peek(VirtAddr::new(STACK_TOP - 0x100), 0x200),
+            m.try_peek(VirtAddr::new(STACK_TOP - 0x100), 0x200).unwrap(),
         ),
     )
 }
@@ -619,7 +619,7 @@ fn play_trials(
                 phantom_isa::encode::encode_into(&POKES[which], &mut bytes).expect("encodable");
                 if m.try_peek(va, bytes.len()).is_ok() {
                     if identical {
-                        bytes = m.peek(va, bytes.len());
+                        bytes = m.try_peek(va, bytes.len()).unwrap();
                     }
                     m.poke(va, &bytes);
                 }
@@ -719,8 +719,9 @@ fn arb_reset_target() -> impl Strategy<Value = UarchProfile> {
     ]
 }
 
-/// Every cache, predictor and TLB view the reset proptest compares:
-/// each cache level's shape, counts and per-set contents, the CBP's
+/// Every cache, predictor and TLB view the reset proptest compares
+/// (the µop cache it compares whole, by equality): each cache level's
+/// shape, counts and per-set contents, the CBP's
 /// trained entries, history and counters and the BTB's and RSB's
 /// contents at every text line, the BHB, and the TLB's counts and
 /// occupancy.
@@ -735,18 +736,6 @@ fn structure_view(m: &Machine) -> Vec<String> {
             lines.sort_unstable();
             view.push(format!("{lines:x?}"));
         }
-    }
-    let uop = m.uop_cache();
-    view.push(format!(
-        "{:?} {} {}",
-        uop.geometry(),
-        uop.hits(),
-        uop.misses()
-    ));
-    for set in 0..uop.geometry().sets {
-        let mut lines = uop.set_contents(set);
-        lines.sort_unstable();
-        view.push(format!("{lines:x?}"));
     }
     let bpu = m.bpu();
     let (cbp, btb) = (bpu.cbp(), bpu.btb());
@@ -813,6 +802,7 @@ proptest! {
         m.reset(second.clone(), PHYS);
         let mut fresh = Machine::new(second, PHYS);
         prop_assert_eq!(structure_view(&m), structure_view(&fresh), "reset state differs");
+        prop_assert!(m.uop_cache() == fresh.uop_cache(), "reset uop cache differs");
 
         let len_b = encode_all(&b).expect("encodable").len() as u64 + 1;
         for machine in [&mut m, &mut fresh] {
@@ -822,6 +812,7 @@ proptest! {
         let (reset_run, fresh_run) = (observe_run(&mut m, 400), observe_run(&mut fresh, 400));
         prop_assert_eq!(reset_run, fresh_run, "program B runs differ");
         prop_assert_eq!(structure_view(&m), structure_view(&fresh), "state after program B differs");
+        prop_assert!(m.uop_cache() == fresh.uop_cache(), "uop cache after program B differs");
     }
 }
 

@@ -59,12 +59,7 @@ pub enum SpeculationVerdict {
     NoSpeculation,
 }
 
-impl SpeculationVerdict {
-    /// Whether a wrong path was steered at all.
-    pub fn is_misprediction(&self) -> bool {
-        matches!(self, SpeculationVerdict::Mispredicted { .. })
-    }
-}
+impl SpeculationVerdict {}
 
 /// Classify a *served* prediction against the decoded instruction and its
 /// architectural resolution.

@@ -19,7 +19,7 @@ use crate::profile::UarchProfile;
 /// use phantom_pipeline::UarchRegistry;
 ///
 /// let reg = UarchRegistry::builtin();
-/// assert_eq!(reg.len(), 8);
+/// assert_eq!(reg.specs().len(), 8);
 /// assert_eq!(reg.get("zen2").unwrap().name, "Zen 2");
 /// assert_eq!(reg.get("Zen 2").unwrap().key, "zen2"); // display name works too
 /// assert!(reg.get("zen5").is_none());
@@ -109,11 +109,13 @@ impl UarchRegistry {
     }
 
     /// Number of registered specs.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.specs.len()
     }
 
     /// Whether the registry is empty.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }

@@ -469,7 +469,7 @@ fn validation_bounds_table_sizes_and_timing() {
     edge.backend_resteer_latency = MAX_LATENCY;
     edge.spectre_exec_uops = MAX_EXEC_UOPS;
     assert_eq!(edge.validate(), Ok(()));
-    assert!(crate::Machine::from_spec(&edge, 1 << 20).is_ok());
+    crate::Machine::new(edge.profile(), 1 << 20);
 }
 
 #[test]
@@ -943,7 +943,8 @@ fn register_and_run(text: &str) {
     };
     for key in keys {
         let spec = registry.get(&key).expect("registered key resolves");
-        let mut m = crate::Machine::from_spec(spec, 1 << 20).expect("a registered spec validates");
+        assert_eq!(spec.validate(), Ok(()), "a registered spec validates");
+        let mut m = crate::Machine::new(spec.profile(), 1 << 20);
         let mut a = phantom_isa::asm::Assembler::new(0x40_0000);
         a.push(phantom_isa::Inst::MovImm {
             dst: phantom_isa::Reg::R0,

@@ -15,7 +15,7 @@ use phantom_isa::Inst;
 use phantom_mem::VirtAddr;
 
 use crate::events::{EventSink, PipelineEvent};
-use crate::machine::{Machine, MachineError, StepOutcome};
+use crate::machine::{Machine, MachineError};
 use crate::resteer::ResteerKind;
 
 /// One distilled pipeline step.
@@ -112,11 +112,6 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// An unbounded trace sink.
-    pub fn new() -> TraceSink {
-        TraceSink::default()
-    }
-
     /// A sink keeping only the most recent `capacity` events.
     pub fn with_capacity(capacity: usize) -> TraceSink {
         TraceSink {
@@ -179,7 +174,7 @@ impl EventSink for TraceSink {
 /// A bounded step recorder over a [`Machine`].
 ///
 /// Owns a [`TraceSink`] and attaches it to the machine's event bus for
-/// the duration of each [`Tracer::step`]/[`Tracer::run`] call.
+/// the duration of each [`Tracer::run`] call.
 ///
 /// # Examples
 ///
@@ -197,7 +192,7 @@ impl EventSink for TraceSink {
 ///
 /// let mut tracer = Tracer::new(64);
 /// tracer.run(&mut m, 10)?;
-/// assert_eq!(tracer.events().count(), 2); // nop + hlt
+/// assert_eq!(tracer.render().lines().count(), 2); // nop + hlt
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -241,7 +236,11 @@ impl Tracer {
     /// # Errors
     ///
     /// Propagates [`MachineError`] from the machine.
-    pub fn step(&mut self, machine: &mut Machine) -> Result<StepOutcome, MachineError> {
+    #[cfg(test)]
+    pub fn step(
+        &mut self,
+        machine: &mut Machine,
+    ) -> Result<crate::machine::StepOutcome, MachineError> {
         self.observed(machine, Machine::step)
     }
 
@@ -262,11 +261,13 @@ impl Tracer {
     }
 
     /// The recorded events, oldest first.
+    #[cfg(test)]
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
         self.sink.events()
     }
 
     /// Only the events where a misprediction was squashed.
+    #[cfg(test)]
     pub fn mispredictions(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
         self.sink.events().filter(|e| e.resteer.is_some())
     }

@@ -109,6 +109,7 @@ impl TransientReport {
 
     /// The deepest pipeline stage the wrong path reached, as the strings
     /// used in Table 1 ("IF", "ID", "EX", or "-" for nothing).
+    #[cfg(test)]
     pub fn deepest_stage(&self) -> &'static str {
         if !self.loads_dispatched.is_empty() || self.executed_uops > 0 {
             "EX"

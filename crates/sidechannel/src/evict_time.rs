@@ -1,38 +1,15 @@
-//! Evict+Time: time the victim itself after evicting a chosen set.
+//! Evict+Time: time the victim itself after evicting a chosen set. No
+//! attack uses it; its tests pin the L1D timing model a victim sees.
 
 use phantom_mem::VirtAddr;
 use phantom_pipeline::Machine;
 
 use crate::noise::NoiseModel;
 use crate::prime_probe::{BuildError, PrimeProbe, ProbeError};
-use crate::reading::Reading;
 
 /// Evict+Time on the L1D: evict a set, run the victim (a closure over
 /// the machine), and compare its cycle cost against a no-eviction
 /// baseline. A slower run means the victim used the evicted set.
-///
-/// # Examples
-///
-/// ```
-/// use phantom_mem::{PageFlags, VirtAddr};
-/// use phantom_pipeline::{Machine, UarchProfile};
-/// use phantom_sidechannel::{EvictTime, NoiseModel};
-///
-/// let mut m = Machine::new(UarchProfile::zen2(), 1 << 24);
-/// let victim_line = VirtAddr::new(0x6000_0000 + 12 * 64);
-/// m.map_range(victim_line, 64, PageFlags::USER_DATA)?;
-/// let et = EvictTime::new(&mut m, VirtAddr::new(0x5100_0000), 12)?;
-/// let mut noise = NoiseModel::quiet(0);
-/// let slowdown = et.measure(&mut m, &mut noise, |m| {
-///     let pa = m.page_table()
-///         .translate(victim_line, phantom_mem::AccessKind::Read, phantom_mem::PrivilegeLevel::User)
-///         .unwrap();
-///     let (_, lat) = m.caches_mut().access_data(pa.raw());
-///     lat
-/// })?;
-/// assert!(slowdown > 0, "victim touched the evicted set");
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
 #[derive(Debug, Clone)]
 pub struct EvictTime {
     eviction_set: PrimeProbe,
@@ -77,34 +54,6 @@ impl EvictTime {
         self.eviction_set.prime(machine)?;
         let cold = noise.jitter(victim(machine));
         Ok(cold.saturating_sub(warm))
-    }
-
-    /// [`measure`](Self::measure) as a confidence-scored [`Reading`]:
-    /// `hit` means the victim slowed down after eviction, the margin is
-    /// the slowdown itself, and confidence normalizes it against the
-    /// memory latency (the largest slowdown one evicted line explains).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProbeError`] if an eviction-set page was unmapped
-    /// out from under the set.
-    pub fn measure_scored<F>(
-        &self,
-        machine: &mut Machine,
-        noise: &mut NoiseModel,
-        victim: F,
-    ) -> Result<Reading, ProbeError>
-    where
-        F: FnMut(&mut Machine) -> u64,
-    {
-        let span = machine.caches().config().memory_latency;
-        let slowdown = self.measure(machine, noise, victim)?;
-        Ok(Reading {
-            hit: slowdown > 0,
-            cycles: slowdown,
-            margin: slowdown,
-            confidence: crate::reading::Confidence::from_margin(slowdown, span),
-        })
     }
 }
 

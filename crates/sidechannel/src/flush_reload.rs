@@ -10,8 +10,8 @@ use phantom_mem::{AccessKind, PrivilegeLevel, VirtAddr};
 use phantom_pipeline::Machine;
 
 use crate::noise::NoiseModel;
-use crate::reading::Reading;
-use crate::threshold::Calibration;
+#[cfg(test)]
+use crate::{reading::Reading, threshold::Calibration};
 
 /// Flush the line holding `va` from the whole hierarchy (`clflush`).
 ///
@@ -46,6 +46,7 @@ pub fn reload(machine: &mut Machine, va: VirtAddr, noise: &mut NoiseModel) -> u6
 /// One full Flush+Reload round: reload, classify against `threshold`
 /// (cycles), and flush again for the next round. Returns `true` when the
 /// line was cached (the victim touched it).
+#[cfg(test)]
 pub fn flush_reload(
     machine: &mut Machine,
     va: VirtAddr,
@@ -65,6 +66,7 @@ pub fn flush_reload(
 /// # Panics
 ///
 /// Panics if `va` is unmapped (as [`flush`]/[`reload`] do).
+#[cfg(test)]
 pub fn flush_reload_scored(
     machine: &mut Machine,
     va: VirtAddr,

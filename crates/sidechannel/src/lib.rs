@@ -1,17 +1,15 @@
 //! Cache side channels on the simulated machine.
 //!
-//! The paper's observation channels and exploits rest on three classic
+//! The paper's observation channels and exploits rest on two classic
 //! techniques, implemented here against the simulated hierarchy:
 //!
 //! * [`PrimeProbe`] — fill a cache set with attacker lines, let the
 //!   victim run, re-measure; evictions mean the victim touched the set.
 //!   Used on L1I for kernel-image KASLR (§7.1) and on L2 (with 2 MiB
 //!   huge pages for physical contiguity) for physmap KASLR (§7.2);
-//! * [`flush_reload()`](flush_reload::flush_reload) — flush a shared line, let the victim run, time a
-//!   reload; fast means the victim touched it. Used once physmap is
-//!   known (§7.4);
-//! * [`EvictTime`] — time the victim itself with and without evicting a
-//!   set.
+//! * Flush+Reload ([`flush`], then [`reload`]) — flush a shared line, let
+//!   the victim run, time a reload; fast means the victim touched it.
+//!   Used once physmap is known (§7.4).
 //!
 //! Timing is the simulator's deterministic latency plus a seeded
 //! [`NoiseModel`] (jitter + spurious evictions), so accuracy numbers
@@ -37,21 +35,21 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod evict_time;
 pub mod flush_reload;
 pub mod noise;
 pub mod prime_probe;
 pub mod reading;
 pub mod score;
-pub mod threshold;
 
-pub use evict_time::EvictTime;
-pub use flush_reload::{flush, flush_reload, flush_reload_scored, reload};
+pub use flush_reload::{flush, reload};
 pub use noise::NoiseModel;
 pub use prime_probe::{BuildError, PrimeProbe, ProbeArena, ProbeError, ProbeLevel, ProbeResult};
 pub use reading::{Confidence, Reading, VoteTally};
 pub use score::{bounded_score, SCORE_CLAMP};
-pub use threshold::{Calibration, CalibrationError, Recalibrator};
 
 #[cfg(test)]
+mod evict_time;
+#[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod threshold;

@@ -103,6 +103,7 @@ impl NoiseModel {
     /// workload randomization). `pick(0)` returns 0 — an empty choice
     /// has exactly one outcome — rather than panicking on the empty
     /// range `0..0`.
+    #[cfg(test)]
     pub fn pick(&mut self, n: u64) -> u64 {
         if n == 0 {
             return 0;

@@ -43,7 +43,6 @@ pub struct ProbeResult {
 #[derive(Debug, Clone)]
 pub struct PrimeProbe {
     level: ProbeLevel,
-    set: usize,
     /// Each line and its physical address under page-table version
     /// `version` (`None`: it did not translate then).
     lines: Vec<(VirtAddr, Option<PhysAddr>)>,
@@ -171,7 +170,7 @@ impl PrimeProbe {
             }
             lines.push(page + (set as u64) * geometry.line_size as u64);
         }
-        Ok(PrimeProbe::resolved(machine, level, set, lines))
+        Ok(PrimeProbe::resolved(machine, level, lines))
     }
 
     /// The probe over `lines`, each translated once against the current
@@ -179,7 +178,6 @@ impl PrimeProbe {
     fn resolved(
         machine: &Machine,
         level: ProbeLevel,
-        set: usize,
         lines: impl IntoIterator<Item = VirtAddr>,
     ) -> PrimeProbe {
         let lines = lines
@@ -188,7 +186,6 @@ impl PrimeProbe {
             .collect();
         PrimeProbe {
             level,
-            set,
             lines,
             version: machine.page_table().version(),
         }
@@ -201,6 +198,7 @@ impl PrimeProbe {
     /// # Errors
     ///
     /// Returns [`BuildError`] if the huge page cannot be allocated.
+    #[cfg(test)]
     pub fn new_l2(
         machine: &mut Machine,
         huge_base: VirtAddr,
@@ -235,20 +233,17 @@ impl PrimeProbe {
         }
         let lines = (0..geometry.ways)
             .map(|w| huge_base + w as u64 * stride + (set as u64) * geometry.line_size as u64);
-        Ok(PrimeProbe::resolved(machine, ProbeLevel::L2, set, lines))
+        Ok(PrimeProbe::resolved(machine, ProbeLevel::L2, lines))
     }
 
     /// The targeted cache.
+    #[cfg(test)]
     pub fn level(&self) -> ProbeLevel {
         self.level
     }
 
-    /// The targeted set index.
-    pub fn set(&self) -> usize {
-        self.set
-    }
-
     /// The eviction-set line addresses, in prime order.
+    #[cfg(test)]
     pub fn lines(&self) -> impl ExactSizeIterator<Item = VirtAddr> + '_ {
         self.lines.iter().map(|&(va, _)| va)
     }
@@ -473,11 +468,6 @@ impl ProbeArena {
         self.level
     }
 
-    /// The arena's base address.
-    pub fn base(&self) -> VirtAddr {
-        self.base
-    }
-
     /// Re-arm: lay out the eviction set for `set` over the standing
     /// mapping, without touching the page table. Counts one re-arm on
     /// the machine's `probe_rearms` instrumentation counter.
@@ -493,7 +483,7 @@ impl ProbeArena {
         }
         let lines = (0..self.ways)
             .map(|way| self.base + (way as u64) * 4096 + (set as u64) * self.line_size as u64);
-        let probe = PrimeProbe::resolved(machine, self.level, set, lines);
+        let probe = PrimeProbe::resolved(machine, self.level, lines);
         // A line that translated lies on a mapped page; only the others
         // need the page looked up.
         for &(line, pa) in &probe.lines {
@@ -765,7 +755,6 @@ mod tests {
             let a = PrimeProbe::new_l1i(&mut fresh, base, set).unwrap();
             let b = arena.arm(&mut arena_m, set).unwrap();
             assert_eq!(a.level(), b.level());
-            assert_eq!(a.set(), b.set());
             assert!(a.lines().eq(b.lines()));
         }
         assert_eq!(arena_m.probe_rearms(), 3);

@@ -129,6 +129,7 @@ impl Calibration {
 }
 
 /// Smoothing factor for the recalibrator's running margin estimate.
+#[cfg(test)]
 const MARGIN_EWMA_ALPHA: f64 = 0.25;
 
 /// Auto-recalibration: watch the hit/miss margins the measurement loop
@@ -140,6 +141,7 @@ const MARGIN_EWMA_ALPHA: f64 = 0.25;
 /// The margin estimate is an exponentially-weighted moving average so a
 /// single noisy observation cannot trigger a recalibration storm, yet a
 /// sustained collapse reacts within a few observations.
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub struct Recalibrator {
     /// Fraction of the calibrated span below which the running margin
@@ -152,6 +154,7 @@ pub struct Recalibrator {
     recalibrations: usize,
 }
 
+#[cfg(test)]
 impl Recalibrator {
     /// A recalibrator with the given guard band (fraction of the span)
     /// and per-recalibration round count.

@@ -27,9 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("booted Zen 2 system, seed {seed} (KASLR randomized)\n");
 
     // --- Stage 1: kernel image ------------------------------------
-    // Scan a 64-slot window (pass PHANTOM_FULL semantics via the repro
-    // binary for the full 488); the window is centered blindly on the
-    // search space here to keep the example fast.
+    // Scan a 64-slot window (`repro table3 --full` scans all 488); the
+    // window is centered blindly on the search space here to keep the
+    // example fast.
     let actual_image = sys.layout().image_slot; // used only to size the demo window
     let window = actual_image.saturating_sub(32)..(actual_image + 32).min(488);
     let image = break_kaslr_image(

@@ -9,8 +9,8 @@
 //!
 //! ```
 //! // The root crate re-exports nothing; use the member crates directly.
-//! use phantom::uarch_all;
-//! assert_eq!(uarch_all().len(), 8);
+//! use phantom::UarchProfile;
+//! assert_eq!(UarchProfile::all().len(), 8);
 //! ```
 
 pub use phantom as core;

@@ -24,8 +24,9 @@ fn user_injected_predictions_are_not_served_in_kernel_mode() {
         sys.train_user_branch(victim, BranchKind::Indirect, target)
             .expect("training runs");
         // ...yet the kernel-mode prediction query refuses to serve it.
-        let pred = sys.machine_mut().bpu_mut().predict_block(
+        let pred = sys.machine_mut().bpu_mut().predict_window(
             victim,
+            32,
             phantom_mem::PrivilegeLevel::Supervisor,
             0,
         );
