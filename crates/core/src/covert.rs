@@ -7,12 +7,27 @@
 //! victim, and probes: a slow probe means the phantom path touched the
 //! set, i.e. the bit was 1.
 //!
-//! Each bit is an independent [`Scenario`] trial: the receiver's machine
-//! is rewound to the post-boot snapshot, the bit value and the noise
-//! stream derive from the trial seed alone, and the probe casts votes
-//! through the adaptive [`decode_adaptive`] decoder. That makes a
+//! Each bit is an independent [`Scenario`] trial: the bit value and the
+//! noise stream derive from the trial seed alone, and the probe casts
+//! votes through the adaptive [`decode_adaptive`] decoder. That makes a
 //! transfer embarrassingly parallel — and byte-identical at any thread
 //! count.
+//!
+//! A vote arms the eviction set, trains the injected branch, primes,
+//! runs the victim syscall and probes. Every trial votes from the
+//! post-boot checkpoint, and the only noise that touches the machine is
+//! a spurious eviction, so the *k*-th vote of a trial whose noise rolls
+//! none is a pure function of the sender's target and *k* (DESIGN.md
+//! §9.19). Each worker's fork therefore records, per sender bit, each
+//! vote's raw way latencies and cycles the first time a trial casts it,
+//! and later trials replay the record: they draw and apply their own
+//! noise to the recorded latencies without simulating anything. A trial
+//! rewinds the receiver only to *materialize* — at its first unrecorded
+//! vote, or at a vote whose noise rolls a spurious eviction (which would
+//! flush a way and leave the recorded trajectory). It then re-runs the
+//! earlier votes and simulates from there: recording further votes in
+//! the first case, voting live to its end and recording nothing in the
+//! second.
 //!
 //! Decoding is confidence-driven: a single spurious eviction on a dead
 //! set would flip a one-shot 0-bit to 1, so each bit is probed
@@ -30,10 +45,11 @@
 //! instance and a fork), and neither copies a cache, µop-cache or CBP
 //! set: set-up writes none, the instance and the seal share every set
 //! chunk with the boot template, and a fork copies only the chunks
-//! its trials write. Trials re-arm the probe buffer in place. The training stub is planted before the seal too, so a trial
-//! maps nothing and its rewind keeps the decode cache warm. The
-//! fresh-boot, per-probe-mapping arm these replace survives only as
-//! the reference in the root `determinism` tests.
+//! its trials write. Votes re-arm the probe buffer in place. The
+//! training stub is planted before the seal too, so a vote maps nothing
+//! and a rewind keeps the decode cache warm. The fresh-boot,
+//! per-probe-mapping arm these replace survives only as the reference
+//! in the root `determinism` tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,10 +58,13 @@ use phantom_isa::BranchKind;
 use phantom_kernel::{System, SystemCheckpoint};
 use phantom_mem::VirtAddr;
 use phantom_pipeline::{Checkpoint, UarchProfile};
-use phantom_sidechannel::{NoiseModel, ProbeArena, ProbeLevel};
+use phantom_sidechannel::{NoiseModel, ProbeArena, ProbeLevel, ProbeScale, Reading, WayLatencies};
 
 use crate::decode::{decode_adaptive, Decoded, DecoderConfig};
-use crate::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig, PrimitiveError};
+use crate::primitives::{
+    p1_probe_latencies, p1_probe_scored, p2_probe_latencies, p2_probe_scored, PrimitiveConfig,
+    PrimitiveError,
+};
 use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
 
 /// Physical memory of the receiver's machine (its boot template is
@@ -135,12 +154,107 @@ struct ChannelScenario {
 enum ChannelState {
     /// The set-up receiver, which only the runner's seal consumes.
     Booted(System, ChannelGeometry),
-    /// A worker's fork of the seal, with the seal's rewind point.
+    /// A worker's fork of the seal, with the seal's rewind point and the
+    /// votes the fork's trials have recorded so far.
     Forked {
         sys: System,
         snap: Checkpoint,
         geometry: ChannelGeometry,
+        /// For each sender bit (index 0 for `t0`, 1 for `t1`), vote
+        /// `k`'s measurement on the recorded trajectory: rewind, then
+        /// votes `0..=k` with no spurious eviction.
+        record: [Vec<Vote>; 2],
     },
+}
+
+/// One recorded vote.
+#[derive(Clone, Copy)]
+struct Vote {
+    /// Each way's raw probe latency.
+    ways: WayLatencies,
+    /// The simulated cycles the vote took.
+    cycles: u64,
+}
+
+/// Where a trial's receiver stands.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Position {
+    /// Wherever an earlier trial left it.
+    Stale,
+    /// Rewound, then votes `0..n` on the recorded trajectory: ready for
+    /// vote `n`.
+    At(u32),
+    /// Off the recorded trajectory: a vote flushed a way, so the trial
+    /// votes live to its end.
+    Diverged,
+}
+
+/// One trial's view of its fork: the receiver, its rewind point and
+/// the record for the trial's sender bit.
+struct Replay<'f> {
+    sys: &'f mut System,
+    snap: &'f Checkpoint,
+    geometry: &'f ChannelGeometry,
+    votes: &'f mut Vec<Vote>,
+    target: VirtAddr,
+    at: Position,
+}
+
+impl Replay<'_> {
+    /// Cast vote `k`, returning its reading and the simulated cycles it
+    /// took. A recorded vote replays: `noise` is drawn and applied to
+    /// the recorded latencies exactly as a live probe would, and the
+    /// machine is not touched. An unrecorded vote is simulated and
+    /// recorded first. A vote whose noise rolls a spurious eviction
+    /// leaves the recorded trajectory, so it restores the noise, and
+    /// this and every later vote of the trial run live.
+    fn vote(&mut self, k: u32, noise: &mut NoiseModel) -> Result<(Reading, u64), ScenarioError> {
+        if self.at != Position::Diverged {
+            if k as usize == self.votes.len() {
+                self.seek(k)?;
+                let before = self.sys.machine().cycles();
+                let ways = self.geometry.raw_vote(self.sys, self.target)?;
+                let cycles = self.sys.machine().cycles() - before;
+                self.votes.push(Vote { ways, cycles });
+                self.at = Position::At(k + 1);
+            }
+            let vote = self.votes[k as usize];
+            let start = noise.clone();
+            let replayed = self
+                .geometry
+                .scale
+                .score(noise, vote.ways.len(), |way, spurious| {
+                    if spurious {
+                        Err(())
+                    } else {
+                        Ok(vote.ways[way])
+                    }
+                });
+            if let Ok((_, reading)) = replayed {
+                return Ok((reading, vote.cycles));
+            }
+            *noise = start;
+            self.seek(k)?;
+            self.at = Position::Diverged;
+        }
+        let before = self.sys.machine().cycles();
+        let reading = self.geometry.live_vote(self.sys, self.target, noise)?;
+        Ok((reading, self.sys.machine().cycles() - before))
+    }
+
+    /// Put the receiver where vote `k` starts on the recorded
+    /// trajectory: rewind and re-run votes `0..k`, unless it stands
+    /// there already.
+    fn seek(&mut self, k: u32) -> Result<(), ScenarioError> {
+        if self.at != Position::At(k) {
+            self.snap.rewind(self.sys.machine_mut());
+            for _ in 0..k {
+                self.geometry.raw_vote(self.sys, self.target)?;
+            }
+            self.at = Position::At(k);
+        }
+        Ok(())
+    }
 }
 
 /// The sealed receiver: the set-up instance itself, as a fork point.
@@ -153,8 +267,10 @@ struct ChannelSeal {
 /// configuration, sender targets and victim sites.
 #[derive(Clone)]
 struct ChannelGeometry {
+    kind: CovertKind,
     cfg: PrimitiveConfig,
-    snap_cycles: u64,
+    /// How a probe reads its ways under the scenario's jitter.
+    scale: ProbeScale,
     /// Sender target encoding a 1 (mapped) and a 0 (unmapped hole).
     t1: VirtAddr,
     t0: VirtAddr,
@@ -163,6 +279,45 @@ struct ChannelGeometry {
     victim: VirtAddr,
     /// Listing 3 gadget (execute channel only).
     gadget: VirtAddr,
+}
+
+impl ChannelGeometry {
+    /// The sender's target for `bit`.
+    fn target(&self, bit: bool) -> VirtAddr {
+        if bit {
+            self.t1
+        } else {
+            self.t0
+        }
+    }
+
+    /// One vote from where the receiver stands: arm, train, prime, the
+    /// victim syscall, and a probe that draws and applies `noise`.
+    fn live_vote(
+        &self,
+        sys: &mut System,
+        target: VirtAddr,
+        noise: &mut NoiseModel,
+    ) -> Result<Reading, PrimitiveError> {
+        match self.kind {
+            CovertKind::Fetch => p1_probe_scored(sys, &self.cfg, self.victim, target, noise),
+            CovertKind::Execute => {
+                p2_probe_scored(sys, &self.cfg, self.victim, self.gadget, target, noise)
+            }
+        }
+    }
+
+    /// [`live_vote`](Self::live_vote) without the noise: each way's raw
+    /// probe latency. It moves the receiver as a live vote that rolls no
+    /// spurious eviction does.
+    fn raw_vote(&self, sys: &mut System, target: VirtAddr) -> Result<WayLatencies, PrimitiveError> {
+        match self.kind {
+            CovertKind::Fetch => p1_probe_latencies(sys, &self.cfg, self.victim, target),
+            CovertKind::Execute => {
+                p2_probe_latencies(sys, &self.cfg, self.victim, self.gadget, target)
+            }
+        }
+    }
 }
 
 /// One decoded bit and the simulated cycles its trial consumed.
@@ -177,6 +332,43 @@ struct BitSample {
 impl ChannelScenario {
     fn uarch_salt(&self) -> u64 {
         self.profile.name.bytes().map(u64::from).sum::<u64>()
+    }
+
+    /// The sender's bit and the receiver's noise stream for `trial`.
+    fn draw(&self, trial: Trial) -> (bool, NoiseModel) {
+        let mut rng = StdRng::seed_from_u64(trial.seed);
+        let bit = rng.gen_bool(0.5);
+        (
+            bit,
+            self.noise_proto.reseeded(trial.seed ^ self.uarch_salt()),
+        )
+    }
+
+    /// Decode `bit` from the votes `vote(k, noise)` casts, each returning
+    /// its reading and the simulated cycles it took.
+    fn decode(
+        &self,
+        bit: bool,
+        mut noise: NoiseModel,
+        mut vote: impl FnMut(u32, &mut NoiseModel) -> Result<(Reading, u64), ScenarioError>,
+    ) -> Result<BitSample, ScenarioError> {
+        let mut cycles = 0;
+        let outcome = decode_adaptive(&self.decoder, |k| {
+            let (reading, spent) = vote(k, &mut noise)?;
+            cycles += spent;
+            Ok::<_, ScenarioError>((reading.hit, reading.confidence))
+        })?;
+        let (correct, abstained) = match outcome.decoded {
+            Decoded::Bit(b) => (b == bit, false),
+            Decoded::Abstain => (false, true),
+        };
+        Ok(BitSample {
+            correct,
+            abstained,
+            probes: outcome.probes,
+            confidence: outcome.confidence.value(),
+            cycles,
+        })
     }
 }
 
@@ -216,6 +408,11 @@ impl Scenario for ChannelScenario {
             }
         }
         .map_err(|e| PrimitiveError(e.to_string()))?;
+        let scale = ProbeScale::new(
+            arena.level(),
+            sys.machine().caches().config(),
+            self.noise_proto.jitter_cycles,
+        );
         let cfg = PrimitiveConfig::for_system(&sys, attacker).with_arena(arena);
         let (t1, t0, victim, gadget) = match self.kind {
             CovertKind::Fetch => {
@@ -253,10 +450,10 @@ impl Scenario for ChannelScenario {
         // across rewinds (the same `determinism` test pins this).
         sys.plant_user_branch(cfg.user_alias(victim), BranchKind::Indirect, t1)
             .map_err(|e| PrimitiveError(e.to_string()))?;
-        let snap_cycles = sys.machine().cycles();
         let geometry = ChannelGeometry {
+            kind: self.kind,
             cfg,
-            snap_cycles,
+            scale,
             t1,
             t0,
             victim,
@@ -281,6 +478,7 @@ impl Scenario for ChannelScenario {
             sys: seal.sys.fork(),
             snap: seal.sys.checkpoint().clone(),
             geometry: seal.geometry.clone(),
+            record: [Vec::new(), Vec::new()],
         })
     }
 
@@ -288,38 +486,22 @@ impl Scenario for ChannelScenario {
         let ChannelState::Forked {
             sys,
             snap,
-            geometry: g,
+            geometry,
+            record,
         } = state
         else {
             return Err("a receiver is probed only through a fork of its seal".into());
         };
-        // Rewind to the post-boot checkpoint: every bit sees the same
-        // receiver, regardless of which worker measures it.
-        snap.rewind(sys.machine_mut());
-        let mut rng = StdRng::seed_from_u64(trial.seed);
-        let bit = rng.gen_bool(0.5);
-        let target = if bit { g.t1 } else { g.t0 };
-        let mut noise = self.noise_proto.reseeded(trial.seed ^ self.uarch_salt());
-        let outcome = decode_adaptive(&self.decoder, |_| {
-            let reading = match self.kind {
-                CovertKind::Fetch => p1_probe_scored(sys, &g.cfg, g.victim, target, &mut noise)?,
-                CovertKind::Execute => {
-                    p2_probe_scored(sys, &g.cfg, g.victim, g.gadget, target, &mut noise)?
-                }
-            };
-            Ok::<_, ScenarioError>((reading.hit, reading.confidence))
-        })?;
-        let (correct, abstained) = match outcome.decoded {
-            Decoded::Bit(b) => (b == bit, false),
-            Decoded::Abstain => (false, true),
+        let (bit, noise) = self.draw(trial);
+        let mut replay = Replay {
+            sys,
+            snap,
+            geometry,
+            votes: &mut record[usize::from(bit)],
+            target: geometry.target(bit),
+            at: Position::Stale,
         };
-        Ok(BitSample {
-            correct,
-            abstained,
-            probes: outcome.probes,
-            confidence: outcome.confidence.value(),
-            cycles: sys.machine().cycles() - g.snap_cycles,
-        })
+        self.decode(bit, noise, |k, noise| replay.vote(k, noise))
     }
 
     fn score(&self, samples: Vec<BitSample>) -> CovertResult {
@@ -478,6 +660,7 @@ pub fn table2_on(
 mod tests {
     use phantom_bpu::Cbp;
     use phantom_cache::{CacheHierarchy, UopCache};
+    use proptest::prelude::*;
 
     use super::*;
 
@@ -579,6 +762,154 @@ mod tests {
                 0,
                 "{kind}: the seal is intact"
             );
+        }
+    }
+
+    /// The simulating oracle the replay is checked against: the same
+    /// scenario, with every vote of every trial simulated live on the
+    /// rewound receiver.
+    struct Simulating<'s>(&'s ChannelScenario);
+
+    impl Scenario for Simulating<'_> {
+        type State = ChannelState;
+        type Checkpoint = ChannelSeal;
+        type Sample = BitSample;
+        type Output = CovertResult;
+
+        fn trials(&self) -> usize {
+            self.0.trials()
+        }
+
+        fn setup(&self) -> Result<ChannelState, ScenarioError> {
+            self.0.setup()
+        }
+
+        fn checkpoint(&self, state: ChannelState) -> Result<ChannelSeal, ScenarioError> {
+            self.0.checkpoint(state)
+        }
+
+        fn fork(&self, seal: &ChannelSeal) -> Result<ChannelState, ScenarioError> {
+            self.0.fork(seal)
+        }
+
+        fn probe(
+            &self,
+            state: &mut ChannelState,
+            trial: Trial,
+        ) -> Result<BitSample, ScenarioError> {
+            let ChannelState::Forked {
+                sys,
+                snap,
+                geometry: g,
+                ..
+            } = state
+            else {
+                return Err("a receiver is probed only through a fork of its seal".into());
+            };
+            snap.rewind(sys.machine_mut());
+            let (bit, noise) = self.0.draw(trial);
+            let target = g.target(bit);
+            self.0.decode(bit, noise, |_, noise| {
+                let before = sys.machine().cycles();
+                let reading = g.live_vote(sys, target, noise)?;
+                Ok((reading, sys.machine().cycles() - before))
+            })
+        }
+
+        fn score(&self, samples: Vec<BitSample>) -> CovertResult {
+            self.0.score(samples)
+        }
+    }
+
+    /// Votes are pure: from the rewound receiver, the `k`-th vote at a
+    /// target measures what the production trials recorded for it,
+    /// however votes at the two targets and rewinds interleave.
+    #[test]
+    fn a_rewound_vote_repeats_the_recorded_one() {
+        for kind in [CovertKind::Fetch, CovertKind::Execute] {
+            for profile in [UarchProfile::zen2(), UarchProfile::zen4()] {
+                let what = format!("{} {kind}", profile.name);
+                let scenario = ChannelScenario {
+                    decoder: DecoderConfig::fixed(8),
+                    ..scenario(profile, kind)
+                };
+                let seal = scenario.checkpoint(scenario.setup().unwrap()).unwrap();
+                let mut fork = scenario.fork(&seal).unwrap();
+                for index in 0..8 {
+                    let seed = index as u64;
+                    scenario.probe(&mut fork, Trial { index, seed }).unwrap();
+                }
+                let ChannelState::Forked {
+                    mut sys,
+                    snap,
+                    geometry: g,
+                    record,
+                } = fork
+                else {
+                    panic!("{what}: not a fork");
+                };
+                assert!(record.iter().all(|votes| votes.len() == 8), "{what}");
+                for round in 0..12u32 {
+                    let bit = round % 3 != 1;
+                    snap.rewind(sys.machine_mut());
+                    for (k, vote) in record[usize::from(bit)].iter().enumerate() {
+                        if k as u32 > round % 8 {
+                            break;
+                        }
+                        let before = sys.machine().cycles();
+                        let ways = g.raw_vote(&mut sys, g.target(bit)).unwrap();
+                        let cycles = sys.machine().cycles() - before;
+                        assert_eq!(ways, vote.ways, "{what}: round {round} vote {k}");
+                        assert_eq!(cycles, vote.cycles, "{what}: round {round} vote {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Quiet, jittered, spurious evictions at a low rate and on every
+    /// way, missed signals, and the two calibrated models.
+    fn noise(kind: u8, seed: u64) -> NoiseModel {
+        let mut noise = NoiseModel::quiet(seed);
+        match kind {
+            0 => {}
+            1 => noise.jitter_cycles = 2,
+            2 => noise.jitter_cycles = 6,
+            3 => noise.spurious_evict = 0.04,
+            4 => noise.spurious_evict = 1.0,
+            5 => noise.missed_signal = 0.04,
+            6 => return NoiseModel::realistic(seed),
+            _ => return NoiseModel::with_smt_stress(seed),
+        }
+        noise
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Trials that replay recorded votes give exactly what
+        /// simulating every vote gives: every result field, or the same
+        /// error.
+        #[test]
+        fn replayed_covert_trials_match_the_simulating_oracle(
+            zen in 0usize..4,
+            execute in any::<bool>(),
+            noise_kind in 0u8..8,
+            bits in 1usize..64,
+            seed in any::<u64>(),
+            four_workers in any::<bool>(),
+        ) {
+            let scenario = ChannelScenario {
+                profile: UarchProfile::amd().swap_remove(zen),
+                config: CovertConfig { bits, seed },
+                kind: if execute { CovertKind::Execute } else { CovertKind::Fetch },
+                noise_proto: noise(noise_kind, seed),
+                decoder: DecoderConfig::default(),
+            };
+            let runner = TrialRunner::with_threads(if four_workers { 4 } else { 1 });
+            let replayed = runner.run(&scenario, seed).map_err(|e| e.to_string());
+            let simulated = runner.run(&Simulating(&scenario), seed).map_err(|e| e.to_string());
+            prop_assert_eq!(format!("{replayed:?}"), format!("{simulated:?}"));
         }
     }
 

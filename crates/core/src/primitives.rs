@@ -22,7 +22,9 @@ use phantom_isa::BranchKind;
 use phantom_kernel::image::LISTING3_DISP;
 use phantom_kernel::System;
 use phantom_mem::VirtAddr;
-use phantom_sidechannel::{NoiseModel, PrimeProbe, ProbeArena, ProbeLevel, ProbeResult, Reading};
+use phantom_sidechannel::{
+    NoiseModel, PrimeProbe, ProbeArena, ProbeLevel, ProbeResult, Reading, WayLatencies,
+};
 
 /// Attacker configuration shared by the primitives.
 #[derive(Debug, Clone, Copy)]
@@ -98,6 +100,11 @@ fn err<E: std::fmt::Display>(e: E) -> PrimitiveError {
     PrimitiveError(e.to_string())
 }
 
+/// The L1 set that `target`'s line maps to.
+fn set_of(target: VirtAddr) -> usize {
+    ((target.raw() >> 6) & 63) as usize
+}
+
 /// **P1**: does executing `victim_pc` in the kernel transiently fetch
 /// `target`? Returns the raw probe of I-cache set `probe_set` (callers
 /// threshold or score against a baseline): the §7.3 scoring probes the
@@ -137,6 +144,20 @@ pub fn p1_probe_in_set_scored(
     probe_set: usize,
     noise: &mut NoiseModel,
 ) -> Result<(ProbeResult, Reading), PrimitiveError> {
+    p1_triggered(sys, cfg, victim_pc, target, probe_set)?
+        .probe_scored(sys.machine_mut(), noise)
+        .map_err(err)
+}
+
+/// Steps ①–③ of P1 on I-cache set `probe_set`: returns the primed
+/// eviction set after the victim ran, ready for ④ the probe.
+fn p1_triggered(
+    sys: &mut System,
+    cfg: &PrimitiveConfig,
+    victim_pc: VirtAddr,
+    target: VirtAddr,
+    probe_set: usize,
+) -> Result<PrimeProbe, PrimitiveError> {
     let pp = match cfg.arena {
         Some(arena) if arena.level() == ProbeLevel::L1I => {
             arena.arm(sys.machine_mut(), probe_set).map_err(err)?
@@ -147,7 +168,7 @@ pub fn p1_probe_in_set_scored(
         .map_err(err)?;
     pp.prime(sys.machine_mut()).map_err(err)?;
     sys.getpid().map_err(err)?;
-    pp.probe_scored(sys.machine_mut(), noise).map_err(err)
+    Ok(pp)
 }
 
 /// **P1** as a confidence-scored [`Reading`], probing the I-cache set
@@ -163,8 +184,28 @@ pub fn p1_probe_scored(
     target: VirtAddr,
     noise: &mut NoiseModel,
 ) -> Result<Reading, PrimitiveError> {
-    let set = ((target.raw() >> 6) & 63) as usize;
-    Ok(p1_probe_in_set_scored(sys, cfg, victim_pc, target, set, noise)?.1)
+    Ok(p1_probe_in_set_scored(sys, cfg, victim_pc, target, set_of(target), noise)?.1)
+}
+
+/// **P1** without the noise: each way's raw latency from probing the
+/// I-cache set `target` maps to, with no noise drawn and no line
+/// flushed ([`PrimeProbe::probe_latencies`]). Scored with
+/// [`ProbeScale::score`](phantom_sidechannel::ProbeScale::score), it
+/// reads what [`p1_probe_scored`] reads whenever the noise rolls no
+/// spurious eviction.
+///
+/// # Errors
+///
+/// Returns [`PrimitiveError`] on setup or syscall failure.
+pub fn p1_probe_latencies(
+    sys: &mut System,
+    cfg: &PrimitiveConfig,
+    victim_pc: VirtAddr,
+    target: VirtAddr,
+) -> Result<WayLatencies, PrimitiveError> {
+    p1_triggered(sys, cfg, victim_pc, target, set_of(target))?
+        .probe_latencies(sys.machine_mut())
+        .map_err(err)
 }
 
 /// **P1** with a baseline: probes `target`, then probes again with the
@@ -185,7 +226,7 @@ pub fn p1_detect_executable(
     // §7.3: probe the SAME set twice — once with the injected target
     // mapping into it, once with the target shifted to another set — so
     // the kernel path's own cache footprint cancels out.
-    let set = ((target.raw() >> 6) & 63) as usize;
+    let set = set_of(target);
     let signal = p1_probe_in_set(sys, cfg, victim_pc, target, set, noise)?;
     let baseline_target = VirtAddr::new(target.raw() ^ 0x800);
     let baseline = p1_probe_in_set(sys, cfg, victim_pc, baseline_target, set, noise)?;
@@ -239,6 +280,21 @@ pub fn p2_probe_in_set_scored(
     probe_set: usize,
     noise: &mut NoiseModel,
 ) -> Result<(ProbeResult, Reading), PrimitiveError> {
+    p2_triggered(sys, cfg, listing2_call, listing3_gadget, target, probe_set)?
+        .probe_scored(sys.machine_mut(), noise)
+        .map_err(err)
+}
+
+/// P2 up to its probe on L1D set `probe_set`: returns the primed
+/// eviction set after the victim syscall ran.
+fn p2_triggered(
+    sys: &mut System,
+    cfg: &PrimitiveConfig,
+    listing2_call: VirtAddr,
+    listing3_gadget: VirtAddr,
+    target: VirtAddr,
+    probe_set: usize,
+) -> Result<PrimeProbe, PrimitiveError> {
     let pp = match cfg.arena {
         Some(arena) if arena.level() == ProbeLevel::L1D => {
             arena.arm(sys.machine_mut(), probe_set).map_err(err)?
@@ -255,7 +311,7 @@ pub fn p2_probe_in_set_scored(
     pp.prime(sys.machine_mut()).map_err(err)?;
     sys.readv(0, target.raw().wrapping_sub(LISTING3_DISP as u64))
         .map_err(err)?;
-    pp.probe_scored(sys.machine_mut(), noise).map_err(err)
+    Ok(pp)
 }
 
 /// **P2** as a confidence-scored [`Reading`], probing the L1D set
@@ -272,8 +328,27 @@ pub fn p2_probe_scored(
     target: VirtAddr,
     noise: &mut NoiseModel,
 ) -> Result<Reading, PrimitiveError> {
-    let set = ((target.raw() >> 6) & 63) as usize;
+    let set = set_of(target);
     Ok(p2_probe_in_set_scored(sys, cfg, listing2_call, listing3_gadget, target, set, noise)?.1)
+}
+
+/// **P2** without the noise: each way's raw latency from probing the
+/// L1D set `target` maps to (see [`p1_probe_latencies`]).
+///
+/// # Errors
+///
+/// Returns [`PrimitiveError`] on setup or syscall failure.
+pub fn p2_probe_latencies(
+    sys: &mut System,
+    cfg: &PrimitiveConfig,
+    listing2_call: VirtAddr,
+    listing3_gadget: VirtAddr,
+    target: VirtAddr,
+) -> Result<WayLatencies, PrimitiveError> {
+    let set = set_of(target);
+    p2_triggered(sys, cfg, listing2_call, listing3_gadget, target, set)?
+        .probe_latencies(sys.machine_mut())
+        .map_err(err)
 }
 
 /// **P2** with a baseline comparison (target vs. a shifted set).
@@ -290,7 +365,7 @@ pub fn p2_detect_mapped(
     noise: &mut NoiseModel,
 ) -> Result<bool, PrimitiveError> {
     // Same-set signal/baseline pairing as P1 (§7.3).
-    let set = ((target.raw() >> 6) & 63) as usize;
+    let set = set_of(target);
     let signal = p2_probe_in_set(sys, cfg, listing2_call, listing3_gadget, target, set, noise)?;
     let baseline_target = VirtAddr::new(target.raw() ^ 0x800);
     let baseline = p2_probe_in_set(

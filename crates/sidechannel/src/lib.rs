@@ -43,7 +43,10 @@ pub mod score;
 
 pub use flush_reload::{flush, reload};
 pub use noise::NoiseModel;
-pub use prime_probe::{BuildError, PrimeProbe, ProbeArena, ProbeError, ProbeLevel, ProbeResult};
+pub use prime_probe::{
+    BuildError, PrimeProbe, ProbeArena, ProbeError, ProbeLevel, ProbeResult, ProbeScale,
+    WayLatencies,
+};
 pub use reading::{Confidence, Reading, VoteTally};
 pub use score::{bounded_score, SCORE_CLAMP};
 

@@ -1,5 +1,17 @@
 //! Prime+Probe on the L1I, L1D and L2 caches.
+//!
+//! A probe pass has two halves. The machine half touches every way and
+//! yields its raw latency ([`PrimeProbe::probe_latencies`]); the noise
+//! half ([`ProbeScale::score`]) draws the pass's noise and classifies
+//! those latencies. The live pass ([`PrimeProbe::probe_scored`]) runs
+//! both interleaved, because a spurious eviction the noise rolls
+//! flushes the way before it is touched. A pass that rolls none touches
+//! the machine exactly as the machine half alone does, so its latencies
+//! can be recorded once and scored again against any later noise stream.
 
+use std::ops::Deref;
+
+use phantom_cache::HierarchyConfig;
 use phantom_mem::{AccessKind, PageFlags, PhysAddr, PrivilegeLevel, VirtAddr};
 use phantom_pipeline::Machine;
 
@@ -27,6 +39,131 @@ pub struct ProbeResult {
     pub evictions: usize,
 }
 
+/// The most ways one [`PrimeProbe`] spans. A probe keeps its lines
+/// inline, so building or arming one allocates nothing. Every builtin
+/// cache level has 8 ways; a wider level fails to build with a
+/// [`BuildError`].
+pub const MAX_PROBE_WAYS: usize = 32;
+
+/// An eviction-set line and its physical address under the probe's
+/// page-table version (`None`: it did not translate then).
+type Line = (VirtAddr, Option<PhysAddr>);
+
+/// Each way's raw latency from one probe pass, in probe order (the
+/// reverse of prime order), before any noise: what
+/// [`PrimeProbe::probe_latencies`] measures and [`ProbeScale::score`]
+/// reads. Kept inline, like the probe's lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WayLatencies {
+    ways: usize,
+    cycles: [u64; MAX_PROBE_WAYS],
+}
+
+impl Deref for WayLatencies {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.cycles[..self.ways]
+    }
+}
+
+/// How a probe pass classifies one way's latency: above `hit_threshold`
+/// the way was evicted. `span`, the gap between a resident line and one
+/// refilled from the next level, normalizes margins into confidences.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeScale {
+    hit_threshold: u64,
+    span: u64,
+}
+
+impl ProbeScale {
+    /// The scale of a `level` probe on caches with `cfg`'s latencies,
+    /// its hit boundary widened by `jitter_cycles` (the noise model's
+    /// jitter amplitude).
+    pub fn new(level: ProbeLevel, cfg: &HierarchyConfig, jitter_cycles: u64) -> ProbeScale {
+        let (hit_threshold, span) = match level {
+            // An evicted L1 line refills from L2: the hit/miss gap is
+            // the L2 latency.
+            ProbeLevel::L1I | ProbeLevel::L1D => (cfg.l1_latency + jitter_cycles, cfg.l2_latency),
+            // Probing L2: a resident line costs at most an L1 miss + L2
+            // hit; anything above that came from memory.
+            ProbeLevel::L2 => (
+                cfg.l1_latency + cfg.l2_latency + jitter_cycles,
+                cfg.memory_latency,
+            ),
+        };
+        ProbeScale {
+            hit_threshold,
+            span,
+        }
+    }
+
+    /// Score one probe pass of `ways` ways, drawing from `noise` in the
+    /// live pass's order. For each way, in probe order: the
+    /// spurious-eviction roll; then `latency(way, spurious)`, the way's
+    /// raw latency (after that eviction, if one was rolled); then its
+    /// jitter; then, only above the hit boundary, the missed-signal
+    /// roll. The live pass measures `latency` on the machine, a replay
+    /// returns recorded latencies, and an `Err` ends the pass.
+    ///
+    /// The [`Reading`] covers the whole pass: `hit` means at least one
+    /// eviction, the margin is the *weakest* per-way distance from the
+    /// hit boundary, and the confidence normalizes that margin against
+    /// the span.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `latency` returns.
+    pub fn score<E>(
+        &self,
+        noise: &mut NoiseModel,
+        ways: usize,
+        mut latency: impl FnMut(usize, bool) -> Result<u64, E>,
+    ) -> Result<(ProbeResult, Reading), E> {
+        let ProbeScale {
+            hit_threshold,
+            span,
+        } = *self;
+        let mut cycles = 0;
+        let mut evictions = 0;
+        let mut min_margin = u64::MAX;
+        for way in 0..ways {
+            // Noise: spurious pre-probe eviction of this way.
+            let spurious = noise.rolls_spurious_evict();
+            let mut latency = noise.jitter(latency(way, spurious)?);
+            // Noise: a genuinely evicted way re-fetched before the probe
+            // (prefetcher interference) reads back as a hit. The roll is
+            // conditional on an eviction so quiet streams are untouched.
+            if latency > hit_threshold && noise.rolls_missed_signal() {
+                latency = hit_threshold;
+            }
+            cycles += latency;
+            let margin = if latency > hit_threshold {
+                evictions += 1;
+                latency - hit_threshold
+            } else {
+                // A surviving line's distance from the eviction class:
+                // how far below a refill-from-below it measured.
+                (hit_threshold + span).saturating_sub(latency)
+            };
+            min_margin = min_margin.min(margin);
+        }
+        let margin = if min_margin == u64::MAX {
+            0
+        } else {
+            min_margin
+        };
+        let result = ProbeResult { cycles, evictions };
+        let reading = Reading {
+            hit: evictions > 0,
+            cycles,
+            margin,
+            confidence: crate::reading::Confidence::from_margin(margin, span),
+        };
+        Ok((result, reading))
+    }
+}
+
 /// A Prime+Probe eviction set for one cache set.
 ///
 /// Construction maps attacker memory; `prime` fills the target set with
@@ -43,9 +180,10 @@ pub struct ProbeResult {
 #[derive(Debug, Clone)]
 pub struct PrimeProbe {
     level: ProbeLevel,
-    /// Each line and its physical address under page-table version
-    /// `version` (`None`: it did not translate then).
-    lines: Vec<(VirtAddr, Option<PhysAddr>)>,
+    /// The first `ways` slots: each line, in prime order, and its
+    /// physical address under page-table version `version`.
+    lines: [Line; MAX_PROBE_WAYS],
+    ways: usize,
     version: u64,
 }
 
@@ -71,6 +209,16 @@ impl std::fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
+
+/// Refuse an eviction set wider than a probe holds.
+fn check_ways(ways: usize) -> Result<(), BuildError> {
+    if ways > MAX_PROBE_WAYS {
+        return Err(BuildError(format!(
+            "{ways} ways exceed the {MAX_PROBE_WAYS} a probe holds"
+        )));
+    }
+    Ok(())
+}
 
 /// Recoverable error from a prime or probe pass: an eviction-set line
 /// became unmeasurable mid-run (the victim workload unmapped its page).
@@ -144,13 +292,13 @@ impl PrimeProbe {
         if !attacker_base.is_aligned(4096) {
             return Err(BuildError("attacker base must be page aligned".into()));
         }
+        check_ways(geometry.ways)?;
         let flags = match level {
             ProbeLevel::L1I => PageFlags::USER_TEXT,
             _ => PageFlags::USER_DATA,
         };
         // One page per way; the in-page offset selects the set (VIPT:
         // VA bits [11:6] == PA bits [11:6] for 4 KiB pages).
-        let mut lines = Vec::with_capacity(geometry.ways);
         let mut mapped_here = Vec::new();
         for way in 0..geometry.ways {
             let page = attacker_base + (way as u64) * 4096;
@@ -168,9 +316,11 @@ impl PrimeProbe {
             if fresh {
                 mapped_here.push(page);
             }
-            lines.push(page + (set as u64) * geometry.line_size as u64);
         }
-        Ok(PrimeProbe::resolved(machine, level, lines))
+        let lines = (0..geometry.ways).map(|way| {
+            attacker_base + (way as u64) * 4096 + (set as u64) * geometry.line_size as u64
+        });
+        PrimeProbe::resolved(machine, level, lines)
     }
 
     /// The probe over `lines`, each translated once against the current
@@ -178,17 +328,24 @@ impl PrimeProbe {
     fn resolved(
         machine: &Machine,
         level: ProbeLevel,
-        lines: impl IntoIterator<Item = VirtAddr>,
-    ) -> PrimeProbe {
-        let lines = lines
-            .into_iter()
-            .map(|va| (va, translate_line(machine, va).ok()))
-            .collect();
-        PrimeProbe {
+        lines: impl ExactSizeIterator<Item = VirtAddr>,
+    ) -> Result<PrimeProbe, BuildError> {
+        check_ways(lines.len())?;
+        let mut probe = PrimeProbe {
             level,
-            lines,
+            lines: [(VirtAddr::new(0), None); MAX_PROBE_WAYS],
+            ways: lines.len(),
             version: machine.page_table().version(),
+        };
+        for (slot, va) in probe.lines.iter_mut().zip(lines) {
+            *slot = (va, translate_line(machine, va).ok());
         }
+        Ok(probe)
+    }
+
+    /// The armed lines, in prime order.
+    fn armed(&self) -> &[Line] {
+        &self.lines[..self.ways]
     }
 
     /// Build an L2 eviction set for `set` over a 2 MiB huge page at
@@ -233,7 +390,7 @@ impl PrimeProbe {
         }
         let lines = (0..geometry.ways)
             .map(|w| huge_base + w as u64 * stride + (set as u64) * geometry.line_size as u64);
-        Ok(PrimeProbe::resolved(machine, ProbeLevel::L2, lines))
+        PrimeProbe::resolved(machine, ProbeLevel::L2, lines)
     }
 
     /// The targeted cache.
@@ -245,16 +402,12 @@ impl PrimeProbe {
     /// The eviction-set line addresses, in prime order.
     #[cfg(test)]
     pub fn lines(&self) -> impl ExactSizeIterator<Item = VirtAddr> + '_ {
-        self.lines.iter().map(|&(va, _)| va)
+        self.armed().iter().map(|&(va, _)| va)
     }
 
     /// The physical address of `line`: the one resolved at construction
     /// while the page table is unchanged since, else a fresh walk.
-    fn phys(
-        &self,
-        machine: &Machine,
-        line: (VirtAddr, Option<PhysAddr>),
-    ) -> Result<PhysAddr, ProbeError> {
+    fn phys(&self, machine: &Machine, line: Line) -> Result<PhysAddr, ProbeError> {
         match line {
             (_, Some(pa)) if machine.page_table().version() == self.version => Ok(pa),
             (va, _) => translate_line(machine, va),
@@ -266,17 +419,14 @@ impl PrimeProbe {
     /// addresses were cached).
     #[cfg(test)]
     pub(crate) fn walking(&self) -> PrimeProbe {
-        PrimeProbe {
-            lines: self.lines.iter().map(|&(va, _)| (va, None)).collect(),
-            ..self.clone()
+        let mut walking = self.clone();
+        for line in &mut walking.lines {
+            line.1 = None;
         }
+        walking
     }
 
-    fn touch(
-        &self,
-        machine: &mut Machine,
-        line: (VirtAddr, Option<PhysAddr>),
-    ) -> Result<u64, ProbeError> {
+    fn touch(&self, machine: &mut Machine, line: Line) -> Result<u64, ProbeError> {
         let pa = self.phys(machine, line)?;
         let (_, latency) = match self.level {
             ProbeLevel::L1I => machine.caches_mut().access_inst(pa.raw()),
@@ -296,7 +446,7 @@ impl PrimeProbe {
     pub fn prime(&self, machine: &mut Machine) -> Result<(), ProbeError> {
         // Two passes settle LRU state.
         for _ in 0..2 {
-            for &line in &self.lines {
+            for &line in self.armed() {
                 self.touch(machine, line)?;
             }
         }
@@ -320,11 +470,9 @@ impl PrimeProbe {
     }
 
     /// [`probe`](Self::probe), plus a confidence-scored [`Reading`] for
-    /// the whole pass: `hit` means at least one eviction, the margin is
-    /// the *weakest* per-line distance from the hit boundary, and the
-    /// confidence normalizes that margin against the next cache level's
-    /// latency (the calibrated gap between "still resident" and
-    /// "refilled from below").
+    /// the whole pass (see [`ProbeScale::score`]): the live pass, whose
+    /// noise flushes each way it rolls a spurious eviction for before
+    /// touching it.
     ///
     /// # Errors
     ///
@@ -335,15 +483,58 @@ impl PrimeProbe {
         machine: &mut Machine,
         noise: &mut NoiseModel,
     ) -> Result<(ProbeResult, Reading), ProbeError> {
+        let scale = ProbeScale::new(self.level, machine.caches().config(), noise.jitter_cycles);
+        let lines = self.armed();
+        // Probe in reverse traversal order: under LRU, probing in prime
+        // order cascades (each refill evicts the next line to probe and a
+        // single victim access reads as a whole-set eviction). Reverse
+        // traversal refreshes surviving lines before reaching the victim
+        // slot, so exactly the displaced ways read as misses.
+        scale.score(noise, lines.len(), |way, spurious| {
+            let line = lines[lines.len() - 1 - way];
+            if spurious {
+                let pa = self.phys(machine, line)?;
+                machine.caches_mut().flush_line(pa.raw());
+            }
+            self.touch(machine, line)
+        })
+    }
+
+    /// The machine half of a probe pass: touch every way in probe order
+    /// (as [`probe_scored`](Self::probe_scored) does) and return each
+    /// raw latency, with no noise drawn and no line flushed. A live pass
+    /// whose noise rolls no spurious eviction leaves the machine exactly
+    /// as this does, and [`ProbeScale::score`] over these latencies with
+    /// that pass's noise gives that pass's result.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ProbeError`] if an eviction-set page was unmapped
+    /// mid-run.
+    pub fn probe_latencies(&self, machine: &mut Machine) -> Result<WayLatencies, ProbeError> {
+        let mut latencies = WayLatencies {
+            ways: self.ways,
+            cycles: [0; MAX_PROBE_WAYS],
+        };
+        for (slot, &line) in latencies.cycles.iter_mut().zip(self.armed().iter().rev()) {
+            *slot = self.touch(machine, line)?;
+        }
+        Ok(latencies)
+    }
+
+    /// Test oracle: the live pass as one loop, before it was split into
+    /// a machine half and a noise half.
+    #[cfg(test)]
+    pub(crate) fn probe_scored_unsplit(
+        &self,
+        machine: &mut Machine,
+        noise: &mut NoiseModel,
+    ) -> Result<(ProbeResult, Reading), ProbeError> {
         let cfg = *machine.caches().config();
         let (hit_threshold, span) = match self.level {
-            // An evicted L1 line refills from L2: the hit/miss gap is
-            // the L2 latency.
             ProbeLevel::L1I | ProbeLevel::L1D => {
                 (cfg.l1_latency + noise.jitter_cycles, cfg.l2_latency)
             }
-            // Probing L2: a resident line costs at most an L1 miss + L2
-            // hit; anything above that came from memory.
             ProbeLevel::L2 => (
                 cfg.l1_latency + cfg.l2_latency + noise.jitter_cycles,
                 cfg.memory_latency,
@@ -352,21 +543,12 @@ impl PrimeProbe {
         let mut cycles = 0;
         let mut evictions = 0;
         let mut min_margin = u64::MAX;
-        // Probe in reverse traversal order: under LRU, probing in prime
-        // order cascades (each refill evicts the next line to probe and a
-        // single victim access reads as a whole-set eviction). Reverse
-        // traversal refreshes surviving lines before reaching the victim
-        // slot, so exactly the displaced ways read as misses.
-        for &line in self.lines.iter().rev() {
-            // Noise: spurious pre-probe eviction of this way.
+        for &line in self.armed().iter().rev() {
             if noise.rolls_spurious_evict() {
                 let pa = self.phys(machine, line)?;
                 machine.caches_mut().flush_line(pa.raw());
             }
             let mut latency = noise.jitter(self.touch(machine, line)?);
-            // Noise: a genuinely evicted way re-fetched before the probe
-            // (prefetcher interference) reads back as a hit. The roll is
-            // conditional on an eviction so quiet streams are untouched.
             if latency > hit_threshold && noise.rolls_missed_signal() {
                 latency = hit_threshold;
             }
@@ -375,31 +557,24 @@ impl PrimeProbe {
                 evictions += 1;
                 latency - hit_threshold
             } else {
-                // A surviving line's distance from the eviction class:
-                // how far below a refill-from-below it measured.
                 (hit_threshold + span).saturating_sub(latency)
             };
             min_margin = min_margin.min(margin);
         }
-        let result = ProbeResult { cycles, evictions };
-        let reading = Reading {
-            hit: evictions > 0,
-            cycles,
-            margin: if min_margin == u64::MAX {
-                0
-            } else {
-                min_margin
-            },
-            confidence: crate::reading::Confidence::from_margin(
-                if min_margin == u64::MAX {
-                    0
-                } else {
-                    min_margin
-                },
-                span,
-            ),
+        let margin = if min_margin == u64::MAX {
+            0
+        } else {
+            min_margin
         };
-        Ok((result, reading))
+        Ok((
+            ProbeResult { cycles, evictions },
+            Reading {
+                hit: evictions > 0,
+                cycles,
+                margin,
+                confidence: crate::reading::Confidence::from_margin(margin, span),
+            },
+        ))
     }
 }
 
@@ -469,8 +644,9 @@ impl ProbeArena {
     }
 
     /// Re-arm: lay out the eviction set for `set` over the standing
-    /// mapping, without touching the page table. Counts one re-arm on
-    /// the machine's `probe_rearms` instrumentation counter.
+    /// mapping, without touching the page table or the heap (the probe
+    /// keeps its lines inline). Counts one re-arm on the machine's
+    /// `probe_rearms` instrumentation counter.
     ///
     /// # Errors
     ///
@@ -483,10 +659,10 @@ impl ProbeArena {
         }
         let lines = (0..self.ways)
             .map(|way| self.base + (way as u64) * 4096 + (set as u64) * self.line_size as u64);
-        let probe = PrimeProbe::resolved(machine, self.level, lines);
+        let probe = PrimeProbe::resolved(machine, self.level, lines)?;
         // A line that translated lies on a mapped page; only the others
         // need the page looked up.
-        for &(line, pa) in &probe.lines {
+        for &(line, pa) in probe.armed() {
             if pa.is_none() && machine.page_table().flags_of(line).is_none() {
                 return Err(BuildError(format!(
                     "arena page {} is not mapped (arena not installed?)",
@@ -699,6 +875,17 @@ mod tests {
         assert!(PrimeProbe::new_l1d(&mut m, VirtAddr::new(0x5000_0000), 999).is_err());
         assert!(PrimeProbe::new_l1d(&mut m, VirtAddr::new(0x5000_0001), 0).is_err());
         assert!(PrimeProbe::new_l2(&mut m, VirtAddr::new(0x1000), 0).is_err());
+    }
+
+    #[test]
+    fn a_cache_wider_than_a_probe_fails_to_build_and_maps_nothing() {
+        let mut profile = UarchProfile::zen2();
+        profile.cache.l1d = phantom_cache::CacheGeometry::new(1, MAX_PROBE_WAYS + 1, 64);
+        let mut m = Machine::new(profile, 1 << 26);
+        let base = VirtAddr::new(0x5000_0000);
+        assert!(PrimeProbe::new_l1d(&mut m, base, 0).is_err());
+        assert!(ProbeArena::install(&mut m, base, ProbeLevel::L1D).is_err());
+        assert!(m.page_table().flags_of(base).is_none());
     }
 
     #[test]

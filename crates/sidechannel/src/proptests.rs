@@ -193,3 +193,80 @@ proptest! {
         }
     }
 }
+
+/// Quiet, realistic, wide jitter, or frequent spurious evictions and
+/// missed signals.
+fn noise(kind: u8, seed: u64) -> NoiseModel {
+    let mut noise = NoiseModel::realistic(seed);
+    match kind {
+        0 => return NoiseModel::quiet(seed),
+        1 => {}
+        2 => noise.jitter_cycles = 6,
+        _ => {
+            noise.spurious_evict = 0.2;
+            noise.missed_signal = 0.3;
+        }
+    }
+    noise
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The live probe pass, built from a machine half and a noise half,
+    /// is the one-loop pass it replaced: the same results, cycles and
+    /// caches, with the noise streams left in step. And a pass whose
+    /// noise rolls no spurious eviction scores the same from the
+    /// machine half's raw latencies, which leave the machine as the
+    /// live pass does. Covers L1I, L1D and L2 probes.
+    #[test]
+    fn split_probe_pass_matches_the_unsplit_one(
+        level in 0u8..3,
+        set in 0usize..64,
+        seed in any::<u64>(),
+        noise_kind in 0u8..4,
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((0usize..64, 0u64..16), 0..4),
+            1..6,
+        ),
+    ) {
+        use crate::prime_probe::ProbeScale;
+        use crate::ProbeLevel;
+        let mut live = machine();
+        let (pp, probe_level) = match level {
+            0 => (PrimeProbe::new_l1d(&mut live, VirtAddr::new(0x5000_0000), set).unwrap(), ProbeLevel::L1D),
+            1 => (PrimeProbe::new_l1i(&mut live, VirtAddr::new(0x5000_0000), set).unwrap(), ProbeLevel::L1I),
+            _ => (PrimeProbe::new_l2(&mut live, VirtAddr::new(0x4000_0000), set).unwrap(), ProbeLevel::L2),
+        };
+        let mut unsplit = live.clone();
+        let mut noise = (noise(noise_kind, seed), noise(noise_kind, seed));
+        for victims in rounds {
+            for m in [&mut live, &mut unsplit] {
+                pp.prime(m).unwrap();
+                for &(vs, tag) in &victims {
+                    let va = VirtAddr::new(0x6000_0000 + tag * 0x1000 + vs as u64 * 64);
+                    m.map_range(va, 64, PageFlags::USER_DATA).unwrap();
+                    let pa = m.page_table().translate(va, AccessKind::Read, PrivilegeLevel::User).unwrap();
+                    m.caches_mut().access_data(pa.raw());
+                }
+            }
+            let (mut raw, mut replay_noise) = (live.clone(), noise.0.clone());
+            let scored = pp.probe_scored(&mut live, &mut noise.0).unwrap();
+            prop_assert_eq!(scored, pp.probe_scored_unsplit(&mut unsplit, &mut noise.1).unwrap());
+            prop_assert_eq!(live.cycles(), unsplit.cycles());
+            prop_assert!(live.caches() == unsplit.caches());
+            prop_assert_eq!(noise.0.jitter(1000), noise.1.jitter(1000));
+
+            let latencies = pp.probe_latencies(&mut raw).unwrap();
+            let scale = ProbeScale::new(probe_level, live.caches().config(), replay_noise.jitter_cycles);
+            let replayed = scale.score(&mut replay_noise, latencies.len(), |way, spurious| {
+                if spurious { Err(()) } else { Ok(latencies[way]) }
+            });
+            if let Ok(replayed) = replayed {
+                prop_assert_eq!(replayed, scored);
+                prop_assert_eq!(raw.cycles(), live.cycles());
+                prop_assert!(raw.caches() == live.caches());
+            }
+        }
+    }
+}

@@ -1,14 +1,16 @@
 //! Heap allocations on the trial hot path, counted by a counting global
 //! allocator.
 //!
-//! Every covert-channel bit repeats the same few steps on a rewound
+//! Every covert-channel vote repeats the same few steps on a rewound
 //! machine, so the host cost of one trial is the cost of one simulated
 //! instruction and one probe. These tests pin how many heap allocations
 //! the trial paths make: none for a warm rewound `Machine::run` whose
 //! wrong path fetches and decodes, an exact count for one warm covert
-//! probe, and none for a warm PHT-lane trial (which replays its
-//! calibrated rounds). A change that adds an allocation to any of these
-//! paths fails here, however small its share of wall time.
+//! probe (none on the fetch channel), none for a warm PHT-lane trial
+//! (which replays its calibrated rounds), and none for a warm quiet
+//! covert trial (which replays its fork's recorded votes). A change that
+//! adds an allocation to any of these paths fails here, however small
+//! its share of wall time.
 //!
 //! The counter is per thread, so tests running in parallel do not see
 //! each other's allocations.
@@ -17,7 +19,9 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
 use phantom::attacks::{pht_channel_decoded_on, PhtChannelConfig};
-use phantom::covert::CovertKind;
+use phantom::covert::{
+    execute_channel_decoded_on, fetch_channel_decoded_on, CovertConfig, CovertKind,
+};
 use phantom::decode::DecoderConfig;
 use phantom::primitives::{p1_probe_scored, p2_probe_scored, PrimitiveConfig};
 use phantom::runner::TrialRunner;
@@ -216,18 +220,18 @@ impl Receiver {
 #[test]
 fn a_warm_covert_probe_makes_a_fixed_number_of_allocations() {
     // Per pair of probes (one at each sender target), after a warm-up:
-    // each probe allocates the armed eviction set's line list, and on
-    // the execute channel the probe at the mapped target lists its one
-    // transient load. The execute channel's syscall writes the kernel
-    // stack, so its rewinds copy pages back, which allocates nothing in
+    // an armed eviction set keeps its lines inline, so only the execute
+    // channel allocates: its probe at the mapped target lists its one
+    // transient load. That channel's syscall writes the kernel stack,
+    // so its rewinds copy pages back, which allocates nothing in
     // release builds; debug builds also check each of those rewinds
     // against a full dirty-frame scan, which lists the pages it finds.
     const PAIRS: u64 = 8;
     let scans = if cfg!(debug_assertions) { 2 } else { 0 };
     for (profile, kind, per_pair) in [
-        (UarchProfile::zen2(), CovertKind::Fetch, 2),
-        (UarchProfile::zen4(), CovertKind::Fetch, 2),
-        (UarchProfile::zen2(), CovertKind::Execute, 3 + scans),
+        (UarchProfile::zen2(), CovertKind::Fetch, 0),
+        (UarchProfile::zen4(), CovertKind::Fetch, 0),
+        (UarchProfile::zen2(), CovertKind::Execute, 1 + scans),
     ] {
         let name = format!("{} {kind:?}", profile.name);
         let mut rx = Receiver::boot(profile, kind);
@@ -275,4 +279,47 @@ fn a_warm_pht_trial_allocates_nothing() {
     assert_eq!((one.bits, many.bits), (1, 256));
     assert!(many.probes > 256 && many.accuracy > 0.9, "{many:?}");
     assert_eq!(allocations, base, "255 more warm PHT trials allocated");
+}
+
+#[test]
+fn a_quiet_covert_job_allocates_the_same_at_64_and_256_bits() {
+    // A covert job allocates its set-up, its sample list and the
+    // runner's bookkeeping once, whatever its size, and its fork records
+    // each (sender bit, vote index) the first time a trial casts it.
+    // Every later quiet trial replays recorded votes and allocates
+    // nothing, so a job of 256 bits allocates exactly what a job of 64
+    // bits does. One worker keeps every allocation on this thread.
+    let runner = TrialRunner::with_threads(1);
+    for (profile, kind) in [
+        (UarchProfile::zen2(), CovertKind::Fetch),
+        (UarchProfile::zen4(), CovertKind::Fetch),
+        (UarchProfile::zen2(), CovertKind::Execute),
+    ] {
+        let name = format!("{} {kind:?}", profile.name);
+        let job = |bits: usize| {
+            let (profile, decoder) = (profile.clone(), DecoderConfig::default());
+            let config = CovertConfig { bits, seed: 3 };
+            let noise = NoiseModel::quiet(config.seed);
+            allocations_in(|| match kind {
+                CovertKind::Fetch => {
+                    fetch_channel_decoded_on(&runner, profile, config, noise, decoder).unwrap()
+                }
+                CovertKind::Execute => {
+                    execute_channel_decoded_on(&runner, profile, config, noise, decoder).unwrap()
+                }
+            })
+        };
+        job(64);
+        let (short, base) = job(64);
+        let (long, allocations) = job(256);
+        // Not vacuous: both jobs decode every bit in one two-vote round.
+        for r in [&short, &long] {
+            assert!(r.accuracy > 0.99, "{name}: {r:?}");
+            assert_eq!(r.probes, 2 * r.bits as u64, "{name}: {r:?}");
+        }
+        assert_eq!(
+            allocations, base,
+            "{name}: 192 more warm quiet covert trials allocated"
+        );
+    }
 }
