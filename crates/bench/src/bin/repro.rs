@@ -226,7 +226,8 @@ fn table3(r: &TrialRunner, runs: usize, full: bool) -> Result<(), RunnerError> {
     ] {
         let name = p.name.clone();
         let t = timed(r, |r| run_table3_on(r, p.clone(), runs, slots, 100))?;
-        print!("{}", report::render_table3(&name, &t.result));
+        let title = format!("Table 3 [{name}]: kernel image KASLR");
+        print!("{}", report::render_slot_table(&title, &t.result));
         eprintln!("[table3 {name}: {}]", t.wall_note());
     }
     Ok(())
@@ -237,7 +238,8 @@ fn table4(r: &TrialRunner, runs: usize, full: bool) -> Result<(), RunnerError> {
     for p in [UarchProfile::zen1(), UarchProfile::zen2()] {
         let name = p.name.clone();
         let t = timed(r, |r| run_table4_on(r, p.clone(), runs, slots, 200))?;
-        print!("{}", report::render_table4(&name, &t.result));
+        let title = format!("Table 4 [{name}]: physmap KASLR");
+        print!("{}", report::render_slot_table(&title, &t.result));
         eprintln!("[table4 {name}: {}]", t.wall_note());
     }
     Ok(())

@@ -2,11 +2,13 @@
 //!
 //! Each function regenerates one of the paper's tables or figures,
 //! returning structured results that `repro` renders with
-//! [`phantom::report`]. Every sweep is a [`phantom::runner::Scenario`]
-//! driven by a [`TrialRunner`], so independent trials (reboots, bits,
-//! cells) shard across the worker threads of the runner each `*_on`
-//! function takes from its caller, and outputs are identical at any
-//! thread count. Run counts and search-space sizes are
+//! [`phantom::report`]. Every sweep runs on a [`TrialRunner`] — the
+//! reboot-per-run attack tables as closures over the trial passed to
+//! [`TrialRunner::map`], the stateful channels as
+//! [`phantom::runner::Scenario`]s — so independent trials (reboots,
+//! bits, cells) shard across the worker threads of the runner each
+//! `*_on` function takes from its caller, and outputs are identical at
+//! any thread count. Run counts and search-space sizes are
 //! parameterized: the paper's full protocol (100 reboots, all 488 /
 //! 25 600 KASLR slots) is reachable by cranking the knobs, while the
 //! defaults keep a laptop run in minutes. Scaling choices are recorded
@@ -16,8 +18,9 @@
 
 use phantom::ablation::{noise_sweep_on, NoiseSweepConfig, NoiseSweepPoint};
 use phantom::attacks::{
-    pht_channel_on, KaslrImageResult, KaslrImageSweep, MdsLeakResult, MdsLeakSweep,
-    PhtChannelConfig, PhtChannelResult, PhysAddrResult, PhysAddrSweep, PhysmapResult, PhysmapSweep,
+    break_kaslr_image, break_physmap, find_physical_address, leak_kernel_memory, pht_channel_on,
+    scan_window, AttackError, KaslrImageConfig, MdsLeakConfig, MdsLeakResult, PhtChannelConfig,
+    PhtChannelResult, PhysAddrConfig, PhysAddrResult, PhysmapConfig, SlotScanResult,
 };
 use phantom::collide::{recover_figure7, BtbOracle, Figure7};
 use phantom::covert::{table2_on, CovertConfig, CovertResult};
@@ -25,13 +28,14 @@ use phantom::experiment::{figure6_on, table1_on, Figure6Point, Table1Cell};
 use phantom::runner::TrialRunner;
 use phantom::UarchProfile;
 use phantom_bpu::BtbScheme;
+use phantom_kernel::layout::{KERNEL_IMAGE_SLOTS, PHYSMAP_SLOTS};
+use phantom_kernel::System;
 use phantom_mem::VirtAddr;
 
 pub mod campaign;
 pub mod discover;
 pub mod snapshot;
 
-pub use phantom::attacks::scan_window;
 pub use snapshot::{
     collect_snapshot, cow_reference, decode_cache_reference, tlb_reference, BenchConfig,
 };
@@ -127,6 +131,18 @@ pub fn run_table2_on(
     Ok(table2_on(runner, CovertConfig { bits, seed })?)
 }
 
+/// Boot run `index` of a reboot-per-run table: a fresh KASLR layout
+/// from seed `seed + index`, which is also the run's noise seed.
+fn reboot(
+    profile: &UarchProfile,
+    phys_bytes: u64,
+    seed: u64,
+    index: usize,
+) -> Result<(System, u64), AttackError> {
+    let seed = seed + index as u64;
+    Ok((System::new_cached(profile.clone(), phys_bytes, seed)?, seed))
+}
+
 /// Regenerate Table 3 rows: `runs` kernel-image KASLR breaks with a
 /// reboot (fresh KASLR) before each. `slots` limits the scanned window
 /// per run (0 = full 488).
@@ -140,19 +156,21 @@ pub fn run_table3_on(
     runs: usize,
     slots: u64,
     seed: u64,
-) -> Result<Vec<KaslrImageResult>, RunnerError> {
-    runner.run(
-        &KaslrImageSweep {
-            profile,
-            runs,
-            window: slots,
+) -> Result<Vec<SlotScanResult>, RunnerError> {
+    runner.map(runs, seed, |trial| {
+        let (mut sys, seed) = reboot(&profile, 1 << 30, seed, trial.index)?;
+        let config = KaslrImageConfig {
+            slots: scan_window(sys.layout().image_slot, slots, KERNEL_IMAGE_SLOTS),
             seed,
-        },
-        seed,
-    )
+            ..Default::default()
+        };
+        Ok(break_kaslr_image(&mut sys, &config)?)
+    })
 }
 
-/// Regenerate Table 4 rows: `runs` physmap breaks (reboot per run).
+/// Regenerate Table 4 rows: `runs` physmap breaks (reboot per run). The
+/// §7.1 image base is read from the fresh boot (that stage's output
+/// precedes this one).
 ///
 /// # Errors
 ///
@@ -163,20 +181,22 @@ pub fn run_table4_on(
     runs: usize,
     slots: u64,
     seed: u64,
-) -> Result<Vec<PhysmapResult>, RunnerError> {
-    runner.run(
-        &PhysmapSweep {
-            profile,
-            runs,
-            window: slots,
+) -> Result<Vec<SlotScanResult>, RunnerError> {
+    runner.map(runs, seed, |trial| {
+        let (mut sys, seed) = reboot(&profile, 1 << 30, seed, trial.index)?;
+        let config = PhysmapConfig {
+            slots: scan_window(sys.layout().physmap_slot, slots, PHYSMAP_SLOTS),
             seed,
-        },
-        seed,
-    )
+            ..Default::default()
+        };
+        let image_base = sys.image().base;
+        Ok(break_physmap(&mut sys, image_base, &config)?)
+    })
 }
 
 /// Regenerate Table 5 rows: `runs` physical-address searches over a
-/// machine with `phys_bytes` of memory (8 GiB and 64 GiB in the paper).
+/// machine with `phys_bytes` of memory (8 GiB and 64 GiB in the paper),
+/// rebooted per run.
 ///
 /// # Errors
 ///
@@ -188,18 +208,24 @@ pub fn run_table5_on(
     runs: usize,
     seed: u64,
 ) -> Result<Vec<PhysAddrResult>, RunnerError> {
-    runner.run(
-        &PhysAddrSweep {
-            profile,
-            phys_bytes,
-            runs,
+    runner.map(runs, seed, |trial| {
+        let (mut sys, seed) = reboot(&profile, phys_bytes, seed, trial.index)?;
+        let (image_base, physmap_base) = (sys.image().base, sys.layout().physmap_base());
+        let config = PhysAddrConfig {
+            max_decoys: 100,
             seed,
-        },
-        seed,
-    )
+        };
+        Ok(find_physical_address(
+            &mut sys,
+            image_base,
+            physmap_base,
+            &config,
+        )?)
+    })
 }
 
-/// Regenerate the §7.4 MDS leak: `runs` reboots, `bytes` leaked each.
+/// Regenerate the §7.4 MDS leak: `runs` reboots, `bytes` leaked each
+/// (the paper reports 10 reboots, with total signal loss on 2 of them).
 ///
 /// # Errors
 ///
@@ -211,15 +237,16 @@ pub fn run_mds_on(
     runs: usize,
     seed: u64,
 ) -> Result<Vec<MdsLeakResult>, RunnerError> {
-    runner.run(
-        &MdsLeakSweep {
-            profile,
+    runner.map(runs, seed, |trial| {
+        let (mut sys, seed) = reboot(&profile, 1 << 28, seed, trial.index)?;
+        let physmap = sys.layout().physmap_base();
+        let config = MdsLeakConfig {
             bytes,
-            runs,
             seed,
-        },
-        seed,
-    )
+            ..Default::default()
+        };
+        Ok(leak_kernel_memory(&mut sys, physmap, &config)?)
+    })
 }
 
 /// Run the PHT channel (BranchSpectre-style leak through the
@@ -262,15 +289,6 @@ pub fn run_noise_sweep_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scan_window_always_contains_actual() {
-        for (actual, width, total) in [(0u64, 16u64, 488u64), (487, 16, 488), (200, 0, 488)] {
-            let w = scan_window(actual, width, total);
-            assert!(w.contains(&actual), "{actual} {width} {total}");
-            assert!(w.end <= total);
-        }
-    }
 
     #[test]
     fn table3_runner_reboots_between_runs() {

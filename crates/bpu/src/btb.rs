@@ -94,33 +94,18 @@ pub struct BtbEntry {
     pub trained_at: PrivilegeLevel,
     /// SMT thread that trained the entry.
     pub thread: u8,
-    /// Primary target slot: (BHB tag at training time, target).
-    target: (u16, StoredTarget),
-    /// Optional secondary target slot — §2.1: "BTB entries can serve
-    /// multiple targets … the BPU selects the target by matching a tag
-    /// of the current BHB".
-    alt_target: Option<(u16, StoredTarget)>,
+    /// The trained target.
+    target: StoredTarget,
     lru: u64,
 }
 
 impl BtbEntry {
-    fn resolve(stored: StoredTarget, source: VirtAddr) -> VirtAddr {
-        match stored {
+    /// The predicted target when the entry serves `source`.
+    fn target_at(&self, source: VirtAddr) -> VirtAddr {
+        match self.target {
             StoredTarget::Abs(t) => t,
             StoredTarget::Rel(d) => VirtAddr::new(source.raw().wrapping_add(d as u64)),
         }
-    }
-
-    /// The predicted target under a specific BHB history tag: the slot
-    /// whose training tag matches wins; otherwise the primary (most
-    /// recently trained) slot serves.
-    pub fn target_for_history(&self, source: VirtAddr, bhb_tag: u16) -> Option<VirtAddr> {
-        if let Some((tag, stored)) = self.alt_target {
-            if tag == bhb_tag && self.target.0 != bhb_tag {
-                return Some(Self::resolve(stored, source));
-            }
-        }
-        Some(Self::resolve(self.target.1, source))
     }
 }
 
@@ -255,68 +240,33 @@ impl Btb {
         level: PrivilegeLevel,
         thread: u8,
     ) {
-        self.train_with_history(source, kind, target, level, thread, 0);
-    }
-
-    /// [`Btb::train`] under an explicit BHB history tag. Retraining an
-    /// aliasing entry with a *different* tag keeps the old target in the
-    /// secondary slot, so the entry serves per-history targets.
-    pub fn train_with_history(
-        &mut self,
-        source: VirtAddr,
-        kind: BranchKind,
-        target: VirtAddr,
-        level: PrivilegeLevel,
-        thread: u8,
-        bhb_tag: u16,
-    ) {
         self.clock += 1;
         let page_offset = (source.raw() & 0xfff) as u16;
         let signature = self.scheme.family.signature(source);
-        let stored = if kind.target_is_relative() {
-            StoredTarget::Rel(target.raw().wrapping_sub(source.raw()) as i64)
-        } else {
-            StoredTarget::Abs(target)
-        };
-        let privilege_tagged = self.scheme.privilege_tagged;
-        let ways = self.scheme.ways;
-        let clock = self.clock;
-        let bucket = self.bucket_mut(page_offset);
-        // Alias match: same signature (and privilege when tagged).
-        if let Some(existing) = bucket
-            .iter_mut()
-            .find(|e| e.signature == signature && (!privilege_tagged || e.trained_at == level))
-        {
-            // Same kind, different history: demote the old target to the
-            // secondary slot instead of forgetting it (§2.1 multi-target
-            // entries). A kind change always replaces the whole entry.
-            let alt_target = if existing.kind == kind && existing.target.0 != bhb_tag {
-                Some(existing.target)
-            } else {
-                None
-            };
-            *existing = BtbEntry {
-                page_offset,
-                signature,
-                kind,
-                trained_at: level,
-                thread,
-                target: (bhb_tag, stored),
-                alt_target,
-                lru: clock,
-            };
-            return;
-        }
         let entry = BtbEntry {
             page_offset,
             signature,
             kind,
             trained_at: level,
             thread,
-            target: (bhb_tag, stored),
-            alt_target: None,
-            lru: clock,
+            target: if kind.target_is_relative() {
+                StoredTarget::Rel(target.raw().wrapping_sub(source.raw()) as i64)
+            } else {
+                StoredTarget::Abs(target)
+            },
+            lru: self.clock,
         };
+        let privilege_tagged = self.scheme.privilege_tagged;
+        let ways = self.scheme.ways;
+        let bucket = self.bucket_mut(page_offset);
+        // Alias match: same signature (and privilege when tagged).
+        if let Some(existing) = bucket
+            .iter_mut()
+            .find(|e| e.signature == signature && (!privilege_tagged || e.trained_at == level))
+        {
+            *existing = entry;
+            return;
+        }
         if bucket.len() >= ways {
             // Evict LRU within the bucket.
             if let Some(pos) = bucket
@@ -335,27 +285,16 @@ impl Btb {
     /// Matching is purely address-based — the caller has *not decoded*
     /// anything yet.
     pub fn lookup(&self, source: VirtAddr) -> Option<BtbHit> {
-        self.lookup_with_history(source, 0)
-    }
-
-    /// [`Btb::lookup`] under an explicit BHB history tag (selects among
-    /// multi-target entry slots).
-    pub fn lookup_with_history(&self, source: VirtAddr, bhb_tag: u16) -> Option<BtbHit> {
         // Bucket first: most window bytes have no entry at their page
         // offset at all, and the fold signature is only worth computing
         // once a bucket exists.
         let bucket = self.bucket((source.raw() & 0xfff) as u16)?;
         let signature = self.scheme.family.signature(source);
         let entry = bucket.iter().find(|e| e.signature == signature)?;
-        let target = if entry.kind == BranchKind::Ret {
-            None
-        } else {
-            entry.target_for_history(source, bhb_tag)
-        };
         Some(BtbHit {
             source,
             kind: entry.kind,
-            target,
+            target: (entry.kind != BranchKind::Ret).then(|| entry.target_at(source)),
             trained_at: entry.trained_at,
             thread: entry.thread,
         })
@@ -593,96 +532,12 @@ mod tests {
         assert!(btb.is_empty());
         assert!(btb.lookup(VirtAddr::new(0x2000)).is_none());
     }
-}
-
-#[cfg(test)]
-mod multi_target_tests {
-    use super::*;
-
-    fn train_hist(btb: &mut Btb, src: u64, tgt: u64, tag: u16) {
-        btb.train_with_history(
-            VirtAddr::new(src),
-            BranchKind::Indirect,
-            VirtAddr::new(tgt),
-            PrivilegeLevel::User,
-            0,
-            tag,
-        );
-    }
 
     #[test]
-    fn two_histories_two_targets() {
-        // §2.1: one entry serves per-history targets.
-        let mut btb = Btb::new(BtbScheme::zen34());
-        let src = 0x40_0ac0;
-        train_hist(&mut btb, src, 0x1000, 7);
-        train_hist(&mut btb, src, 0x2000, 9);
-        let at = |tag: u16| {
-            btb.lookup_with_history(VirtAddr::new(src), tag)
-                .unwrap()
-                .target
-                .unwrap()
-                .raw()
-        };
-        assert_eq!(at(7), 0x1000, "old history tag serves the old target");
-        assert_eq!(at(9), 0x2000, "new history tag serves the new target");
-        // An unknown history falls back to the most recent target.
-        assert_eq!(at(42), 0x2000);
-    }
-
-    #[test]
-    fn kind_change_discards_the_secondary_slot() {
-        let mut btb = Btb::new(BtbScheme::zen34());
-        let src = 0x40_0ac0;
-        train_hist(&mut btb, src, 0x1000, 7);
-        // Retrain as a direct branch: the indirect slot must not survive.
-        btb.train_with_history(
-            VirtAddr::new(src),
-            BranchKind::Direct,
-            VirtAddr::new(0x3000),
-            PrivilegeLevel::User,
-            0,
-            9,
-        );
-        let hit = btb.lookup_with_history(VirtAddr::new(src), 7).unwrap();
-        assert_eq!(hit.kind, BranchKind::Direct);
-        assert_eq!(hit.target, Some(VirtAddr::new(0x3000)));
-    }
-
-    #[test]
-    fn same_history_retrain_stays_single_target() {
-        let mut btb = Btb::new(BtbScheme::zen34());
-        let src = 0x40_0ac0;
-        train_hist(&mut btb, src, 0x1000, 7);
-        train_hist(&mut btb, src, 0x2000, 7);
-        assert_eq!(
-            btb.lookup_with_history(VirtAddr::new(src), 7)
-                .unwrap()
-                .target,
-            Some(VirtAddr::new(0x2000))
-        );
-    }
-
-    #[test]
-    fn default_tag_paths_are_unchanged() {
-        // The default train/lookup pair behaves exactly like a
-        // single-target BTB (tag 0 everywhere) — the Phantom machinery
-        // runs on this path.
+    fn retraining_the_same_kind_replaces_the_target() {
         let mut btb = Btb::new(BtbScheme::zen12());
-        btb.train(
-            VirtAddr::new(0x2000),
-            BranchKind::Indirect,
-            VirtAddr::new(0x9000),
-            PrivilegeLevel::User,
-            0,
-        );
-        btb.train(
-            VirtAddr::new(0x2000),
-            BranchKind::Indirect,
-            VirtAddr::new(0xa000),
-            PrivilegeLevel::User,
-            0,
-        );
+        train_simple(&mut btb, 0x2000, BranchKind::Indirect, 0x9000);
+        train_simple(&mut btb, 0x2000, BranchKind::Indirect, 0xa000);
         let hit = btb.lookup(VirtAddr::new(0x2000)).unwrap();
         assert_eq!(hit.target, Some(VirtAddr::new(0xa000)));
     }

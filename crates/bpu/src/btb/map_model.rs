@@ -4,7 +4,8 @@
 //! spare vectors for rewinds. `proptests.rs` checks the two agree on
 //! every entry, window scan and count over random training, flush and
 //! rewind sequences. The implementation below is kept as it was, with
-//! its doc comments dropped.
+//! its doc comments dropped and, like [`super::Btb`], a single target
+//! per entry.
 
 use phantom_isa::BranchKind;
 use phantom_mem::{IntMap, PrivilegeLevel, VirtAddr};
@@ -35,18 +36,6 @@ impl MapBtb {
         level: PrivilegeLevel,
         thread: u8,
     ) {
-        self.train_with_history(source, kind, target, level, thread, 0);
-    }
-
-    pub(crate) fn train_with_history(
-        &mut self,
-        source: VirtAddr,
-        kind: BranchKind,
-        target: VirtAddr,
-        level: PrivilegeLevel,
-        thread: u8,
-        bhb_tag: u16,
-    ) {
         self.clock += 1;
         let page_offset = (source.raw() & 0xfff) as u16;
         let signature = self.scheme.family.signature(source);
@@ -64,22 +53,13 @@ impl MapBtb {
             .iter_mut()
             .find(|e| e.signature == signature && (!privilege_tagged || e.trained_at == level))
         {
-            // Same kind, different history: demote the old target to the
-            // secondary slot instead of forgetting it (§2.1 multi-target
-            // entries). A kind change always replaces the whole entry.
-            let alt_target = if existing.kind == kind && existing.target.0 != bhb_tag {
-                Some(existing.target)
-            } else {
-                None
-            };
             *existing = BtbEntry {
                 page_offset,
                 signature,
                 kind,
                 trained_at: level,
                 thread,
-                target: (bhb_tag, stored),
-                alt_target,
+                target: stored,
                 lru: clock,
             };
             return;
@@ -90,8 +70,7 @@ impl MapBtb {
             kind,
             trained_at: level,
             thread,
-            target: (bhb_tag, stored),
-            alt_target: None,
+            target: stored,
             lru: clock,
         };
         if bucket.len() >= ways {
@@ -109,10 +88,6 @@ impl MapBtb {
     }
 
     pub(crate) fn lookup(&self, source: VirtAddr) -> Option<BtbHit> {
-        self.lookup_with_history(source, 0)
-    }
-
-    pub(crate) fn lookup_with_history(&self, source: VirtAddr, bhb_tag: u16) -> Option<BtbHit> {
         let page_offset = (source.raw() & 0xfff) as u16;
         // Bucket first: most window bytes have no entry at their page
         // offset at all, and the fold signature is only worth computing
@@ -123,7 +98,7 @@ impl MapBtb {
         let target = if entry.kind == BranchKind::Ret {
             None
         } else {
-            entry.target_for_history(source, bhb_tag)
+            Some(entry.target_at(source))
         };
         Some(BtbHit {
             source,

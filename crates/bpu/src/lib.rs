@@ -48,7 +48,6 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod bhb;
 pub mod btb;
 pub mod cbp;
 pub mod hashfn;
@@ -56,7 +55,6 @@ pub mod msr;
 pub mod predict;
 pub mod rsb;
 
-pub use bhb::{Bhb, BHB_TAG_BITS};
 pub use btb::{Btb, BtbEntry, BtbScheme};
 pub use cbp::{Cbp, CbpScheme, MixedFold};
 pub use hashfn::{parity_fold, FoldFamily, FoldFn, SignatureTable};

@@ -11,7 +11,6 @@
 use phantom_isa::BranchKind;
 use phantom_mem::{PrivilegeLevel, VirtAddr};
 
-use crate::bhb::Bhb;
 use crate::btb::{Btb, BtbScheme};
 use crate::cbp::{Cbp, CbpScheme};
 use crate::msr::MsrState;
@@ -50,7 +49,6 @@ pub struct Bpu {
     btb: Btb,
     rsb: Rsb,
     cbp: Cbp,
-    bhb: Bhb,
     msr: MsrState,
 }
 
@@ -69,20 +67,18 @@ impl Bpu {
             btb: Btb::new(btb),
             rsb: Rsb::new(RSB_DEPTH),
             cbp: Cbp::new(cbp),
-            bhb: Bhb::new(),
             msr,
         }
     }
 
     /// Put the BPU in the state [`Bpu::with_schemes`] builds, in place:
-    /// the BTB emptied through [`Btb::reset`], a new RSB and BHB, and
+    /// the BTB emptied through [`Btb::reset`], a new RSB, and
     /// the CBP reset through [`Cbp::reset`] (only the sets it wrote,
     /// when it can tell).
     pub fn reset(&mut self, btb: BtbScheme, cbp: CbpScheme, msr: MsrState) {
         self.btb.reset(btb);
         self.rsb = Rsb::new(RSB_DEPTH);
         self.cbp.reset(cbp);
-        self.bhb = Bhb::new();
         self.msr = msr;
     }
 
@@ -115,18 +111,6 @@ impl Bpu {
     /// or calibrate against its counters).
     pub fn cbp(&self) -> &Cbp {
         &self.cbp
-    }
-
-    /// The branch history buffer.
-    pub fn bhb(&self) -> &Bhb {
-        &self.bhb
-    }
-
-    /// Record a resolved taken edge into the BHB (the machine calls this
-    /// on every taken branch). Phantom predictions fire regardless of
-    /// history; the BHB exists for fidelity and BHI-style experiments.
-    pub fn record_edge(&mut self, source: VirtAddr, target: VirtAddr) {
-        self.bhb.record(source, target);
     }
 
     /// Train the BTB with a resolved branch (called when a branch
@@ -251,12 +235,11 @@ impl Bpu {
 
     /// Rewind to `snap` in place, identically to `*self = snap.clone()`:
     /// the CBP through [`Cbp::restore_from`], the BTB and RSB by
-    /// `clone_from` (reusing their buffers), the BHB and MSRs by copy.
+    /// `clone_from` (reusing their buffers), the MSRs by copy.
     pub fn restore_from(&mut self, snap: &Bpu) {
         self.btb.clone_from(&snap.btb);
         self.rsb.clone_from(&snap.rsb);
         self.cbp.restore_from(&snap.cbp);
-        self.bhb = snap.bhb;
         self.msr = snap.msr;
     }
 
@@ -267,7 +250,6 @@ impl Bpu {
         self.btb.flush();
         self.rsb.flush();
         self.cbp.flush();
-        self.bhb.flush();
     }
 }
 
@@ -279,7 +261,6 @@ impl Bpu {
         self.btb.same_state(&other.btb)
             && self.rsb.same_state(&other.rsb)
             && self.cbp == other.cbp
-            && self.bhb == other.bhb
             && self.msr == other.msr
     }
 }

@@ -405,8 +405,6 @@ enum BpuOp {
     Push(u16),
     /// Serve a prediction over a window at a pool PC (may pop the RSB).
     Predict(u16),
-    /// Record a taken edge in the BHB.
-    Edge(u16, u16),
     /// Toggle the mitigation MSRs.
     Msr(u8),
     /// IBPB: flush every structure mid-epoch.
@@ -421,7 +419,7 @@ enum BpuOp {
 
 fn arb_bpu_ops() -> impl Strategy<Value = Vec<BpuOp>> {
     let op = (
-        0u8..16,
+        0u8..15,
         any::<u16>(),
         arb_kind(),
         any::<u16>(),
@@ -432,11 +430,10 @@ fn arb_bpu_ops() -> impl Strategy<Value = Vec<BpuOp>> {
             3..=6 => BpuOp::Direction(p, q & 1 == 1),
             7 => BpuOp::Push(q),
             8 | 9 => BpuOp::Predict(p),
-            10 => BpuOp::Edge(p, q),
-            11 => BpuOp::Msr(q as u8),
-            12 => BpuOp::Ibpb,
-            13 => BpuOp::Checkpoint,
-            14 => BpuOp::Rewind(i),
+            10 => BpuOp::Msr(q as u8),
+            11 => BpuOp::Ibpb,
+            12 => BpuOp::Checkpoint,
+            13 => BpuOp::Rewind(i),
             _ => BpuOp::Foreign,
         });
     proptest::collection::vec(op, 1..120)
@@ -444,7 +441,7 @@ fn arb_bpu_ops() -> impl Strategy<Value = Vec<BpuOp>> {
 
 /// Every observable of `bpu` at the probe PCs: served predictions (on
 /// a scratch copy, since serving may pop the RSB), directions, BTB
-/// hits, RSB top and occupancy, BHB tag and MSRs.
+/// hits, RSB top and occupancy, and MSRs.
 fn bpu_view(bpu: &Bpu, probes: &[u16]) -> Vec<String> {
     let mut scratch = bpu.clone();
     let mut seen: Vec<String> = probes
@@ -460,10 +457,9 @@ fn bpu_view(bpu: &Bpu, probes: &[u16]) -> Vec<String> {
         })
         .collect();
     seen.push(format!(
-        "{:?} {} {} {:?} {}",
+        "{:?} {} {:?} {}",
         bpu.rsb().peek(),
         bpu.rsb().len(),
-        bpu.bhb().tag(),
         bpu.msr(),
         bpu.btb().len(),
     ));
@@ -474,7 +470,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The in-place `Bpu::restore_from` (journaled CBP, `clone_from`
-    /// BTB and RSB, copied BHB and MSRs) is `*self = snap.clone()`:
+    /// BTB and RSB, copied MSRs) is `*self = snap.clone()`:
     /// after every rewind the live BPU equals a fresh clone of the
     /// snapshot in every field, and a shadow BPU that only rewinds by
     /// cloning serves the same predictions after every step. Covers
@@ -504,7 +500,6 @@ proptest! {
                     BpuOp::Predict(p) => {
                         bpu.predict_window(pool_pc(p), 8, PrivilegeLevel::User, 0);
                     }
-                    BpuOp::Edge(p, q) => bpu.record_edge(pool_pc(p), pool_pc(q)),
                     BpuOp::Msr(bits) => bpu.set_msr(MsrState {
                         suppress_bp_on_non_br: bits & 1 != 0,
                         auto_ibrs: bits & 2 != 0,
@@ -544,8 +539,8 @@ proptest! {
 /// One step of the bitmap-vs-map BTB check.
 #[derive(Debug, Clone)]
 enum BtbOp {
-    /// `(source, kind, target, privilege is user, history tag)`.
-    Train(u64, BranchKind, u64, bool, u16),
+    /// `(source, kind, target, privilege is user)`.
+    Train(u64, BranchKind, u64, bool),
     Flush,
     /// Clone both BTBs into a snapshot.
     Checkpoint,
@@ -579,11 +574,10 @@ fn arb_btb_ops() -> impl Strategy<Value = Vec<BtbOp>> {
         arb_kind(),
         any::<u16>(),
         any::<bool>(),
-        0u16..3,
         any::<usize>(),
     )
-        .prop_map(|((k, o, h), kind, q, user, tag, i)| match k {
-            0..=6 => BtbOp::Train(btb_source(o, h), kind, u64::from(q) << 4, user, tag),
+        .prop_map(|((k, o, h), kind, q, user, i)| match k {
+            0..=6 => BtbOp::Train(btb_source(o, h), kind, u64::from(q) << 4, user),
             7 => BtbOp::Flush,
             8 => BtbOp::Checkpoint,
             9 | 10 => BtbOp::Rewind(i),
@@ -598,19 +592,19 @@ proptest! {
 
     /// The bitmap BTB (buckets in page-offset order, found by a bit test
     /// and a rank, rewound into spare vectors) is the bucket-map BTB it
-    /// replaced: after every training (aliasing, evicting, multi-target,
+    /// replaced: after every training (aliasing, evicting,
     /// privilege-tagged), flush, reset and `clone_from` rewind (to
-    /// snapshots of either age and to a BTB of another scheme) both hold the same
-    /// entries and count, and every window scan, at any base and length
-    /// (page-crossing ones included), finds the same hits with and
-    /// without history tags. A rewind in place also equals a clone of
-    /// its snapshot, spare vectors aside.
+    /// snapshots of either age and to a BTB of another scheme) both
+    /// hold the same entries and count, and every window scan, at any
+    /// base and length (page-crossing ones included), finds the same
+    /// hits. A rewind in place also equals a clone of its snapshot,
+    /// spare vectors aside.
     #[test]
     fn bitmap_btb_matches_bucket_map_model(
         tagged in any::<bool>(),
         ways in 1usize..4,
         ops in arb_btb_ops(),
-        windows in proptest::collection::vec((any::<u8>(), any::<u8>(), 1u64..40, 0u16..3), 1..12),
+        windows in proptest::collection::vec((any::<u8>(), any::<u8>(), 1u64..40), 1..12),
     ) {
         use crate::btb::map_model::MapBtb;
         let scheme = BtbScheme { ways, privilege_tagged: tagged, ..BtbScheme::zen34() };
@@ -625,11 +619,11 @@ proptest! {
         let mut snaps: Vec<(Btb, MapBtb)> = Vec::new();
         for op in ops {
             match op {
-                BtbOp::Train(src, kind, target, user, tag) => {
+                BtbOp::Train(src, kind, target, user) => {
                     let level = if user { PrivilegeLevel::User } else { PrivilegeLevel::Supervisor };
                     let (src, target) = (VirtAddr::new(src), VirtAddr::new(target));
-                    live.train_with_history(src, kind, target, level, 0, tag);
-                    model.train_with_history(src, kind, target, level, 0, tag);
+                    live.train(src, kind, target, level, 0);
+                    model.train(src, kind, target, level, 0);
                 }
                 BtbOp::Flush => {
                     live.flush();
@@ -658,13 +652,12 @@ proptest! {
             prop_assert_eq!(live.entries(), model.entries());
             prop_assert_eq!(live.len(), model.len());
             prop_assert_eq!(live.is_empty(), model.is_empty());
-            for &(o, h, len, tag) in &windows {
+            for &(o, h, len) in &windows {
                 let base = VirtAddr::new(btb_source(o, h)) - u64::from(o % 8);
                 prop_assert_eq!(live.window_hits(base, len).next(), model.lookup_window(base, len));
                 let hits: Vec<_> = live.window_hits(base, len).collect();
                 let expected: Vec<_> = (0..len).filter_map(|off| model.lookup(base + off)).collect();
                 prop_assert_eq!(hits, expected);
-                prop_assert_eq!(live.lookup_with_history(base, tag), model.lookup_with_history(base, tag));
             }
         }
     }

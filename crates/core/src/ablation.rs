@@ -10,11 +10,11 @@ use phantom_pipeline::UarchProfile;
 use phantom_sidechannel::NoiseModel;
 
 use crate::channel::ChannelError;
-use crate::covert::{fetch_channel_decoded_on, CovertConfig};
+use crate::covert::{fetch_channel_decoded_on, CovertConfig, CovertResult};
 use crate::decode::DecoderConfig;
 use crate::experiment::{run_combo, Stage, TrainKind, VictimKind};
 use crate::primitives::PrimitiveError;
-use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
+use crate::runner::TrialRunner;
 
 /// One point of the resteer-latency sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,59 +28,12 @@ pub struct LatencyPoint {
     pub stage: Stage,
 }
 
-/// The resteer-latency sweep as a trial scenario: one synthetic profile
-/// per latency point, each probed with the standard
-/// nop-trained-as-`jmp*` experiment.
-#[derive(Debug, Clone)]
-struct LatencySweep {
-    latencies: Vec<u64>,
-}
-
-impl Scenario for LatencySweep {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = LatencyPoint;
-    type Output = Vec<LatencyPoint>;
-
-    fn trials(&self) -> usize {
-        self.latencies.len()
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<LatencyPoint, ScenarioError> {
-        let latency = self.latencies[trial.index];
-        let mut profile = UarchProfile::zen2();
-        profile.frontend_resteer_latency = latency;
-        let spare = latency.saturating_sub(profile.fetch_latency + profile.decode_latency) as u32;
-        profile.phantom_exec_uops = spare;
-        let combo = run_combo(profile, TrainKind::JmpInd, VictimKind::NonBranch, 0)?;
-        Ok(LatencyPoint {
-            latency,
-            spare_uops: spare,
-            stage: combo.stage_enum(),
-        })
-    }
-
-    fn score(&self, samples: Vec<LatencyPoint>) -> Vec<LatencyPoint> {
-        samples
-    }
-}
-
 /// Sweep the decoder-resteer latency on a Zen 2-shaped profile and
-/// observe where EX appears. The Zen 1/2 vs Zen 3/4 split in Table 1 is
-/// exactly this threshold: transient execution exists iff the resteer
-/// lands after the first wrong-path µop can dispatch.
+/// observe where EX appears: one synthetic profile per latency point,
+/// each probed with the standard nop-trained-as-`jmp*` experiment. The
+/// Zen 1/2 vs Zen 3/4 split in Table 1 is exactly this threshold:
+/// transient execution exists iff the resteer lands after the first
+/// wrong-path µop can dispatch.
 ///
 /// # Errors
 ///
@@ -90,12 +43,20 @@ pub fn resteer_latency_sweep_on(
     latencies: &[u64],
 ) -> Result<Vec<LatencyPoint>, ChannelError> {
     runner
-        .run(
-            &LatencySweep {
-                latencies: latencies.to_vec(),
-            },
-            0,
-        )
+        .map(latencies.len(), 0, |trial| {
+            let latency = latencies[trial.index];
+            let mut profile = UarchProfile::zen2();
+            profile.frontend_resteer_latency = latency;
+            let spare =
+                latency.saturating_sub(profile.fetch_latency + profile.decode_latency) as u32;
+            profile.phantom_exec_uops = spare;
+            let combo = run_combo(profile, TrainKind::JmpInd, VictimKind::NonBranch, 0)?;
+            Ok(LatencyPoint {
+                latency,
+                spare_uops: spare,
+                stage: combo.stage_enum(),
+            })
+        })
         .map_err(|e| ChannelError(e.to_string()))
 }
 
@@ -151,68 +112,10 @@ pub struct NoisePoint {
     pub accuracy: f64,
 }
 
-/// The noise curve as a trial scenario: each trial is a full fetch
-/// covert-channel transfer at one spurious-eviction rate. The inner
-/// channel runs single-threaded — the outer runner already shards the
-/// curve's points.
-#[derive(Debug, Clone)]
-struct NoiseCurve {
-    rates: Vec<f64>,
-    bits: usize,
-    seed: u64,
-}
-
-impl Scenario for NoiseCurve {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = NoisePoint;
-    type Output = Vec<NoisePoint>;
-
-    fn trials(&self) -> usize {
-        self.rates.len()
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<NoisePoint, ScenarioError> {
-        let rate = self.rates[trial.index];
-        let mut noise = NoiseModel::quiet(self.seed);
-        noise.spurious_evict = rate;
-        noise.missed_signal = rate / 2.0;
-        let r = fetch_channel_decoded_on(
-            &TrialRunner::with_threads(1),
-            UarchProfile::zen2(),
-            CovertConfig {
-                bits: self.bits,
-                seed: self.seed,
-            },
-            noise,
-            DecoderConfig::default(),
-        )?;
-        Ok(NoisePoint {
-            spurious_rate: rate,
-            accuracy: r.accuracy,
-        })
-    }
-
-    fn score(&self, samples: Vec<NoisePoint>) -> Vec<NoisePoint> {
-        samples
-    }
-}
-
 /// Measure fetch-channel accuracy against the spurious-eviction rate —
 /// the knob behind every sub-100% number in Tables 2–5, and the reason
-/// the attacks repeat measurements and score (§7.3).
+/// the attacks repeat measurements and score (§7.3). Each trial is a
+/// full fetch covert-channel transfer at one rate.
 ///
 /// # Errors
 ///
@@ -224,15 +127,34 @@ pub fn noise_accuracy_curve_on(
     seed: u64,
 ) -> Result<Vec<NoisePoint>, PrimitiveError> {
     runner
-        .run(
-            &NoiseCurve {
-                rates: rates.to_vec(),
-                bits,
-                seed,
-            },
-            seed,
-        )
+        .map(rates.len(), seed, |trial| {
+            let rate = rates[trial.index];
+            let mut noise = NoiseModel::quiet(seed);
+            noise.spurious_evict = rate;
+            noise.missed_signal = rate / 2.0;
+            Ok(NoisePoint {
+                spurious_rate: rate,
+                accuracy: zen2_fetch_transfer(bits, seed, noise)?.accuracy,
+            })
+        })
         .map_err(|e| PrimitiveError(e.to_string()))
+}
+
+/// One adaptive fetch covert-channel transfer on Zen 2 under `noise`,
+/// for one point of a noise sweep. It runs single-threaded: the outer
+/// runner already shards the sweep's points.
+fn zen2_fetch_transfer(
+    bits: usize,
+    seed: u64,
+    noise: NoiseModel,
+) -> Result<CovertResult, PrimitiveError> {
+    fetch_channel_decoded_on(
+        &TrialRunner::with_threads(1),
+        UarchProfile::zen2(),
+        CovertConfig { bits, seed },
+        noise,
+        DecoderConfig::default(),
+    )
 }
 
 /// Configuration for [`noise_sweep_on`]: one fetch covert-channel transfer
@@ -310,76 +232,11 @@ pub struct NoiseSweepPoint {
     pub mean_confidence: f64,
 }
 
-/// The noise sweep as a trial scenario: each trial is a full adaptive
-/// fetch-channel transfer at one `(axis, value)` point. The inner
-/// channel runs single-threaded — the outer runner already shards the
-/// sweep's points.
-#[derive(Debug, Clone)]
-struct NoiseSweep {
-    config: NoiseSweepConfig,
-    knobs: Vec<(&'static str, f64)>,
-}
-
-impl Scenario for NoiseSweep {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = NoiseSweepPoint;
-    type Output = Vec<NoiseSweepPoint>;
-
-    fn trials(&self) -> usize {
-        self.knobs.len()
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<NoiseSweepPoint, ScenarioError> {
-        let (axis, value) = self.knobs[trial.index];
-        let mut noise = NoiseModel::quiet(self.config.seed);
-        match axis {
-            "jitter_cycles" => noise.jitter_cycles = value as u64,
-            "spurious_evict" => noise.spurious_evict = value,
-            _ => noise.missed_signal = value,
-        }
-        let r = fetch_channel_decoded_on(
-            &TrialRunner::with_threads(1),
-            UarchProfile::zen2(),
-            CovertConfig {
-                bits: self.config.bits,
-                seed: self.config.seed,
-            },
-            noise,
-            DecoderConfig::default(),
-        )?;
-        Ok(NoiseSweepPoint {
-            axis,
-            value,
-            accuracy: r.accuracy,
-            probes: r.probes,
-            abstentions: r.abstentions as u64,
-            mean_confidence: r.mean_confidence,
-        })
-    }
-
-    fn score(&self, samples: Vec<NoiseSweepPoint>) -> Vec<NoiseSweepPoint> {
-        samples
-    }
-}
-
 /// Sweep each noise knob independently and measure how the adaptive
 /// fetch channel holds up: accuracy, probe spend (the decoder escalates
 /// under noise), and abstention count. The quiet end of every axis must
 /// stay near-perfect — that is the regression gate the bench harness
-/// enforces.
+/// enforces. Each trial is one `(axis, value)` point.
 ///
 /// # Errors
 ///
@@ -388,14 +245,26 @@ pub fn noise_sweep_on(
     runner: &TrialRunner,
     config: &NoiseSweepConfig,
 ) -> Result<Vec<NoiseSweepPoint>, PrimitiveError> {
+    let knobs = config.knobs();
     runner
-        .run(
-            &NoiseSweep {
-                knobs: config.knobs(),
-                config: config.clone(),
-            },
-            config.seed,
-        )
+        .map(knobs.len(), config.seed, |trial| {
+            let (axis, value) = knobs[trial.index];
+            let mut noise = NoiseModel::quiet(config.seed);
+            match axis {
+                "jitter_cycles" => noise.jitter_cycles = value as u64,
+                "spurious_evict" => noise.spurious_evict = value,
+                _ => noise.missed_signal = value,
+            }
+            let r = zen2_fetch_transfer(config.bits, config.seed, noise)?;
+            Ok(NoiseSweepPoint {
+                axis,
+                value,
+                accuracy: r.accuracy,
+                probes: r.probes,
+                abstentions: r.abstentions as u64,
+                mean_confidence: r.mean_confidence,
+            })
+        })
         .map_err(|e| PrimitiveError(e.to_string()))
 }
 

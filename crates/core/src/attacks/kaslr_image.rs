@@ -13,12 +13,10 @@ use phantom_kernel::image::LISTING1_OFFSET;
 use phantom_kernel::layout::{KaslrLayout, KERNEL_IMAGE_SLOTS};
 use phantom_kernel::System;
 use phantom_mem::VirtAddr;
-use phantom_pipeline::UarchProfile;
 use phantom_sidechannel::{bounded_score, NoiseModel};
 
-use crate::attacks::{scan_window, score_confidence, AttackError};
+use crate::attacks::{scan_slots, AttackError, SlotScanResult};
 use crate::primitives::{p1_probe_in_set, PrimitiveConfig};
-use crate::runner::{Scenario, ScenarioError, Trial};
 
 /// Configuration for the kernel-image KASLR break.
 #[derive(Debug, Clone)]
@@ -47,26 +45,6 @@ impl Default for KaslrImageConfig {
     }
 }
 
-/// Result of one derandomization run.
-#[derive(Debug, Clone, Copy)]
-pub struct KaslrImageResult {
-    /// The attacker's best guess.
-    pub guessed_slot: u64,
-    /// Ground truth (scoring only).
-    pub actual_slot: u64,
-    /// Whether the guess was right.
-    pub correct: bool,
-    /// The winning score.
-    pub best_score: i64,
-    /// How decisively the winner beat the runner-up, in `[0, 1]`
-    /// (see [`score_confidence`]).
-    pub confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
-}
-
 /// Run the attack on a booted system.
 ///
 /// # Errors
@@ -75,21 +53,19 @@ pub struct KaslrImageResult {
 pub fn break_kaslr_image(
     sys: &mut System,
     config: &KaslrImageConfig,
-) -> Result<KaslrImageResult, AttackError> {
+) -> Result<SlotScanResult, AttackError> {
     let attacker = VirtAddr::new(0x5000_0000);
     let cfg = PrimitiveConfig::for_system(sys, attacker);
     let mut noise = NoiseModel::realistic(config.seed);
-    let start_cycles = sys.machine().cycles();
-
-    let mut best: Option<(u64, i64)> = None;
-    let mut runner_up: i64 = 0;
-    for slot in config.slots.clone() {
+    let sets = config.sets_per_candidate;
+    let actual_slot = sys.layout().image_slot;
+    scan_slots(sys, config.slots.clone(), sets, actual_slot, |sys, slot| {
         let candidate_base = KaslrLayout::candidate_image_base(slot);
         let victim = candidate_base + LISTING1_OFFSET;
 
-        let mut signal = Vec::with_capacity(config.sets_per_candidate);
-        let mut baseline = Vec::with_capacity(config.sets_per_candidate);
-        for i in 0..config.sets_per_candidate {
+        let mut signal = Vec::with_capacity(sets);
+        let mut baseline = Vec::with_capacity(sets);
+        for i in 0..sets {
             // Monitored set S and a candidate-relative target inside
             // the (hypothetical) image that maps to S. The +0x2000
             // region is executable padding in every image.
@@ -106,90 +82,14 @@ pub fn break_kaslr_image(
             signal.push(t_ev);
             baseline.push(b_ev);
         }
-        let score = bounded_score(&signal, &baseline);
-        match best {
-            Some((_, s)) if score > s => {
-                runner_up = s;
-                best = Some((slot, score));
-            }
-            Some(_) => runner_up = runner_up.max(score),
-            None => best = Some((slot, score)),
-        }
-    }
-
-    let Some((guessed_slot, best_score)) = best else {
-        return Err(AttackError("empty slot range".into()));
-    };
-    let actual_slot = sys.layout().image_slot;
-    let cycles = sys.machine().cycles() - start_cycles;
-    Ok(KaslrImageResult {
-        guessed_slot,
-        actual_slot,
-        correct: guessed_slot == actual_slot,
-        best_score,
-        confidence: score_confidence(best_score, runner_up, config.sets_per_candidate),
-        cycles,
-        seconds: sys.machine().profile().cycles_to_seconds(cycles),
+        Ok(bounded_score(&signal, &baseline))
     })
-}
-
-/// The Table 3 sweep as a trial scenario: one kernel-image KASLR break
-/// per trial, each on its own freshly booted (rebooted) [`System`].
-#[derive(Debug, Clone)]
-pub struct KaslrImageSweep {
-    /// Microarchitecture under attack.
-    pub profile: UarchProfile,
-    /// Number of reboots (trials).
-    pub runs: usize,
-    /// Scanned window per run, in slots (0 = full 488).
-    pub window: u64,
-    /// Base seed; run `r` boots with `seed + r`.
-    pub seed: u64,
-}
-
-impl Scenario for KaslrImageSweep {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = KaslrImageResult;
-    type Output = Vec<KaslrImageResult>;
-
-    fn trials(&self) -> usize {
-        self.runs
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<KaslrImageResult, ScenarioError> {
-        let seed = self.seed + trial.index as u64;
-        let mut sys =
-            System::new_cached(self.profile.clone(), 1 << 30, seed).map_err(AttackError::from)?;
-        let slots = scan_window(sys.layout().image_slot, self.window, KERNEL_IMAGE_SLOTS);
-        let config = KaslrImageConfig {
-            slots,
-            seed,
-            ..Default::default()
-        };
-        Ok(break_kaslr_image(&mut sys, &config)?)
-    }
-
-    fn score(&self, samples: Vec<KaslrImageResult>) -> Vec<KaslrImageResult> {
-        samples
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phantom_pipeline::UarchProfile;
 
     /// Scan a window of slots guaranteed to contain the truth.
     fn window_around(actual: u64, width: u64) -> std::ops::Range<u64> {

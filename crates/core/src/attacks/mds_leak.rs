@@ -14,12 +14,10 @@
 use phantom_isa::BranchKind;
 use phantom_kernel::{sysno, System};
 use phantom_mem::{AccessKind, PageFlags, PrivilegeLevel, VirtAddr};
-use phantom_pipeline::UarchProfile;
 use phantom_sidechannel::{NoiseModel, Reading};
 
 use crate::attacks::AttackError;
 use crate::primitives::PrimitiveConfig;
-use crate::runner::{Scenario, ScenarioError, Trial};
 
 /// Configuration for the MDS leak.
 #[derive(Debug, Clone)]
@@ -170,64 +168,10 @@ pub fn leak_kernel_memory(
     })
 }
 
-/// The §7.4 sweep as a trial scenario: one `bytes`-long leak per trial,
-/// each on its own rebooted [`System`] (the paper reports 10 reboots,
-/// with total signal loss on 2 of them).
-#[derive(Debug, Clone)]
-pub struct MdsLeakSweep {
-    /// Microarchitecture under attack.
-    pub profile: UarchProfile,
-    /// Secret bytes leaked per reboot.
-    pub bytes: usize,
-    /// Number of reboots (trials).
-    pub runs: usize,
-    /// Base seed; run `r` boots with `seed + r`.
-    pub seed: u64,
-}
-
-impl Scenario for MdsLeakSweep {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = MdsLeakResult;
-    type Output = Vec<MdsLeakResult>;
-
-    fn trials(&self) -> usize {
-        self.runs
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<MdsLeakResult, ScenarioError> {
-        let seed = self.seed + trial.index as u64;
-        let mut sys =
-            System::new_cached(self.profile.clone(), 1 << 28, seed).map_err(AttackError::from)?;
-        let physmap = sys.layout().physmap_base();
-        let config = MdsLeakConfig {
-            bytes: self.bytes,
-            seed,
-            ..Default::default()
-        };
-        Ok(leak_kernel_memory(&mut sys, physmap, &config)?)
-    }
-
-    fn score(&self, samples: Vec<MdsLeakResult>) -> Vec<MdsLeakResult> {
-        samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phantom_pipeline::UarchProfile;
 
     #[test]
     fn leaks_kernel_secret_on_zen2() {

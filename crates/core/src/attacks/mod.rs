@@ -23,10 +23,12 @@ pub use branch_spectre::{
     out_of_place_cbp_alias, out_of_place_cbp_aliases, pht_channel_decoded_on, pht_channel_on,
     PhtChannelConfig, PhtChannelResult,
 };
-pub use kaslr_image::{break_kaslr_image, KaslrImageConfig, KaslrImageResult, KaslrImageSweep};
-pub use mds_leak::{leak_kernel_memory, MdsLeakConfig, MdsLeakResult, MdsLeakSweep};
-pub use physaddr::{find_physical_address, PhysAddrConfig, PhysAddrResult, PhysAddrSweep};
-pub use physmap::{break_physmap, PhysmapConfig, PhysmapResult, PhysmapSweep};
+pub use kaslr_image::{break_kaslr_image, KaslrImageConfig};
+pub use mds_leak::{leak_kernel_memory, MdsLeakConfig, MdsLeakResult};
+pub use physaddr::{find_physical_address, PhysAddrConfig, PhysAddrResult};
+pub use physmap::{break_physmap, PhysmapConfig};
+
+use phantom_kernel::System;
 
 /// A scan window of `width` slots guaranteed to contain `actual`
 /// (`width == 0` scans everything). Using a window scales the runtime
@@ -52,6 +54,72 @@ pub fn score_confidence(best: i64, runner_up: i64, sets: usize) -> f64 {
     }
     let full = (sets as i64 * phantom_sidechannel::SCORE_CLAMP).max(1) as f64;
     ((best - runner_up).max(0) as f64 / full).clamp(0.0, 1.0)
+}
+
+/// Result of one KASLR slot scan: a Table 3 (kernel image) or Table 4
+/// (physmap) run.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotScanResult {
+    /// The attacker's best guess.
+    pub guessed_slot: u64,
+    /// Ground truth (scoring only).
+    pub actual_slot: u64,
+    /// Whether the guess was right.
+    pub correct: bool,
+    /// The winning score.
+    pub best_score: i64,
+    /// How decisively the winner beat the runner-up, in `[0, 1]`
+    /// (see [`score_confidence`]).
+    pub confidence: f64,
+    /// Simulated cycles consumed.
+    pub cycles: u64,
+    /// Simulated seconds consumed.
+    pub seconds: f64,
+}
+
+/// Score every candidate in `slots` with `score` (a §7.3 bounded score
+/// over `sets` monitored sets) and keep the best one: the first of the
+/// highest scores wins, and the runner-up is the highest score below
+/// it. `actual_slot` is the ground truth, used only to grade the guess.
+///
+/// # Errors
+///
+/// Returns [`AttackError`] on an empty slot range or a failed probe.
+fn scan_slots(
+    sys: &mut System,
+    slots: std::ops::Range<u64>,
+    sets: usize,
+    actual_slot: u64,
+    mut score: impl FnMut(&mut System, u64) -> Result<i64, AttackError>,
+) -> Result<SlotScanResult, AttackError> {
+    let start_cycles = sys.machine().cycles();
+    let mut best: Option<(u64, i64)> = None;
+    let mut runner_up: i64 = 0;
+    for slot in slots {
+        let score = score(sys, slot)?;
+        match best {
+            Some((_, s)) if score > s => {
+                runner_up = s;
+                best = Some((slot, score));
+            }
+            Some(_) => runner_up = runner_up.max(score),
+            None => best = Some((slot, score)),
+        }
+    }
+
+    let Some((guessed_slot, best_score)) = best else {
+        return Err(AttackError("empty slot range".into()));
+    };
+    let cycles = sys.machine().cycles() - start_cycles;
+    Ok(SlotScanResult {
+        guessed_slot,
+        actual_slot,
+        correct: guessed_slot == actual_slot,
+        best_score,
+        confidence: score_confidence(best_score, runner_up, sets),
+        cycles,
+        seconds: sys.machine().profile().cycles_to_seconds(cycles),
+    })
 }
 
 /// Common error type for attack execution.

@@ -15,12 +15,10 @@ use phantom_isa::BranchKind;
 use phantom_kernel::image::{LISTING2_CALL_OFFSET, LISTING3_DISP, LISTING3_OFFSET};
 use phantom_kernel::System;
 use phantom_mem::{AccessKind, PageFlags, PrivilegeLevel, VirtAddr, HUGE_PAGE_SIZE};
-use phantom_pipeline::UarchProfile;
 use phantom_sidechannel::{NoiseModel, Reading};
 
 use crate::attacks::AttackError;
 use crate::primitives::PrimitiveConfig;
-use crate::runner::{Scenario, ScenarioError, Trial};
 
 /// Configuration for the physical-address search.
 #[derive(Debug, Clone)]
@@ -167,68 +165,10 @@ pub fn find_physical_address(
     })
 }
 
-/// The Table 5 sweep as a trial scenario: one physical-address search
-/// per trial, each on its own rebooted [`System`] with `phys_bytes` of
-/// memory (8 GiB and 64 GiB in the paper).
-#[derive(Debug, Clone)]
-pub struct PhysAddrSweep {
-    /// Microarchitecture under attack.
-    pub profile: UarchProfile,
-    /// Physical memory size of the attacked machine.
-    pub phys_bytes: u64,
-    /// Number of reboots (trials).
-    pub runs: usize,
-    /// Base seed; run `r` boots with `seed + r`.
-    pub seed: u64,
-}
-
-impl Scenario for PhysAddrSweep {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = PhysAddrResult;
-    type Output = Vec<PhysAddrResult>;
-
-    fn trials(&self) -> usize {
-        self.runs
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<PhysAddrResult, ScenarioError> {
-        let seed = self.seed + trial.index as u64;
-        let mut sys = System::new_cached(self.profile.clone(), self.phys_bytes, seed)
-            .map_err(AttackError::from)?;
-        let (image_base, physmap_base) = (sys.image().base, sys.layout().physmap_base());
-        let config = PhysAddrConfig {
-            max_decoys: 100,
-            seed,
-        };
-        Ok(find_physical_address(
-            &mut sys,
-            image_base,
-            physmap_base,
-            &config,
-        )?)
-    }
-
-    fn score(&self, samples: Vec<PhysAddrResult>) -> Vec<PhysAddrResult> {
-        samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phantom_pipeline::UarchProfile;
 
     #[test]
     fn finds_the_physical_address_on_zen2() {

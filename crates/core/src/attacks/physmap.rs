@@ -12,12 +12,10 @@ use phantom_kernel::image::{LISTING2_CALL_OFFSET, LISTING3_OFFSET};
 use phantom_kernel::layout::{KaslrLayout, PHYSMAP_SLOTS};
 use phantom_kernel::System;
 use phantom_mem::VirtAddr;
-use phantom_pipeline::UarchProfile;
 use phantom_sidechannel::{bounded_score, NoiseModel};
 
-use crate::attacks::{scan_window, score_confidence, AttackError};
+use crate::attacks::{scan_slots, AttackError, SlotScanResult};
 use crate::primitives::{p2_probe_in_set, PrimitiveConfig};
-use crate::runner::{Scenario, ScenarioError, Trial};
 
 /// Configuration for the physmap derandomization.
 #[derive(Debug, Clone)]
@@ -43,26 +41,6 @@ impl Default for PhysmapConfig {
     }
 }
 
-/// Result of one physmap derandomization run.
-#[derive(Debug, Clone, Copy)]
-pub struct PhysmapResult {
-    /// The attacker's best guess.
-    pub guessed_slot: u64,
-    /// Ground truth (scoring only).
-    pub actual_slot: u64,
-    /// Whether the guess was right.
-    pub correct: bool,
-    /// The winning score.
-    pub best_score: i64,
-    /// How decisively the winner beat the runner-up, in `[0, 1]`
-    /// (see [`score_confidence`]).
-    pub confidence: f64,
-    /// Simulated cycles consumed.
-    pub cycles: u64,
-    /// Simulated seconds consumed.
-    pub seconds: f64,
-}
-
 /// Run the attack. `image_base` is the kernel image base recovered by
 /// the §7.1 stage (the attack needs the Listing 2/3 addresses).
 ///
@@ -73,21 +51,19 @@ pub fn break_physmap(
     sys: &mut System,
     image_base: VirtAddr,
     config: &PhysmapConfig,
-) -> Result<PhysmapResult, AttackError> {
+) -> Result<SlotScanResult, AttackError> {
     let attacker = VirtAddr::new(0x5000_0000);
     let cfg = PrimitiveConfig::for_system(sys, attacker);
     let mut noise = NoiseModel::realistic(config.seed);
     let listing2_call = image_base + LISTING2_CALL_OFFSET;
     let listing3 = image_base + LISTING3_OFFSET;
-    let start_cycles = sys.machine().cycles();
-
-    let mut best: Option<(u64, i64)> = None;
-    let mut runner_up: i64 = 0;
-    for slot in config.slots.clone() {
+    let sets = config.sets_per_candidate;
+    let actual_slot = sys.layout().physmap_slot;
+    scan_slots(sys, config.slots.clone(), sets, actual_slot, |sys, slot| {
         let candidate = KaslrLayout::candidate_physmap_base(slot);
         let mut signal = Vec::new();
         let mut baseline = Vec::new();
-        for i in 0..config.sets_per_candidate {
+        for i in 0..sets {
             let set = (7 + i * 23) % 64;
             // Physical offset 1 MiB (+ set selector): RAM that certainly
             // exists; its direct-map address is candidate + offset.
@@ -103,92 +79,14 @@ pub fn break_physmap(
             signal.push(t_ev);
             baseline.push(b_ev);
         }
-        let score = bounded_score(&signal, &baseline);
-        match best {
-            Some((_, s)) if score > s => {
-                runner_up = s;
-                best = Some((slot, score));
-            }
-            Some(_) => runner_up = runner_up.max(score),
-            None => best = Some((slot, score)),
-        }
-    }
-
-    let Some((guessed_slot, best_score)) = best else {
-        return Err(AttackError("empty slot range".into()));
-    };
-    let actual_slot = sys.layout().physmap_slot;
-    let cycles = sys.machine().cycles() - start_cycles;
-    Ok(PhysmapResult {
-        guessed_slot,
-        actual_slot,
-        correct: guessed_slot == actual_slot,
-        best_score,
-        confidence: score_confidence(best_score, runner_up, config.sets_per_candidate),
-        cycles,
-        seconds: sys.machine().profile().cycles_to_seconds(cycles),
+        Ok(bounded_score(&signal, &baseline))
     })
-}
-
-/// The Table 4 sweep as a trial scenario: one physmap break per trial,
-/// each on its own rebooted [`System`]. The §7.1 image base is read
-/// from the fresh boot (that stage's output precedes this one).
-#[derive(Debug, Clone)]
-pub struct PhysmapSweep {
-    /// Microarchitecture under attack.
-    pub profile: UarchProfile,
-    /// Number of reboots (trials).
-    pub runs: usize,
-    /// Scanned window per run, in slots (0 = full 25 600).
-    pub window: u64,
-    /// Base seed; run `r` boots with `seed + r`.
-    pub seed: u64,
-}
-
-impl Scenario for PhysmapSweep {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = PhysmapResult;
-    type Output = Vec<PhysmapResult>;
-
-    fn trials(&self) -> usize {
-        self.runs
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<PhysmapResult, ScenarioError> {
-        let seed = self.seed + trial.index as u64;
-        let mut sys =
-            System::new_cached(self.profile.clone(), 1 << 30, seed).map_err(AttackError::from)?;
-        let slots = scan_window(sys.layout().physmap_slot, self.window, PHYSMAP_SLOTS);
-        let image_base = sys.image().base; // the §7.1 stage's output
-        let config = PhysmapConfig {
-            slots,
-            seed,
-            ..Default::default()
-        };
-        Ok(break_physmap(&mut sys, image_base, &config)?)
-    }
-
-    fn score(&self, samples: Vec<PhysmapResult>) -> Vec<PhysmapResult> {
-        samples
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phantom_pipeline::UarchProfile;
 
     fn window_around(actual: u64, width: u64) -> std::ops::Range<u64> {
         let lo = actual.saturating_sub(width / 2);

@@ -9,7 +9,7 @@ use phantom_pipeline::{Machine, TransientReport, UarchProfile};
 use phantom_sidechannel::NoiseModel;
 
 use crate::channel::{ChannelError, ExChannel, IdChannel, IfChannel};
-use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
+use crate::runner::TrialRunner;
 
 /// The instruction used to *train* the predictor (§5.2's five rows).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -457,60 +457,9 @@ pub struct Table1Cell {
     pub stages: Vec<(phantom_pipeline::IStr, Stage)>,
 }
 
-/// The Table 1 sweep as a trial scenario: one trial per (training ×
-/// victim × microarchitecture) cell, each on a fresh machine — so the
-/// whole sweep shards across cores with no shared state.
-struct Table1Scenario<'a> {
-    profiles: &'a [UarchProfile],
-    combos: Vec<(TrainKind, VictimKind)>,
-    seed: u64,
-}
-
-impl Scenario for Table1Scenario<'_> {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = (phantom_pipeline::IStr, Stage);
-    type Output = Vec<Table1Cell>;
-
-    fn trials(&self) -> usize {
-        self.combos.len() * self.profiles.len()
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<Self::Sample, ScenarioError> {
-        let (train, victim) = self.combos[trial.index / self.profiles.len()];
-        let profile = self.profiles[trial.index % self.profiles.len()].clone();
-        let name = profile.name.clone();
-        let outcome = run_combo(profile, train, victim, self.seed)?;
-        Ok((name, outcome.stage_enum()))
-    }
-
-    fn score(&self, samples: Vec<Self::Sample>) -> Vec<Table1Cell> {
-        self.combos
-            .iter()
-            .zip(samples.chunks(self.profiles.len().max(1)))
-            .map(|(&(train, victim), stages)| Table1Cell {
-                train,
-                victim,
-                stages: stages.to_vec(),
-            })
-            .collect()
-    }
-}
-
-/// Run the full Table 1 sweep over the given microarchitectures,
-/// sharded across the runner's workers.
+/// Run the full Table 1 sweep over the given microarchitectures: one
+/// trial per (training × victim × microarchitecture) cell, each on a
+/// fresh machine, sharded across the runner's workers.
 ///
 /// # Errors
 ///
@@ -520,14 +469,24 @@ pub fn table1_on(
     profiles: &[UarchProfile],
     seed: u64,
 ) -> Result<Vec<Table1Cell>, ChannelError> {
-    let scenario = Table1Scenario {
-        profiles,
-        combos: asymmetric_combos(),
-        seed,
-    };
-    runner
-        .run(&scenario, seed)
-        .map_err(|e| ChannelError(e.to_string()))
+    let combos = asymmetric_combos();
+    let stages = runner
+        .map(combos.len() * profiles.len(), seed, |trial| {
+            let (train, victim) = combos[trial.index / profiles.len()];
+            let profile = profiles[trial.index % profiles.len()].clone();
+            let name = profile.name.clone();
+            Ok((name, run_combo(profile, train, victim, seed)?.stage_enum()))
+        })
+        .map_err(|e| ChannelError(e.to_string()))?;
+    Ok(combos
+        .iter()
+        .zip(stages.chunks(profiles.len().max(1)))
+        .map(|(&(train, victim), stages)| Table1Cell {
+            train,
+            victim,
+            stages: stages.to_vec(),
+        })
+        .collect())
 }
 
 /// One Figure 6 data point: µop-cache misses observed when C sits at a
@@ -544,8 +503,9 @@ pub struct Figure6Point {
 }
 
 /// The Figure 6 sweep: non-branch victim trained with `jmp*`, target C
-/// placed at every page offset; the ID channel (series fixed at
-/// `series_offset`) only fires when C's offset matches.
+/// placed at every page offset, one trial on a fresh machine each; the
+/// ID channel (series fixed at `series_offset`) only fires when C's
+/// offset matches.
 ///
 /// # Errors
 ///
@@ -564,57 +524,15 @@ pub fn figure6_on(
         offsets.push(series_offset);
         offsets.sort_unstable();
     }
-    let scenario = Figure6Scenario {
-        profile,
-        series_offset,
-        offsets,
-    };
     runner
-        .run(&scenario, 0)
+        .map(offsets.len(), 0, |trial| {
+            Ok(figure6_point(
+                &profile,
+                offsets[trial.index],
+                series_offset,
+            )?)
+        })
         .map_err(|e| ChannelError(e.to_string()))
-}
-
-/// The Figure 6 sweep as a scenario: one trial per page offset, each on
-/// a fresh machine.
-struct Figure6Scenario {
-    profile: UarchProfile,
-    series_offset: u64,
-    offsets: Vec<u64>,
-}
-
-impl Scenario for Figure6Scenario {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = Figure6Point;
-    type Output = Vec<Figure6Point>;
-
-    fn trials(&self) -> usize {
-        self.offsets.len()
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<Figure6Point, ScenarioError> {
-        Ok(figure6_point(
-            &self.profile,
-            self.offsets[trial.index],
-            self.series_offset,
-        )?)
-    }
-
-    fn score(&self, samples: Vec<Figure6Point>) -> Vec<Figure6Point> {
-        samples
-    }
 }
 
 /// Measure one Figure 6 offset on a fresh machine.

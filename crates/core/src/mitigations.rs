@@ -16,7 +16,7 @@ use phantom_sidechannel::NoiseModel;
 use crate::channel::ChannelError;
 use crate::experiment::{run_combo_msr, ComboOutcome, TrainKind, VictimKind, NOPS_THEN_HALT};
 use crate::primitives::{p1_detect_executable, PrimitiveConfig, PrimitiveError};
-use crate::runner::{Scenario, ScenarioError, Trial, TrialRunner};
+use crate::runner::{ScenarioError, TrialRunner};
 
 /// The O4 experiment: the non-branch victim column with and without
 /// `SuppressBPOnNonBr`.
@@ -522,58 +522,10 @@ pub struct OverheadResult {
     pub geomean_overhead_pct: f64,
 }
 
-/// The overhead suite as a trial scenario: one trial per workload, each
-/// measuring the baseline/suppressed cycle pair on fresh machines.
-struct OverheadScenario {
-    profile: UarchProfile,
-    suite: Vec<Workload>,
-}
-
-impl Scenario for OverheadScenario {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = (&'static str, u64, u64);
-    type Output = OverheadResult;
-
-    fn trials(&self) -> usize {
-        self.suite.len()
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<Self::Sample, ScenarioError> {
-        let wl = &self.suite[trial.index];
-        let base = run_workload(&self.profile, wl, false)?;
-        let supp = run_workload(&self.profile, wl, true)?;
-        Ok((wl.name, base, supp))
-    }
-
-    fn score(&self, per_workload: Vec<Self::Sample>) -> OverheadResult {
-        let log_sum: f64 = per_workload
-            .iter()
-            .map(|&(_, base, supp)| (supp as f64 / base as f64).ln())
-            .sum();
-        let geomean = (log_sum / per_workload.len().max(1) as f64).exp();
-        OverheadResult {
-            per_workload,
-            geomean_overhead_pct: (geomean - 1.0) * 100.0,
-        }
-    }
-}
-
 /// Measure the cycle overhead of `SuppressBPOnNonBr` over the workload
 /// suite, geomean over workloads (like the paper's UnixBench runs),
-/// with one runner trial per workload.
+/// with one runner trial per workload, each measuring the
+/// baseline/suppressed cycle pair on fresh machines.
 ///
 /// # Errors
 ///
@@ -582,11 +534,22 @@ pub fn suppress_overhead_on(
     runner: &TrialRunner,
     profile: UarchProfile,
 ) -> Result<OverheadResult, ScenarioError> {
-    let scenario = OverheadScenario {
-        profile,
-        suite: workload_suite(),
-    };
-    runner.run(&scenario, 0)
+    let suite = workload_suite();
+    let per_workload = runner.map(suite.len(), 0, |trial| {
+        let wl = &suite[trial.index];
+        let base = run_workload(&profile, wl, false)?;
+        let supp = run_workload(&profile, wl, true)?;
+        Ok((wl.name, base, supp))
+    })?;
+    let log_sum: f64 = per_workload
+        .iter()
+        .map(|&(_, base, supp)| (supp as f64 / base as f64).ln())
+        .sum();
+    let geomean = (log_sum / per_workload.len().max(1) as f64).exp();
+    Ok(OverheadResult {
+        per_workload,
+        geomean_overhead_pct: (geomean - 1.0) * 100.0,
+    })
 }
 
 #[cfg(test)]

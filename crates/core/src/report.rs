@@ -8,7 +8,7 @@ mod proptests;
 pub mod value;
 
 use crate::ablation::NoiseSweepPoint;
-use crate::attacks::{KaslrImageResult, MdsLeakResult, PhysAddrResult, PhysmapResult};
+use crate::attacks::{MdsLeakResult, PhysAddrResult, SlotScanResult};
 use crate::collide::Figure7;
 use crate::covert::CovertResult;
 use crate::experiment::{Figure6Point, Table1Cell};
@@ -103,15 +103,16 @@ pub fn render_table2(results: &[CovertResult]) -> String {
     )
 }
 
-/// Render Table 3 rows (kernel-image KASLR runs).
-pub fn render_table3(uarch: &str, runs: &[KaslrImageResult]) -> String {
-    let correct = runs.iter().filter(|r| r.correct).count();
-    let mut secs: Vec<f64> = runs.iter().map(|r| r.seconds).collect();
+/// One attack-table line: `title`, then the accuracy and median
+/// simulated time of `runs`, each graded by `outcome` as (correct,
+/// seconds).
+fn render_attack_runs<T>(title: &str, runs: &[T], outcome: impl Fn(&T) -> (bool, f64)) -> String {
+    let correct = runs.iter().filter(|r| outcome(r).0).count();
+    let mut secs: Vec<f64> = runs.iter().map(|r| outcome(r).1).collect();
     secs.sort_by(f64::total_cmp);
     let median = secs.get(secs.len() / 2).copied().unwrap_or(0.0);
     format!(
-        "Table 3 [{}]: kernel image KASLR — accuracy {}/{} ({:.0}%), median time {:.4}s (simulated)\n",
-        uarch,
+        "{title} — accuracy {}/{} ({:.0}%), median time {:.4}s (simulated)\n",
         correct,
         runs.len(),
         100.0 * correct as f64 / runs.len().max(1) as f64,
@@ -119,36 +120,18 @@ pub fn render_table3(uarch: &str, runs: &[KaslrImageResult]) -> String {
     )
 }
 
-/// Render Table 4 rows (physmap KASLR runs).
-pub fn render_table4(uarch: &str, runs: &[PhysmapResult]) -> String {
-    let correct = runs.iter().filter(|r| r.correct).count();
-    let mut secs: Vec<f64> = runs.iter().map(|r| r.seconds).collect();
-    secs.sort_by(f64::total_cmp);
-    let median = secs.get(secs.len() / 2).copied().unwrap_or(0.0);
-    format!(
-        "Table 4 [{}]: physmap KASLR — accuracy {}/{} ({:.0}%), median time {:.4}s (simulated)\n",
-        uarch,
-        correct,
-        runs.len(),
-        100.0 * correct as f64 / runs.len().max(1) as f64,
-        median
-    )
+/// Render Table 3 or Table 4 rows (KASLR slot scans) under `title`,
+/// e.g. `Table 3 [Zen 3]: kernel image KASLR`.
+pub fn render_slot_table(title: &str, runs: &[SlotScanResult]) -> String {
+    render_attack_runs(title, runs, |r| (r.correct, r.seconds))
 }
 
 /// Render Table 5 rows (physical-address search runs).
 pub fn render_table5(uarch: &str, memory_gib: u64, runs: &[PhysAddrResult]) -> String {
-    let correct = runs.iter().filter(|r| r.correct).count();
-    let mut secs: Vec<f64> = runs.iter().map(|r| r.seconds).collect();
-    secs.sort_by(f64::total_cmp);
-    let median = secs.get(secs.len() / 2).copied().unwrap_or(0.0);
-    format!(
-        "Table 5 [{} | {} GiB]: physical address — accuracy {}/{} ({:.0}%), median time {:.4}s (simulated)\n",
-        uarch,
-        memory_gib,
-        correct,
-        runs.len(),
-        100.0 * correct as f64 / runs.len().max(1) as f64,
-        median
+    render_attack_runs(
+        &format!("Table 5 [{uarch} | {memory_gib} GiB]: physical address"),
+        runs,
+        |r| (r.correct, r.seconds),
     )
 }
 
@@ -312,9 +295,8 @@ mod tests {
 
     #[test]
     fn attack_tables_render_accuracy_and_median() {
-        use crate::attacks::KaslrImageResult;
         let runs = vec![
-            KaslrImageResult {
+            SlotScanResult {
                 guessed_slot: 5,
                 actual_slot: 5,
                 correct: true,
@@ -323,7 +305,7 @@ mod tests {
                 cycles: 1000,
                 seconds: 0.5,
             },
-            KaslrImageResult {
+            SlotScanResult {
                 guessed_slot: 3,
                 actual_slot: 7,
                 correct: false,
@@ -333,7 +315,7 @@ mod tests {
                 seconds: 1.5,
             },
         ];
-        let s = render_table3("Zen 3", &runs);
+        let s = render_slot_table("Table 3 [Zen 3]: kernel image KASLR", &runs);
         assert!(s.contains("1/2"));
         assert!(s.contains("50%"));
         assert!(

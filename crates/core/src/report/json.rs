@@ -26,9 +26,7 @@
 use std::fmt;
 
 use crate::ablation::NoiseSweepPoint;
-use crate::attacks::{
-    KaslrImageResult, MdsLeakResult, PhtChannelResult, PhysAddrResult, PhysmapResult,
-};
+use crate::attacks::{MdsLeakResult, PhtChannelResult, PhysAddrResult, SlotScanResult};
 use crate::collide::Figure7;
 use crate::covert::CovertResult;
 use crate::experiment::{ComboOutcome, Figure6Point, Table1Cell};
@@ -406,8 +404,8 @@ impl From<&PhtChannelResult> for PhtChannelRecord {
 }
 
 record! {
-    /// One KASLR-style run: used for both Table 3 (kernel image) and
-    /// Table 4 (physmap), whose result shapes are identical.
+    /// One KASLR slot scan ([`SlotScanResult`]): a Table 3 (kernel
+    /// image) or Table 4 (physmap) run.
     /// `confidence` is lenient so baselines recorded before the field
     /// keep loading.
     #[derive(Debug, Clone, PartialEq)]
@@ -429,22 +427,8 @@ record! {
     }
 }
 
-impl From<&KaslrImageResult> for SlotRunRecord {
-    fn from(r: &KaslrImageResult) -> SlotRunRecord {
-        SlotRunRecord {
-            guessed_slot: r.guessed_slot,
-            actual_slot: r.actual_slot,
-            correct: r.correct,
-            best_score: r.best_score,
-            confidence: r.confidence,
-            cycles: r.cycles,
-            seconds: r.seconds,
-        }
-    }
-}
-
-impl From<&PhysmapResult> for SlotRunRecord {
-    fn from(r: &PhysmapResult) -> SlotRunRecord {
+impl From<&SlotScanResult> for SlotRunRecord {
+    fn from(r: &SlotScanResult) -> SlotRunRecord {
         SlotRunRecord {
             guessed_slot: r.guessed_slot,
             actual_slot: r.actual_slot,

@@ -5,21 +5,20 @@
 //!
 //! # The scenario contract
 //!
-//! A scenario splits an experiment into six phases:
+//! A scenario splits an experiment into five phases:
 //!
 //! 1. [`setup`](Scenario::setup) — build the world (a machine or a
-//!    booted [`System`](phantom_kernel::System), channels, geography).
-//!    Called **once per run**, never per shard;
-//! 2. [`train`](Scenario::train) — put the world into the measured
-//!    configuration (warm predictors, prime caches). Optional;
-//! 3. [`checkpoint`](Scenario::checkpoint) — seal the trained world
+//!    booted [`System`](phantom_kernel::System), channels, geography)
+//!    in its measured configuration. Called **once per run**, never
+//!    per shard;
+//! 2. [`checkpoint`](Scenario::checkpoint) — seal the set-up world
 //!    into an immutable, thread-shareable fork point;
-//! 4. [`fork`](Scenario::fork) — stamp out one worker's private copy
-//!    of the checkpointed world. Must reproduce the post-train state
+//! 3. [`fork`](Scenario::fork) — stamp out one worker's private copy
+//!    of the checkpointed world. Must reproduce the post-setup state
 //!    exactly;
-//! 5. [`probe`](Scenario::probe) — one independent trial, producing a
+//! 4. [`probe`](Scenario::probe) — one independent trial, producing a
 //!    [`Scenario::Sample`];
-//! 6. [`score`](Scenario::score) — fold all samples, **in trial
+//! 5. [`score`](Scenario::score) — fold all samples, **in trial
 //!    order**, into the experiment's output.
 //!
 //! Worlds backed by a [`Machine`](phantom_pipeline::Machine) get the
@@ -34,10 +33,12 @@
 //! calibrated template, which holds numbers rather than a machine) use
 //! the shared template itself as state and checkpoint, so `fork` is an
 //! `Arc` clone.
-//! Scenarios that boot a fresh world inside every probe carry no
-//! shared state at all and use `type Checkpoint = ()`; their boots are
-//! boot-template instances
-//! ([`System::new_cached`](phantom_kernel::System::new_cached)).
+//!
+//! Sweeps that boot a fresh world inside every trial share no world at
+//! all, so they are not scenarios: they pass a closure over the
+//! [`Trial`] to [`TrialRunner::map`] and fold the samples they get back
+//! (their boots are boot-template instances,
+//! [`System::new_cached`](phantom_kernel::System::new_cached)).
 //!
 //! # Determinism across worker counts
 //!
@@ -45,9 +46,9 @@
 //! threads, so results must not depend on which worker measures which
 //! trial, nor on completion order. Three rules make that hold:
 //!
-//! * `setup` + `train` run once and must be deterministic;
+//! * `setup` runs once and must be deterministic;
 //! * every [`fork`](Scenario::fork) must be observationally identical
-//!   to the post-train state (a copy-on-write clone trivially is);
+//!   to the post-setup state (a copy-on-write clone trivially is);
 //! * `probe` must be a pure function of the forked state and the
 //!   [`Trial`] (its per-trial seed is derived from the base seed and
 //!   the trial index only). Scenarios whose probes mutate the world
@@ -60,8 +61,9 @@
 //! produced them, so a 1-worker run and an N-worker run — even with
 //! adversarially skewed completion order — produce byte-identical
 //! outputs (`tests/determinism.rs` enforces this for the shipped
-//! scenarios).
+//! scenarios and for [`TrialRunner::map`]).
 
+use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -96,26 +98,15 @@ pub trait Scenario: Sync {
     /// Number of trials to run.
     fn trials(&self) -> usize;
 
-    /// Build the world. Called once per run; must be deterministic.
+    /// Build the world in its measured configuration. Called once per
+    /// run; must be deterministic.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError`] if the world cannot be built.
     fn setup(&self) -> Result<Self::State, ScenarioError>;
 
-    /// Put the world into the measured configuration. Called once,
-    /// after [`setup`](Scenario::setup). Defaults to a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError`] on training failure.
-    fn train(&self, _state: &mut Self::State) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    /// Seal the trained world into the shared fork point. Scenarios
-    /// with no shared world use `type Checkpoint = ()` and drop the
-    /// state here.
+    /// Seal the set-up world into the shared fork point.
     ///
     /// # Errors
     ///
@@ -123,7 +114,7 @@ pub trait Scenario: Sync {
     fn checkpoint(&self, state: Self::State) -> Result<Self::Checkpoint, ScenarioError>;
 
     /// Stamp out one worker's private state from the checkpoint. Must
-    /// be observationally identical to the post-train state — the
+    /// be observationally identical to the post-setup state — the
     /// determinism contract above rests on it.
     ///
     /// # Errors
@@ -145,7 +136,7 @@ pub trait Scenario: Sync {
 
 /// Runs a [`Scenario`]'s trials on a work-stealing worker pool.
 ///
-/// `setup → train → checkpoint` run once; each worker forks a private
+/// `setup → checkpoint` run once; each worker forks a private
 /// state from the checkpoint and claims trials one at a time from a
 /// shared cursor, so a straggling trial never idles the other workers
 /// behind a shard boundary. Samples are folded in trial-index order,
@@ -197,8 +188,8 @@ impl TrialRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ScenarioError`] from setup, training,
-    /// checkpointing, forking or any probe (for probe errors, "first"
+    /// Returns the first [`ScenarioError`] from setup, checkpointing,
+    /// forking or any probe (for probe errors, "first"
     /// means the lowest-index trial among the errors observed before
     /// the run aborted).
     pub fn run<S: Scenario>(
@@ -207,9 +198,7 @@ impl TrialRunner {
         base_seed: u64,
     ) -> Result<S::Output, ScenarioError> {
         let n = scenario.trials();
-        let mut state = scenario.setup()?;
-        scenario.train(&mut state)?;
-        let checkpoint = scenario.checkpoint(state)?;
+        let checkpoint = scenario.checkpoint(scenario.setup()?)?;
         let workers = self.threads.min(n.max(1));
         let samples = if workers == 1 {
             let mut state = scenario.fork(&checkpoint)?;
@@ -226,6 +215,33 @@ impl TrialRunner {
             self.run_pool(scenario, &checkpoint, base_seed, n, workers)?
         };
         Ok(scenario.score(samples))
+    }
+
+    /// Run `probe` on trials `0..trials` and return the samples in
+    /// trial order: the runner for sweeps whose trials share no world
+    /// (each boots its own machine or system). The pool, the per-trial
+    /// seeds, the one bounded retry and the
+    /// [`trial_retries`](TrialRunner::trial_retries) tally are
+    /// [`run`](TrialRunner::run)'s.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest-index probe error observed before the run
+    /// aborted, as [`run`](TrialRunner::run) does.
+    pub fn map<T: Send>(
+        &self,
+        trials: usize,
+        base_seed: u64,
+        probe: impl Fn(Trial) -> Result<T, ScenarioError> + Sync,
+    ) -> Result<Vec<T>, ScenarioError> {
+        self.run(
+            &Stateless {
+                trials,
+                probe,
+                sample: PhantomData,
+            },
+            base_seed,
+        )
     }
 
     /// The work-stealing pool: `workers` threads race on an atomic
@@ -323,7 +339,7 @@ impl TrialRunner {
     /// (e.g. an eviction-set page unmapped mid-measurement surfaces as
     /// a `ProbeError`), so re-fork a fresh world from the checkpoint
     /// once and retry the same trial. Determinism holds because a
-    /// fresh fork is exactly the post-train state the probe contract
+    /// fresh fork is exactly the post-setup state the probe contract
     /// requires. A second failure is treated as systematic and
     /// propagated. Every retry is tallied in
     /// [`trial_retries`](TrialRunner::trial_retries).
@@ -345,21 +361,54 @@ impl TrialRunner {
     }
 }
 
+/// [`TrialRunner::map`]'s scenario: no world to set up, seal or fork,
+/// and the samples unchanged as the output.
+struct Stateless<F, T> {
+    trials: usize,
+    probe: F,
+    sample: PhantomData<fn() -> T>,
+}
+
+impl<F, T> Scenario for Stateless<F, T>
+where
+    F: Fn(Trial) -> Result<T, ScenarioError> + Sync,
+    T: Send,
+{
+    type State = ();
+    type Checkpoint = ();
+    type Sample = T;
+    type Output = Vec<T>;
+
+    fn trials(&self) -> usize {
+        self.trials
+    }
+
+    fn setup(&self) -> Result<(), ScenarioError> {
+        Ok(())
+    }
+
+    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
+        Ok(())
+    }
+
+    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
+        Ok(())
+    }
+
+    fn probe(&self, (): &mut (), trial: Trial) -> Result<T, ScenarioError> {
+        (self.probe)(trial)
+    }
+
+    fn score(&self, samples: Vec<T>) -> Vec<T> {
+        samples
+    }
+}
+
 /// Derive the seed for trial `index` from the run's base seed. A pure
 /// function of its arguments (SplitMix64 over both), so per-trial
 /// randomness never depends on worker count or claim order.
 pub fn trial_seed(base_seed: u64, index: usize) -> u64 {
     splitmix64(base_seed ^ splitmix64(0x5851_f42d_4c95_7f2d ^ index as u64))
-}
-
-/// Majority vote over `total` redundant probes of one bit. Ties (and an
-/// empty vote) are `false` — callers that need to distinguish a tie
-/// from a 0-majority use
-/// [`VoteTally::majority`](phantom_sidechannel::VoteTally::majority)
-/// via the adaptive decoder instead.
-#[cfg(test)]
-pub fn majority(votes: u32, total: u32) -> bool {
-    votes * 2 > total
 }
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -441,47 +490,19 @@ mod tests {
         assert_ne!(trial_seed(42, 7), trial_seed(43, 7));
     }
 
-    struct Failing;
-
-    impl Scenario for Failing {
-        type State = ();
-        type Checkpoint = ();
-        type Sample = ();
-        type Output = ();
-
-        fn trials(&self) -> usize {
-            4
-        }
-
-        fn setup(&self) -> Result<(), ScenarioError> {
-            Ok(())
-        }
-
-        fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-            Ok(())
-        }
-
-        fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-            Ok(())
-        }
-
-        fn probe(&self, _state: &mut (), trial: Trial) -> Result<(), ScenarioError> {
+    #[test]
+    fn probe_errors_propagate() {
+        // Trial 2 errors deterministically, so the one bounded retry
+        // fails too and the error still reaches the caller.
+        let failing = |trial: Trial| -> Result<(), ScenarioError> {
             if trial.index == 2 {
                 return Err("trial 2 exploded".into());
             }
             Ok(())
-        }
-
-        fn score(&self, _samples: Vec<()>) {}
-    }
-
-    #[test]
-    fn probe_errors_propagate() {
-        // `Failing` errors deterministically, so the one bounded retry
-        // fails too and the error still reaches the caller.
+        };
         for threads in [1, 4] {
             let runner = TrialRunner::with_threads(threads);
-            let err = runner.run(&Failing, 0).unwrap_err();
+            let err = runner.map(4, 0, failing).unwrap_err();
             assert!(
                 err.to_string().contains("trial 2"),
                 "{threads} workers: {err}"
@@ -535,7 +556,7 @@ mod tests {
         }
 
         fn probe(&self, state: &mut u64, trial: Trial) -> Result<usize, ScenarioError> {
-            assert_eq!(*state, 7, "retry re-forked the post-train state");
+            assert_eq!(*state, 7, "retry re-forked the post-setup state");
             if trial.index == 2
                 && self
                     .attempts
@@ -573,6 +594,23 @@ mod tests {
                 "{threads} workers: one fork per worker plus one retry"
             );
             assert_eq!(runner.trial_retries(), 1, "{threads} workers");
+
+            // The same flake under `map`: no world to re-fork, the same
+            // one retry of the same trial.
+            let attempts = std::sync::atomic::AtomicUsize::new(0);
+            let runner = TrialRunner::with_threads(threads);
+            let out = runner
+                .map(5, 0, |trial| {
+                    if trial.index == 2
+                        && attempts.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0
+                    {
+                        return Err("eviction set unmapped mid-probe".into());
+                    }
+                    Ok(trial.index)
+                })
+                .unwrap_or_else(|e| panic!("{threads} workers: {e}"));
+            assert_eq!(out, (0..5).collect::<Vec<_>>(), "{threads} workers, map");
+            assert_eq!(runner.trial_retries(), 1, "{threads} workers, map");
         }
     }
 
@@ -585,24 +623,5 @@ mod tests {
         runner.run(&FlakyOnce::new(), 0).unwrap();
         assert_eq!(runner.trial_retries(), 2, "one retry per flaky run");
         assert_eq!(observer.trial_retries(), 2, "clones share the tally");
-    }
-
-    #[test]
-    fn majority_votes() {
-        assert!(majority(2, 3));
-        assert!(!majority(1, 3));
-        assert!(!majority(0, 1));
-        assert!(majority(1, 1));
-    }
-
-    #[test]
-    fn majority_breaks_ties_and_even_votes_conservatively() {
-        // An exact tie never decodes as 1.
-        assert!(!majority(1, 2));
-        assert!(!majority(2, 4));
-        assert!(!majority(0, 0));
-        // Even totals with a real majority still decode.
-        assert!(majority(3, 4));
-        assert!(!majority(1, 4));
     }
 }

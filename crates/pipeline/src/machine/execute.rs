@@ -184,8 +184,6 @@ impl Machine {
                     if matches!(kind, BranchKind::Call | BranchKind::CallInd) {
                         self.push_return(pc + len)?;
                         self.bpu.rsb_mut().push(pc + len);
-                    } else {
-                        self.bpu.record_edge(pc, target);
                     }
                     next = target;
                 }

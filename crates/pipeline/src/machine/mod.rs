@@ -239,8 +239,8 @@ impl Machine {
     /// chunk that may differ is pointed at the store's shared cold
     /// chunk, and another shape builds a table of cold chunks (see
     /// [`SetAssocCache::reset`](phantom_cache::SetAssocCache::reset)
-    /// and [`Cbp::reset`](phantom_bpu::Cbp::reset)). The BTB, RSB and
-    /// BHB are rebuilt, and physical memory, the page table, the TLB,
+    /// and [`Cbp::reset`](phantom_bpu::Cbp::reset)). The BTB and RSB
+    /// are rebuilt, and physical memory, the page table, the TLB,
     /// the registers and the decode cache start fresh, as in `new`.
     pub fn reset(&mut self, profile: UarchProfile, phys_bytes: u64) {
         // Destructured so that a new field cannot be left out.

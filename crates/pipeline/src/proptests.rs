@@ -723,7 +723,7 @@ fn arb_reset_target() -> impl Strategy<Value = UarchProfile> {
 /// (the µop cache it compares whole, by equality): each cache level's
 /// shape, counts and per-set contents, the CBP's
 /// trained entries, history and counters and the BTB's and RSB's
-/// contents at every text line, the BHB, and the TLB's counts and
+/// contents at every text line, the MSRs, and the TLB's counts and
 /// occupancy.
 fn structure_view(m: &Machine) -> Vec<String> {
     let mut view = vec![format!("{:?}", m.profile())];
@@ -740,14 +740,13 @@ fn structure_view(m: &Machine) -> Vec<String> {
     let bpu = m.bpu();
     let (cbp, btb) = (bpu.cbp(), bpu.btb());
     view.push(format!(
-        "cbp {} {} {}; btb {}; rsb {} {:?}; bhb {}; msr {:?}",
+        "cbp {} {} {}; btb {}; rsb {} {:?}; msr {:?}",
         cbp.scheme().summary(),
         cbp.len(),
         cbp.ghr(),
         btb.len(),
         bpu.rsb().len(),
         bpu.rsb().peek(),
-        bpu.bhb().raw(),
         bpu.msr(),
     ));
     for off in (0..0x4000).step_by(2) {

@@ -7,15 +7,15 @@
 //! 3. whether a phantom (frontend-resteered) path can still execute a
 //!    load — the Zen 1/2 privilege the exploits build on.
 //!
-//! The per-microarchitecture rows are written as a custom
-//! [`Scenario`] — the same four-hook contract every experiment in the
-//! workspace uses — and sharded across threads by a [`TrialRunner`].
-//! Row order and contents are identical at any thread count.
+//! Each per-microarchitecture row is one trial of a closure passed to
+//! [`TrialRunner::map`] — the runner every reboot-per-run sweep in the
+//! workspace uses — and the rows shard across its threads. Row order
+//! and contents are identical at any thread count.
 //!
 //! Run with: `cargo run --release --example spectre_vs_phantom`
 
 use phantom::experiment::{run_combo, TrainKind, VictimKind};
-use phantom::runner::{Scenario, ScenarioError, Trial, TrialRunner};
+use phantom::runner::TrialRunner;
 use phantom::spectre::{spectre_v2_leak, window_comparison};
 use phantom::UarchProfile;
 
@@ -27,37 +27,13 @@ struct Row {
     phantom_executed: bool,
 }
 
-/// One trial per microarchitecture; each boots its own machines.
-struct Comparison {
-    profiles: Vec<UarchProfile>,
-}
-
-impl Scenario for Comparison {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = Row;
-    type Output = Vec<Row>;
-
-    fn trials(&self) -> usize {
-        self.profiles.len()
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, _state: &mut (), trial: Trial) -> Result<Row, ScenarioError> {
-        let profile = self.profiles[trial.index].clone();
+fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
+    let profiles = UarchProfile::amd();
+    // One trial per microarchitecture; each boots its own machines.
+    let rows = TrialRunner::new().map(profiles.len(), 0, |trial| {
+        let profile = &profiles[trial.index];
         let leak = spectre_v2_leak(profile.clone(), 0x5C)?;
-        let w = window_comparison(&profile);
+        let w = window_comparison(profile);
         let combo = run_combo(profile.clone(), TrainKind::JmpInd, VictimKind::NonBranch, 0)?;
         Ok(Row {
             uarch: profile.name.clone(),
@@ -66,20 +42,7 @@ impl Scenario for Comparison {
             phantom_uops: w.phantom_uops,
             phantom_executed: combo.executed,
         })
-    }
-
-    fn score(&self, samples: Vec<Row>) -> Vec<Row> {
-        samples
-    }
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
-    let rows = TrialRunner::new().run(
-        &Comparison {
-            profiles: UarchProfile::amd(),
-        },
-        0,
-    )?;
+    })?;
 
     println!(
         "{:<10} {:>14} {:>16} {:>16} {:>14}",

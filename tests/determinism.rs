@@ -1,10 +1,10 @@
 //! The trial runner's determinism contract, end to end: with the same
 //! seeds (experiment seed and the NoiseModel stream it derives), the
 //! rendered report output is byte-identical whether the trials run on
-//! one worker thread or many. Trial sharding is contiguous and
-//! order-preserving, and every probe is a pure function of the
-//! post-train state and its own `Trial`, so thread count can never
-//! change a published number.
+//! one worker thread or many. Workers claim trials from a shared
+//! cursor and the samples are folded in trial-index order, and every
+//! probe is a pure function of the post-setup state and its own
+//! `Trial`, so thread count can never change a published number.
 
 use phantom::covert::{execute_channel_on, fetch_channel_on, table2_on, CovertConfig};
 use phantom::experiment::table1_on;
@@ -112,68 +112,41 @@ fn noise_sweep_is_identical_across_thread_counts() {
     }
 }
 
-/// A scenario built to *maximize* completion-order skew: trial `i`
-/// sleeps `(trials - i)` milliseconds before returning, so on a
-/// multi-worker pool the LAST trial finishes FIRST and the completion
-/// order is roughly the reverse of the claim order. If the runner
-/// folded samples in completion order — or let worker identity leak
-/// into a sample — the rendered JSONL would differ between 1 and 8
-/// workers. It must not: samples are slotted by trial index, and each
-/// sample is a pure function of its `Trial`.
-struct SlowProbe {
-    trials: usize,
-}
-
-impl Scenario for SlowProbe {
-    type State = ();
-    type Checkpoint = ();
-    type Sample = JsonValue;
-    type Output = String;
-
-    fn trials(&self) -> usize {
-        self.trials
-    }
-
-    fn setup(&self) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn checkpoint(&self, (): ()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn fork(&self, (): &()) -> Result<(), ScenarioError> {
-        Ok(())
-    }
-
-    fn probe(&self, (): &mut (), trial: Trial) -> Result<JsonValue, ScenarioError> {
-        // Adversarial skew: early trials are the slowest.
-        let ms = (self.trials - trial.index) as u64;
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-        let mut rec = JsonValue::object();
-        rec.set("trial", JsonValue::Uint(trial.index as u64))
-            .set("seed", JsonValue::Uint(trial.seed));
-        Ok(rec)
-    }
-
-    fn score(&self, samples: Vec<JsonValue>) -> String {
-        samples
-            .iter()
-            .map(|s| s.to_compact_string() + "\n")
-            .collect()
-    }
+/// A probe built to *maximize* completion-order skew: trial `i` of
+/// `trials` sleeps `(trials - i)` milliseconds before returning, so on
+/// a multi-worker pool the LAST trial finishes FIRST and the completion
+/// order is roughly the reverse of the claim order. If
+/// [`TrialRunner::map`] folded samples in completion order — or let
+/// worker identity leak into a sample — the rendered JSONL would differ
+/// between 1 and 8 workers. It must not: samples are slotted by trial
+/// index, and each sample is a pure function of its `Trial`.
+fn slow_probe_jsonl(threads: usize, trials: usize, seed: u64) -> String {
+    let records = TrialRunner::with_threads(threads)
+        .map(trials, seed, |trial| {
+            // Adversarial skew: early trials are the slowest.
+            let ms = (trials - trial.index) as u64;
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+            let mut rec = JsonValue::object();
+            rec.set("trial", JsonValue::Uint(trial.index as u64))
+                .set("seed", JsonValue::Uint(trial.seed));
+            Ok(rec)
+        })
+        .unwrap();
+    records
+        .iter()
+        .map(|s| s.to_compact_string() + "\n")
+        .collect()
 }
 
 /// Byte-identical JSONL under adversarially skewed completion order:
-/// the slow-probe scenario reverses finish order on a pool, yet the
-/// folded stream matches the single-worker run byte for byte, with
-/// trial indices in order and per-trial seeds unchanged.
+/// the slow probe reverses finish order on a pool, yet the folded
+/// stream matches the single-worker run byte for byte, with trial
+/// indices in order and per-trial seeds unchanged.
 #[test]
 fn jsonl_is_byte_identical_under_reversed_completion_order() {
-    let scenario = SlowProbe { trials: 24 };
     let seed = 99;
-    let one = TrialRunner::with_threads(1).run(&scenario, seed).unwrap();
-    let eight = TrialRunner::with_threads(8).run(&scenario, seed).unwrap();
+    let one = slow_probe_jsonl(1, 24, seed);
+    let eight = slow_probe_jsonl(8, 24, seed);
     assert_eq!(one, eight, "JSONL bytes depend on worker count");
     for (i, line) in one.lines().enumerate() {
         let v = phantom::report::value::parse(line).unwrap();
