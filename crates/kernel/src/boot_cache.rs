@@ -21,11 +21,14 @@
 //!    entries from the canonical bases to the seed's randomized bases
 //!    (same frames, same flags — see
 //!    [`PageTable::rebase_4k_range`](phantom_mem::PageTable::rebase_4k_range)).
-//!    Each map is one sorted run, so the source range is a slice found
-//!    by binary search and each touched map is rebuilt by one linear
-//!    merge of its kept entries with the moved ones, into a fresh
-//!    allocation, rather than editing a deep copy of the shared one;
-//! 3. re-plant the seed's secret and re-point the syscall entry.
+//!    Each map holds extents (runs of pages on consecutive frames with
+//!    equal flags), and a boot's kernel half is two of them (image,
+//!    module) and its physmap one, so the rebase moves three extents,
+//!    not 1,568 entries: each touched map is rebuilt from its few
+//!    extents into a fresh allocation, and the user half stays shared;
+//! 3. re-plant the seed's secret and re-point the syscall entry. The
+//!    secret's 4,096 drawn bytes are now the largest piece of an
+//!    instance.
 //!
 //! The result is observationally identical to [`System::new`] with the
 //! same seed: the image blob is position-independent (its branches are
@@ -51,14 +54,11 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use phantom_mem::{HUGE_PAGE_SIZE, PAGE_SIZE};
 use phantom_pipeline::{TemplateStore, UarchProfile};
 
 use crate::layout::KaslrLayout;
-use crate::module::SECRET_LEN;
+use crate::module::secret_for;
 use crate::system::{System, SystemError};
 
 /// One canonical boot, cloned and rebased per seed.
@@ -128,8 +128,7 @@ impl BootTemplate {
         // Re-plant the seed's secret (module space is unrandomized, so
         // the address is the template's; the write CoW-unshares the
         // frame from the template).
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ec7e7);
-        let secret: Vec<u8> = (0..SECRET_LEN).map(|_| rng.gen()).collect();
+        let secret = secret_for(seed);
         machine.poke(self.system.module().secret, &secret);
         System::assemble(machine, layout, image, *self.system.module(), secret, seed)
     }

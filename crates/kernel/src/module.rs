@@ -2,6 +2,9 @@
 //! P3-style disclosure gadget, the reverse-engineering probe target, and
 //! the planted secret the §7.4 attack leaks.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use phantom_isa::asm::{AsmError, Assembler, Blob};
 use phantom_isa::inst::AluOp;
 use phantom_isa::{Cond, Inst, Reg};
@@ -17,6 +20,17 @@ pub const MODULE_BASE: u64 = 0xffff_ffff_c000_0000;
 pub const ARRAY_LEN: u64 = 16;
 /// Number of secret bytes planted after the array.
 pub const SECRET_LEN: usize = 4096;
+
+/// The secret a boot with `seed` plants at [`KernelModule::secret`]:
+/// [`SECRET_LEN`] bytes drawn from a generator seeded with `seed`. A
+/// fresh boot and a boot-template instance both plant these bytes.
+/// Drawing them is now the largest piece of an instance: the page-table
+/// rebase moves a few extents, while this draws 4,096 bytes one by one
+/// (changing how they are drawn would change every secret).
+pub(crate) fn secret_for(seed: u64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5ec7e7);
+    (0..SECRET_LEN).map(|_| rng.gen()).collect()
+}
 
 /// Addresses inside a loaded module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,8 +1,5 @@
 //! The full simulated system: kernel + user space on one machine.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use phantom_bpu::MsrState;
 use phantom_isa::asm::{AsmError, Assembler};
 use phantom_isa::encode::{encode, MAX_INST_LEN};
@@ -12,7 +9,7 @@ use phantom_pipeline::{Checkpoint, Machine, UarchProfile};
 
 use crate::image::KernelImage;
 use crate::layout::KaslrLayout;
-use crate::module::{KernelModule, MODULE_BASE, SECRET_LEN};
+use crate::module::{secret_for, KernelModule, MODULE_BASE};
 use crate::sysno;
 
 /// Address of the user-mode syscall stub (`syscall; hlt`).
@@ -140,8 +137,7 @@ impl System {
         machine.set_syscall_entry(Some(image.entry));
 
         // Plant the secret the §7.4 attack must leak.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5ec7e7);
-        let secret: Vec<u8> = (0..SECRET_LEN).map(|_| rng.gen()).collect();
+        let secret = secret_for(seed);
         machine.poke(module.secret, &secret);
 
         // Physmap: a non-executable direct map of physical memory at the
@@ -549,6 +545,7 @@ impl SystemCheckpoint {
 mod tests {
     use super::*;
     use crate::image::FAKE_PID;
+    use crate::module::SECRET_LEN;
 
     #[test]
     fn a_sealed_system_forks_and_rewinds_like_its_clone() {

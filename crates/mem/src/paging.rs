@@ -137,92 +137,170 @@ struct Mapping {
     flags: PageFlags,
 }
 
-/// One page-table map: `(page key, mapping)` entries in one sorted
-/// run, keys unique. A lookup first tries the slot a gap-free run would
-/// hold the key in, then binary-searches; the slice of a key range is
-/// two `partition_point`s, and a clone (the first write to an
-/// `Arc`-shared map) is one memcpy of the run. Boot maps pages in
-/// ascending order, so `insert` appends without searching whenever the
-/// key is past the last one.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PageRun(Vec<(u64, Mapping)>);
+/// `len` consecutive pages mapped to consecutive frames with one set of
+/// flags: page `key + i` maps to frame number `frame + i` (a frame
+/// number is the frame's address shifted down by its map's page shift).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    key: u64,
+    len: u64,
+    frame: u64,
+    flags: PageFlags,
+}
 
-impl PageRun {
-    /// `binary_search` over the keys, after one guess: in a run whose
-    /// keys from the first up to `key` have no gap (the kernel image's
-    /// pages are contiguous), `key` sits at slot `key - first`.
-    pub(crate) fn find(&self, key: u64) -> Result<usize, usize> {
-        let first = self.0.first().map_or(0, |&(k, _)| k);
-        let slot = key.wrapping_sub(first) as usize;
-        match self.0.get(slot) {
-            Some(&(k, _)) if k == key => Ok(slot),
-            _ => self.find_by_search(key),
-        }
+impl Extent {
+    /// One past the last key.
+    fn end(&self) -> u64 {
+        self.key + self.len
     }
 
-    /// [`PageRun::find`] without the guess.
-    pub(crate) fn find_by_search(&self, key: u64) -> Result<usize, usize> {
-        self.0.binary_search_by_key(&key, |&(k, _)| k)
+    /// Whether `next` continues `self`: the next key, the next frame
+    /// and the same flags.
+    fn joins(&self, next: &Extent) -> bool {
+        self.end() == next.key && self.frame + self.len == next.frame && self.flags == next.flags
     }
 
-    /// Test-only: a run holding `keys` (sorted, unique).
-    #[cfg(test)]
-    pub(crate) fn from_keys(keys: &[u64]) -> PageRun {
-        let mapping = Mapping {
-            frame: PhysAddr::new(0),
-            flags: PageFlags::USER_DATA,
-        };
-        PageRun(keys.iter().map(|&k| (k, mapping)).collect())
-    }
-
-    fn get(&self, key: &u64) -> Option<&Mapping> {
-        self.find(*key).ok().map(|i| &self.0[i].1)
-    }
-
-    fn get_mut(&mut self, key: &u64) -> Option<&mut Mapping> {
-        self.find(*key).ok().map(|i| &mut self.0[i].1)
-    }
-
-    fn contains_key(&self, key: &u64) -> bool {
-        self.find(*key).is_ok()
-    }
-
-    /// Insert or replace the entry for `key`, returning the replaced one.
-    fn insert(&mut self, key: u64, mapping: Mapping) -> Option<Mapping> {
-        if self.0.last().is_none_or(|&(last, _)| last < key) {
-            self.0.push((key, mapping));
-            return None;
-        }
-        match self.find(key) {
-            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, mapping)),
-            Err(i) => {
-                self.0.insert(i, (key, mapping));
-                None
-            }
-        }
-    }
-
-    fn remove(&mut self, key: &u64) -> Option<Mapping> {
-        self.find(*key).ok().map(|i| self.0.remove(i).1)
-    }
-
-    /// Index range of the entries keyed within `keys`.
-    fn span(&self, keys: &Range<u64>) -> Range<usize> {
-        let lo = self.0.partition_point(|&(k, _)| k < keys.start);
-        lo..lo + self.0[lo..].partition_point(|&(k, _)| k < keys.end)
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
+    /// The part of `self` keyed within `keys`, if any.
+    fn clip(&self, keys: Range<u64>) -> Option<Extent> {
+        let (start, end) = (keys.start.max(self.key), keys.end.min(self.end()));
+        (start < end).then(|| Extent {
+            key: start,
+            len: end - start,
+            frame: self.frame + (start - self.key),
+            flags: self.flags,
+        })
     }
 }
+
+/// Append `e` to `out`, extending the last extent when `e` continues it.
+fn push_joined(out: &mut Vec<Extent>, e: Extent) {
+    match out.last_mut() {
+        Some(last) if last.joins(&e) => last.len += e.len,
+        _ => out.push(e),
+    }
+}
+
+/// One page-table map, keyed by `va >> SHIFT`: sorted, non-overlapping
+/// extents, each as long as it can be (no extent [joins](Extent::joins)
+/// the one after it). A boot maps an image's pages to consecutive
+/// frames with one set of flags, so a kernel half of a thousand pages
+/// is a couple of extents. A lookup binary-searches the extents,
+/// `insert` extends a neighbour when the page continues it, and
+/// `remove` splits the extent holding the page; a clone (the first
+/// write to an `Arc`-shared map) copies the extents.
+#[derive(Debug, Clone, Default)]
+struct PageRun<const SHIFT: u32>(Vec<Extent>);
+
+impl<const SHIFT: u32> PageRun<SHIFT> {
+    /// Keys are `va >> SHIFT`: the size of the key space.
+    const KEYS: u64 = 1 << (64 - SHIFT);
+
+    /// Index of the extent holding `key`.
+    fn find(&self, key: u64) -> Option<usize> {
+        let i = self.0.partition_point(|e| e.key <= key);
+        (i > 0 && key < self.0[i - 1].end()).then(|| i - 1)
+    }
+
+    /// The mapping `e` gives `key`.
+    fn mapping(e: &Extent, key: u64) -> Mapping {
+        Mapping {
+            frame: PhysAddr::new((e.frame + (key - e.key)) << SHIFT),
+            flags: e.flags,
+        }
+    }
+
+    fn get(&self, key: u64) -> Option<Mapping> {
+        self.find(key).map(|i| Self::mapping(&self.0[i], key))
+    }
+
+    /// Insert or replace the mapping of `key`, returning the replaced one.
+    fn insert(&mut self, key: u64, mapping: Mapping) -> Option<Mapping> {
+        let old = self.remove(key);
+        let page = Extent {
+            key,
+            len: 1,
+            frame: mapping.frame.raw() >> SHIFT,
+            flags: mapping.flags,
+        };
+        let i = self.0.partition_point(|e| e.key < key);
+        let left = i.checked_sub(1).filter(|&l| self.0[l].joins(&page));
+        let right = self.0.get(i).is_some_and(|r| page.joins(r));
+        match (left, right) {
+            (Some(l), true) => {
+                self.0[l].len += 1 + self.0[i].len;
+                self.0.remove(i);
+            }
+            (Some(l), false) => self.0[l].len += 1,
+            (None, true) => {
+                self.0[i] = Extent {
+                    len: 1 + self.0[i].len,
+                    ..page
+                }
+            }
+            (None, false) => self.0.insert(i, page),
+        }
+        old
+    }
+
+    /// Remove the mapping of `key`, splitting the extent that held it.
+    fn remove(&mut self, key: u64) -> Option<Mapping> {
+        let i = self.find(key)?;
+        let e = self.0[i];
+        match (e.clip(e.key..key), e.clip(key + 1..e.end())) {
+            (Some(left), Some(right)) => {
+                self.0[i] = left;
+                self.0.insert(i + 1, right);
+            }
+            (Some(rest), None) | (None, Some(rest)) => self.0[i] = rest,
+            (None, None) => {
+                self.0.remove(i);
+            }
+        }
+        Some(Self::mapping(&e, key))
+    }
+
+    /// Change the flags of `key`'s mapping, returning the old flags.
+    fn set_flags(&mut self, key: u64, flags: PageFlags) -> Option<PageFlags> {
+        let old = self.remove(key)?;
+        self.insert(
+            key,
+            Mapping {
+                frame: old.frame,
+                flags,
+            },
+        );
+        Some(old.flags)
+    }
+
+    /// The parts of the extents keyed within `keys`, in key order.
+    fn overlapping(&self, keys: &Range<u64>) -> impl Iterator<Item = Extent> + '_ {
+        let (start, end) = (keys.start, keys.end);
+        let lo = self.0.partition_point(|e| e.end() <= start);
+        self.0[lo..].iter().map_while(move |e| e.clip(start..end))
+    }
+
+    /// Every mapping as `(key, frame, flags)`, in key order.
+    fn entries(&self) -> impl Iterator<Item = (u64, PhysAddr, PageFlags)> + '_ {
+        self.0.iter().flat_map(|e| {
+            (0..e.len).map(move |i| (e.key + i, PhysAddr::new((e.frame + i) << SHIFT), e.flags))
+        })
+    }
+}
+
+/// The user and kernel halves' 4 KiB maps.
+type SmallRun = PageRun<PAGE_SHIFT>;
+/// The 2 MiB map.
+type HugeRun = PageRun<HUGE_PAGE_SHIFT>;
 
 /// A flat page table: virtual page → (physical frame, flags).
 ///
 /// Supports 4 KiB pages and 2 MiB huge pages. Translation checks the
 /// present, write, exec and user bits against the access kind and
 /// privilege level, mirroring the x86-64 rules Phantom's primitives rely
-/// on.
+/// on. Each of its three maps holds sorted extents — runs of pages
+/// mapped to consecutive frames with equal flags — so a lookup
+/// binary-searches a handful of extents and a KASLR rebase moves whole
+/// extents; every method still speaks in single pages.
 ///
 /// # Examples
 ///
@@ -238,18 +316,19 @@ impl PageRun {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    /// 4 KiB mappings keyed by page number, one sorted run per
+    /// 4 KiB mappings keyed by page number, one extent list per
     /// address-space half (index 0: user, bit 63 clear; index 1:
     /// kernel). A user mapping after a clone then unshares only the
-    /// user run, never the kernel image's.
-    small: [Arc<PageRun>; 2],
-    /// 2 MiB mappings keyed by `va >> 21`, one sorted run.
-    huge: Arc<PageRun>,
+    /// user half, never the kernel image's.
+    small: [Arc<SmallRun>; 2],
+    /// 2 MiB mappings keyed by `va >> 21`, one extent list.
+    huge: Arc<HugeRun>,
     /// Restamped from [`PT_VERSIONS`] on every mutation; lets cached
     /// translations (the TLB fast path) prove their entry still
-    /// reflects the table. The runs are `Arc`-backed so cloning a table
+    /// reflects the table. The maps are `Arc`-backed so cloning a table
     /// (snapshots, per-shard setup) is three pointer bumps; the first
-    /// mutation of a run after a clone unshares it with one memcpy.
+    /// mutation of a map after a clone unshares it by copying its
+    /// extents.
     version: u64,
 }
 
@@ -304,12 +383,10 @@ impl PageTable {
     /// Remove the 4 KiB mapping covering `va`, if any.
     pub fn unmap_4k(&mut self, va: VirtAddr) -> Option<(PhysAddr, PageFlags)> {
         let page = va.page_number();
-        if !self.small(page).contains_key(&page) {
-            return None;
-        }
+        self.small(page).find(page)?;
         self.bump_version();
         self.small_mut(page)
-            .remove(&page)
+            .remove(page)
             .map(|m| (m.frame, m.flags))
     }
 
@@ -320,18 +397,17 @@ impl PageTable {
     pub fn set_flags(&mut self, va: VirtAddr, flags: PageFlags) -> Option<PageFlags> {
         let page = va.page_number();
         let huge_key = va.raw() >> HUGE_PAGE_SHIFT;
-        // Look before unsharing, so a miss leaves the runs shared and
+        // Look before unsharing, so a miss leaves the maps shared and
         // the version stamp untouched.
-        let (run, key, flags) = if self.small(page).contains_key(&page) {
-            (&mut self.small[half_of(page)], page, flags)
-        } else if self.huge.contains_key(&huge_key) {
-            (&mut self.huge, huge_key, flags | PageFlags::HUGE)
+        if self.small(page).find(page).is_some() {
+            self.bump_version();
+            self.small_mut(page).set_flags(page, flags)
+        } else if self.huge.find(huge_key).is_some() {
+            self.bump_version();
+            Arc::make_mut(&mut self.huge).set_flags(huge_key, flags | PageFlags::HUGE)
         } else {
-            return None;
-        };
-        self.version = next_pt_version();
-        let m = Arc::make_mut(run).get_mut(&key)?;
-        Some(std::mem::replace(&mut m.flags, flags))
+            None
+        }
     }
 
     /// The flags of the mapping covering `va`, if present in the table.
@@ -346,11 +422,11 @@ impl PageTable {
     /// Overlap-safe: the result is exactly "remove every source entry,
     /// then insert every moved one", so rebasing a region onto an
     /// overlapping one (KASLR slots are closer together than the
-    /// kernel image is long) never drops or duplicates an entry. Each
-    /// touched map is rebuilt by one linear merge of its sorted run
-    /// (see `rebase_keys`) rather than by per-entry remove and insert.
+    /// kernel image is long) never drops or duplicates an entry. The
+    /// move works on extents, not pages (see `rebase_keys`): a boot's
+    /// image is one extent, so its cost does not grow with its length.
     ///
-    /// Returns the number of mappings moved. A no-op rebase (equal
+    /// Returns the number of mappings (pages) moved. A no-op rebase (equal
     /// bases, or nothing mapped in the source range) leaves the
     /// version stamps untouched, like the other no-op mutators.
     pub fn rebase_4k_range(&mut self, old_base: VirtAddr, new_base: VirtAddr, pages: u64) -> usize {
@@ -363,10 +439,9 @@ impl PageTable {
         }
         let moved = rebase_keys(
             &mut self.small,
-            half_of,
             old_base.page_number(),
             pages,
-            |i| (new_base + (i << PAGE_SHIFT)).page_number(),
+            new_base.page_number(),
         );
         if moved != 0 {
             self.bump_version();
@@ -388,10 +463,9 @@ impl PageTable {
         }
         let moved = rebase_keys(
             std::slice::from_mut(&mut self.huge),
-            |_| 0,
             old_base.raw() >> HUGE_PAGE_SHIFT,
             count,
-            |i| (new_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT,
+            new_base.raw() >> HUGE_PAGE_SHIFT,
         );
         if moved != 0 {
             self.bump_version();
@@ -409,10 +483,10 @@ impl PageTable {
         self.version
     }
 
-    /// Whether `self` shares all three runs — the user and kernel
+    /// Whether `self` shares all three maps — the user and kernel
     /// halves' 4 KiB maps and the 2 MiB map — with `other`. A shared
-    /// run is one allocation both tables hold, and either table
-    /// unshares it before its first mutation, so shared runs prove that
+    /// map is one allocation both tables hold, and either table
+    /// unshares it before its first mutation, so shared maps prove that
     /// every translation is the same in both tables (a rewind's decode
     /// cache keeps its decodes then).
     pub fn shares_runs(&self, other: &PageTable) -> bool {
@@ -429,21 +503,20 @@ impl PageTable {
     }
 
     /// The 4 KiB map of the half `page` lies in.
-    fn small(&self, page: u64) -> &PageRun {
+    fn small(&self, page: u64) -> &SmallRun {
         &self.small[half_of(page)]
     }
 
     /// [`PageTable::small`], unshared for mutation.
-    fn small_mut(&mut self, page: u64) -> &mut PageRun {
+    fn small_mut(&mut self, page: u64) -> &mut SmallRun {
         Arc::make_mut(&mut self.small[half_of(page)])
     }
 
     fn lookup(&self, va: VirtAddr) -> Option<Mapping> {
         let page = va.page_number();
-        if let Some(m) = self.small(page).get(&page) {
-            return Some(*m);
-        }
-        self.huge.get(&(va.raw() >> HUGE_PAGE_SHIFT)).copied()
+        self.small(page)
+            .get(page)
+            .or_else(|| self.huge.get(va.raw() >> HUGE_PAGE_SHIFT))
     }
 
     /// Translate `va` for `access` at privilege `level`.
@@ -514,11 +587,15 @@ impl PageTable {
     /// per map: the user half's 4 KiB pages, the kernel half's, then the
     /// 2 MiB pages (keys are `va >> 12` and `va >> 21`). For parity
     /// checks between tables built by different paths, such as a
-    /// boot-template instance and a fresh boot.
+    /// boot-template instance and a fresh boot. Each extent expands
+    /// into its pages.
     pub fn entry_lists(&self) -> [Vec<(u64, PhysAddr, PageFlags)>; 3] {
         let [user, kernel] = &self.small;
-        [user, kernel, &self.huge]
-            .map(|run| run.0.iter().map(|&(k, m)| (k, m.frame, m.flags)).collect())
+        [
+            user.entries().collect(),
+            kernel.entries().collect(),
+            self.huge.entries().collect(),
+        ]
     }
 }
 
@@ -528,85 +605,121 @@ fn half_of(page: u64) -> usize {
     (page >> (63 - PAGE_SHIFT)) as usize
 }
 
-/// Move the entries keyed `first..first + count` to `dest(i)`, where
-/// `i` is the key's offset from `first`; return how many moved. The
-/// entries are spread over `maps`, key `k` living in `maps[part(k)]`
-/// (`part` must not decrease as the key grows, so each map holds one
-/// contiguous key range and the maps in order form one sorted
-/// sequence), so a range may straddle maps and a moved entry may
-/// change map.
+/// Move the pages keyed `first..first + count` so that page
+/// `first + i` lands on key `new_first + i`, wrapping past the top of
+/// the key space; return how many pages moved. `maps` split the key
+/// space into equal consecutive spans, in order: the two halves of the
+/// 4 KiB map, or the one huge map. A source range running past the top
+/// of the key space is clipped there rather than wrapped.
 ///
-/// The source entries are one `partition_point` slice per map. Their
-/// destinations come out sorted, because `dest` increases with `i`,
-/// unless the destination wraps past the top of the key space; only
-/// then are they sorted. Each map that loses or gains an entry is then
-/// rebuilt by one linear merge into a fresh allocation: its entries
-/// outside the source range, merged with the moved ones landing in
-/// it. On equal keys the moved entry wins and the kept one is dropped
-/// — the maps remove-all-then-insert-all yields, for any overlap of
-/// source and destination. A map with nothing to lose or gain (and its
-/// sharing) is left alone. A source range running past the top of the
-/// key space is clipped there rather than wrapped.
-fn rebase_keys(
-    maps: &mut [Arc<PageRun>],
-    part: impl Fn(u64) -> usize,
+/// The result is remove-every-source-page-then-insert-every-moved-one,
+/// for any overlap of source and destination, and it costs
+/// O(extents), not O(pages):
+///
+/// 1. The extents the source range touches are cut out of each map,
+///    the two at its ends clipped to it.
+/// 2. Each cut extent is shifted by `new_first - first` and split where
+///    it crosses into the next map's span or wraps past the top. A map's
+///    incoming pieces stay in key order unless the destination wraps
+///    back into the map it started in; only then are they sorted.
+/// 3. Each map that loses or gains a page is rebuilt into a fresh
+///    allocation: its extents clipped to outside the source range,
+///    overlaid by the incoming pieces (a piece replaces whatever the
+///    kept extents map under it), joining neighbours that continue each
+///    other. A map with nothing to lose or gain keeps its sharing.
+fn rebase_keys<const SHIFT: u32>(
+    maps: &mut [Arc<PageRun<SHIFT>>],
     first: u64,
     count: u64,
-    dest: impl Fn(u64) -> u64,
+    new_first: u64,
 ) -> usize {
-    let source = first..first.saturating_add(count);
-    let mut moved: Vec<(u64, Mapping)> = maps
-        .iter()
-        .flat_map(|map| &map.0[map.span(&source)])
-        .map(|&(k, m)| (dest(k - first), m))
-        .collect();
-    if moved.is_empty() {
+    let keys = PageRun::<SHIFT>::KEYS;
+    let span = keys / maps.len() as u64;
+    let source = first..first.saturating_add(count).min(keys);
+    let mut incoming = vec![Vec::new(); maps.len()];
+    let mut moved = 0;
+    for cut in maps.iter().flat_map(|map| map.overlapping(&source)) {
+        moved += cut.len;
+        let mut piece = Extent {
+            key: (new_first + (cut.key - first)) % keys,
+            ..cut
+        };
+        while piece.len > 0 {
+            let len = piece.len.min(span - piece.key % span);
+            incoming[(piece.key / span) as usize].push(Extent { len, ..piece });
+            piece = Extent {
+                key: (piece.key + len) % keys,
+                len: piece.len - len,
+                frame: piece.frame + len,
+                flags: piece.flags,
+            };
+        }
+    }
+    if moved == 0 {
         return 0;
     }
-    if !moved.is_sorted_by_key(|&(k, _)| k) {
-        moved.sort_unstable_by_key(|&(k, _)| k);
-    }
-    for (i, map) in maps.iter_mut().enumerate() {
-        let lost = map.span(&source);
-        let incoming = {
-            let lo = moved.partition_point(|&(k, _)| part(k) < i);
-            &moved[lo..lo + moved[lo..].partition_point(|&(k, _)| part(k) == i)]
-        };
-        if lost.is_empty() && incoming.is_empty() {
+    for (map, incoming) in maps.iter_mut().zip(&mut incoming) {
+        if incoming.is_empty() && map.overlapping(&source).next().is_none() {
             continue;
         }
-        let kept = map.0[..lost.start].iter().chain(&map.0[lost.end..]);
-        let capacity = map.len() - lost.len() + incoming.len();
-        *map = Arc::new(PageRun(merge_runs(kept.copied(), incoming, capacity)));
+        if !incoming.is_sorted_by_key(|e| e.key) {
+            incoming.sort_unstable_by_key(|e| e.key);
+        }
+        let kept = map
+            .0
+            .iter()
+            .flat_map(|e| [e.clip(0..source.start), e.clip(source.end..u64::MAX)])
+            .flatten();
+        *map = Arc::new(PageRun(overlay(kept, incoming)));
     }
-    moved.len()
+    moved as usize
 }
 
-/// Merge two sorted runs of unique keys into one. On equal keys the
-/// `winners` entry is kept and the `kept` one dropped.
-fn merge_runs(
-    kept: impl Iterator<Item = (u64, Mapping)>,
-    winners: &[(u64, Mapping)],
-    capacity: usize,
-) -> Vec<(u64, Mapping)> {
-    let mut out = Vec::with_capacity(capacity);
-    let mut winners = winners.iter().copied().peekable();
-    for (k, m) in kept {
-        while let Some(w) = winners.next_if(|&(wk, _)| wk < k) {
-            out.push(w);
+/// `top` laid over `base`, both sorted and non-overlapping: every
+/// extent of `top`, plus the parts of `base` no `top` extent covers, in
+/// key order and with neighbours that continue each other joined.
+fn overlay(base: impl Iterator<Item = Extent>, top: &[Extent]) -> Vec<Extent> {
+    let mut out = Vec::new();
+    let mut top = top.iter().copied().peekable();
+    for e in base {
+        let mut rest = Some(e);
+        while let Some(r) = rest {
+            let Some(&t) = top.peek().filter(|t| t.key < r.end()) else {
+                push_joined(&mut out, r);
+                break;
+            };
+            if let Some(head) = r.clip(r.key..t.key) {
+                push_joined(&mut out, head);
+            }
+            // A `top` extent reaching past `r` may cover later `base`
+            // extents too, so it stays until one reaches past it.
+            if t.end() > r.end() {
+                break;
+            }
+            push_joined(&mut out, t);
+            top.next();
+            rest = r.clip(t.end()..r.end());
         }
-        out.push(winners.next_if(|&(wk, _)| wk == k).unwrap_or((k, m)));
     }
-    out.extend(winners);
+    for t in top {
+        push_joined(&mut out, t);
+    }
     out
 }
 
 /// Test-only oracle: the per-entry rebase that [`rebase_keys`]
-/// replaced — remove every source entry from a deep-cloned map, then
-/// insert every moved one. `proptests.rs` checks the one-pass rebase
+/// replaced — remove every source page from a deep-cloned map, then
+/// insert every moved one. `proptests.rs` checks the extent rebase
 /// against it.
 #[cfg(test)]
 impl PageTable {
+    /// How many extents each map holds: the user half's, the kernel
+    /// half's and the huge map's.
+    pub(crate) fn extent_counts(&self) -> [usize; 3] {
+        let [user, kernel] = &self.small;
+        [user.0.len(), kernel.0.len(), self.huge.0.len()]
+    }
+
     pub(crate) fn rebase_4k_range_per_entry(
         &mut self,
         old_base: VirtAddr,
@@ -619,7 +732,7 @@ impl PageTable {
         let mut moved = Vec::new();
         for i in 0..pages {
             let key = (old_base + (i << PAGE_SHIFT)).page_number();
-            if let Some(m) = self.small_mut(key).remove(&key) {
+            if let Some(m) = self.small_mut(key).remove(key) {
                 moved.push((i, m));
             }
         }
@@ -646,7 +759,7 @@ impl PageTable {
         let mut moved = Vec::new();
         for i in 0..count {
             let key = (old_base.raw() + i * HUGE_PAGE_SIZE) >> HUGE_PAGE_SHIFT;
-            if let Some(m) = huge.remove(&key) {
+            if let Some(m) = huge.remove(key) {
                 moved.push((i, m));
             }
         }
@@ -1065,6 +1178,48 @@ mod tests {
         // A real rebase bumps it.
         assert!(pt.rebase_4k_range(VirtAddr::new(0x1000), VirtAddr::new(0x8000), 1) == 1);
         assert!(pt.version() > v);
+    }
+
+    /// A boot-shaped table — 1,056 image pages on consecutive frames,
+    /// five module pages with other flags, 512 physmap huge pages — is
+    /// two kernel extents and one huge extent, and stays so when KASLR
+    /// moves the image by one slot (source and destination overlap)
+    /// and the physmap by seven, matching the per-entry rebase.
+    #[test]
+    fn a_boot_shaped_table_is_three_extents_before_and_after_a_rebase() {
+        let image = VirtAddr::new(0xffff_ffff_8000_0000);
+        let module = VirtAddr::new(0xffff_ffff_c000_0000);
+        let physmap = VirtAddr::new(0xffff_8880_0000_0000);
+        let mut pt = PageTable::new();
+        for i in 0..1_056u64 {
+            let frame = PhysAddr::new(0x10_0000 + (i << PAGE_SHIFT));
+            pt.map_4k(image + (i << PAGE_SHIFT), frame, PageFlags::KERNEL_TEXT);
+        }
+        for i in 0..5u64 {
+            let frame = PhysAddr::new(0x60_0000 + (i << PAGE_SHIFT));
+            let flags = PageFlags::KERNEL_TEXT | PageFlags::WRITE;
+            pt.map_4k(module + (i << PAGE_SHIFT), frame, flags);
+        }
+        for i in 0..512u64 {
+            let frame = PhysAddr::new(i * HUGE_PAGE_SIZE);
+            pt.map_2m(physmap + i * HUGE_PAGE_SIZE, frame, PageFlags::KERNEL_DATA);
+        }
+        assert_eq!(pt.extent_counts(), [0, 2, 1]);
+
+        let mut oracle = pt.clone();
+        let (new_image, new_physmap) = (image + HUGE_PAGE_SIZE, physmap + 7 * 0x4000_0000);
+        assert_eq!(pt.rebase_4k_range(image, new_image, 1_056), 1_056);
+        assert_eq!(pt.rebase_2m_range(physmap, new_physmap, 512), 512);
+        assert_eq!(
+            oracle.rebase_4k_range_per_entry(image, new_image, 1_056),
+            1_056
+        );
+        assert_eq!(
+            oracle.rebase_2m_range_per_entry(physmap, new_physmap, 512),
+            512
+        );
+        assert_eq!(pt.extent_counts(), [0, 2, 1]);
+        assert_eq!(pt.entry_lists(), oracle.entry_lists());
     }
 
     #[test]

@@ -565,6 +565,223 @@ proptest! {
     }
 }
 
+// ----- extents against the single-map model -----------------------------
+
+/// Huge-page windows for the extent model check: user, straddling the
+/// halves, kernel (the physmap's region), and the top of the address
+/// space (slots past 8 wrap to VA 0, under the 4 KiB windows 0 and 3).
+const HUGE_WINDOWS: [u64; 4] = [
+    0x4000_0000,
+    0x8000_0000_0000_0000 - 8 * HUGE_PAGE_SIZE,
+    0xffff_8880_0000_0000,
+    0u64.wrapping_sub(8 * HUGE_PAGE_SIZE),
+];
+/// Huge slots per window.
+const HUGE_SLOTS: u64 = 16;
+/// Huge keys are `va >> 21`, 43 bits wide.
+const HUGE_KEYS: u64 = 1 << 43;
+
+/// The VA of `slot` in `window`, and the number of keys of its page
+/// size.
+fn extent_va(huge: bool, window: usize, slot: u64) -> (VirtAddr, u64) {
+    if huge {
+        (
+            VirtAddr::new(HUGE_WINDOWS[window]) + slot * HUGE_PAGE_SIZE,
+            HUGE_KEYS,
+        )
+    } else {
+        (split_va(window, slot), PAGE_KEYS)
+    }
+}
+
+/// One mutation of the extent model check. Runs of pages map to
+/// consecutive frames, so extents form; single-page unmaps and flag
+/// changes split them; rebases cut them.
+#[derive(Debug, Clone)]
+enum ExtentOp {
+    /// `(huge, window, slot, pages, first frame, flags)`: map `pages`
+    /// pages from the slot up to consecutive frames.
+    MapRun(bool, usize, u64, u64, u64, PageFlags),
+    Unmap(usize, u64),
+    SetFlags(bool, usize, u64, PageFlags),
+    /// `(huge, source window, slot, destination window, slot, pages)`.
+    Rebase(bool, usize, u64, usize, u64, u64),
+}
+
+/// Mostly two flag values, so that neighbouring runs often carry equal
+/// flags and can join.
+fn arb_run_flags() -> impl Strategy<Value = PageFlags> {
+    prop_oneof![
+        Just(PageFlags::KERNEL_TEXT),
+        Just(PageFlags::USER_DATA),
+        arb_flags(),
+    ]
+}
+
+fn arb_extent_ops() -> impl Strategy<Value = Vec<ExtentOp>> {
+    let op = (
+        (0u8..10, any::<bool>()),
+        (0usize..4, 0u64..SPLIT_SLOTS),
+        (0usize..4, 0u64..SPLIT_SLOTS),
+        (1u64..24, 0u8..3, 0u64..1 << 12),
+        arb_run_flags(),
+    )
+        .prop_map(
+            |((k, huge), (w, s), (w2, s2), (pages, frame_kind, frame), flags)| {
+                let slots = if huge { HUGE_SLOTS } else { SPLIT_SLOTS };
+                let (s, s2) = (s % slots, s2 % slots);
+                // The identity-like frame lets runs mapped by different ops
+                // continue each other.
+                let frame = if frame_kind == 0 {
+                    frame
+                } else {
+                    w as u64 * slots + s
+                };
+                match k {
+                    0..=3 => ExtentOp::MapRun(huge, w, s, pages.min(slots), frame, flags),
+                    4 => ExtentOp::Unmap(w, s),
+                    5 => ExtentOp::SetFlags(huge, w, s, flags),
+                    // Counts spread over 0..=slots.
+                    _ => ExtentOp::Rebase(huge, w, s, w2, s2, pages * 3 % (slots + 1)),
+                }
+            },
+        );
+    proptest::collection::vec(op, 1..40)
+}
+
+/// How many maximal runs (next key, next frame of `unit` bytes, same
+/// flags) the key-ordered `entries` form: what a map of extents holds
+/// when no two neighbours could join.
+fn model_runs<'a>(
+    entries: impl Iterator<Item = (&'a u64, &'a (PhysAddr, PageFlags))>,
+    unit: u64,
+) -> usize {
+    let mut runs = 0;
+    let mut next = None;
+    for (&k, &(frame, flags)) in entries {
+        runs += usize::from(next != Some((k, frame, flags)));
+        next = Some((k + 1, frame + unit, flags));
+    }
+    runs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Page maps held as extents are observationally one map per page
+    /// size. Ops map runs of consecutive pages to consecutive frames,
+    /// then unmap and change flags inside them and rebase ranges that
+    /// cut runs at both ends, straddle the halves and wrap past the
+    /// top, on the 4 KiB and the 2 MiB map. After every op `translate`
+    /// for every access kind and privilege level, `flags_of`, the
+    /// moved count and the version stamp equal the single-`BTreeMap`
+    /// model's, `entry_lists` lists the model's entries, and each map
+    /// holds exactly as many extents as the model has maximal runs.
+    #[test]
+    fn extent_page_table_matches_a_single_map_model(ops in arb_extent_ops()) {
+        let mut pt = PageTable::new();
+        let mut model = PtModel::default();
+        for op in ops {
+            let before = pt.version();
+            let changed = match op {
+                ExtentOp::MapRun(huge, w, s, pages, frame, flags) => {
+                    let (base, _) = extent_va(huge, w, s);
+                    for i in 0..pages {
+                        if huge {
+                            let (va, pa) = (base + i * HUGE_PAGE_SIZE, PhysAddr::new((frame + i) * HUGE_PAGE_SIZE));
+                            let want = model.huge.insert(va.raw() >> 21, (pa, flags | PageFlags::HUGE));
+                            prop_assert_eq!(pt.map_2m(va, pa, flags), want);
+                        } else {
+                            let (va, pa) = (base + i * PAGE_SIZE, PhysAddr::new((frame + i) * PAGE_SIZE));
+                            let want = model.small.insert(va.page_number(), (pa, flags));
+                            prop_assert_eq!(pt.map_4k(va, pa, flags), want);
+                        }
+                    }
+                    true
+                }
+                ExtentOp::Unmap(w, s) => {
+                    let va = split_va(w, s);
+                    let old = pt.unmap_4k(va);
+                    prop_assert_eq!(old, model.small.remove(&va.page_number()));
+                    old.is_some()
+                }
+                ExtentOp::SetFlags(huge, w, s, flags) => {
+                    let (va, _) = extent_va(huge, w, s);
+                    let old = pt.set_flags(va, flags);
+                    let want = if let Some(m) = model.small.get_mut(&va.page_number()) {
+                        Some(std::mem::replace(&mut m.1, flags))
+                    } else {
+                        model
+                            .huge
+                            .get_mut(&(va.raw() >> 21))
+                            .map(|m| std::mem::replace(&mut m.1, flags | PageFlags::HUGE))
+                    };
+                    prop_assert_eq!(old, want);
+                    old.is_some()
+                }
+                ExtentOp::Rebase(huge, w, s, w2, s2, pages) => {
+                    let ((old, keys), (new, _)) = (extent_va(huge, w, s), extent_va(huge, w2, s2));
+                    let (count, map, shift) = if huge {
+                        (pt.rebase_2m_range(old, new, pages), &mut model.huge, 21)
+                    } else {
+                        (pt.rebase_4k_range(old, new, pages), &mut model.small, 12)
+                    };
+                    let mut want = 0;
+                    if old != new {
+                        let (first, new_first) = (old.raw() >> shift, new.raw() >> shift);
+                        let taken: Vec<(u64, (PhysAddr, PageFlags))> = map
+                            .range(first..first + pages)
+                            .map(|(&k, &m)| (k - first, m))
+                            .collect();
+                        for &(i, _) in &taken {
+                            map.remove(&(first + i));
+                        }
+                        for &(i, m) in &taken {
+                            map.insert((new_first + i) % keys, m);
+                        }
+                        want = taken.len();
+                    }
+                    prop_assert_eq!(count, want, "moved count");
+                    count != 0
+                }
+            };
+            prop_assert_eq!(pt.version() != before, changed, "version stamp");
+
+            let half = PAGE_KEYS / 2;
+            let expected = [
+                model.small.range(..half).map(|(&k, &(f, fl))| (k, f, fl)).collect::<Vec<_>>(),
+                model.small.range(half..).map(|(&k, &(f, fl))| (k, f, fl)).collect(),
+                model.huge.iter().map(|(&k, &(f, fl))| (k, f, fl)).collect(),
+            ];
+            prop_assert_eq!(pt.entry_lists(), expected);
+            prop_assert_eq!(
+                pt.extent_counts(),
+                [
+                    model_runs(model.small.range(..half), PAGE_SIZE),
+                    model_runs(model.small.range(half..), PAGE_SIZE),
+                    model_runs(model.huge.iter(), HUGE_PAGE_SIZE),
+                ],
+                "extents are maximal"
+            );
+            let vas = (0..SPLIT_WINDOWS.len()).flat_map(|w| {
+                (0..SPLIT_SLOTS).map(move |s| split_va(w, s) + 0x123)
+                    .chain((0..HUGE_SLOTS).map(move |s| extent_va(true, w, s).0 + 0x12_3456))
+            });
+            for va in vas {
+                prop_assert_eq!(pt.flags_of(va), model.lookup(va).map(|(_, fl, _)| fl));
+                for access in [AccessKind::Read, AccessKind::Write, AccessKind::Execute] {
+                    for level in [PrivilegeLevel::User, PrivilegeLevel::Supervisor] {
+                        prop_assert_eq!(
+                            pt.translate(va, access, level).map_err(|f| f.reason),
+                            model.translate(va, access, level)
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ----- the chunked frame store against the flat one -------------------
 
 /// One step of the chunked-vs-flat model check. Addresses span four
@@ -1077,30 +1294,6 @@ proptest! {
             for asid in 0..3 {
                 prop_assert_eq!(flat.peek(va(page), asid), nested.peek(va(page), asid));
             }
-        }
-    }
-
-    /// `PageRun::find`'s dense-slot guess never changes its answer: over
-    /// runs with and without gaps, for keys inside, between, before and
-    /// after the run, it equals the plain binary search.
-    #[test]
-    fn page_run_find_matches_binary_search(
-        first in 0u64..1 << 40,
-        gaps in proptest::collection::vec(prop_oneof![Just(1u64), Just(1u64), Just(1u64), 2u64..6], 0..40),
-        probes in proptest::collection::vec(0u64..50, 1..40),
-    ) {
-        use crate::paging::PageRun;
-        let mut keys = vec![first];
-        for gap in gaps {
-            let last = keys[keys.len() - 1];
-            keys.push(last + gap);
-        }
-        let run = PageRun::from_keys(&keys);
-        let empty = PageRun::from_keys(&[]);
-        for p in probes {
-            let key = (first + p).wrapping_sub(3);
-            prop_assert_eq!(run.find(key), run.find_by_search(key), "key {} in {:?}", key, keys);
-            prop_assert_eq!(empty.find(key), empty.find_by_search(key));
         }
     }
 
